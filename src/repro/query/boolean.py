@@ -98,6 +98,9 @@ class Word:
     def words(self) -> set[str]:
         return {self.word}
 
+    def complements(self) -> bool:
+        return False
+
 
 @dataclass(frozen=True)
 class And:
@@ -124,6 +127,15 @@ class And:
     def words(self) -> set[str]:
         return self.left.words() | self.right.words()
 
+    def complements(self) -> bool:
+        # Mirrors ``evaluate``: the one ``Not`` operand taken as a
+        # difference is never complemented; a second one still is.
+        if isinstance(self.right, Not):
+            return self.left.complements() or self.right.child.complements()
+        if isinstance(self.left, Not):
+            return self.right.complements() or self.left.child.complements()
+        return self.left.complements() or self.right.complements()
+
 
 @dataclass(frozen=True)
 class Or:
@@ -138,6 +150,9 @@ class Or:
     def words(self) -> set[str]:
         return self.left.words() | self.right.words()
 
+    def complements(self) -> bool:
+        return self.left.complements() or self.right.complements()
+
 
 @dataclass(frozen=True)
 class Not:
@@ -148,6 +163,13 @@ class Not:
 
     def words(self) -> set[str]:
         return self.child.words()
+
+    def complements(self) -> bool:
+        """Does evaluating this node subtract from ``range(ndocs)``
+        somewhere?  Only then can the answer hold ids no fetched list
+        contains — what a shard evaluating against its own postings
+        must have cut back to its own slice of the universe."""
+        return True
 
 
 # -- parser -----------------------------------------------------------------------

@@ -20,6 +20,15 @@ and cheap:
   early-exit economy local) and only the per-shard answers — again
   sorted and disjoint — are merged.
 
+The in-process :class:`~repro.core.sharded.ShardedTextIndex` gathers
+boolean and vector queries at the fetch level, where a merged list
+costs a function call.  The multi-process gateway
+(:mod:`repro.service.gateway`) is answer-level in *every* mode — a
+fetched list there crosses a process boundary — with two additions to
+the plain merge: a complementing ``NOT`` is cut back to each shard's
+routed slice, and vector replies carry per-term df with candidates
+grouped by term bitmask (:func:`repro.query.vector.shard_candidates`).
+
 Read-op accounting is summed across shards: each shard charges the
 paper's Figure-10 units (one read per chunk, one per bucket) against its
 own volume, so the cost model stays meaningful per shard and the total

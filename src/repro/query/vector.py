@@ -76,6 +76,83 @@ def rank(
     return [ScoredDocument(doc_id=d, score=s) for d, s in best]
 
 
+def query_terms(weights: Mapping[str, float]) -> list[str]:
+    """The words :func:`rank` fetches, in the order it fetches them."""
+    return sorted(word for word, weight in weights.items() if weight != 0.0)
+
+
+def shard_candidates(
+    terms: Sequence[str],
+    fetch: Callable[[str], Sequence[int]],
+    top_k: int,
+) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """One shard's half of a ranking: ``(df per term, candidates)``.
+
+    Postings are presence-only, so a document's score depends only on
+    *which* terms it contains.  Candidates are therefore grouped by term
+    bitmask (bit ``i`` = contains ``terms[i]``), and since equal scores
+    rank by smaller doc id only the ``top_k`` smallest ids of a group can
+    ever place.  Scoring waits for :func:`rank_candidates`: idf needs
+    every shard's document frequencies.
+    """
+    dfs = []
+    masks: dict[int, int] = {}
+    for bit, word in enumerate(terms):
+        postings = fetch(word)
+        dfs.append(len(postings))
+        flag = 1 << bit
+        for doc in postings:
+            masks[doc] = masks.get(doc, 0) | flag
+    groups: dict[int, list[int]] = {}
+    for doc, mask in masks.items():
+        groups.setdefault(mask, []).append(doc)
+    return dfs, [
+        (mask, heapq.nsmallest(top_k, docs)) for mask, docs in groups.items()
+    ]
+
+
+def rank_candidates(
+    weights: Mapping[str, float],
+    terms: Sequence[str],
+    shards: Sequence[tuple],
+    ndocs: int,
+    top_k: int = 10,
+) -> list[ScoredDocument]:
+    """:func:`rank` over per-shard :func:`shard_candidates` replies.
+
+    Shards partition the documents, so a term's document frequency is
+    the sum of the shards'.  A group's score adds its terms'
+    contributions from 0.0 in ``terms`` order, skipping zero ones — the
+    additions :func:`rank` performs, in its order — so scores are
+    bit-identical to ranking the merged posting lists.
+    """
+    if top_k <= 0:
+        raise ValueError("top_k must be > 0")
+    contributions = [
+        weights[word] * idf(ndocs, sum(dfs[bit] for dfs, _ in shards))
+        for bit, word in enumerate(terms)
+    ]
+    scores: dict[int, float | None] = {}
+    scored = []
+    for _, groups in shards:
+        for mask, docs in groups:
+            if mask not in scores:
+                score, listed = 0.0, False
+                for bit, contribution in enumerate(contributions):
+                    if mask >> bit & 1 and contribution != 0.0:
+                        score += contribution
+                        listed = True
+                # rank() never lists a document no contribution reached.
+                scores[mask] = score if listed else None
+            score = scores[mask]
+            if score is not None:
+                scored.extend((doc, score) for doc in docs)
+    best = heapq.nlargest(
+        top_k, scored, key=lambda item: (item[1], -item[0])
+    )
+    return [ScoredDocument(doc_id=d, score=s) for d, s in best]
+
+
 def query_from_document(words: Sequence[str]) -> dict[str, float]:
     """Build a vector query from a document's words (weight = in-document
     term frequency) — the paper's "a query may be derived from a document"

@@ -32,10 +32,14 @@ builds the serving front end on top:
   generator and CLI drive in-process and multi-process serving through
   the same code.
 
-Read-path amortization (DESIGN.md §16): every logical read used to cost
-one pickled frame per shard — at saturation the per-frame tax (pickle +
-syscall + dispatch, times shards × replicas) dominates.  Two layers buy
-it back, changing only how reads *travel*, never what they evaluate
+Read path (DESIGN.md §16): every query mode is *answer-level* — one
+member read per shard per query; the worker evaluates boolean, streamed
+and vector queries against its own postings and the gateway merges
+answers (a complementing ``NOT`` cut back to each shard's routed slice;
+vector replies carrying per-term df and candidates grouped by term
+bitmask, scored here once df is summed).  What remains per frame —
+pickle + syscall + dispatch, times shards × replicas — two layers
+amortize, changing only how reads *travel*, never what they evaluate
 against:
 
 * **Adaptive micro-batching** — each replica carries a
@@ -117,7 +121,7 @@ from .replication import (
     ReplicationStats,
     replica_specs,
 )
-from .server import ServiceStats, _boolean_terms
+from .server import ServiceStats
 from .worker import FlushOutcome, WorkerSpec, worker_main
 
 
@@ -362,26 +366,29 @@ class ShardProxy:
 
     # -- retrieval --------------------------------------------------------
 
+    def _read(self, method: str, *args):
+        """One retrieval RPC against what this proxy addresses: its pin,
+        else the worker's own read tier (an immediate-tier worker's live
+        view, not the snapshot it last published)."""
+        tier = None
+        if self._snapshot_id is None:
+            tier = self._worker.spec.read_tier
+        return self._worker.call(method, *args, self._snapshot_id, tier)
+
     def fetch_postings(self, word: str) -> tuple[list[int], int]:
-        return self._worker.call("fetch_postings", word, self._snapshot_id)
+        return self._read("fetch_postings", word)
 
     def search_boolean(self, query: str) -> QueryAnswer:
-        return self._worker.call("search_boolean", query, self._snapshot_id)
+        return QueryAnswer(*self._read("search_boolean", query))
 
     def search_streamed(self, query: str) -> QueryAnswer:
-        return self._worker.call(
-            "search_streamed", query, self._snapshot_id
-        )
+        return QueryAnswer(*self._read("search_streamed", query))
 
     def search_vector(self, weights, top_k: int = 10):
-        return self._worker.call(
-            "search_vector", dict(weights), top_k, self._snapshot_id
-        )
+        return self.search_vector_counted(weights, top_k)[0]
 
     def search_vector_counted(self, weights, top_k: int = 10):
-        return self._worker.call(
-            "search_vector_counted", dict(weights), top_k, self._snapshot_id
-        )
+        return self._read("search_vector_counted", dict(weights), top_k)
 
 
 @dataclass(frozen=True)
@@ -525,10 +532,10 @@ def _retrieve(future) -> None:
 class _ReadBatcher:
     """Per-replica read micro-batcher (DESIGN.md §16).
 
-    ``enqueue`` is synchronous, so every read the scatter fan-out creates
-    in one event-loop tick — a query's words × this replica — lands in
-    the same queue before any flush task runs, and travels as one frame
-    even on an idle gateway.  The flush fires when the queue reaches
+    ``enqueue`` is synchronous, so every read created in one event-loop
+    tick — one member per concurrently admitted query bound for this
+    replica — lands in the same queue before any flush task runs, and
+    travels as one frame.  The flush fires when the queue reaches
     ``max_batch_size`` or when the adaptive delay window expires: zero
     extra wait while recent batches have been shallow, widening toward
     ``max_batch_delay_us`` as the depth EWMA approaches the cap (under
@@ -561,12 +568,13 @@ class _ReadBatcher:
     def delay_s(self) -> float:
         """The adaptive window for the next timed flush.
 
-        Zero while recent batches have filled less than half the cap — a
-        zero sleep is a plain ready-queue yield (no timer), so shallow
-        traffic still coalesces same-tick members and pays no added
-        latency.  Past the half-full mark the window widens linearly
-        toward ``max_batch_delay_us``: the queue is deep enough that
-        waiting a hair collects a much fuller frame.
+        Zero while recent batches have filled less than half the cap:
+        the flusher then sends on its first step, which the loop runs
+        one tick after the enqueue that created it, so shallow traffic
+        still coalesces same-tick members and pays no added latency.
+        Past the half-full mark the window widens linearly toward
+        ``max_batch_delay_us``: the queue is deep enough that waiting a
+        hair collects a much fuller frame.
         """
         gateway = self._gateway
         if gateway.max_batch_delay_us <= 0:
@@ -577,8 +585,10 @@ class _ReadBatcher:
         return gateway.max_batch_delay_us * 1e-6 * fill
 
     async def _delayed_flush(self) -> None:
+        delay = self.delay_s()
         try:
-            await asyncio.sleep(self.delay_s())
+            if delay:
+                await asyncio.sleep(delay)
         finally:
             # Clear before sending so members enqueued during the RPC
             # open a fresh window instead of silently queueing forever.
@@ -793,6 +803,11 @@ class AsyncShardGateway:
         #: scans must not treat them as live victim documents.
         self._holes: set[int] = set()
         self.rebalance = RebalanceStats()
+        #: A split is between its cutover and the victim's tombstone
+        #: flush: two active shards both hold the movers.  Answer merges
+        #: dedupe doc ids regardless; only the vector pushdown, which
+        #: sums per-shard document frequencies, has to stand aside.
+        self._split_overlap = False
         #: Serializes grow_buckets rebuilds across shards (None = every
         #: shard grows the round its trigger fires, PR 5 behavior).
         #: With rebalancing on, one RebalancePlanner plays both roles —
@@ -1465,7 +1480,9 @@ class AsyncShardGateway:
            bump the snapshot id.  From this instant reads scatter to the
            new shard too; the victim still holds the movers, so both
            shards briefly answer for them — ``merge_unique`` in the
-           scatter merges keeps answers exact through the overlap.
+           answer merges keeps doc ids exact through the overlap, and
+           vector queries (which sum per-shard df) rank centrally over
+           deduplicated fetches while ``_split_overlap`` is up.
         4. Tombstone the *movers* on the victim and flush it, closing
            the overlap window.
 
@@ -1501,10 +1518,14 @@ class AsyncShardGateway:
         self.nshards = len(self._active)
         self._refresh_published()
         self._snapshot_id += 1
+        self._split_overlap = True
         # -- retire the movers from the victim --
         for doc_id in movers:
             await self._journal_and_apply(vrs, ("delete", doc_id))
         await self._flush_set(victim)
+        # Not in a ``finally``: if the flush never lands, the overlap
+        # never closes either.
+        self._split_overlap = False
         window = time.perf_counter() - cut_started
         await self._checkpoint_shard(victim)
         await self._checkpoint_shard(new_id)
@@ -1684,6 +1705,7 @@ class AsyncShardGateway:
         method: str,
         args: tuple,
         _retried: bool = False,
+        _issued: tuple | None = None,
     ):
         """One logical read on shard ``i``, served by any valid replica.
 
@@ -1697,18 +1719,33 @@ class AsyncShardGateway:
         is serviceable does the read wait for a rebuild: with one
         replica per shard that is the (PR 6) full-recovery-latency path;
         with two or more it never happens for a single failure.
+
+        ``_issued`` is a scatter's head start: the rotation it drew and
+        the member future it already enqueued on the rotation's head and
+        waited its deadline out for (:meth:`_scatter_read`).
         """
         rs = self._sets[i]
-        rotation = rs.rotation()
+        rotation, issued = _issued or (rs.rotation(), None)
         attempts = 0
         timed_out = False
         for replica in rotation:
             attempts += 1
             try:
                 if self.max_batch_size > 1:
-                    value, version, mem_epoch = await self._batched_read(
-                        replica, method, args
-                    )
+                    member, issued = issued, None
+                    if member is None:
+                        member = self._batcher(replica).enqueue(method, args)
+                        await asyncio.wait(
+                            (member,), timeout=self.shard_timeout_s
+                        )
+                    if not member.done():
+                        # Abandoned, not cancelled: the frame it rides is
+                        # shared with batchmates, and the deadline covers
+                        # this member alone (window wait, queueing behind
+                        # the connection's writes, batch execution).
+                        self.stats.deadline_exceeded += 1
+                        raise ShardDeadlineExceeded((i,), method)
+                    value, version, mem_epoch = member.result()
                 else:
                     self.batching.single_read_frames += 1
                     value, version, mem_epoch = await self._call_replica(
@@ -1752,40 +1789,65 @@ class AsyncShardGateway:
         await self._await_any_rebuild(rs)
         return await self._read_shard(i, method, args, _retried=True)
 
-    async def _batched_read(
-        self, replica: Replica, method: str, args: tuple
-    ):
-        """One member read via the replica's micro-batcher.
+    def _batcher(self, replica: Replica) -> _ReadBatcher:
+        if replica.batcher is None:
+            replica.batcher = _ReadBatcher(self, replica)
+        return replica.batcher
 
-        The deadline covers the member individually — the window wait,
-        queueing behind the connection's writes, and batch execution —
-        exactly the span ``_call_replica`` covers unbatched.  The future
-        is shielded because the batch RPC is shared with batchmates: one
-        member's deadline must abandon its answer, not cancel theirs.
+    async def _scatter_read(
+        self, method: str, args: tuple
+    ) -> tuple[list[int], list]:
+        """The same read on every active shard: ``(shards, answers)``.
+
+        Every query mode is answer-level, so this is one member per
+        shard per query.  The members go onto their rotation heads'
+        batchers synchronously — one frame per shard, shared with
+        whatever other queries enqueue in the same tick — and one timer
+        waits for all of them (issued in the same tick, they share a
+        deadline).  :meth:`_read_shard` then validates each stamp; it
+        suspends only for a shard whose first attempt died, ran late or
+        came back stale, which continues down the rotation it drew.
         """
-        batcher = replica.batcher
-        if batcher is None:
-            batcher = replica.batcher = _ReadBatcher(self, replica)
-        future = batcher.enqueue(method, args)
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(future), self.shard_timeout_s
+        active = list(self._active)
+        issued: list = [None] * len(active)
+        clean = self.max_batch_size > 1
+        if clean:
+            members = []
+            for k, i in enumerate(active):
+                rotation = self._sets[i].rotation()
+                member = None
+                if rotation:
+                    member = self._batcher(rotation[0]).enqueue(method, args)
+                    members.append(member)
+                issued[k] = (rotation, member)
+            if members:
+                await asyncio.wait(members, timeout=self.shard_timeout_s)
+            clean = len(members) == len(active) and all(
+                m.done() and m.exception() is None for m in members
             )
-        except asyncio.TimeoutError:
-            self.stats.deadline_exceeded += 1
-            raise ShardDeadlineExceeded(
-                (replica.shard_id,), method
-            ) from None
+        reads = (
+            self._read_shard(i, method, args, _issued=head)
+            for i, head in zip(active, issued)
+        )
+        if clean:
+            # No task, no gather: nothing below suspends unless a stamp
+            # turns out stale.
+            return active, [await read for read in reads]
+        return active, await self._gather_with_deadlines(
+            list(reads), method
+        )
 
     async def _scatter_words(self, words, tier: str | None = None) -> tuple:
-        """Fetch every word from every shard concurrently.
+        """Fetch every word from every shard concurrently — the
+        fetch-level scatter, kept for vector queries inside a split's
+        overlap window only (:meth:`_vector_once`).
 
         Returns ``(fetch, counter)`` mirroring
         :func:`repro.query.scatter.scatter_fetch`: ``fetch(word)`` serves
         the pre-merged posting list and charges the word's summed scatter
-        cost into ``counter[0]`` *per call* — the evaluators fetch once
-        per word occurrence, and read-op parity with the in-process path
-        requires charging exactly as often as they fetch.
+        cost into ``counter[0]`` *per call* — the ranker fetches once
+        per term, and read-op parity with the in-process path requires
+        charging exactly as often as it fetches.
         """
         words = sorted(set(words))
         active = list(self._active)
@@ -1807,8 +1869,8 @@ class AsyncShardGateway:
                 cost += read_ops
                 if docs:
                     runs.append(docs)
-            # merge_unique == merge_disjoint on disjoint runs; during a
-            # split's relocation window it also hides the brief overlap.
+            # Both shards of the split hold the movers: merge_unique
+            # keeps each once, so len(list) is the true df.
             merged[word] = (scatter.merge_unique(runs), cost)
         counter = [0]
 
@@ -1841,70 +1903,74 @@ class AsyncShardGateway:
                 raise result
         return list(results)
 
+    def _flight_key(self, mode: str, query, snapshot) -> tuple:
+        return (
+            mode,
+            query,
+            self.read_tier,
+            None if snapshot is None else snapshot.snapshot_id,
+        )
+
     async def search_boolean(
         self, query: str, snapshot: GatewaySnapshot | None = None
     ) -> QueryAnswer:
         async with self._admit():
-            terms, _ = _boolean_terms(query)  # uniform rejection up front
-            key = (
-                "boolean",
-                query,
-                self.read_tier,
-                None if snapshot is None else snapshot.snapshot_id,
-            )
+            # The gateway's one parse: rejects a malformed query before
+            # any flight or frame exists, and settles the NOT rule.
+            restrict = boolean_query.parse(query).complements()
             return await self._single_flight(
-                key, lambda: self._boolean_once(query, snapshot)
+                self._flight_key("boolean", query, snapshot),
+                lambda: self._boolean_once(query, restrict, snapshot),
             )
 
     async def _boolean_once(
-        self, query: str, snapshot: GatewaySnapshot | None
+        self, query: str, restrict: bool, snapshot: GatewaySnapshot | None
     ) -> QueryAnswer:
+        """Shards evaluate, the gateway merges.  Evaluation is pointwise
+        per document, so the global answer is the union of the shards'
+        — once a complementing ``NOT``'s answer is cut back to the ids
+        routed to the shard that gave it (the slices partition
+        ``range(ndocs)``, so the restricted complements union to the
+        global one)."""
         ndocs, deleted = self._universe(snapshot)
-        terms, _ = _boolean_terms(query)
-        fetch, counter = await self._scatter_words(
-            terms, tier=self._tier()
+        route = self.routing.route  # the table ``active`` is drawn under
+        active, answers = await self._scatter_read(
+            "eval_boolean", (query, ndocs, None, self._tier())
         )
-        docs = boolean_query.evaluate(query, fetch, ndocs)
-        # Per-shard fetches are deletion-filtered, but NOT's
-        # complement still contains deleted ids (paper §3: filter
-        # every answer).
+        runs = []
+        read_ops = 0
+        for i, (docs, ops) in zip(active, answers):
+            read_ops += ops
+            if restrict:
+                docs = [d for d in docs if route(d) == i]
+            runs.append(docs)
+        # merge_unique == a disjoint merge in the steady state; during a
+        # split's relocation window it also hides the brief overlap.
+        docs = scatter.merge_unique(runs)
+        # Per-shard fetches are deletion-filtered, but NOT's complement
+        # still contains deleted ids (paper §3: filter every answer).
         if deleted:
             docs = [d for d in docs if d not in deleted]
-        else:
-            docs = list(docs)
-        return QueryAnswer(doc_ids=docs, read_ops=counter[0])
+        return QueryAnswer(doc_ids=docs, read_ops=read_ops)
 
     async def search_streamed(
         self, query: str, snapshot: GatewaySnapshot | None = None
     ) -> QueryAnswer:
         async with self._admit():
             streaming_query.parse_flat(query)  # uniform rejection up front
-            key = (
-                "streamed",
-                query,
-                self.read_tier,
-                None if snapshot is None else snapshot.snapshot_id,
-            )
             return await self._single_flight(
-                key, lambda: self._streamed_once(query)
+                self._flight_key("streamed", query, snapshot),
+                lambda: self._streamed_once(query),
             )
 
     async def _streamed_once(self, query: str) -> QueryAnswer:
-        tasks = [
-            self._read_shard(
-                i, "search_streamed", (query, None, self._tier())
-            )
-            for i in list(self._active)
-        ]
-        answers = await self._gather_with_deadlines(
-            tasks, "search_streamed"
+        _, answers = await self._scatter_read(
+            "search_streamed", (query, None, self._tier())
         )
-        # gather_answers merges disjoint runs; merge_unique additionally
-        # hides a split's brief relocation overlap (identical output on
-        # the steady-state disjoint shape).
-        docs = scatter.merge_unique([a.doc_ids for a in answers])
-        read_ops = sum(a.read_ops for a in answers)
-        return QueryAnswer(doc_ids=docs, read_ops=read_ops)
+        docs = scatter.merge_unique([docs for docs, _ in answers])
+        return QueryAnswer(
+            doc_ids=docs, read_ops=sum(ops for _, ops in answers)
+        )
 
     async def search_vector(
         self,
@@ -1924,12 +1990,8 @@ class AsyncShardGateway:
         snapshot: GatewaySnapshot | None = None,
     ):
         async with self._admit():
-            key = (
-                "vector",
-                tuple(sorted(weights.items())),
-                top_k,
-                self.read_tier,
-                None if snapshot is None else snapshot.snapshot_id,
+            key = self._flight_key(
+                "vector", (tuple(sorted(weights.items())), top_k), snapshot
             )
             return await self._single_flight(
                 key, lambda: self._vector_once(weights, top_k, snapshot)
@@ -1939,15 +2001,28 @@ class AsyncShardGateway:
         self, weights, top_k: int, snapshot: GatewaySnapshot | None
     ):
         ndocs, _ = self._universe(snapshot)
-        # The ranker skips zero-weight terms without fetching them;
-        # prefetch exactly what it will fetch (raw keys — vocabulary
-        # lookup owns normalization).
-        terms = [w for w, weight in weights.items() if weight != 0.0]
-        fetch, counter = await self._scatter_words(
-            terms, tier=self._tier()
+        # Exactly the terms the ranker fetches (it skips zero weights),
+        # as raw keys — vocabulary lookup owns normalization.
+        terms = vector_query.query_terms(weights)
+        if self._split_overlap:
+            # Two shards hold the movers: doc ids dedupe, summed df would
+            # not.  Rank the deduplicated lists centrally instead.
+            fetch, counter = await self._scatter_words(
+                terms, tier=self._tier()
+            )
+            ranked = vector_query.rank(weights, fetch, ndocs, top_k=top_k)
+            return ranked, counter[0]
+        _, answers = await self._scatter_read(
+            "eval_vector", (tuple(terms), top_k, None, self._tier())
         )
-        ranked = vector_query.rank(weights, fetch, ndocs, top_k=top_k)
-        return ranked, counter[0]
+        ranked = vector_query.rank_candidates(
+            weights,
+            terms,
+            [candidates for candidates, _ in answers],
+            ndocs,
+            top_k=top_k,
+        )
+        return ranked, sum(read_ops for _, read_ops in answers)
 
     async def ping(
         self,

@@ -42,7 +42,9 @@ from ..core.index import IndexConfig
 from ..core.invariants import InvariantError
 from ..core.memtier import MemTier
 from ..core.rebalance import BucketGrower
+from ..query import boolean as boolean_query
 from ..query import twotier
+from ..query import vector as vector_query
 from ..storage import faults
 from ..storage.faults import FaultPlan, InjectedCrash, TransientIOError
 from ..text.tokenizer import tokenize_document
@@ -427,6 +429,15 @@ class ShardWorker:
             )
         return self.memtier.view()
 
+    def _fetcher(self, snapshot_id: int | None, tier: str | None):
+        """The ``word -> (doc_ids, read_ops)`` primitive of the state a
+        read addresses: the immediate view, or the published / pinned
+        snapshot."""
+        if tier == "immediate":
+            view = self._immediate_view()
+            return lambda word: twotier.fetch_postings(view, word)
+        return self._snapshot_for(snapshot_id).fetch_postings
+
     def fetch_postings(
         self,
         word: str,
@@ -434,42 +445,105 @@ class ShardWorker:
         tier: str | None = None,
     ) -> tuple[list[int], int]:
         self.stats.queries += 1
-        if tier == "immediate":
-            return twotier.fetch_postings(self._immediate_view(), word)
-        return self._snapshot_for(snapshot_id).fetch_postings(word)
+        return self._fetcher(snapshot_id, tier)(word)
 
-    def search_boolean(self, query: str, snapshot_id: int | None = None):
+    def _counted_fetch(self, snapshot_id: int | None, tier: str | None):
+        """``(fetch, counter)``: an evaluator's ``word -> doc_ids`` over
+        :meth:`_fetcher`, charging read ops into ``counter[0]``."""
+        source = self._fetcher(snapshot_id, tier)
+        counter = [0]
+
+        def fetch(word: str) -> list[int]:
+            docs, read_ops = source(word)
+            counter[0] += read_ops
+            return docs
+
+        return fetch, counter
+
+    def eval_boolean(
+        self,
+        query: str,
+        ndocs: int,
+        snapshot_id: int | None = None,
+        tier: str | None = None,
+    ) -> tuple[list[int], int]:
+        """This shard's part of a gateway boolean query: ``(doc_ids,
+        read_ops)`` evaluated against its own postings.
+
+        ``ndocs`` is the *gateway's* universe.  Evaluation is pointwise
+        per document and a document lives wholly on one shard, so the
+        answer is exact for this shard's documents; where ``NOT``
+        complements, it also names every id of the universe this shard
+        never held, which the gateway cuts back to the shard's routed
+        slice.  The gateway also owns the deletion filter (its universe
+        may be a pinned boundary's), so none is applied here beyond the
+        one each fetch carries.
+        """
         self.stats.queries += 1
-        return self._snapshot_for(snapshot_id).search_boolean(query)
+        fetch, counter = self._counted_fetch(snapshot_id, tier)
+        return boolean_query.evaluate(query, fetch, ndocs), counter[0]
+
+    def eval_vector(
+        self,
+        terms: tuple,
+        top_k: int,
+        snapshot_id: int | None = None,
+        tier: str | None = None,
+    ) -> tuple[tuple, int]:
+        """This shard's part of a gateway vector query: ``((df per term,
+        candidates grouped by term bitmask), read_ops)`` — see
+        :func:`repro.query.vector.shard_candidates`.  Stateless: idf
+        needs every shard's df, so the gateway scores."""
+        self.stats.queries += 1
+        fetch, counter = self._counted_fetch(snapshot_id, tier)
+        return vector_query.shard_candidates(terms, fetch, top_k), counter[0]
+
+    def search_boolean(
+        self,
+        query: str,
+        snapshot_id: int | None = None,
+        tier: str | None = None,
+    ) -> tuple[list[int], int]:
+        """The whole-shard boolean answer (own universe, own deletions)
+        as ``(doc_ids, read_ops)`` — the :class:`IndexShard` surface a
+        :class:`~repro.service.gateway.ShardProxy` presents."""
+        self.stats.queries += 1
+        if tier == "immediate":
+            answer = twotier.search_boolean(self._immediate_view(), query)
+        else:
+            answer = self._snapshot_for(snapshot_id).search_boolean(query)
+        return answer.doc_ids, answer.read_ops
 
     def search_streamed(
         self,
         query: str,
         snapshot_id: int | None = None,
         tier: str | None = None,
-    ):
-        """Per-shard flat AND/OR evaluation (every document lives wholly
-        on one shard, so the gateway may union shard answers).  The
-        immediate tier merges buffered postings over the published
-        snapshot; ``NOT``-free queries need no global universe, which is
-        why boolean and vector stay gateway-evaluated."""
+    ) -> tuple[list[int], int]:
+        """Per-shard flat AND/OR evaluation as ``(doc_ids, read_ops)``
+        (every document lives wholly on one shard, so the gateway may
+        union shard answers).  The immediate tier merges buffered
+        postings over the published snapshot."""
         self.stats.queries += 1
         if tier == "immediate":
-            return twotier.search_streamed(self._immediate_view(), query)
-        return self._snapshot_for(snapshot_id).search_streamed(query)
-
-    def search_vector(
-        self, weights, top_k: int = 10, snapshot_id: int | None = None
-    ):
-        self.stats.queries += 1
-        return self._snapshot_for(snapshot_id).search_vector(
-            weights, top_k=top_k
-        )
+            answer = twotier.search_streamed(self._immediate_view(), query)
+        else:
+            answer = self._snapshot_for(snapshot_id).search_streamed(query)
+        return answer.doc_ids, answer.read_ops
 
     def search_vector_counted(
-        self, weights, top_k: int = 10, snapshot_id: int | None = None
+        self,
+        weights,
+        top_k: int = 10,
+        snapshot_id: int | None = None,
+        tier: str | None = None,
     ):
+        """The whole-shard ranking (own universe) plus its read ops."""
         self.stats.queries += 1
+        if tier == "immediate":
+            return twotier.search_vector_counted(
+                self._immediate_view(), weights, top_k=top_k
+            )
         return self._snapshot_for(snapshot_id).search_vector_counted(
             weights, top_k=top_k
         )
@@ -605,16 +679,17 @@ class ShardWorker:
         return self.stats.as_dict()
 
 
-#: Methods :meth:`ShardWorker.versioned_read` may dispatch — the read
-#: surface of the wire contract (everything here is side-effect-free on
-#: index state).
+#: Methods :meth:`ShardWorker.versioned_read` and batch frames may
+#: dispatch — the gateway's read surface (everything here is
+#: side-effect-free on index state).  The whole-shard ``search_boolean``
+#: / ``search_vector_counted`` are plain RPCs: only a ``ShardProxy``
+#: calls them.
 READ_METHODS = frozenset(
     {
         "fetch_postings",
-        "search_boolean",
+        "eval_boolean",
+        "eval_vector",
         "search_streamed",
-        "search_vector",
-        "search_vector_counted",
         "deleted_ids",
     }
 )
@@ -632,9 +707,10 @@ DISPATCH = {
     "publish_pin": "publish_pin",
     "release_pin": "release_pin",
     "fetch_postings": "fetch_postings",
+    "eval_boolean": "eval_boolean",
+    "eval_vector": "eval_vector",
     "search_boolean": "search_boolean",
     "search_streamed": "search_streamed",
-    "search_vector": "search_vector",
     "search_vector_counted": "search_vector_counted",
     "versioned_read": "versioned_read",
     "deleted_ids": "deleted_ids",

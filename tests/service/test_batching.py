@@ -304,7 +304,10 @@ def test_batch_size_one_reproduces_unbatched_wire_traffic():
     """Frame-count parity: with ``max_batch_size=1`` every logical read
     is one standalone ``versioned_read`` frame and no batch envelope
     exists anywhere — gateway counters and worker counters agree — while
-    the identical workload batched sends only envelopes."""
+    the identical workload batched sends only envelopes.  Every query
+    mode is answer-level, so a lone query is one member per shard and
+    its envelopes carry one member each; members of *different* queries
+    share envelopes as soon as queries run concurrently."""
 
     async def drive(gateway):
         for i in range(8):
@@ -316,9 +319,6 @@ def test_batch_size_one_reproduces_unbatched_wire_traffic():
             await gateway.search_vector_counted({"wa": 1.0, "wb": 2.0})
 
     async def main():
-        # One replica per shard keeps same-tick scatter reads on one
-        # batcher (with k > 1 the rotation spreads consecutive reads
-        # over replicas, so lone sequential queries batch at size 1).
         plain = AsyncShardGateway(
             small_config(), shards=2, max_batch_size=1
         )
@@ -347,6 +347,13 @@ def test_batch_size_one_reproduces_unbatched_wire_traffic():
                 batched.batching.batched_reads
                 == batched.repl.reads_served
                 == plain.repl.reads_served
+            )
+            assert (
+                batched.batching.batch_frames
+                == batched.batching.batched_reads
+            )
+            await asyncio.gather(
+                *(batched.search_boolean("wa AND wb") for _ in range(8))
             )
             assert (
                 batched.batching.batch_frames
