@@ -34,7 +34,7 @@ Five subcommands cover the library's main entry points::
 
     repro serve-bench [--readers N] [--cycles N] [--docs-per-batch N]
                       [--publish-mode clone|cow] [--buffer-cache BLOCKS]
-                      [--shards N] [--flush-jobs N] [--differential]
+                      [--shards N] [--differential]
                       [--gateway] [--replicas K] [--rebuild-stagger on|off]
                       [--grow-buckets] [--growth-threshold F]
                       [--read-tier snapshot|immediate]
@@ -396,8 +396,6 @@ def cmd_serve_bench(args) -> int:
         differential=args.differential,
         shards=args.shards,
         router_seed=args.router_seed,
-        flush_jobs=args.flush_jobs,
-        flush_executor=args.flush_executor,
         gateway=args.gateway,
         shard_timeout_s=args.shard_timeout,
         queue_limit=args.queue_limit,
@@ -771,18 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="seed perturbing the doc-id shard hash",
-    )
-    p_serve.add_argument(
-        "--flush-jobs",
-        type=int,
-        default=1,
-        help="parallel per-shard flush workers (1 = serial)",
-    )
-    p_serve.add_argument(
-        "--flush-executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="executor for parallel per-shard flushes",
     )
     p_serve.add_argument(
         "--no-verify",

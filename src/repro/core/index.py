@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from ..storage import faults
 from ..storage.diskarray import DiskArray, DiskArrayConfig
@@ -144,6 +144,23 @@ class BatchResult:
             WordCategory.BUCKET: self.bucket_words / self.nwords,
             WordCategory.LONG: self.long_words / self.nwords,
         }
+
+    @classmethod
+    def total(cls, batch: int, results) -> "BatchResult":
+        """Per-shard flush results summed into global batch ``batch``.
+
+        ``nwords`` sums *per-shard* distinct words (a word split across
+        shards counts once per shard it touched — each shard really did
+        update a list for it); I/O counters are straight sums.
+        """
+        results = list(results)
+        return cls(
+            batch,
+            *(
+                sum(getattr(r, f.name) for r in results)
+                for f in fields(cls)[1:]
+            ),
+        )
 
 
 @dataclass

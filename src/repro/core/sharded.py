@@ -14,9 +14,9 @@ Update scaling comes from per-shard flushes: a batch touches only the
 shards that received documents (empty shards are skipped and their batch
 counters stand still, which is why the published identity of a sharded
 snapshot is the per-shard *vector* of batch counters, not one number).
-Flushes run serially by default, or in parallel behind the ``flush_jobs``
-knob — thread-parallel in-process, or process-parallel via a checkpoint
-round-trip per shard (the :mod:`repro.pipeline.sweep` executor pattern).
+Flushes run serially: a flush is pure-Python CPU work under one GIL, so
+the multi-core flush is one worker process per shard
+(:mod:`repro.service.gateway`), not a pool in here.
 
 Everything the serving layer leans on composes per shard:
 
@@ -36,7 +36,6 @@ it must only be imported from layers above the core.
 
 from __future__ import annotations
 
-import io
 from typing import Sequence
 
 from ..query import boolean as boolean_query
@@ -90,45 +89,12 @@ class ShardDeltaVector:
             journal.clear()
 
 
-def _flush_shard_worker(
-    blob: bytes, batch: tuple, next_doc_id: int
-) -> tuple[bytes, BatchResult, tuple | None]:
-    """Process-pool worker: flush one shard's batch in a child process.
-
-    The shard travels as its serialized checkpoint plus the in-memory
-    batch snapshot (checkpoints only exist at batch boundaries, so the
-    batch rides alongside).  Returns the post-flush checkpoint, the
-    flush result, and the journal state the flush recorded so the parent
-    can graft it onto its own journal.
-    """
-    shard = TextDocumentIndex.load(io.BytesIO(blob))
-    shard.index.memory.restore(batch)
-    shard.index._next_doc_id = next_doc_id
-    result = shard.index.flush_batch()
-    out = io.BytesIO()
-    shard.save(out)
-    journal = shard.index.delta
-    journal_state = None
-    if journal is not None:
-        journal_state = (
-            set(journal.dirty_words),
-            set(journal.dirty_buckets),
-            set(journal.dirty_blocks),
-            journal.structure_changed,
-            journal.batches,
-        )
-    return out.getvalue(), result, journal_state
-
-
 class ShardedTextIndex:
     """A document-hash-sharded text index (implements ``IndexShard``).
 
     ``shards`` volumes are created from one :class:`IndexConfig`;
     ``router_seed`` perturbs the doc-id hash (any seed yields a valid
-    partition — the differential tests sweep it).  ``flush_jobs`` > 1
-    flushes pending shards in parallel using the ``flush_executor``
-    (``"thread"`` or ``"process"``); results are identical to the serial
-    order because shards share no mutable state.
+    partition — the differential tests sweep it).
     """
 
     def __init__(
@@ -139,8 +105,6 @@ class ShardedTextIndex:
         *,
         shards: int = 2,
         router_seed: int = 0,
-        flush_jobs: int = 1,
-        flush_executor: str = "thread",
         rebuild_stagger: bool = False,
     ) -> None:
         if shards < 2:
@@ -148,8 +112,6 @@ class ShardedTextIndex:
                 "ShardedTextIndex needs shards >= 2; use "
                 "TextDocumentIndex (or build_text_index) for one volume"
             )
-        if flush_executor not in ("thread", "process"):
-            raise ValueError("flush_executor must be 'thread' or 'process'")
         self.shards = [
             TextDocumentIndex(
                 config,
@@ -161,8 +123,6 @@ class ShardedTextIndex:
         self.router_seed = router_seed
         # Epoch 0: identity slot map, routing exactly like shard_of.
         self.routing = RoutingTable.initial(shards, router_seed)
-        self.flush_jobs = flush_jobs
-        self.flush_executor = flush_executor
         # Serialize grow_buckets rebuilds across shards: at most one
         # shard pays the rehash + full-clone publish per flush round.
         self.rebuild_scheduler = (
@@ -287,8 +247,7 @@ class ShardedTextIndex:
         Shards that received no documents are skipped outright — their
         batch counters (and hence their component of
         :attr:`shard_versions`) do not advance, and a copy-on-write
-        publish shares their entire volume.  With ``flush_jobs > 1`` the
-        pending shards flush in parallel; a crash in one shard leaves
+        publish shares their entire volume.  A crash in one shard leaves
         completed sibling results in the in-flight table, so calling
         :meth:`recover` resumes the same global batch.
         """
@@ -299,21 +258,15 @@ class ShardedTextIndex:
         ]
         suppressed = self._stagger_rebuilds()
         try:
-            if self.flush_jobs > 1 and len(pending) > 1:
-                if self.flush_executor == "process":
-                    self._flush_process(pending)
-                else:
-                    self._flush_thread(pending)
-            else:
-                for i in pending:
-                    self._inflight[i] = self.shards[i].flush_batch()
+            for i in pending:
+                self._inflight[i] = self.shards[i].flush_batch()
         finally:
             for i, grower in suppressed:
                 self.shards[i].index.grower = grower
         results = self._inflight
         self._inflight = {}
         self._batches += 1
-        return self._aggregate(results.values())
+        return BatchResult.total(self._batches, results.values())
 
     def _stagger_rebuilds(self) -> list[tuple]:
         """Ask the rebuild scheduler which shards may grow this round.
@@ -344,137 +297,6 @@ class ShardedTextIndex:
                 suppressed.append((i, shard.index.grower))
                 shard.index.grower = None
         return suppressed
-
-    def _aggregate(self, results) -> BatchResult:
-        """Sum per-shard flush results into one global batch result.
-
-        ``nwords`` sums *per-shard* distinct words (a word split across
-        shards counts once per shard it touched — each shard really did
-        update a list for it); I/O counters are straight sums.
-        """
-        results = list(results)
-        return BatchResult(
-            batch=self._batches,
-            nwords=sum(r.nwords for r in results),
-            npostings=sum(r.npostings for r in results),
-            new_words=sum(r.new_words for r in results),
-            bucket_words=sum(r.bucket_words for r in results),
-            long_words=sum(r.long_words for r in results),
-            migrations=sum(r.migrations for r in results),
-            io_ops=sum(r.io_ops for r in results),
-            in_place_updates=sum(r.in_place_updates for r in results),
-        )
-
-    def _flush_thread(self, pending: list[int]) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = min(self.flush_jobs, len(pending))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                i: pool.submit(self.shards[i].flush_batch) for i in pending
-            }
-            errors = []
-            for i, future in futures.items():
-                try:
-                    self._inflight[i] = future.result()
-                except Exception as exc:
-                    # The shard rolled its own state back (crash-safe) or
-                    # raised cleanly; siblings keep their results.
-                    errors.append(exc)
-            if errors:
-                raise errors[0]
-
-    def _check_process_mode(self) -> None:
-        """Process-parallel flush round-trips each shard through its
-        checkpoint form, which deliberately does not serialize testing
-        and growth knobs — refuse configs the round-trip would drop."""
-        config = self.shards[0].index.config
-        problems = []
-        if config.crash_safe:
-            problems.append("crash_safe=True")
-        if config.fault_plan is not None:
-            problems.append("fault_plan")
-        if config.grow_buckets:
-            problems.append("grow_buckets=True")
-        if config.bucket_unit_bytes != 4:
-            problems.append(f"bucket_unit_bytes={config.bucket_unit_bytes}")
-        if problems:
-            raise ValueError(
-                "process-parallel flush cannot preserve "
-                + ", ".join(problems)
-                + " across the checkpoint round-trip; use "
-                "flush_executor='thread' or flush_jobs=1"
-            )
-
-    def _flush_process(self, pending: list[int]) -> None:
-        self._check_process_mode()
-        payloads = []
-        for i in pending:
-            core = self.shards[i].index
-            batch = core.memory.snapshot()
-            next_doc_id = core._next_doc_id
-            core.memory.clear()
-            try:
-                buf = io.BytesIO()
-                self.shards[i].save(buf)
-            finally:
-                # The parent keeps the batch: still searchable, and still
-                # flushable serially if a worker (or the pool) fails.
-                core.memory.restore(batch)
-            payloads.append((i, buf.getvalue(), batch, next_doc_id))
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.flush_jobs, len(pending))
-            )
-        except (ImportError, OSError):
-            # No process pool on this platform: flush serially instead.
-            for i in pending:
-                self._inflight[i] = self.shards[i].flush_batch()
-            return
-        with pool:
-            futures = {
-                i: pool.submit(_flush_shard_worker, blob, batch, next_id)
-                for i, blob, batch, next_id in payloads
-            }
-            for i, future in futures.items():
-                blob, result, journal_state = future.result()
-                self._adopt_flushed(i, blob, journal_state)
-                self._inflight[i] = result
-
-    def _adopt_flushed(
-        self, i: int, blob: bytes, journal_state: tuple | None
-    ) -> None:
-        """Replace shard ``i`` with the worker's post-flush checkpoint.
-
-        The reconstructed volume gets a fresh journal; graft the parent's
-        unpublished dirty state plus the worker's batch onto it, and mark
-        it recovered — structure identity was not preserved across the
-        round-trip, so the next copy-on-write publish of this shard falls
-        back to a full clone (its dirty-block set stays valid for buffer
-        cache carry-over).
-        """
-        old = self.shards[i]
-        new = TextDocumentIndex.load(io.BytesIO(blob))
-        new.tokenizer_config = old.tokenizer_config
-        new.region_rules = old.region_rules
-        new.deletions.deleted = set(old.deletions.deleted)
-        journal, old_journal = new.index.delta, old.index.delta
-        if journal is not None and old_journal is not None:
-            words, buckets, blocks, structure, batches = journal_state or (
-                set(), set(), set(), False, 0
-            )
-            journal.dirty_words.update(old_journal.dirty_words, words)
-            journal.dirty_buckets.update(old_journal.dirty_buckets, buckets)
-            journal.dirty_blocks.update(old_journal.dirty_blocks, blocks)
-            journal.deletions_changed = old_journal.deletions_changed
-            journal.structure_changed = (
-                old_journal.structure_changed or structure
-            )
-            journal.batches = old_journal.batches + batches
-            journal.note_recovery()
-        self.shards[i] = new
 
     # -- recovery ---------------------------------------------------------
 
@@ -595,9 +417,6 @@ class ShardedTextIndex:
         # Routing tables are immutable: the clone shares this epoch's
         # table and parts ways at the writer's next rebalance.
         copy.routing = self.routing
-        # Clones are published read-only snapshots: serial flush knobs.
-        copy.flush_jobs = 1
-        copy.flush_executor = "thread"
         copy.rebuild_scheduler = None
         copy._next_doc_id = self._next_doc_id
         copy._batches = self._batches
@@ -617,7 +436,7 @@ class ShardedTextIndex:
         """Per-shard copy-on-write against ``prev``'s shard vector.
 
         Shards whose journal cannot prove coverage (crash recovery, a
-        structural rebuild, a process-mode flush) fall back to a full
+        structural rebuild) fall back to a full
         clone *individually* — one bad shard never forces siblings to
         give up sharing, and unlike the single-volume method this one
         only raises when the shard layouts are incompatible.
@@ -784,8 +603,6 @@ def build_text_index(
     *,
     shards: int = 1,
     router_seed: int = 0,
-    flush_jobs: int = 1,
-    flush_executor: str = "thread",
 ):
     """Build a single-volume or sharded text index behind one signature.
 
@@ -804,6 +621,4 @@ def build_text_index(
         region_rules=region_rules,
         shards=shards,
         router_seed=router_seed,
-        flush_jobs=flush_jobs,
-        flush_executor=flush_executor,
     )

@@ -44,7 +44,6 @@ from .gateway import (
     GatewaySnapshot,
     RemoteWorkerError,
     ShardDeadlineExceeded,
-    ShardProxy,
     WorkerDied,
     WorkerProcess,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "ServiceStats",
     "ServingReport",
     "ShardDeadlineExceeded",
-    "ShardProxy",
     "ShardWorker",
     "WorkerDied",
     "WorkerProcess",

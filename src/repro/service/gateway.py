@@ -7,12 +7,6 @@ builds the serving front end on top:
 
 * :class:`WorkerProcess` — spawn/respawn one shard worker and its
   socketpair; carries the synchronous request machinery.
-* :class:`ShardProxy` — a synchronous client satisfying the
-  :class:`~repro.core.shard.IndexShard` protocol, so code written against
-  the protocol (scatter merges, differential batteries) runs unchanged
-  over a remote shard.  ``clone()`` maps to a *pinned snapshot* in the
-  worker: the returned proxy addresses that immutable snapshot explicitly
-  until released.
 * :class:`AsyncShardGateway` — the asyncio front end: scatter-gather
   fan-out over all shards, **admission control** (a bounded wait queue
   that sheds load with :class:`GatewayOverloaded` once full),
@@ -269,126 +263,6 @@ class WorkerProcess:
         if self.process.is_alive():  # pragma: no cover - last resort
             self.process.kill()
             self.process.join(timeout=10.0)
-
-
-class ShardProxy:
-    """A synchronous :class:`IndexShard`-shaped client for one worker.
-
-    An unpinned proxy addresses the worker's latest published snapshot
-    for queries and its live writer for ingest; a pinned proxy (returned
-    by :meth:`clone`) addresses one immutable published snapshot
-    explicitly.  ``delta`` is ``None`` — journaling and copy-on-write
-    publication happen *inside* the worker, which is the point of the
-    process seam.
-    """
-
-    def __init__(
-        self, worker: WorkerProcess, snapshot_id: int | None = None
-    ) -> None:
-        self._worker = worker
-        self._snapshot_id = snapshot_id
-
-    # -- identity ---------------------------------------------------------
-
-    @property
-    def ndocs(self) -> int:
-        return self._worker.call("info")["ndocs"]
-
-    @property
-    def batches(self) -> int:
-        return self._worker.call("info")["batches"]
-
-    @property
-    def shard_versions(self) -> tuple[int, ...]:
-        return (self.batches,)
-
-    @property
-    def crash_safe(self) -> bool:
-        config = self._worker.spec.index_config or IndexConfig()
-        return config.crash_safe
-
-    @property
-    def delta(self):
-        return None
-
-    @property
-    def needs_recovery(self) -> bool:
-        return False  # aborted in-worker flushes recover inside flush()
-
-    # -- ingest -----------------------------------------------------------
-
-    def add_document(self, text: str, doc_id: int | None = None) -> int:
-        return self._worker.call("add_document", text, doc_id)
-
-    def delete_document(self, doc_id: int) -> None:
-        self._worker.call("delete_document", doc_id)
-
-    def flush_batch(self) -> BatchResult:
-        outcome: FlushOutcome = self._worker.call("flush", False)
-        if outcome.result is not None:
-            return outcome.result
-        return BatchResult(outcome.version, 0, 0, 0, 0, 0, 0, 0, 0)
-
-    def recover(self, replay: bool = True):
-        return self._worker.call("recover", replay)
-
-    # -- publication ------------------------------------------------------
-
-    def clone(self) -> "ShardProxy":
-        pin = self._worker.call("publish_pin")
-        return ShardProxy(self._worker, snapshot_id=pin)
-
-    def clone_incremental(self, prev, delta) -> "ShardProxy":
-        # The worker applies cow internally per its publish mode; the
-        # remote clone surface is therefore mode-agnostic.
-        return self.clone()
-
-    def release(self) -> None:
-        """Release a pinned snapshot (no-op on the live proxy)."""
-        if self._snapshot_id is not None:
-            self._worker.call("release_pin", self._snapshot_id)
-
-    def dirty_terms(self) -> frozenset:
-        return self._worker.call("dirty_terms")
-
-    def freeze(self) -> None:
-        self._worker.call("freeze")
-
-    def check(self) -> InvariantReport:
-        return self._worker.call("check")
-
-    def attach_buffer_cache(
-        self, blocks: int, counters, prev=None, delta=None
-    ) -> None:
-        # Counters cannot cross the process boundary; the worker keeps
-        # its own and reports them through ``buffer_stats``.
-        self._worker.call("attach_buffer_cache", blocks)
-
-    # -- retrieval --------------------------------------------------------
-
-    def _read(self, method: str, *args):
-        """One retrieval RPC against what this proxy addresses: its pin,
-        else the worker's own read tier (an immediate-tier worker's live
-        view, not the snapshot it last published)."""
-        tier = None
-        if self._snapshot_id is None:
-            tier = self._worker.spec.read_tier
-        return self._worker.call(method, *args, self._snapshot_id, tier)
-
-    def fetch_postings(self, word: str) -> tuple[list[int], int]:
-        return self._read("fetch_postings", word)
-
-    def search_boolean(self, query: str) -> QueryAnswer:
-        return QueryAnswer(*self._read("search_boolean", query))
-
-    def search_streamed(self, query: str) -> QueryAnswer:
-        return QueryAnswer(*self._read("search_streamed", query))
-
-    def search_vector(self, weights, top_k: int = 10):
-        return self.search_vector_counted(weights, top_k)[0]
-
-    def search_vector_counted(self, weights, top_k: int = 10):
-        return self._read("search_vector_counted", dict(weights), top_k)
 
 
 @dataclass(frozen=True)
@@ -700,9 +574,7 @@ def _op_rpc(op: tuple) -> tuple[str, tuple]:
         return "add_document", (op[2], op[1])
     if op[0] == "delete":
         return "delete_document", (op[1],)
-    # ("flush", grow) — PR 6 journals carried bare ("flush",) markers.
-    grow = op[1] if len(op) > 1 else False
-    return "flush", (False, grow)
+    return "flush", (False, op[1])  # ("flush", grow)
 
 
 class AsyncShardGateway:
@@ -1235,17 +1107,7 @@ class AsyncShardGateway:
                 for outcome in outcomes
                 if outcome.result is not None
             ]
-            aggregate = BatchResult(
-                batch=self._batches,
-                nwords=sum(r.nwords for r in results),
-                npostings=sum(r.npostings for r in results),
-                new_words=sum(r.new_words for r in results),
-                bucket_words=sum(r.bucket_words for r in results),
-                long_words=sum(r.long_words for r in results),
-                migrations=sum(r.migrations for r in results),
-                io_ops=sum(r.io_ops for r in results),
-                in_place_updates=sum(r.in_place_updates for r in results),
-            )
+            aggregate = BatchResult.total(self._batches, results)
             self.last_publish_seconds = max(
                 (outcome.publish_seconds for outcome in outcomes),
                 default=0.0,
@@ -1852,7 +1714,7 @@ class AsyncShardGateway:
         words = sorted(set(words))
         active = list(self._active)
         tasks = [
-            self._read_shard(i, "fetch_postings", (word, None, tier))
+            self._read_shard(i, "fetch_postings", (word, tier))
             for word in words
             for i in active
         ]
@@ -1935,7 +1797,7 @@ class AsyncShardGateway:
         ndocs, deleted = self._universe(snapshot)
         route = self.routing.route  # the table ``active`` is drawn under
         active, answers = await self._scatter_read(
-            "eval_boolean", (query, ndocs, None, self._tier())
+            "eval_boolean", (query, ndocs, self._tier())
         )
         runs = []
         read_ops = 0
@@ -1965,7 +1827,7 @@ class AsyncShardGateway:
 
     async def _streamed_once(self, query: str) -> QueryAnswer:
         _, answers = await self._scatter_read(
-            "search_streamed", (query, None, self._tier())
+            "search_streamed", (query, self._tier())
         )
         docs = scatter.merge_unique([docs for docs, _ in answers])
         return QueryAnswer(
@@ -2013,7 +1875,7 @@ class AsyncShardGateway:
             ranked = vector_query.rank(weights, fetch, ndocs, top_k=top_k)
             return ranked, counter[0]
         _, answers = await self._scatter_read(
-            "eval_vector", (tuple(terms), top_k, None, self._tier())
+            "eval_vector", (tuple(terms), top_k, self._tier())
         )
         ranked = vector_query.rank_candidates(
             weights,

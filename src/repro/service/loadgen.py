@@ -125,9 +125,6 @@ class LoadConfig:
     shards: int = 1
     #: Router seed perturbing the doc-id hash (any value is valid).
     router_seed: int = 0
-    #: Parallel per-shard flush workers (1 = serial).
-    flush_jobs: int = 1
-    flush_executor: str = "thread"
     #: Serve through one worker process per shard behind the asyncio
     #: scatter-gather gateway instead of in-process scatter.
     gateway: bool = False
@@ -450,8 +447,6 @@ class LoadGenerator:
                 buffer_cache_blocks=self.config.buffer_cache_blocks,
                 shards=self.config.shards,
                 router_seed=self.config.router_seed,
-                flush_jobs=self.config.flush_jobs,
-                flush_executor=self.config.flush_executor,
                 read_tier=self.config.read_tier,
             )
         self._words = [
@@ -1054,7 +1049,6 @@ class LoadGenerator:
                 "differential_checks": differential_checks,
                 "shards": cfg.shards,
                 "router_seed": cfg.router_seed,
-                "flush_jobs": cfg.flush_jobs,
                 "gateway": cfg.gateway,
                 "arrival": cfg.arrival,
                 "arrival_rate_qps": cfg.arrival_rate_qps,

@@ -26,7 +26,9 @@ error) is rolled back via :meth:`DualStructureIndex.recover` and replayed;
 a crash injected during the publish clone is simply retried, because the
 flush had already completed at a consistent boundary.  Readers are never
 exposed to either: the previous snapshot stays published until the new one
-is fully built.
+is fully built.  The steps themselves live in
+:class:`~repro.service.runtime.ShardRuntime`, shared with the shard
+workers; this module adds the lock, the snapshot ids and the result cache.
 """
 
 from __future__ import annotations
@@ -35,24 +37,18 @@ import re
 import threading
 from dataclasses import dataclass, field
 
-from ..core.checkpoint import CheckpointError
 from ..core.index import BatchResult, IndexConfig
-from ..core.invariants import InvariantError
 from ..core.memtier import MemTier
 from ..core.shard import IndexShard
 from ..core.sharded import build_text_index
-from ..pipeline.profiling import (
-    HitMissCounters,
-    LatencyRecorder,
-    StageTimings,
-)
+from ..pipeline.profiling import LatencyRecorder, StageTimings
 from ..query import twotier
 from ..query.reference import BruteForceIndex
 from ..query.vector import ScoredDocument
-from ..storage.faults import InjectedCrash, TransientIOError
 from ..text.tokenizer import TokenizerConfig, tokenize_document
 from ..textindex import QueryAnswer
 from .cache import QueryResultCache
+from .runtime import ShardRuntime
 from .snapshot import IndexSnapshot
 
 _OPERATORS = {"and", "or", "not"}
@@ -134,9 +130,9 @@ class QueryService:
     protocol is unchanged — the writer still serializes on one lock and
     a publish swaps the complete shard-snapshot vector in as one
     reference assignment — but flushes touch only the shards a batch
-    reached (``flush_jobs`` > 1 runs them in parallel) and queries
-    scatter-gather across shards with byte-identical answers.  With the
-    default ``shards=1`` the service runs the exact single-volume path.
+    reached and queries scatter-gather across shards with byte-identical
+    answers.  With the default ``shards=1`` the service runs the exact
+    single-volume path.
     """
 
     def __init__(
@@ -152,8 +148,6 @@ class QueryService:
         buffer_cache_blocks: int = 0,
         shards: int = 1,
         router_seed: int = 0,
-        flush_jobs: int = 1,
-        flush_executor: str = "thread",
         read_tier: str = "snapshot",
         mem_codec: str = "delta",
         mem_seal_docs: int = 256,
@@ -161,14 +155,10 @@ class QueryService:
     ) -> None:
         if max_flush_retries < 0:
             raise ValueError("max_flush_retries must be >= 0")
-        if publish_mode not in ("clone", "cow"):
-            raise ValueError("publish_mode must be 'clone' or 'cow'")
         if buffer_cache_blocks < 0:
             raise ValueError("buffer_cache_blocks must be >= 0")
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if flush_jobs < 1:
-            raise ValueError("flush_jobs must be >= 1")
         if read_tier not in ("snapshot", "immediate"):
             raise ValueError("read_tier must be 'snapshot' or 'immediate'")
         self._writer: IndexShard = build_text_index(
@@ -176,30 +166,32 @@ class QueryService:
             tokenizer_config=tokenizer_config,
             shards=shards,
             router_seed=router_seed,
-            flush_jobs=flush_jobs,
-            flush_executor=flush_executor,
         )
         self.shards = shards
         self._tokenizer_config = tokenizer_config
         self._writer_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self.cache = QueryResultCache(cache_capacity)
-        self.check_invariants = check_invariants
-        self.max_flush_retries = max_flush_retries
-        self.publish_mode = publish_mode
-        self.buffer_cache_blocks = buffer_cache_blocks
-        self.buffer_counters = (
-            HitMissCounters() if buffer_cache_blocks else None
-        )
         self.stats = ServiceStats()
         self.timings = StageTimings()
         self.publish_latency = LatencyRecorder()
         self._reference = BruteForceIndex() if track_reference else None
-        # Publish the empty index so readers always have a snapshot
-        # (always a full clone: there is no previous snapshot to share
-        # structure with).
-        self._snapshot = self._finish_publish(
-            self._build_snapshot(snapshot_id=0), cow=False
+        # The flush → recover → publish → rebase state machine (DESIGN.md
+        # §10.1).  Building it publishes the empty index, so readers
+        # always have a snapshot.
+        self._runtime = ShardRuntime(
+            self._writer,
+            self.stats,
+            publish_mode=publish_mode,
+            max_flush_retries=max_flush_retries,
+            check_invariants=check_invariants,
+            buffer_cache_blocks=buffer_cache_blocks,
+            tokenizer_config=tokenizer_config,
+            error=ServiceError,
+        )
+        self.buffer_counters = self._runtime.buffer_counters
+        self._snapshot = IndexSnapshot(
+            self._runtime.published, 0, reference=self._frozen_reference()
         )
         # The immediate-access memory tier (DESIGN.md §14): a queryable
         # compressed write buffer mirroring the writer's pending batch,
@@ -208,7 +200,7 @@ class QueryService:
         self.read_tier = read_tier
         self._memtier: MemTier | None = None
         if read_tier == "immediate":
-            self._memtier = MemTier(
+            self._memtier = self._runtime.memtier = MemTier(
                 codec=mem_codec,
                 seal_docs=mem_seal_docs,
                 seal_postings=mem_seal_postings,
@@ -234,16 +226,7 @@ class QueryService:
         """
         with self._writer_lock:
             with self.timings.stage("serve.ingest"):
-                doc_id = self._writer.add_document(text, doc_id=doc_id)
-                if self._memtier is not None:
-                    # Immediate visibility: the buffered postings serve
-                    # reads the moment this returns (readers never see a
-                    # partially inserted document — the tier's visibility
-                    # watermark advances last).
-                    self._memtier.add_document(
-                        doc_id,
-                        tokenize_document(text, self._tokenizer_config),
-                    )
+                doc_id = self._runtime.add_document(text, doc_id)
                 if self._reference is not None:
                     self._reference.add_document(
                         doc_id,
@@ -256,9 +239,7 @@ class QueryService:
         """Delete a document; visible to readers at the next publish
         (immediately, as a tombstone, when serving the immediate tier)."""
         with self._writer_lock:
-            self._writer.delete_document(doc_id)
-            if self._memtier is not None:
-                self._memtier.delete_document(doc_id)
+            self._runtime.delete_document(doc_id)
             if self._reference is not None:
                 self._reference.delete_document(doc_id)
             self.stats.documents_deleted += 1
@@ -295,156 +276,33 @@ class QueryService:
         """
         with self._writer_lock:
             with self.timings.stage("serve.flush"):
-                result = self._flush_with_recovery()
+                result = self._runtime.flush()
             with self.timings.stage("serve.publish"):
                 with self.publish_latency.span():
-                    snapshot = self._publish_locked()
+                    self._runtime.publish(self._install)
+                    snapshot = self._snapshot
+                    if self._memtier is not None:
+                        snapshot.mem_epoch = self._memtier.epoch
             return result, snapshot
 
-    def _flush_with_recovery(self) -> BatchResult:
-        attempts = 0
-        recovering = False
-        while True:
-            try:
-                if recovering:
-                    # Roll back to the last completed batch boundary and
-                    # replay the aborted batch (paper §1 restartability).
-                    # If the replay dies too, the next attempt recovers
-                    # again — never re-flushes on top of partial state.
-                    self.stats.flush_recoveries += 1
-                    replayed = self._writer.recover(replay=True)
-                    if replayed is not None:
-                        return replayed
-                    recovering = False
-                    continue
-                return self._writer.flush_batch()
-            except (InjectedCrash, TransientIOError) as exc:
-                if not self._writer.crash_safe:
-                    raise
-                attempts += 1
-                if attempts > self.max_flush_retries:
-                    raise ServiceError(
-                        f"flush failed {attempts} times; last: {exc!r}"
-                    ) from exc
-                recovering = True
+    def _frozen_reference(self):
+        if self._reference is None:
+            return None
+        return self._reference.freeze()
 
-    def _build_snapshot(self, snapshot_id: int) -> IndexSnapshot:
-        attempts = 0
-        while True:
-            try:
-                reference = (
-                    self._reference.freeze()
-                    if self._reference is not None
-                    else None
-                )
-                snapshot = IndexSnapshot.publish_from(
-                    self._writer, snapshot_id, reference=reference
-                )
-                break
-            except (InjectedCrash, TransientIOError) as exc:
-                # The flush already completed: the writer sits at a
-                # consistent batch boundary, so cloning is safely
-                # repeatable.
-                attempts += 1
-                if attempts > self.max_flush_retries:
-                    raise ServiceError(
-                        f"publish failed {attempts} times; last: {exc!r}"
-                    ) from exc
-                self.stats.publish_retries += 1
-        if self.check_invariants:
-            report = snapshot.index.check()
-            self.stats.invariant_checks += 1
-            if not report.ok:
-                raise InvariantError(report)
-        return snapshot
-
-    def _build_snapshot_cow(
-        self, snapshot_id: int, prev: IndexSnapshot, delta
-    ) -> IndexSnapshot:
-        """Build the next snapshot incrementally from ``prev`` + ``delta``.
-
-        Propagates :class:`CheckpointError` (delta cannot cover the gap)
-        to the caller, which falls back to the full clone; injected
-        crashes and transient I/O errors are retried in place, exactly
-        like the full-clone path — nothing was published yet.
-        """
-        attempts = 0
-        while True:
-            try:
-                reference = (
-                    self._reference.freeze()
-                    if self._reference is not None
-                    else None
-                )
-                snapshot = IndexSnapshot.publish_incremental(
-                    self._writer,
-                    prev,
-                    delta,
-                    snapshot_id,
-                    reference=reference,
-                )
-                break
-            except (InjectedCrash, TransientIOError) as exc:
-                attempts += 1
-                if attempts > self.max_flush_retries:
-                    raise ServiceError(
-                        f"publish failed {attempts} times; last: {exc!r}"
-                    ) from exc
-                self.stats.publish_retries += 1
-        if self.check_invariants:
-            report = snapshot.index.check()
-            self.stats.invariant_checks += 1
-            if not report.ok:
-                raise InvariantError(report)
-        return snapshot
-
-    def _finish_publish(
-        self,
-        snapshot: IndexSnapshot,
-        cow: bool,
-        delta=None,
-        prev: IndexSnapshot | None = None,
-    ) -> IndexSnapshot:
-        """Publish-time finishing: freeze barrier + buffer cache wiring."""
-        if self.check_invariants:
-            # Debug-mode write barrier: published (and possibly shared)
-            # structure must never be mutated again.
-            snapshot.index.freeze()
-        if self.buffer_cache_blocks:
-            # On a cow publish each volume carries the previous
-            # snapshot's cache forward minus the delta's dirty blocks;
-            # otherwise a fresh cache is attached.
-            carry = cow and prev is not None and delta is not None
-            snapshot.index.attach_buffer_cache(
-                self.buffer_cache_blocks,
-                self.buffer_counters,
-                prev=prev.index if carry else None,
-                delta=delta if carry else None,
-            )
-        return snapshot
-
-    def _publish_locked(self) -> IndexSnapshot:
+    def _install(self, index: IndexShard, cow: bool, delta) -> IndexSnapshot:
+        """The runtime's install hook: wrap the clone, update the result
+        cache, swap the pointer — in that order."""
         prev = self._snapshot
-        new_id = prev.snapshot_id + 1
-        delta = self._writer.delta
-        snapshot = None
-        cow = False
-        if self.publish_mode == "cow" and delta is not None:
-            try:
-                snapshot = self._build_snapshot_cow(new_id, prev, delta)
-                cow = True
-            except CheckpointError:
-                # The journal cannot prove coverage (crash recovery,
-                # bucket growth, config drift): fall back to the oracle.
-                self.stats.cow_fallbacks += 1
-        if snapshot is None:
-            snapshot = self._build_snapshot(new_id)
-        snapshot = self._finish_publish(snapshot, cow=cow, delta=delta, prev=prev)
+        snapshot = IndexSnapshot(
+            index, prev.snapshot_id + 1, reference=self._frozen_reference()
+        )
         # Cache update precedes the swap so no reader can compute against
-        # the new snapshot while stale entries are still resident.
+        # the new snapshot while stale entries are still resident (and
+        # precedes the journal clear: it reads the batch's dirty terms).
         if cow:
             self.cache.publish_delta(
-                new_id,
+                snapshot.snapshot_id,
                 self._writer.dirty_terms(),
                 universe_changed=snapshot.ndocs != prev.ndocs,
                 deletions_changed=delta.deletions_changed,
@@ -452,24 +310,9 @@ class QueryService:
             )
         else:
             self.cache.invalidate()
-        if delta is not None:
-            delta.clear()
         # The swap is a single reference assignment (atomic under the
         # interpreter); readers holding the old snapshot finish on it.
         self._snapshot = snapshot
-        if self._memtier is not None:
-            # Rebase the memory tier onto the new snapshot: buffered
-            # postings the flush absorbed are pruned, anything the writer
-            # buffered after this batch boundary survives.  Old views
-            # remain content-equivalent (old base + buffer == new base +
-            # pruned buffer), so in-flight immediate readers are safe.
-            self._memtier.rebase(snapshot)
-            snapshot.mem_epoch = self._memtier.epoch
-        self.stats.publishes += 1
-        if cow:
-            self.stats.cow_publishes += 1
-        else:
-            self.stats.full_clone_publishes += 1
         return snapshot
 
     # -- reader API --------------------------------------------------------

@@ -98,26 +98,6 @@ class IndexSnapshot:
         """Copy-on-publish: clone ``writer`` at its batch boundary."""
         return cls(writer.clone(), snapshot_id, reference=reference)
 
-    @classmethod
-    def publish_incremental(
-        cls,
-        writer: "IndexShard",
-        prev: "IndexSnapshot",
-        delta,
-        snapshot_id: int,
-        reference: "BruteForceIndex | None" = None,
-    ) -> "IndexSnapshot":
-        """Incremental copy-on-write publish: share ``prev``'s untouched
-        structure, deep-copy only what ``delta`` marks dirty.
-
-        Raises :class:`~repro.core.checkpoint.CheckpointError` when the
-        delta cannot cover the gap (recovery, structural rebuild, config
-        mismatch); the service falls back to :meth:`publish_from`.  A
-        sharded writer falls back *per shard* instead of raising.
-        """
-        clone = writer.clone_incremental(prev.index, delta)
-        return cls(clone, snapshot_id, reference=reference)
-
     # -- retrieval (thread-safe: no shared accounting) --------------------
 
     def fetch_postings(self, word: str) -> tuple[list[int], int]:

@@ -2,9 +2,13 @@
 
 Each worker runs :func:`worker_main` in its own process and owns a
 complete :class:`~repro.textindex.TextDocumentIndex` end-to-end: ingest,
-flush (with in-worker crash recovery for injected faults), snapshot
-publication (full clone or incremental copy-on-write, exactly the
-:mod:`repro.service.server` publish protocol), and query evaluation.
+flush, snapshot publication and query evaluation.  Flush-with-recovery
+and publication (full clone or incremental copy-on-write) are not written
+here: the worker drives the same
+:class:`~repro.service.runtime.ShardRuntime` the in-process
+:class:`~repro.service.server.QueryService` drives, and adds what only a
+replica needs — skipping an idle flush, the gateway's growth grant,
+dying for real at an injected crash, checkpoints.
 Queries are answered from the worker's *published* snapshot, never the
 live writer, so the visibility contract matches the in-process service:
 a document becomes queryable at the flush that publishes it.
@@ -19,8 +23,7 @@ Failure model: two distinct kinds of death are exercised.
 
 * **Injected faults that the volume survives** — transient I/O errors
   and recoverable crashes under ``IndexConfig(crash_safe=True)`` — are
-  retried *inside* the worker through ``recover(replay=True)``, the same
-  rollback-and-replay loop the in-process service runs.
+  retried *inside* the worker by the runtime's rollback-and-replay loop.
 * **Process death** (``kill_on_crash=True`` turns an
   :class:`~repro.storage.faults.InjectedCrash` at a named crash point
   into ``SIGKILL`` of the worker itself, emulating a machine dying
@@ -35,21 +38,19 @@ import io
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-from ..core.checkpoint import CheckpointError
 from ..core.index import IndexConfig
-from ..core.invariants import InvariantError
 from ..core.memtier import MemTier
 from ..core.rebalance import BucketGrower
 from ..query import boolean as boolean_query
 from ..query import twotier
 from ..query import vector as vector_query
 from ..storage import faults
-from ..storage.faults import FaultPlan, InjectedCrash, TransientIOError
-from ..text.tokenizer import tokenize_document
+from ..storage.faults import FaultPlan
 from ..textindex import TextDocumentIndex
 from . import wire
+from .runtime import ShardRuntime
 
 
 @dataclass
@@ -81,20 +82,8 @@ class WorkerSpec:
     def respawn_spec(self) -> "WorkerSpec":
         """The spec a failover respawn uses: same volume shape, no fault
         plan (the injected failure happened; the replacement is clean)."""
-        return WorkerSpec(
-            shard_id=self.shard_id,
-            index_config=self.index_config,
-            tokenizer_config=self.tokenizer_config,
-            region_rules=self.region_rules,
-            publish_mode=self.publish_mode,
-            restore=None,
-            fault_plan=None,
-            kill_on_crash=False,
-            check_invariants=self.check_invariants,
-            max_flush_retries=self.max_flush_retries,
-            buffer_cache_blocks=self.buffer_cache_blocks,
-            max_frame=self.max_frame,
-            read_tier=self.read_tier,
+        return replace(
+            self, restore=None, fault_plan=None, kill_on_crash=False
         )
 
 
@@ -135,6 +124,8 @@ class WorkerStats:
     full_clone_publishes: int = 0
     cow_fallbacks: int = 0
     flush_recoveries: int = 0
+    publish_retries: int = 0
+    invariant_checks: int = 0
     requests: int = 0
     queries: int = 0
     #: Batch frames received and member reads they carried (the spread
@@ -149,6 +140,8 @@ class WorkerStats:
             "full_clone_publishes": self.full_clone_publishes,
             "cow_fallbacks": self.cow_fallbacks,
             "flush_recoveries": self.flush_recoveries,
+            "publish_retries": self.publish_retries,
+            "invariant_checks": self.invariant_checks,
             "requests": self.requests,
             "queries": self.queries,
             "batch_frames": self.batch_frames,
@@ -166,8 +159,6 @@ class ShardWorker:
     """
 
     def __init__(self, spec: WorkerSpec) -> None:
-        if spec.publish_mode not in ("clone", "cow"):
-            raise ValueError("publish_mode must be 'clone' or 'cow'")
         if spec.read_tier not in ("snapshot", "immediate"):
             raise ValueError("read_tier must be 'snapshot' or 'immediate'")
         self.spec = spec
@@ -182,18 +173,20 @@ class ShardWorker:
                 region_rules=spec.region_rules,
             )
         self.stats = WorkerStats()
-        self._snapshot_version = 0
-        self._pinned: dict[int, TextDocumentIndex] = {}
         self._dirty_since_publish = False
-        # Readers always have a snapshot: publish the initial (empty or
-        # restored) state wholesale — there is nothing to share with.
-        self._published = self.writer.clone()
-        journal = self.writer.delta
-        if journal is not None:
-            journal.clear()
-        self._buffer_counters = None
-        if spec.buffer_cache_blocks:
-            self.attach_buffer_cache(spec.buffer_cache_blocks)
+        # The flush → recover → publish → rebase state machine (DESIGN.md
+        # §10.1).  Building it publishes the initial (empty or restored)
+        # state, so readers always have a snapshot.
+        self.runtime = ShardRuntime(
+            self.writer,
+            self.stats,
+            publish_mode=spec.publish_mode,
+            max_flush_retries=spec.max_flush_retries,
+            check_invariants=spec.check_invariants,
+            buffer_cache_blocks=spec.buffer_cache_blocks,
+            tokenizer_config=spec.tokenizer_config,
+            on_crash=_die if spec.kill_on_crash else None,
+        )
         # The immediate-access memory tier mirrors the writer's pending
         # batch against the published snapshot.  Doc ids are *global*
         # (the gateway's router hands each shard an increasing
@@ -204,7 +197,9 @@ class ShardWorker:
         # replay the gateway drives through add/delete.
         self.memtier: MemTier | None = None
         if spec.read_tier == "immediate":
-            self.memtier = MemTier(base=self._published)
+            self.memtier = self.runtime.memtier = MemTier(
+                base=self.runtime.published
+            )
         # Bucket growth is *gateway-scheduled*: the in-flush auto-grower
         # is detached so replicas of one shard never grow unilaterally —
         # the grow decision rides the journaled flush op instead, which
@@ -221,100 +216,13 @@ class ShardWorker:
 
     def add_document(self, text: str, doc_id: int | None = None) -> int:
         self._dirty_since_publish = True
-        doc_id = self.writer.add_document(text, doc_id=doc_id)
-        if self.memtier is not None:
-            self.memtier.add_document(
-                doc_id, tokenize_document(text, self.spec.tokenizer_config)
-            )
-        return doc_id
+        return self.runtime.add_document(text, doc_id)
 
     def delete_document(self, doc_id: int) -> None:
         self._dirty_since_publish = True
-        self.writer.delete_document(doc_id)
-        if self.memtier is not None:
-            self.memtier.delete_document(doc_id)
+        self.runtime.delete_document(doc_id)
 
     # -- flush + publish --------------------------------------------------
-
-    def _flush_with_recovery(self) -> tuple[object, int]:
-        """The in-process service's retry loop, run inside the worker."""
-        attempts = 0
-        recoveries = 0
-        recovering = False
-        while True:
-            try:
-                if recovering:
-                    recoveries += 1
-                    replayed = self.writer.recover(replay=True)
-                    if replayed is not None:
-                        return replayed, recoveries
-                    recovering = False
-                    continue
-                return self.writer.flush_batch(), recoveries
-            except InjectedCrash:
-                if self.spec.kill_on_crash:
-                    # The fault model says this crash kills the machine:
-                    # die for real so the gateway's failover path — not
-                    # in-worker recovery — is what gets exercised.
-                    os.kill(os.getpid(), signal.SIGKILL)
-                if not self.writer.crash_safe:
-                    raise
-                attempts += 1
-                if attempts > self.spec.max_flush_retries:
-                    raise
-                recovering = True
-            except TransientIOError:
-                if not self.writer.crash_safe:
-                    raise
-                attempts += 1
-                if attempts > self.spec.max_flush_retries:
-                    raise
-                recovering = True
-
-    def _publish(self) -> bool:
-        """Publish the writer's boundary state; True when shared (cow)."""
-        journal = self.writer.delta
-        snapshot = None
-        cow = False
-        if self.spec.publish_mode == "cow" and journal is not None:
-            try:
-                snapshot = self.writer.clone_incremental(
-                    self._published, journal
-                )
-                cow = True
-            except CheckpointError:
-                self.stats.cow_fallbacks += 1
-        if snapshot is None:
-            snapshot = self.writer.clone()
-        if self.spec.check_invariants:
-            report = snapshot.check()
-            if not report.ok:
-                raise InvariantError(report)
-        if self._buffer_counters is not None:
-            # Carry the warmed cache across a cow publish (minus the
-            # batch's dirty blocks); a full clone starts cold.
-            snapshot.attach_buffer_cache(
-                self.spec.buffer_cache_blocks,
-                self._buffer_counters,
-                prev=self._published if cow else None,
-                delta=journal if cow else None,
-            )
-        if journal is not None:
-            journal.clear()
-        self._published = snapshot
-        if self.memtier is not None:
-            # Drop the buffered postings the flush just absorbed; the
-            # single-threaded worker has no concurrent readers, but the
-            # rebase keeps the tier's answers invariant regardless.
-            self.memtier.rebase(snapshot)
-        self._snapshot_version += 1
-        self._dirty_since_publish = False
-        self.stats.publishes += 1
-        if cow:
-            self.stats.cow_publishes += 1
-        else:
-            self.stats.full_clone_publishes += 1
-        return cow
 
     def flush(
         self, include_checkpoint: bool = False, grow: bool = False
@@ -341,31 +249,31 @@ class ShardWorker:
             return FlushOutcome(
                 skipped=True,
                 version=self.writer.batches,
-                snapshot_version=self._snapshot_version,
+                # (the initial publish is uncounted, so the publish
+                # counter *is* the snapshot version)
+                snapshot_version=self.stats.publishes,
                 ndocs=self.writer.ndocs,
                 mem_epoch=self._mem_epoch(),
                 wants_grow=self._wants_grow(),
                 occupancy=self.writer.index.buckets.occupancy(),
                 nbuckets=self.writer.index.buckets.nbuckets,
             )
-        result = None
-        recoveries = 0
-        if pending:
-            result, recoveries = self._flush_with_recovery()
-            self.stats.flush_recoveries += recoveries
+        recovered = self.stats.flush_recoveries
+        result = self.runtime.flush() if pending else None
         if grow:
             self.writer.index.grow_bucket_space(self._grower)
         start = time.perf_counter()
-        cow = self._publish()
+        cow = self.runtime.publish()
         publish_seconds = time.perf_counter() - start
+        self._dirty_since_publish = False
         checkpoint = self.checkpoint() if include_checkpoint else None
         return FlushOutcome(
             result=result,
             version=self.writer.batches,
-            snapshot_version=self._snapshot_version,
+            snapshot_version=self.stats.publishes,
             ndocs=self.writer.ndocs,
             cow=cow,
-            recoveries=recoveries,
+            recoveries=self.stats.flush_recoveries - recovered,
             publish_seconds=publish_seconds,
             checkpoint=checkpoint,
             mem_epoch=self._mem_epoch(),
@@ -389,36 +297,6 @@ class ShardWorker:
         self.writer.save(buf)
         return buf.getvalue()
 
-    # -- snapshot pinning (remote clone semantics) ------------------------
-
-    def publish_pin(self) -> int:
-        """Publish the current boundary and pin it; returns the pin id.
-
-        The remote analogue of ``IndexShard.clone()``: the caller gets a
-        stable identifier for an immutable snapshot that later queries
-        can address explicitly, surviving subsequent publishes until
-        :meth:`release_pin`.
-        """
-        if self._dirty_since_publish or len(self.writer.index.memory):
-            self._publish()
-        pin = self._snapshot_version
-        self._pinned[pin] = self._published
-        return pin
-
-    def release_pin(self, pin: int) -> None:
-        self._pinned.pop(pin, None)
-
-    def _snapshot_for(self, snapshot_id: int | None) -> TextDocumentIndex:
-        if snapshot_id is None:
-            return self._published
-        try:
-            return self._pinned[snapshot_id]
-        except KeyError:
-            raise KeyError(
-                f"snapshot {snapshot_id} is not pinned on shard "
-                f"{self.spec.shard_id}"
-            ) from None
-
     # -- retrieval (published snapshot) -----------------------------------
 
     def _immediate_view(self):
@@ -429,28 +307,24 @@ class ShardWorker:
             )
         return self.memtier.view()
 
-    def _fetcher(self, snapshot_id: int | None, tier: str | None):
+    def _fetcher(self, tier: str | None):
         """The ``word -> (doc_ids, read_ops)`` primitive of the state a
-        read addresses: the immediate view, or the published / pinned
-        snapshot."""
+        read addresses: the immediate view, or the published snapshot."""
         if tier == "immediate":
             view = self._immediate_view()
             return lambda word: twotier.fetch_postings(view, word)
-        return self._snapshot_for(snapshot_id).fetch_postings
+        return self.runtime.published.fetch_postings
 
     def fetch_postings(
-        self,
-        word: str,
-        snapshot_id: int | None = None,
-        tier: str | None = None,
+        self, word: str, tier: str | None = None
     ) -> tuple[list[int], int]:
         self.stats.queries += 1
-        return self._fetcher(snapshot_id, tier)(word)
+        return self._fetcher(tier)(word)
 
-    def _counted_fetch(self, snapshot_id: int | None, tier: str | None):
+    def _counted_fetch(self, tier: str | None):
         """``(fetch, counter)``: an evaluator's ``word -> doc_ids`` over
         :meth:`_fetcher`, charging read ops into ``counter[0]``."""
-        source = self._fetcher(snapshot_id, tier)
+        source = self._fetcher(tier)
         counter = [0]
 
         def fetch(word: str) -> list[int]:
@@ -461,11 +335,7 @@ class ShardWorker:
         return fetch, counter
 
     def eval_boolean(
-        self,
-        query: str,
-        ndocs: int,
-        snapshot_id: int | None = None,
-        tier: str | None = None,
+        self, query: str, ndocs: int, tier: str | None = None
     ) -> tuple[list[int], int]:
         """This shard's part of a gateway boolean query: ``(doc_ids,
         read_ops)`` evaluated against its own postings.
@@ -480,45 +350,22 @@ class ShardWorker:
         one each fetch carries.
         """
         self.stats.queries += 1
-        fetch, counter = self._counted_fetch(snapshot_id, tier)
+        fetch, counter = self._counted_fetch(tier)
         return boolean_query.evaluate(query, fetch, ndocs), counter[0]
 
     def eval_vector(
-        self,
-        terms: tuple,
-        top_k: int,
-        snapshot_id: int | None = None,
-        tier: str | None = None,
+        self, terms: tuple, top_k: int, tier: str | None = None
     ) -> tuple[tuple, int]:
         """This shard's part of a gateway vector query: ``((df per term,
         candidates grouped by term bitmask), read_ops)`` — see
         :func:`repro.query.vector.shard_candidates`.  Stateless: idf
         needs every shard's df, so the gateway scores."""
         self.stats.queries += 1
-        fetch, counter = self._counted_fetch(snapshot_id, tier)
+        fetch, counter = self._counted_fetch(tier)
         return vector_query.shard_candidates(terms, fetch, top_k), counter[0]
 
-    def search_boolean(
-        self,
-        query: str,
-        snapshot_id: int | None = None,
-        tier: str | None = None,
-    ) -> tuple[list[int], int]:
-        """The whole-shard boolean answer (own universe, own deletions)
-        as ``(doc_ids, read_ops)`` — the :class:`IndexShard` surface a
-        :class:`~repro.service.gateway.ShardProxy` presents."""
-        self.stats.queries += 1
-        if tier == "immediate":
-            answer = twotier.search_boolean(self._immediate_view(), query)
-        else:
-            answer = self._snapshot_for(snapshot_id).search_boolean(query)
-        return answer.doc_ids, answer.read_ops
-
     def search_streamed(
-        self,
-        query: str,
-        snapshot_id: int | None = None,
-        tier: str | None = None,
+        self, query: str, tier: str | None = None
     ) -> tuple[list[int], int]:
         """Per-shard flat AND/OR evaluation as ``(doc_ids, read_ops)``
         (every document lives wholly on one shard, so the gateway may
@@ -528,29 +375,8 @@ class ShardWorker:
         if tier == "immediate":
             answer = twotier.search_streamed(self._immediate_view(), query)
         else:
-            answer = self._snapshot_for(snapshot_id).search_streamed(query)
+            answer = self.runtime.published.search_streamed(query)
         return answer.doc_ids, answer.read_ops
-
-    def search_vector_counted(
-        self,
-        weights,
-        top_k: int = 10,
-        snapshot_id: int | None = None,
-        tier: str | None = None,
-    ):
-        """The whole-shard ranking (own universe) plus its read ops."""
-        self.stats.queries += 1
-        if tier == "immediate":
-            return twotier.search_vector_counted(
-                self._immediate_view(), weights, top_k=top_k
-            )
-        return self._snapshot_for(snapshot_id).search_vector_counted(
-            weights, top_k=top_k
-        )
-
-    def deleted_ids(self, snapshot_id: int | None = None) -> list[int]:
-        """The published snapshot's deletion set (sorted)."""
-        return sorted(self._snapshot_for(snapshot_id).deletions.deleted)
 
     def versioned_read(self, method: str, args: tuple):
         """A read stamped with this replica's version vector entry.
@@ -616,18 +442,14 @@ class ShardWorker:
             "shard": self.spec.shard_id,
             "ndocs": self.writer.ndocs,
             "batches": self.writer.batches,
-            "snapshot_version": self._snapshot_version,
-            "published_ndocs": self._published.ndocs,
-            "pins": sorted(self._pinned),
+            "snapshot_version": self.stats.publishes,
+            "published_ndocs": self.runtime.published.ndocs,
             "read_tier": self.spec.read_tier,
             "mem_epoch": self._mem_epoch(),
             "wants_grow": self._wants_grow(),
             "occupancy": self.writer.index.buckets.occupancy(),
             "nbuckets": self.writer.index.buckets.nbuckets,
         }
-
-    def dirty_terms(self) -> frozenset:
-        return self.writer.dirty_terms()
 
     def export_documents(self) -> list:
         """The writer's live documents reconstructed from its postings
@@ -639,32 +461,13 @@ class ShardWorker:
 
     def check(self):
         """Invariant-check the *published* snapshot (what readers see)."""
-        return self._snapshot_for(None).check()
-
-    def freeze(self) -> None:
-        self._snapshot_for(None).freeze()
-
-    def recover(self, replay: bool = True):
-        """Roll back (and optionally replay) an aborted writer flush."""
-        return self.writer.recover(replay=replay)
-
-    def attach_buffer_cache(self, blocks: int) -> None:
-        """Attach a worker-local decoded-chunk cache to the published
-        snapshot (counters cannot cross the process boundary, so each
-        worker keeps its own; :meth:`buffer_stats` reports them).  The
-        cache is re-attached — carried forward when possible — at every
-        subsequent publish."""
-        from ..pipeline.profiling import HitMissCounters
-
-        if self._buffer_counters is None:
-            self._buffer_counters = HitMissCounters()
-        self.spec.buffer_cache_blocks = blocks
-        self._snapshot_for(None).attach_buffer_cache(
-            blocks, self._buffer_counters
-        )
+        return self.runtime.published.check()
 
     def buffer_stats(self) -> dict:
-        counters = getattr(self, "_buffer_counters", None)
+        """The published snapshots' decoded-chunk cache counters
+        (counters cannot cross the process boundary, so each worker
+        keeps its own)."""
+        counters = self.runtime.buffer_counters
         return counters.as_dict() if counters is not None else {}
 
     def debug_sleep(self, seconds: float) -> float:
@@ -681,22 +484,14 @@ class ShardWorker:
 
 #: Methods :meth:`ShardWorker.versioned_read` and batch frames may
 #: dispatch — the gateway's read surface (everything here is
-#: side-effect-free on index state).  The whole-shard ``search_boolean``
-#: / ``search_vector_counted`` are plain RPCs: only a ``ShardProxy``
-#: calls them.
+#: side-effect-free on index state).
 READ_METHODS = frozenset(
-    {
-        "fetch_postings",
-        "eval_boolean",
-        "eval_vector",
-        "search_streamed",
-        "deleted_ids",
-    }
+    {"fetch_postings", "eval_boolean", "eval_vector", "search_streamed"}
 )
 
 
 #: RPC method name -> ShardWorker attribute (the dispatch table; every
-#: entry is part of the wire contract the gateway and proxies rely on).
+#: entry is part of the wire contract the gateway relies on).
 DISPATCH = {
     "ping": "ping",
     "info": "info",
@@ -704,26 +499,24 @@ DISPATCH = {
     "delete_document": "delete_document",
     "flush": "flush",
     "checkpoint": "checkpoint",
-    "publish_pin": "publish_pin",
-    "release_pin": "release_pin",
     "fetch_postings": "fetch_postings",
     "eval_boolean": "eval_boolean",
     "eval_vector": "eval_vector",
-    "search_boolean": "search_boolean",
     "search_streamed": "search_streamed",
-    "search_vector_counted": "search_vector_counted",
     "versioned_read": "versioned_read",
-    "deleted_ids": "deleted_ids",
-    "recover": "recover",
-    "dirty_terms": "dirty_terms",
     "export_documents": "export_documents",
     "check": "check",
-    "freeze": "freeze",
-    "attach_buffer_cache": "attach_buffer_cache",
     "buffer_stats": "buffer_stats",
     "debug_sleep": "debug_sleep",
     "stats": "stats_dict",
 }
+
+
+def _die() -> None:
+    """``kill_on_crash``: the fault model says this crash kills the
+    machine, so die for real — the gateway's failover path, not
+    in-worker recovery, is what gets exercised."""
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def serve(sock, spec: WorkerSpec) -> None:

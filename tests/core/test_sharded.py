@@ -100,10 +100,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="shards >= 2"):
             ShardedTextIndex(small_config(), shards=1)
 
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="flush_executor"):
-            ShardedTextIndex(small_config(), shards=2, flush_executor="mpi")
-
     def test_build_text_index_dispatch(self):
         assert isinstance(
             build_text_index(small_config(), shards=1), TextDocumentIndex
@@ -155,27 +151,6 @@ class TestIngestAndRouting:
 
 
 class TestFlushModes:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(flush_jobs=1),
-            dict(flush_jobs=4, flush_executor="thread"),
-            dict(
-                flush_jobs=4,
-                flush_executor="process",
-                config=small_config(crash_safe=False),
-            ),
-        ],
-        ids=["serial", "thread", "process"],
-    )
-    def test_mode_identical_to_serial(self, kwargs):
-        docs = corpus(40)
-        baseline = build(docs, shards=3, flush_jobs=1)
-        other = build(docs, shards=3, **kwargs)
-        assert answers(other) == answers(baseline)
-        assert other.shard_versions == baseline.shard_versions
-        assert other.ndocs == baseline.ndocs
-
     def test_empty_shard_version_stands_still(self):
         index = ShardedTextIndex(small_config(), shards=4)
         # Add exactly one document: only its shard's counter may move.
@@ -185,19 +160,6 @@ class TestFlushModes:
         for i, v in enumerate(index.shard_versions):
             assert v == (1 if i == owner else 0)
         assert index.batches == 1
-
-    def test_process_mode_refuses_unserializable_config(self):
-        index = ShardedTextIndex(
-            small_config(crash_safe=True),
-            shards=2,
-            flush_jobs=2,
-            flush_executor="process",
-        )
-        for text in corpus(12):
-            index.add_document(text)
-        assert all(len(s.index.memory) for s in index.shards)
-        with pytest.raises(ValueError, match="crash_safe"):
-            index.flush_batch()
 
     def test_aggregate_sums_postings(self):
         docs = corpus(20)
@@ -327,26 +289,6 @@ class TestPublication:
         broken = index.check()
         assert not broken.ok
         assert all("shard 1:" in v.detail for v in broken.violations)
-
-    def test_process_flush_keeps_cow_fallback_local(self):
-        # A process-mode flush voids CoW coverage for flushed shards;
-        # clone_incremental must still succeed by per-shard fallback.
-        docs = corpus(24)
-        index = build(
-            docs,
-            shards=3,
-            config=small_config(crash_safe=False),
-            flush_jobs=3,
-            flush_executor="process",
-        )
-        prev = index.clone()
-        index.delta.clear()
-        for text in corpus(9, seed=11):
-            index.add_document(text)
-        index.flush_batch()
-        cow = index.clone_incremental(prev, index.delta)
-        assert answers(cow) == answers(index.clone())
-        assert cow.check().ok
 
     def test_checkpoint_roundtrip_per_shard(self):
         index = build(corpus(20), shards=2)

@@ -179,10 +179,10 @@ def test_worker_isolates_poison_members_in_a_mixed_batch():
     from repro.service import wire
 
     members = (
-        wire.Request(0, "fetch_postings", ("wb", None, None)),
+        wire.Request(0, "fetch_postings", ("wb", None)),
         wire.Request(1, "add_document", ("sneaky write", 99)),
-        wire.Request(2, "search_streamed", ("wa AND", None, None)),
-        wire.Request(3, "fetch_postings", ("wa", None, None)),
+        wire.Request(2, "search_streamed", ("wa AND", None)),
+        wire.Request(3, "fetch_postings", ("wa", None)),
     )
     responses, version, mem_epoch = worker.batched_read(members)
     assert len(responses) == 4
@@ -213,7 +213,7 @@ def test_gateway_isolates_poison_members_in_a_mixed_batch():
             await gateway.add_document("wa wb")
             await gateway.flush()
             good, bad = await asyncio.gather(
-                gateway._read_shard(0, "fetch_postings", ("wa", None, None)),
+                gateway._read_shard(0, "fetch_postings", ("wa", None)),
                 gateway._read_shard(0, "bogus_method", ()),
                 return_exceptions=True,
             )

@@ -3,9 +3,8 @@ and checkpoint+oplog failover.
 
 The tentpole claims pinned here:
 
-* :class:`ShardProxy` *is* an :class:`IndexShard` — the runtime-checkable
-  protocol seam holds across the process boundary, including pinned
-  remote clones.
+* A worker's handler errors cross the process boundary typed, and the
+  connection survives them.
 * A per-shard deadline surfaces as the typed partial failure
   :class:`ShardDeadlineExceeded` naming the late shards, and the
   connection survives (the stale response is discarded, not misread as
@@ -23,7 +22,6 @@ import asyncio
 import pytest
 
 from repro.core.index import IndexConfig
-from repro.core.shard import IndexShard
 from repro.core.sharded import ShardedTextIndex
 from repro.service.gateway import (
     AsyncShardGateway,
@@ -31,7 +29,6 @@ from repro.service.gateway import (
     GatewayService,
     RemoteWorkerError,
     ShardDeadlineExceeded,
-    ShardProxy,
     WorkerProcess,
 )
 from repro.service.worker import WorkerSpec
@@ -71,79 +68,14 @@ def worker():
     process.close()
 
 
-class TestShardProxy:
-    def test_satisfies_index_shard_protocol(self, worker):
-        assert isinstance(ShardProxy(worker), IndexShard)
-
-    def test_ingest_flush_query(self, worker):
-        proxy = ShardProxy(worker)
-        for doc_id, text in enumerate(DOCS):
-            assert proxy.add_document(text, doc_id) == doc_id
-        result = proxy.flush_batch()
-        assert result.batch == 0  # the volume's own 0-based batch number
-        assert proxy.ndocs == len(DOCS)
-        assert proxy.batches == 1
-        assert proxy.shard_versions == (1,)
-        answer = proxy.search_boolean("apple AND banana")
-        assert answer.doc_ids == [0, 4]
-        assert proxy.fetch_postings("banana")[0] == [0, 1, 4, 5, 7]
-
-    def test_matches_local_index_exactly(self, worker):
-        from repro.textindex import TextDocumentIndex
-
-        proxy = ShardProxy(worker)
-        local = TextDocumentIndex(small_config())
-        for doc_id, text in enumerate(DOCS):
-            proxy.add_document(text, doc_id)
-            local.add_document(text)
-        proxy.delete_document(2)
-        local.delete_document(2)
-        proxy.flush_batch()
-        local.flush_batch()
-        for query in ("apple AND banana", "NOT banana", "fig OR lemon"):
-            remote = proxy.search_boolean(query)
-            want = local.search_boolean(query)
-            assert remote.doc_ids == want.doc_ids
-            assert remote.read_ops == want.read_ops
-
-    def test_pinned_clone_is_immutable(self, worker):
-        proxy = ShardProxy(worker)
-        for doc_id, text in enumerate(DOCS[:3]):
-            proxy.add_document(text, doc_id)
-        proxy.flush_batch()
-        pinned = proxy.clone()
-        before = pinned.search_boolean("cherry").doc_ids
-        proxy.add_document("cherry cherry cherry", 3)
-        proxy.flush_batch()
-        # The live proxy sees the new document; the pin does not.
-        assert 3 in proxy.search_boolean("cherry").doc_ids
-        assert pinned.search_boolean("cherry").doc_ids == before
-        pinned.release()
-
-    def test_clone_incremental_matches_clone(self, worker):
-        proxy = ShardProxy(worker)
-        proxy.add_document(DOCS[0], 0)
-        proxy.flush_batch()
-        pinned = proxy.clone_incremental(None, None)
-        assert pinned.search_boolean("apple").doc_ids == [0]
-        pinned.release()
-
-    def test_check_and_dirty_terms_cross_the_wire(self, worker):
-        proxy = ShardProxy(worker)
-        proxy.add_document(DOCS[0], 0)
-        proxy.flush_batch()
-        report = proxy.check()
-        assert report.ok and report.checks > 0
-        assert proxy.dirty_terms() == frozenset()
-
+class TestWorkerProcess:
     def test_remote_errors_are_typed(self, worker):
-        proxy = ShardProxy(worker)
         with pytest.raises(RemoteWorkerError, match="ValueError"):
-            proxy.delete_document(999)
+            worker.call("delete_document", 999)
         with pytest.raises(RemoteWorkerError, match="UnknownMethod"):
             worker.call("no_such_method")
         # The connection survives a handler error.
-        assert proxy.ndocs == 0
+        assert worker.call("info")["ndocs"] == 0
 
 
 def run_gateway(coro_fn, **gateway_kwargs):

@@ -36,13 +36,8 @@ from repro.query import boolean as boolean_query
 from repro.query import vector as vector_query
 from repro.query.boolean import QueryParseError
 from repro.query.reference import BruteForceIndex
-from repro.service.gateway import (
-    AsyncShardGateway,
-    ShardProxy,
-    WorkerProcess,
-)
+from repro.service.gateway import AsyncShardGateway
 from repro.service.replication import ReplicaState
-from repro.service.worker import WorkerSpec
 from repro.textindex import TextDocumentIndex
 
 
@@ -394,7 +389,7 @@ def test_queries_inside_a_split_overlap_window():
                 # What the exception is for: the pushdown's summed df
                 # counts every mover twice here.
                 _, replies = await gateway._scatter_read(
-                    "eval_vector", (("wa", "wb", "wc"), 6, None, None)
+                    "eval_vector", (("wa", "wb", "wc"), 6, None)
                 )
                 summed = [
                     sum(dfs[bit] for (dfs, _), _ in replies)
@@ -590,39 +585,3 @@ def test_gateway_parses_a_boolean_query_once(monkeypatch):
             await gateway.close()
 
     asyncio.run(main())
-
-
-def test_shard_proxy_reads_its_workers_tier():
-    """The tier-blind-read bugfix: on an immediate-tier worker an
-    unpinned proxy answers from the live view in every mode, exactly
-    like an unflushed local index."""
-    process = WorkerProcess(
-        WorkerSpec(
-            shard_id=0, index_config=small_config(), read_tier="immediate"
-        )
-    )
-    try:
-        proxy = ShardProxy(process)
-        local = TextDocumentIndex(small_config())
-        for doc_id, text in enumerate(DOCS):
-            proxy.add_document(text, doc_id)
-            local.add_document(text)
-            if doc_id == 2:
-                proxy.flush_batch()
-                local.flush_batch()
-        proxy.delete_document(1)
-        local.delete_document(1)
-        for query in ("apple AND banana", "NOT banana", "kiwi OR date"):
-            got, want = proxy.search_boolean(query), local.search_boolean(query)
-            assert got.doc_ids == want.doc_ids, query
-            assert got.read_ops == want.read_ops, query
-        got = proxy.search_streamed("apple AND banana")
-        assert got.doc_ids == local.search_streamed("apple AND banana").doc_ids
-        weights = {"apple": 1.0, "banana": 2.0, "kiwi": -1.0}
-        got, got_ops = proxy.search_vector_counted(weights, top_k=4)
-        want, want_ops = local.search_vector_counted(weights, top_k=4)
-        assert _scored(got) == _scored(want) and got_ops == want_ops
-        assert _scored(proxy.search_vector(weights, top_k=4)) == _scored(want)
-        assert proxy.fetch_postings("kiwi") == local.fetch_postings("kiwi")
-    finally:
-        process.close()

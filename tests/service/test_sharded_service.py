@@ -28,7 +28,6 @@ SHARDED_CONFIG = LoadConfig(
     pace_s=0.0005,
     differential=True,
     shards=3,
-    flush_jobs=3,
 )
 
 
@@ -88,8 +87,6 @@ class TestShardedService:
     def test_service_validates_shard_knobs(self):
         with pytest.raises(ValueError):
             QueryService(shards=0)
-        with pytest.raises(ValueError):
-            QueryService(shards=2, flush_jobs=0)
 
 
 class TestCacheShardVector:

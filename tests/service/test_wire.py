@@ -169,8 +169,8 @@ class TestBatchMessages:
         batch = wire.BatchRequest(
             41,
             (
-                wire.Request(0, "fetch_postings", ("wa", None, None)),
-                wire.Request(1, "search_streamed", ("wa AND wb", None, None)),
+                wire.Request(0, "fetch_postings", ("wa", None)),
+                wire.Request(1, "search_streamed", ("wa AND wb", None)),
             ),
         )
         assert roundtrip(batch) == batch
