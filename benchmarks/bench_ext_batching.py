@@ -1,11 +1,11 @@
-"""Extension X-batching — adaptive micro-batched reads vs. per-read frames.
+"""Extension X-batching — micro-batched reads vs. per-read frames.
 
 The tentpole claim of the batching work (DESIGN.md §16): collapsing the
-gateway's per-read frames into adaptive micro-batches buys back the
-per-frame tax — pickle + syscall + dispatch, times shards × replicas —
-so *saturated* open-loop throughput rises while *unloaded* p50 stays
-put (the adaptive window sleeps zero until recent batch depth crosses
-half the cap).  Both arms of each comparison drain the identical
+gateway's per-read frames into micro-batches buys back the per-frame
+tax — pickle + syscall + dispatch, times shards × replicas — so
+*saturated* open-loop throughput rises while *unloaded* p50 stays put
+(a frame goes out one loop tick after its first member; nothing waits
+on a timer).  Both arms of each comparison drain the identical
 deterministic Poisson schedule — same seed, same query payloads, same
 scheduled instants — so every latency sample is completion minus
 *scheduled* arrival and the comparison is offered-load for offered-load.
@@ -35,7 +35,6 @@ SATURATING_QUERIES = 1200
 UNLOADED_QPS = 120.0
 UNLOADED_QUERIES = 240
 BATCH_SIZE = 16
-BATCH_DELAY_US = 250
 
 
 def _arm_config(
@@ -56,7 +55,6 @@ def _arm_config(
         arrival_queries=queries,
         queue_limit=queries,  # measure latency, don't shed the backlog
         batch_size=batch_size,
-        batch_delay_us=BATCH_DELAY_US if batch_size > 1 else 0,
         coalesce=coalesce,
     )
 
@@ -96,7 +94,6 @@ def test_ext_batching_open_loop_throughput(capfd):
             replicas=2,
             gateway=True,
             batch_size=BATCH_SIZE,
-            batch_delay_us=BATCH_DELAY_US,
             coalesce=True,
         )
     ).run()
@@ -110,7 +107,7 @@ def test_ext_batching_open_loop_throughput(capfd):
         _arm_config(BATCH_SIZE, SATURATING_QPS, SATURATING_QUERIES)
     ).run()
 
-    # Unloaded arms: the adaptive window must not tax an idle gateway.
+    # Unloaded arms: batching must not tax an idle gateway.
     idle_plain = LoadGenerator(
         _arm_config(1, UNLOADED_QPS, UNLOADED_QUERIES)
     ).run()
@@ -161,7 +158,6 @@ def test_ext_batching_open_loop_throughput(capfd):
             "unloaded_rate_qps": UNLOADED_QPS,
             "unloaded_queries": UNLOADED_QUERIES,
             "batch_size": BATCH_SIZE,
-            "batch_delay_us": BATCH_DELAY_US,
         },
         "arms": {
             label: _arm_metrics(arm) for label, arm in arms.items()

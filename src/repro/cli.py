@@ -36,12 +36,11 @@ Five subcommands cover the library's main entry points::
                       [--publish-mode clone|cow] [--buffer-cache BLOCKS]
                       [--shards N] [--differential]
                       [--gateway] [--replicas K] [--rebuild-stagger on|off]
-                      [--grow-buckets] [--growth-threshold F]
-                      [--read-tier snapshot|immediate]
+                      [--grow-buckets] [--read-tier snapshot|immediate]
                       [--background-merge] [--arrival closed|open]
                       [--arrival-rate QPS] [--arrival-queries N]
                       [--queue-limit N] [--shard-timeout S]
-                      [--batch-size N] [--batch-delay-us US] [--coalesce]
+                      [--batch-size N] [--coalesce]
                       [--doc-skew S] [--rebalance]
                       [--rebalance-threshold X]
                       [--json PATH] [--no-verify]
@@ -61,10 +60,10 @@ Five subcommands cover the library's main entry points::
         gateway (per-shard deadlines, bounded-queue admission control,
         checkpoint+oplog failover); ``--arrival open`` offers a
         deterministic Poisson schedule at ``--arrival-rate`` whose
-        recorded latencies include queue wait.  Gateway reads travel in
-        adaptive micro-batches (``--batch-size``, ``--batch-delay-us``;
-        ``--batch-size 1`` restores the unbatched wire protocol) and
-        ``--coalesce`` single-flights identical concurrent queries.
+        recorded latencies include queue wait.  Gateway reads issued in
+        the same event-loop tick share a frame of at most ``--batch-size``
+        members (``--batch-size 1`` restores the unbatched wire protocol)
+        and ``--coalesce`` single-flights identical concurrent queries.
         ``--doc-skew`` pins explicit doc ids onto Zipf-drawn target
         shards, and ``--rebalance`` (gateway only) answers the skew with
         online shard splits/merges cut over at flush boundaries.
@@ -408,9 +407,7 @@ def cmd_serve_bench(args) -> int:
         replicas=args.replicas,
         rebuild_stagger=args.rebuild_stagger == "on",
         grow_buckets=args.grow_buckets,
-        growth_threshold=args.growth_threshold,
         batch_size=args.batch_size,
-        batch_delay_us=args.batch_delay_us,
         coalesce=args.coalesce,
         doc_skew=args.doc_skew,
         rebalance=args.rebalance,
@@ -457,13 +454,15 @@ def cmd_serve_bench(args) -> int:
             f"p99 {publish['p99'] * 1e6:8.1f} us   "
             f"({publish['count']} publishes)"
         )
-    cache = report.cache
-    print(
-        f"result cache:     {cache['hits']} hits / {cache['misses']} misses "
-        f"(rate {cache['hit_rate']:.1%}), {cache['evictions']} evictions, "
-        f"{cache['invalidations']} invalidations "
-        f"({cache['entries_retained']} entries carried across publishes)"
-    )
+    if report.cache:
+        cache = report.cache
+        print(
+            f"result cache:     {cache['hits']} hits / "
+            f"{cache['misses']} misses "
+            f"(rate {cache['hit_rate']:.1%}), {cache['evictions']} evictions, "
+            f"{cache['invalidations']} invalidations "
+            f"({cache['entries_retained']} entries carried across publishes)"
+        )
     if report.buffer_cache:
         buffers = report.buffer_cache
         print(
@@ -807,13 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(paper §7's rebalancing strategy)",
     )
     p_serve.add_argument(
-        "--growth-threshold",
-        type=float,
-        default=0.75,
-        metavar="F",
-        help="bucket occupancy that triggers a growth round",
-    )
-    p_serve.add_argument(
         "--read-tier",
         choices=("snapshot", "immediate"),
         default="snapshot",
@@ -870,13 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=16,
         metavar="N",
         help="gateway read micro-batch cap (1 = unbatched wire protocol)",
-    )
-    p_serve.add_argument(
-        "--batch-delay-us",
-        type=int,
-        default=250,
-        metavar="US",
-        help="ceiling of the adaptive batch-flush delay window",
     )
     p_serve.add_argument(
         "--coalesce",

@@ -73,10 +73,6 @@ class RoutingTable:
         """The shard owning ``doc_id`` under this epoch's map."""
         return self.owners[shard_of(doc_id, self.nslots, self.seed)]
 
-    def slot_of(self, doc_id: int) -> int:
-        """The slot (not shard) a document hashes into."""
-        return shard_of(doc_id, self.nslots, self.seed)
-
     # -- introspection ----------------------------------------------------
 
     @property

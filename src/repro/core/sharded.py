@@ -591,10 +591,6 @@ class ShardedTextIndex:
     def document_frequency(self, word: str) -> int:
         return sum(shard.document_frequency(word) for shard in self.shards)
 
-    def shard_stats(self) -> list:
-        """Per-shard :class:`~repro.core.index.IndexStats`."""
-        return [shard.stats() for shard in self.shards]
-
 
 def build_text_index(
     config: IndexConfig | None = None,

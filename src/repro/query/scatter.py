@@ -23,11 +23,15 @@ and cheap:
 The in-process :class:`~repro.core.sharded.ShardedTextIndex` gathers
 boolean and vector queries at the fetch level, where a merged list
 costs a function call.  The multi-process gateway
-(:mod:`repro.service.gateway`) is answer-level in *every* mode — a
-fetched list there crosses a process boundary — with two additions to
-the plain merge: a complementing ``NOT`` is cut back to each shard's
-routed slice, and vector replies carry per-term df with candidates
-grouped by term bitmask (:func:`repro.query.vector.shard_candidates`).
+(:mod:`repro.service.gateway`) is answer-level in *every* mode, at
+every moment — a fetched list there crosses a process boundary — with
+two additions to the plain merge: a complementing ``NOT`` is cut back to
+each shard's routed slice, and vector replies carry per-term df with
+candidates grouped by term bitmask
+(:func:`repro.query.vector.shard_candidates`).  While an online split
+has two shards holding the same documents, each worker counts only the
+documents routed to it, so the fragments stay disjoint where df is
+summed.
 
 Read-op accounting is summed across shards: each shard charges the
 paper's Figure-10 units (one read per chunk, one per bucket) against its

@@ -36,16 +36,15 @@ pickle + syscall + dispatch, times shards × replicas — two layers
 amortize, changing only how reads *travel*, never what they evaluate
 against:
 
-* **Adaptive micro-batching** — each replica carries a
-  :class:`_ReadBatcher` that accumulates queued reads and flushes them
-  as one :class:`~repro.service.wire.BatchRequest` frame when
-  ``max_batch_size`` is reached or an adaptive delay window expires.
-  The window is near-zero while the queue has been shallow (an unloaded
-  read still goes out on the next loop tick) and widens toward
-  ``max_batch_delay_us`` as recent batch depth grows, so saturated
-  throughput rises without taxing unloaded latency.  The worker
-  validates version/snapshot once per batch, evaluates every member
-  against that one pinned state, and isolates per-member errors;
+* **Micro-batching** — each replica carries a :class:`_ReadBatcher`:
+  reads enqueued in one event-loop tick travel as one
+  :class:`~repro.service.wire.BatchRequest` frame, sent on the next
+  tick (``max_batch_size`` caps a frame).  There is no timed wait: a
+  query puts one member on one replica per shard, so a replica's queue
+  never gets deeper than the client concurrency, and no workload here
+  ever filled a frame far enough for a wait to pay (DESIGN.md §16).
+  The worker validates version/snapshot once per batch, evaluates every
+  member against that one pinned state, and isolates per-member errors;
   deadlines and admission still account each member individually.
   ``max_batch_size=1`` disables the layer entirely — the wire traffic
   is then frame-for-frame identical to the unbatched protocol.
@@ -107,7 +106,6 @@ from ..query import streaming as streaming_query
 from ..query import vector as vector_query
 from ..textindex import QueryAnswer
 from . import wire
-from .cache import QueryResultCache
 from .replication import (
     Replica,
     ReplicaSet,
@@ -408,12 +406,11 @@ class _ReadBatcher:
 
     ``enqueue`` is synchronous, so every read created in one event-loop
     tick — one member per concurrently admitted query bound for this
-    replica — lands in the same queue before any flush task runs, and
-    travels as one frame.  The flush fires when the queue reaches
-    ``max_batch_size`` or when the adaptive delay window expires: zero
-    extra wait while recent batches have been shallow, widening toward
-    ``max_batch_delay_us`` as the depth EWMA approaches the cap (under
-    load, waiting a hair collects a much fuller frame).
+    replica — lands in the same queue before the flush task runs, and
+    travels as one frame.  The flusher sends on its first step, which
+    the loop runs one tick after the enqueue that created it; a queue
+    that reaches ``max_batch_size`` within the tick is sent at once,
+    which is what bounds a frame.
     """
 
     def __init__(self, gateway: "AsyncShardGateway", replica: Replica):
@@ -421,9 +418,6 @@ class _ReadBatcher:
         self._replica = replica
         self._queue: list = []
         self._flusher: asyncio.Task | None = None
-        #: EWMA of recent flush depths — the load signal the delay
-        #: window adapts to.
-        self.depth_ewma = 0.0
 
     def enqueue(self, method: str, args: tuple) -> asyncio.Future:
         """Queue one member read; resolves to ``(value, version,
@@ -436,37 +430,13 @@ class _ReadBatcher:
             batch, self._queue = self._queue, []
             loop.create_task(self._send(batch))
         elif self._flusher is None:
-            self._flusher = loop.create_task(self._delayed_flush())
+            self._flusher = loop.create_task(self._flush())
         return future
 
-    def delay_s(self) -> float:
-        """The adaptive window for the next timed flush.
-
-        Zero while recent batches have filled less than half the cap:
-        the flusher then sends on its first step, which the loop runs
-        one tick after the enqueue that created it, so shallow traffic
-        still coalesces same-tick members and pays no added latency.
-        Past the half-full mark the window widens linearly toward
-        ``max_batch_delay_us``: the queue is deep enough that waiting a
-        hair collects a much fuller frame.
-        """
-        gateway = self._gateway
-        if gateway.max_batch_delay_us <= 0:
-            return 0.0
-        fill = min(1.0, self.depth_ewma / gateway.max_batch_size)
-        if fill < 0.5:
-            return 0.0
-        return gateway.max_batch_delay_us * 1e-6 * fill
-
-    async def _delayed_flush(self) -> None:
-        delay = self.delay_s()
-        try:
-            if delay:
-                await asyncio.sleep(delay)
-        finally:
-            # Clear before sending so members enqueued during the RPC
-            # open a fresh window instead of silently queueing forever.
-            self._flusher = None
+    async def _flush(self) -> None:
+        # Clear before sending so members enqueued during the exchange
+        # start a fresh flusher instead of silently queueing forever.
+        self._flusher = None
         batch, self._queue = self._queue, []
         if batch:
             await self._send(batch)
@@ -481,7 +451,6 @@ class _ReadBatcher:
         """
         gateway = self._gateway
         replica = self._replica
-        self.depth_ewma = 0.75 * self.depth_ewma + 0.25 * len(batch)
         gateway.batching.record_batch(len(batch))
         members = tuple(
             wire.Request(ordinal, method, args)
@@ -489,29 +458,9 @@ class _ReadBatcher:
         )
         try:
             async with replica.lock:
-                stream_writer = replica.writer
-                if stream_writer is None:
-                    raise WorkerDied(f"{replica.name} has no connection")
-                request_id = next(replica.seq)
-                header, payload = wire.encode_parts(
-                    wire.BatchRequest(request_id, members),
-                    gateway.max_frame,
+                reply = await gateway._exchange(
+                    replica, wire.BatchRequest, members
                 )
-                stream_writer.write(header)
-                stream_writer.write(payload)
-                await stream_writer.drain()
-                while True:
-                    reply = await wire.read_message_async(
-                        replica.reader, gateway.max_frame
-                    )
-                    if reply is None:
-                        raise WorkerDied(
-                            f"{replica.name} closed the connection "
-                            "during a batched read"
-                        )
-                    if reply.request_id != request_id:
-                        continue  # stale reply from an abandoned call
-                    break
         except Exception as exc:  # noqa: BLE001 - fan the failure out
             for _, _, future in batch:
                 if not future.done():
@@ -605,7 +554,6 @@ class AsyncShardGateway:
         max_frame: int = wire.DEFAULT_MAX_FRAME,
         read_tier: str = "snapshot",
         max_batch_size: int = 16,
-        max_batch_delay_us: int = 250,
         coalesce: bool = False,
         rebalance: bool = False,
         rebalance_policy: RebalancePolicy | None = None,
@@ -624,8 +572,6 @@ class AsyncShardGateway:
             raise ValueError("read_tier must be 'snapshot' or 'immediate'")
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_batch_delay_us < 0:
-            raise ValueError("max_batch_delay_us must be >= 0")
         if rebalance and read_tier == "immediate":
             # The immediate tier reads workers' live write buffers; a
             # relocation would need those buffers migrated mid-epoch,
@@ -634,7 +580,6 @@ class AsyncShardGateway:
                 "online rebalance requires read_tier='snapshot'"
             )
         self.max_batch_size = max_batch_size
-        self.max_batch_delay_us = max_batch_delay_us
         self.coalesce = coalesce
         self.read_tier = read_tier
         self.nshards = shards
@@ -677,8 +622,9 @@ class AsyncShardGateway:
         self.rebalance = RebalanceStats()
         #: A split is between its cutover and the victim's tombstone
         #: flush: two active shards both hold the movers.  Answer merges
-        #: dedupe doc ids regardless; only the vector pushdown, which
-        #: sums per-shard document frequencies, has to stand aside.
+        #: dedupe doc ids regardless; the vector pushdown sums per-shard
+        #: document frequencies, so while this is up it sends the table
+        #: along and each worker counts only the documents routed to it.
         self._split_overlap = False
         #: Serializes grow_buckets rebuilds across shards (None = every
         #: shard grows the round its trigger fires, PR 5 behavior).
@@ -731,10 +677,6 @@ class AsyncShardGateway:
         return [rs.replicas[0].worker for rs in self._sets]
 
     @property
-    def _oplogs(self) -> list[list[tuple]]:
-        return [rs.oplog for rs in self._sets]
-
-    @property
     def _checkpoints(self) -> list[bytes | None]:
         return [rs.checkpoint for rs in self._sets]
 
@@ -768,7 +710,6 @@ class AsyncShardGateway:
         if replica.lock is None:
             replica.lock = asyncio.Lock()
         replica.seq = itertools.count(1)
-        replica.epoch += 1
 
     async def close(self) -> None:
         """Shut every replica down and reap the processes."""
@@ -798,35 +739,43 @@ class AsyncShardGateway:
 
     # -- RPC core ---------------------------------------------------------
 
-    async def _rpc(self, replica: Replica, method: str, args: tuple):
-        """One request/response on a replica's stream.  Caller must hold
-        (or be the sole owner of) the replica's connection lock."""
-        request_id = next(replica.seq)
+    async def _exchange(self, replica: Replica, message_type, *fields):
+        """One request/reply exchange on a replica's stream — the only
+        place the gateway writes to or reads from a worker connection.
+
+        Sends ``message_type(request_id, *fields)`` and returns the reply
+        carrying that id.  Caller must hold (or be the sole owner of)
+        the replica's connection lock.
+        """
         stream_writer = replica.writer
         if stream_writer is None:
             raise WorkerDied(f"{replica.name} has no connection")
+        request_id = next(replica.seq)
         header, payload = wire.encode_parts(
-            wire.Request(request_id, method, args), self.max_frame
+            message_type(request_id, *fields), self.max_frame
         )
         stream_writer.write(header)
         stream_writer.write(payload)
         await stream_writer.drain()
         while True:
-            response = await wire.read_message_async(
+            reply = await wire.read_message_async(
                 replica.reader, self.max_frame
             )
-            if response is None:
+            if reply is None:
                 raise WorkerDied(
-                    f"{replica.name} closed the connection during "
-                    f"{method!r}"
+                    f"{replica.name} closed the connection mid-exchange"
                 )
-            if response.request_id != request_id:
-                continue  # stale reply from a deadline-abandoned call
-            if response.ok:
-                return response.value
-            raise RemoteWorkerError(
-                f"{replica.name} {method}: {response.error}"
-            )
+            if reply.request_id == request_id:
+                return reply
+            # Any other id: a stale reply to a deadline-abandoned call.
+
+    async def _rpc(self, replica: Replica, method: str, args: tuple):
+        """One method call on a replica (connection lock held as for
+        :meth:`_exchange`): the value, or the worker's typed failure."""
+        response = await self._exchange(replica, wire.Request, method, args)
+        if response.ok:
+            return response.value
+        raise RemoteWorkerError(f"{replica.name} {method}: {response.error}")
 
     async def _locked_rpc(self, replica: Replica, method: str, args: tuple):
         async with replica.lock:
@@ -1269,34 +1218,20 @@ class AsyncShardGateway:
         async with self._writer_lock:
             return await self._merge_locked(src, dst)
 
-    async def _boundary_checkpoint(self, rs: ReplicaSet) -> bytes:
-        """A fresh checkpoint of one shard's boundary state, with
-        failover across replicas (writer lock held, so every healthy
-        replica is at the same boundary)."""
+    async def _boundary_call(self, rs: ReplicaSet, method: str):
+        """One read of a shard's boundary state — ``checkpoint`` (a
+        fresh blob) or ``export_documents`` (its live ``(doc_id, text)``
+        pairs) — with failover across replicas (writer lock held, so
+        every healthy replica is at the same boundary)."""
         for replica in rs.replicas:
             if replica.state is not ReplicaState.HEALTHY:
                 continue
             try:
-                return await self._locked_rpc(replica, "checkpoint", ())
+                return await self._locked_rpc(replica, method, ())
             except self._DEATH:
                 self._note_death(rs, replica)
         replica = await self._await_any_rebuild(rs)
-        return await self._locked_rpc(replica, "checkpoint", ())
-
-    async def _boundary_export(self, rs: ReplicaSet) -> list:
-        """One shard's live ``(doc_id, text)`` pairs at the boundary,
-        with failover across replicas (writer lock held)."""
-        for replica in rs.replicas:
-            if replica.state is not ReplicaState.HEALTHY:
-                continue
-            try:
-                return await self._locked_rpc(
-                    replica, "export_documents", ()
-                )
-            except self._DEATH:
-                self._note_death(rs, replica)
-        replica = await self._await_any_rebuild(rs)
-        return await self._locked_rpc(replica, "export_documents", ())
+        return await self._locked_rpc(replica, method, ())
 
     async def _journal_and_apply(self, rs: ReplicaSet, op: tuple) -> None:
         rs.oplog.append(op)
@@ -1343,8 +1278,9 @@ class AsyncShardGateway:
            new shard too; the victim still holds the movers, so both
            shards briefly answer for them — ``merge_unique`` in the
            answer merges keeps doc ids exact through the overlap, and
-           vector queries (which sum per-shard df) rank centrally over
-           deduplicated fetches while ``_split_overlap`` is up.
+           vector queries (which sum per-shard df) carry the routing
+           table while ``_split_overlap`` is up, so each worker counts
+           only the documents routed to it.
         4. Tombstone the *movers* on the victim and flush it, closing
            the overlap window.
 
@@ -1356,7 +1292,7 @@ class AsyncShardGateway:
         new_id = len(self._sets)
         table = self.routing.split(victim, new_id)
         vrs = self._sets[victim]
-        blob = await self._boundary_checkpoint(vrs)
+        blob = await self._boundary_call(vrs, "checkpoint")
         movers, stayers = [], []
         for doc_id in range(self._next_doc_id):
             if doc_id in self._deleted or doc_id in self._holes:
@@ -1422,7 +1358,9 @@ class AsyncShardGateway:
         exports: dict[int, str] = {}
         for shard_id in (src, dst):
             exports.update(
-                await self._boundary_export(self._sets[shard_id])
+                await self._boundary_call(
+                    self._sets[shard_id], "export_documents"
+                )
             )
         rs = self._spawned_set(new_id, None)
         await asyncio.gather(*(self._spawn(r) for r in rs.replicas))
@@ -1603,8 +1541,8 @@ class AsyncShardGateway:
                     if not member.done():
                         # Abandoned, not cancelled: the frame it rides is
                         # shared with batchmates, and the deadline covers
-                        # this member alone (window wait, queueing behind
-                        # the connection's writes, batch execution).
+                        # this member alone (queueing behind the
+                        # connection's writes, batch execution).
                         self.stats.deadline_exceeded += 1
                         raise ShardDeadlineExceeded((i,), method)
                     value, version, mem_epoch = member.result()
@@ -1698,50 +1636,6 @@ class AsyncShardGateway:
         return active, await self._gather_with_deadlines(
             list(reads), method
         )
-
-    async def _scatter_words(self, words, tier: str | None = None) -> tuple:
-        """Fetch every word from every shard concurrently — the
-        fetch-level scatter, kept for vector queries inside a split's
-        overlap window only (:meth:`_vector_once`).
-
-        Returns ``(fetch, counter)`` mirroring
-        :func:`repro.query.scatter.scatter_fetch`: ``fetch(word)`` serves
-        the pre-merged posting list and charges the word's summed scatter
-        cost into ``counter[0]`` *per call* — the ranker fetches once
-        per term, and read-op parity with the in-process path requires
-        charging exactly as often as it fetches.
-        """
-        words = sorted(set(words))
-        active = list(self._active)
-        tasks = [
-            self._read_shard(i, "fetch_postings", (word, tier))
-            for word in words
-            for i in active
-        ]
-        fetched = await self._gather_with_deadlines(
-            tasks, "fetch_postings"
-        )
-        fan = len(active)
-        merged: dict[str, tuple[list[int], int]] = {}
-        for w, word in enumerate(words):
-            runs = []
-            cost = 0
-            for k in range(fan):
-                docs, read_ops = fetched[w * fan + k]
-                cost += read_ops
-                if docs:
-                    runs.append(docs)
-            # Both shards of the split hold the movers: merge_unique
-            # keeps each once, so len(list) is the true df.
-            merged[word] = (scatter.merge_unique(runs), cost)
-        counter = [0]
-
-        def fetch(word: str) -> list[int]:
-            docs, cost = merged.get(word, ([], 0))
-            counter[0] += cost
-            return docs
-
-        return fetch, counter
 
     async def _gather_with_deadlines(self, tasks, method: str) -> list:
         results = await asyncio.gather(*tasks, return_exceptions=True)
@@ -1866,16 +1760,11 @@ class AsyncShardGateway:
         # Exactly the terms the ranker fetches (it skips zero weights),
         # as raw keys — vocabulary lookup owns normalization.
         terms = vector_query.query_terms(weights)
-        if self._split_overlap:
-            # Two shards hold the movers: doc ids dedupe, summed df would
-            # not.  Rank the deduplicated lists centrally instead.
-            fetch, counter = await self._scatter_words(
-                terms, tier=self._tier()
-            )
-            ranked = vector_query.rank(weights, fetch, ndocs, top_k=top_k)
-            return ranked, counter[0]
+        # With the table a worker counts only the documents routed to
+        # it; the steady state sends None and pays no hash per posting.
+        routing = self.routing if self._split_overlap else None
         _, answers = await self._scatter_read(
-            "eval_vector", (tuple(terms), top_k, self._tier())
+            "eval_vector", (tuple(terms), top_k, self._tier(), routing)
         )
         ranked = vector_query.rank_candidates(
             weights,
@@ -2010,9 +1899,6 @@ class GatewayService:
         self.stats = ServiceStats()
         self.timings = StageTimings()
         self.publish_latency = LatencyRecorder()
-        # The gateway serves without a parent-side result cache (workers
-        # are the authority); an idle cache keeps the report shape.
-        self.cache = QueryResultCache(1)
         self.buffer_counters = None
         self._stats_lock = threading.Lock()
         self._closed = False
@@ -2132,9 +2018,6 @@ class GatewayService:
         merged["replication"] = self.gateway.replication_stats()
         merged["batching"] = self.gateway.batching.as_dict()
         merged["batching"]["max_batch_size"] = self.gateway.max_batch_size
-        merged["batching"]["max_batch_delay_us"] = (
-            self.gateway.max_batch_delay_us
-        )
         merged["batching"]["coalesce"] = self.gateway.coalesce
         return merged
 

@@ -71,6 +71,12 @@ CRASH_CYCLE = (
     "checkpoint.cow-publish",
 )
 
+#: The query kinds a reader draws from, and the fraction of each.
+KINDS = ("boolean", "streamed", "vector")
+MIX = (0.4, 0.4, 0.2)
+#: Words per generated document, inclusive bounds.
+WORDS_PER_DOC = (4, 12)
+
 
 def _word_name(i: int) -> str:
     """Letters-only synthetic word: "wa", "wb", ... "wz", "waa", ...
@@ -94,10 +100,7 @@ class LoadConfig:
     flush_cycles: int = 20
     docs_per_batch: int = 20
     vocabulary: int = 120
-    words_per_doc: tuple[int, int] = (4, 12)
     seed: int = 0
-    #: Fraction of queries per kind; normalized internally.
-    mix: tuple[float, float, float] = (0.4, 0.4, 0.2)  # boolean/streamed/vector
     top_k: int = 10
     cache_capacity: int = 256
     verify: bool = True
@@ -132,18 +135,12 @@ class LoadConfig:
     shard_timeout_s: float = 30.0
     #: Gateway admission-control wait-queue bound.
     queue_limit: int = 256
-    #: Concurrently executing gateway queries (0 = 2 × shards).
-    max_inflight: int = 0
-    #: Parent-side worker checkpoint cadence, in flushes.
-    checkpoint_every: int = 1
     #: Worker processes per shard (gateway only; >1 adds read failover).
     replicas: int = 1
     #: Serialize grow_buckets rebuilds across shards (gateway only).
     rebuild_stagger: bool = True
     #: Build the volumes with bucket-space growth enabled.
     grow_buckets: bool = False
-    #: Occupancy threshold that triggers a growth round.
-    growth_threshold: float = 0.75
     #: Reader arrival discipline: "closed" or "open" (see module doc).
     arrival: str = "closed"
     #: Open-loop offered rate (arrivals per second).
@@ -164,8 +161,6 @@ class LoadConfig:
     #: Gateway read micro-batch cap (1 = the unbatched PR 6 wire
     #: protocol, frame for frame).
     batch_size: int = 16
-    #: Ceiling of the adaptive batch-flush delay window (microseconds).
-    batch_delay_us: int = 250
     #: Single-flight coalescing of identical concurrent queries.
     coalesce: bool = False
     #: Zipf exponent skewing document *placement* across shards: the
@@ -184,8 +179,6 @@ class LoadConfig:
             raise ValueError("readers and flush_cycles must be > 0")
         if self.docs_per_batch <= 0 or self.vocabulary <= 0:
             raise ValueError("docs_per_batch and vocabulary must be > 0")
-        if len(self.mix) != 3 or sum(self.mix) <= 0 or min(self.mix) < 0:
-            raise ValueError("mix must be three non-negative weights")
         if self.publish_mode not in ("clone", "cow"):
             raise ValueError("publish_mode must be 'clone' or 'cow'")
         if self.shards < 1:
@@ -246,8 +239,6 @@ class LoadConfig:
                 )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.batch_delay_us < 0:
-            raise ValueError("batch_delay_us must be >= 0")
         if self.doc_skew < 0.0:
             raise ValueError("doc_skew must be >= 0")
         if self.rebalance and not self.gateway:
@@ -288,9 +279,9 @@ class LoadConfig:
             crash_safe=self.injects_faults,
             fault_plan=plan,
             grow_buckets=self.grow_buckets,
-            growth=GrowthPolicy(
-                occupancy_threshold=self.growth_threshold
-            ),
+            # Not GrowthPolicy's own default (0.85): every archived
+            # --grow-buckets run grew at this occupancy.
+            growth=GrowthPolicy(occupancy_threshold=0.75),
         )
 
 
@@ -319,12 +310,11 @@ def open_loop_arrivals(
     sample-for-sample.
     """
     rng = random.Random(seed * 65537 + 11)
-    kinds = ("boolean", "streamed", "vector")
     t = 0.0
     arrivals: list[Arrival] = []
     for _ in range(count):
         t += rng.expovariate(rate_qps)
-        kind = rng.choices(kinds, weights=mix)[0]
+        kind = rng.choices(KINDS, weights=mix)[0]
         arrivals.append(Arrival(t, kind, make_query(kind, rng)))
     return arrivals
 
@@ -388,13 +378,29 @@ class _ReaderState:
 
     def __init__(self, seed: int, reader_id: int) -> None:
         self.rng = random.Random(seed * 7919 + reader_id)
-        self.recorders = {
-            kind: LatencyRecorder()
-            for kind in ("boolean", "streamed", "vector")
-        }
+        self.recorders = {kind: LatencyRecorder() for kind in KINDS}
         self.divergences: list[str] = []
         self.shed = 0
         self.deadline_exceeded = 0
+
+
+def _issue(target, kind: str, query, top_k: int, snapshot=None):
+    """``search_<kind>`` on anything that answers queries — the service,
+    a published snapshot, an oracle — pinned to ``snapshot`` when one is
+    given."""
+    pin = {} if snapshot is None else {"snapshot": snapshot}
+    if kind == "vector":
+        return target.search_vector(query, top_k=top_k, **pin)
+    return getattr(target, f"search_{kind}")(query, **pin)
+
+
+def _answer_key(kind: str, answer):
+    """What two answers to one query are compared by: ``(doc_id, score)``
+    pairs for a ranking, the doc-id list otherwise (the brute-force
+    reference returns that list bare)."""
+    if kind == "vector":
+        return [(d.doc_id, d.score) for d in answer]
+    return getattr(answer, "doc_ids", answer)
 
 
 class LoadGenerator:
@@ -421,14 +427,11 @@ class LoadGenerator:
                 router_seed=self.config.router_seed,
                 publish_mode=self.config.publish_mode,
                 queue_limit=self.config.queue_limit,
-                max_inflight=self.config.max_inflight,
                 shard_timeout_s=self.config.shard_timeout_s,
-                checkpoint_every=self.config.checkpoint_every,
                 check_invariants=self.config.check_invariants,
                 buffer_cache_blocks=self.config.buffer_cache_blocks,
                 read_tier=self.config.read_tier,
                 max_batch_size=self.config.batch_size,
-                max_batch_delay_us=self.config.batch_delay_us,
                 coalesce=self.config.coalesce,
                 rebalance=self.config.rebalance,
                 rebalance_policy=RebalancePolicy(
@@ -506,7 +509,7 @@ class LoadGenerator:
         return self._words[k - 1]
 
     def _document(self, rng: random.Random) -> str:
-        lo, hi = self.config.words_per_doc
+        lo, hi = WORDS_PER_DOC
         return " ".join(
             self._skewed_word(rng) for _ in range(rng.randint(lo, hi))
         )
@@ -547,7 +550,7 @@ class LoadGenerator:
             cfg.arrival_rate_qps,
             cfg.arrival_queries,
             cfg.seed,
-            cfg.mix,
+            MIX,
             self._make_query,
         )
 
@@ -557,19 +560,8 @@ class LoadGenerator:
         reference = snapshot.reference
         if reference is None:
             return
-        if kind == "vector":
-            want = reference.search_vector(query, top_k=self.config.top_k)
-            ok = [(d.doc_id, d.score) for d in got] == [
-                (d.doc_id, d.score) for d in want
-            ]
-        else:
-            want = (
-                reference.search_boolean(query)
-                if kind == "boolean"
-                else reference.search_streamed(query)
-            )
-            ok = got.doc_ids == want
-        if not ok:
+        want = _issue(reference, kind, query, self.config.top_k)
+        if _answer_key(kind, got) != _answer_key(kind, want):
             state.divergences.append(
                 f"snapshot {snapshot.snapshot_id} {kind} {query!r}: "
                 f"served {got!r}, reference {want!r}"
@@ -588,28 +580,16 @@ class LoadGenerator:
         self, reader_id: int, stop: threading.Event, state: _ReaderState
     ) -> None:
         rng = state.rng
-        weights = self.config.mix
-        kinds = ("boolean", "streamed", "vector")
         while not stop.is_set():
-            kind = rng.choices(kinds, weights=weights)[0]
+            kind = rng.choices(KINDS, weights=MIX)[0]
             # Pin the snapshot: the answer must be verified against the
             # exact reference model frozen with the state that served it.
             snapshot = self.service.snapshot()
-            recorder = state.recorders[kind]
-            if kind == "boolean":
-                query = self._boolean_query(rng)
-                with recorder.span():
-                    got = self.service.search_boolean(query, snapshot)
-            elif kind == "streamed":
-                query = self._streamed_query(rng)
-                with recorder.span():
-                    got = self.service.search_streamed(query, snapshot)
-            else:
-                query = self._vector_query(rng)
-                with recorder.span():
-                    got = self.service.search_vector(
-                        query, top_k=self.config.top_k, snapshot=snapshot
-                    )
+            query = self._make_query(kind, rng)
+            with state.recorders[kind].span():
+                got = _issue(
+                    self.service, kind, query, self.config.top_k, snapshot
+                )
             if self.config.verify:
                 self._verify(kind, query, got, snapshot, state)
 
@@ -660,20 +640,13 @@ class LoadGenerator:
                 time.sleep(arrival.at_s - now)
             snapshot = self.service.snapshot()
             try:
-                if arrival.kind == "boolean":
-                    got = self.service.search_boolean(
-                        arrival.query, snapshot
-                    )
-                elif arrival.kind == "streamed":
-                    got = self.service.search_streamed(
-                        arrival.query, snapshot
-                    )
-                else:
-                    got = self.service.search_vector(
-                        arrival.query,
-                        top_k=self.config.top_k,
-                        snapshot=snapshot,
-                    )
+                got = _issue(
+                    self.service,
+                    arrival.kind,
+                    arrival.query,
+                    self.config.top_k,
+                    snapshot,
+                )
             except GatewayOverloaded:
                 state.shed += 1  # a typed overload outcome, not a bug
                 continue
@@ -705,106 +678,42 @@ class LoadGenerator:
     def _differential_check(
         self, cycle: int, divergences: list[str]
     ) -> None:
-        """Compare the served snapshot against a fresh full-clone oracle.
+        """Probe served answers against an oracle on the writer thread.
 
-        Runs on the writer thread right after a publish, while the writer
-        sits at the batch boundary: the full checkpoint clone is the
-        known-good publication path, so any answer difference on the
-        probe set indicts the incremental (cow) snapshot.
-        """
+        Without a mirror (in-process, snapshot tier) it runs right after
+        a publish, while the writer sits at the batch boundary: the
+        served snapshot against a fresh full checkpoint clone — the
+        known-good publication path, so any difference indicts the
+        incremental (cow) snapshot.  With the parent-side brute-force
+        mirror of every ingested operation there are two callers.
+        Gateway snapshot mode runs it right after a flush, so the mirror
+        and the workers' published snapshots coincide.  Immediate mode
+        runs it *mid-buffer*, before any flush — served answers are
+        defined over everything ingested, so they must match the mirror
+        even while documents sit unpublished in the memory tier."""
         snapshot = self.service.snapshot()
-        oracle = self.service.writer_index.clone()
+        if self._mirror is not None:
+            served, pin = self.service, snapshot
+            expected, label = self._mirror, "mirror"
+        else:
+            served, pin = snapshot, None
+            expected, label = self.service.writer_index.clone(), "oracle"
+        top_k = self.config.top_k
         rng = random.Random(self.config.seed * 104729 + cycle)
-        for _ in range(self.config.differential_probes):
-            query = self._boolean_query(rng)
-            got = snapshot.search_boolean(query).doc_ids
-            want = oracle.search_boolean(query).doc_ids
-            if got != want:
-                divergences.append(
-                    f"cycle {cycle} differential boolean {query!r}: "
-                    f"served {got!r}, oracle {want!r}"
+        for kind in KINDS:
+            for _ in range(self.config.differential_probes):
+                query = self._make_query(kind, rng)
+                got = _answer_key(
+                    kind, _issue(served, kind, query, top_k, pin)
                 )
-        for _ in range(self.config.differential_probes):
-            query = self._streamed_query(rng)
-            got = snapshot.search_streamed(query).doc_ids
-            want = oracle.search_streamed(query).doc_ids
-            if got != want:
-                divergences.append(
-                    f"cycle {cycle} differential streamed {query!r}: "
-                    f"served {got!r}, oracle {want!r}"
+                want = _answer_key(
+                    kind, _issue(expected, kind, query, top_k)
                 )
-        for _ in range(self.config.differential_probes):
-            weights = self._vector_query(rng)
-            got = [
-                (d.doc_id, d.score)
-                for d in snapshot.search_vector(
-                    weights, top_k=self.config.top_k
-                )
-            ]
-            want = [
-                (d.doc_id, d.score)
-                for d in oracle.search_vector(
-                    weights, top_k=self.config.top_k
-                )
-            ]
-            if got != want:
-                divergences.append(
-                    f"cycle {cycle} differential vector {weights!r}: "
-                    f"served {got!r}, oracle {want!r}"
-                )
-
-    def _differential_check_mirror(
-        self, cycle: int, divergences: list[str]
-    ) -> None:
-        """Mirror-based differential: probe served answers against the
-        parent-side brute-force mirror of every ingested operation.
-
-        Two callers share it.  Gateway snapshot mode runs it on the
-        writer thread right after a flush, so the mirror and the
-        workers' published snapshots coincide.  Immediate mode runs it
-        *mid-buffer*, before any flush — served answers are defined
-        over everything ingested, so they must match the mirror even
-        while documents sit unpublished in the memory tier."""
-        snapshot = self.service.snapshot()
-        mirror = self._mirror
-        rng = random.Random(self.config.seed * 104729 + cycle)
-        for _ in range(self.config.differential_probes):
-            query = self._boolean_query(rng)
-            got = self.service.search_boolean(query, snapshot).doc_ids
-            want = mirror.search_boolean(query)
-            if got != want:
-                divergences.append(
-                    f"cycle {cycle} differential boolean {query!r}: "
-                    f"served {got!r}, mirror {want!r}"
-                )
-        for _ in range(self.config.differential_probes):
-            query = self._streamed_query(rng)
-            got = self.service.search_streamed(query, snapshot).doc_ids
-            want = mirror.search_streamed(query)
-            if got != want:
-                divergences.append(
-                    f"cycle {cycle} differential streamed {query!r}: "
-                    f"served {got!r}, mirror {want!r}"
-                )
-        for _ in range(self.config.differential_probes):
-            weights = self._vector_query(rng)
-            got = [
-                (d.doc_id, d.score)
-                for d in self.service.search_vector(
-                    weights, top_k=self.config.top_k, snapshot=snapshot
-                )
-            ]
-            want = [
-                (d.doc_id, d.score)
-                for d in mirror.search_vector(
-                    weights, top_k=self.config.top_k
-                )
-            ]
-            if got != want:
-                divergences.append(
-                    f"cycle {cycle} differential vector {weights!r}: "
-                    f"served {got!r}, mirror {want!r}"
-                )
+                if got != want:
+                    divergences.append(
+                        f"cycle {cycle} differential {kind} {query!r}: "
+                        f"served {got!r}, {label} {want!r}"
+                    )
 
     def run(self) -> ServingReport:
         """Execute the workload; returns the measured report."""
@@ -934,9 +843,7 @@ class LoadGenerator:
                 if cfg.differential and cfg.read_tier == "immediate":
                     # Mid-buffer: nothing flushed yet this cycle, but
                     # served answers must already include everything.
-                    self._differential_check_mirror(
-                        cycle, differential_divergences
-                    )
+                    self._differential_check(cycle, differential_divergences)
                     differential_checks += 1
                 if not cfg.background_merge:
                     crashing = self._maybe_crash_plan(cycle)
@@ -946,14 +853,7 @@ class LoadGenerator:
                         if crashing:
                             faults.uninstall()
                 if cfg.differential and cfg.read_tier != "immediate":
-                    if cfg.gateway:
-                        self._differential_check_mirror(
-                            cycle, differential_divergences
-                        )
-                    else:
-                        self._differential_check(
-                            cycle, differential_divergences
-                        )
+                    self._differential_check(cycle, differential_divergences)
                     differential_checks += 1
                 if probing and probe_seen is None:
                     got = self.service.search_streamed(probe_word)
@@ -978,10 +878,7 @@ class LoadGenerator:
         wall = time.perf_counter() - start
 
         overall = LatencyRecorder()
-        per_kind = {
-            kind: LatencyRecorder()
-            for kind in ("boolean", "streamed", "vector")
-        }
+        per_kind = {kind: LatencyRecorder() for kind in KINDS}
         divergences: list[str] = []
         for state in states:
             for kind, recorder in state.recorders.items():
@@ -1068,7 +965,11 @@ class LoadGenerator:
             queries=overall.count,
             throughput_qps=overall.count / wall if wall > 0 else 0.0,
             latency=latency,
-            cache=self.service.cache.stats().as_dict(),
+            # The gateway keeps no parent-side result cache (workers are
+            # the authority), so its runs report none.
+            cache={}
+            if cfg.gateway
+            else self.service.cache.stats().as_dict(),
             service=self.service.stats.as_dict(),
             stage_seconds=self.service.timings.as_dict(),
             divergences=len(divergences),

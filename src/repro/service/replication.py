@@ -102,9 +102,6 @@ class Replica:
         self.wants_grow = False
         #: The in-flight background rebuild, if any.
         self.rebuild_task = None
-        #: Generation counter: bumped at every respawn so concurrent
-        #: observers of one death agree on a single rebuild.
-        self.epoch = 0
         #: Lazily attached per-replica read micro-batcher (the gateway's
         #: ``_ReadBatcher``).  It lives on the *replica*, not the shard:
         #: the read rotation picks a replica per logical read first, so

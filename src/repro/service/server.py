@@ -244,26 +244,6 @@ class QueryService:
                 self._reference.delete_document(doc_id)
             self.stats.documents_deleted += 1
 
-    def split_shard(self, victim: int) -> int:
-        """Split a hot shard's hash slice onto a new shard (sharded
-        writers only).  Readers keep serving the published pre-split
-        snapshot; the new topology (and its bumped routing epoch, which
-        invalidates every cached answer via the version vector) lands at
-        the next :meth:`flush_and_publish`."""
-        with self._writer_lock:
-            if not hasattr(self._writer, "split_shard"):
-                raise ValueError("split requires a sharded service")
-            return self._writer.split_shard(victim)
-
-    def merge_shards(self, src: int, dst: int) -> None:
-        """Merge an underloaded shard into a sibling (sharded writers
-        only); visibility follows the same publish contract as
-        :meth:`split_shard`."""
-        with self._writer_lock:
-            if not hasattr(self._writer, "merge_shards"):
-                raise ValueError("merge requires a sharded service")
-            self._writer.merge_shards(src, dst)
-
     def flush_and_publish(self) -> tuple[BatchResult, IndexSnapshot]:
         """Apply the pending batch and atomically publish a new snapshot.
 

@@ -18,6 +18,9 @@ inherited socket and processes requests strictly in order — a worker is
 single-threaded on purpose.  Cross-shard concurrency comes from running
 many workers; the gateway's per-shard connection serialization matches
 this capacity exactly, so a request's deadline covers its queue wait.
+The gateway's read surface is three shard-evaluation methods
+(:data:`READ_METHODS`): the worker evaluates a query against its own
+postings and replies with an answer, never with raw posting lists.
 
 Failure model: two distinct kinds of death are exercised.
 
@@ -318,6 +321,8 @@ class ShardWorker:
     def fetch_postings(
         self, word: str, tier: str | None = None
     ) -> tuple[list[int], int]:
+        """One word's postings as ``(doc_ids, read_ops)`` — an
+        in-process probe; no RPC reaches it."""
         self.stats.queries += 1
         return self._fetcher(tier)(word)
 
@@ -354,14 +359,28 @@ class ShardWorker:
         return boolean_query.evaluate(query, fetch, ndocs), counter[0]
 
     def eval_vector(
-        self, terms: tuple, top_k: int, tier: str | None = None
+        self, terms: tuple, top_k: int, tier: str | None = None, routing=None
     ) -> tuple[tuple, int]:
         """This shard's part of a gateway vector query: ``((df per term,
         candidates grouped by term bitmask), read_ops)`` — see
         :func:`repro.query.vector.shard_candidates`.  Stateless: idf
-        needs every shard's df, so the gateway scores."""
+        needs every shard's df, so the gateway scores.
+
+        ``routing`` is the gateway's :class:`~repro.core.routing.RoutingTable`
+        while a split's overlap window is open and two shards hold the
+        movers: each list is cut to the documents the table routes here
+        before df is counted, so the shards' df still sum to the global
+        one wherever in the window this runs.  Read ops are charged by
+        the fetch, so the filter does not move them.
+        """
         self.stats.queries += 1
         fetch, counter = self._counted_fetch(tier)
+        if routing is not None:
+            counted, route, here = fetch, routing.route, self.spec.shard_id
+
+            def fetch(word: str) -> list[int]:
+                return [d for d in counted(word) if route(d) == here]
+
         return vector_query.shard_candidates(terms, fetch, top_k), counter[0]
 
     def search_streamed(
@@ -485,9 +504,7 @@ class ShardWorker:
 #: Methods :meth:`ShardWorker.versioned_read` and batch frames may
 #: dispatch — the gateway's read surface (everything here is
 #: side-effect-free on index state).
-READ_METHODS = frozenset(
-    {"fetch_postings", "eval_boolean", "eval_vector", "search_streamed"}
-)
+READ_METHODS = frozenset({"eval_boolean", "eval_vector", "search_streamed"})
 
 
 #: RPC method name -> ShardWorker attribute (the dispatch table; every
@@ -499,7 +516,6 @@ DISPATCH = {
     "delete_document": "delete_document",
     "flush": "flush",
     "checkpoint": "checkpoint",
-    "fetch_postings": "fetch_postings",
     "eval_boolean": "eval_boolean",
     "eval_vector": "eval_vector",
     "search_streamed": "search_streamed",
@@ -619,8 +635,3 @@ def worker_main(sock, spec: WorkerSpec) -> None:
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     serve(sock, spec)
-
-
-def default_index_config() -> IndexConfig:
-    """The worker-friendly default volume shape (content mode on)."""
-    return IndexConfig(store_contents=True)

@@ -32,7 +32,6 @@ from repro.service.gateway import (
     AsyncShardGateway,
     RemoteWorkerError,
     _covers,
-    _ReadBatcher,
 )
 from repro.service.worker import ShardWorker, WorkerSpec
 
@@ -128,7 +127,6 @@ def test_batched_equals_unbatched_equals_local_equals_oracle(
         batched = AsyncShardGateway(
             small_config(),
             max_batch_size=batch_size,
-            max_batch_delay_us=200,
             coalesce=coalesce,
             **kwargs,
         )
@@ -179,10 +177,10 @@ def test_worker_isolates_poison_members_in_a_mixed_batch():
     from repro.service import wire
 
     members = (
-        wire.Request(0, "fetch_postings", ("wb", None)),
+        wire.Request(0, "search_streamed", ("wb", None)),
         wire.Request(1, "add_document", ("sneaky write", 99)),
         wire.Request(2, "search_streamed", ("wa AND", None)),
-        wire.Request(3, "fetch_postings", ("wa", None)),
+        wire.Request(3, "search_streamed", ("wa", None)),
     )
     responses, version, mem_epoch = worker.batched_read(members)
     assert len(responses) == 4
@@ -206,14 +204,13 @@ def test_gateway_isolates_poison_members_in_a_mixed_batch():
             small_config(),
             shards=1,
             max_batch_size=8,
-            max_batch_delay_us=5000,
         )
         await gateway.start()
         try:
             await gateway.add_document("wa wb")
             await gateway.flush()
             good, bad = await asyncio.gather(
-                gateway._read_shard(0, "fetch_postings", ("wa", None)),
+                gateway._read_shard(0, "search_streamed", ("wa", None)),
                 gateway._read_shard(0, "bogus_method", ()),
                 return_exceptions=True,
             )
@@ -364,32 +361,6 @@ def test_batch_size_one_reproduces_unbatched_wire_traffic():
             await batched.close()
 
     asyncio.run(main())
-
-
-def test_adaptive_delay_window_widens_with_depth():
-    """Zero wait while recent batches sit below half the cap (a bare
-    yield, no timer); widening toward ``max_batch_delay_us`` as the
-    depth EWMA approaches the cap."""
-
-    class _Gateway:
-        max_batch_size = 16
-        max_batch_delay_us = 250
-
-    batcher = _ReadBatcher(_Gateway(), replica=None)
-    assert batcher.delay_s() == 0.0  # cold start: flush next tick
-    batcher.depth_ewma = 4.0
-    assert batcher.delay_s() == 0.0  # below half-full: still free
-    batcher.depth_ewma = 9.0
-    shallow = batcher.delay_s()
-    batcher.depth_ewma = 12.0
-    deep = batcher.delay_s()
-    batcher.depth_ewma = 64.0
-    saturated = batcher.delay_s()
-    assert 0.0 < shallow < deep < saturated
-    assert saturated == pytest.approx(250e-6)  # capped at the ceiling
-
-    _Gateway.max_batch_delay_us = 0
-    assert batcher.delay_s() == 0.0  # delay disabled, batching stays on
 
 
 def test_member_deadline_is_individual():

@@ -204,7 +204,7 @@ class TestFailover:
                 await gateway.flush()
                 local.flush_batch()
             # checkpoint_every=2: flush 3's ops are still in the log.
-            assert any(len(log) for log in gateway._oplogs)
+            assert any(len(rs.oplog) for rs in gateway._sets)
             gateway.workers[0].process.kill()
             answer = await gateway.search_streamed("banana AND cherry")
             want = local.search_streamed("banana AND cherry")

@@ -16,8 +16,10 @@ What is pinned here, rule by rule:
 * the mask-grouped vector reply — summed df, scores accumulated in the
   ranker's own order (compared with ``==``), ties straddling ``top_k``,
   zero and negative weights, unknown terms, 45-term queries;
-* the one exception — inside a split's overlap window vector queries
-  take the fetch-level path, and boolean ``NOT`` stays exact;
+* no exception — inside a split's overlap window, where two shards
+  hold the movers, the vector pushdown carries the routing table so
+  each worker counts only its own documents, boolean ``NOT`` stays
+  exact, and both still cost one member per shard;
 * the lean scatter's failover — a killed, stale or late first attempt
   on one shard moves exactly the counters the per-member path moved.
 """
@@ -345,15 +347,61 @@ def test_vector_ties_long_queries_and_oversized_top_k():
     asyncio.run(main())
 
 
-# -- the overlap-window exception -----------------------------------------
+# -- inside a split's overlap window ---------------------------------------
+
+
+async def _split_probing_the_window(gateway, victim, probe) -> None:
+    """Split ``victim`` and run ``probe()`` with the overlap window held
+    open: after the cutover, before the victim's tombstone flush."""
+    flush_set = gateway._flush_set
+    probed = []
+
+    async def held_open(shard_id):
+        if gateway._split_overlap:  # the victim's tombstone flush
+            await probe()
+            probed.append(True)
+        await flush_set(shard_id)
+
+    gateway._flush_set = held_open
+    try:
+        await gateway.split_shard(victim)
+    finally:
+        del gateway._flush_set
+    assert probed and not gateway._split_overlap
+
+
+async def _summed_df(gateway, terms, routing) -> list[int]:
+    """Per-term df summed over the shards' ``eval_vector`` replies."""
+    _, replies = await gateway._scatter_read(
+        "eval_vector", (terms, 6, None, routing)
+    )
+    return [
+        sum(dfs[bit] for (dfs, _), _ in replies)
+        for bit in range(len(terms))
+    ]
+
+
+async def _fetch_cost(gateway, terms) -> int:
+    """What fetching each term once on every shard charges — the read
+    ops a vector query over ``terms`` must report, however it travels
+    (a one-word boolean query is one fetch)."""
+    ndocs, _ = gateway._universe(None)
+    cost = 0
+    for term in terms:
+        _, answers = await gateway._scatter_read(
+            "eval_boolean", (term, ndocs, None)
+        )
+        cost += sum(ops for _, ops in answers)
+    return cost
 
 
 def test_queries_inside_a_split_overlap_window():
     """Between a split's cutover and the victim's tombstone flush two
     shards hold the movers.  Boolean answers — complements included —
-    stay exact (each shard is cut back to its routed slice); vector
-    queries leave the pushdown, whose summed df would count the movers
-    twice, for the fetch-level path."""
+    stay exact (each shard is cut back to its routed slice), and so does
+    the vector pushdown, still one member per shard: the gateway sends
+    its routing table along and every worker counts only the documents
+    routed to it, so the shards' df sum to the global one."""
 
     async def main():
         gateway = AsyncShardGateway(small_config(), shards=2, router_seed=1)
@@ -372,7 +420,8 @@ def test_queries_inside_a_split_overlap_window():
             counts = gateway._shard_doc_counts()
             victim = max(counts, key=counts.get)
             weights = {"wa": 2.0, "wb": 1.0, "wc": -0.5}
-            probed = []
+            terms = ("wa", "wb", "wc")
+            true = [len(oracle.fetch(w)) for w in terms]
 
             async def probe():
                 assert len(gateway._active) == 3
@@ -380,37 +429,25 @@ def test_queries_inside_a_split_overlap_window():
                     got = await gateway.search_boolean(query)
                     assert got.doc_ids == oracle.search_boolean(query), query
                 before = gateway.batching.batched_reads
-                got = await gateway.search_vector(weights, top_k=6)
+                got, ops = await gateway.search_vector_counted(
+                    weights, top_k=6
+                )
                 assert _scored(got) == _scored(
                     oracle.search_vector(weights, top_k=6)
                 )
-                # Fetch-level: one member per term per shard.
-                assert gateway.batching.batched_reads - before == 3 * 3
-                # What the exception is for: the pushdown's summed df
-                # counts every mover twice here.
-                _, replies = await gateway._scatter_read(
-                    "eval_vector", (("wa", "wb", "wc"), 6, None)
-                )
-                summed = [
-                    sum(dfs[bit] for (dfs, _), _ in replies)
-                    for bit in range(3)
-                ]
-                true = [len(oracle.fetch(w)) for w in ("wa", "wb", "wc")]
+                # Answer-level here too: one member per active shard.
+                assert gateway.batching.batched_reads - before == 3
+                assert ops == await _fetch_cost(gateway, terms)
+                # What the routing argument is for: unfiltered, the
+                # summed df counts every mover twice here.
+                summed = await _summed_df(gateway, terms, None)
                 assert all(s >= t for s, t in zip(summed, true))
                 assert summed != true
-                probed.append(True)
+                assert await _summed_df(gateway, terms, gateway.routing) == true
 
-            flush_set = gateway._flush_set
-
-            async def held_open(shard_id):
-                if gateway._split_overlap:  # the victim's tombstone flush
-                    await probe()
-                await flush_set(shard_id)
-
-            gateway._flush_set = held_open
-            await gateway.split_shard(victim)
-            assert probed and not gateway._split_overlap
-            # Window closed: three disjoint shards, pushdown again.
+            await _split_probing_the_window(gateway, victim, probe)
+            # Window closed: three disjoint shards, no table on the wire.
+            assert await _summed_df(gateway, terms, None) == true
             before = gateway.batching.batched_reads
             got = await gateway.search_vector(weights, top_k=6)
             assert _scored(got) == _scored(
@@ -420,6 +457,85 @@ def test_queries_inside_a_split_overlap_window():
             for query in NOT_SHAPES:
                 got = await gateway.search_boolean(query)
                 assert got.doc_ids == oracle.search_boolean(query), query
+        finally:
+            await gateway.close()
+
+    asyncio.run(main())
+
+
+@gateway_settings
+@given(
+    docs=doc_words,
+    shards=st.integers(min_value=1, max_value=3),
+    replicas=st.integers(min_value=1, max_value=2),
+    seed=st.sampled_from([0, 1, 97]),
+    pick=st.integers(min_value=0, max_value=2),
+    vectors=st.lists(vector_queries, min_size=2, max_size=4),
+)
+def test_vector_pushdown_is_exact_inside_and_after_the_overlap_window(
+    docs, shards, replicas, seed, pick, vectors
+):
+    """Random corpora, deletions, topologies and victims: vector answers
+    (zero and negative weights, ``top_k`` past the candidate count) and
+    their read ops are the oracle's inside the held-open window and
+    after it; there the unfiltered df over-count by exactly the movers
+    while the filtered df sum to the oracle's."""
+
+    async def main():
+        gateway = AsyncShardGateway(
+            small_config(), shards=shards, replicas=replicas,
+            router_seed=seed,
+        )
+        await gateway.start()
+        try:
+            oracle = BruteForceIndex()
+            live = {}
+            for doc_id, words_ in enumerate(docs):
+                live[doc_id] = {_word(w) for w in words_}
+                text = " ".join(sorted(live[doc_id]))
+                assert await gateway.add_document(text) == doc_id
+                oracle.add_document(doc_id, text.split())
+                if doc_id % 4 == 3:
+                    await gateway.delete_document(doc_id - 2)
+                    oracle.delete_document(doc_id - 2)
+                    del live[doc_id - 2]
+            await gateway.flush()
+            terms = tuple(_word(n) for n in range(1, 9)) + ("wz",)
+            true = [len(oracle.fetch(w)) for w in terms]
+
+            async def check():
+                for weights in vectors:
+                    cost = await _fetch_cost(
+                        gateway, vector_query.query_terms(weights)
+                    )
+                    for top_k in (1, 3, 200):
+                        got, ops = await gateway.search_vector_counted(
+                            weights, top_k=top_k
+                        )
+                        ref = oracle.search_vector(weights, top_k=top_k)
+                        assert _scored(got) == _scored(ref), (weights, top_k)
+                        assert ops == cost, (weights, top_k)
+
+            old_table = gateway.routing
+
+            async def probe():
+                await check()
+                table = gateway.routing
+                movers = [
+                    words_
+                    for doc_id, words_ in live.items()
+                    if table.route(doc_id) != old_table.route(doc_id)
+                ]
+                twice = [sum(w in m for m in movers) for w in terms]
+                assert await _summed_df(gateway, terms, None) == [
+                    t + m for t, m in zip(true, twice)
+                ]
+                assert await _summed_df(gateway, terms, table) == true
+
+            victim = gateway._active[pick % shards]
+            await _split_probing_the_window(gateway, victim, probe)
+            await check()
+            assert await _summed_df(gateway, terms, None) == true
         finally:
             await gateway.close()
 

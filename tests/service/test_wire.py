@@ -169,7 +169,7 @@ class TestBatchMessages:
         batch = wire.BatchRequest(
             41,
             (
-                wire.Request(0, "fetch_postings", ("wa", None)),
+                wire.Request(0, "search_streamed", ("wa", None)),
                 wire.Request(1, "search_streamed", ("wa AND wb", None)),
             ),
         )
