@@ -486,8 +486,10 @@ def clone_incremental(
       :class:`~repro.storage.blockmap.LayeredBlocks` overlay whose only
       own entries are the batch's dirty blocks (rewrites carry the
       writer's bytes, frees are masked with ``ABSENT``);
-    * dirty words, buckets, and flush regions are copied fresh from the
-      writer, never aliased to it.
+    * dirty words and flush regions are copied fresh from the writer,
+      never aliased to it; a dirty bucket gets a fresh list table that
+      copies the batch's words' short lists from the writer and shares
+      every other word's list with ``prev``.
 
     Shared state is safe because published clones are never mutated —
     enforced in debug mode by ``invariants.freeze_index``.  Raises
@@ -559,16 +561,26 @@ def clone_incremental(
             prev.array.disks[disk_id]._blocks, overlay
         )
 
-    # Buckets: share every untouched Bucket object with prev; dirty
-    # buckets are rebuilt from the writer with payloads copied so the
-    # clone never aliases writer-mutable state.
+    # Buckets: share every untouched Bucket object with prev.  A dirty
+    # bucket gets a fresh list table in the writer's order, but only the
+    # batch's words are copied from the writer (never aliased — the
+    # writer extends its short lists in place).  Every path that changes
+    # a short list notes its word, so a word outside ``dirty_words`` has
+    # in the writer exactly the content prev's (frozen) list holds: share
+    # that object instead.
     out.buckets = BucketManager(cfg.nbuckets, cfg.bucket_size)
     shared_buckets = list(prev.buckets.buckets)
+    dirty_words = delta.dirty_words
     for bucket_id in delta.dirty_buckets:
         source = index.buckets.buckets[bucket_id]
+        clean = shared_buckets[bucket_id].lists
         fresh = Bucket(source.capacity)
         for word, payload in source.lists.items():
-            fresh.lists[word] = payload.copy()
+            fresh.lists[word] = (
+                payload.copy()
+                if word in dirty_words or word not in clean
+                else clean[word]
+            )
         fresh.npostings = source.npostings
         shared_buckets[bucket_id] = fresh
     out.buckets.buckets = shared_buckets
@@ -641,9 +653,9 @@ def clone_incremental(
     out.grower = None
     out._batches = index._batches
     out._next_doc_id = index._next_doc_id
-    out._last_recovery_point = None
     out._aborted_batch = None
     out._aborted_next_doc_id = 0
     out.delta = DeltaJournal()
+    out._undo = None
     out._attach_journal()
     return out

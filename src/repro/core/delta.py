@@ -10,12 +10,19 @@ structurally share everything else with the previous snapshot, and so
 the serving cache can evict only results whose terms intersect the
 batch's dirty vocabulary.
 
-The journal is attached once by ``DualStructureIndex`` (content mode
-only) and referenced by the disks, the bucket manager, the long-list
-manager, the flush manager, and the deletion manager.  It is a single
-long-lived object cleared in place after each successful publish, so
-re-attachment is only needed when ``recover()`` rebuilds the structures
-wholesale.
+The journal is created once by ``DualStructureIndex`` (content mode
+only) and fed by the ``journal`` hooks of the disks, the bucket manager,
+the long-list manager and the flush manager, and by the deletion
+manager.  It is a single long-lived object cleared in place after each
+successful publish, and recovery restores the structures in place, so
+the hooks are wired once.
+
+The structure hooks (``note_bucket``, ``note_word``, ``note_blocks``)
+have two consumers.  On a ``crash_safe`` volume the structures point at
+the :class:`~repro.core.undo.UndoLog` instead, which captures a
+pre-image of whatever is about to change and then forwards the call
+here.  Hence the contract every mutation site keeps: **the hook is
+called before the mutation**, and no flush-path mutation bypasses it.
 
 Recording is deliberately a superset: anything that *might* differ from
 the previous snapshot is marked dirty.  Over-recording costs a little

@@ -18,7 +18,6 @@ layers tokenization and a vocabulary on top for text documents.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass, field, fields, replace
 
 from ..storage import faults
@@ -35,6 +34,7 @@ from .policy import Policy
 from .positional import PositionalPostings
 from .rebalance import BucketGrower, GrowthPolicy
 from .postings import DocPostings
+from .undo import UndoLog
 
 CP_FLUSH_BEGIN = faults.register_crash_point(
     "index.flush-begin",
@@ -58,7 +58,7 @@ CP_BEFORE_CLEAR = faults.register_crash_point(
 )
 CP_BEFORE_RECOVERY_POINT = faults.register_crash_point(
     "index.before-recovery-point",
-    "batch complete; durable recovery point not yet updated",
+    "batch complete on disk; undo log not yet sealed",
 )
 
 
@@ -97,7 +97,8 @@ class IndexConfig:
     #: growth policy's threshold (paper §7's rebalancing strategy).
     grow_buckets: bool = False
     growth: GrowthPolicy = field(default_factory=GrowthPolicy)
-    #: Keep a durable recovery point after every completed batch so
+    #: Keep an undo log of every flush (pre-images of exactly what the
+    #: batch dirties, dropped when the batch is complete) so
     #: :meth:`DualStructureIndex.recover` can roll back an aborted update
     #: (the paper's §1 restartability claim, made operational).
     crash_safe: bool = False
@@ -226,26 +227,29 @@ class DualStructureIndex:
         ) else None
         self._batches = 0
         self._next_doc_id = 0
-        self._last_recovery_point: bytes | None = None
         self._aborted_batch: tuple | None = None
         self._aborted_next_doc_id = 0
         # Content-mode indexes journal every mutation for incremental
         # copy-on-write publication; evaluation-mode (size-only) indexes
         # skip the bookkeeping entirely.
         self.delta = DeltaJournal() if self.config.store_contents else None
+        self._undo = (
+            UndoLog(self, self.delta) if self.config.crash_safe else None
+        )
         self._attach_journal()
-        if self.config.crash_safe:
-            self._save_recovery_point()
 
     def _attach_journal(self) -> None:
-        """Point every mutable structure at the shared delta journal.
+        """Point every mutable structure's ``journal`` hook at its consumer.
 
-        Called at construction and again after :meth:`recover` replaces
-        the structures wholesale.  The journal object itself is long-lived
-        and cleared in place at each publish, so these references stay
-        valid across batches.
+        On a ``crash_safe`` volume that is the undo log, which captures
+        pre-images while a flush is in progress and forwards to the delta
+        journal; otherwise the delta journal itself, or nothing in
+        evaluation mode.  Both objects are long-lived and reset in place
+        (the journal at each publish, the log at each batch boundary),
+        and recovery restores the structures in place, so the references
+        set here stay valid for the life of the index.
         """
-        journal = self.delta
+        journal = self._undo if self._undo is not None else self.delta
         if journal is None:
             return
         self.buckets.journal = journal
@@ -319,11 +323,18 @@ class DualStructureIndex:
             raise FrozenStateError(
                 "attempt to flush a frozen (published) snapshot"
             )
-        if self.config.crash_safe:
+        undo = self._undo
+        if undo is not None:
+            if undo.armed:
+                raise RuntimeError(
+                    "an aborted flush has not been rolled back; call "
+                    "recover() before flushing again"
+                )
             # Capture the batch before any disk structure is touched so an
             # aborted update can be re-applied after rollback.
             self._aborted_batch = self.memory.snapshot()
             self._aborted_next_doc_id = self._next_doc_id
+            undo.arm()
         faults.crash_point(CP_FLUSH_BEGIN)
         counts = {c: 0 for c in WordCategory}
         npostings = 0
@@ -367,9 +378,9 @@ class DualStructureIndex:
         self._batches += 1
         if self.delta is not None:
             self.delta.note_batch()
-        if self.config.crash_safe:
+        if undo is not None:
             faults.crash_point(CP_BEFORE_RECOVERY_POINT)
-            self._save_recovery_point()
+            undo.seal()
             self._aborted_batch = None
         return BatchResult(
             batch=self._batches - 1,
@@ -413,73 +424,39 @@ class DualStructureIndex:
         grower = grower or self.grower or BucketGrower(self.config.growth)
         event = grower.grow(self.buckets, batch=self._batches)
         self._note_growth()
-        if self.config.crash_safe and self._last_recovery_point is not None:
-            # Growth changed the batch-boundary state the recovery point
-            # captures; re-snapshot so a later aborted flush rolls back
-            # to the *grown* layout instead of silently undoing it.
-            self._save_recovery_point()
         return event
 
     # -- crash recovery ----------------------------------------------------
 
-    def _save_recovery_point(self) -> None:
-        """Snapshot the whole index to an in-memory durable checkpoint.
-
-        Written to a fresh buffer and swapped in only on success, so a
-        crash *during* the save leaves the previous recovery point intact
-        (the atomic-rename discipline a file-backed deployment would use).
-        """
-        from . import checkpoint
-
-        buf = io.BytesIO()
-        checkpoint.save(self, buf)
-        self._last_recovery_point = buf.getvalue()
-
     def recover(self, replay: bool = True) -> BatchResult | None:
-        """Roll back to the last completed shadow flush and resume.
+        """Roll back to the state the aborted flush began from and resume.
 
-        The paper's §1 restartability claim, as a driver: restore every
-        structure (directory, buckets, free lists, flush regions, disk
-        contents, counters) from the recovery point taken at the previous
-        batch boundary, then — when ``replay`` is true and an aborted batch
-        was captured — re-apply that batch and flush it again, returning
-        the replayed :class:`BatchResult`.
+        The paper's §1 restartability claim, as a driver: restore, in
+        place, every structure the aborted flush touched (directory,
+        buckets, free lists, flush regions, disk contents, counters) from
+        the undo log's pre-images, drop the in-memory batch, then — when
+        ``replay`` is true and an aborted batch was captured — re-apply
+        that batch and flush it again, returning the replayed
+        :class:`BatchResult`.  With nothing aborted the disk structures
+        are left as they are.
 
-        Requires ``crash_safe=True``.  The restored disk array is a plain
-        one: any fault plan wired into the old array does not survive
-        recovery (named crash points, being global, still fire).
+        Requires ``crash_safe=True``.  Nothing is rebuilt, so whatever the
+        flush does not touch survives: the I/O trace of earlier batches,
+        bucket watch histories, and the disk array itself — a fault plan
+        wired into it stays wired (its one-shot ``crash_on_*`` triggers
+        count operations monotonically and have already fired).
         """
-        if not self.config.crash_safe:
+        if self._undo is None:
             raise RuntimeError(
                 "recover() requires IndexConfig(crash_safe=True)"
             )
-        from . import checkpoint
-
-        assert self._last_recovery_point is not None
-        restored = checkpoint.load(io.BytesIO(self._last_recovery_point))
-        self.array = restored.array
-        self.buckets = restored.buckets
-        self.longlists = restored.longlists
-        self.flusher = restored.flusher
-        self.memory = restored.memory
-        self.trace = restored.trace
-        self._batches = restored._batches
-        self._next_doc_id = restored._next_doc_id
-        # The aborted batch may have grown the bucket space after the
-        # recovery point was taken; the rollback undid the growth, so the
-        # config must follow the restored manager back down (the replay
-        # below re-applies the growth — and the re-sync — if it re-fires).
-        if self.config.nbuckets != restored.buckets.nbuckets:
-            self.config = replace(
-                self.config, nbuckets=restored.buckets.nbuckets
-            )
-        # Recovery replaced the structures the delta journal was
-        # observing: re-attach the same journal *before* the replay flush
-        # (so the replayed batch is recorded) and void its coverage — the
-        # next publish must fall back to a full clone.
+        self._undo.rollback()
+        self.memory.clear()
+        # The journal kept recording through the aborted flush, but the
+        # rollback is not one of its hooks: void its coverage so the next
+        # publish falls back to a full clone.
         if self.delta is not None:
             self.delta.note_recovery()
-            self._attach_journal()
         if replay and self._aborted_batch is not None:
             self.memory.restore(self._aborted_batch)
             self._next_doc_id = self._aborted_next_doc_id

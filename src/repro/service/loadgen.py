@@ -69,6 +69,7 @@ CRASH_CYCLE = (
     "index.before-clear",
     "checkpoint.mid-save",
     "checkpoint.cow-publish",
+    "index.before-recovery-point",
 )
 
 #: The query kinds a reader draws from, and the fraction of each.

@@ -9,8 +9,9 @@ process — and neither re-implements a step:
 1. **mirror** — every ingested document and deletion also lands in the
    immediate-access memory tier, when one is attached;
 2. **flush** — apply the pending batch; an injected crash or transient
-   I/O error on a ``crash_safe`` volume rolls back to the last batch
-   boundary and replays (paper §1 restartability), within a budget;
+   I/O error on a ``crash_safe`` volume rolls back to the state the
+   flush began from and replays (paper §1 restartability), within a
+   budget;
 3. **clone** — copy the writer at its new boundary: incrementally
    against the previous publication under ``publish_mode="cow"``,
    falling back to the full checkpoint clone when the journal cannot
@@ -127,7 +128,7 @@ class ShardRuntime:
 
     def flush(self) -> BatchResult:
         """Apply the pending batch, rolling back and replaying through
-        the volume's recovery point on injected faults."""
+        the volume's undo log on injected faults."""
         attempts = 0
         recovering = False
         while True:

@@ -249,7 +249,7 @@ class QueryService:
 
         Returns the flush's :class:`BatchResult` and the published
         snapshot.  Injected crashes and transient I/O failures during the
-        flush roll back and replay through the index's recovery point
+        flush roll back and replay through the index's undo log
         (``crash_safe=True``); failures during the publish clone are
         retried in place.  Raises :class:`ServiceError` when the retry
         budget is exhausted.

@@ -28,6 +28,7 @@ from repro.core.invariants import check_index
 from repro.core.policy import Limit, Policy, Style
 from repro.storage import faults
 from repro.storage.faults import FaultPlan, InjectedCrash
+from repro.textindex import TextDocumentIndex
 
 # A deliberately hot workload: a tiny vocabulary and long documents push
 # every word through bucket overflow into the long-list machinery within a
@@ -148,12 +149,14 @@ class TestExhaustiveSweep:
 
         Runs after the per-policy sweeps (pytest executes the class in
         definition order); any policy result missing means the sweep above
-        failed already.  Publication-path points live outside
-        ``flush_batch`` and are exercised here directly.
+        failed already.  Publication-path points — the incremental
+        clone's and the checkpoint serializer's, which no flush runs —
+        live outside ``flush_batch`` and are exercised here directly.
         """
         assert set(_FIRED_BY_POLICY) == {p[0] for p in POLICIES}
         union = set().union(*_FIRED_BY_POLICY.values())
         union |= _exercise_cow_publish_point()
+        union |= _exercise_checkpoint_save_points()
         missing = set(faults.registered_crash_points()) - union
         assert not missing, (
             f"crash points never exercised by any policy: {sorted(missing)}"
@@ -191,6 +194,30 @@ def _exercise_cow_publish_point():
         w: oracle.fetch(w)[0].doc_ids for w in QUERY_WORDS
     }
     return {"checkpoint.cow-publish"}
+
+
+def _exercise_checkpoint_save_points():
+    """Fire each serializer point inside ``checkpoint.clone(index)``: the
+    writer is untouched, so a second clone succeeds and answers like it."""
+    index = make_index(POLICIES[0][1])
+    for batch in BATCHES[:2]:
+        for doc in batch:
+            index.add_document(doc)
+        index.flush_batch()
+    before = answers(index)
+    points = {
+        "checkpoint.begin-save",
+        "checkpoint.mid-save",
+        "checkpoint.end-save",
+    }
+    for point in sorted(points):
+        with faults.injected(FaultPlan(crash_at=point)):
+            with pytest.raises(InjectedCrash):
+                checkpoint.clone(index)
+        assert answers(index) == before
+        check_index(index).raise_if_failed()
+        assert answers(checkpoint.clone(index)) == before
+    return points
 
 
 class TestCrashDepth:
@@ -249,13 +276,13 @@ class TestRecoverySemantics:
             index.recover()
 
     def test_crash_during_recovery_point_save_loses_nothing(self):
-        """A crash while checkpointing batch N replays N from the N-1
-        state — the swap-on-success discipline means the torn recovery
-        point is never adopted."""
+        """A crash with batch N on disk but the boundary not yet sealed
+        replays N from the N-1 state — the undo log is dropped only once
+        the batch is complete, so the unsealed boundary is never adopted."""
         policy = Policy(style=Style.WHOLE, limit=Limit.Z)
         baselines = clean_answers(policy)
         index, crashed_batch = crash_then_recover(
-            policy, "checkpoint.mid-save"
+            policy, "index.before-recovery-point"
         )
         assert crashed_batch is not None
         check_index(index).raise_if_failed()
@@ -281,6 +308,61 @@ class TestRecoverySemantics:
             index.recover(replay=True)
             check_index(index).raise_if_failed()
         assert answers(index) == baselines[7]
+
+
+class TestSweepThenAbortedFlush:
+    """A restart boundary taken at flush *end* predates a deletion sweep
+    that runs afterwards: rolling back to it un-sweeps the lists while
+    the filter set the sweep discarded stays discarded, and the deleted
+    documents come back.  The undo log arms at flush *begin*."""
+
+    # before-release: RELEASE still holds the chunks the sweep retired.
+    @pytest.mark.parametrize(
+        "point", ["index.before-shadow-flush", "index.before-release"]
+    )
+    @pytest.mark.parametrize(
+        "pname,policy", POLICIES, ids=[p[0] for p in POLICIES]
+    )
+    def test_swept_documents_stay_deleted(self, pname, policy, point):
+        index = TextDocumentIndex(
+            IndexConfig(
+                policy=policy,
+                store_contents=True,
+                nbuckets=4,
+                bucket_size=16,
+                crash_safe=True,
+            )
+        )
+        for i in range(30):
+            index.add_document(f"alpha beta w{i % 7}")
+        index.flush_batch()
+        index.delete_document(3)
+        index.sweep_deletions()
+        assert index.deletions.ndeleted == 0
+        assert index.index.longlists.release  # the sweep retired chunks
+        index.add_document("alpha gamma")
+        with faults.injected(FaultPlan(crash_at=point)):
+            with pytest.raises(InjectedCrash):
+                index.flush_batch()
+        assert index.recover(replay=True) is not None
+        check_index(index.index).raise_if_failed()
+        survivors = [d for d in range(31) if d != 3]
+        assert index.search_boolean("alpha").doc_ids == survivors
+        assert index.search_boolean("beta").doc_ids == survivors[:-1]
+        assert index.search_boolean("gamma").doc_ids == [30]
+
+    def test_flush_over_an_unrecovered_abort_is_refused(self):
+        index = make_index(POLICIES[0][1])
+        for doc in BATCHES[0]:
+            index.add_document(doc)
+        with faults.injected(FaultPlan(crash_at="flush.begin")):
+            with pytest.raises(InjectedCrash):
+                index.flush_batch()
+        with pytest.raises(RuntimeError, match=r"recover\(\)"):
+            index.flush_batch()
+        assert index.recover(replay=True) is not None
+        check_index(index).raise_if_failed()
+        assert answers(index) == clean_answers(POLICIES[0][1])[0]
 
 
 class TestCleanRunInvariants:

@@ -143,6 +143,35 @@ class TestCloneIncrementalParity:
             for d in cow.index.index.array.disks
         ) if hasattr(cow.index, "index") else True
 
+    def test_clean_word_lists_are_shared_with_the_predecessor(self):
+        """Inside a dirty bucket only the batch's words are copied: a
+        clean word's short list is the predecessor's object, a batch
+        word's is neither the writer's nor the predecessor's."""
+        writer = build_writer()
+        prev = writer.clone()
+        writer.index.delta.clear()
+        writer.add_document("zebra fox")  # fox is resident, zebra is new
+        writer.flush_batch()
+        delta = writer.index.delta
+        cow = writer.clone_incremental(prev, delta)
+        fox = writer.vocabulary.lookup("fox")
+        bucket_id = writer.index.buckets.bucket_of(fox)
+        assert bucket_id in delta.dirty_buckets
+        mine, theirs, writers = (
+            index.index.buckets.buckets[bucket_id].lists
+            for index in (cow, prev, writer)
+        )
+        assert list(mine) == list(writers)
+        assert mine[fox] == writers[fox]
+        assert mine[fox] is not writers[fox]
+        assert mine[fox] is not theirs[fox]
+        clean = [w for w in mine if w not in delta.dirty_words]
+        assert clean, "pick a bucket that also holds an untouched word"
+        for word in clean:
+            assert mine[word] is theirs[word]
+            assert mine[word] is not writers[word]
+        assert_same_answers(cow, writer.clone())
+
     def test_requires_full_after_recovery(self):
         writer = TextDocumentIndex(small_config(crash_safe=True))
         for i in range(6):
@@ -277,6 +306,26 @@ class TestServicePublishModes:
         service.add_document("filler noise")
         service.flush_and_publish()
         assert service.search_boolean("alpha").doc_ids == [1]
+
+    def test_crash_safe_cow_boundary_never_serializes(self, monkeypatch):
+        """Neither half of a batch boundary is O(index): the undo log
+        replaces the per-batch recovery point and the publish is
+        incremental, so ``checkpoint.save`` is not called at all."""
+        service = QueryService(
+            small_config(crash_safe=True), publish_mode="cow"
+        )
+        saves = []
+        real_save = checkpoint.save
+
+        def counting_save(index, target):
+            saves.append(index)
+            real_save(index, target)
+
+        monkeypatch.setattr(checkpoint, "save", counting_save)
+        self._drive(service)
+        assert service.stats.cow_publishes == 4
+        assert service.stats.cow_fallbacks == 0
+        assert saves == []
 
     def test_cow_crash_is_retried(self):
         service = QueryService(

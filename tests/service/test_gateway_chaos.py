@@ -22,11 +22,12 @@ from repro.service.gateway import AsyncShardGateway, GatewayService
 from repro.storage.faults import FaultPlan
 
 # One crash point per phase of the mid-flush danger window: entering the
-# flush, about to overwrite the long-list shadow, and mid-checkpoint.
+# flush, about to overwrite the long-list shadow, and batch on disk with
+# the restart boundary not yet sealed.
 CRASH_POINTS = [
     "index.flush-begin",
     "index.before-shadow-flush",
-    "checkpoint.mid-save",
+    "index.before-recovery-point",
 ]
 
 DOCS = [
