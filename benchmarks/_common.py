@@ -14,10 +14,10 @@ DESIGN.md §4 for the index).  The pattern is:
   reproduction fails the bench.
 
 Set ``REPRO_SCALE`` to shrink or grow the workload (default 1.0 ≈ 1/20 of
-the paper's corpus; see DESIGN.md "Substitutions").  Set ``REPRO_JOBS`` to
-fan policy sweeps out over worker processes, and ``REPRO_CACHE_DIR`` to
-persist the policy-independent stages across benchmark invocations (both
-picked up automatically by :func:`base_experiment`).
+the paper's corpus; see DESIGN.md "Substitutions").  Every bench runs
+in-process and serially: the thirteen paper artifacts together take ~14 s,
+and fanning them out over a process pool took 2.6x as long
+(``benchmarks/results/TRIAL_sweep.txt``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.core.policy import Limit, Policy, Style
 from repro.pipeline.experiment import (
     Experiment,
     ExperimentConfig,
-    default_jobs,
     default_scale,
 )
 from repro.storage.profiles import SEAGATE_SCSI_1994

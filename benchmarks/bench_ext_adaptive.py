@@ -13,7 +13,7 @@ history) leaves unpadded — giving equal-or-better utilization with
 comparable read cost.
 """
 
-from _common import base_experiment, default_jobs, report
+from _common import base_experiment, report
 from repro.analysis.reporting import format_table
 from repro.core.policy import Alloc, Limit, Policy, Style
 
@@ -31,9 +31,7 @@ POLICIES = {
 
 def run_policies():
     experiment = base_experiment()
-    runs = experiment.run_policies(
-        list(POLICIES.values()), jobs=default_jobs()
-    )
+    runs = experiment.run_policies(list(POLICIES.values()))
     return {
         name: runs[policy.name].disks for name, policy in POLICIES.items()
     }

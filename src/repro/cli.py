@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Five subcommands cover the library's main entry points::
+Seven subcommands cover the library's main entry points::
 
     repro index DIR -o index.ckpt [--policy SPEC] [--positional]
         Build an index over the ``*.txt`` files of a directory (one
@@ -12,38 +12,27 @@ Five subcommands cover the library's main entry points::
         query; prints matching doc ids (= ingest order) and the I/O cost.
 
     repro experiment [--policy SPEC ...] [--days N] [--scale S] [--exercise]
-                     [--jobs N] [--cache-dir DIR] [--shards N] [--doc-skew S]
+                     [--shards N] [--doc-skew S]
                      [--inject-faults] [--fault-rate R] [--fault-seed S]
         Run the paper's pipeline on the synthetic News workload and print
-        the evaluation metrics.  ``--policy`` may repeat; with several
-        policies and ``--jobs N`` the policy-dependent stages fan out over
-        a process pool.  ``--inject-faults`` exercises the disks with
-        transient I/O faults injected and reports the retry counts (with
-        ``--jobs > 1`` each policy gets a deterministically re-seeded
-        plan — faults are never dropped).
-
-    repro sweep [--policy SPEC ...] [--jobs N] [--exercise] [--days N]
-                [--scale S] [--json PATH] [--cache-dir DIR] [--print-key]
-        Sweep the Table-2 policy space (default: the six Figure-8
-        policies) through the pipeline, optionally in parallel, and print
-        the per-policy metrics.  ``--json`` dumps the machine-readable
-        BENCH_sweep-style report; ``--cache-dir`` (or ``REPRO_CACHE_DIR``)
-        persists the policy-independent stages across invocations;
-        ``--print-key`` prints the config fingerprint (for CI cache keys)
-        and exits.
+        the evaluation metrics.  ``--policy`` may repeat: the long-list
+        trace is computed once and replayed against each policy in turn.
+        ``--inject-faults`` exercises the disks with transient I/O faults
+        injected and reports the retry counts; every policy gets its own
+        fault plan seeded from ``--fault-seed`` and the policy, so its
+        retries do not depend on what else is on the command line.
 
     repro serve-bench [--readers N] [--cycles N] [--docs-per-batch N]
-                      [--publish-mode clone|cow] [--buffer-cache BLOCKS]
+                      [--publish-mode clone|cow]
                       [--shards N] [--differential]
-                      [--gateway] [--replicas K] [--rebuild-stagger on|off]
+                      [--gateway] [--replicas K]
                       [--grow-buckets] [--read-tier snapshot|immediate]
                       [--background-merge] [--arrival closed|open]
                       [--arrival-rate QPS] [--arrival-queries N]
-                      [--queue-limit N] [--shard-timeout S]
                       [--batch-size N] [--coalesce]
                       [--doc-skew S] [--rebalance]
                       [--rebalance-threshold X]
-                      [--json PATH] [--no-verify]
+                      [--json PATH]
                       [--inject-faults] [--fault-rate R] [--fault-seed S]
         Run the snapshot-isolated serving benchmark: N reader threads
         issue a mixed boolean/streamed/vector query load against published
@@ -189,14 +178,6 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _cache_from_args(args):
-    from .pipeline.artifacts import ArtifactCache
-
-    if getattr(args, "cache_dir", None):
-        return ArtifactCache(args.cache_dir)
-    return ArtifactCache.from_env()
-
-
 def _fault_plan_from_args(args) -> FaultPlan | None:
     if not args.inject_faults:
         return None
@@ -272,7 +253,7 @@ def cmd_experiment(args) -> int:
         ),
         fault_plan=fault_plan,
     )
-    experiment = Experiment(config, cache=_cache_from_args(args))
+    experiment = Experiment(config)
     if args.shards > 1:
         # Document-partitioned pipeline (one full run per shard); the
         # default --shards 1 stays on the exact single-volume path below.
@@ -284,13 +265,7 @@ def cmd_experiment(args) -> int:
             )
         return _run_sharded_experiment(args, experiment, policies)
     exercise = args.exercise or args.inject_faults
-    if fault_plan is not None and args.jobs > 1:
-        print(
-            "note: --inject-faults with --jobs > 1 re-seeds one fault plan "
-            "per policy deterministically (identical under any job count)",
-            file=sys.stderr,
-        )
-    runs = experiment.run_policies(policies, exercise=exercise, jobs=args.jobs)
+    runs = experiment.run_policies(policies, exercise=exercise)
     for i, policy in enumerate(policies):
         if i:
             print()
@@ -298,64 +273,11 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    from .core.policy import figure8_policies
-    from .pipeline.artifacts import bucket_fingerprint
-    from .pipeline.sweep import PolicySweep
-
-    fault_plan = _fault_plan_from_args(args)
-    policies = args.policy or figure8_policies()
-    config = ExperimentConfig(
-        workload=SyntheticNewsConfig(days=args.days, scale=args.scale),
-        fault_plan=fault_plan,
-    )
-    if args.print_key:
-        print(bucket_fingerprint(config))
-        return 0
-    experiment = Experiment(config, cache=_cache_from_args(args))
-    exercise = args.exercise or args.inject_faults
-    sweep = PolicySweep(
-        experiment, policies, jobs=args.jobs, exercise=exercise
-    )
-    report = sweep.run()
-    header = f"{'policy':<14} {'io ops':>9} {'util':>7} {'reads':>6} {'disks s':>8}"
-    if exercise:
-        header += f" {'exercise':>9}"
-    print(header)
-    for row in report.reports:
-        d = row.as_dict()
-        line = (
-            f"{d['policy']:<14} {d['io_ops']:>9,} "
-            f"{d['utilization']:>7.1%} {d['avg_reads_per_list']:>6.2f} "
-            f"{d['disks_seconds']:>8.3f}"
-        )
-        if exercise:
-            if d.get("feasible"):
-                line += f" {d['build_seconds_simulated']:>8.1f}s"
-            else:
-                line += f" {'INFEAS':>9}"
-        print(line)
-    print(
-        f"mode: {report.mode} (jobs {report.jobs_effective}/"
-        f"{report.jobs_requested}); shared stages "
-        + ", ".join(
-            f"{k} {v:.2f}s" for k, v in sorted(report.shared_seconds.items())
-        )
-        + (f"; cache {report.cache_events}" if report.cache_events else "")
-    )
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if args.json:
-        report.write_json(args.json)
-        print(f"wrote {args.json}")
-    return 0
-
-
 def cmd_serve_bench(args) -> int:
     from .service import LoadConfig, LoadGenerator
 
-    verify = not args.no_verify
-    if args.gateway and verify:
+    verify = True
+    if args.gateway:
         # Per-query reference pinning cannot cross the process boundary;
         # differential boundary probes are the gateway's correctness net.
         verify = False
@@ -363,7 +285,7 @@ def cmd_serve_bench(args) -> int:
             "note: --gateway disables per-query verification "
             "(use --differential for boundary probes)"
         )
-    if args.read_tier == "immediate" and verify:
+    elif args.read_tier == "immediate":
         # Immediate answers reflect the live memory tier, not a pinned
         # reference snapshot; the mirror differential covers them.
         verify = False
@@ -375,9 +297,7 @@ def cmd_serve_bench(args) -> int:
         readers=args.readers,
         flush_cycles=args.cycles,
         docs_per_batch=args.docs_per_batch,
-        vocabulary=args.vocabulary,
         seed=args.seed,
-        cache_capacity=args.cache_capacity,
         verify=verify,
         delete_every=args.delete_every,
         crash_every=(
@@ -389,15 +309,12 @@ def cmd_serve_bench(args) -> int:
         ),
         transient_rate=args.fault_rate if args.inject_faults else 0.0,
         fault_seed=args.fault_seed,
-        pace_s=args.pace,
+        # A short writer sleep between cycles so readers interleave.
+        pace_s=0.001,
         publish_mode=args.publish_mode,
-        buffer_cache_blocks=args.buffer_cache,
         differential=args.differential,
         shards=args.shards,
-        router_seed=args.router_seed,
         gateway=args.gateway,
-        shard_timeout_s=args.shard_timeout,
-        queue_limit=args.queue_limit,
         arrival=args.arrival,
         arrival_rate_qps=args.arrival_rate,
         arrival_queries=args.arrival_queries,
@@ -405,7 +322,6 @@ def cmd_serve_bench(args) -> int:
         background_merge=args.background_merge,
         visibility_probes=True,
         replicas=args.replicas,
-        rebuild_stagger=args.rebuild_stagger == "on",
         grow_buckets=args.grow_buckets,
         batch_size=args.batch_size,
         coalesce=args.coalesce,
@@ -651,18 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--scale", type=float, default=1.0)
     p_exp.add_argument("--exercise", action="store_true")
     p_exp.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan policy-dependent stages out over N worker processes",
-    )
-    p_exp.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persist policy-independent artifacts here "
-        "(default: $REPRO_CACHE_DIR if set)",
-    )
-    p_exp.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -687,37 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_fault_args(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_sweep = sub.add_parser(
-        "sweep", help="sweep the Table-2 policy space, optionally in parallel"
-    )
-    p_sweep.add_argument(
-        "--policy",
-        type=parse_policy,
-        action="append",
-        help="may repeat; default: the six Figure-8 policies",
-    )
-    p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--exercise", action="store_true")
-    p_sweep.add_argument("--days", type=int, default=73)
-    p_sweep.add_argument("--scale", type=float, default=1.0)
-    p_sweep.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the machine-readable sweep report here",
-    )
-    p_sweep.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persist policy-independent artifacts here "
-        "(default: $REPRO_CACHE_DIR if set)",
-    )
-    p_sweep.add_argument(
-        "--print-key",
-        action="store_true",
-        help="print the config fingerprint (CI cache key) and exit",
-    )
-    add_fault_args(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
     p_serve = sub.add_parser(
         "serve-bench",
         help="benchmark snapshot-isolated concurrent query serving",
@@ -725,9 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--readers", type=int, default=4)
     p_serve.add_argument("--cycles", type=int, default=20)
     p_serve.add_argument("--docs-per-batch", type=int, default=20)
-    p_serve.add_argument("--vocabulary", type=int, default=120)
     p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--cache-capacity", type=int, default=256)
     p_serve.add_argument("--delete-every", type=int, default=0)
     p_serve.add_argument(
         "--publish-mode",
@@ -737,24 +608,10 @@ def build_parser() -> argparse.ArgumentParser:
         "incremental copy-on-write sharing untouched structure",
     )
     p_serve.add_argument(
-        "--buffer-cache",
-        type=int,
-        default=128,
-        metavar="BLOCKS",
-        help="block budget of the shared decoded-chunk cache (0 disables)",
-    )
-    p_serve.add_argument(
         "--differential",
         action="store_true",
         help="after every publish, compare the served snapshot against "
         "a full-clone oracle over a probe query set",
-    )
-    p_serve.add_argument(
-        "--pace",
-        type=float,
-        default=0.001,
-        metavar="S",
-        help="writer sleep between cycles so readers interleave",
     )
     p_serve.add_argument(
         "--shards",
@@ -764,21 +621,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(1 = the single-volume path, unchanged)",
     )
     p_serve.add_argument(
-        "--router-seed",
-        type=int,
-        default=0,
-        help="seed perturbing the doc-id shard hash",
-    )
-    p_serve.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip answer verification against the reference model",
-    )
-    p_serve.add_argument(
         "--gateway",
         action="store_true",
         help="serve through one worker process per shard behind the "
-        "asyncio scatter-gather gateway (implies --no-verify; "
+        "asyncio scatter-gather gateway (no per-query verification; "
         "correctness comes from --differential boundary probes)",
     )
     p_serve.add_argument(
@@ -789,15 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes per shard (requires --gateway when > 1); "
         "reads load-balance across replicas and fail over when one "
         "dies or lags the published version vector",
-    )
-    p_serve.add_argument(
-        "--rebuild-stagger",
-        choices=("on", "off"),
-        default="on",
-        help="serialize grow_buckets rebuilds so at most one shard "
-        "pays the rehash + full-clone publish spike per flush round "
-        "(gateway only; 'off' lets every shard grow the round its "
-        "occupancy trigger fires)",
     )
     p_serve.add_argument(
         "--grow-buckets",
@@ -811,8 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="snapshot",
         help="snapshot serves published boundaries only; immediate "
         "merges the in-memory write buffer so documents are queryable "
-        "before any flush (implies --no-verify; use --differential "
-        "for mid-buffer probes against the brute-force mirror)",
+        "before any flush (no per-query verification; use "
+        "--differential for mid-buffer probes against the brute-force "
+        "mirror)",
     )
     p_serve.add_argument(
         "--background-merge",
@@ -841,20 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2000,
         metavar="N",
         help="open-loop total scheduled arrivals",
-    )
-    p_serve.add_argument(
-        "--queue-limit",
-        type=int,
-        default=256,
-        metavar="N",
-        help="gateway admission-control wait-queue bound",
-    )
-    p_serve.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help="gateway per-shard query deadline",
     )
     p_serve.add_argument(
         "--batch-size",

@@ -23,12 +23,7 @@ from .analysis.reporting import format_series, format_table
 from .core.policy import Alloc, Limit, Policy, Style
 from .pipeline.compute_buckets import ComputeBucketsProcess
 from .pipeline.exercise import ExerciseConfig, ExerciseDisksProcess
-from .pipeline.experiment import (
-    Experiment,
-    ExperimentConfig,
-    default_jobs,
-    default_scale,
-)
+from .pipeline.experiment import Experiment, ExperimentConfig, default_scale
 from .storage.profiles import SEAGATE_SCSI_1994
 from .workload.synthetic import SyntheticNews, SyntheticNewsConfig
 
@@ -157,24 +152,9 @@ def figure7(experiment: Experiment) -> FigureResult:
 # -- Figures 8, 9, 10 ---------------------------------------------------------------
 
 
-def _fan_out(experiment: Experiment, policies, exercise: bool = False) -> None:
-    """Pre-run a policy set through :meth:`Experiment.run_policies`.
-
-    With ``REPRO_JOBS > 1`` this routes through the parallel
-    :class:`~repro.pipeline.sweep.PolicySweep`; the subsequent per-policy
-    ``run_policy`` calls then hit the experiment's in-process cache, so
-    every figure/table regenerator is a sweep client without bespoke
-    plumbing.
-    """
-    experiment.run_policies(
-        list(policies), exercise=exercise, jobs=default_jobs()
-    )
-
-
 def _series_figure(
     experiment: Experiment, attr: str, name: str, title: str
 ) -> FigureResult:
-    _fan_out(experiment, _series_policies().values())
     runs = {
         label: experiment.run_policy(policy)
         for label, policy in _series_policies().items()
@@ -257,7 +237,6 @@ def _alloc_table(
         (alloc, k): Policy(style=style, limit=Limit.Z, alloc=alloc, k=k)
         for alloc, k in strategies
     }
-    _fan_out(experiment, policies.values())
     rows = {
         key: experiment.run_policy(policy).disks
         for key, policy in policies.items()
@@ -320,15 +299,6 @@ FIGURE12_KS = (1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0)
 
 
 def _k_sweep(experiment: Experiment, ks, metric: Callable) -> dict:
-    _fan_out(
-        experiment,
-        [
-            Policy(style=style, limit=Limit.Z, alloc=Alloc.PROPORTIONAL, k=k)
-            for k in ks
-            for style in (Style.NEW, Style.WHOLE)
-        ]
-        + [Policy(style=Style.FILL, limit=Limit.Z, extent_blocks=4)],
-    )
     out = {"new": [], "whole": []}
     for k in ks:
         for style_name, style in (("new", Style.NEW), ("whole", Style.WHOLE)):
@@ -394,9 +364,6 @@ def figure12(experiment: Experiment) -> FigureResult:
 
 
 def _exercise_all(experiment: Experiment, exercise_config: ExerciseConfig):
-    # Fan out the trace replays; exercising against the figure-specific
-    # physical config stays serial (it is cheap relative to ComputeDisks).
-    _fan_out(experiment, _timing_policies().values())
     exerciser = ExerciseDisksProcess(exercise_config)
     outcomes = {}
     for name, policy in _timing_policies().items():

@@ -1,6 +1,5 @@
 """The Figure-3 experiment pipeline: invert → buckets → disks → exercise."""
 
-from .artifacts import ArtifactCache
 from .compute_buckets import (
     BucketStageResult,
     ComputeBucketsProcess,
@@ -22,10 +21,8 @@ from .sharding import (
     split_updates,
 )
 from .stats import CorpusStats, corpus_stats
-from .sweep import PolicySweep, SweepPolicyReport, SweepReport
 
 __all__ = [
-    "ArtifactCache",
     "BucketStageResult",
     "ComputeBucketsProcess",
     "ComputeDisksProcess",
@@ -43,14 +40,11 @@ __all__ = [
     "LongListUpdate",
     "PeriodicRebuildBaseline",
     "PolicyRun",
-    "PolicySweep",
     "RebuildResult",
     "ShardRunMetrics",
     "ShardedExperiment",
     "ShardedPolicyReport",
     "StageTimings",
-    "SweepPolicyReport",
-    "SweepReport",
     "build_content_index",
     "corpus_stats",
     "default_scale",

@@ -6,24 +6,27 @@ An :class:`Experiment` owns one workload and caches the policy-independent
 stages (workload generation and the bucket stage run once; every policy
 replays the same long-list trace) — the same decoupling the paper's design
 is built around.  Each benchmark constructs an experiment at an appropriate
-scale and asks for the policy runs it needs.
+scale and asks for the policy runs it needs.  Everything runs in-process
+and serially: the whole Table-2 comparison is seconds of work (see
+``benchmarks/results/TRIAL_sweep.txt``).
 """
 
 from __future__ import annotations
 
 import os
+import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from ..core.policy import Policy
+from ..storage import faults
 from ..storage.faults import FaultPlan
 from ..storage.profiles import SEAGATE_SCSI_1994, DiskProfile
 from ..text.batchupdate import BatchUpdate
 from ..workload.synthetic import SyntheticNews, SyntheticNewsConfig
-from .artifacts import ArtifactCache
 from .compute_buckets import BucketStageResult, ComputeBucketsProcess
 from .compute_disks import ComputeDisksProcess, DiskStageConfig, DiskStageResult
 from .exercise import ExerciseConfig, ExerciseDisksProcess, ExerciseOutcome
-from .profiling import StageTimings, timed
 from .stats import CorpusStats, corpus_stats
 
 
@@ -48,8 +51,11 @@ class ExperimentConfig:
     profile: DiskProfile | None = None
     buffer_blocks: int = 256
     watch_buckets: tuple[int, ...] = ()
-    #: Inject transient I/O faults into the ExerciseDisks stage; failed
-    #: requests are retried with backoff (the ``--inject-faults`` knob).
+    #: Template for fault injection (the ``--inject-faults`` knob): every
+    #: policy run gets its own copy, re-seeded from the policy
+    #: (:meth:`Experiment.fault_plan_for`), installed around ComputeDisks
+    #: so named crash points fire, and handed to ExerciseDisks, where
+    #: failed requests are retried with backoff.
     fault_plan: FaultPlan | None = None
     io_max_retries: int = 4
     io_retry_backoff_s: float = 0.002
@@ -75,9 +81,6 @@ class PolicyRun:
     policy: Policy
     disks: DiskStageResult
     exercise: ExerciseOutcome | None = None
-    #: Wall-clock seconds of the two policy-dependent stages (profiling).
-    disks_seconds: float = 0.0
-    exercise_seconds: float = 0.0
 
 
 def default_scale() -> float:
@@ -89,35 +92,11 @@ def default_scale() -> float:
     return float(os.environ.get("REPRO_SCALE", "1.0"))
 
 
-def default_jobs() -> int:
-    """Worker processes for policy sweeps (``REPRO_JOBS``, default 1).
-
-    With the default of 1 every sweep stays on the in-process serial path;
-    setting it makes :meth:`Experiment.run_policies` and the figure/table
-    regenerators fan policy-dependent stages out over a process pool.
-    """
-    return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-
-
 class Experiment:
-    """One workload, many policies, with stage-level caching.
+    """One workload, many policies, every stage memoized in-process."""
 
-    In-process, every stage is memoized.  With an :class:`ArtifactCache`
-    attached (explicitly, or via ``REPRO_CACHE_DIR``) the policy-independent
-    stages are additionally persisted across processes and invocations.
-    Stage wall-clock is recorded on :attr:`timings`; cache hits and misses
-    on :attr:`cache_events`.
-    """
-
-    def __init__(
-        self,
-        config: ExperimentConfig | None = None,
-        cache: ArtifactCache | None = None,
-    ) -> None:
+    def __init__(self, config: ExperimentConfig | None = None) -> None:
         self.config = config or ExperimentConfig()
-        self.cache = cache if cache is not None else ArtifactCache.from_env()
-        self.timings = StageTimings()
-        self.cache_events: dict[str, str] = {}
         self._updates: list[BatchUpdate] | None = None
         self._bucket_result: BucketStageResult | None = None
         self._policy_runs: dict[tuple, PolicyRun] = {}
@@ -125,24 +104,9 @@ class Experiment:
     # -- cached stages -------------------------------------------------------
 
     def updates(self) -> list[BatchUpdate]:
-        """The workload's batch updates (generated once, cached on disk
-        when an artifact cache is attached)."""
+        """The workload's batch updates (generated once)."""
         if self._updates is None:
-            with self.timings.stage("generate"):
-                updates = None
-                if self.cache is not None:
-                    updates = self.cache.load_updates(self.config.workload)
-                    self.cache_events["updates"] = (
-                        "hit" if updates is not None else "miss"
-                    )
-                if updates is None:
-                    news = SyntheticNews(self.config.workload)
-                    updates = list(news.batches())
-                    if self.cache is not None:
-                        self.cache.store_updates(
-                            self.config.workload, updates
-                        )
-                self._updates = updates
+            self._updates = list(SyntheticNews(self.config.workload).batches())
         return self._updates
 
     def stats(self, frequent_fraction: float = 0.002) -> CorpusStats:
@@ -150,70 +114,72 @@ class Experiment:
         return corpus_stats(self.updates(), frequent_fraction)
 
     def bucket_stage(self) -> BucketStageResult:
-        """ComputeBuckets output (run once; shared by all policies).
-
-        On an artifact-cache hit the batch updates are not regenerated at
-        all — the trace and bucket stats replay straight from disk, the
-        economy the paper's staged design is built around.
-        """
+        """ComputeBuckets output (run once; shared by all policies)."""
         if self._bucket_result is None:
-            with self.timings.stage("buckets"):
-                result = None
-                if self.cache is not None:
-                    result = self.cache.load_bucket_stage(self.config)
-                    self.cache_events["buckets"] = (
-                        "hit" if result is not None else "miss"
-                    )
-                if result is None:
-                    process = ComputeBucketsProcess(
-                        self.config.nbuckets,
-                        self.config.bucket_size,
-                        watch_buckets=self.config.watch_buckets,
-                    )
-                    result = process.run(self.updates())
-                    if self.cache is not None:
-                        self.cache.store_bucket_stage(self.config, result)
-                self._bucket_result = result
+            process = ComputeBucketsProcess(
+                self.config.nbuckets,
+                self.config.bucket_size,
+                watch_buckets=self.config.watch_buckets,
+            )
+            self._bucket_result = process.run(self.updates())
         return self._bucket_result
 
     # -- per-policy stages -----------------------------------------------------
 
     def run_policy(self, policy: Policy, exercise: bool = False) -> PolicyRun:
-        """ComputeDisks (and optionally ExerciseDisks) for one policy."""
+        """ComputeDisks (and optionally ExerciseDisks) for one policy.
+
+        Under a configured fault plan the policy's own plan
+        (:meth:`fault_plan_for`) is installed around both stages, so a
+        named crash point inside the long-list replay raises
+        :class:`~repro.storage.faults.InjectedCrash` out of here, and the
+        transient faults the exerciser retries depend on the policy alone
+        — not on which policies ran before it.
+        """
         key = (policy, exercise)
         cached = self._policy_runs.get(key)
         if cached is not None:
             return cached
         # Reuse the disk stage from a non-exercised run of the same policy.
         base = self._policy_runs.get((policy, False))
-        disks_seconds = 0.0
-        if base is not None:
-            disks = base.disks
-            disks_seconds = base.disks_seconds
-        else:
-            trace = self.bucket_stage().trace
-            with self.timings.stage("disks"), timed() as span:
+        # The bucket stage is policy-independent: it runs outside the plan.
+        trace = self.bucket_stage().trace
+        plan = self.fault_plan_for(policy)
+        with faults.injected(plan) if plan is not None else nullcontext():
+            if base is not None:
+                disks = base.disks
+            else:
                 process = ComputeDisksProcess(self.disk_stage_config(policy))
                 disks = process.run(trace)
-            disks_seconds = span[0]
-        outcome = None
-        exercise_seconds = 0.0
-        if exercise:
-            with self.timings.stage("exercise"), timed() as span:
-                exerciser = ExerciseDisksProcess(self.exercise_config())
+            outcome = None
+            if exercise:
+                exerciser = ExerciseDisksProcess(self.exercise_config(plan))
                 outcome = exerciser.run(disks.trace)
-            exercise_seconds = span[0]
-        run = PolicyRun(
-            policy=policy,
-            disks=disks,
-            exercise=outcome,
-            disks_seconds=disks_seconds,
-            exercise_seconds=exercise_seconds,
-        )
+        run = PolicyRun(policy=policy, disks=disks, exercise=outcome)
         self._policy_runs[key] = run
         return run
 
-    # -- stage-config plumbing (shared with the sweep runner) ---------------
+    def run_policies(
+        self, policies: list[Policy], exercise: bool = False
+    ) -> dict[str, PolicyRun]:
+        """Run many policies; keyed by :attr:`Policy.name`."""
+        return {p.name: self.run_policy(p, exercise=exercise) for p in policies}
+
+    # -- stage-config plumbing -------------------------------------------------
+
+    def fault_plan_for(self, policy: Policy) -> FaultPlan | None:
+        """A fresh copy of the configured fault plan for one policy run.
+
+        A :class:`FaultPlan` is stateful (trigger counters, RNG), so one
+        shared instance would make each policy's faults depend on the
+        policies that ran before it.  The seed is a function of the base
+        seed and the policy's name — not its position in a list.
+        """
+        base = self.config.fault_plan
+        if base is None:
+            return None
+        seed = zlib.crc32(f"{base.seed}:{policy.name}".encode())
+        return replace(base, seed=seed)
 
     def disk_stage_config(self, policy: Policy) -> DiskStageConfig:
         """The ComputeDisks parameters this experiment implies for a policy."""
@@ -230,36 +196,12 @@ class Experiment:
     def exercise_config(
         self, fault_plan: FaultPlan | None = None
     ) -> ExerciseConfig:
-        """The ExerciseDisks parameters (``fault_plan`` overrides config)."""
+        """The ExerciseDisks parameters (``fault_plan``: the run's own)."""
         return ExerciseConfig(
             profile=self.config.profile or SEAGATE_SCSI_1994,
             ndisks=self.config.ndisks,
             buffer_blocks=self.config.buffer_blocks,
-            fault_plan=fault_plan or self.config.fault_plan,
+            fault_plan=fault_plan,
             max_retries=self.config.io_max_retries,
             retry_backoff_s=self.config.io_retry_backoff_s,
         )
-
-    def run_policies(
-        self,
-        policies: list[Policy],
-        exercise: bool = False,
-        jobs: int = 1,
-    ) -> dict[str, PolicyRun]:
-        """Run many policies; keyed by :attr:`Policy.name`.
-
-        With ``jobs > 1`` the policy-dependent stages fan out over a
-        process pool via :class:`~repro.pipeline.sweep.PolicySweep`
-        (results are identical to the serial path and land in this
-        experiment's per-policy cache either way).
-        """
-        if jobs > 1:
-            from .sweep import PolicySweep
-
-            PolicySweep(
-                self, policies, jobs=jobs, exercise=exercise
-            ).run()
-            return {
-                p.name: self._policy_runs[(p, exercise)] for p in policies
-            }
-        return {p.name: self.run_policy(p, exercise=exercise) for p in policies}

@@ -1,13 +1,12 @@
-"""Per-stage wall-clock profiling for the experiment pipeline.
+"""Wall-clock and cache-counter instruments shared with the serving layer.
 
-The paper's staged design (Figure 3) makes the cost structure of a
-reproduction legible: each stage — generate, invert, buckets, disks,
-exercise — is a separate process whose output can be saved and replayed.
-:class:`StageTimings` gives the repo the measurement half of that story:
-lightweight ``perf_counter`` spans recorded per stage (and per policy for
-the policy-dependent stages), merged across workers by the sweep runner,
-and dumped as machine-readable JSON (``BENCH_sweep.json``) so the perf
-trajectory of the codebase accumulates run over run.
+:class:`StageTimings` accumulates ``perf_counter`` spans per named stage
+(``serve.ingest`` / ``serve.flush`` / ``serve.publish`` in
+:mod:`repro.service`), :class:`HitMissCounters` is the tally the block
+buffer cache reports into, and :class:`LatencyRecorder` keeps per-operation
+samples so a tail percentile survives aggregation.  The experiment
+pipeline itself is not instrumented: it is seconds of serial work
+(``benchmarks/results/TRIAL_sweep.txt``).
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from typing import Iterator
 class StageTimings:
     """Accumulated wall-clock seconds per named stage.
 
-    A stage may be entered more than once (e.g. ``disks`` across many
-    policies); seconds accumulate and ``counts`` records the spans.
+    A stage may be entered more than once (``serve.flush`` once per
+    batch); seconds accumulate and ``counts`` records the spans.
     """
 
     seconds: dict[str, float] = field(default_factory=dict)
@@ -52,14 +51,6 @@ class StageTimings:
     @property
     def total(self) -> float:
         return sum(self.seconds.values())
-
-    def merge(self, other: "StageTimings") -> None:
-        """Fold another timings object in (sweep workers → parent)."""
-        for stage, seconds in other.seconds.items():
-            self.seconds[stage] = self.seconds.get(stage, 0.0) + seconds
-            self.counts[stage] = self.counts.get(stage, 0) + other.counts.get(
-                stage, 1
-            )
 
     def as_dict(self) -> dict[str, float]:
         """JSON-ready ``{stage: seconds}`` map, rounded for stable diffs."""
@@ -126,17 +117,6 @@ class HitMissCounters:
             "invalidated": self.invalidated,
             "hit_rate": round(self.hit_rate, 6),
         }
-
-
-@contextmanager
-def timed() -> Iterator[list[float]]:
-    """Time a block; yields a one-slot list filled with elapsed seconds."""
-    out = [0.0]
-    start = time.perf_counter()
-    try:
-        yield out
-    finally:
-        out[0] = time.perf_counter() - start
 
 
 def percentile(samples: list[float], p: float) -> float:

@@ -127,19 +127,13 @@ class LoadConfig:
     differential_probes: int = 4
     #: Document-hash shards (1 = the single-volume code path).
     shards: int = 1
-    #: Router seed perturbing the doc-id hash (any value is valid).
-    router_seed: int = 0
     #: Serve through one worker process per shard behind the asyncio
     #: scatter-gather gateway instead of in-process scatter.
     gateway: bool = False
-    #: Gateway per-shard query deadline (seconds).
-    shard_timeout_s: float = 30.0
     #: Gateway admission-control wait-queue bound.
     queue_limit: int = 256
     #: Worker processes per shard (gateway only; >1 adds read failover).
     replicas: int = 1
-    #: Serialize grow_buckets rebuilds across shards (gateway only).
-    rebuild_stagger: bool = True
     #: Build the volumes with bucket-space growth enabled.
     grow_buckets: bool = False
     #: Reader arrival discipline: "closed" or "open" (see module doc).
@@ -424,11 +418,8 @@ class LoadGenerator:
                 self.config.index_config(),
                 shards=self.config.shards,
                 replicas=self.config.replicas,
-                rebuild_stagger=self.config.rebuild_stagger,
-                router_seed=self.config.router_seed,
                 publish_mode=self.config.publish_mode,
                 queue_limit=self.config.queue_limit,
-                shard_timeout_s=self.config.shard_timeout_s,
                 check_invariants=self.config.check_invariants,
                 buffer_cache_blocks=self.config.buffer_cache_blocks,
                 read_tier=self.config.read_tier,
@@ -450,7 +441,6 @@ class LoadGenerator:
                 publish_mode=self.config.publish_mode,
                 buffer_cache_blocks=self.config.buffer_cache_blocks,
                 shards=self.config.shards,
-                router_seed=self.config.router_seed,
                 read_tier=self.config.read_tier,
             )
         self._words = [
@@ -499,7 +489,7 @@ class LoadGenerator:
             range(cfg.shards), weights=self._skew_weights
         )[0]
         doc_id = self._skew_next
-        while shard_of(doc_id, cfg.shards, cfg.router_seed) != target:
+        while shard_of(doc_id, cfg.shards) != target:
             doc_id += 1
         self._skew_next = doc_id + 1
         return doc_id
@@ -946,17 +936,14 @@ class LoadGenerator:
                 "differential": cfg.differential,
                 "differential_checks": differential_checks,
                 "shards": cfg.shards,
-                "router_seed": cfg.router_seed,
                 "gateway": cfg.gateway,
                 "arrival": cfg.arrival,
                 "arrival_rate_qps": cfg.arrival_rate_qps,
                 "arrival_queries": cfg.arrival_queries,
                 "queue_limit": cfg.queue_limit,
-                "shard_timeout_s": cfg.shard_timeout_s,
                 "read_tier": cfg.read_tier,
                 "background_merge": cfg.background_merge,
                 "replicas": cfg.replicas,
-                "rebuild_stagger": cfg.rebuild_stagger,
                 "grow_buckets": cfg.grow_buckets,
                 "doc_skew": cfg.doc_skew,
                 "rebalance": cfg.rebalance,

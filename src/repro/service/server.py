@@ -149,9 +149,7 @@ class QueryService:
         shards: int = 1,
         router_seed: int = 0,
         read_tier: str = "snapshot",
-        mem_codec: str = "delta",
         mem_seal_docs: int = 256,
-        mem_seal_postings: int = 8192,
     ) -> None:
         if max_flush_retries < 0:
             raise ValueError("max_flush_retries must be >= 0")
@@ -201,10 +199,7 @@ class QueryService:
         self._memtier: MemTier | None = None
         if read_tier == "immediate":
             self._memtier = self._runtime.memtier = MemTier(
-                codec=mem_codec,
-                seal_docs=mem_seal_docs,
-                seal_postings=mem_seal_postings,
-                base=self._snapshot,
+                seal_docs=mem_seal_docs, base=self._snapshot
             )
 
     # -- writer API --------------------------------------------------------

@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.pipeline import Experiment, ExperimentConfig
 from repro.workload import SyntheticNewsConfig
-
-# The artifact cache is opt-in; a developer's REPRO_CACHE_DIR must never
-# leak into unit-test experiments (tests that want a cache pass one).
-os.environ.pop("REPRO_CACHE_DIR", None)
 
 
 def small_experiment_config(**overrides) -> ExperimentConfig:

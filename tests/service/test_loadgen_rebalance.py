@@ -71,11 +71,9 @@ class TestSkewedPlacement:
         """The generator's Zipf weights make shard 0 the hot one; the
         explicit ids it emits must actually hash there under the
         epoch-0 router, which is what the imbalance claim rests on."""
-        config, ids = self._ids()
+        _, ids = self._ids()
         assert ids == sorted(set(ids))  # strictly increasing: valid ingest
-        hot = sum(
-            1 for d in ids if shard_of(d, 2, config.router_seed) == 0
-        )
+        hot = sum(1 for d in ids if shard_of(d, 2) == 0)
         # Zipf s=2.5 aims ~85% of docs at shard 0.
         assert hot / len(ids) >= 0.7
 

@@ -117,6 +117,29 @@ class TestExperimentAndStats:
         assert code == 0
         assert "simulated build time" in capsys.readouterr().out
 
+    def test_experiment_two_policies_with_exercise(self, capsys):
+        code = main(
+            [
+                "experiment", "--days", "6", "--scale", "0.3", "--exercise",
+                "--policy", "new:z", "--policy", "whole:z",
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        new, whole = output.split("\n\n")
+        assert "new z" in new and "whole z" in whole
+        for block in (new, whole):
+            assert "long-list I/O ops" in block
+            assert "simulated build time" in block
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep"], ["experiment", "--jobs", "2"]]
+    )
+    def test_sweep_and_jobs_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_stats(self, capsys):
         assert main(["stats", "--days", "6", "--scale", "0.3"]) == 0
         output = capsys.readouterr().out
