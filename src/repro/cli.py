@@ -476,8 +476,7 @@ def cmd_serve_bench(args) -> int:
             else ""
         )
         print(
-            f"memory tier:      {mem['seals']} seals, "
-            f"{mem['rebases']} rebases, "
+            f"memory tier:      {mem['rebases']} rebases, "
             f"{mem['buffered_postings']} postings still buffered{merged}"
         )
     if config.verify or config.differential:

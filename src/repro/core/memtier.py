@@ -1,14 +1,22 @@
-"""The immediate-access in-memory tier: a queryable compressed write buffer.
+"""The immediate-access in-memory tier: a queryable write buffer.
 
 The paper's visibility contract is batch-grained: a document ingested into
 the in-memory batch (:mod:`repro.core.memindex`) becomes searchable only
 at the flush that publishes it, so read-your-writes latency is bounded
-below by the whole flush + publish path.  Moffat & Mackenzie's immediate-
-access dynamic indexing and Asadi & Lin's in-memory incremental indexing
-(PAPERS.md) point at the LSM-style alternative this module implements: an
-*accumulative* index that absorbs ``add_document`` / ``delete_document``
-the moment they happen and is queryable concurrently, while the ordinary
-flush path drains it into the dual-structure disk index in the background.
+below by the whole flush + publish path.  The paper also says the batch
+"can be searched simultaneously with the larger index" (§1); this module
+is that: a mirror of the one pending batch that absorbs ``add_document``
+/ ``delete_document`` the moment they happen and is queryable
+concurrently, while the ordinary flush path drains it into the
+dual-structure disk index.
+
+It holds one update's worth of postings and is gone at the flush, so it
+is kept uncompressed.  Moffat & Mackenzie's immediate-access index
+(PAPERS.md) seals and compresses segments because their in-memory index
+*is* the collection; here a batch averages 2.6 postings a term, a sealed
+64-document segment was larger than the lists it replaced, and sealing
+lost adds, reads and flushes in every pair of the trial that removed it
+(``benchmarks/results/TRIAL_memtier.txt``).
 
 Structure — one writer, lock-free readers:
 
@@ -17,11 +25,6 @@ Structure — one writer, lock-free readers:
   (the highest fully inserted doc id), so a half-inserted document is
   never observable — its id sits above the watermark until every term is
   in place;
-* once the active segment reaches the seal threshold it is **sealed**:
-  its lists are gap-compressed with a :data:`repro.core.compression.CODECS`
-  codec into an immutable :class:`SealedSegment`, and a fresh active
-  segment rotates in with a single atomic view swap — readers never see a
-  list mid-compression;
 * **tombstones** record buffered deletions (of snapshot documents and of
   buffered documents alike) as an immutable frozenset replaced wholesale
   per delete, filtering both tiers' answers;
@@ -31,12 +34,12 @@ Structure — one writer, lock-free readers:
   view keeps a consistent (old base + buffered) state whose merged answer
   is identical.
 
-Epoch accounting for the result cache: a global counter bumps on every
-mutation, and per-term / universe / tombstone epochs record *when* each
-facet last changed.  :meth:`MemTier.clean_since` lets the cache keep an
-immediate-tier entry across unrelated buffered writes and drop exactly
-the entries whose terms (or universe, or deletion set) the buffer
-touched since the entry was computed.
+The **epoch** counts this tier's mutations (adds, deletes, rebases).  The
+result cache stamps an immediate-tier entry with the epoch it was
+computed at and serves it at exactly that epoch.  It counts from the
+construction of *this object*, so it orders the states of one process
+and nothing else: two replicas of a shard, or a worker and its rebuilt
+successor, hold the same postings at different epochs.
 
 Read-op accounting: memory postings are free of I/O charge — the same
 convention :meth:`DualStructureIndex.fetch` and the streaming cursors
@@ -46,63 +49,12 @@ exactly the read ops its snapshot-tier evaluation would.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Iterable
-
-from .compression import CODECS
-
-
-class SealedSegment:
-    """An immutable, gap-compressed memory segment.
-
-    Built in one shot from a retired active segment; after construction
-    it is never mutated, so readers may decode from it without locks.
-    Every document inside is complete (sealing happens only at document
-    boundaries), hence no watermark filtering on the sealed path.
-    """
-
-    __slots__ = ("_lists", "ndocs", "npostings", "min_doc", "max_doc",
-                 "codec", "nbytes")
-
-    def __init__(self, lists: dict[str, list[int]], ndocs: int,
-                 codec: str) -> None:
-        encode, _ = CODECS[codec]
-        self.codec = codec
-        self.ndocs = ndocs
-        self.npostings = 0
-        self.nbytes = 0
-        self.min_doc = -1
-        self.max_doc = -1
-        packed: dict[str, tuple[bytes, int]] = {}
-        for term, doc_ids in lists.items():
-            blob = encode(doc_ids)
-            packed[term] = (blob, len(doc_ids))
-            self.npostings += len(doc_ids)
-            self.nbytes += len(blob)
-            if self.min_doc < 0 or doc_ids[0] < self.min_doc:
-                self.min_doc = doc_ids[0]
-            if doc_ids[-1] > self.max_doc:
-                self.max_doc = doc_ids[-1]
-        self._lists = packed
-
-    def __contains__(self, term: str) -> bool:
-        return term in self._lists
-
-    def postings(self, term: str) -> list[int]:
-        """The term's ascending doc ids (decoded per call)."""
-        entry = self._lists.get(term)
-        if entry is None:
-            return []
-        blob, count = entry
-        _, decode = CODECS[self.codec]
-        return list(decode(blob, count))
-
-    def terms(self) -> Iterable[str]:
-        return self._lists.keys()
 
 
 class ActiveSegment:
-    """The unsealed, append-only segment the writer inserts into.
+    """The append-only segment the writer inserts into.
 
     Lists only ever grow at the tail and doc ids arrive in increasing
     order, so a reader holding a view slices each list to the ids at or
@@ -111,18 +63,13 @@ class ActiveSegment:
     reorder it.
     """
 
-    __slots__ = ("lists", "ndocs", "npostings", "min_doc", "max_doc")
+    __slots__ = ("lists",)
 
     def __init__(self) -> None:
         self.lists: dict[str, list[int]] = {}
-        self.ndocs = 0
-        self.npostings = 0
-        self.min_doc = -1
-        self.max_doc = -1
 
-    def add(self, doc_id: int, terms: Iterable[str]) -> int:
-        """Append one document's postings; returns postings added."""
-        added = 0
+    def add(self, doc_id: int, terms: Iterable[str]) -> None:
+        """Append one document's postings."""
         lists = self.lists
         for term in terms:
             docs = lists.get(term)
@@ -130,13 +77,6 @@ class ActiveSegment:
                 lists[term] = [doc_id]
             else:
                 docs.append(doc_id)
-            added += 1
-        self.ndocs += 1
-        self.npostings += added
-        if self.min_doc < 0:
-            self.min_doc = doc_id
-        self.max_doc = doc_id
-        return added
 
     def postings_upto(self, term: str, watermark: int) -> list[int]:
         """The term's doc ids at or below ``watermark`` (copied)."""
@@ -152,21 +92,18 @@ class MemTierView:
     """One atomically captured read view of the memory tier.
 
     Everything a two-tier evaluation needs, frozen at capture time: the
-    base disk snapshot, the sealed segments, the (shared but
-    watermark-sliced) active segment, the tombstone set, the visibility
-    watermark, and the epoch to stamp cached results with.  Answers
-    computed from one view are internally consistent even while the
-    writer keeps ingesting or a background merge publishes: each of
-    these fields is immutable or safely sliceable.
+    base disk snapshot, the (shared but watermark-sliced) active segment,
+    the tombstone set, the visibility watermark, and the epoch to stamp
+    cached results with.  Answers computed from one view are internally
+    consistent even while the writer keeps ingesting or a background
+    merge publishes: each of these fields is immutable or safely
+    sliceable.
     """
 
-    __slots__ = ("base", "sealed", "active", "tombstones", "visible",
-                 "epoch")
+    __slots__ = ("base", "active", "tombstones", "visible", "epoch")
 
-    def __init__(self, base, sealed, active, tombstones, visible,
-                 epoch) -> None:
+    def __init__(self, base, active, tombstones, visible, epoch) -> None:
         self.base = base
-        self.sealed = sealed
         self.active = active
         self.tombstones = tombstones
         self.visible = visible
@@ -184,25 +121,17 @@ class MemTierView:
 
     @property
     def buffered_docs(self) -> int:
-        """Visible buffered documents (sealed + active under watermark)."""
+        """Visible buffered documents (those under the watermark)."""
         return max(0, self.ndocs - self.base_ndocs)
 
     def postings(self, term: str) -> list[int]:
         """The term's buffered doc ids, ascending, tombstones *not* yet
         filtered (the merge layer filters once over both tiers)."""
-        runs: list[int] = []
-        for segment in self.sealed:
-            runs.extend(segment.postings(term))
-        runs.extend(self.active.postings_upto(term, self.visible))
-        return runs
+        return self.active.postings_upto(term, self.visible)
 
     def is_empty(self) -> bool:
         """True when the merged answer equals the base snapshot's."""
-        return (
-            not self.tombstones
-            and not self.sealed
-            and self.visible < self.base_ndocs
-        )
+        return not self.tombstones and self.visible < self.base_ndocs
 
 
 class MemTier:
@@ -211,32 +140,18 @@ class MemTier:
     Threading contract (the same one the serving layer already lives
     by): all mutators — :meth:`add_document`, :meth:`delete_document`,
     :meth:`rebase` — are called under the service's writer lock;
-    :meth:`view` and :meth:`clean_since` are safe from any number of
-    reader threads concurrently, because every published structure is
-    either immutable (sealed segments, tombstone frozensets, the view
-    tuple itself) or append-only under a captured watermark (the active
-    segment's lists).
+    :meth:`view` is safe from any number of reader threads concurrently,
+    because every published structure is either immutable (tombstone
+    frozensets, the view itself) or append-only under a captured
+    watermark (the active segment's lists).
     """
 
-    def __init__(self, *, codec: str = "delta", seal_docs: int = 64,
-                 seal_postings: int = 8192, base=None) -> None:
-        if codec not in CODECS:
-            raise ValueError(f"unknown codec {codec!r}")
-        if seal_docs < 1 or seal_postings < 1:
-            raise ValueError("seal thresholds must be >= 1")
-        self.codec = codec
-        self.seal_docs = seal_docs
-        self.seal_postings = seal_postings
+    def __init__(self, *, base=None) -> None:
         self._base = base
-        self._sealed: tuple[SealedSegment, ...] = ()
         self._active = ActiveSegment()
         self._tombstones: frozenset[int] = frozenset()
         self._visible = (base.ndocs - 1) if base is not None else -1
         self._epoch = 0
-        self._term_epochs: dict[str, int] = {}
-        self._ndocs_epoch = -1
-        self._tombstone_epoch = -1
-        self.seals = 0
         self.rebases = 0
 
     # -- writer side -------------------------------------------------------
@@ -253,43 +168,17 @@ class MemTier:
                 f"doc id {doc_id} is not above the watermark "
                 f"{self._visible}"
             )
-        terms = sorted({w.lower() for w in words})
         self._epoch += 1
-        epoch = self._epoch
-        for term in terms:
-            self._term_epochs[term] = epoch
-        self._ndocs_epoch = epoch
-        self._active.add(doc_id, terms)
+        self._active.add(doc_id, {w.lower() for w in words})
         # Publication point: the document becomes visible here, whole.
         self._visible = doc_id
-        if (
-            self._active.ndocs >= self.seal_docs
-            or self._active.npostings >= self.seal_postings
-        ):
-            self._seal()
 
     def delete_document(self, doc_id: int) -> None:
         """Tombstone a document (snapshot-resident or buffered) now."""
         self._epoch += 1
-        self._tombstone_epoch = self._epoch
         # Copy-on-write: readers holding the old frozenset keep a
         # consistent deletion filter.
         self._tombstones = self._tombstones | {doc_id}
-
-    def _seal(self) -> None:
-        """Compress the active segment and rotate a fresh one in.
-
-        The sealed segment is fully built *before* it becomes reachable,
-        and the retired active segment is never appended to again — a
-        reader mid-iteration on the old structures stays correct.
-        """
-        active = self._active
-        if not active.ndocs:
-            return
-        segment = SealedSegment(active.lists, active.ndocs, self.codec)
-        self._sealed = self._sealed + (segment,)
-        self._active = ActiveSegment()
-        self.seals += 1
 
     def rebase(self, base) -> None:
         """Swap in the freshly published base snapshot and drop what it
@@ -299,29 +188,16 @@ class MemTier:
         batch and applied every pending deletion, so normally *all*
         buffered postings and tombstones are covered; anything above the
         new base's universe (which cannot happen under the writer lock,
-        but is pruned rather than asserted away) is re-buffered.
+        but is pruned rather than asserted away) is re-buffered.  The
+        retired segment is never appended to again, so a reader
+        mid-iteration on it stays correct.
         """
         base_ndocs = base.ndocs
         survivors = ActiveSegment()
-        kept_docs: set[int] = set()
-        for segment in self._sealed + (self._active,):
-            source = (
-                segment.lists
-                if isinstance(segment, ActiveSegment)
-                else {t: segment.postings(t) for t in segment.terms()}
-            )
-            for term, docs in source.items():
-                for doc_id in docs:
-                    if doc_id < base_ndocs:
-                        continue
-                    survivors.lists.setdefault(term, []).append(doc_id)
-                    survivors.npostings += 1
-                    kept_docs.add(doc_id)
-        survivors.ndocs = len(kept_docs)
-        if kept_docs:
-            survivors.min_doc = min(kept_docs)
-            survivors.max_doc = max(kept_docs)
-        self._sealed = ()
+        for term, docs in self._active.lists.items():
+            kept = docs[bisect_left(docs, base_ndocs):]
+            if kept:
+                survivors.lists[term] = kept
         self._active = survivors
         self._tombstones = frozenset(
             d for d in self._tombstones if d >= base_ndocs
@@ -330,13 +206,6 @@ class MemTier:
         self._visible = max(self._visible, base_ndocs - 1)
         self._epoch += 1
         self.rebases += 1
-        # Facet epochs reset: cache entries that survive the service's
-        # publish_delta had terms disjoint from the flushed batch's dirty
-        # vocabulary and universe/deletion changes already evicted the
-        # sensitive ones — so the drained buffer is clean for all of them.
-        self._term_epochs.clear()
-        self._ndocs_epoch = -1
-        self._tombstone_epoch = -1
 
     # -- reader side -------------------------------------------------------
 
@@ -351,54 +220,27 @@ class MemTier:
     def view(self) -> MemTierView:
         """Capture one consistent read view (no locks).
 
-        Field order matters: the structural tuple (base, sealed, active,
-        tombstones) is read before the watermark, so ``visible`` can
+        Field order matters: the structural fields (base, active,
+        tombstones) are read before the watermark, so ``visible`` can
         only run *ahead* of the captured structures — ids it admits that
         the old active segment does not contain are simply absent, which
         degrades to an earlier (still consistent) prefix of the ingest
         stream, never a torn document.
         """
         base = self._base
-        sealed = self._sealed
         active = self._active
         tombstones = self._tombstones
         epoch = self._epoch
         visible = self._visible
-        return MemTierView(base, sealed, active, tombstones, visible,
-                           epoch)
-
-    def clean_since(self, terms: Iterable[str], since_epoch: int,
-                    universe_sensitive: bool) -> bool:
-        """True when a result computed at ``since_epoch`` over ``terms``
-        is still exact at the current epoch.
-
-        The buffered-delta analogue of the cache's publish-time rules:
-        the deletion filter must not have changed, the universe must not
-        have grown (for universe-sensitive answers), and none of the
-        entry's terms may have been buffered since.
-        """
-        if self._tombstone_epoch > since_epoch:
-            return False
-        if universe_sensitive and self._ndocs_epoch > since_epoch:
-            return False
-        epochs = self._term_epochs
-        return all(epochs.get(t, -1) <= since_epoch for t in terms)
+        return MemTierView(base, active, tombstones, visible, epoch)
 
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
         """Point-in-time counters (writer thread or tests)."""
-        sealed_postings = sum(s.npostings for s in self._sealed)
         return {
-            "codec": self.codec,
             "epoch": self._epoch,
-            "sealed_segments": len(self._sealed),
-            "sealed_postings": sealed_postings,
-            "sealed_bytes": sum(s.nbytes for s in self._sealed),
-            "active_docs": self._active.ndocs,
-            "active_postings": self._active.npostings,
-            "buffered_postings": sealed_postings + self._active.npostings,
+            "buffered_postings": sum(map(len, self._active.lists.values())),
             "tombstones": len(self._tombstones),
-            "seals": self.seals,
             "rebases": self.rebases,
         }

@@ -28,9 +28,10 @@ background while its siblings keep serving — a
 flush round.
 
 With ``read_tier="immediate"`` the service additionally keeps a
-:class:`~repro.core.memtier.MemTier` — a compressed in-memory write
-buffer absorbed into every answer through :mod:`repro.query.twotier` —
-so ingested documents are queryable *before* any flush;
+:class:`~repro.core.memtier.MemTier` — an in-memory mirror of the
+pending batch absorbed into every answer through
+:mod:`repro.query.twotier` — so ingested documents are queryable
+*before* any flush;
 :class:`~repro.service.server.BackgroundMerger` drains the buffer
 through the ordinary flush/publish path on a background thread.
 """

@@ -27,15 +27,11 @@ an entry is never returned for a snapshot outside its interval.
 
 Immediate-tier entries (DESIGN.md §14) additionally carry the memory-tier
 *epoch* they were computed at.  The memory tier mutates between
-publishes, so snapshot-interval validity is not enough; instead of
-invalidating eagerly on every buffered write, a lookup whose epoch moved
-on *revalidates* the entry against the tier's per-term epoch ledger
-(``epoch_clean`` callback): if no term the answer read was buffered
-since, the deletion set did not change, and (for universe-sensitive
-answers) no document arrived, the entry is stamped with the current
-epoch and served — otherwise it is dropped.  This is exactly
-:meth:`publish_delta`'s cleanliness rule applied lazily per entry, with
-the tier's epoch ledger standing in for the writer's delta journal.
+publishes, so snapshot-interval validity is not enough: an immediate-tier
+entry is valid at exactly the epoch it was computed at, and a lookup at
+any other epoch drops it.  (A per-term ledger that kept entries across
+unrelated buffered writes was tried against its traffic and served 0–1.4 %
+of immediate-tier lookups — ``benchmarks/results/TRIAL_memtier.txt``.)
 
 Thread model: many reader threads share one cache; every operation takes
 the internal lock (the critical sections are dictionary operations, far
@@ -62,7 +58,6 @@ class CacheStats:
     invalidations: int = 0
     entries_invalidated: int = 0
     entries_retained: int = 0
-    epoch_revalidations: int = 0
     epoch_invalidations: int = 0
     #: hits per live entry (dropped with the entries themselves).
     entry_hits: dict[CacheKey, int] = field(default_factory=dict)
@@ -83,7 +78,6 @@ class CacheStats:
             "invalidations": self.invalidations,
             "entries_invalidated": self.entries_invalidated,
             "entries_retained": self.entries_retained,
-            "epoch_revalidations": self.epoch_revalidations,
             "epoch_invalidations": self.epoch_invalidations,
             "hit_rate": round(self.hit_rate, 6),
         }
@@ -113,8 +107,7 @@ class _Entry:
         # it alongside last_id.
         self.versions = versions
         # Memory-tier epoch the answer was computed at (None for
-        # snapshot-tier entries); advanced in place when a lookup
-        # revalidates the entry against the tier's epoch ledger.
+        # snapshot-tier entries).
         self.epoch = epoch
 
 
@@ -143,7 +136,6 @@ class QueryResultCache:
         snapshot_id: int,
         versions: tuple[int, ...] | None = None,
         epoch: int | None = None,
-        epoch_clean=None,
     ):
         """The cached value for ``key`` valid at ``snapshot_id``, or
         ``None``; counts the outcome.
@@ -160,11 +152,7 @@ class QueryResultCache:
         disagrees.
 
         ``epoch`` is the live memory-tier epoch for immediate-tier
-        lookups.  When it differs from the entry's recorded epoch the
-        entry is lazily revalidated via ``epoch_clean(terms, since_epoch,
-        universe_sensitive)`` — the tier's per-term ledger check; a clean
-        entry is re-stamped and served, a dirty one dropped.  Without a
-        callback an epoch mismatch simply drops the entry.
+        lookups: an entry recorded at any other epoch is dropped.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -184,21 +172,11 @@ class QueryResultCache:
                 self._stats.misses += 1
                 return None
             if epoch is not None and entry.epoch != epoch:
-                clean = (
-                    entry.epoch is not None
-                    and epoch_clean is not None
-                    and epoch_clean(
-                        entry.terms, entry.epoch, entry.universe_sensitive
-                    )
-                )
-                if not clean:
-                    del self._entries[key]
-                    self._stats.entry_hits.pop(key, None)
-                    self._stats.epoch_invalidations += 1
-                    self._stats.misses += 1
-                    return None
-                entry.epoch = epoch
-                self._stats.epoch_revalidations += 1
+                del self._entries[key]
+                self._stats.entry_hits.pop(key, None)
+                self._stats.epoch_invalidations += 1
+                self._stats.misses += 1
+                return None
             self._entries.move_to_end(key)
             self._stats.hits += 1
             self._stats.entry_hits[key] = (
@@ -304,7 +282,6 @@ class QueryResultCache:
                 invalidations=self._stats.invalidations,
                 entries_invalidated=self._stats.entries_invalidated,
                 entries_retained=self._stats.entries_retained,
-                epoch_revalidations=self._stats.epoch_revalidations,
                 epoch_invalidations=self._stats.epoch_invalidations,
                 entry_hits=dict(self._stats.entry_hits),
             )

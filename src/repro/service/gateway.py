@@ -278,9 +278,10 @@ class GatewaySnapshot:
     deleted: frozenset
     shard_versions: tuple[int, ...]
     reference: object = None
-    #: Per-shard memory-tier epochs at this boundary (empty when the
-    #: gateway serves the snapshot tier only) — they ride the version
-    #: vector so cache layers can scope invalidation to buffered terms.
+    #: The memory-tier epoch each shard's flush reply carried at this
+    #: boundary (empty when the gateway serves the snapshot tier only).
+    #: Reported only: an epoch is per worker process, so nothing
+    #: compares one (:mod:`repro.service.replication`).
     mem_epochs: tuple[int, ...] = ()
     #: Routing-table epoch the boundary was published under.  A shard
     #: split or merge bumps it (and the snapshot id), so any identity
@@ -420,8 +421,8 @@ class _ReadBatcher:
         self._flusher: asyncio.Task | None = None
 
     def enqueue(self, method: str, args: tuple) -> asyncio.Future:
-        """Queue one member read; resolves to ``(value, version,
-        mem_epoch)`` or the member's / connection's failure."""
+        """Queue one member read; resolves to ``(value, version)`` or
+        the member's / connection's failure."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         future.add_done_callback(_retrieve)
@@ -470,9 +471,7 @@ class _ReadBatcher:
             if future.done():
                 continue
             if member.ok:
-                future.set_result(
-                    (member.value, reply.version, reply.mem_epoch)
-                )
+                future.set_result((member.value, reply.version))
             else:
                 future.set_exception(
                     RemoteWorkerError(
@@ -523,7 +522,7 @@ def _op_rpc(op: tuple) -> tuple[str, tuple]:
         return "add_document", (op[2], op[1])
     if op[0] == "delete":
         return "delete_document", (op[1],)
-    return "flush", (False, op[1])  # ("flush", grow)
+    return "flush", (op[1],)  # ("flush", grow)
 
 
 class AsyncShardGateway:
@@ -655,7 +654,8 @@ class AsyncShardGateway:
         self._published_ndocs = 0
         self._published_deleted: frozenset = frozenset()
         self._published_versions: tuple[int, ...] = (0,) * shards
-        self._published_mem_epochs: tuple[int, ...] = (
+        #: :attr:`GatewaySnapshot.mem_epochs` of the current boundary.
+        self._mem_epochs: tuple[int, ...] = (
             (0,) * shards if read_tier == "immediate" else ()
         )
         self.stats = GatewayStats()
@@ -869,7 +869,6 @@ class AsyncShardGateway:
                         # await, so the stamp below cannot go stale.
                         break
                 replica.version = info["batches"]
-                replica.mem_epoch = info.get("mem_epoch", 0)
                 replica.wants_grow = info.get("wants_grow", False)
                 replica.state = ReplicaState.HEALTHY
                 self.repl.rebuilds_completed += 1
@@ -1045,11 +1044,10 @@ class AsyncShardGateway:
             self._published_ndocs = self._next_doc_id
             self._published_deleted = frozenset(self._deleted)
             for i, outcome in zip(active, outcomes):
-                rs = self._sets[i]
-                rs.expected_version = outcome.version
-                if self.read_tier == "immediate":
-                    rs.expected_mem_epoch = outcome.mem_epoch
+                self._sets[i].expected_version = outcome.version
             self._refresh_published()
+            if self.read_tier == "immediate":
+                self._mem_epochs = tuple(o.mem_epoch for o in outcomes)
             self._snapshot_id += 1
             results = [
                 outcome.result
@@ -1080,7 +1078,6 @@ class AsyncShardGateway:
             if outcome is None:
                 continue
             replica.version = outcome.version
-            replica.mem_epoch = outcome.mem_epoch
             replica.wants_grow = outcome.wants_grow
             outcomes.append(outcome)
         if outcomes:
@@ -1100,12 +1097,9 @@ class AsyncShardGateway:
         return FlushOutcome(
             result=None,
             version=info["batches"],
-            snapshot_version=info["snapshot_version"],
             ndocs=info["ndocs"],
             mem_epoch=info.get("mem_epoch", 0),
             wants_grow=info.get("wants_grow", False),
-            occupancy=info.get("occupancy", 0.0),
-            nbuckets=info.get("nbuckets", 0),
         )
 
     async def _await_any_rebuild(self, rs: ReplicaSet) -> Replica:
@@ -1165,10 +1159,6 @@ class AsyncShardGateway:
         self._published_versions = tuple(
             self._sets[i].expected_version for i in self._active
         )
-        if self.read_tier == "immediate":
-            self._published_mem_epochs = tuple(
-                self._sets[i].expected_mem_epoch for i in self._active
-            )
 
     def _shard_doc_counts(self) -> dict[int, int]:
         """Live documents per active shard under the current routing
@@ -1415,7 +1405,7 @@ class AsyncShardGateway:
             ndocs=self._published_ndocs,
             deleted=self._published_deleted,
             shard_versions=self._published_versions,
-            mem_epochs=self._published_mem_epochs,
+            mem_epochs=self._mem_epochs,
             routing_epoch=self.routing.epoch,
         )
 
@@ -1443,18 +1433,15 @@ class AsyncShardGateway:
         """Everything a read's answer may depend on, each component
         monotone: the publish counter and version vector (snapshot-tier
         answers change only at a publish boundary) plus — on the
-        immediate tier — the published mem epochs and the live writer
-        universe (doc-id head, deletion count), since immediate answers
-        reflect every acknowledged write."""
+        immediate tier — the live writer universe (doc-id head, deletion
+        count), since immediate answers reflect every acknowledged
+        write."""
         token = (
             self._snapshot_id,
             self.routing.epoch,
         ) + self._published_versions
         if self.read_tier == "immediate":
-            token += self._published_mem_epochs + (
-                self._next_doc_id,
-                len(self._deleted),
-            )
+            token += (self._next_doc_id, len(self._deleted))
         return token
 
     async def _single_flight(self, key: tuple, run):
@@ -1511,8 +1498,8 @@ class AsyncShardGateway:
 
         Rotates round-robin over the eligible replicas (healthy, caught
         up, at the published version — the version-vector guard).  Every
-        answer arrives stamped ``(value, version, mem_epoch)`` and a
-        stamp trailing the published vector is discarded — the replica
+        answer arrives stamped ``(value, version)`` and a stamp trailing
+        the published vector is discarded — the replica
         lied about being current, so it is pulled from rotation and
         resynced while the read fails over to a sibling.  Deadline
         misses and deaths fail over the same way.  Only when no replica
@@ -1545,10 +1532,10 @@ class AsyncShardGateway:
                         # connection's writes, batch execution).
                         self.stats.deadline_exceeded += 1
                         raise ShardDeadlineExceeded((i,), method)
-                    value, version, mem_epoch = member.result()
+                    value, version = member.result()
                 else:
                     self.batching.single_read_frames += 1
-                    value, version, mem_epoch = await self._call_replica(
+                    value, version = await self._call_replica(
                         replica,
                         "versioned_read",
                         method,
@@ -1561,10 +1548,7 @@ class AsyncShardGateway:
             except self._DEATH:
                 self._note_death(rs, replica)
                 continue
-            if (
-                version < rs.expected_version
-                or mem_epoch < rs.expected_mem_epoch
-            ):
+            if version < rs.expected_version:
                 # The stamp trails the published boundary: the answer
                 # cannot be trusted and neither can the replica's
                 # bookkeeping — discard and resync.

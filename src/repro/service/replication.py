@@ -30,9 +30,15 @@ holds the replica's lock first applies it, and the other sees
 fully caught up on the op log, and at (or past) the published version
 vector entry — a replica lagging one publish epoch is excluded from
 rotation outright.  Every read travels the worker's ``versioned_read``
-RPC and comes back stamped ``(value, version, mem_epoch)``; the gateway
-validates the stamp against the published vector before trusting the
-answer and discards stale responses (the replica is then resynced).  A
+RPC and comes back stamped ``(value, version)``; the gateway validates
+the stamp against the published vector before trusting the answer and
+discards stale responses (the replica is then resynced).  The stamp is
+the shard's batch counter on both read tiers — a value checkpoint
+restore and op-log replay reproduce, so a rebuilt replica carries the
+one its siblings do.  (The memory tier's epoch is no such value: it
+counts one process's mutations, so a replica rebuilt between flushes
+restarts it near zero.  Guarding reads with it left every rebuilt
+replica healthy but ineligible until the next flush; DESIGN.md §15.)  A
 replica that misses its deadline or dies mid-read fails over
 transparently to a sibling; only when *no* replica of a shard is
 serviceable does a read wait for a rebuild — which is exactly the k=1
@@ -75,8 +81,8 @@ class Replica:
 
     Owns the per-connection machinery (streams, request sequence,
     serialization lock) plus the replication bookkeeping: health state,
-    the last version / mem-epoch stamp the gateway recorded for it, and
-    ``log_pos`` — how many ops of the shard's journal it has applied.
+    the last version stamp the gateway recorded for it, and ``log_pos``
+    — how many ops of the shard's journal it has applied.
     The asyncio plumbing that *drives* a replica lives in the gateway;
     this object is the state it operates on.
     """
@@ -94,8 +100,6 @@ class Replica:
         #: Shard version (writer batch counter) after this replica's last
         #: acknowledged flush or rebuild.
         self.version = 0
-        #: Memory-tier epoch at the same point (immediate tier only).
-        self.mem_epoch = 0
         #: Ops of the shard's journal this replica has applied.
         self.log_pos = 0
         #: Occupancy trigger from the last flush outcome.
@@ -148,8 +152,6 @@ class ReplicaSet:
         #: Published version-vector entry for this shard; rotation
         #: excludes replicas trailing it.
         self.expected_version = 0
-        #: Published memory-tier epoch (immediate tier only).
-        self.expected_mem_epoch = 0
         #: A rebalance merged or moved this shard's slice away: the set
         #: stays alive for reads pinned to pre-cutover routing epochs
         #: but receives no writes, flushes, or checkpoints, and the
@@ -173,8 +175,7 @@ class ReplicaSet:
     def eligible(self, replica: Replica) -> bool:
         """May this replica serve a read right now?
 
-        Healthy and not trailing the published version vector (version
-        *and*, on the immediate tier, mem epoch) — the version-vector
+        Healthy and not trailing the published version vector — the
         guard that keeps a replica lagging one publish epoch out of the
         rotation.  ``log_pos`` is deliberately *not* required to be at
         the journal head: a healthy replica behind the head just has
@@ -185,7 +186,6 @@ class ReplicaSet:
         return (
             replica.state is ReplicaState.HEALTHY
             and replica.version >= self.expected_version
-            and replica.mem_epoch >= self.expected_mem_epoch
         )
 
     def rotation(self) -> list[Replica]:

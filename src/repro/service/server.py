@@ -149,7 +149,6 @@ class QueryService:
         shards: int = 1,
         router_seed: int = 0,
         read_tier: str = "snapshot",
-        mem_seal_docs: int = 256,
     ) -> None:
         if max_flush_retries < 0:
             raise ValueError("max_flush_retries must be >= 0")
@@ -192,14 +191,14 @@ class QueryService:
             self._runtime.published, 0, reference=self._frozen_reference()
         )
         # The immediate-access memory tier (DESIGN.md §14): a queryable
-        # compressed write buffer mirroring the writer's pending batch,
-        # rebased onto each published snapshot.  Built only when the
-        # service serves the immediate tier.
+        # write buffer mirroring the writer's pending batch, rebased onto
+        # each published snapshot.  Built only when the service serves
+        # the immediate tier.
         self.read_tier = read_tier
         self._memtier: MemTier | None = None
         if read_tier == "immediate":
             self._memtier = self._runtime.memtier = MemTier(
-                seal_docs=mem_seal_docs, base=self._snapshot
+                base=self._snapshot
             )
 
     # -- writer API --------------------------------------------------------
@@ -255,10 +254,7 @@ class QueryService:
             with self.timings.stage("serve.publish"):
                 with self.publish_latency.span():
                     self._runtime.publish(self._install)
-                    snapshot = self._snapshot
-                    if self._memtier is not None:
-                        snapshot.mem_epoch = self._memtier.epoch
-            return result, snapshot
+            return result, self._snapshot
 
     def _frozen_reference(self):
         if self._reference is None:
@@ -345,7 +341,6 @@ class QueryService:
                 base.snapshot_id,
                 base.version_vector,
                 epoch=view.epoch,
-                epoch_clean=self._memtier.clean_since,
             )
             if cached is not None:
                 doc_ids, read_ops = cached
@@ -399,7 +394,6 @@ class QueryService:
                 base.snapshot_id,
                 base.version_vector,
                 epoch=view.epoch,
-                epoch_clean=self._memtier.clean_since,
             )
             if cached is not None:
                 doc_ids, read_ops = cached
@@ -451,7 +445,6 @@ class QueryService:
                 base.snapshot_id,
                 base.version_vector,
                 epoch=view.epoch,
-                epoch_clean=self._memtier.clean_since,
             )
             if cached is not None:
                 return list(cached)
@@ -493,8 +486,8 @@ class BackgroundMerger:
 
     A daemon thread that watches the service's memory tier and calls
     :meth:`QueryService.flush_and_publish` whenever enough work has
-    accumulated (``min_sealed`` sealed segments, or ``min_buffered``
-    buffered documents).  The merge is the *existing* flush: it takes the
+    accumulated (``min_buffered`` buffered documents, or any
+    tombstone).  The merge is the *existing* flush: it takes the
     writer lock, so ingest briefly queues behind a merge, but readers
     never block — they keep serving the memory tier's view throughout,
     and the publish-then-rebase sequence keeps immediate answers
@@ -511,8 +504,7 @@ class BackgroundMerger:
         service: QueryService,
         *,
         interval: float = 0.02,
-        min_sealed: int = 1,
-        min_buffered: int | None = None,
+        min_buffered: int = 1,
     ) -> None:
         if service.memtier is None:
             raise ValueError(
@@ -523,7 +515,6 @@ class BackgroundMerger:
             raise ValueError("interval must be > 0")
         self.service = service
         self.interval = interval
-        self.min_sealed = min_sealed
         self.min_buffered = min_buffered
         self.merges = 0
         self.errors = 0
@@ -534,14 +525,9 @@ class BackgroundMerger:
         view = self.service.memtier.view()
         if view.is_empty():
             return False
-        if len(view.sealed) >= self.min_sealed:
+        if view.buffered_docs >= self.min_buffered:
             return True
-        if (
-            self.min_buffered is not None
-            and view.buffered_docs >= self.min_buffered
-        ):
-            return True
-        # Tombstones have no segment of their own; drain them too.
+        # Tombstones buffer no document of their own; drain them too.
         return bool(view.tombstones)
 
     def _merge_once(self) -> bool:

@@ -23,10 +23,10 @@ underlying simulated disks do mutate benign bookkeeping — head positions,
 I/O counters — under concurrent reads; none of that affects answers,
 which derive only from the immutable block payloads.)
 
-``shard_versions`` (plus, on the immediate tier, the per-shard memory
-epochs) is also the contract the *replicated* gateway enforces remotely:
-:mod:`repro.service.gateway` stamps every replica answer with the same
-vector entries and discards responses trailing the published boundary,
+``shard_versions`` is also the contract the *replicated* gateway
+enforces remotely: :mod:`repro.service.gateway` stamps every replica
+answer with the same vector entry and discards responses trailing the
+published boundary,
 so a replica lagging one publish epoch can never serve a reader a state
 this class would not have published (:mod:`repro.service.replication`).
 """
@@ -73,12 +73,6 @@ class IndexSnapshot:
         self.routing_epoch = getattr(index, "routing_epoch", 0)
         self.ndocs = index.ndocs
         self.reference = reference
-        # The memory-tier epoch at publish time (0 when the service runs
-        # snapshot-tier only).  Stamped by the publisher after rebasing
-        # the write buffer onto this snapshot; immediate-tier cache
-        # entries validate against the live epoch relative to this
-        # boundary (DESIGN.md §14).
-        self.mem_epoch = 0
 
     @property
     def version_vector(self) -> tuple[int, ...]:

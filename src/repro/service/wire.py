@@ -99,14 +99,13 @@ class BatchResponse:
 
     ``responses`` aligns index-for-index with the request's members; a
     member that failed carries its own ``error`` so one poison query
-    cannot fail its batchmates.  ``version``/``mem_epoch`` stamp the one
-    worker state every member evaluated against.
+    cannot fail its batchmates.  ``version`` stamps the one worker state
+    every member evaluated against.
     """
 
     request_id: int
     responses: tuple = ()
     version: int = 0
-    mem_epoch: int = 0
 
 
 def _flatten(message) -> tuple:
@@ -132,7 +131,6 @@ def _flatten(message) -> tuple:
                 for r in message.responses
             ),
             message.version,
-            message.mem_epoch,
         )
     raise TypeError(f"{kind.__name__} is not a wire message")
 
@@ -147,7 +145,7 @@ def _rebuild(flat: tuple):
         return BatchRequest(flat[1], tuple(Request(*r) for r in flat[2]))
     if tag == 3:
         return BatchResponse(
-            flat[1], tuple(Response(*r) for r in flat[2]), flat[3], flat[4]
+            flat[1], tuple(Response(*r) for r in flat[2]), flat[3]
         )
     raise BadFrame(f"unknown message tag {tag!r}")
 

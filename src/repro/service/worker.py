@@ -95,27 +95,17 @@ class FlushOutcome:
     """One flush request's reply (everything the gateway aggregates)."""
 
     result: object = None  # BatchResult | None (None = nothing pending)
-    skipped: bool = False
     version: int = 0  # the shard's batch counter after the flush
-    snapshot_version: int = 0
     ndocs: int = 0
-    cow: bool = False
-    recoveries: int = 0
     publish_seconds: float = 0.0
-    checkpoint: bytes | None = None
-    #: The shard's memory-tier epoch after the post-flush rebase (0 when
-    #: the worker serves the snapshot tier only).
+    #: This process's memory-tier epoch after the post-flush rebase (0
+    #: when the worker serves the snapshot tier only).  Reported, never
+    #: compared: it is per process (:mod:`repro.service.replication`).
     mem_epoch: int = 0
     #: Bucket occupancy crossed the growth threshold: this shard asks the
     #: gateway's rebuild scheduler for a growth grant next round (always
     #: False when the volume was built without ``grow_buckets``).
     wants_grow: bool = False
-    #: Bucket occupancy after this flush (diagnostics for the scheduler).
-    occupancy: float = 0.0
-    #: Live bucket count after this flush.
-    nbuckets: int = 0
-    #: This flush carried a granted growth and applied it.
-    grew: bool = False
 
 
 @dataclass
@@ -227,9 +217,7 @@ class ShardWorker:
 
     # -- flush + publish --------------------------------------------------
 
-    def flush(
-        self, include_checkpoint: bool = False, grow: bool = False
-    ) -> FlushOutcome:
+    def flush(self, grow: bool = False) -> FlushOutcome:
         """Flush the pending batch (if any) and publish the new boundary.
 
         A shard with nothing pending — no batched documents, no deletions
@@ -248,42 +236,24 @@ class ShardWorker:
         """
         grow = grow and self._grower is not None
         pending = len(self.writer.index.memory) > 0
-        if not pending and not self._dirty_since_publish and not grow:
-            return FlushOutcome(
-                skipped=True,
-                version=self.writer.batches,
-                # (the initial publish is uncounted, so the publish
-                # counter *is* the snapshot version)
-                snapshot_version=self.stats.publishes,
-                ndocs=self.writer.ndocs,
-                mem_epoch=self._mem_epoch(),
-                wants_grow=self._wants_grow(),
-                occupancy=self.writer.index.buckets.occupancy(),
-                nbuckets=self.writer.index.buckets.nbuckets,
-            )
-        recovered = self.stats.flush_recoveries
-        result = self.runtime.flush() if pending else None
-        if grow:
-            self.writer.index.grow_bucket_space(self._grower)
-        start = time.perf_counter()
-        cow = self.runtime.publish()
-        publish_seconds = time.perf_counter() - start
-        self._dirty_since_publish = False
-        checkpoint = self.checkpoint() if include_checkpoint else None
+        result = None
+        publish_seconds = 0.0
+        if pending or self._dirty_since_publish or grow:
+            if pending:
+                result = self.runtime.flush()
+            if grow:
+                self.writer.index.grow_bucket_space(self._grower)
+            start = time.perf_counter()
+            self.runtime.publish()
+            publish_seconds = time.perf_counter() - start
+            self._dirty_since_publish = False
         return FlushOutcome(
             result=result,
             version=self.writer.batches,
-            snapshot_version=self.stats.publishes,
             ndocs=self.writer.ndocs,
-            cow=cow,
-            recoveries=self.stats.flush_recoveries - recovered,
             publish_seconds=publish_seconds,
-            checkpoint=checkpoint,
             mem_epoch=self._mem_epoch(),
             wants_grow=self._wants_grow(),
-            occupancy=self.writer.index.buckets.occupancy(),
-            nbuckets=self.writer.index.buckets.nbuckets,
-            grew=grow,
         )
 
     def _wants_grow(self) -> bool:
@@ -404,14 +374,16 @@ class ShardWorker:
         its own bookkeeping alone — a replica may have fallen behind the
         published boundary between eligibility check and execution (it
         was rebuilt, or its flush never landed).  So every read returns
-        ``(value, version, mem_epoch)`` and the gateway discards answers
-        whose stamp trails the published vector.  Only retrieval methods
-        are dispatchable; mutations must travel the journaled write path.
+        ``(value, version)`` and the gateway discards answers whose stamp
+        trails the published vector — the batch counter, on both read
+        tiers (:mod:`repro.service.replication` says why it is the whole
+        stamp).  Only retrieval methods are dispatchable; mutations must
+        travel the journaled write path.
         """
         if method not in READ_METHODS:
             raise ValueError(f"{method!r} is not a read method")
         value = getattr(self, method)(*args)
-        return value, self.writer.batches, self._mem_epoch()
+        return value, self.writer.batches
 
     def batched_read(self, requests: tuple) -> tuple:
         """Evaluate a micro-batch of reads against one pinned state.
@@ -419,8 +391,8 @@ class ShardWorker:
         The worker is single-threaded, so the published snapshot (and the
         memory tier, and the writer's batch counter) cannot move between
         members: version/snapshot validation happens **once per batch**,
-        and the whole reply carries a single ``(version, mem_epoch)``
-        stamp every member answer is true for.  Per-member failures are
+        and the whole reply carries a single ``version`` stamp every
+        member answer is true for.  Per-member failures are
         isolated — a poison query yields an errored member
         :class:`~repro.service.wire.Response` while its batchmates
         answer normally — exactly the error surface the member would
@@ -451,7 +423,7 @@ class ShardWorker:
                         i, False, error=f"{type(exc).__name__}: {exc}"
                     )
                 )
-        return tuple(responses), self.writer.batches, self._mem_epoch()
+        return tuple(responses), self.writer.batches
 
     # -- introspection ----------------------------------------------------
 
@@ -556,11 +528,9 @@ def serve(sock, spec: WorkerSpec) -> None:
                 break
             worker.stats.requests += 1
             if isinstance(request, wire.BatchRequest):
-                responses, version, mem_epoch = worker.batched_read(
-                    request.requests
-                )
+                responses, version = worker.batched_read(request.requests)
                 reply = wire.BatchResponse(
-                    request.request_id, responses, version, mem_epoch
+                    request.request_id, responses, version
                 )
                 try:
                     wire.send_message(sock, reply, spec.max_frame)
@@ -579,7 +549,7 @@ def serve(sock, spec: WorkerSpec) -> None:
                     wire.send_message(
                         sock,
                         wire.BatchResponse(
-                            request.request_id, errored, version, mem_epoch
+                            request.request_id, errored, version
                         ),
                         spec.max_frame,
                     )

@@ -4,8 +4,7 @@ import threading
 
 import pytest
 
-from repro.core.compression import CODECS
-from repro.core.memtier import ActiveSegment, MemTier, SealedSegment
+from repro.core.memtier import ActiveSegment, MemTier
 
 
 class _Base:
@@ -13,25 +12,6 @@ class _Base:
 
     def __init__(self, ndocs: int) -> None:
         self.ndocs = ndocs
-
-
-class TestSealedSegment:
-    def test_round_trips_every_codec(self):
-        lists = {"wa": [0, 3, 7], "wb": [3], "wc": [0, 1, 2, 3]}
-        for codec in CODECS:
-            segment = SealedSegment(lists, ndocs=4, codec=codec)
-            for term, docs in lists.items():
-                assert segment.postings(term) == docs, codec
-            assert segment.postings("missing") == []
-            assert segment.npostings == 8
-            assert segment.min_doc == 0
-            assert segment.max_doc == 7
-
-    def test_contains_and_terms(self):
-        segment = SealedSegment({"wa": [1]}, ndocs=1, codec="delta")
-        assert "wa" in segment
-        assert "wb" not in segment
-        assert set(segment.terms()) == {"wa"}
 
 
 class TestActiveSegment:
@@ -65,26 +45,6 @@ class TestMemTier:
         with pytest.raises(ValueError):
             tier.add_document(5, ["wb"])
 
-    def test_seal_rotates_at_doc_threshold(self):
-        tier = MemTier(seal_docs=2)
-        tier.add_document(0, ["wa"])
-        assert tier.stats()["sealed_segments"] == 0
-        tier.add_document(1, ["wa", "wb"])
-        stats = tier.stats()
-        assert stats["sealed_segments"] == 1
-        assert stats["active_docs"] == 0
-        assert stats["seals"] == 1
-        # Sealed postings still answer, merged with later active ones.
-        tier.add_document(2, ["wa"])
-        assert tier.view().postings("wa") == [0, 1, 2]
-
-    def test_seal_rotates_at_posting_threshold(self):
-        tier = MemTier(seal_docs=1000, seal_postings=3)
-        tier.add_document(0, ["wa", "wb"])
-        assert tier.stats()["sealed_segments"] == 0
-        tier.add_document(1, ["wc"])
-        assert tier.stats()["sealed_segments"] == 1
-
     def test_tombstones_ride_the_view_unfiltered(self):
         tier = MemTier()
         tier.add_document(0, ["wa"])
@@ -95,10 +55,10 @@ class TestMemTier:
         assert view.tombstones == frozenset({0})
 
     def test_old_views_survive_later_mutations(self):
-        tier = MemTier(seal_docs=2)
+        tier = MemTier()
         tier.add_document(0, ["wa"])
         old = tier.view()
-        tier.add_document(1, ["wa"])  # triggers a seal
+        tier.add_document(1, ["wa"])
         tier.add_document(2, ["wa"])
         tier.delete_document(0)
         assert old.postings("wa") == [0]
@@ -106,7 +66,7 @@ class TestMemTier:
         assert tier.view().postings("wa") == [0, 1, 2]
 
     def test_rebase_drops_covered_and_keeps_the_rest(self):
-        tier = MemTier(seal_docs=2)
+        tier = MemTier()
         for doc_id in range(4):
             tier.add_document(doc_id, ["wa"])
         tier.delete_document(1)
@@ -136,32 +96,6 @@ class TestMemTier:
         assert old.postings("wa") == [0]
         assert old.postings("wb") == [1]
 
-    def test_epoch_ledger_clean_since(self):
-        tier = MemTier()
-        tier.add_document(0, ["wa"])
-        e0 = tier.epoch
-        assert tier.clean_since(["wa"], e0, universe_sensitive=False)
-        assert tier.clean_since(["wb"], e0, universe_sensitive=False)
-
-        tier.add_document(1, ["wb"])
-        # wa untouched since e0; wb and the universe moved.
-        assert tier.clean_since(["wa"], e0, universe_sensitive=False)
-        assert not tier.clean_since(["wb"], e0, universe_sensitive=False)
-        assert not tier.clean_since(["wa"], e0, universe_sensitive=True)
-
-        e1 = tier.epoch
-        tier.delete_document(0)
-        # A deletion dirties every entry, terms regardless.
-        assert not tier.clean_since(["wz"], e1, universe_sensitive=False)
-
-    def test_rebase_resets_the_ledger(self):
-        tier = MemTier()
-        tier.add_document(0, ["wa"])
-        tier.delete_document(0)
-        tier.rebase(_Base(ndocs=1))
-        # Post-rebase the drained buffer is clean for any older epoch.
-        assert tier.clean_since(["wa"], 0, universe_sensitive=True)
-
     def test_view_ndocs_tracks_the_merged_universe(self):
         tier = MemTier(base=_Base(ndocs=10))
         assert tier.view().ndocs == 10
@@ -172,9 +106,9 @@ class TestMemTier:
         assert view.buffered_docs == 3
 
     def test_concurrent_readers_never_see_torn_state(self):
-        """Readers hammer view() while the writer ingests and seals; every
+        """Readers hammer view() while the writer ingests; every
         captured answer must be a prefix of the ingest stream."""
-        tier = MemTier(seal_docs=8)
+        tier = MemTier()
         ndocs = 300
         errors: list[str] = []
         stop = threading.Event()
@@ -197,11 +131,3 @@ class TestMemTier:
             thread.join()
         assert not errors, errors[:3]
         assert tier.view().postings("wa") == list(range(ndocs))
-
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ValueError):
-            MemTier(codec="no-such-codec")
-        with pytest.raises(ValueError):
-            MemTier(seal_docs=0)
-        with pytest.raises(ValueError):
-            MemTier(seal_postings=0)

@@ -70,7 +70,6 @@ def _build(docs, every, delete_seed):
         cache_capacity=0,  # differential answers must not be memoized
         track_reference=False,
         read_tier="immediate",
-        mem_seal_docs=4,
     )
     oracle = BruteForceIndex()
     for i, words in enumerate(docs):

@@ -168,11 +168,11 @@ def test_batched_equals_unbatched_equals_local_equals_oracle(
 
 def test_worker_isolates_poison_members_in_a_mixed_batch():
     """One bad member errors alone; batchmates answer, and the whole
-    reply carries a single version/mem-epoch stamp."""
+    reply carries a single version stamp."""
     worker = ShardWorker(WorkerSpec(shard_id=0, index_config=small_config()))
     worker.add_document("wa wb", 0)
     worker.add_document("wb wc", 1)
-    worker.flush(False, False)
+    worker.flush(False)
 
     from repro.service import wire
 
@@ -182,7 +182,7 @@ def test_worker_isolates_poison_members_in_a_mixed_batch():
         wire.Request(2, "search_streamed", ("wa AND", None)),
         wire.Request(3, "search_streamed", ("wa", None)),
     )
-    responses, version, mem_epoch = worker.batched_read(members)
+    responses, version = worker.batched_read(members)
     assert len(responses) == 4
     good_b, bad_write, bad_query, good_a = responses
     assert good_b.ok and good_b.value[0] == [0, 1]
@@ -190,7 +190,6 @@ def test_worker_isolates_poison_members_in_a_mixed_batch():
     assert not bad_write.ok and "not a read method" in bad_write.error
     assert not bad_query.ok and bad_query.error
     assert version == worker.writer.batches
-    assert mem_epoch == 0
     # The refused write never touched the index.
     assert worker.writer.ndocs == 2
 

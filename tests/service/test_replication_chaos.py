@@ -14,6 +14,13 @@ recovery window rather than racing past it.
 The k=1 degenerate case is pinned too: without a sibling, a read during
 recovery must wait out the rebuild — the full-recovery-latency path the
 replication bench quantifies.
+
+Both read tiers take the murder.  On the immediate tier the window that
+matters is *between* flushes, where the acknowledged, unflushed documents
+are exactly what the tier exists to serve: a replica rebuilt there must
+come back into the read rotation, not sit healthy and ineligible until
+the next flush (it did, while a per-process memory-tier epoch was part
+of the version guard).
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ import pytest
 
 from repro.core.index import IndexConfig
 from repro.core.sharded import ShardedTextIndex
-from repro.service.gateway import AsyncShardGateway
+from repro.query.reference import BruteForceIndex
+from repro.service.gateway import AsyncShardGateway, GatewayService
 from repro.service.replication import ReplicaState
 from repro.storage.faults import FaultPlan
 
@@ -86,8 +94,9 @@ async def _assert_parity(gateway, local, context):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("read_tier", ["snapshot", "immediate"])
 @pytest.mark.parametrize("crash_at", CRASH_POINTS)
-def test_sigkill_one_replica_mid_flush_survivor_serves(crash_at):
+def test_sigkill_one_replica_mid_flush_survivor_serves(crash_at, read_tier):
     async def body():
         gateway = AsyncShardGateway(
             crash_config(),
@@ -95,6 +104,7 @@ def test_sigkill_one_replica_mid_flush_survivor_serves(crash_at):
             replicas=2,
             fault_plans={(0, 0): FaultPlan(crash_at=crash_at, crash_at_hit=1)},
             kill_on_crash=True,
+            read_tier=read_tier,
         )
         # Hold every rebuild open long enough that the post-crash reads
         # demonstrably run *during* the recovery window.
@@ -127,6 +137,8 @@ def test_sigkill_one_replica_mid_flush_survivor_serves(crash_at):
             # The victim comes back: checkpoint restore + op-log replay.
             await gateway.quiesce()
             assert victim.state is ReplicaState.HEALTHY
+            shard0 = gateway._sets[0]
+            assert all(map(shard0.eligible, shard0.replicas))
             assert gateway.repl.rebuilds_completed == 1
             assert gateway.stats.replayed_ops > 0
             # Life goes on, replicated: ingest, flush, full parity, and
@@ -256,3 +268,85 @@ def test_checkpoint_deferred_while_victim_rebuilds():
             await gateway.close()
 
     asyncio.run(body())
+
+
+def _ingest(service, oracle, texts):
+    for text in texts:
+        oracle.add_document(service.add_document(text), text.split())
+
+
+def _assert_oracle(service, oracle, context):
+    for query in QUERIES:
+        got = service.search_boolean(query).doc_ids
+        assert got == oracle.search_boolean(query), (context, query)
+
+
+def _worker_queries(service) -> dict[int, int]:
+    """Reads each replica's worker process has evaluated so far."""
+    return {
+        w["replica"]: w["queries"] for w in service.gateway_stats()["workers"]
+    }
+
+
+@pytest.mark.slow
+def test_immediate_tier_rebuilt_replica_rejoins_the_rotation():
+    """Kill between flushes on the immediate tier, no flush afterwards:
+    the rebuilt replica is eligible again and takes its share of the
+    reads, so the *other* replica can die next — every answer, unflushed
+    documents included, equal to the brute-force oracle."""
+    service = GatewayService(
+        crash_config(), shards=1, replicas=2, read_tier="immediate"
+    )
+    try:
+        oracle = BruteForceIndex()
+        _ingest(service, oracle, DOCS[:5])
+        service.flush_and_publish()
+        _ingest(service, oracle, DOCS[5:8])  # acknowledged, unflushed
+        rs = service.gateway._sets[0]
+        repl = service.gateway.repl
+        for round_, victim in enumerate((0, 1), start=1):
+            service.kill_replica(0, victim)
+            # The rotation lands on the corpse within two reads and
+            # fails over inline.
+            _assert_oracle(service, oracle, f"kill r{victim}")
+            service.wait_for_recovery()
+            assert repl.rebuilds_completed == round_
+            assert all(map(rs.eligible, rs.replicas)), rs.describe()
+            failovers = repl.read_failovers
+            before = _worker_queries(service)
+            _assert_oracle(service, oracle, f"rebuilt r{victim}")  # 2k reads
+            assert repl.read_failovers == failovers
+            after = _worker_queries(service)
+            assert all(after[j] > before[j] for j in (0, 1)), (before, after)
+        assert repl.reads_waited_for_rebuild == 0
+        assert repl.replica_divergences == 0
+        assert service.check().ok
+    finally:
+        service.close()
+
+
+@pytest.mark.slow
+def test_immediate_tier_unreplicated_read_after_rebuild_sees_unflushed():
+    """k=1 on the immediate tier: the read that finds the corpse waits
+    out checkpoint restore + replay and then answers with the document
+    acknowledged since the last flush — the replay rebuilt the worker's
+    buffer, so nothing has to wait for a flush."""
+    service = GatewayService(
+        crash_config(), shards=1, replicas=1, read_tier="immediate"
+    )
+    try:
+        oracle = BruteForceIndex()
+        _ingest(service, oracle, DOCS[:5])
+        service.flush_and_publish()
+        _ingest(service, oracle, ["quince zucchini"])  # unflushed
+        service.kill_replica(0, 0)
+        assert service.search_boolean("zucchini").doc_ids == [5]
+        assert service.gateway.repl.reads_waited_for_rebuild == 1
+        service.wait_for_recovery()
+        rs = service.gateway._sets[0]
+        assert rs.eligible(rs.replicas[0])
+        _assert_oracle(service, oracle, "k=1 rebuilt")
+        assert service.search_boolean("zucchini").doc_ids == [5]
+        assert service.check().ok
+    finally:
+        service.close()

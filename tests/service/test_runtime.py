@@ -249,7 +249,7 @@ def test_kill_on_crash_dies_at_the_first_crash():
     try:
         process.call("add_document", "apple banana", None)
         with pytest.raises(WorkerDied):
-            process.call("flush", False, False)
+            process.call("flush", False)
         process.process.join(timeout=10.0)
         assert process.process.exitcode == -signal.SIGKILL
     finally:

@@ -183,7 +183,6 @@ class TestBatchMessages:
                 wire.Response(1, False, error="ValueError: nope"),
             ),
             version=7,
-            mem_epoch=2,
         )
         assert roundtrip(reply) == reply
         assert reply.responses[0].ok and not reply.responses[1].ok
