@@ -1,4 +1,4 @@
-"""Extension X-rebalance — online shard split/merge under a skewed
+"""Extension X-rebalance — online shard split under a skewed
 open loop.
 
 Two arms over the *same* skewed document stream (~6 of 7 documents
@@ -155,7 +155,6 @@ async def _arm(rebalance: bool) -> dict:
             "rebalance": rebalance,
             "divergences": divergences,
             "splits": gateway.rebalance.splits,
-            "merges": gateway.rebalance.merges,
             "docs_moved": gateway.rebalance.docs_moved,
             "cutover_seconds": round(
                 gateway.rebalance.cutover_seconds, 4

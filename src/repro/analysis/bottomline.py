@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..core.policy import Policy, Style
+from ..core.policy import Policy
 from .reporting import format_table
 
 
@@ -116,13 +116,3 @@ def comparison_table(measurements: list[PolicyMeasurement]) -> str:
         rows,
         title="Update time vs query time vs space (paper §5.4)",
     )
-
-
-def expected_style(preference: Preference) -> Style:
-    """The style family §5.4's prose recommends per preference — used by
-    tests to check the data-driven choice agrees with the paper."""
-    return {
-        Preference.UPDATE_TIME: Style.NEW,
-        Preference.QUERY_TIME: Style.WHOLE,
-        Preference.BALANCED: Style.NEW,  # new-with-reserve or fill
-    }[preference]

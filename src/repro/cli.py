@@ -12,7 +12,6 @@ Seven subcommands cover the library's main entry points::
         query; prints matching doc ids (= ingest order) and the I/O cost.
 
     repro experiment [--policy SPEC ...] [--days N] [--scale S] [--exercise]
-                     [--shards N] [--doc-skew S]
                      [--inject-faults] [--fault-rate R] [--fault-seed S]
         Run the paper's pipeline on the synthetic News workload and print
         the evaluation metrics.  ``--policy`` may repeat: the long-list
@@ -55,7 +54,7 @@ Seven subcommands cover the library's main entry points::
         and ``--coalesce`` single-flights identical concurrent queries.
         ``--doc-skew`` pins explicit doc ids onto Zipf-drawn target
         shards, and ``--rebalance`` (gateway only) answers the skew with
-        online shard splits/merges cut over at flush boundaries.
+        online shard splits cut over at flush boundaries.
 
     repro check INDEX.ckpt
         Load a checkpointed index and verify the dual-structure
@@ -209,61 +208,14 @@ def _print_run(policy: Policy, run, fault_plan, args, exercise: bool) -> None:
             print(f"exercise: INFEASIBLE ({run.exercise.reason})")
 
 
-def _run_sharded_experiment(args, experiment, policies) -> int:
-    from .pipeline.sharding import ShardedExperiment
-
-    sharded = ShardedExperiment(
-        experiment, args.shards, router_seed=args.router_seed
-    )
-    for i, policy in enumerate(policies):
-        if i:
-            print()
-        report = sharded.run_policy(policy)
-        print(f"policy:               {report.policy}")
-        skew = (
-            f", doc skew {report.doc_skew}" if report.doc_skew else ""
-        )
-        print(f"shards:               {report.nshards} "
-              f"(router seed {report.router_seed}{skew})")
-        print(f"long-list I/O total:  {report.io_ops_total:,}")
-        print(f"critical-path I/O:    {report.io_ops_critical_path:,} "
-              f"(parallel speedup {report.parallel_speedup:.2f}x)")
-        print(f"avg reads per list:   {report.avg_reads_per_list:.2f}")
-        print(f"long-list utilization {report.utilization:.1%}")
-        print(f"imbalance (max/mean): docs {report.doc_imbalance:.2f}x, "
-              f"I/O {report.io_imbalance:.2f}x "
-              f"(one split of the hottest shard -> "
-              f"{report.doc_imbalance_post_split:.2f}x)")
-        for m in report.shards:
-            print(
-                f"  shard {m.shard}: {m.io_ops:>9,} io ops, "
-                f"util {m.utilization:.1%}, "
-                f"reads/list {m.avg_reads_per_list:.2f}, "
-                f"{m.npostings:,} postings, {m.ndocs:,} docs"
-            )
-    return 0
-
-
 def cmd_experiment(args) -> int:
     fault_plan = _fault_plan_from_args(args)
     policies = args.policy or [Policy.recommended_new()]
     config = ExperimentConfig(
-        workload=SyntheticNewsConfig(
-            days=args.days, scale=args.scale, doc_skew=args.doc_skew
-        ),
+        workload=SyntheticNewsConfig(days=args.days, scale=args.scale),
         fault_plan=fault_plan,
     )
     experiment = Experiment(config)
-    if args.shards > 1:
-        # Document-partitioned pipeline (one full run per shard); the
-        # default --shards 1 stays on the exact single-volume path below.
-        if args.exercise or args.inject_faults:
-            print(
-                "note: --shards ignores --exercise/--inject-faults "
-                "(the sharded pipeline reports the I/O cost model only)",
-                file=sys.stderr,
-            )
-        return _run_sharded_experiment(args, experiment, policies)
     exercise = args.exercise or args.inject_faults
     runs = experiment.run_policies(policies, exercise=exercise)
     for i, policy in enumerate(policies):
@@ -422,10 +374,9 @@ def cmd_serve_bench(args) -> int:
                 f"{len(scheduler['pending'])} still queued)"
             )
         reb = gw.get("rebalance", {})
-        if reb.get("enabled") or reb.get("splits") or reb.get("merges"):
+        if reb.get("enabled") or reb.get("splits"):
             print(
                 f"rebalance:        {reb['splits']} splits, "
-                f"{reb['merges']} merges, "
                 f"{reb['docs_moved']} docs moved "
                 f"(cutover {reb['cutover_seconds'] * 1e3:.1f} ms total), "
                 f"routing epoch {reb['routing_epoch']}, "
@@ -565,28 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--days", type=int, default=73)
     p_exp.add_argument("--scale", type=float, default=1.0)
     p_exp.add_argument("--exercise", action="store_true")
-    p_exp.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="document-hash shards; > 1 runs one pipeline per shard and "
-        "aggregates (1 = the single-volume pipeline, unchanged)",
-    )
-    p_exp.add_argument(
-        "--router-seed",
-        type=int,
-        default=0,
-        help="seed perturbing the doc-id shard hash",
-    )
-    p_exp.add_argument(
-        "--doc-skew",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="Zipf exponent skewing document placement across shards "
-        "(shard 0 hottest; 0 = uniform hashing; with --shards > 1 the "
-        "report adds max/mean doc and I/O imbalance)",
-    )
     add_fault_args(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -703,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--rebalance",
         action="store_true",
-        help="let the gateway split hot shards and merge cold ones "
-        "online when live-doc imbalance exceeds --rebalance-threshold "
+        help="let the gateway split hot shards online when live-doc "
+        "imbalance exceeds --rebalance-threshold "
         "(requires --gateway; cutovers land at flush boundaries and "
         "the report grows a 'rebalance:' line)",
     )

@@ -63,10 +63,6 @@ class BitReader:
         self._data = data
         self._pos = 0  # absolute bit position
 
-    @property
-    def remaining_bits(self) -> int:
-        return len(self._data) * 8 - self._pos
-
     def read_bit(self) -> int:
         if self._pos >= len(self._data) * 8:
             raise ValueError("bit stream exhausted")

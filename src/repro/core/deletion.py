@@ -76,9 +76,6 @@ class DeletionManager:
             self.index.delta.note_deletions()
         self.deleted.add(doc_id)
 
-    def is_deleted(self, doc_id: int) -> bool:
-        return doc_id in self.deleted
-
     def filter(self, doc_ids: Sequence[int]) -> list[int]:
         """Drop deleted documents from a query answer (paper: "filter any
         answer to a query through this list")."""

@@ -77,10 +77,6 @@ class DeltaJournal:
         """A bucket's resident short lists changed."""
         self.dirty_buckets.add(bucket_id)
 
-    def note_block(self, disk_id: int, block: int) -> None:
-        """A single stored block was written or freed."""
-        self.dirty_blocks.add((disk_id, block))
-
     def note_blocks(self, disk_id: int, start: int, nblocks: int) -> None:
         """A contiguous block range was written or freed."""
         add = self.dirty_blocks.add
@@ -132,15 +128,3 @@ class DeltaJournal:
         self.structure_changed = False
         self.recovered = False
         self.batches = 0
-
-    def summary(self) -> dict:
-        """Diagnostic view used in publish traces and tests."""
-        return {
-            "dirty_words": len(self.dirty_words),
-            "dirty_buckets": len(self.dirty_buckets),
-            "dirty_blocks": len(self.dirty_blocks),
-            "deletions_changed": self.deletions_changed,
-            "structure_changed": self.structure_changed,
-            "recovered": self.recovered,
-            "batches": self.batches,
-        }

@@ -213,10 +213,6 @@ class MemTier:
     def epoch(self) -> int:
         return self._epoch
 
-    @property
-    def base(self):
-        return self._base
-
     def view(self) -> MemTierView:
         """Capture one consistent read view (no locks).
 

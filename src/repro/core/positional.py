@@ -37,10 +37,6 @@ class Region(enum.IntFlag):
     ABSTRACT = 4
     AUTHOR = 8
 
-    @classmethod
-    def all_regions(cls) -> "Region":
-        return cls.BODY | cls.TITLE | cls.ABSTRACT | cls.AUTHOR
-
 
 @dataclass(frozen=True)
 class PositionalPosting:

@@ -197,8 +197,6 @@ class RebalancePolicy:
     min_docs: int = 64
     #: Never split a shard holding fewer live docs than this.
     min_shard_docs: int = 16
-    #: Merge a shard holding less than this fraction of the mean.
-    merge_threshold: float = 0.25
     #: Hard ceiling on active shards (0 = unlimited).
     max_shards: int = 16
     #: Flush rounds to sit out after a structural move (lets the moved
@@ -208,8 +206,6 @@ class RebalancePolicy:
     def __post_init__(self) -> None:
         if self.max_imbalance <= 1.0:
             raise ValueError("max_imbalance must be > 1.0")
-        if not 0.0 <= self.merge_threshold < 1.0:
-            raise ValueError("merge_threshold must be in [0, 1)")
         if self.min_docs < 0 or self.min_shard_docs < 0:
             raise ValueError("doc floors must be >= 0")
         if self.max_shards < 0:
@@ -219,14 +215,14 @@ class RebalancePolicy:
 
 
 class RebalancePlanner(RebuildScheduler):
-    """A rebuild scheduler that also plans shard splits and merges.
+    """A rebuild scheduler that also plans shard splits.
 
     Extends :class:`RebuildScheduler` so a gateway runs *one* scheduler:
     bucket-growth grants keep their FIFO staggering (inherited
     unchanged), and :meth:`plan` adds at most one structural move per
     eligible flush round.  Deterministic on purpose — the plan depends
     only on the policy and the observed count history, so replaying the
-    same ingest reproduces the same split/merge schedule.
+    same ingest reproduces the same split schedule.
     """
 
     def __init__(
@@ -238,7 +234,6 @@ class RebalancePlanner(RebuildScheduler):
         self.policy = policy or RebalancePolicy()
         self._cooldown_left = 0
         self.planned_splits = 0
-        self.planned_merges = 0
 
     @staticmethod
     def imbalance(counts) -> float:
@@ -255,13 +250,13 @@ class RebalancePlanner(RebuildScheduler):
             return 0.0
         return max(live) / (total / len(live))
 
-    def plan(self, counts: dict) -> tuple | None:
-        """At most one structural move for this flush round.
+    def plan(self, counts: dict) -> int | None:
+        """At most one split for this flush round.
 
         ``counts`` maps each *active* shard id to its live-doc count.
-        Returns ``("split", victim)``, ``("merge", src, dst)`` (merge
-        the smallest shard into the second smallest), or ``None``.
-        Each returned move starts the cooldown clock.
+        Returns the shard to split (the hottest, once it exceeds the
+        imbalance bound) or ``None``.  A returned victim starts the
+        cooldown clock.
         """
         policy = self.policy
         if self._cooldown_left > 0:
@@ -279,14 +274,7 @@ class RebalancePlanner(RebuildScheduler):
         ):
             self._cooldown_left = policy.cooldown
             self.planned_splits += 1
-            return ("split", victim)
-        if len(counts) > 2:
-            order = sorted(counts, key=lambda s: (counts[s], s))
-            smallest, second = order[0], order[1]
-            if counts[smallest] < policy.merge_threshold * mean:
-                self._cooldown_left = policy.cooldown
-                self.planned_merges += 1
-                return ("merge", smallest, second)
+            return victim
         return None
 
     def as_dict(self) -> dict:
@@ -294,7 +282,6 @@ class RebalancePlanner(RebuildScheduler):
         out.update(
             {
                 "planned_splits": self.planned_splits,
-                "planned_merges": self.planned_merges,
                 "cooldown_left": self._cooldown_left,
             }
         )

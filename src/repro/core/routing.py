@@ -10,18 +10,16 @@ identity owners) reproduces ``shard_of`` routing *exactly*, so a stack
 built on the table behaves frame-for-frame like the static router until
 the first rebalance.
 
-Two structural moves change the map (each bumps ``epoch``):
-
-* **split(victim, new_shard)** — halve the victim's slot set and hand the
-  upper half to a new shard.  When the victim owns a single slot the
-  table first *refines*: ``nslots`` doubles and ``owners'[j] =
-  owners[j % n]``.  Refinement is routing-preserving because the mix is
-  computed once over the full 64-bit state and only reduced mod
-  ``nslots``: for ``nslots' = 2n``, ``(mix mod 2n) mod n == mix mod n``,
-  so every document stays on its shard and only the *granularity* of
-  ownership changes.
-* **merge(src, dst)** — reassign every slot of ``src`` to ``dst``,
-  retiring ``src``.
+One structural move changes the map (and bumps ``epoch``):
+**split(victim, new_shard)** halves the victim's slot set and hands the
+upper half to a new shard.  When the victim owns a single slot the
+table first *refines*: ``nslots`` doubles and ``owners'[j] =
+owners[j % n]``.  Refinement is routing-preserving because the mix is
+computed once over the full 64-bit state and only reduced mod
+``nslots``: for ``nslots' = 2n``, ``(mix mod 2n) mod n == mix mod n``,
+so every document stays on its shard and only the *granularity* of
+ownership changes.  The collection only grows, so nothing hands slots
+back: there is no merge (DESIGN.md §17).
 
 The epoch is the routing half of the serving stack's version vector: a
 cached answer or an incremental checkpoint stamped with epoch *e* is
@@ -174,24 +172,3 @@ class RoutingTable:
         return RoutingTable(
             self.epoch + 1, table.seed, table.nslots, tuple(owners)
         )
-
-    def merge(self, src: int, dst: int) -> "RoutingTable":
-        """Reassign every slot of ``src`` to ``dst``, retiring ``src``."""
-        if src == dst:
-            raise ValueError("cannot merge a shard into itself")
-        if not self.slots_of(src):
-            raise ValueError(f"shard {src} owns no slots")
-        if not self.slots_of(dst):
-            raise ValueError(f"shard {dst} owns no slots")
-        owners = tuple(
-            dst if owner == src else owner for owner in self.owners
-        )
-        return RoutingTable(self.epoch + 1, self.seed, self.nslots, owners)
-
-    def reassign(self, mapping: dict[int, int]) -> "RoutingTable":
-        """Rewrite shard ids wholesale (``old id -> new id``) without
-        changing which documents live together — used by callers that
-        rebuild shard storage under new ids (e.g. a merge that builds a
-        brand-new union shard)."""
-        owners = tuple(mapping.get(owner, owner) for owner in self.owners)
-        return RoutingTable(self.epoch + 1, self.seed, self.nslots, owners)

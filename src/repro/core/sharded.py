@@ -45,7 +45,6 @@ from ..query import vector as vector_query
 from ..query.vector import ScoredDocument
 from ..textindex import QueryAnswer, TextDocumentIndex
 from .checkpoint import CheckpointError
-from .deletion import SweepStats
 from .index import BatchResult, IndexConfig
 from .invariants import InvariantReport, Violation
 from .rebalance import RebuildScheduler
@@ -71,18 +70,6 @@ class ShardDeltaVector:
     @property
     def deletions_changed(self) -> bool:
         return any(j.deletions_changed for j in self.journals)
-
-    @property
-    def structure_changed(self) -> bool:
-        return any(j.structure_changed for j in self.journals)
-
-    @property
-    def requires_full(self) -> bool:
-        return any(j.requires_full for j in self.journals)
-
-    @property
-    def batches(self) -> int:
-        return sum(j.batches for j in self.journals)
 
     def clear(self) -> None:
         for journal in self.journals:
@@ -144,13 +131,8 @@ class ShardedTextIndex:
         # flushed: survives a sibling shard's crash so recovery resumes
         # instead of redoing finished shards.
         self._inflight: dict[int, BatchResult] = {}
-        self._last_read_ops = 0
 
     # -- identity ---------------------------------------------------------
-
-    @property
-    def nshards(self) -> int:
-        return len(self.shards)
 
     @property
     def ndocs(self) -> int:
@@ -176,10 +158,6 @@ class ShardedTextIndex:
         if any(journal is None for journal in journals):
             return None
         return ShardDeltaVector(journals)
-
-    @property
-    def needs_recovery(self) -> bool:
-        return any(shard.needs_recovery for shard in self.shards)
 
     @property
     def routing_epoch(self) -> int:
@@ -222,22 +200,6 @@ class ShardedTextIndex:
             )
         self.shards[self.route(doc_id)].delete_document(doc_id)
         self._deleted.add(doc_id)
-
-    def sweep_deletions(
-        self, max_lists: int | None = None
-    ) -> list[SweepStats]:
-        """Run the reclamation sweep on every shard (``max_lists`` is a
-        per-shard budget); returns the per-shard stats.
-
-        Ids a shard's sweep physically reclaimed leave the global
-        user-deletion set too, matching the single-volume contract
-        (paper §3: after a sweep the deleted list can be thrown away).
-        """
-        before = [set(shard.deletions.deleted) for shard in self.shards]
-        stats = [shard.sweep_deletions(max_lists) for shard in self.shards]
-        for prior, shard in zip(before, self.shards):
-            self._deleted -= prior - shard.deletions.deleted
-        return stats
 
     # -- flushing ---------------------------------------------------------
 
@@ -371,44 +333,6 @@ class ShardedTextIndex:
         self.routing = table
         return new_id
 
-    def merge_shards(self, src: int, dst: int) -> None:
-        """Merge ``src``'s slice into ``dst``, retiring ``src``.
-
-        Per-volume posting lists require ascending doc-id inserts, so
-        the union cannot be built by appending ``src``'s documents onto
-        ``dst``.  Instead both volumes :meth:`export
-        <repro.textindex.TextDocumentIndex.export_documents>` their live
-        documents and a fresh union volume re-indexes the interleaved
-        stream in global doc-id order.  ``dst``'s slot takes the union;
-        ``src``'s slot is left as an empty volume owning no routing
-        slots (shard ids are stable indices)."""
-        table = self.routing.merge(src, dst)
-        src_vol, dst_vol = self.shards[src], self.shards[dst]
-        for vol in (src_vol, dst_vol):
-            if len(vol.index.memory):
-                vol.flush_batch()
-        union = TextDocumentIndex(
-            dst_vol.index.config,
-            tokenizer_config=dst_vol.tokenizer_config,
-            region_rules=dst_vol.region_rules,
-        )
-        for doc_id, text in sorted(
-            src_vol.export_documents() + dst_vol.export_documents()
-        ):
-            union.add_document(text, doc_id=doc_id)
-        # Exports omit postings-free documents; restore the doc-id
-        # watermark so later deletions of such ids stay valid.
-        union.index._next_doc_id = max(src_vol.ndocs, dst_vol.ndocs)
-        if len(union.index.memory):
-            union.flush_batch()
-        self.shards[dst] = union
-        self.shards[src] = TextDocumentIndex(
-            src_vol.index.config,
-            tokenizer_config=src_vol.tokenizer_config,
-            region_rules=src_vol.region_rules,
-        )
-        self.routing = table
-
     # -- publication ------------------------------------------------------
 
     def _empty_copy(self) -> "ShardedTextIndex":
@@ -423,7 +347,6 @@ class ShardedTextIndex:
         copy._deleted = set(self._deleted)
         copy._holes = set(self._holes)
         copy._inflight = {}
-        copy._last_read_ops = 0
         return copy
 
     def clone(self) -> "ShardedTextIndex":
@@ -547,7 +470,6 @@ class ShardedTextIndex:
         # documents that moved shards but are globally alive.
         dead = self._deleted
         docs = [d for d in docs if d not in dead] if dead else list(docs)
-        self._last_read_ops = counter[0]
         return QueryAnswer(doc_ids=docs, read_ops=counter[0])
 
     def search_streamed(self, query: str) -> QueryAnswer:
@@ -559,7 +481,6 @@ class ShardedTextIndex:
         docs, read_ops = scatter.gather_answers(
             [(a.doc_ids, a.read_ops) for a in answers]
         )
-        self._last_read_ops = read_ops
         return QueryAnswer(doc_ids=docs, read_ops=read_ops)
 
     def search_vector(
@@ -579,12 +500,7 @@ class ShardedTextIndex:
         ranked = vector_query.rank(
             weights, fetch, self.ndocs, top_k=top_k
         )
-        self._last_read_ops = counter[0]
         return ranked, counter[0]
-
-    @property
-    def last_read_ops(self) -> int:
-        return self._last_read_ops
 
     # -- introspection ----------------------------------------------------
 

@@ -13,13 +13,6 @@ from .experiment import Experiment, ExperimentConfig, PolicyRun, default_scale
 from .invert import InvertIndexProcess
 from .profiling import HitMissCounters, StageTimings
 from .rebuild import PeriodicRebuildBaseline, RebuildResult
-from .sharding import (
-    ShardedExperiment,
-    ShardedPolicyReport,
-    ShardRunMetrics,
-    split_update,
-    split_updates,
-)
 from .stats import CorpusStats, corpus_stats
 
 __all__ = [
@@ -41,13 +34,8 @@ __all__ = [
     "PeriodicRebuildBaseline",
     "PolicyRun",
     "RebuildResult",
-    "ShardRunMetrics",
-    "ShardedExperiment",
-    "ShardedPolicyReport",
     "StageTimings",
     "build_content_index",
     "corpus_stats",
     "default_scale",
-    "split_update",
-    "split_updates",
 ]

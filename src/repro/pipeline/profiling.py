@@ -48,10 +48,6 @@ class StageTimings:
         """Total seconds recorded for a stage (0.0 if never entered)."""
         return self.seconds.get(stage, 0.0)
 
-    @property
-    def total(self) -> float:
-        return sum(self.seconds.values())
-
     def as_dict(self) -> dict[str, float]:
         """JSON-ready ``{stage: seconds}`` map, rounded for stable diffs."""
         return {

@@ -90,10 +90,6 @@ class BruteForceIndex:
         frozen.ndocs = self.ndocs
         return frozen
 
-    def words(self) -> list[str]:
-        """All indexed words, sorted (query-generation support)."""
-        return sorted(self._lists)
-
 
 def materialized_blocks(index, words: Sequence[str]) -> int:
     """Disk blocks the *materialized* evaluator would decode for ``words``.

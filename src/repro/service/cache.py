@@ -146,7 +146,7 @@ class QueryResultCache:
         advance) drops the entry instead of serving it.  Callers on a
         rebalancable topology prefix the vector with the routing-table
         epoch (:attr:`IndexSnapshot.version_vector`), so an answer
-        computed before a shard split or merge — same per-shard
+        computed before a shard split — same per-shard
         counters, different document placement — can never be served
         after one: the epoch component (or the vector length itself)
         disagrees.

@@ -191,14 +191,6 @@ class WorkerProcess:
         self._seq = itertools.count(1)
         self._lock = threading.RLock()
 
-    @property
-    def pid(self) -> int | None:
-        return self.process.pid
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
     def take_socket(self) -> socket.socket:
         """Hand the socket to an async owner (disables sync ``call``)."""
         sock, self.sock = self.sock, None
@@ -239,12 +231,6 @@ class WorkerProcess:
             f"shard {self.spec.shard_id} {method}: {response.error}"
         )
 
-    def kill(self) -> None:
-        """SIGKILL the worker (the chaos battery's murder weapon)."""
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join(timeout=10.0)
-
     def close(self, graceful: bool = True) -> None:
         """Shut the worker down and reap the process."""
         if graceful and self.sock is not None and self.process.is_alive():
@@ -284,7 +270,7 @@ class GatewaySnapshot:
     #: compares one (:mod:`repro.service.replication`).
     mem_epochs: tuple[int, ...] = ()
     #: Routing-table epoch the boundary was published under.  A shard
-    #: split or merge bumps it (and the snapshot id), so any identity
+    #: split bumps it (and the snapshot id), so any identity
     #: comparison over this token distinguishes pre- and post-rebalance
     #: boundaries even when per-shard counters happen to coincide.
     routing_epoch: int = 0
@@ -314,18 +300,16 @@ class GatewayStats:
 
 @dataclass
 class RebalanceStats:
-    """Online split/merge counters (``gateway_stats["rebalance"]``)."""
+    """Online split counters (``gateway_stats["rebalance"]``)."""
 
     #: Shard splits completed (victim slice halved onto a new shard).
     splits: int = 0
-    #: Shard merges completed (two shards rebuilt as one union shard).
-    merges: int = 0
-    #: Live documents relocated across all structural moves.
+    #: Live documents relocated across all splits.
     docs_moved: int = 0
-    #: Total seconds readers could observe a relocation overlap (split:
-    #: routing flip → victim tombstone publish; merge: the synchronous
-    #: cutover block).  Answers stay exact throughout — the scatter
-    #: merges dedupe — this measures the window, not an outage.
+    #: Total seconds readers could observe a relocation overlap (routing
+    #: flip → victim tombstone publish).  Answers stay exact throughout
+    #: — the scatter merges dedupe — this measures the window, not an
+    #: outage.
     cutover_seconds: float = 0.0
     last_cutover_seconds: float = 0.0
     #: max/mean live-doc imbalance at the last planner sample.
@@ -334,7 +318,6 @@ class RebalanceStats:
     def as_dict(self) -> dict:
         return {
             "splits": self.splits,
-            "merges": self.merges,
             "docs_moved": self.docs_moved,
             "cutover_seconds": round(self.cutover_seconds, 6),
             "last_cutover_seconds": round(self.last_cutover_seconds, 6),
@@ -574,7 +557,7 @@ class AsyncShardGateway:
         if rebalance and read_tier == "immediate":
             # The immediate tier reads workers' live write buffers; a
             # relocation would need those buffers migrated mid-epoch,
-            # which the split/merge protocol does not attempt.
+            # which the split protocol does not attempt.
             raise ValueError(
                 "online rebalance requires read_tier='snapshot'"
             )
@@ -611,8 +594,8 @@ class AsyncShardGateway:
         #: The versioned slice → shard map (epoch 0 routes exactly like
         #: the static ``shard_of``); structural moves publish successors.
         self.routing = RoutingTable.initial(shards, router_seed)
-        #: Shard ids currently serving (retired sets stay in ``_sets``
-        #: for in-flight readers but leave this list at cutover).
+        #: Shard ids currently serving: a split's new set is in
+        #: ``_sets`` from its spawn but joins this list only at cutover.
         self._active: list[int] = list(range(shards))
         #: Doc ids skipped by explicit-id ingest (skewed placement):
         #: they exist nowhere, so rebalance doc counts and relocation
@@ -629,7 +612,7 @@ class AsyncShardGateway:
         #: shard grows the round its trigger fires, PR 5 behavior).
         #: With rebalancing on, one RebalancePlanner plays both roles —
         #: growth grants keep their FIFO staggering and the same object
-        #: plans at most one split/merge per eligible flush round.
+        #: plans at most one split per eligible flush round.
         if rebalance:
             self.rebalance_planner = RebalancePlanner(
                 rebalance_policy or RebalancePolicy()
@@ -667,14 +650,6 @@ class AsyncShardGateway:
         #: evaluating and resolving its future, so the staleness-guard
         #: regression test can interleave a flush deterministically.
         self._coalesce_hold_s = 0.0
-
-    # -- PR 6 compatibility views -----------------------------------------
-
-    @property
-    def workers(self) -> list:
-        """Primary (replica 0) worker processes, one per shard — the PR 6
-        single-replica view the existing tests and tools address."""
-        return [rs.replicas[0].worker for rs in self._sets]
 
     @property
     def _checkpoints(self) -> list[bytes | None]:
@@ -1149,7 +1124,7 @@ class AsyncShardGateway:
         for replica in rs.replicas:
             replica.log_pos = 0
 
-    # -- rebalancing (online split / merge) --------------------------------
+    # -- rebalancing (online split) ----------------------------------------
 
     def _refresh_published(self) -> None:
         """Rebuild the published version vector from the active sets'
@@ -1177,13 +1152,9 @@ class AsyncShardGateway:
             return
         counts = self._shard_doc_counts()
         self.rebalance.last_imbalance = planner.imbalance(counts)
-        action = planner.plan(counts)
-        if action is None:
-            return
-        if action[0] == "split":
-            await self._split_locked(action[1])
-        else:
-            await self._merge_locked(action[1], action[2])
+        victim = planner.plan(counts)
+        if victim is not None:
+            await self._split_locked(victim)
 
     async def split_shard(self, victim: int) -> int:
         """Split ``victim``'s hash slice onto a new shard, online.
@@ -1191,37 +1162,22 @@ class AsyncShardGateway:
         Returns the new shard's id.  Reads keep serving throughout: the
         answer stream is exact at every instant (see ``_split_locked``).
         """
-        if self.read_tier == "immediate":
-            raise ValueError(
-                "online rebalance requires read_tier='snapshot'"
-            )
         async with self._writer_lock:
             return await self._split_locked(victim)
 
-    async def merge_shards(self, src: int, dst: int) -> int:
-        """Merge shards ``src`` and ``dst`` into one new union shard,
-        online; returns the union shard's id."""
-        if self.read_tier == "immediate":
-            raise ValueError(
-                "online rebalance requires read_tier='snapshot'"
-            )
-        async with self._writer_lock:
-            return await self._merge_locked(src, dst)
-
-    async def _boundary_call(self, rs: ReplicaSet, method: str):
-        """One read of a shard's boundary state — ``checkpoint`` (a
-        fresh blob) or ``export_documents`` (its live ``(doc_id, text)``
-        pairs) — with failover across replicas (writer lock held, so
-        every healthy replica is at the same boundary)."""
+    async def _boundary_checkpoint(self, rs: ReplicaSet) -> bytes:
+        """A fresh checkpoint blob of a shard's boundary state, with
+        failover across replicas (writer lock held, so every healthy
+        replica is at the same boundary)."""
         for replica in rs.replicas:
             if replica.state is not ReplicaState.HEALTHY:
                 continue
             try:
-                return await self._locked_rpc(replica, method, ())
+                return await self._locked_rpc(replica, "checkpoint", ())
             except self._DEATH:
                 self._note_death(rs, replica)
         replica = await self._await_any_rebuild(rs)
-        return await self._locked_rpc(replica, method, ())
+        return await self._locked_rpc(replica, "checkpoint", ())
 
     async def _journal_and_apply(self, rs: ReplicaSet, op: tuple) -> None:
         rs.oplog.append(op)
@@ -1239,11 +1195,10 @@ class AsyncShardGateway:
             self._refresh_published()
             self._snapshot_id += 1
 
-    def _spawned_set(
-        self, new_id: int, restore: bytes | None
-    ) -> ReplicaSet:
+    def _spawned_set(self, new_id: int, restore: bytes) -> ReplicaSet:
         """A ReplicaSet for a brand-new shard id (not yet spawned or
-        registered), specs derived from shard 0's base config."""
+        registered) restored from ``restore``, specs derived from shard
+        0's base config."""
         base = dc_replace(
             self._sets[0].replicas[0].spec,
             shard_id=new_id,
@@ -1277,12 +1232,19 @@ class AsyncShardGateway:
         No step loses availability: every read throughout is served
         from published per-shard snapshots.
         """
+        if self.read_tier == "immediate":
+            # The one refusal at the move (the constructor holds the
+            # config-time one): a worker's live write buffer would have
+            # to migrate with the slice.
+            raise ValueError(
+                "online rebalance requires read_tier='snapshot'"
+            )
         if victim not in self._active:
             raise ValueError(f"shard {victim} is not an active shard")
         new_id = len(self._sets)
         table = self.routing.split(victim, new_id)
         vrs = self._sets[victim]
-        blob = await self._boundary_call(vrs, "checkpoint")
+        blob = await self._boundary_checkpoint(vrs)
         movers, stayers = [], []
         for doc_id in range(self._next_doc_id):
             if doc_id in self._deleted or doc_id in self._holes:
@@ -1319,68 +1281,6 @@ class AsyncShardGateway:
         await self._checkpoint_shard(new_id)
         self.rebalance.splits += 1
         self.rebalance.docs_moved += len(movers)
-        self.rebalance.cutover_seconds += window
-        self.rebalance.last_cutover_seconds = window
-        return new_id
-
-    async def _merge_locked(self, src: int, dst: int) -> int:
-        """The merge protocol (writer lock held, at a flush boundary).
-
-        Both shards' live documents are exported (vocabulary-scan text
-        reconstruction at the worker — exact because postings are
-        word-per-document sets), replayed in ascending doc-id order into
-        a brand-new union shard, and flushed there; the cutover then
-        atomically publishes a routing table whose slots all point at
-        the union shard and retires both sources.  Readers in flight
-        finish against the retired sets (their processes stay up); new
-        reads scatter to the union shard, whose content is identical to
-        the pair's at this frozen boundary.
-        """
-        if src == dst:
-            raise ValueError("cannot merge a shard with itself")
-        for shard_id in (src, dst):
-            if shard_id not in self._active:
-                raise ValueError(
-                    f"shard {shard_id} is not an active shard"
-                )
-        new_id = len(self._sets)
-        table = self.routing.reassign({src: new_id, dst: new_id})
-        exports: dict[int, str] = {}
-        for shard_id in (src, dst):
-            exports.update(
-                await self._boundary_call(
-                    self._sets[shard_id], "export_documents"
-                )
-            )
-        rs = self._spawned_set(new_id, None)
-        await asyncio.gather(*(self._spawn(r) for r in rs.replicas))
-        self._sets.append(rs)
-        for doc_id in sorted(exports):
-            await self._journal_and_apply(
-                rs, ("add", doc_id, exports[doc_id])
-            )
-        # Exports omit postings-free documents; pad the union shard's
-        # watermark so any later routed delete stays in range (an empty
-        # add carries no postings, so answers are unaffected).
-        head = self._next_doc_id
-        if head and (not exports or max(exports) != head - 1):
-            await self._journal_and_apply(rs, ("add", head - 1, ""))
-        await self._flush_set(new_id)
-        # -- cutover (synchronous: atomic w.r.t. the event loop) --
-        cut_started = time.perf_counter()
-        self.routing = table
-        self._active = [
-            i for i in self._active if i not in (src, dst)
-        ] + [new_id]
-        self.nshards = len(self._active)
-        self._sets[src].retired = True
-        self._sets[dst].retired = True
-        self._refresh_published()
-        self._snapshot_id += 1
-        window = time.perf_counter() - cut_started
-        await self._checkpoint_shard(new_id)
-        self.rebalance.merges += 1
-        self.rebalance.docs_moved += len(exports)
         self.rebalance.cutover_seconds += window
         self.rebalance.last_cutover_seconds = window
         return new_id
@@ -1954,15 +1854,6 @@ class GatewayService:
         returns the new shard id."""
         return self._run(self.gateway.split_shard(victim))
 
-    def merge_shards(self, src: int, dst: int) -> int:
-        """Merge two shards into a new union shard, online; returns the
-        union shard's id."""
-        return self._run(self.gateway.merge_shards(src, dst))
-
-    @property
-    def routing_epoch(self) -> int:
-        return self.gateway.routing.epoch
-
     # -- replication hooks ------------------------------------------------
 
     def kill_replica(self, shard: int, replica: int = 0) -> None:
@@ -2018,9 +1909,3 @@ class GatewayService:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=10.0)
             self._loop.close()
-
-    def __enter__(self) -> "GatewayService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

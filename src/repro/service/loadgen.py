@@ -35,9 +35,8 @@ Two arrival disciplines drive the readers:
 With ``doc_skew > 0`` the writer pins explicit doc ids whose hash lands
 on a Zipf-drawn target shard, concentrating document mass on the low
 shards; with ``rebalance=True`` (gateway only) the gateway's planner
-answers that skew with online shard splits and merges at flush
-boundaries, and the report's ``gateway.rebalance`` section records the
-moves.
+answers that skew with online shard splits at flush boundaries, and
+the report's ``gateway.rebalance`` section records them.
 
 With ``gateway=True`` the service is a multi-process
 :class:`~repro.service.gateway.GatewayService` (one worker process per
@@ -163,8 +162,9 @@ class LoadConfig:
     #: Zipf-drawn target shard (shard 0 hottest).  0 = off — writer
     #: assigned sequential ids, byte-identical to the unskewed path.
     doc_skew: float = 0.0
-    #: Let the gateway split hot shards / merge cold ones online when
-    #: per-shard live-doc skew exceeds the planner bound (gateway only).
+    #: Let the gateway split hot shards online when per-shard live-doc
+    #: skew exceeds the planner bound (gateway only; the gateway refuses
+    #: it on the immediate tier).
     rebalance: bool = False
     #: Planner bound: split when max/mean imbalance exceeds this.
     rebalance_threshold: float = 1.5
@@ -238,13 +238,8 @@ class LoadConfig:
             raise ValueError("doc_skew must be >= 0")
         if self.rebalance and not self.gateway:
             raise ValueError(
-                "online rebalancing runs in the gateway's split/merge "
+                "online rebalancing runs in the gateway's split "
                 "protocol; set gateway=True for rebalance"
-            )
-        if self.rebalance and self.read_tier == "immediate":
-            raise ValueError(
-                "rebalance cutovers are defined at publish boundaries; "
-                "the immediate tier serves between them"
             )
         if self.rebalance_threshold <= 1.0:
             raise ValueError("rebalance_threshold must be > 1.0")

@@ -152,11 +152,6 @@ class ReplicaSet:
         #: Published version-vector entry for this shard; rotation
         #: excludes replicas trailing it.
         self.expected_version = 0
-        #: A rebalance merged or moved this shard's slice away: the set
-        #: stays alive for reads pinned to pre-cutover routing epochs
-        #: but receives no writes, flushes, or checkpoints, and the
-        #: planner never picks it again.
-        self.retired = False
         self._cursor = 0
 
     @property
@@ -230,7 +225,6 @@ class ReplicaSet:
             ],
             "oplog": len(self.oplog),
             "expected_version": self.expected_version,
-            "retired": self.retired,
         }
 
 

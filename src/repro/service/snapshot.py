@@ -67,7 +67,7 @@ class IndexSnapshot:
         self.shard_versions = index.shard_versions
         # The routing-table epoch the snapshot was published under (0
         # for single volumes and never-rebalanced sharded writers).  A
-        # split/merge moves documents between shards, so per-shard batch
+        # split moves documents between shards, so per-shard batch
         # counters alone no longer identify the state — the epoch rides
         # ahead of them in :attr:`version_vector`.
         self.routing_epoch = getattr(index, "routing_epoch", 0)
@@ -79,18 +79,8 @@ class IndexSnapshot:
         """The cache-identity vector: routing epoch, then the per-shard
         batch counters.  Equal vectors imply the same routing topology
         *and* the same per-shard states, so a cached answer keyed on
-        this vector can never survive a split or merge."""
+        this vector can never survive a split."""
         return (self.routing_epoch,) + tuple(self.shard_versions)
-
-    @classmethod
-    def publish_from(
-        cls,
-        writer: "IndexShard",
-        snapshot_id: int,
-        reference: "BruteForceIndex | None" = None,
-    ) -> "IndexSnapshot":
-        """Copy-on-publish: clone ``writer`` at its batch boundary."""
-        return cls(writer.clone(), snapshot_id, reference=reference)
 
     # -- retrieval (thread-safe: no shared accounting) --------------------
 

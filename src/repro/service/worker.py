@@ -442,14 +442,6 @@ class ShardWorker:
             "nbuckets": self.writer.index.buckets.nbuckets,
         }
 
-    def export_documents(self) -> list:
-        """The writer's live documents reconstructed from its postings
-        (see :meth:`TextDocumentIndex.export_documents`) — the gateway's
-        relocation source when merging this shard into a sibling.  Call
-        at a batch boundary (the gateway merges right after a flush
-        round, so the writer is always flushed here)."""
-        return self.writer.export_documents()
-
     def check(self):
         """Invariant-check the *published* snapshot (what readers see)."""
         return self.runtime.published.check()
@@ -492,7 +484,6 @@ DISPATCH = {
     "eval_vector": "eval_vector",
     "search_streamed": "search_streamed",
     "versioned_read": "versioned_read",
-    "export_documents": "export_documents",
     "check": "check",
     "buffer_stats": "buffer_stats",
     "debug_sleep": "debug_sleep",

@@ -142,8 +142,3 @@ class LayeredBlocks:
 
     def __len__(self) -> int:
         return len(self._materialize())
-
-    @property
-    def depth(self) -> int:
-        """Number of stacked layers, base included (tests/diagnostics)."""
-        return len(self._layers)

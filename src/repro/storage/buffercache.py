@@ -107,12 +107,3 @@ class BlockBufferCache:
                 fresh._entries[(disk, start)] = entry
                 fresh._used_blocks += span
         return fresh
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def used_blocks(self) -> int:
-        with self._lock:
-            return self._used_blocks

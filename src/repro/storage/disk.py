@@ -40,18 +40,6 @@ class DiskCounters:
     seeks: int = 0
     sequential_hits: int = 0
 
-    def snapshot(self) -> "DiskCounters":
-        """An independent copy (for per-batch deltas)."""
-        return DiskCounters(
-            self.reads,
-            self.writes,
-            self.blocks_read,
-            self.blocks_written,
-            self.busy_s,
-            self.seeks,
-            self.sequential_hits,
-        )
-
 
 class SimulatedDisk:
     """One disk: allocator + head-position timing model + optional payloads.

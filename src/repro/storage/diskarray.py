@@ -112,10 +112,6 @@ class DiskArray:
         return sum(d.profile.nblocks for d in self.disks)
 
     @property
-    def free_blocks(self) -> int:
-        return sum(d.free_blocks for d in self.disks)
-
-    @property
     def allocated_blocks(self) -> int:
         return sum(d.allocated_blocks for d in self.disks)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 
 class OpKind(enum.Enum):
@@ -126,10 +126,6 @@ class IOTrace:
     def append(self, op: TraceOp) -> None:
         """Append one operation to the current (open) batch."""
         self._ops.append(op)
-
-    def extend(self, ops: Iterable[TraceOp]) -> None:
-        for op in ops:
-            self.append(op)
 
     def end_batch(self) -> None:
         """Close the current batch (empty batches are recorded too)."""

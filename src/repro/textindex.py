@@ -197,11 +197,6 @@ class TextDocumentIndex:
         postings, read_ops = self.index.fetch(word_id)
         return self.deletions.filter(postings.doc_ids), read_ops
 
-    def _fetch(self, word: str) -> list[int]:
-        docs, read_ops = self.fetch_postings(word)
-        self._last_read_ops += read_ops
-        return docs
-
     def _counted_fetch(self, counter: list[int]):
         """A fetcher whose read-op total lives in ``counter`` — query
         accounting stays local to the call so published clones can serve
@@ -334,43 +329,6 @@ class TextDocumentIndex:
     def last_read_ops(self) -> int:
         """Read operations charged by the most recent search."""
         return self._last_read_ops
-
-    def export_documents(self) -> list[tuple[int, str]]:
-        """Reconstruct every live document as ``(doc_id, text)``, sorted.
-
-        The rebalancer's relocation primitive: a shard merge rebuilds a
-        union volume by re-adding the source volumes' documents in
-        ascending doc-id order, and this is where the documents come
-        from.  The index stores postings, not document text, so each
-        document is *reconstructed* from the inverted lists — a
-        vocabulary scan collecting, for each live document, the words
-        whose (deletion-filtered) posting lists contain it.  That loses
-        word order and multiplicity, but the index never kept either
-        (one posting per distinct word, paper §4.2), and re-tokenizing
-        the space-joined word set yields the identical posting set:
-        vocabulary words are maximal lowercase letter/digit runs, so
-        they round-trip through the tokenizer unchanged and cannot form
-        an ignored ``Date:``-style header line.
-
-        Requires a flushed index (pending in-memory batches are not
-        visible to :meth:`fetch_postings`) and a non-positional
-        configuration (offsets and regions are not reconstructible from
-        a word set).
-        """
-        if self.index.config.positional:
-            raise RuntimeError(
-                "export_documents requires a non-positional index: "
-                "word order cannot be reconstructed from postings"
-            )
-        docs: dict[int, list[str]] = {}
-        for word in self.vocabulary.words():
-            doc_ids, _ = self.fetch_postings(word)
-            for doc_id in doc_ids:
-                docs.setdefault(doc_id, []).append(word)
-        return [
-            (doc_id, " ".join(sorted(words)))
-            for doc_id, words in sorted(docs.items())
-        ]
 
     # -- introspection -----------------------------------------------------------
 

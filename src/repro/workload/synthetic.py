@@ -57,12 +57,6 @@ class SyntheticNewsConfig:
     interrupted_day: int = 31
     interrupted_factor: float = 0.04
     seed: int = 1994
-    #: Zipf exponent skewing document *placement* across shards in the
-    #: document-partitioned pipeline (shard 0 hottest; 0 = uniform
-    #: hashing).  The corpus itself is unchanged — the skew is consumed
-    #: by :func:`repro.pipeline.sharding.split_updates` and mirrors the
-    #: serving layer's ``doc_skew`` workload knob.
-    doc_skew: float = 0.0
 
     def __post_init__(self) -> None:
         if self.days <= 0 or self.docs_per_day <= 0:
@@ -73,8 +67,6 @@ class SyntheticNewsConfig:
             raise ValueError("zipf_s must be > 1 for the unbounded law")
         if not 0 <= self.interrupted_day:
             raise ValueError("interrupted_day must be >= 0")
-        if self.doc_skew < 0:
-            raise ValueError("doc_skew must be >= 0")
 
 
 class SyntheticNews:

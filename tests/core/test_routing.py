@@ -1,5 +1,5 @@
 """RoutingTable properties: the epoch-0 ≡ ``shard_of`` contract, the
-routing-preserving refinement, and the split/merge/reassign moves.
+routing-preserving refinement, and the split move.
 
 The load-bearing claim is the degenerate-epoch equivalence: every layer
 that replaced a raw ``shard_of`` call with ``table.route`` must behave
@@ -103,43 +103,6 @@ class TestSplit:
         table = RoutingTable.initial(2, 0)
         with pytest.raises(ValueError, match="owns no slots"):
             table.split(7, 9)
-
-
-class TestMergeAndReassign:
-    def test_merge_redirects_all_src_routes(self):
-        table = RoutingTable.initial(4, 0)
-        after = table.merge(3, 1)
-        assert after.epoch == 1
-        assert 3 not in after.shard_ids
-        for doc_id in range(2000):
-            want = table.route(doc_id)
-            assert after.route(doc_id) == (1 if want == 3 else want)
-
-    def test_merge_validations(self):
-        table = RoutingTable.initial(3, 0)
-        with pytest.raises(ValueError, match="into itself"):
-            table.merge(1, 1)
-        with pytest.raises(ValueError, match="owns no slots"):
-            table.merge(9, 0)
-        with pytest.raises(ValueError, match="owns no slots"):
-            table.merge(0, 9)
-
-    def test_reassign_keeps_partition_shape(self):
-        """Rewriting ids moves no document relative to its cohabitants:
-        two docs share a shard before iff they share one after."""
-        table = RoutingTable.initial(3, 0)
-        after = table.reassign({0: 5, 2: 5})
-        assert after.epoch == 1
-        for doc_id in range(500):
-            before = table.route(doc_id)
-            assert after.route(doc_id) == {0: 5, 2: 5}.get(before, before)
-
-    def test_split_then_merge_restores_routes(self):
-        table = RoutingTable.initial(3, 0)
-        after = table.split(1, 3).merge(3, 1)
-        assert after.epoch == 2
-        for doc_id in range(2000):
-            assert after.route(doc_id) == table.route(doc_id)
 
 
 class TestIdentity:

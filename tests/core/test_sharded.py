@@ -106,7 +106,7 @@ class TestConstruction:
         )
         sharded = build_text_index(small_config(), shards=3)
         assert isinstance(sharded, ShardedTextIndex)
-        assert sharded.nshards == 3
+        assert len(sharded.shards) == 3
         assert isinstance(sharded, IndexShard)
 
     def test_satisfies_protocol(self):
@@ -205,7 +205,6 @@ class TestCrashRecovery:
         # Only the faulty shard needs recovery; its siblings either
         # completed (result parked in the in-flight table) or never
         # started — none of them rolled anything back.
-        assert index.needs_recovery
         assert not index.shards[0].needs_recovery
         assert index.shards[1].needs_recovery
         assert not index.shards[2].needs_recovery
@@ -214,7 +213,7 @@ class TestCrashRecovery:
 
         result = index.recover(replay=True)
         assert result is not None
-        assert not index.needs_recovery
+        assert not any(s.needs_recovery for s in index.shards)
         assert index.batches == 1
 
         # Completed siblings were not re-flushed by the replay.
@@ -232,7 +231,7 @@ class TestCrashRecovery:
             index.flush_batch()
         index.recover(replay=False)
         assert index._inflight == {}
-        assert not index.needs_recovery
+        assert not any(s.needs_recovery for s in index.shards)
 
     def test_recover_requires_crash_safe(self):
         index = ShardedTextIndex(small_config(), shards=2)

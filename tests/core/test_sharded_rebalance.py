@@ -1,11 +1,10 @@
-"""In-process split/merge differential: a ShardedTextIndex that
-rebalances mid-stream answers identically to the brute-force oracle.
+"""In-process split differential: a ShardedTextIndex that rebalances
+mid-stream answers identically to the brute-force oracle.
 
-The structural moves relocate documents (clone + tombstones for a
-split, export + re-index for a merge), so the risk surface is answer
-corruption: a mover answered twice, a stayer lost, a complement
-computed over the wrong universe.  The battery interleaves splits and
-merges with adds and deletes and re-checks full query parity after
+A split relocates documents (clone + tombstones), so the risk surface
+is answer corruption: a mover answered twice, a stayer lost, a
+complement computed over the wrong universe.  The battery interleaves
+splits with adds and deletes and re-checks full query parity after
 every step.
 """
 
@@ -117,28 +116,6 @@ class TestSplitDifferential:
         _check(index, oracle)
 
 
-class TestMergeDifferential:
-    def test_merge_preserves_all_answers(self):
-        index = ShardedTextIndex(small_config(), shards=3, router_seed=2)
-        oracle = BruteForceIndex()
-        docs = [
-            {1 + (i % 4), 1 + ((i * 3) % 6), 1 + ((i * 5) % 8)}
-            for i in range(18)
-        ]
-        _ingest(index, oracle, docs)
-        index.delete_document(5)
-        oracle.delete_document(5)
-        index.flush_batch()
-        index.merge_shards(2, 1)
-        assert index.routing_epoch == 1
-        _check(index, oracle)
-        # Post-merge traffic still routes correctly.
-        index.add_document("wa wb wc")
-        oracle.add_document(18, ["wa", "wb", "wc"])
-        index.flush_batch()
-        _check(index, oracle)
-
-
 @settings(
     max_examples=6,
     deadline=None,
@@ -152,28 +129,19 @@ class TestMergeDifferential:
     ),
     shards=st.sampled_from([2, 3]),
     seed=st.sampled_from([0, 97]),
-    moves=st.lists(
-        st.sampled_from(["split", "merge"]), min_size=1, max_size=3
-    ),
+    nsplits=st.integers(min_value=1, max_value=3),
 )
-def test_random_move_sequences_match_oracle(docs, shards, seed, moves):
-    """Any planner-shaped sequence of splits and merges, interleaved
-    with ingest, preserves full differential parity."""
+def test_random_move_sequences_match_oracle(docs, shards, seed, nsplits):
+    """Any planner-shaped sequence of splits, interleaved with ingest,
+    preserves full differential parity."""
     index = ShardedTextIndex(small_config(), shards=shards, router_seed=seed)
     oracle = BruteForceIndex()
     _ingest(index, oracle, docs)
     next_id = len(docs)
-    for move in moves:
+    for _ in range(nsplits):
         counts = index.shard_doc_counts()
-        active = list(index.routing.shard_ids)
-        if move == "split":
-            victim = max(active, key=lambda s: counts[s])
-            index.split_shard(victim)
-        else:
-            if len(active) < 3:
-                continue  # keep >= 2 shards, like the planner does
-            order = sorted(active, key=lambda s: counts[s])
-            index.merge_shards(order[0], order[1])
+        victim = max(index.routing.shard_ids, key=lambda s: counts[s])
+        index.split_shard(victim)
         _check(index, oracle)
         text = "wa wb"
         index.add_document(text)
@@ -215,13 +183,10 @@ class TestPlannerDriven:
             counts = {
                 s: all_counts[s] for s in index.routing.shard_ids
             }
-            move = planner.plan(counts)
-            if move is None:
+            victim = planner.plan(counts)
+            if victim is None:
                 break
-            if move[0] == "split":
-                index.split_shard(move[1])
-            else:
-                index.merge_shards(move[1], move[2])
+            index.split_shard(victim)
             _check(index, oracle)
         all_counts = index.shard_doc_counts()
         after = RebalancePlanner.imbalance(

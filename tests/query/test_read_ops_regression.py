@@ -108,7 +108,7 @@ def test_vector_accumulates_same_units(index):
 
 
 def test_served_path_reports_identical_units(index):
-    snapshot = IndexSnapshot.publish_from(index, snapshot_id=1)
+    snapshot = IndexSnapshot(index.clone(), snapshot_id=1)
     for query in ("hot", "cold", "hot AND cold", "(hot OR cold) AND warm"):
         assert (
             snapshot.search_boolean(query).read_ops

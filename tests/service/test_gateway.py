@@ -178,8 +178,8 @@ class TestFailover:
             # Unflushed tail: these live only in worker memory + oplog.
             await gateway.add_document("papaya quince apple")
             local.add_document("papaya quince apple")
-            gateway.workers[0].process.kill()
-            gateway.workers[1].process.kill()
+            gateway._sets[0].replicas[0].worker.process.kill()
+            gateway._sets[1].replicas[0].worker.process.kill()
             answer = await gateway.search_boolean("apple AND banana")
             want = local.search_boolean("apple AND banana")
             assert answer.doc_ids == want.doc_ids
@@ -205,7 +205,7 @@ class TestFailover:
                 local.flush_batch()
             # checkpoint_every=2: flush 3's ops are still in the log.
             assert any(len(rs.oplog) for rs in gateway._sets)
-            gateway.workers[0].process.kill()
+            gateway._sets[0].replicas[0].worker.process.kill()
             answer = await gateway.search_streamed("banana AND cherry")
             want = local.search_streamed("banana AND cherry")
             assert answer.doc_ids == want.doc_ids

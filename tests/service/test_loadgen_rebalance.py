@@ -33,14 +33,17 @@ class TestConfigValidation:
             LoadConfig(shards=2, rebalance=True)
 
     def test_rebalance_rejects_immediate_tier(self):
-        with pytest.raises(ValueError, match="publish boundaries"):
-            LoadConfig(
-                shards=2,
-                gateway=True,
-                verify=False,
-                read_tier="immediate",
-                rebalance=True,
-            )
+        """The refusal is the gateway's (DESIGN.md §17): the generator
+        hits it building its service, before any worker spawns."""
+        config = LoadConfig(
+            shards=2,
+            gateway=True,
+            verify=False,
+            read_tier="immediate",
+            rebalance=True,
+        )
+        with pytest.raises(ValueError, match="requires read_tier"):
+            LoadGenerator(config)
 
     def test_threshold_must_exceed_one(self):
         with pytest.raises(ValueError, match="rebalance_threshold"):

@@ -1,15 +1,12 @@
-"""Gateway online split/merge battery: answers stay byte-identical to
-the in-process sharded index and the brute-force oracle while shards
-split and merge under live traffic, and the move survives replica
-death mid-protocol.
+"""Gateway online split battery: answers stay byte-identical to the
+in-process sharded index and the brute-force oracle while shards split
+under live traffic, and the move survives replica death mid-protocol.
 
 The protocol under test (DESIGN.md §17): a split checkpoints the
 victim at a flush boundary, spawns the new shard from the blob,
 tombstones each side's foreign half, and cuts the routing table over
 *flip-first* — the overlap window where both shards hold the movers is
-exactly what the gateway's unique-merge collapses.  A merge exports
-both shards and re-indexes a brand-new union shard, so its cutover has
-no overlap at all.
+exactly what the gateway's unique-merge collapses.
 """
 
 from __future__ import annotations
@@ -84,6 +81,19 @@ def _docs(n, stride=5):
     ]
 
 
+def _worker_processes(gateway):
+    """Every replica set is an active shard's (nothing retires a set)
+    and each runs ``replicas`` live processes; returns them so the
+    caller can assert ``close()`` reaped every one."""
+    assert len(gateway._sets) == len(gateway._active)
+    processes = [
+        r.worker.process for rs in gateway._sets for r in rs.replicas
+    ]
+    live = sum(p.is_alive() for p in processes)
+    assert live == len(gateway._active) * gateway.replicas
+    return processes
+
+
 async def _ingest(gateway, local, oracle, docs, start=0):
     for i, words in enumerate(docs):
         text = " ".join(_word(w) for w in sorted(words))
@@ -114,6 +124,7 @@ class TestSplitMergeDifferential:
                 new_id = await gateway.split_shard(victim)
                 assert local.split_shard(victim) == new_id
                 assert gateway.routing.epoch == 1
+                processes = _worker_processes(gateway)
                 await _compare(gateway, local, oracle)
                 # Post-split traffic routes under the new epoch.
                 for i, words in enumerate(_docs(6, stride=3), start=20):
@@ -132,66 +143,7 @@ class TestSplitMergeDifferential:
                 assert gateway.rebalance.docs_moved > 0
             finally:
                 await gateway.close()
-
-        asyncio.run(body())
-
-    def test_merge_during_traffic_matches_oracle(self):
-        async def body():
-            gateway = AsyncShardGateway(
-                small_config(), shards=3, replicas=1, router_seed=2
-            )
-            await gateway.start()
-            try:
-                local = ShardedTextIndex(
-                    small_config(), shards=3, router_seed=2
-                )
-                oracle = BruteForceIndex()
-                await _ingest(gateway, local, oracle, _docs(18))
-                counts = gateway._shard_doc_counts()
-                order = sorted(counts, key=counts.get)
-                src, dst = order[0], order[1]
-                await gateway.merge_shards(src, dst)
-                assert gateway.routing.epoch == 1
-                assert gateway.rebalance.merges == 1
-                # The local index merges in place (dst keeps its id); the
-                # gateway rebuilds a union shard under a fresh id.  Both
-                # must keep answering like the oracle.
-                local.merge_shards(src, dst)
-                await _compare(gateway, local, oracle)
-                for i, words in enumerate(_docs(5, stride=4), start=18):
-                    text = " ".join(_word(w) for w in sorted(words))
-                    await gateway.add_document(text)
-                    local.add_document(text)
-                    oracle.add_document(i, text.split())
-                await gateway.flush()
-                local.flush_batch()
-                await _compare(gateway, local, oracle)
-            finally:
-                await gateway.close()
-
-        asyncio.run(body())
-
-    def test_split_then_merge_round_trip(self):
-        async def body():
-            gateway = AsyncShardGateway(
-                small_config(), shards=2, replicas=1, router_seed=0
-            )
-            await gateway.start()
-            try:
-                local = ShardedTextIndex(
-                    small_config(), shards=2, router_seed=0
-                )
-                oracle = BruteForceIndex()
-                await _ingest(gateway, local, oracle, _docs(16))
-                new_id = await gateway.split_shard(0)
-                local.split_shard(0)
-                await _compare(gateway, local, oracle)
-                await gateway.merge_shards(new_id, 0)
-                local.merge_shards(2, 0)
-                assert gateway.routing.epoch == 2
-                await _compare(gateway, local, oracle)
-            finally:
-                await gateway.close()
+            assert not any(p.is_alive() for p in processes)
 
         asyncio.run(body())
 
@@ -221,11 +173,13 @@ class TestChaos:
                 local.split_shard(victim)
                 assert new_id == 2
                 await gateway.quiesce()
+                processes = _worker_processes(gateway)
                 await _compare(gateway, local, oracle)
                 assert gateway.repl.reads_waited_for_rebuild == 0
                 assert (await gateway.check()).ok
             finally:
                 await gateway.close()
+            assert not any(p.is_alive() for p in processes)
 
         asyncio.run(body())
 
@@ -273,8 +227,10 @@ class TestPlannerDriven:
                 assert gateway.rebalance.splits >= 1
                 assert gateway.routing.epoch >= 1
                 assert gateway.repl.reads_waited_for_rebuild == 0
+                processes = _worker_processes(gateway)
             finally:
                 await gateway.close()
+            assert not any(p.is_alive() for p in processes)
 
         asyncio.run(body())
 
@@ -326,7 +282,7 @@ class TestGuardsAndStats:
             assert service.snapshot().routing_epoch == 0
             assert service.gateway_stats()["routing_epoch"] == 0
             service.split_shard(0)
-            assert service.routing_epoch == 1
+            assert service.gateway.routing.epoch == 1
             assert service.snapshot().routing_epoch == 1
             stats = service.gateway_stats()
             assert stats["routing_epoch"] == 1

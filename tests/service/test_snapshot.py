@@ -33,7 +33,7 @@ def writer():
 
 class TestPublication:
     def test_snapshot_matches_writer_at_publish(self, writer):
-        snapshot = IndexSnapshot.publish_from(writer, snapshot_id=1)
+        snapshot = IndexSnapshot(writer.clone(), snapshot_id=1)
         assert snapshot.snapshot_id == 1
         assert snapshot.ndocs == 3
         assert snapshot.batch == 1
@@ -41,7 +41,7 @@ class TestPublication:
         assert snapshot.search_streamed("red OR blue").doc_ids == [0, 1, 2]
 
     def test_snapshot_isolated_from_later_ingest(self, writer):
-        snapshot = IndexSnapshot.publish_from(writer, snapshot_id=1)
+        snapshot = IndexSnapshot(writer.clone(), snapshot_id=1)
         writer.add_document("red panda naps")
         writer.flush_batch()
         # The writer sees the new document; the snapshot must not.
@@ -50,21 +50,21 @@ class TestPublication:
         assert snapshot.ndocs == 3
 
     def test_snapshot_isolated_from_later_deletion(self, writer):
-        snapshot = IndexSnapshot.publish_from(writer, snapshot_id=1)
+        snapshot = IndexSnapshot(writer.clone(), snapshot_id=1)
         writer.delete_document(0)
         assert writer.search_boolean("red").doc_ids == [1]
         assert snapshot.search_boolean("red").doc_ids == [0, 1]
 
     def test_snapshot_carries_deletions_made_before_publish(self, writer):
         writer.delete_document(1)
-        snapshot = IndexSnapshot.publish_from(writer, snapshot_id=2)
+        snapshot = IndexSnapshot(writer.clone(), snapshot_id=2)
         assert snapshot.search_boolean("red").doc_ids == [0]
         assert snapshot.search_streamed("red").doc_ids == [0]
 
     def test_publish_requires_batch_boundary(self, writer):
         writer.add_document("pending doc")
         with pytest.raises(Exception):
-            IndexSnapshot.publish_from(writer, snapshot_id=1)
+            IndexSnapshot(writer.clone(), snapshot_id=1)
 
     def test_reference_attachment(self, writer):
         reference = BruteForceIndex()
@@ -72,8 +72,8 @@ class TestPublication:
             ["red fox runs", "red hen sits", "blue fox swims"]
         ):
             reference.add_document(doc_id, text.split())
-        snapshot = IndexSnapshot.publish_from(
-            writer, snapshot_id=1, reference=reference.freeze()
+        snapshot = IndexSnapshot(
+            writer.clone(), snapshot_id=1, reference=reference.freeze()
         )
         q = "red AND fox"
         assert snapshot.search_boolean(q).doc_ids == (
@@ -83,7 +83,7 @@ class TestPublication:
 
 class TestSnapshotQueries:
     def test_boolean_read_ops_match_facade(self, writer):
-        snapshot = IndexSnapshot.publish_from(writer, snapshot_id=1)
+        snapshot = IndexSnapshot(writer.clone(), snapshot_id=1)
         for q in ("red AND fox", "(red OR blue) AND fox", "red AND NOT hen"):
             want = writer.search_boolean(q)
             got = snapshot.search_boolean(q)
@@ -91,7 +91,7 @@ class TestSnapshotQueries:
             assert got.read_ops == want.read_ops, q
 
     def test_streamed_answers_and_ops_match_facade(self, writer):
-        snapshot = IndexSnapshot.publish_from(writer, snapshot_id=1)
+        snapshot = IndexSnapshot(writer.clone(), snapshot_id=1)
         for q in ("red AND fox", "red OR blue", "fox"):
             want = writer.search_streamed(q)
             got = snapshot.search_streamed(q)
@@ -99,7 +99,7 @@ class TestSnapshotQueries:
             assert got.read_ops == want.read_ops, q
 
     def test_vector_matches_facade(self, writer):
-        snapshot = IndexSnapshot.publish_from(writer, snapshot_id=1)
+        snapshot = IndexSnapshot(writer.clone(), snapshot_id=1)
         weights = {"red": 2.0, "fox": 1.0}
         got = snapshot.search_vector(weights, top_k=3)
         want = writer.search_vector(weights, top_k=3)
@@ -108,7 +108,7 @@ class TestSnapshotQueries:
         ]
 
     def test_vector_counted_reports_read_ops(self, writer):
-        snapshot = IndexSnapshot.publish_from(writer, snapshot_id=1)
+        snapshot = IndexSnapshot(writer.clone(), snapshot_id=1)
         ranked, read_ops = snapshot.search_vector_counted({"red": 1.0})
         assert ranked
         assert read_ops >= 1
@@ -116,7 +116,7 @@ class TestSnapshotQueries:
     def test_queries_leave_no_shared_accounting(self, writer):
         """Two interleaved boolean evaluations must not bleed read ops
         into each other (the facade's last_read_ops pitfall)."""
-        snapshot = IndexSnapshot.publish_from(writer, snapshot_id=1)
+        snapshot = IndexSnapshot(writer.clone(), snapshot_id=1)
         baseline = snapshot.search_boolean("red AND fox").read_ops
         # Interleave: run a second query between fetches by nesting —
         # simplest equivalent is to re-run and verify stability.

@@ -133,7 +133,14 @@ class TestExperimentAndStats:
             assert "simulated build time" in block
 
     @pytest.mark.parametrize(
-        "argv", [["sweep"], ["experiment", "--jobs", "2"]]
+        "argv",
+        [
+            ["sweep"],
+            ["experiment", "--jobs", "2"],
+            ["experiment", "--shards", "2"],
+            ["experiment", "--router-seed", "1"],
+            ["experiment", "--doc-skew", "1.0"],
+        ],
     )
     def test_sweep_and_jobs_are_gone(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
