@@ -51,13 +51,6 @@ class UpdateSeries:
     def nupdates(self) -> int:
         return len(self.io_ops)
 
-    def final(self, name: str):
-        """The final-index value of a series (e.g. ``final('io_ops')``)."""
-        values = getattr(self, name)
-        if not values:
-            raise ValueError(f"series {name!r} is empty")
-        return values[-1]
-
 
 def increasing_slope(values: list[int] | list[float]) -> bool:
     """True when a cumulative series is convex-ish: the mean step in the

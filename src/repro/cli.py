@@ -28,7 +28,6 @@ Seven subcommands cover the library's main entry points::
                       [--grow-buckets] [--read-tier snapshot|immediate]
                       [--background-merge] [--arrival closed|open]
                       [--arrival-rate QPS] [--arrival-queries N]
-                      [--batch-size N] [--coalesce]
                       [--doc-skew S] [--rebalance]
                       [--rebalance-threshold X]
                       [--json PATH]
@@ -49,9 +48,7 @@ Seven subcommands cover the library's main entry points::
         checkpoint+oplog failover); ``--arrival open`` offers a
         deterministic Poisson schedule at ``--arrival-rate`` whose
         recorded latencies include queue wait.  Gateway reads issued in
-        the same event-loop tick share a frame of at most ``--batch-size``
-        members (``--batch-size 1`` restores the unbatched wire protocol)
-        and ``--coalesce`` single-flights identical concurrent queries.
+        the same event-loop tick share a batch frame per replica.
         ``--doc-skew`` pins explicit doc ids onto Zipf-drawn target
         shards, and ``--rebalance`` (gateway only) answers the skew with
         online shard splits cut over at flush boundaries.
@@ -275,8 +272,6 @@ def cmd_serve_bench(args) -> int:
         visibility_probes=True,
         replicas=args.replicas,
         grow_buckets=args.grow_buckets,
-        batch_size=args.batch_size,
-        coalesce=args.coalesce,
         doc_skew=args.doc_skew,
         rebalance=args.rebalance,
         rebalance_threshold=args.rebalance_threshold,
@@ -384,22 +379,11 @@ def cmd_serve_bench(args) -> int:
                 f"imbalance {reb['last_imbalance']:.2f}x"
             )
         batching = gw.get("batching", {})
-        if batching.get("batch_frames") or batching.get(
-            "single_read_frames"
-        ):
-            coalesced = ""
-            if batching.get("coalesce"):
-                coalesced = (
-                    f", coalesced {batching['coalesce_hits']} hits / "
-                    f"{batching['coalesce_misses']} misses "
-                    f"({batching['coalesce_stale_skips']} stale skips)"
-                )
+        if batching.get("batch_frames"):
             print(
                 f"batching:         {batching['batched_reads']} reads in "
                 f"{batching['batch_frames']} batch frames "
-                f"({batching['frames_saved']} frames saved, "
-                f"{batching['single_read_frames']} unbatched)"
-                f"{coalesced}"
+                f"({batching['frames_saved']} frames saved)"
             )
     else:
         print(
@@ -607,18 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2000,
         metavar="N",
         help="open-loop total scheduled arrivals",
-    )
-    p_serve.add_argument(
-        "--batch-size",
-        type=int,
-        default=16,
-        metavar="N",
-        help="gateway read micro-batch cap (1 = unbatched wire protocol)",
-    )
-    p_serve.add_argument(
-        "--coalesce",
-        action="store_true",
-        help="single-flight coalescing of identical concurrent queries",
     )
     p_serve.add_argument(
         "--doc-skew",

@@ -135,17 +135,6 @@ class BatchResult:
     io_ops: int
     in_place_updates: int
 
-    @property
-    def category_fractions(self) -> dict[WordCategory, float]:
-        """Figure 7's per-update fractions (all zero for an empty batch)."""
-        if self.nwords == 0:
-            return {c: 0.0 for c in WordCategory}
-        return {
-            WordCategory.NEW: self.new_words / self.nwords,
-            WordCategory.BUCKET: self.bucket_words / self.nwords,
-            WordCategory.LONG: self.long_words / self.nwords,
-        }
-
     @classmethod
     def total(cls, batch: int, results) -> "BatchResult":
         """Per-shard flush results summed into global batch ``batch``.

@@ -502,11 +502,6 @@ class ShardedTextIndex:
         )
         return ranked, counter[0]
 
-    # -- introspection ----------------------------------------------------
-
-    def document_frequency(self, word: str) -> int:
-        return sum(shard.document_frequency(word) for shard in self.shards)
-
 
 def build_text_index(
     config: IndexConfig | None = None,

@@ -126,10 +126,6 @@ class QueryResultCache:
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
         self._stats = CacheStats()
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def get(
         self,
         key: CacheKey,

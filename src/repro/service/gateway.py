@@ -6,7 +6,7 @@ each shard behind its own OS processes (:mod:`repro.service.worker`) and
 builds the serving front end on top:
 
 * :class:`WorkerProcess` — spawn/respawn one shard worker and its
-  socketpair; carries the synchronous request machinery.
+  socketpair.
 * :class:`AsyncShardGateway` — the asyncio front end: scatter-gather
   fan-out over all shards, **admission control** (a bounded wait queue
   that sheds load with :class:`GatewayOverloaded` once full),
@@ -26,34 +26,22 @@ builds the serving front end on top:
   generator and CLI drive in-process and multi-process serving through
   the same code.
 
-Read path (DESIGN.md §16): every query mode is *answer-level* — one
-member read per shard per query; the worker evaluates boolean, streamed
-and vector queries against its own postings and the gateway merges
-answers (a complementing ``NOT`` cut back to each shard's routed slice;
-vector replies carrying per-term df and candidates grouped by term
-bitmask, scored here once df is summed).  What remains per frame —
-pickle + syscall + dispatch, times shards × replicas — two layers
-amortize, changing only how reads *travel*, never what they evaluate
-against:
-
-* **Micro-batching** — each replica carries a :class:`_ReadBatcher`:
-  reads enqueued in one event-loop tick travel as one
-  :class:`~repro.service.wire.BatchRequest` frame, sent on the next
-  tick (``max_batch_size`` caps a frame).  There is no timed wait: a
-  query puts one member on one replica per shard, so a replica's queue
-  never gets deeper than the client concurrency, and no workload here
-  ever filled a frame far enough for a wait to pay (DESIGN.md §16).
-  The worker validates version/snapshot once per batch, evaluates every
-  member against that one pinned state, and isolates per-member errors;
-  deadlines and admission still account each member individually.
-  ``max_batch_size=1`` disables the layer entirely — the wire traffic
-  is then frame-for-frame identical to the unbatched protocol.
-* **Single-flight coalescing** (``coalesce=True``) — identical
-  concurrent evaluations, keyed on canonical (query, mode, read tier),
-  run once and fan the answer back out to every waiter.  A guard keyed
-  on the published version vector refuses to join a flight admitted
-  against an older vector than the waiter's own admission point, so a
-  coalesced answer can never be staler than the waiter is entitled to.
+Read path (DESIGN.md §16) — one protocol: every query mode is
+*answer-level*, a query puts one member read per active shard on the
+:class:`_ReadBatcher` of the replica its rotation picked, and members
+travel in :class:`~repro.service.wire.BatchRequest` frames — nothing
+else on the wire can read.  The worker evaluates boolean, streamed and
+vector queries against its own postings and the gateway merges answers
+(a complementing ``NOT`` cut back to each shard's routed slice; vector
+replies carrying per-term df and candidates grouped by term bitmask,
+scored here once df is summed).  Reads enqueued in one event-loop tick
+share a frame, sent on the next tick (:data:`MAX_FRAME_MEMBERS` caps
+it); there is no timed wait — a replica's queue never gets deeper than
+the client concurrency.  The worker validates version/snapshot once per
+frame, evaluates every member against that one pinned state, stamps the
+reply once, and isolates per-member errors; deadlines and admission
+account each member individually, and a deadline *abandons* an exchange
+— it never cancels one, so a stream stays framed.
 
 Consistency model: queries evaluate against each shard's *published*
 snapshot.  At a flush boundary (no flush in flight) the gateway's answers
@@ -188,56 +176,18 @@ class WorkerProcess:
         self.process.start()
         child.close()
         self.sock: socket.socket | None = parent
-        self._seq = itertools.count(1)
-        self._lock = threading.RLock()
 
     def take_socket(self) -> socket.socket:
-        """Hand the socket to an async owner (disables sync ``call``)."""
+        """Hand the socket to its async owner (the gateway's stream)."""
         sock, self.sock = self.sock, None
         if sock is None:
             raise RuntimeError("worker socket already taken")
         return sock
 
-    def call(self, method: str, *args, max_frame: int | None = None):
-        """Synchronous request/response (serialized per worker)."""
-        max_frame = max_frame or self.spec.max_frame
-        with self._lock:
-            if self.sock is None:
-                raise WorkerDied("worker socket detached or closed")
-            request_id = next(self._seq)
-            try:
-                wire.send_message(
-                    self.sock, wire.Request(request_id, method, args),
-                    max_frame,
-                )
-                while True:
-                    response = wire.recv_message(self.sock, max_frame)
-                    if response is None:
-                        raise WorkerDied(
-                            f"worker {self.spec.shard_id} closed the "
-                            f"connection during {method!r}"
-                        )
-                    if response.request_id != request_id:
-                        continue  # stale reply from an abandoned call
-                    break
-            except (ConnectionError, wire.TruncatedFrame) as exc:
-                raise WorkerDied(
-                    f"worker {self.spec.shard_id} died during "
-                    f"{method!r}: {exc}"
-                ) from exc
-        if response.ok:
-            return response.value
-        raise RemoteWorkerError(
-            f"shard {self.spec.shard_id} {method}: {response.error}"
-        )
-
-    def close(self, graceful: bool = True) -> None:
-        """Shut the worker down and reap the process."""
-        if graceful and self.sock is not None and self.process.is_alive():
-            try:
-                self.call("shutdown")
-            except GatewayError:
-                pass
+    def close(self) -> None:
+        """Drop the socket if nobody took it, stop the worker and reap
+        the process (a graceful ``shutdown`` is the stream owner's call
+        to make, before this)."""
         if self.sock is not None:
             self.sock.close()
             self.sock = None
@@ -327,28 +277,14 @@ class RebalanceStats:
 
 @dataclass
 class BatchingStats:
-    """Read-batching + coalescing counters (``gateway_stats["batching"]``).
+    """Read-batching counters (``gateway_stats["batching"]``)."""
 
-    ``single_read_frames`` counts reads that traveled the unbatched
-    ``versioned_read`` path (``max_batch_size=1``); with batching on it
-    stays 0, which is exactly what the frame-parity test pins.
-    """
-
-    #: Reads sent as standalone ``versioned_read`` frames.
-    single_read_frames: int = 0
     #: Batch envelopes sent (one frame each).
     batch_frames: int = 0
     #: Member reads carried inside those envelopes.
     batched_reads: int = 0
     #: Occurrences of each batch size, ``{size: count}``.
     histogram: dict = field(default_factory=dict)
-    #: Waiters served from an in-flight identical evaluation.
-    coalesce_hits: int = 0
-    #: Evaluations that ran because no joinable flight existed.
-    coalesce_misses: int = 0
-    #: Flights refused because their admission token trailed the
-    #: waiter's — the single-flight staleness guard firing.
-    coalesce_stale_skips: int = 0
 
     def record_batch(self, size: int) -> None:
         self.batch_frames += 1
@@ -363,7 +299,9 @@ class BatchingStats:
 
     def as_dict(self) -> dict:
         return {
-            "single_read_frames": self.single_read_frames,
+            # Pinned by benchmarks/harness/replica.py:236, which reads
+            # the key; no read travels outside a batch frame any more.
+            "single_read_frames": 0,
             "batch_frames": self.batch_frames,
             "batched_reads": self.batched_reads,
             "frames_saved": self.frames_saved,
@@ -371,16 +309,18 @@ class BatchingStats:
                 str(size): count
                 for size, count in sorted(self.histogram.items())
             },
-            "coalesce_hits": self.coalesce_hits,
-            "coalesce_misses": self.coalesce_misses,
-            "coalesce_stale_skips": self.coalesce_stale_skips,
         }
 
 
+#: Most member reads one batch frame carries; a replica's queue that
+#: reaches it within a tick is sent at once.
+MAX_FRAME_MEMBERS = 16
+
+
 def _retrieve(future) -> None:
-    """Done-callback marking a future's exception retrieved — batch
-    members and flights can outlive every waiter (deadline abandonment),
-    and an orphaned failure must not warn at GC time."""
+    """Done-callback marking a future's exception retrieved — a batch
+    member or an exchange can outlive every waiter (deadline
+    abandonment), and an orphaned failure must not warn at GC time."""
     if not future.cancelled():
         future.exception()
 
@@ -393,8 +333,8 @@ class _ReadBatcher:
     replica — lands in the same queue before the flush task runs, and
     travels as one frame.  The flusher sends on its first step, which
     the loop runs one tick after the enqueue that created it; a queue
-    that reaches ``max_batch_size`` within the tick is sent at once,
-    which is what bounds a frame.
+    that reaches :data:`MAX_FRAME_MEMBERS` within the tick is sent at
+    once, which is what bounds a frame.
     """
 
     def __init__(self, gateway: "AsyncShardGateway", replica: Replica):
@@ -410,7 +350,7 @@ class _ReadBatcher:
         future = loop.create_future()
         future.add_done_callback(_retrieve)
         self._queue.append((method, args, future))
-        if len(self._queue) >= self._gateway.max_batch_size:
+        if len(self._queue) >= MAX_FRAME_MEMBERS:
             batch, self._queue = self._queue, []
             loop.create_task(self._send(batch))
         elif self._flusher is None:
@@ -471,34 +411,6 @@ class _ReadBatcher:
                     future.set_exception(exc)
 
 
-class _Flight:
-    """One in-flight coalescible evaluation (a single-flight entry).
-
-    ``token`` is the admission token the leader was admitted against;
-    only waiters whose own token it covers may join (the staleness
-    guard).
-    """
-
-    __slots__ = ("token", "future")
-
-    def __init__(self, token: tuple, future: asyncio.Future) -> None:
-        self.token = token
-        self.future = future
-
-
-def _covers(flight_token: tuple, admission_token: tuple) -> bool:
-    """May a waiter admitted at ``admission_token`` join this flight?
-
-    Every token component is monotone (versions, epochs, counters), so
-    componentwise >= means the flight's answer reflects at least
-    everything the waiter's admission point is entitled to see.
-    """
-    return len(flight_token) == len(admission_token) and all(
-        mine >= theirs
-        for mine, theirs in zip(flight_token, admission_token)
-    )
-
-
 def _op_rpc(op: tuple) -> tuple[str, tuple]:
     """Translate one journaled op into its worker RPC."""
     if op[0] == "add":
@@ -535,7 +447,6 @@ class AsyncShardGateway:
         kill_on_crash: bool = False,
         max_frame: int = wire.DEFAULT_MAX_FRAME,
         read_tier: str = "snapshot",
-        max_batch_size: int = 16,
         coalesce: bool = False,
         rebalance: bool = False,
         rebalance_policy: RebalancePolicy | None = None,
@@ -552,8 +463,13 @@ class AsyncShardGateway:
             raise ValueError("shard_timeout_s must be > 0")
         if read_tier not in ("snapshot", "immediate"):
             raise ValueError("read_tier must be 'snapshot' or 'immediate'")
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
+        if coalesce is not False:
+            # Pinned by benchmarks/harness/workloads.py:335, which passes
+            # the keyword; the mechanism it named was tried and removed.
+            raise ValueError(
+                "single-flight coalescing was removed "
+                "(benchmarks/results/TRIAL_batching.txt)"
+            )
         if rebalance and read_tier == "immediate":
             # The immediate tier reads workers' live write buffers; a
             # relocation would need those buffers migrated mid-epoch,
@@ -561,8 +477,6 @@ class AsyncShardGateway:
             raise ValueError(
                 "online rebalance requires read_tier='snapshot'"
             )
-        self.max_batch_size = max_batch_size
-        self.coalesce = coalesce
         self.read_tier = read_tier
         self.nshards = shards
         self.replicas = replicas
@@ -644,12 +558,6 @@ class AsyncShardGateway:
         self.stats = GatewayStats()
         self.repl = ReplicationStats()
         self.batching = BatchingStats()
-        #: Single-flight table: coalesce key → in-flight evaluation.
-        self._flights: dict[tuple, _Flight] = {}
-        #: Debug knob: hold every flight leader this long between
-        #: evaluating and resolving its future, so the staleness-guard
-        #: regression test can interleave a flush deterministically.
-        self._coalesce_hold_s = 0.0
 
     @property
     def _checkpoints(self) -> list[bytes | None]:
@@ -708,8 +616,7 @@ class AsyncShardGateway:
                     pass
                 if replica.writer is not None:
                     replica.writer.close()
-                replica.worker.sock = None
-                replica.worker.close(graceful=False)
+                replica.worker.close()
                 replica.worker = None
 
     # -- RPC core ---------------------------------------------------------
@@ -732,17 +639,20 @@ class AsyncShardGateway:
         stream_writer.write(header)
         stream_writer.write(payload)
         await stream_writer.drain()
-        while True:
-            reply = await wire.read_message_async(
-                replica.reader, self.max_frame
+        reply = await wire.read_message_async(replica.reader, self.max_frame)
+        if reply is None:
+            raise WorkerDied(
+                f"{replica.name} closed the connection mid-exchange"
             )
-            if reply is None:
-                raise WorkerDied(
-                    f"{replica.name} closed the connection mid-exchange"
-                )
-            if reply.request_id == request_id:
-                return reply
-            # Any other id: a stale reply to a deadline-abandoned call.
+        if reply.request_id != request_id:
+            # No gateway path leaves a reply unread (deadlines abandon,
+            # they never cancel), so this is a stream out of step — a
+            # caller cancelled a gateway coroutine mid-exchange.
+            raise WorkerDied(
+                f"{replica.name} answered request {reply.request_id}, "
+                f"not {request_id}: the stream is out of step"
+            )
+        return reply
 
     async def _rpc(self, replica: Replica, method: str, args: tuple):
         """One method call on a replica (connection lock held as for
@@ -767,19 +677,22 @@ class AsyncShardGateway:
 
         The deadline covers the whole request: waiting for the replica's
         connection (a worker mid-flush queues its readers) plus
-        execution.  Death exceptions propagate raw — the caller decides
-        between sibling failover and rebuild-and-wait.
+        execution.  A call that runs over it is *abandoned, not
+        cancelled* — exactly like a batch member: the exchange finishes
+        under the replica's lock and reads its own reply, so the stream
+        stays framed for the next call.  Death exceptions propagate raw
+        — the caller decides between sibling failover and
+        rebuild-and-wait.
         """
-        try:
-            coro = self._locked_rpc(replica, method, args)
-            if timeout is not None:
-                return await asyncio.wait_for(coro, timeout)
-            return await coro
-        except asyncio.TimeoutError:
+        if timeout is None:
+            return await self._locked_rpc(replica, method, args)
+        call = asyncio.ensure_future(self._locked_rpc(replica, method, args))
+        call.add_done_callback(_retrieve)
+        await asyncio.wait((call,), timeout=timeout)
+        if not call.done():
             self.stats.deadline_exceeded += 1
-            raise ShardDeadlineExceeded(
-                (replica.shard_id,), method
-            ) from None
+            raise ShardDeadlineExceeded((replica.shard_id,), method)
+        return call.result()
 
     # -- failover ---------------------------------------------------------
 
@@ -823,8 +736,7 @@ class AsyncShardGateway:
                 if old is not None:
                     if replica.writer is not None:
                         replica.writer.close()
-                    old.sock = None
-                    old.close(graceful=False)
+                    old.close()
                     replica.worker = None
                 spec = replica.spec.respawn_spec()
                 spec.restore = rs.checkpoint
@@ -1129,8 +1041,7 @@ class AsyncShardGateway:
     def _refresh_published(self) -> None:
         """Rebuild the published version vector from the active sets'
         expected versions (the vector follows ``_active`` order, so a
-        cutover that changes the active set changes the vector's length
-        — which is itself an identity signal for ``_covers``)."""
+        cutover that changes the active set changes its length)."""
         self._published_versions = tuple(
             self._sets[i].expected_version for i in self._active
         )
@@ -1327,65 +1238,6 @@ class AsyncShardGateway:
     def _tier(self) -> str | None:
         return "immediate" if self.read_tier == "immediate" else None
 
-    # -- single-flight coalescing -----------------------------------------
-
-    def _admission_token(self) -> tuple:
-        """Everything a read's answer may depend on, each component
-        monotone: the publish counter and version vector (snapshot-tier
-        answers change only at a publish boundary) plus — on the
-        immediate tier — the live writer universe (doc-id head, deletion
-        count), since immediate answers reflect every acknowledged
-        write."""
-        token = (
-            self._snapshot_id,
-            self.routing.epoch,
-        ) + self._published_versions
-        if self.read_tier == "immediate":
-            token += (self._next_doc_id, len(self._deleted))
-        return token
-
-    async def _single_flight(self, key: tuple, run):
-        """Run ``run()`` once per concurrent identical evaluation.
-
-        A waiter joins an existing flight only when the flight's
-        admission token covers its own (:func:`_covers`) — the
-        correctness guard: a coalesced answer must never be stamped
-        older than the waiter's admission point.  A flight admitted
-        before a flush is therefore unjoinable after it, even while its
-        future is still unresolved.
-        """
-        if not self.coalesce:
-            return await run()
-        admission = self._admission_token()
-        flight = self._flights.get(key)
-        if flight is not None:
-            if _covers(flight.token, admission):
-                self.batching.coalesce_hits += 1
-                return await asyncio.shield(flight.future)
-            self.batching.coalesce_stale_skips += 1
-        self.batching.coalesce_misses += 1
-        future = asyncio.get_running_loop().create_future()
-        future.add_done_callback(_retrieve)
-        flight = _Flight(admission, future)
-        # Last-admitted wins the table slot: our token is the freshest,
-        # so later arrivals get the most joinable flight.
-        self._flights[key] = flight
-        try:
-            result = await run()
-        except BaseException as exc:
-            if not future.done():
-                future.set_exception(exc)
-            raise
-        else:
-            if self._coalesce_hold_s:
-                await asyncio.sleep(self._coalesce_hold_s)
-            if not future.done():
-                future.set_result(result)
-            return result
-        finally:
-            if self._flights.get(key) is flight:
-                del self._flights[key]
-
     async def _read_shard(
         self,
         i: int,
@@ -1417,34 +1269,20 @@ class AsyncShardGateway:
         timed_out = False
         for replica in rotation:
             attempts += 1
-            try:
-                if self.max_batch_size > 1:
-                    member, issued = issued, None
-                    if member is None:
-                        member = self._batcher(replica).enqueue(method, args)
-                        await asyncio.wait(
-                            (member,), timeout=self.shard_timeout_s
-                        )
-                    if not member.done():
-                        # Abandoned, not cancelled: the frame it rides is
-                        # shared with batchmates, and the deadline covers
-                        # this member alone (queueing behind the
-                        # connection's writes, batch execution).
-                        self.stats.deadline_exceeded += 1
-                        raise ShardDeadlineExceeded((i,), method)
-                    value, version = member.result()
-                else:
-                    self.batching.single_read_frames += 1
-                    value, version = await self._call_replica(
-                        replica,
-                        "versioned_read",
-                        method,
-                        args,
-                        timeout=self.shard_timeout_s,
-                    )
-            except ShardDeadlineExceeded:
+            member, issued = issued, None
+            if member is None:
+                member = self._batcher(replica).enqueue(method, args)
+                await asyncio.wait((member,), timeout=self.shard_timeout_s)
+            if not member.done():
+                # Abandoned, not cancelled: the frame it rides is shared
+                # with batchmates, and the deadline covers this member
+                # alone (queueing behind the connection's writes, batch
+                # execution).
+                self.stats.deadline_exceeded += 1
                 timed_out = True
                 continue
+            try:
+                value, version = member.result()
             except self._DEATH:
                 self._note_death(rs, replica)
                 continue
@@ -1493,27 +1331,24 @@ class AsyncShardGateway:
         came back stale, which continues down the rotation it drew.
         """
         active = list(self._active)
-        issued: list = [None] * len(active)
-        clean = self.max_batch_size > 1
-        if clean:
-            members = []
-            for k, i in enumerate(active):
-                rotation = self._sets[i].rotation()
-                member = None
-                if rotation:
-                    member = self._batcher(rotation[0]).enqueue(method, args)
-                    members.append(member)
-                issued[k] = (rotation, member)
-            if members:
-                await asyncio.wait(members, timeout=self.shard_timeout_s)
-            clean = len(members) == len(active) and all(
-                m.done() and m.exception() is None for m in members
-            )
+        issued = []
+        members = []
+        for i in active:
+            rotation = self._sets[i].rotation()
+            member = None
+            if rotation:
+                member = self._batcher(rotation[0]).enqueue(method, args)
+                members.append(member)
+            issued.append((rotation, member))
+        if members:
+            await asyncio.wait(members, timeout=self.shard_timeout_s)
         reads = (
             self._read_shard(i, method, args, _issued=head)
             for i, head in zip(active, issued)
         )
-        if clean:
+        if len(members) == len(active) and all(
+            m.done() and m.exception() is None for m in members
+        ):
             # No task, no gather: nothing below suspends unless a stamp
             # turns out stale.
             return active, [await read for read in reads]
@@ -1543,28 +1378,8 @@ class AsyncShardGateway:
                 raise result
         return list(results)
 
-    def _flight_key(self, mode: str, query, snapshot) -> tuple:
-        return (
-            mode,
-            query,
-            self.read_tier,
-            None if snapshot is None else snapshot.snapshot_id,
-        )
-
     async def search_boolean(
         self, query: str, snapshot: GatewaySnapshot | None = None
-    ) -> QueryAnswer:
-        async with self._admit():
-            # The gateway's one parse: rejects a malformed query before
-            # any flight or frame exists, and settles the NOT rule.
-            restrict = boolean_query.parse(query).complements()
-            return await self._single_flight(
-                self._flight_key("boolean", query, snapshot),
-                lambda: self._boolean_once(query, restrict, snapshot),
-            )
-
-    async def _boolean_once(
-        self, query: str, restrict: bool, snapshot: GatewaySnapshot | None
     ) -> QueryAnswer:
         """Shards evaluate, the gateway merges.  Evaluation is pointwise
         per document, so the global answer is the union of the shards'
@@ -1572,45 +1387,43 @@ class AsyncShardGateway:
         routed to the shard that gave it (the slices partition
         ``range(ndocs)``, so the restricted complements union to the
         global one)."""
-        ndocs, deleted = self._universe(snapshot)
-        route = self.routing.route  # the table ``active`` is drawn under
-        active, answers = await self._scatter_read(
-            "eval_boolean", (query, ndocs, self._tier())
-        )
-        runs = []
-        read_ops = 0
-        for i, (docs, ops) in zip(active, answers):
-            read_ops += ops
-            if restrict:
-                docs = [d for d in docs if route(d) == i]
-            runs.append(docs)
-        # merge_unique == a disjoint merge in the steady state; during a
-        # split's relocation window it also hides the brief overlap.
-        docs = scatter.merge_unique(runs)
-        # Per-shard fetches are deletion-filtered, but NOT's complement
-        # still contains deleted ids (paper §3: filter every answer).
-        if deleted:
-            docs = [d for d in docs if d not in deleted]
-        return QueryAnswer(doc_ids=docs, read_ops=read_ops)
+        async with self._admit():
+            # The gateway's one parse: rejects a malformed query before
+            # any frame exists, and settles the NOT rule.
+            restrict = boolean_query.parse(query).complements()
+            ndocs, deleted = self._universe(snapshot)
+            route = self.routing.route  # the table ``active`` is drawn under
+            active, answers = await self._scatter_read(
+                "eval_boolean", (query, ndocs, self._tier())
+            )
+            runs = []
+            read_ops = 0
+            for i, (docs, ops) in zip(active, answers):
+                read_ops += ops
+                if restrict:
+                    docs = [d for d in docs if route(d) == i]
+                runs.append(docs)
+            # merge_unique == a disjoint merge in the steady state; during
+            # a split's relocation window it also hides the brief overlap.
+            docs = scatter.merge_unique(runs)
+            # Per-shard fetches are deletion-filtered, but NOT's complement
+            # still contains deleted ids (paper §3: filter every answer).
+            if deleted:
+                docs = [d for d in docs if d not in deleted]
+            return QueryAnswer(doc_ids=docs, read_ops=read_ops)
 
     async def search_streamed(
         self, query: str, snapshot: GatewaySnapshot | None = None
     ) -> QueryAnswer:
         async with self._admit():
             streaming_query.parse_flat(query)  # uniform rejection up front
-            return await self._single_flight(
-                self._flight_key("streamed", query, snapshot),
-                lambda: self._streamed_once(query),
+            _, answers = await self._scatter_read(
+                "search_streamed", (query, self._tier())
             )
-
-    async def _streamed_once(self, query: str) -> QueryAnswer:
-        _, answers = await self._scatter_read(
-            "search_streamed", (query, self._tier())
-        )
-        docs = scatter.merge_unique([docs for docs, _ in answers])
-        return QueryAnswer(
-            doc_ids=docs, read_ops=sum(ops for _, ops in answers)
-        )
+            docs = scatter.merge_unique([docs for docs, _ in answers])
+            return QueryAnswer(
+                doc_ids=docs, read_ops=sum(ops for _, ops in answers)
+            )
 
     async def search_vector(
         self,
@@ -1630,34 +1443,24 @@ class AsyncShardGateway:
         snapshot: GatewaySnapshot | None = None,
     ):
         async with self._admit():
-            key = self._flight_key(
-                "vector", (tuple(sorted(weights.items())), top_k), snapshot
+            ndocs, _ = self._universe(snapshot)
+            # Exactly the terms the ranker fetches (it skips zero
+            # weights), as raw keys — vocabulary lookup owns normalization.
+            terms = vector_query.query_terms(weights)
+            # With the table a worker counts only the documents routed to
+            # it; the steady state sends None and pays no hash per posting.
+            routing = self.routing if self._split_overlap else None
+            _, answers = await self._scatter_read(
+                "eval_vector", (tuple(terms), top_k, self._tier(), routing)
             )
-            return await self._single_flight(
-                key, lambda: self._vector_once(weights, top_k, snapshot)
+            ranked = vector_query.rank_candidates(
+                weights,
+                terms,
+                [candidates for candidates, _ in answers],
+                ndocs,
+                top_k=top_k,
             )
-
-    async def _vector_once(
-        self, weights, top_k: int, snapshot: GatewaySnapshot | None
-    ):
-        ndocs, _ = self._universe(snapshot)
-        # Exactly the terms the ranker fetches (it skips zero weights),
-        # as raw keys — vocabulary lookup owns normalization.
-        terms = vector_query.query_terms(weights)
-        # With the table a worker counts only the documents routed to
-        # it; the steady state sends None and pays no hash per posting.
-        routing = self.routing if self._split_overlap else None
-        _, answers = await self._scatter_read(
-            "eval_vector", (tuple(terms), top_k, self._tier(), routing)
-        )
-        ranked = vector_query.rank_candidates(
-            weights,
-            terms,
-            [candidates for candidates, _ in answers],
-            ndocs,
-            top_k=top_k,
-        )
-        return ranked, sum(read_ops for _, read_ops in answers)
+            return ranked, sum(read_ops for _, read_ops in answers)
 
     async def ping(
         self,
@@ -1892,8 +1695,6 @@ class GatewayService:
         merged["rebalance"] = self.gateway.rebalance_report()
         merged["replication"] = self.gateway.replication_stats()
         merged["batching"] = self.gateway.batching.as_dict()
-        merged["batching"]["max_batch_size"] = self.gateway.max_batch_size
-        merged["batching"]["coalesce"] = self.gateway.coalesce
         return merged
 
     def buffer_stats(self) -> list[dict]:

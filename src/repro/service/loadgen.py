@@ -129,8 +129,6 @@ class LoadConfig:
     #: Serve through one worker process per shard behind the asyncio
     #: scatter-gather gateway instead of in-process scatter.
     gateway: bool = False
-    #: Gateway admission-control wait-queue bound.
-    queue_limit: int = 256
     #: Worker processes per shard (gateway only; >1 adds read failover).
     replicas: int = 1
     #: Build the volumes with bucket-space growth enabled.
@@ -152,11 +150,6 @@ class LoadConfig:
     #: True forces probing (how the snapshot arm of BENCH_memtier
     #: measures its flush-cycle visibility floor); False disables.
     visibility_probes: bool | None = None
-    #: Gateway read micro-batch cap (1 = the unbatched PR 6 wire
-    #: protocol, frame for frame).
-    batch_size: int = 16
-    #: Single-flight coalescing of identical concurrent queries.
-    coalesce: bool = False
     #: Zipf exponent skewing document *placement* across shards: the
     #: writer pins explicit doc ids whose epoch-0 hash lands on a
     #: Zipf-drawn target shard (shard 0 hottest).  0 = off — writer
@@ -232,8 +225,6 @@ class LoadConfig:
                     "background_merge drives the in-process "
                     "BackgroundMerger; gateway workers merge on flush"
                 )
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.doc_skew < 0.0:
             raise ValueError("doc_skew must be >= 0")
         if self.rebalance and not self.gateway:
@@ -414,12 +405,9 @@ class LoadGenerator:
                 shards=self.config.shards,
                 replicas=self.config.replicas,
                 publish_mode=self.config.publish_mode,
-                queue_limit=self.config.queue_limit,
                 check_invariants=self.config.check_invariants,
                 buffer_cache_blocks=self.config.buffer_cache_blocks,
                 read_tier=self.config.read_tier,
-                max_batch_size=self.config.batch_size,
-                coalesce=self.config.coalesce,
                 rebalance=self.config.rebalance,
                 rebalance_policy=RebalancePolicy(
                     max_imbalance=self.config.rebalance_threshold
@@ -935,7 +923,6 @@ class LoadGenerator:
                 "arrival": cfg.arrival,
                 "arrival_rate_qps": cfg.arrival_rate_qps,
                 "arrival_queries": cfg.arrival_queries,
-                "queue_limit": cfg.queue_limit,
                 "read_tier": cfg.read_tier,
                 "background_merge": cfg.background_merge,
                 "replicas": cfg.replicas,

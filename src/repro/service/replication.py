@@ -29,9 +29,9 @@ holds the replica's lock first applies it, and the other sees
 **Reads** rotate round-robin over *eligible* replicas: ``HEALTHY``,
 fully caught up on the op log, and at (or past) the published version
 vector entry — a replica lagging one publish epoch is excluded from
-rotation outright.  Every read travels the worker's ``versioned_read``
-RPC and comes back stamped ``(value, version)``; the gateway validates
-the stamp against the published vector before trusting the answer and
+rotation outright.  Every read travels as a member of a batch frame
+whose reply carries one ``version`` stamp; the gateway validates the
+stamp against the published vector before trusting the answer and
 discards stale responses (the replica is then resynced).  The stamp is
 the shard's batch counter on both read tiers — a value checkpoint
 restore and op-log replay reproduce, so a rebuilt replica carries the
@@ -232,7 +232,7 @@ class ReplicaSet:
 class ReplicationStats:
     """Replication-layer counters (the report's ``replication`` section)."""
 
-    #: versioned_read answers served, by replica slot they landed on.
+    #: Stamped answers served (one per logical read per shard).
     reads_served: int = 0
     #: Reads that skipped at least one replica (death, deadline, or
     #: ineligibility with a live sibling picking up the query).

@@ -19,8 +19,10 @@ single-threaded on purpose.  Cross-shard concurrency comes from running
 many workers; the gateway's per-shard connection serialization matches
 this capacity exactly, so a request's deadline covers its queue wait.
 The gateway's read surface is three shard-evaluation methods
-(:data:`READ_METHODS`): the worker evaluates a query against its own
-postings and replies with an answer, never with raw posting lists.
+(:data:`READ_METHODS`), reachable only as members of a batch frame
+(:meth:`ShardWorker.batched_read`, one version stamp per frame): the
+worker evaluates a query against its own postings and replies with an
+answer, never with raw posting lists.
 
 Failure model: two distinct kinds of death are exercised.
 
@@ -280,26 +282,17 @@ class ShardWorker:
             )
         return self.memtier.view()
 
-    def _fetcher(self, tier: str | None):
-        """The ``word -> (doc_ids, read_ops)`` primitive of the state a
-        read addresses: the immediate view, or the published snapshot."""
-        if tier == "immediate":
-            view = self._immediate_view()
-            return lambda word: twotier.fetch_postings(view, word)
-        return self.runtime.published.fetch_postings
-
-    def fetch_postings(
-        self, word: str, tier: str | None = None
-    ) -> tuple[list[int], int]:
-        """One word's postings as ``(doc_ids, read_ops)`` — an
-        in-process probe; no RPC reaches it."""
-        self.stats.queries += 1
-        return self._fetcher(tier)(word)
-
     def _counted_fetch(self, tier: str | None):
         """``(fetch, counter)``: an evaluator's ``word -> doc_ids`` over
-        :meth:`_fetcher`, charging read ops into ``counter[0]``."""
-        source = self._fetcher(tier)
+        the state a read addresses — the immediate view, or the
+        published snapshot — charging read ops into ``counter[0]``."""
+        if tier == "immediate":
+            view = self._immediate_view()
+
+            def source(word: str):
+                return twotier.fetch_postings(view, word)
+        else:
+            source = self.runtime.published.fetch_postings
         counter = [0]
 
         def fetch(word: str) -> list[int]:
@@ -367,36 +360,26 @@ class ShardWorker:
             answer = self.runtime.published.search_streamed(query)
         return answer.doc_ids, answer.read_ops
 
-    def versioned_read(self, method: str, args: tuple):
-        """A read stamped with this replica's version vector entry.
-
-        The replicated gateway cannot trust an answer on the strength of
-        its own bookkeeping alone — a replica may have fallen behind the
-        published boundary between eligibility check and execution (it
-        was rebuilt, or its flush never landed).  So every read returns
-        ``(value, version)`` and the gateway discards answers whose stamp
-        trails the published vector — the batch counter, on both read
-        tiers (:mod:`repro.service.replication` says why it is the whole
-        stamp).  Only retrieval methods are dispatchable; mutations must
-        travel the journaled write path.
-        """
-        if method not in READ_METHODS:
-            raise ValueError(f"{method!r} is not a read method")
-        value = getattr(self, method)(*args)
-        return value, self.writer.batches
-
     def batched_read(self, requests: tuple) -> tuple:
-        """Evaluate a micro-batch of reads against one pinned state.
+        """Evaluate a micro-batch of reads against one pinned state —
+        the only way a read reaches this worker.
 
-        The worker is single-threaded, so the published snapshot (and the
-        memory tier, and the writer's batch counter) cannot move between
-        members: version/snapshot validation happens **once per batch**,
-        and the whole reply carries a single ``version`` stamp every
-        member answer is true for.  Per-member failures are
-        isolated — a poison query yields an errored member
+        The gateway cannot trust an answer on the strength of its own
+        bookkeeping alone — a replica may have fallen behind the
+        published boundary between eligibility check and execution (it
+        was rebuilt, or its flush never landed) — so the reply is
+        stamped with the batch counter, on both read tiers
+        (:mod:`repro.service.replication` says why it is the whole
+        stamp), and the gateway discards answers whose stamp trails the
+        published vector.  The worker is single-threaded, so the
+        published snapshot (and the memory tier, and the counter) cannot
+        move between members: validation happens **once per frame** and
+        the one ``version`` is true for every member answer.  Only
+        :data:`READ_METHODS` may be members; mutations must travel the
+        journaled write path.  Per-member failures are isolated — a
+        poison query yields an errored member
         :class:`~repro.service.wire.Response` while its batchmates
-        answer normally — exactly the error surface the member would
-        have had as a lone frame.
+        answer normally.
         """
         self.stats.batch_frames += 1
         self.stats.batched_reads += len(requests)
@@ -465,14 +448,16 @@ class ShardWorker:
         return self.stats.as_dict()
 
 
-#: Methods :meth:`ShardWorker.versioned_read` and batch frames may
-#: dispatch — the gateway's read surface (everything here is
-#: side-effect-free on index state).
+#: The gateway's read surface: what a batch frame's members may name
+#: (everything here is side-effect-free on index state).  Reads exist
+#: only as batch members — none of these is in :data:`DISPATCH`, so a
+#: bare ``Request`` cannot fetch an answer that carries no version stamp.
 READ_METHODS = frozenset({"eval_boolean", "eval_vector", "search_streamed"})
 
 
-#: RPC method name -> ShardWorker attribute (the dispatch table; every
-#: entry is part of the wire contract the gateway relies on).
+#: RPC method name -> ShardWorker attribute for bare ``Request`` frames
+#: (writes, lifecycle and introspection; every entry is part of the wire
+#: contract the gateway relies on).
 DISPATCH = {
     "ping": "ping",
     "info": "info",
@@ -480,10 +465,6 @@ DISPATCH = {
     "delete_document": "delete_document",
     "flush": "flush",
     "checkpoint": "checkpoint",
-    "eval_boolean": "eval_boolean",
-    "eval_vector": "eval_vector",
-    "search_streamed": "search_streamed",
-    "versioned_read": "versioned_read",
     "check": "check",
     "buffer_stats": "buffer_stats",
     "debug_sleep": "debug_sleep",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import CategoryCounts, UpdateSeries, increasing_slope
+from repro.analysis.metrics import CategoryCounts, increasing_slope
 
 
 class TestCategoryCounts:
@@ -13,17 +13,6 @@ class TestCategoryCounts:
 
     def test_empty_update(self):
         assert CategoryCounts().fractions() == (0.0, 0.0, 0.0)
-
-
-class TestUpdateSeries:
-    def test_final(self):
-        series = UpdateSeries(io_ops=[1, 5, 9])
-        assert series.final("io_ops") == 9
-        assert series.nupdates == 3
-
-    def test_final_on_empty_raises(self):
-        with pytest.raises(ValueError):
-            UpdateSeries().final("io_ops")
 
 
 class TestIncreasingSlope:

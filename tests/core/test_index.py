@@ -92,13 +92,6 @@ class TestClassify:
         idx.flush_batch()
         assert idx.classify(1) is WordCategory.BUCKET
 
-    def test_category_fractions_sum_to_one(self):
-        idx = make_index()
-        idx.add_document([1, 2, 3, 4])
-        result = idx.flush_batch()
-        fractions = result.category_fractions
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
 
 class TestRetrieval:
     def test_fetch_from_bucket(self):

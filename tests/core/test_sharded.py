@@ -139,16 +139,6 @@ class TestIngestAndRouting:
         with pytest.raises(ValueError):
             index.delete_document(20)
 
-    def test_document_frequency_sums(self):
-        docs = corpus(30)
-        index = build(docs, shards=3)
-        single = TextDocumentIndex(small_config())
-        for text in docs:
-            single.add_document(text)
-        single.flush_batch()
-        for w in WORDS:
-            assert index.document_frequency(w) == single.document_frequency(w)
-
 
 class TestFlushModes:
     def test_empty_shard_version_stands_still(self):

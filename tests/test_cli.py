@@ -140,6 +140,8 @@ class TestExperimentAndStats:
             ["experiment", "--shards", "2"],
             ["experiment", "--router-seed", "1"],
             ["experiment", "--doc-skew", "1.0"],
+            ["serve-bench", "--batch-size", "1"],
+            ["serve-bench", "--coalesce"],
         ],
     )
     def test_sweep_and_jobs_are_gone(self, argv, capsys):
