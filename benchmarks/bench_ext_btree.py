@@ -33,7 +33,7 @@ def build_trees():
     )
     trees = {}
     for block_size in (1024, 4096, 16384):
-        tree = BTree(BTreeConfig.for_block(block_size, entry_bytes=16))
+        tree = BTree(BTreeConfig.for_block(block_size))
         for word in vocabulary:
             tree.insert(word, word % 97)  # stand-in location payload
         trees[block_size] = tree

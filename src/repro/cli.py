@@ -31,7 +31,7 @@ Seven subcommands cover the library's main entry points::
                       [--doc-skew S] [--rebalance]
                       [--rebalance-threshold X]
                       [--json PATH]
-                      [--inject-faults] [--fault-rate R] [--fault-seed S]
+                      [--inject-faults] [--fault-rate R]
         Run the snapshot-isolated serving benchmark: N reader threads
         issue a mixed boolean/streamed/vector query load against published
         snapshots while the writer flushes batch updates; prints
@@ -39,8 +39,9 @@ Seven subcommands cover the library's main entry points::
         statistics, and writes the machine-readable BENCH_serving report
         with ``--json``.  ``--publish-mode cow`` (the default) publishes
         incrementally via the delta journal; ``clone`` uses the full
-        checkpoint clone.  ``--differential`` cross-checks every published
-        snapshot against a full-clone oracle.  ``--inject-faults`` crashes
+        checkpoint clone.  ``--differential`` probes served answers against the
+        driver's own brute-force mirror after every flush (mid-buffer on
+        the immediate tier), on every host.  ``--inject-faults`` crashes
         the writer mid-flush on a rotating schedule of crash points (plus
         transient disk faults) and recovers.  ``--gateway`` serves through
         one worker process per shard behind the asyncio scatter-gather
@@ -257,7 +258,6 @@ def cmd_serve_bench(args) -> int:
             else 0
         ),
         transient_rate=args.fault_rate if args.inject_faults else 0.0,
-        fault_seed=args.fault_seed,
         # A short writer sleep between cycles so readers interleave.
         pace_s=0.001,
         publish_mode=args.publish_mode,
@@ -486,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(implies --exercise)",
         )
         p.add_argument("--fault-rate", type=float, default=0.05)
-        p.add_argument("--fault-seed", type=int, default=0)
 
     p_exp = sub.add_parser(
         "experiment", help="run the evaluation pipeline for one or more policies"
@@ -501,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--scale", type=float, default=1.0)
     p_exp.add_argument("--exercise", action="store_true")
     add_fault_args(p_exp)
+    p_exp.add_argument("--fault-seed", type=int, default=0)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_serve = sub.add_parser(
@@ -522,8 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--differential",
         action="store_true",
-        help="after every publish, compare the served snapshot against "
-        "a full-clone oracle over a probe query set",
+        help="after every flush (mid-buffer on the immediate tier), "
+        "compare served answers against the driver's own brute-force "
+        "mirror over a probe query set — every host, every tier",
     )
     p_serve.add_argument(
         "--shards",

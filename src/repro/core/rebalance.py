@@ -40,24 +40,20 @@ class GrowthEvent:
     occupancy_before: float
 
 
+#: A growth step doubles the bucket count (the action sketched above).
+GROWTH_FACTOR = 2
+
+
 @dataclass
 class GrowthPolicy:
-    """When and how to expand the bucket space."""
+    """When to expand the bucket space."""
 
     #: Grow when occupancy at a flush exceeds this fraction.
     occupancy_threshold: float = 0.85
-    #: Multiply the bucket count by this factor per growth step.
-    factor: int = 2
-    #: Hard ceiling on the bucket count (0 = unlimited).
-    max_buckets: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.occupancy_threshold < 1.0:
             raise ValueError("occupancy_threshold must be in (0, 1)")
-        if self.factor < 2:
-            raise ValueError("factor must be >= 2")
-        if self.max_buckets < 0:
-            raise ValueError("max_buckets must be >= 0")
 
 
 class BucketGrower:
@@ -68,18 +64,10 @@ class BucketGrower:
         self.events: list[GrowthEvent] = []
 
     def should_grow(self, manager: BucketManager) -> bool:
-        occupancy = manager.occupancy()
-        if occupancy <= self.policy.occupancy_threshold:
-            return False
-        if (
-            self.policy.max_buckets
-            and manager.nbuckets * self.policy.factor > self.policy.max_buckets
-        ):
-            return False
-        return True
+        return manager.occupancy() > self.policy.occupancy_threshold
 
     def grow(self, manager: BucketManager, batch: int = -1) -> GrowthEvent:
-        """Expand the manager in place: ``factor``× buckets, re-hashed.
+        """Expand the manager in place: twice the buckets, re-hashed.
 
         Every short list moves to its new home bucket; capacities per
         bucket are unchanged, so total bucket space multiplies.  Returns
@@ -88,7 +76,7 @@ class BucketGrower:
         event = GrowthEvent(
             batch=batch,
             old_nbuckets=manager.nbuckets,
-            new_nbuckets=manager.nbuckets * self.policy.factor,
+            new_nbuckets=manager.nbuckets * GROWTH_FACTOR,
             occupancy_before=manager.occupancy(),
         )
         old_buckets = manager.buckets
@@ -116,8 +104,8 @@ class BucketGrower:
 
 
 class RebuildScheduler:
-    """Staggers bucket-space rebuilds so at most ``max_concurrent``
-    shards pay one per flush round.
+    """Staggers bucket-space rebuilds so at most one shard pays one per
+    flush round.
 
     Growth rehashes a shard's entire bucket space and forces its next
     publish to a full clone — an O(index) latency spike.  When every
@@ -125,9 +113,9 @@ class RebuildScheduler:
     common case under uniform document routing), unscheduled growth
     makes *every* shard spike at once and the round's publish latency is
     the sum of the spikes.  The scheduler serializes them: each round,
-    shards that want to grow enter a FIFO queue and at most
-    ``max_concurrent`` (default 1) are granted; the rest flush without
-    growing and are granted in a later round.  Deferral is safe — an
+    shards that want to grow enter a FIFO queue and the head of the
+    queue is granted; the rest flush without growing and are granted in
+    a later round.  Deferral is safe — an
     over-threshold shard keeps absorbing batches exactly as it did
     before growth existed, just with more eviction pressure.
 
@@ -138,10 +126,7 @@ class RebuildScheduler:
     boundaries.
     """
 
-    def __init__(self, max_concurrent: int = 1) -> None:
-        if max_concurrent < 1:
-            raise ValueError("max_concurrent must be >= 1")
-        self.max_concurrent = max_concurrent
+    def __init__(self) -> None:
         self._queue: list = []  # FIFO of shard ids awaiting a grant
         self.rounds = 0
         self.granted = 0
@@ -157,7 +142,7 @@ class RebuildScheduler:
 
         ``wants`` is the set of shard ids whose occupancy trigger fired
         this round (re-announcing a queued shard is idempotent).
-        Returns the shard ids allowed to grow this round.
+        Returns the shard ids allowed to grow this round (at most one).
         """
         self.rounds += 1
         queued = set(self._queue)
@@ -165,8 +150,8 @@ class RebuildScheduler:
             if shard_id not in queued:
                 self._queue.append(shard_id)
                 queued.add(shard_id)
-        grants = self._queue[: self.max_concurrent]
-        del self._queue[: self.max_concurrent]
+        grants = self._queue[:1]
+        del self._queue[:1]
         self.granted += len(grants)
         self.deferred += len(self._queue)
         return frozenset(grants)
@@ -178,6 +163,11 @@ class RebuildScheduler:
             "deferred": self.deferred,
             "pending": list(self._queue),
         }
+
+
+#: The planner never splits past this many active shards: every split
+#: spawns ``replicas`` worker processes that nothing retires.
+MAX_SHARDS = 16
 
 
 @dataclass
@@ -197,8 +187,6 @@ class RebalancePolicy:
     min_docs: int = 64
     #: Never split a shard holding fewer live docs than this.
     min_shard_docs: int = 16
-    #: Hard ceiling on active shards (0 = unlimited).
-    max_shards: int = 16
     #: Flush rounds to sit out after a structural move (lets the moved
     #: mass settle before the next plan reads the counts).
     cooldown: int = 2
@@ -208,8 +196,6 @@ class RebalancePolicy:
             raise ValueError("max_imbalance must be > 1.0")
         if self.min_docs < 0 or self.min_shard_docs < 0:
             raise ValueError("doc floors must be >= 0")
-        if self.max_shards < 0:
-            raise ValueError("max_shards must be >= 0")
         if self.cooldown < 0:
             raise ValueError("cooldown must be >= 0")
 
@@ -225,12 +211,8 @@ class RebalancePlanner(RebuildScheduler):
     same ingest reproduces the same split schedule.
     """
 
-    def __init__(
-        self,
-        policy: RebalancePolicy | None = None,
-        max_concurrent: int = 1,
-    ) -> None:
-        super().__init__(max_concurrent=max_concurrent)
+    def __init__(self, policy: RebalancePolicy | None = None) -> None:
+        super().__init__()
         self.policy = policy or RebalancePolicy()
         self._cooldown_left = 0
         self.planned_splits = 0
@@ -268,7 +250,7 @@ class RebalancePlanner(RebuildScheduler):
         mean = total / len(counts)
         victim = max(counts, key=lambda s: (counts[s], -s))
         if (
-            (not policy.max_shards or len(counts) < policy.max_shards)
+            len(counts) < MAX_SHARDS
             and counts[victim] > policy.max_imbalance * mean
             and counts[victim] >= policy.min_shard_docs
         ):

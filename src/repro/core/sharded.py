@@ -87,8 +87,6 @@ class ShardedTextIndex:
     def __init__(
         self,
         config: IndexConfig | None = None,
-        tokenizer_config=None,
-        region_rules=None,
         *,
         shards: int = 2,
         router_seed: int = 0,
@@ -99,14 +97,7 @@ class ShardedTextIndex:
                 "ShardedTextIndex needs shards >= 2; use "
                 "TextDocumentIndex (or build_text_index) for one volume"
             )
-        self.shards = [
-            TextDocumentIndex(
-                config,
-                tokenizer_config=tokenizer_config,
-                region_rules=region_rules,
-            )
-            for _ in range(shards)
-        ]
+        self.shards = [TextDocumentIndex(config) for _ in range(shards)]
         self.router_seed = router_seed
         # Epoch 0: identity slot map, routing exactly like shard_of.
         self.routing = RoutingTable.initial(shards, router_seed)
@@ -505,8 +496,6 @@ class ShardedTextIndex:
 
 def build_text_index(
     config: IndexConfig | None = None,
-    tokenizer_config=None,
-    region_rules=None,
     *,
     shards: int = 1,
     router_seed: int = 0,
@@ -517,15 +506,5 @@ def build_text_index(
     exact pre-sharding code path, so defaults change nothing.
     """
     if shards <= 1:
-        return TextDocumentIndex(
-            config,
-            tokenizer_config=tokenizer_config,
-            region_rules=region_rules,
-        )
-    return ShardedTextIndex(
-        config,
-        tokenizer_config=tokenizer_config,
-        region_rules=region_rules,
-        shards=shards,
-        router_seed=router_seed,
-    )
+        return TextDocumentIndex(config)
+    return ShardedTextIndex(config, shards=shards, router_seed=router_seed)

@@ -92,13 +92,13 @@ def table1(experiment: Experiment) -> FigureResult:
 
 
 def figure1(
-    watched: int = 5,
     days: int = 30,
     docs_per_day: int = 400,
     nbuckets: int = 100,
     bucket_size: int = 8000,
 ) -> FigureResult:
     """Bucket animation on the paper's small 100-bucket system."""
+    watched = 5
     news = SyntheticNews(
         SyntheticNewsConfig(days=days, docs_per_day=docs_per_day)
     )
@@ -448,13 +448,11 @@ REGISTRY: dict[str, Callable] = {
 }
 
 
-def regenerate(
-    name: str, experiment: Experiment | None = None
-) -> FigureResult:
+def regenerate(name: str) -> FigureResult:
     """Regenerate one artifact by id (``fig8``, ``table5``, ...).
 
     ``fig1`` builds its own small system; everything else runs against
-    ``experiment`` (a fresh base-configuration experiment by default).
+    a fresh base-configuration experiment.
     """
     try:
         fn = REGISTRY[name]
@@ -464,10 +462,10 @@ def regenerate(
         ) from None
     if name == "fig1":
         return fn()
-    if experiment is None:
-        experiment = Experiment(
+    return fn(
+        Experiment(
             ExperimentConfig(
                 workload=SyntheticNewsConfig(scale=default_scale())
             )
         )
-    return fn(experiment)
+    )

@@ -24,17 +24,15 @@ class ExerciseConfig:
     """Physical execution parameters (paper Table 4: Disks, BufferBlock).
 
     A ``fault_plan`` injects transient I/O failures into the exercised
-    disks; each failed request is retried up to ``max_retries`` times with
-    linear backoff (``retry_backoff_s``, ``2×``, ``3×``, ...) charged to
-    the failing disk's stream time.
+    disks; each failed request is retried with linear backoff charged to
+    the failing disk's stream time
+    (:class:`~repro.storage.exerciser.DiskExerciser`).
     """
 
     profile: DiskProfile | None = None
     ndisks: int = 4
     buffer_blocks: int = 256
     fault_plan: FaultPlan | None = None
-    max_retries: int = 4
-    retry_backoff_s: float = 0.002
 
 
 @dataclass
@@ -65,8 +63,6 @@ class ExerciseDisksProcess:
             self.config.ndisks,
             self.config.buffer_blocks,
             fault_plan=self.config.fault_plan,
-            max_retries=self.config.max_retries,
-            retry_backoff_s=self.config.retry_backoff_s,
         )
         try:
             result = exerciser.run(trace)

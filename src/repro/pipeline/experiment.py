@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from ..core.policy import Policy
 from ..storage import faults
 from ..storage.faults import FaultPlan
-from ..storage.profiles import SEAGATE_SCSI_1994, DiskProfile
 from ..text.batchupdate import BatchUpdate
 from ..workload.synthetic import SyntheticNews, SyntheticNewsConfig
 from .compute_buckets import BucketStageResult, ComputeBucketsProcess
@@ -47,18 +46,13 @@ class ExperimentConfig:
     block_size: int = 4096
     ndisks: int = 4
     virtual_blocks: int = 4_194_304
-    allocator: str = "first-fit"
-    profile: DiskProfile | None = None
     buffer_blocks: int = 256
-    watch_buckets: tuple[int, ...] = ()
     #: Template for fault injection (the ``--inject-faults`` knob): every
     #: policy run gets its own copy, re-seeded from the policy
     #: (:meth:`Experiment.fault_plan_for`), installed around ComputeDisks
     #: so named crash points fire, and handed to ExerciseDisks, where
     #: failed requests are retried with backoff.
     fault_plan: FaultPlan | None = None
-    io_max_retries: int = 4
-    io_retry_backoff_s: float = 0.002
 
     @property
     def bucket_flush_blocks(self) -> int:
@@ -117,9 +111,7 @@ class Experiment:
         """ComputeBuckets output (run once; shared by all policies)."""
         if self._bucket_result is None:
             process = ComputeBucketsProcess(
-                self.config.nbuckets,
-                self.config.bucket_size,
-                watch_buckets=self.config.watch_buckets,
+                self.config.nbuckets, self.config.bucket_size
             )
             self._bucket_result = process.run(self.updates())
         return self._bucket_result
@@ -189,8 +181,6 @@ class Experiment:
             block_postings=self.config.block_postings,
             bucket_flush_blocks=self.config.bucket_flush_blocks,
             virtual_blocks=self.config.virtual_blocks,
-            allocator=self.config.allocator,
-            profile=self.config.profile,
         )
 
     def exercise_config(
@@ -198,10 +188,7 @@ class Experiment:
     ) -> ExerciseConfig:
         """The ExerciseDisks parameters (``fault_plan``: the run's own)."""
         return ExerciseConfig(
-            profile=self.config.profile or SEAGATE_SCSI_1994,
             ndisks=self.config.ndisks,
             buffer_blocks=self.config.buffer_blocks,
             fault_plan=fault_plan,
-            max_retries=self.config.io_max_retries,
-            retry_backoff_s=self.config.io_retry_backoff_s,
         )

@@ -18,20 +18,15 @@ from typing import Iterable, Iterator
 
 from ..text.batchupdate import BatchUpdate, build_batch_update
 from ..text.documents import DocumentBatch
-from ..text.tokenizer import TokenizerConfig, tokenize_document
+from ..text.tokenizer import tokenize_document
 from ..text.vocabulary import Vocabulary
 
 
 class InvertIndexProcess:
     """Turns text document batches into integer batch updates."""
 
-    def __init__(
-        self,
-        vocabulary: Vocabulary | None = None,
-        tokenizer_config: TokenizerConfig | None = None,
-    ) -> None:
-        self.vocabulary = vocabulary or Vocabulary()
-        self.tokenizer_config = tokenizer_config
+    def __init__(self) -> None:
+        self.vocabulary = Vocabulary()
 
     def word_id(self, word: str) -> int:
         """Pipeline word id for a token (vocabulary id + 1; 0 is reserved)."""
@@ -41,7 +36,7 @@ class InvertIndexProcess:
         """Produce the batch update for one day of documents."""
         doc_word_sets: list[list[int]] = []
         for doc in batch:
-            words = tokenize_document(doc.text, self.tokenizer_config)
+            words = tokenize_document(doc.text)
             doc_word_sets.append([self.word_id(w) for w in words])
         return build_batch_update(batch.day, doc_word_sets)
 

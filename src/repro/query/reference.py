@@ -12,8 +12,9 @@ Three consumers share it:
 
 * the hypothesis differential test (``tests/query``) drives random
   corpora and queries through index and model side by side;
-* the serving layer's stress test attaches a frozen model to every
-  published snapshot, so reader threads can detect stale or torn reads;
+* the serving layer's stress driver keeps one beside the service it
+  checks and freezes a copy per published snapshot id, so reader threads
+  can detect stale or torn reads;
 * the serving-vs-offline equivalence test rebuilds the model from the
   load generator's document stream.
 """
@@ -83,7 +84,7 @@ class BruteForceIndex:
 
     def freeze(self) -> "BruteForceIndex":
         """An independent copy pinned to the current contents — what the
-        serving layer attaches to a published snapshot."""
+        stress driver files under a published snapshot's id."""
         frozen = BruteForceIndex()
         frozen._lists = {w: list(p) for w, p in self._lists.items()}
         frozen._deleted = set(self._deleted)

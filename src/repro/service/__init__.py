@@ -9,8 +9,8 @@ incremental copy-on-write snapshot sharing all untouched structure with
 its predecessor (``publish_mode="cow"``).  A validity-ranged
 :class:`QueryResultCache` short-circuits repeated queries and is
 invalidated delta-scoped at cow publishes (wholesale under clone);
-:class:`LoadGenerator` drives the mixed workload — optionally comparing
-every cow snapshot against the full-clone oracle — and reports
+:class:`LoadGenerator` drives the mixed workload — checking served
+answers against a brute-force mirror it alone owns — and reports
 throughput plus tail and publish latency.
 
 Beyond one interpreter, :mod:`repro.service.gateway` puts each shard

@@ -213,7 +213,6 @@ class GatewaySnapshot:
     ndocs: int
     deleted: frozenset
     shard_versions: tuple[int, ...]
-    reference: object = None
     #: The memory-tier epoch each shard's flush reply carried at this
     #: boundary (empty when the gateway serves the snapshot tier only).
     #: Reported only: an epoch is per worker process, so nothing
@@ -411,6 +410,11 @@ class _ReadBatcher:
                     future.set_exception(exc)
 
 
+#: Wider than any id a connection's sequence reaches: a request pickled
+#: with it is as long as that request will ever be on the wire.
+_WIDEST_REQUEST_ID = 2**31 - 1
+
+
 def _op_rpc(op: tuple) -> tuple[str, tuple]:
     """Translate one journaled op into its worker RPC."""
     if op[0] == "add":
@@ -430,7 +434,6 @@ class AsyncShardGateway:
     def __init__(
         self,
         config: IndexConfig | None = None,
-        tokenizer_config=None,
         *,
         shards: int = 2,
         replicas: int = 1,
@@ -492,7 +495,6 @@ class AsyncShardGateway:
             base = WorkerSpec(
                 shard_id=i,
                 index_config=config,
-                tokenizer_config=tokenizer_config,
                 publish_mode=publish_mode,
                 kill_on_crash=kill_on_crash,
                 check_invariants=check_invariants,
@@ -824,15 +826,11 @@ class AsyncShardGateway:
                     f"doc id {doc_id} below next id {self._next_doc_id}: "
                     "ids must be non-decreasing"
                 )
-            if doc_id > self._next_doc_id:
-                self._holes.update(range(self._next_doc_id, doc_id))
-            shard = self.route(doc_id)
-            rs = self._sets[shard]
-            # Journal before sending: if a replica dies mid-call, its
-            # rebuild replay performs this very op, so no retry here.
-            op = ("add", doc_id, text)
-            rs.oplog.append(op)
-            await self._fan_write(rs, op, len(rs.oplog) - 1)
+            rs = self._sets[self.route(doc_id)]
+            await self._journal(rs, ("add", doc_id, text))
+            # Only an accepted add leaves holes behind it: a refused one
+            # must not hide ids the next documents will be given.
+            self._holes.update(range(self._next_doc_id, doc_id))
             self._next_doc_id = doc_id + 1
             return doc_id
 
@@ -844,12 +842,31 @@ class AsyncShardGateway:
         if doc_id in self._holes:
             raise ValueError(f"doc id {doc_id} was never added")
         async with self._writer_lock:
-            shard = self.route(doc_id)
-            rs = self._sets[shard]
-            op = ("delete", doc_id)
-            rs.oplog.append(op)
-            await self._fan_write(rs, op, len(rs.oplog) - 1)
+            rs = self._sets[self.route(doc_id)]
+            await self._journal(rs, ("delete", doc_id))
             self._deleted.add(doc_id)
+
+    async def _journal(self, rs: ReplicaSet, op: tuple) -> list:
+        """Append one op to a shard's journal and fan it out — the only
+        place an op enters a log; returns :meth:`_fan_write`'s results.
+
+        Journal before sending: if a replica dies mid-call, its rebuild
+        replay performs this very op, so nothing here retries.  That
+        replay is also why an op that cannot be framed is refused
+        *before* the append.  Journaled, it would raise to the caller
+        from every replica with no ``log_pos`` moved; the next write
+        would find every healthy replica behind the journal head and
+        resync them all, and every rebuild would replay the op and park
+        at ``FAILED`` — the shard dead for good.  The trial encoding
+        carries the widest request id, so what passes here fits under
+        any sequence number a replica's connection stamps it with.
+        """
+        method, args = _op_rpc(op)
+        wire.encode_parts(
+            wire.Request(_WIDEST_REQUEST_ID, method, args), self.max_frame
+        )
+        rs.oplog.append(op)
+        return await self._fan_write(rs, op, len(rs.oplog) - 1)
 
     async def _fan_write(
         self, rs: ReplicaSet, op: tuple, op_index: int
@@ -920,13 +937,8 @@ class AsyncShardGateway:
                 granted = self.rebuild_scheduler.grant(wants)
             else:
                 granted = frozenset(wants)
-            op_indexes = {}
-            for i in active:
-                rs = self._sets[i]
-                rs.oplog.append(("flush", i in granted))
-                op_indexes[i] = len(rs.oplog) - 1
             outcomes = await asyncio.gather(
-                *(self._flush_shard(i, op_indexes[i]) for i in active)
+                *(self._flush_shard(i, i in granted) for i in active)
             )
             self._published_ndocs = self._next_doc_id
             self._published_deleted = frozenset(self._deleted)
@@ -953,13 +965,12 @@ class AsyncShardGateway:
             await self._maybe_rebalance()
             return aggregate, self.snapshot()
 
-    async def _flush_shard(self, i: int, op_index: int) -> FlushOutcome:
-        """Fan one journaled flush op to shard ``i``'s replicas and pick
-        the representative outcome (healthy replicas are deterministic
-        copies, so any of them speaks for the shard)."""
+    async def _flush_shard(self, i: int, grow: bool) -> FlushOutcome:
+        """Journal one flush op on shard ``i``, fan it to the replicas
+        and pick the representative outcome (healthy replicas are
+        deterministic copies, so any of them speaks for the shard)."""
         rs = self._sets[i]
-        op = rs.oplog[op_index]
-        results = await self._fan_write(rs, op, op_index)
+        results = await self._journal(rs, ("flush", grow))
         outcomes = []
         for replica, outcome in zip(rs.replicas, results):
             if outcome is None:
@@ -1090,18 +1101,12 @@ class AsyncShardGateway:
         replica = await self._await_any_rebuild(rs)
         return await self._locked_rpc(replica, "checkpoint", ())
 
-    async def _journal_and_apply(self, rs: ReplicaSet, op: tuple) -> None:
-        rs.oplog.append(op)
-        await self._fan_write(rs, op, len(rs.oplog) - 1)
-
     async def _flush_set(self, shard_id: int) -> None:
         """Journal and run one out-of-band flush on a single shard (a
         rebalance publish), then fold its new version into the published
         vector if the shard is active."""
-        rs = self._sets[shard_id]
-        rs.oplog.append(("flush", False))
-        outcome = await self._flush_shard(shard_id, len(rs.oplog) - 1)
-        rs.expected_version = outcome.version
+        outcome = await self._flush_shard(shard_id, False)
+        self._sets[shard_id].expected_version = outcome.version
         if shard_id in self._active:
             self._refresh_published()
             self._snapshot_id += 1
@@ -1170,7 +1175,7 @@ class AsyncShardGateway:
         await asyncio.gather(*(self._spawn(r) for r in rs.replicas))
         self._sets.append(rs)
         for doc_id in stayers:
-            await self._journal_and_apply(rs, ("delete", doc_id))
+            await self._journal(rs, ("delete", doc_id))
         await self._flush_set(new_id)
         # -- cutover (synchronous: atomic w.r.t. the event loop) --
         cut_started = time.perf_counter()
@@ -1182,7 +1187,7 @@ class AsyncShardGateway:
         self._split_overlap = True
         # -- retire the movers from the victim --
         for doc_id in movers:
-            await self._journal_and_apply(vrs, ("delete", doc_id))
+            await self._journal(vrs, ("delete", doc_id))
         await self._flush_set(victim)
         # Not in a ``finally``: if the flush never lands, the overlap
         # never closes either.

@@ -12,10 +12,18 @@ in the service's :class:`StageTimings`, and every query latency lands in a
 per-thread :class:`LatencyRecorder`, merged into p50/p95/p99 afterwards —
 and are archived as ``BENCH_serving.json`` by ``repro serve-bench``.
 
-With ``verify=True`` every answer is checked against the brute-force
-reference model frozen into the snapshot that served it; a mismatch is a
-*stale-read divergence* (a reader observed writer state that was never a
-published batch boundary) and fails the run's report.  With
+The oracle is the generator's own: one brute-force mirror
+(:class:`~repro.query.reference.BruteForceIndex`) fed by the writer thread
+with exactly what it hands the service — the service under test never
+sees it, so a service that loses a document cannot also lose it from the
+model it is checked against.  With ``verify=True`` the mirror is frozen
+under the next snapshot id just before every publish and each answer is
+checked against the copy frozen for the snapshot that served it; a
+mismatch is a *stale-read divergence* (a reader observed writer state
+that was never a published batch boundary) and fails the run's report.
+With ``differential=True`` the writer thread probes served answers
+against the live mirror: right after each flush on the snapshot tier,
+mid-buffer on the immediate tier, on every host.  With
 ``crash_every > 0`` the generator installs a crash plan before every Nth
 flush, cycling through the registered flush/checkpoint crash points, so
 publication is exercised across writer crashes and recoveries.
@@ -42,7 +50,7 @@ With ``gateway=True`` the service is a multi-process
 :class:`~repro.service.gateway.GatewayService` (one worker process per
 shard); per-query verification is unavailable across the process
 boundary (``verify=False`` is required) and correctness is covered by
-boundary differential probes against a parent-side brute-force mirror.
+the boundary differential probes.
 """
 
 from __future__ import annotations
@@ -51,13 +59,18 @@ import json
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Iterator
 
 from ..core.index import IndexConfig
+from ..core.rebalance import GrowthPolicy, RebalancePolicy
+from ..core.shard import shard_of
 from ..pipeline.profiling import LatencyRecorder
+from ..query.reference import BruteForceIndex
 from ..storage import faults
 from ..storage.faults import FaultPlan
-from .server import QueryService
+from .gateway import GatewayOverloaded, GatewayService, ShardDeadlineExceeded
+from .server import BackgroundMerger, QueryService
 
 #: Crash points cycled through by ``crash_every`` (update + publish paths).
 CRASH_CYCLE = (
@@ -76,6 +89,8 @@ KINDS = ("boolean", "streamed", "vector")
 MIX = (0.4, 0.4, 0.2)
 #: Words per generated document, inclusive bounds.
 WORDS_PER_DOC = (4, 12)
+#: Ranking depth of every generated vector query.
+TOP_K = 10
 
 
 def _word_name(i: int) -> str:
@@ -101,7 +116,6 @@ class LoadConfig:
     docs_per_batch: int = 20
     vocabulary: int = 120
     seed: int = 0
-    top_k: int = 10
     cache_capacity: int = 256
     verify: bool = True
     check_invariants: bool = True
@@ -111,7 +125,6 @@ class LoadConfig:
     crash_every: int = 0
     #: Transient-I/O fault rate injected into the writer's disks.
     transient_rate: float = 0.0
-    fault_seed: int = 0
     #: Seconds the writer sleeps between cycles so readers interleave.
     pace_s: float = 0.0
     #: How snapshots are published: "cow" (incremental copy-on-write)
@@ -119,8 +132,9 @@ class LoadConfig:
     publish_mode: str = "cow"
     #: Block budget of the shared decoded-chunk cache (0 = disabled).
     buffer_cache_blocks: int = 128
-    #: After every publish, compare the served snapshot against a fresh
-    #: full-clone oracle over a probe query set (differential testing).
+    #: Probe served answers against the generator's brute-force mirror
+    #: from the writer thread: after every flush on the snapshot tier,
+    #: mid-buffer on the immediate tier (differential testing).
     differential: bool = False
     #: Probe queries per kind for each differential check.
     differential_probes: int = 4
@@ -163,14 +177,14 @@ class LoadConfig:
     rebalance_threshold: float = 1.5
 
     def __post_init__(self) -> None:
+        # Ranges of the run's own shape, and the rules that span two
+        # fields.  A value one layer consumes (publish_mode, read_tier,
+        # shards, replicas) is range-checked by the constructor that
+        # branches on it, when the generator builds its service.
         if self.readers <= 0 or self.flush_cycles <= 0:
             raise ValueError("readers and flush_cycles must be > 0")
         if self.docs_per_batch <= 0 or self.vocabulary <= 0:
             raise ValueError("docs_per_batch and vocabulary must be > 0")
-        if self.publish_mode not in ("clone", "cow"):
-            raise ValueError("publish_mode must be 'clone' or 'cow'")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
         if self.arrival not in ("closed", "open"):
             raise ValueError("arrival must be 'closed' or 'open'")
         if self.arrival == "open" and (
@@ -186,8 +200,6 @@ class LoadConfig:
                 "across the process boundary; set verify=False "
                 "(boundary differential probes still cover correctness)"
             )
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
         if self.replicas > 1 and not self.gateway:
             raise ValueError(
                 "replication runs worker processes behind the gateway; "
@@ -197,10 +209,6 @@ class LoadConfig:
             raise ValueError(
                 "gateway mode injects crashes per worker via fault "
                 "plans (see the chaos battery), not crash_every"
-            )
-        if self.read_tier not in ("snapshot", "immediate"):
-            raise ValueError(
-                "read_tier must be 'snapshot' or 'immediate'"
             )
         if self.read_tier == "immediate" and self.verify:
             raise ValueError(
@@ -242,14 +250,10 @@ class LoadConfig:
     def index_config(self) -> IndexConfig:
         """A small content-mode index; crash-safe when faults are on."""
         plan = (
-            FaultPlan(
-                seed=self.fault_seed, transient_rate=self.transient_rate
-            )
+            FaultPlan(transient_rate=self.transient_rate)
             if self.transient_rate > 0.0
             else None
         )
-        from ..core.rebalance import GrowthPolicy
-
         return IndexConfig(
             nbuckets=64,
             bucket_size=256,
@@ -268,9 +272,10 @@ class LoadConfig:
 
 @dataclass(frozen=True)
 class Arrival:
-    """One scheduled open-loop arrival."""
+    """One query a reader serves: a scheduled open-loop arrival, or —
+    with no schedule (``at_s`` is None) — the next turn of a closed loop."""
 
-    at_s: float  # offset from the run's start
+    at_s: float | None  # offset from the run's start
     kind: str  # "boolean" | "streamed" | "vector"
     query: object  # the query string or weight map
 
@@ -365,20 +370,19 @@ class _ReaderState:
         self.deadline_exceeded = 0
 
 
-def _issue(target, kind: str, query, top_k: int, snapshot=None):
-    """``search_<kind>`` on anything that answers queries — the service,
-    a published snapshot, an oracle — pinned to ``snapshot`` when one is
-    given."""
+def _issue(target, kind: str, query, snapshot=None):
+    """``search_<kind>`` on anything that answers queries — the service
+    or a brute-force mirror — pinned to ``snapshot`` when one is given."""
     pin = {} if snapshot is None else {"snapshot": snapshot}
     if kind == "vector":
-        return target.search_vector(query, top_k=top_k, **pin)
+        return target.search_vector(query, top_k=TOP_K, **pin)
     return getattr(target, f"search_{kind}")(query, **pin)
 
 
 def _answer_key(kind: str, answer):
     """What two answers to one query are compared by: ``(doc_id, score)``
     pairs for a ranking, the doc-id list otherwise (the brute-force
-    reference returns that list bare)."""
+    mirror returns that list bare)."""
     if kind == "vector":
         return [(d.doc_id, d.score) for d in answer]
     return getattr(answer, "doc_ids", answer)
@@ -392,65 +396,54 @@ class LoadGenerator:
         config: LoadConfig | None = None,
         service: QueryService | None = None,
     ) -> None:
-        self.config = config or LoadConfig()
+        self.config = cfg = config or LoadConfig()
         self._owns_service = service is None
         if service is not None:
             self.service = service
-        elif self.config.gateway:
-            from ..core.rebalance import RebalancePolicy
-            from .gateway import GatewayService
-
+        elif cfg.gateway:
             self.service = GatewayService(
-                self.config.index_config(),
-                shards=self.config.shards,
-                replicas=self.config.replicas,
-                publish_mode=self.config.publish_mode,
-                check_invariants=self.config.check_invariants,
-                buffer_cache_blocks=self.config.buffer_cache_blocks,
-                read_tier=self.config.read_tier,
-                rebalance=self.config.rebalance,
+                cfg.index_config(),
+                shards=cfg.shards,
+                replicas=cfg.replicas,
+                publish_mode=cfg.publish_mode,
+                check_invariants=cfg.check_invariants,
+                buffer_cache_blocks=cfg.buffer_cache_blocks,
+                read_tier=cfg.read_tier,
+                rebalance=cfg.rebalance,
                 rebalance_policy=RebalancePolicy(
-                    max_imbalance=self.config.rebalance_threshold
+                    max_imbalance=cfg.rebalance_threshold
                 )
-                if self.config.rebalance
+                if cfg.rebalance
                 else None,
             )
         else:
             self.service = QueryService(
-                self.config.index_config(),
-                cache_capacity=self.config.cache_capacity,
-                check_invariants=self.config.check_invariants,
-                track_reference=self.config.verify,
-                publish_mode=self.config.publish_mode,
-                buffer_cache_blocks=self.config.buffer_cache_blocks,
-                shards=self.config.shards,
-                read_tier=self.config.read_tier,
+                cfg.index_config(),
+                cache_capacity=cfg.cache_capacity,
+                check_invariants=cfg.check_invariants,
+                publish_mode=cfg.publish_mode,
+                buffer_cache_blocks=cfg.buffer_cache_blocks,
+                shards=cfg.shards,
+                read_tier=cfg.read_tier,
             )
-        self._words = [
-            _word_name(i) for i in range(1, self.config.vocabulary + 1)
-        ]
+        self._words = [_word_name(i) for i in range(1, cfg.vocabulary + 1)]
         # Skewed placement state: the next candidate explicit doc id and
         # the ids actually ingested (delete victims must be real docs —
         # the id gaps the scan leaves behind were never added).
         self._skew_next = 0
         self._skew_live: list[int] = []
-        if self.config.doc_skew > 0.0:
-            s = self.config.doc_skew
+        if cfg.doc_skew > 0.0:
             self._skew_weights = [
-                1.0 / (rank + 1) ** s for rank in range(self.config.shards)
+                1.0 / (rank + 1) ** cfg.doc_skew for rank in range(cfg.shards)
             ]
-        # Parent-side mirror for mirror-based differential probes:
-        # gateway workers cannot hand the parent a clone oracle, and
-        # immediate-tier answers are defined over *everything ingested*
-        # (no batch boundary to clone at) — both compare against a
-        # brute-force model of every ingested operation instead.
-        self._mirror = None
-        if self.config.differential and (
-            self.config.gateway or self.config.read_tier == "immediate"
-        ):
-            from ..query.reference import BruteForceIndex
-
-            self._mirror = BruteForceIndex()
+        # The oracle: a brute-force model of every operation the writer
+        # thread hands the service, kept here and never shown to the
+        # service (a run that checks nothing keeps none).  ``_frozen``
+        # holds its copy per published snapshot id for pinned ``verify``.
+        self._mirror = (
+            BruteForceIndex() if cfg.verify or cfg.differential else None
+        )
+        self._frozen: dict[int, BruteForceIndex] = {}
 
     # -- deterministic generators -----------------------------------------
 
@@ -465,8 +458,6 @@ class LoadGenerator:
         split the hot slice's ids redistribute, but the id stream itself
         is unchanged: rebalanced and epoch-0 arms see identical ingests.
         """
-        from ..core.shard import shard_of
-
         cfg = self.config
         target = rng.choices(
             range(cfg.shards), weights=self._skew_weights
@@ -530,96 +521,78 @@ class LoadGenerator:
 
     # -- reader threads ----------------------------------------------------
 
-    def _verify(self, kind, query, got, snapshot, state) -> None:
-        reference = snapshot.reference
-        if reference is None:
+    def _closed_loop(
+        self, stop: threading.Event, rng: random.Random
+    ) -> Iterator[Arrival]:
+        """A closed loop is an arrival source with no schedule: the next
+        query exists the moment its reader comes back for one."""
+        while not stop.is_set():
+            kind = rng.choices(KINDS, weights=MIX)[0]
+            yield Arrival(None, kind, self._make_query(kind, rng))
+
+    @staticmethod
+    def _share_of(schedule: Iterator[Arrival], lock) -> Iterator[Arrival]:
+        """One reader's share of the open-loop schedule: whichever
+        arrival is next each time it comes back, until the schedule is
+        drained (readers serve every arrival, writer done or not)."""
+        while True:
+            with lock:
+                arrival = next(schedule, None)
+            if arrival is None:
+                return
+            yield arrival
+
+    def _verify(self, arrival: Arrival, got, snapshot, state) -> None:
+        frozen = self._frozen.get(snapshot.snapshot_id)
+        if frozen is None:
+            state.divergences.append(
+                f"snapshot {snapshot.snapshot_id}: the writer froze no "
+                "mirror for it"
+            )
             return
-        want = _issue(reference, kind, query, self.config.top_k)
+        kind, query = arrival.kind, arrival.query
+        want = _issue(frozen, kind, query)
         if _answer_key(kind, got) != _answer_key(kind, want):
             state.divergences.append(
                 f"snapshot {snapshot.snapshot_id} {kind} {query!r}: "
-                f"served {got!r}, reference {want!r}"
+                f"served {got!r}, mirror {want!r}"
             )
 
     def _reader_loop(
-        self, reader_id: int, stop: threading.Event, state: _ReaderState
+        self, reader_id: int, source, t0: float, state: _ReaderState
     ) -> None:
         try:
-            self._reader_queries(reader_id, stop, state)
+            self._reader_queries(source, t0, state)
         except Exception as exc:  # noqa: BLE001 - must surface in the report
             # A dead reader thread must fail the run loudly, not shrink it.
             state.divergences.append(f"reader {reader_id} died: {exc!r}")
 
-    def _reader_queries(
-        self, reader_id: int, stop: threading.Event, state: _ReaderState
-    ) -> None:
-        rng = state.rng
-        while not stop.is_set():
-            kind = rng.choices(KINDS, weights=MIX)[0]
-            # Pin the snapshot: the answer must be verified against the
-            # exact reference model frozen with the state that served it.
-            snapshot = self.service.snapshot()
-            query = self._make_query(kind, rng)
-            with state.recorders[kind].span():
-                got = _issue(
-                    self.service, kind, query, self.config.top_k, snapshot
-                )
-            if self.config.verify:
-                self._verify(kind, query, got, snapshot, state)
+    def _reader_queries(self, source, t0: float, state: _ReaderState) -> None:
+        """Serve arrivals until the source ends.
 
-    # -- open-loop readers -------------------------------------------------
-
-    def _open_reader_loop(
-        self,
-        reader_id: int,
-        arrivals: list[Arrival],
-        cursor: list[int],
-        cursor_lock: threading.Lock,
-        t0: float,
-        state: _ReaderState,
-    ) -> None:
-        try:
-            self._open_reader_queries(
-                arrivals, cursor, cursor_lock, t0, state
-            )
-        except Exception as exc:  # noqa: BLE001 - must surface in report
-            state.divergences.append(f"reader {reader_id} died: {exc!r}")
-
-    def _open_reader_queries(
-        self,
-        arrivals: list[Arrival],
-        cursor: list[int],
-        cursor_lock: threading.Lock,
-        t0: float,
-        state: _ReaderState,
-    ) -> None:
-        """Serve scheduled arrivals until the schedule is drained.
-
-        Each latency sample is ``completion − scheduled_arrival``: when
-        the service (or this reader pool) falls behind, the backlog wait
-        lands *in* the measurement instead of silently delaying the
-        offered load — the open-loop answer to coordinated omission.
+        A scheduled arrival is waited for and its latency sample is
+        ``completion − scheduled_arrival``: when the service (or this
+        reader pool) falls behind, the backlog wait lands *in* the
+        measurement instead of silently delaying the offered load — the
+        open-loop answer to coordinated omission.  An unscheduled one is
+        timed from the moment it is issued.
         """
-        from .gateway import GatewayOverloaded, ShardDeadlineExceeded
-
-        while True:
-            with cursor_lock:
-                i = cursor[0]
-                if i >= len(arrivals):
-                    return
-                cursor[0] = i + 1
-            arrival = arrivals[i]
-            now = time.perf_counter() - t0
-            if now < arrival.at_s:
-                time.sleep(arrival.at_s - now)
+        for arrival in source:
+            if arrival.at_s is not None:
+                wait = t0 + arrival.at_s - time.perf_counter()
+                if wait > 0:
+                    time.sleep(wait)
+            # Pin the snapshot: the answer must be verified against the
+            # mirror frozen for exactly the state that served it.
             snapshot = self.service.snapshot()
+            issued = (
+                time.perf_counter()
+                if arrival.at_s is None
+                else t0 + arrival.at_s
+            )
             try:
                 got = _issue(
-                    self.service,
-                    arrival.kind,
-                    arrival.query,
-                    self.config.top_k,
-                    snapshot,
+                    self.service, arrival.kind, arrival.query, snapshot
                 )
             except GatewayOverloaded:
                 state.shed += 1  # a typed overload outcome, not a bug
@@ -628,14 +601,24 @@ class LoadGenerator:
                 state.deadline_exceeded += 1
                 continue
             state.recorders[arrival.kind].record(
-                time.perf_counter() - t0 - arrival.at_s
+                time.perf_counter() - issued
             )
             if self.config.verify:
-                self._verify(
-                    arrival.kind, arrival.query, got, snapshot, state
-                )
+                self._verify(arrival, got, snapshot, state)
 
     # -- the writer + the run ---------------------------------------------
+
+    def _ingest(self, text: str, doc_id: int | None) -> int:
+        """One document to the service and, word for word, to the mirror."""
+        doc_id = self.service.add_document(text, doc_id)
+        if self._mirror is not None:
+            self._mirror.add_document(doc_id, text.split())
+        return doc_id
+
+    def _delete(self, doc_id: int) -> None:
+        self.service.delete_document(doc_id)
+        if self._mirror is not None:
+            self._mirror.delete_document(doc_id)
 
     def _maybe_crash_plan(self, cycle: int) -> bool:
         """Install a crash plan for this cycle; True when one is active."""
@@ -652,41 +635,28 @@ class LoadGenerator:
     def _differential_check(
         self, cycle: int, divergences: list[str]
     ) -> None:
-        """Probe served answers against an oracle on the writer thread.
+        """Probe served answers against the mirror on the writer thread.
 
-        Without a mirror (in-process, snapshot tier) it runs right after
-        a publish, while the writer sits at the batch boundary: the
-        served snapshot against a fresh full checkpoint clone — the
-        known-good publication path, so any difference indicts the
-        incremental (cow) snapshot.  With the parent-side brute-force
-        mirror of every ingested operation there are two callers.
-        Gateway snapshot mode runs it right after a flush, so the mirror
-        and the workers' published snapshots coincide.  Immediate mode
-        runs it *mid-buffer*, before any flush — served answers are
-        defined over everything ingested, so they must match the mirror
-        even while documents sit unpublished in the memory tier."""
+        The snapshot tier runs it right after a flush, while the writer
+        sits at the batch boundary, so the mirror and what was just
+        published coincide — in process or behind the gateway's workers.
+        The immediate tier runs it *mid-buffer*, before any flush:
+        served answers are defined over everything ingested, so they
+        must match the mirror even while documents sit unpublished in
+        the memory tier."""
         snapshot = self.service.snapshot()
-        if self._mirror is not None:
-            served, pin = self.service, snapshot
-            expected, label = self._mirror, "mirror"
-        else:
-            served, pin = snapshot, None
-            expected, label = self.service.writer_index.clone(), "oracle"
-        top_k = self.config.top_k
         rng = random.Random(self.config.seed * 104729 + cycle)
         for kind in KINDS:
             for _ in range(self.config.differential_probes):
                 query = self._make_query(kind, rng)
                 got = _answer_key(
-                    kind, _issue(served, kind, query, top_k, pin)
+                    kind, _issue(self.service, kind, query, snapshot)
                 )
-                want = _answer_key(
-                    kind, _issue(expected, kind, query, top_k)
-                )
+                want = _answer_key(kind, _issue(self._mirror, kind, query))
                 if got != want:
                     divergences.append(
                         f"cycle {cycle} differential {kind} {query!r}: "
-                        f"served {got!r}, {label} {want!r}"
+                        f"served {got!r}, mirror {want!r}"
                     )
 
     def run(self) -> ServingReport:
@@ -703,33 +673,29 @@ class LoadGenerator:
         cfg = self.config
         stop = threading.Event()
         states = [_ReaderState(cfg.seed, i) for i in range(cfg.readers)]
-        arrivals: list[Arrival] = []
-        cursor = [0]
-        cursor_lock = threading.Lock()
-        if cfg.arrival == "open":
-            arrivals = self.open_schedule()
+        arrivals = self.open_schedule() if cfg.arrival == "open" else []
+        schedule, schedule_lock = iter(arrivals), threading.Lock()
+        if cfg.verify:
+            self._frozen[self.service.snapshot().snapshot_id] = (
+                self._mirror.freeze()
+            )
         start = time.perf_counter()
-        if cfg.arrival == "open":
-            threads = [
-                threading.Thread(
-                    target=self._open_reader_loop,
-                    args=(i, arrivals, cursor, cursor_lock, start,
-                          states[i]),
-                    name=f"reader-{i}",
-                    daemon=True,
-                )
-                for i in range(cfg.readers)
-            ]
-        else:
-            threads = [
-                threading.Thread(
-                    target=self._reader_loop,
-                    args=(i, stop, states[i]),
-                    name=f"reader-{i}",
-                    daemon=True,
-                )
-                for i in range(cfg.readers)
-            ]
+        threads = [
+            threading.Thread(
+                target=self._reader_loop,
+                args=(
+                    i,
+                    self._share_of(schedule, schedule_lock)
+                    if cfg.arrival == "open"
+                    else self._closed_loop(stop, state.rng),
+                    start,
+                    state,
+                ),
+                name=f"reader-{i}",
+                daemon=True,
+            )
+            for i, state in enumerate(states)
+        ]
         writer_rng = random.Random(cfg.seed)
         deleted = 0
         ingested = 0
@@ -744,8 +710,6 @@ class LoadGenerator:
         )
         merger = None
         if cfg.background_merge:
-            from .server import BackgroundMerger
-
             merger = BackgroundMerger(
                 self.service, min_buffered=cfg.docs_per_batch
             ).start()
@@ -763,12 +727,10 @@ class LoadGenerator:
                 if probing:
                     probe_word = "probe" + _word_name(cycle + 1)
                     probe_t0 = time.perf_counter()
-                    probe_id = self.service.add_document(probe_word)
+                    probe_id = self._ingest(probe_word, None)
                     # The probe's writer-assigned id advances the global
                     # watermark; the skewed id scan must not fall below it.
                     self._skew_next = max(self._skew_next, probe_id + 1)
-                    if self._mirror is not None:
-                        self._mirror.add_document(probe_id, [probe_word])
                     if cfg.read_tier == "immediate":
                         got = self.service.search_streamed(probe_word)
                         if probe_id in got.doc_ids:
@@ -776,15 +738,11 @@ class LoadGenerator:
                 for _ in range(cfg.docs_per_batch):
                     text = self._document(writer_rng)
                     if cfg.doc_skew > 0.0:
-                        doc_id = self._skewed_doc_id(writer_rng)
-                        self.service.add_document(text, doc_id)
+                        doc_id = self._ingest(
+                            text, self._skewed_doc_id(writer_rng)
+                        )
                         self._skew_live.append(doc_id)
-                    else:
-                        doc_id = self.service.add_document(text)
-                    ingested += 1
-                    if self._mirror is not None:
-                        self._mirror.add_document(doc_id, text.split())
-                    if cfg.doc_skew > 0.0:
+                        ingested += 1
                         # Skewed ids jump, so the trigger counts ingests
                         # and victims come from ids actually added (the
                         # scan's id gaps were never documents).
@@ -803,6 +761,7 @@ class LoadGenerator:
                             else None
                         )
                     else:
+                        doc_id = self._ingest(text, None)
                         due = (
                             cfg.delete_every
                             and doc_id
@@ -810,9 +769,7 @@ class LoadGenerator:
                         )
                         victim = writer_rng.randrange(doc_id) if due else None
                     if victim is not None:
-                        self.service.delete_document(victim)
-                        if self._mirror is not None:
-                            self._mirror.delete_document(victim)
+                        self._delete(victim)
                         deleted += 1
                 if cfg.differential and cfg.read_tier == "immediate":
                     # Mid-buffer: nothing flushed yet this cycle, but
@@ -820,6 +777,13 @@ class LoadGenerator:
                     self._differential_check(cycle, differential_divergences)
                     differential_checks += 1
                 if not cfg.background_merge:
+                    if cfg.verify:
+                        # Frozen before the publish, under the id it will
+                        # carry: no reader can pin a snapshot whose
+                        # mirror is not there yet.
+                        self._frozen[
+                            self.service.snapshot().snapshot_id + 1
+                        ] = self._mirror.freeze()
                     crashing = self._maybe_crash_plan(cycle)
                     try:
                         self.service.flush_and_publish()
@@ -845,8 +809,6 @@ class LoadGenerator:
             if merger is not None:
                 merger.stop()
             stop.set()
-            # Open-loop readers exit when the schedule drains (they must
-            # serve every scheduled arrival, writer done or not).
             for thread in threads:
                 thread.join(timeout=120.0)
         wall = time.perf_counter() - start
@@ -870,17 +832,15 @@ class LoadGenerator:
         latency["publish"] = self.service.publish_latency.summary()
         open_loop: dict = {}
         if cfg.arrival == "open":
-            shed = sum(state.shed for state in states)
-            deadline = sum(state.deadline_exceeded for state in states)
             open_loop = {
                 "scheduled": len(arrivals),
                 "completed": overall.count,
-                "shed": shed,
-                "deadline_exceeded": deadline,
+                "shed": sum(state.shed for state in states),
+                "deadline_exceeded": sum(
+                    state.deadline_exceeded for state in states
+                ),
                 "offered_rate_qps": cfg.arrival_rate_qps,
-                "schedule_seconds": round(arrivals[-1].at_s, 6)
-                if arrivals
-                else 0.0,
+                "schedule_seconds": round(arrivals[-1].at_s, 6),
             }
         visibility_report = {
             "tier": cfg.read_tier,
@@ -904,32 +864,9 @@ class LoadGenerator:
             buffer_cache = self.service.buffer_counters.as_dict()
         return ServingReport(
             config={
-                "readers": cfg.readers,
-                "flush_cycles": cfg.flush_cycles,
-                "docs_per_batch": cfg.docs_per_batch,
-                "vocabulary": cfg.vocabulary,
-                "seed": cfg.seed,
-                "verify": cfg.verify,
-                "delete_every": cfg.delete_every,
+                **asdict(cfg),
                 "deleted": deleted,
-                "crash_every": cfg.crash_every,
-                "transient_rate": cfg.transient_rate,
-                "publish_mode": cfg.publish_mode,
-                "buffer_cache_blocks": cfg.buffer_cache_blocks,
-                "differential": cfg.differential,
                 "differential_checks": differential_checks,
-                "shards": cfg.shards,
-                "gateway": cfg.gateway,
-                "arrival": cfg.arrival,
-                "arrival_rate_qps": cfg.arrival_rate_qps,
-                "arrival_queries": cfg.arrival_queries,
-                "read_tier": cfg.read_tier,
-                "background_merge": cfg.background_merge,
-                "replicas": cfg.replicas,
-                "grow_buckets": cfg.grow_buckets,
-                "doc_skew": cfg.doc_skew,
-                "rebalance": cfg.rebalance,
-                "rebalance_threshold": cfg.rebalance_threshold,
             },
             wall_seconds=wall,
             queries=overall.count,

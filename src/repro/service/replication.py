@@ -275,17 +275,11 @@ def replica_specs(
 ) -> list[WorkerSpec]:
     """Derive the per-replica specs for one shard.
 
-    ``fault_plans`` keys address a single replica: an ``int`` key is
-    shorthand for ``(shard, 0)`` (replica 0 — PR 6 compatibility, where
-    each shard *was* its replica 0), a ``(shard, replica)`` tuple is
-    precise.  The chaos battery leans on this to SIGKILL exactly one
-    replica of a replicated shard.
+    ``fault_plans`` is keyed by ``(shard, replica)``: the chaos battery
+    leans on this to SIGKILL exactly one replica of a replicated shard.
     """
     plans = fault_plans or {}
-    specs = []
-    for j in range(replicas):
-        plan = plans.get((shard_id, j))
-        if plan is None and j == 0:
-            plan = plans.get(shard_id)
-        specs.append(dc_replace(base, fault_plan=plan))
-    return specs
+    return [
+        dc_replace(base, fault_plan=plans.get((shard_id, j)))
+        for j in range(replicas)
+    ]

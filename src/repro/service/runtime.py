@@ -65,7 +65,6 @@ class ShardRuntime:
         max_flush_retries: int,
         check_invariants: bool,
         buffer_cache_blocks: int,
-        tokenizer_config=None,
         on_crash=None,
         error: type | None = None,
     ) -> None:
@@ -80,7 +79,6 @@ class ShardRuntime:
         self.buffer_counters = (
             HitMissCounters() if buffer_cache_blocks else None
         )
-        self.tokenizer_config = tokenizer_config
         self.on_crash = on_crash
         self.error = error
         self.memtier: MemTier | None = None
@@ -98,9 +96,7 @@ class ShardRuntime:
             # Immediate visibility: the buffered postings serve reads the
             # moment this returns (the tier's visibility watermark
             # advances last, so no reader sees half a document).
-            self.memtier.add_document(
-                doc_id, tokenize_document(text, self.tokenizer_config)
-            )
+            self.memtier.add_document(doc_id, tokenize_document(text))
         return doc_id
 
     def delete_document(self, doc_id: int) -> None:

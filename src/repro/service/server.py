@@ -43,9 +43,7 @@ from ..core.shard import IndexShard
 from ..core.sharded import build_text_index
 from ..pipeline.profiling import LatencyRecorder, StageTimings
 from ..query import twotier
-from ..query.reference import BruteForceIndex
 from ..query.vector import ScoredDocument
-from ..text.tokenizer import TokenizerConfig, tokenize_document
 from ..textindex import QueryAnswer
 from .cache import QueryResultCache
 from .runtime import ShardRuntime
@@ -115,7 +113,7 @@ class QueryService:
     evaluation charged (a hit costs no I/O; the cache stats record it).
 
     ``publish_mode`` selects how snapshots are built: ``"clone"`` (the
-    default, and the differential-testing oracle) serializes the whole
+    default, and the cow tests' known-good twin) serializes the whole
     index per publish; ``"cow"`` builds each snapshot incrementally from
     the previous one plus the writer's delta journal — O(batch) instead
     of O(index) — falling back to a full clone whenever the journal
@@ -138,11 +136,9 @@ class QueryService:
     def __init__(
         self,
         config: IndexConfig | None = None,
-        tokenizer_config: TokenizerConfig | None = None,
         *,
         cache_capacity: int = 256,
         check_invariants: bool = False,
-        track_reference: bool = False,
         max_flush_retries: int = 8,
         publish_mode: str = "clone",
         buffer_cache_blocks: int = 0,
@@ -159,20 +155,15 @@ class QueryService:
         if read_tier not in ("snapshot", "immediate"):
             raise ValueError("read_tier must be 'snapshot' or 'immediate'")
         self._writer: IndexShard = build_text_index(
-            config,
-            tokenizer_config=tokenizer_config,
-            shards=shards,
-            router_seed=router_seed,
+            config, shards=shards, router_seed=router_seed
         )
         self.shards = shards
-        self._tokenizer_config = tokenizer_config
         self._writer_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self.cache = QueryResultCache(cache_capacity)
         self.stats = ServiceStats()
         self.timings = StageTimings()
         self.publish_latency = LatencyRecorder()
-        self._reference = BruteForceIndex() if track_reference else None
         # The flush → recover → publish → rebase state machine (DESIGN.md
         # §10.1).  Building it publishes the empty index, so readers
         # always have a snapshot.
@@ -183,13 +174,10 @@ class QueryService:
             max_flush_retries=max_flush_retries,
             check_invariants=check_invariants,
             buffer_cache_blocks=buffer_cache_blocks,
-            tokenizer_config=tokenizer_config,
             error=ServiceError,
         )
         self.buffer_counters = self._runtime.buffer_counters
-        self._snapshot = IndexSnapshot(
-            self._runtime.published, 0, reference=self._frozen_reference()
-        )
+        self._snapshot = IndexSnapshot(self._runtime.published, 0)
         # The immediate-access memory tier (DESIGN.md §14): a queryable
         # write buffer mirroring the writer's pending batch, rebased onto
         # each published snapshot.  Built only when the service serves
@@ -221,11 +209,6 @@ class QueryService:
         with self._writer_lock:
             with self.timings.stage("serve.ingest"):
                 doc_id = self._runtime.add_document(text, doc_id)
-                if self._reference is not None:
-                    self._reference.add_document(
-                        doc_id,
-                        tokenize_document(text, self._tokenizer_config),
-                    )
             self.stats.documents_ingested += 1
             return doc_id
 
@@ -234,8 +217,6 @@ class QueryService:
         (immediately, as a tombstone, when serving the immediate tier)."""
         with self._writer_lock:
             self._runtime.delete_document(doc_id)
-            if self._reference is not None:
-                self._reference.delete_document(doc_id)
             self.stats.documents_deleted += 1
 
     def flush_and_publish(self) -> tuple[BatchResult, IndexSnapshot]:
@@ -256,18 +237,11 @@ class QueryService:
                     self._runtime.publish(self._install)
             return result, self._snapshot
 
-    def _frozen_reference(self):
-        if self._reference is None:
-            return None
-        return self._reference.freeze()
-
     def _install(self, index: IndexShard, cow: bool, delta) -> IndexSnapshot:
         """The runtime's install hook: wrap the clone, update the result
         cache, swap the pointer — in that order."""
         prev = self._snapshot
-        snapshot = IndexSnapshot(
-            index, prev.snapshot_id + 1, reference=self._frozen_reference()
-        )
+        snapshot = IndexSnapshot(index, prev.snapshot_id + 1)
         # Cache update precedes the swap so no reader can compute against
         # the new snapshot while stale entries are still resident (and
         # precedes the journal clear: it reads the batch's dirty terms).
@@ -306,33 +280,21 @@ class QueryService:
         with self._stats_lock:
             self.stats.queries[kind] = self.stats.queries.get(kind, 0) + 1
 
-    def _resolve_tier(self, tier: str | None) -> str:
-        tier = tier or self.read_tier
-        if tier not in ("snapshot", "immediate"):
-            raise ValueError("tier must be 'snapshot' or 'immediate'")
-        if tier == "immediate" and self._memtier is None:
-            raise ValueError(
-                "immediate tier requested but the service was built with "
-                "read_tier='snapshot'"
-            )
-        return tier
-
     def search_boolean(
         self,
         query: str,
         snapshot: IndexSnapshot | None = None,
-        tier: str | None = None,
     ) -> QueryAnswer:
         """Serve a boolean query from the current snapshot (cached).
 
         Pass ``snapshot`` to pin evaluation to a snapshot the caller
-        already holds (stress tests verify the answer against that exact
-        snapshot's reference model).  ``tier`` overrides the service's
-        ``read_tier`` per call; the immediate tier always evaluates
-        against the live buffer's base and ignores a snapshot pin.
+        already holds (the stress driver verifies the answer against the
+        mirror it froze for that exact snapshot).  A service built with
+        ``read_tier="immediate"`` always evaluates against the live
+        buffer's base and ignores the pin.
         """
         self._count_query("boolean")
-        if self._resolve_tier(tier) == "immediate":
+        if self._memtier is not None:
             view = self._memtier.view()
             base = view.base
             key = ("imm-boolean", query)
@@ -381,11 +343,10 @@ class QueryService:
         self,
         query: str,
         snapshot: IndexSnapshot | None = None,
-        tier: str | None = None,
     ) -> QueryAnswer:
         """Serve a flat AND/OR query from the current snapshot (cached)."""
         self._count_query("streamed")
-        if self._resolve_tier(tier) == "immediate":
+        if self._memtier is not None:
             view = self._memtier.view()
             base = view.base
             key = ("imm-streamed", query)
@@ -431,12 +392,11 @@ class QueryService:
         weights: dict[str, float],
         top_k: int = 10,
         snapshot: IndexSnapshot | None = None,
-        tier: str | None = None,
     ) -> list[ScoredDocument]:
         """Serve a ranked vector query from the current snapshot (cached)."""
         self._count_query("vector")
         query_key = (tuple(sorted(weights.items())), top_k)
-        if self._resolve_tier(tier) == "immediate":
+        if self._memtier is not None:
             view = self._memtier.view()
             base = view.base
             key = ("imm-vector", query_key)
@@ -552,13 +512,13 @@ class BackgroundMerger:
         self._thread.start()
         return self
 
-    def stop(self, drain: bool = True) -> None:
-        """Stop the merge loop; with ``drain`` flush whatever remains."""
+    def stop(self) -> None:
+        """Stop the merge loop, then flush whatever remains buffered."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        if drain and not self.service.memtier.view().is_empty():
+        if not self.service.memtier.view().is_empty():
             self._merge_once()
 
     def stats(self) -> dict:

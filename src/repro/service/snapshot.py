@@ -40,7 +40,6 @@ from ..textindex import QueryAnswer
 
 if TYPE_CHECKING:
     from ..core.shard import IndexShard
-    from ..query.reference import BruteForceIndex
 
 
 class IndexSnapshot:
@@ -49,18 +48,11 @@ class IndexSnapshot:
     ``snapshot_id`` increases by one per publication; ``batch`` is the
     number of batch updates the snapshot has absorbed and
     ``shard_versions`` the per-shard batch counters (a one-element vector
-    for a single volume) — the identity the result cache keys on.
-    ``reference`` is an optionally attached
-    :class:`~repro.query.reference.BruteForceIndex` frozen at the same
-    boundary (stress tests compare every served answer against it).
+    for a single volume) — the identity the result cache keys on, and
+    the id a stress driver files its own oracle's frozen copy under.
     """
 
-    def __init__(
-        self,
-        index: "IndexShard",
-        snapshot_id: int,
-        reference: "BruteForceIndex | None" = None,
-    ) -> None:
+    def __init__(self, index: "IndexShard", snapshot_id: int) -> None:
         self.index = index
         self.snapshot_id = snapshot_id
         self.batch = index.batches
@@ -72,7 +64,6 @@ class IndexSnapshot:
         # ahead of them in :attr:`version_vector`.
         self.routing_epoch = getattr(index, "routing_epoch", 0)
         self.ndocs = index.ndocs
-        self.reference = reference
 
     @property
     def version_vector(self) -> tuple[int, ...]:

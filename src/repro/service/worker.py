@@ -66,8 +66,6 @@ class WorkerSpec:
 
     shard_id: int
     index_config: IndexConfig | None = None
-    tokenizer_config: object = None
-    region_rules: object = None
     publish_mode: str = "cow"
     #: Serialized :meth:`TextDocumentIndex.save` blob to restore from.
     restore: bytes | None = None
@@ -154,19 +152,11 @@ class ShardWorker:
     """
 
     def __init__(self, spec: WorkerSpec) -> None:
-        if spec.read_tier not in ("snapshot", "immediate"):
-            raise ValueError("read_tier must be 'snapshot' or 'immediate'")
         self.spec = spec
         if spec.restore is not None:
             self.writer = TextDocumentIndex.load(io.BytesIO(spec.restore))
-            self.writer.tokenizer_config = spec.tokenizer_config
-            self.writer.region_rules = spec.region_rules
         else:
-            self.writer = TextDocumentIndex(
-                spec.index_config,
-                tokenizer_config=spec.tokenizer_config,
-                region_rules=spec.region_rules,
-            )
+            self.writer = TextDocumentIndex(spec.index_config)
         self.stats = WorkerStats()
         self._dirty_since_publish = False
         # The flush → recover → publish → rebase state machine (DESIGN.md
@@ -179,7 +169,6 @@ class ShardWorker:
             max_flush_retries=spec.max_flush_retries,
             check_invariants=spec.check_invariants,
             buffer_cache_blocks=spec.buffer_cache_blocks,
-            tokenizer_config=spec.tokenizer_config,
             on_crash=_die if spec.kill_on_crash else None,
         )
         # The immediate-access memory tier mirrors the writer's pending

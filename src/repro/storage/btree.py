@@ -25,12 +25,17 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 
+#: Bytes one key/pointer entry takes in a node (the directory's own
+#: ``directory_entry_bytes`` default).
+ENTRY_BYTES = 16
+
+
 @dataclass(frozen=True)
 class BTreeConfig:
     """Geometry of the tree.
 
     ``order`` is the maximum number of keys per node; when built from a
-    block size, ``order = block_size // entry_bytes`` (at least 3).
+    block size, ``order = block_size // ENTRY_BYTES`` (at least 3).
     """
 
     order: int = 64
@@ -40,10 +45,10 @@ class BTreeConfig:
             raise ValueError("order must be >= 3")
 
     @classmethod
-    def for_block(cls, block_size: int, entry_bytes: int = 16) -> "BTreeConfig":
-        if block_size <= 0 or entry_bytes <= 0:
-            raise ValueError("block_size and entry_bytes must be > 0")
-        return cls(order=max(3, block_size // entry_bytes))
+    def for_block(cls, block_size: int) -> "BTreeConfig":
+        if block_size <= 0:
+            raise ValueError("block_size must be > 0")
+        return cls(order=max(3, block_size // ENTRY_BYTES))
 
 
 class _Node:

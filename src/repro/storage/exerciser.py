@@ -82,6 +82,11 @@ class ExerciseResult:
         return sum(b.retries for b in self.batch_timings)
 
 
+#: Backoff charged to a disk's stream per retry of a transiently failed
+#: request, linear in the attempt (``1×``, ``2×``, ``3×``, ...).
+RETRY_BACKOFF_S = 0.002
+
+
 @dataclass
 class _PendingRequest:
     """A coalescing-in-progress request for one disk stream."""
@@ -113,20 +118,18 @@ class DiskExerciser:
         buffer_blocks: int = 256,
         fault_plan: FaultPlan | None = None,
         max_retries: int = 4,
-        retry_backoff_s: float = 0.002,
     ) -> None:
         if ndisks <= 0:
             raise ValueError("ndisks must be > 0")
         if buffer_blocks <= 0:
             raise ValueError("buffer_blocks must be > 0")
-        if max_retries < 0 or retry_backoff_s < 0:
-            raise ValueError("max_retries and retry_backoff_s must be >= 0")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         self.profile = profile
         self.ndisks = ndisks
         self.buffer_blocks = buffer_blocks
         self.fault_plan = fault_plan
         self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
 
     def _make_disks(self) -> list[SimulatedDisk]:
         if self.fault_plan is None:
@@ -170,7 +173,7 @@ class DiskExerciser:
                     if attempt == self.max_retries:
                         raise
                     retries += 1
-                    elapsed += self.retry_backoff_s * (attempt + 1)
+                    elapsed += RETRY_BACKOFF_S * (attempt + 1)
             raise AssertionError("unreachable")
 
         def flush(disk_id: int) -> None:

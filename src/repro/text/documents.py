@@ -82,13 +82,9 @@ class DocumentBatch:
         return iter(self.documents)
 
 
-def filter_batch(
-    day: int,
-    documents: Iterable[Document],
-    config: FilterConfig | None = None,
-) -> DocumentBatch:
-    """Apply the admission filters to a day's raw documents."""
-    cfg = config or FilterConfig()
+def filter_batch(day: int, documents: Iterable[Document]) -> DocumentBatch:
+    """Apply the paper's admission filters to a day's raw documents."""
+    cfg = FilterConfig()
     batch = DocumentBatch(day=day)
     for doc in documents:
         if admit(doc, cfg):

@@ -90,9 +90,9 @@ class VocabularyView:
 
     __slots__ = ("_base", "_size")
 
-    def __init__(self, base: Vocabulary, size: int | None = None) -> None:
+    def __init__(self, base: Vocabulary) -> None:
         self._base = base
-        self._size = len(base) if size is None else size
+        self._size = len(base)
 
     def __len__(self) -> int:
         return self._size

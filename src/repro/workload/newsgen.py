@@ -57,12 +57,11 @@ def id_for_word(word: str) -> int:
     return n
 
 
-def render_article(
-    doc_id: int,
-    word_ids: Iterable[int],
-    day: int = 0,
-    words_per_line: int = 10,
-) -> str:
+#: Words per line of a rendered article body.
+WORDS_PER_LINE = 10
+
+
+def render_article(doc_id: int, word_ids: Iterable[int], day: int = 0) -> str:
     """Render one document's word ids as a News-style article."""
     words = [word_for_id(int(w)) for w in word_ids]
     lines = [
@@ -71,8 +70,8 @@ def render_article(
         f"Date: day {day} of the synthetic run",
         "",
     ]
-    for i in range(0, len(words), words_per_line):
-        lines.append(" ".join(words[i : i + words_per_line]))
+    for i in range(0, len(words), WORDS_PER_LINE):
+        lines.append(" ".join(words[i : i + WORDS_PER_LINE]))
     return "\n".join(lines) + "\n"
 
 

@@ -68,7 +68,6 @@ def _build(docs, every, delete_seed):
             store_contents=True,
         ),
         cache_capacity=0,  # differential answers must not be memoized
-        track_reference=False,
         read_tier="immediate",
     )
     oracle = BruteForceIndex()
@@ -178,18 +177,18 @@ def test_read_ops_match_the_snapshot_tier(docs, every, delete_seed, query):
     operator, word_nums = query
     text = f" {operator} ".join(_word(n) for n in word_nums)
 
-    imm_streamed = service.search_streamed(text, tier="immediate")
-    snap_streamed = service.search_streamed(text, tier="snapshot")
+    imm_streamed = service.search_streamed(text)
+    snap_streamed = service.snapshot().search_streamed(text)
     assert imm_streamed.read_ops == snap_streamed.read_ops
 
-    imm_boolean = service.search_boolean(text, tier="immediate")
-    snap_boolean = service.search_boolean(text, tier="snapshot")
+    imm_boolean = service.search_boolean(text)
+    snap_boolean = service.snapshot().search_boolean(text)
     assert imm_boolean.read_ops == snap_boolean.read_ops
 
     # After draining the buffer the tiers are byte-identical: same ids,
     # same read ops.
     service.flush_and_publish()
-    imm = service.search_streamed(text, tier="immediate")
-    snap = service.search_streamed(text, tier="snapshot")
+    imm = service.search_streamed(text)
+    snap = service.snapshot().search_streamed(text)
     assert imm.doc_ids == snap.doc_ids == oracle.search_boolean(text)
     assert imm.read_ops == snap.read_ops

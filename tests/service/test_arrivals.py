@@ -17,7 +17,6 @@ The satellite claims pinned here:
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
@@ -115,13 +114,13 @@ class _SlowService:
 
 
 class _FakeGenerator:
-    """Just enough of LoadGenerator for ``_open_reader_queries``."""
+    """Just enough of LoadGenerator for ``_reader_queries``."""
 
     def __init__(self, service, config) -> None:
         self.service = service
         self.config = config
 
-    _open_reader_queries = LoadGenerator._open_reader_queries
+    _reader_queries = LoadGenerator._reader_queries
 
 
 class TestCoordinatedOmission:
@@ -140,9 +139,7 @@ class TestCoordinatedOmission:
         gen = _FakeGenerator(service, config)
         arrivals = [Arrival(0.0, "boolean", "a AND b") for _ in range(n)]
         state = _ReaderState(seed=0, reader_id=0)
-        gen._open_reader_queries(
-            arrivals, [0], threading.Lock(), time.perf_counter(), state
-        )
+        gen._reader_queries(iter(arrivals), time.perf_counter(), state)
         samples = state.recorders["boolean"].samples
         assert len(samples) == n
         assert service.calls == n
@@ -163,9 +160,7 @@ class TestCoordinatedOmission:
         arrivals = [Arrival(0.0, "boolean", "a AND b")]
         state = _ReaderState(seed=0, reader_id=0)
         t0 = time.perf_counter() - 0.05  # the pool is 50 ms behind
-        gen._open_reader_queries(
-            arrivals, [0], threading.Lock(), t0, state
-        )
+        gen._reader_queries(iter(arrivals), t0, state)
         (sample,) = state.recorders["boolean"].samples
         assert sample >= 0.05
 

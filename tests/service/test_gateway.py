@@ -408,3 +408,85 @@ class TestReplicaVersionGuard:
             assert gateway.stats.failovers == 0
 
         run_gateway(body, shards=1, replicas=2)
+
+
+class TestUnsendableOp:
+    """An op no replica can be sent never enters the journal.
+
+    ``add_document`` used to append to the shard's op log before the
+    frame was encoded.  A document over ``max_frame`` then raised
+    :class:`~repro.service.wire.FrameTooLarge` to the caller with the op
+    journaled and no replica's ``log_pos`` moved: the next write found
+    every healthy replica "behind the journal head" and resynced them
+    all, every rebuild replayed the poison op and parked at ``FAILED``,
+    and the shard was dead for good.
+    """
+
+    OVERSIZED = "pad " * 10_000  # a 40 KB frame against an 8 KB budget
+
+    def _service(self):
+        return GatewayService(
+            small_config(), shards=1, replicas=2, max_frame=8192
+        )
+
+    def test_oversized_add_leaves_the_shard_serving(self):
+        from repro.query.reference import BruteForceIndex
+        from repro.service.replication import ReplicaState
+
+        service = self._service()
+        oracle = BruteForceIndex()
+        try:
+            for text in DOCS[:3]:
+                oracle.add_document(service.add_document(text), text.split())
+            service.flush_and_publish()
+            rs = service.gateway._sets[0]
+            before = (len(rs.oplog), [r.log_pos for r in rs.replicas])
+            with pytest.raises(wire.FrameTooLarge):
+                service.add_document(self.OVERSIZED)
+            assert (len(rs.oplog), [r.log_pos for r in rs.replicas]) == before
+
+            for text in DOCS[3:6]:
+                oracle.add_document(service.add_document(text), text.split())
+            service.delete_document(0)
+            oracle.delete_document(0)
+            service.flush_and_publish()
+            for q in ("apple OR banana", "cherry AND NOT date", "grape"):
+                assert service.search_boolean(q).doc_ids == (
+                    oracle.search_boolean(q)
+                ), q
+            assert [r.state for r in rs.replicas] == [ReplicaState.HEALTHY] * 2
+            assert service.gateway.repl.rebuilds_started == 0
+
+            # Failover still works off the same journal.
+            service.kill_replica(0, 1)
+            oracle.add_document(
+                service.add_document(DOCS[6]), DOCS[6].split()
+            )
+            service.flush_and_publish()
+            service.wait_for_recovery()
+            assert service.gateway.repl.rebuilds_completed == 1
+            assert service.gateway.repl.rebuild_failures == 0
+            for _ in range(2):  # once per replica of the rotation
+                assert service.search_boolean("apple").doc_ids == (
+                    oracle.search_boolean("apple")
+                )
+        finally:
+            service.close()
+
+    def test_refused_explicit_id_leaves_no_holes(self):
+        service = self._service()
+        try:
+            service.add_document(DOCS[0])
+            holes = set(service.gateway._holes)
+            with pytest.raises(wire.FrameTooLarge):
+                service.add_document(self.OVERSIZED, doc_id=5)
+            assert service.gateway._holes == holes
+            # Ids 1..4 are still to be assigned, and a document given one
+            # of them is a document: deletable, not "never added".
+            assert service.add_document(DOCS[1]) == 1
+            service.flush_and_publish()
+            service.delete_document(1)
+            service.flush_and_publish()
+            assert service.search_boolean("banana").doc_ids == [0]
+        finally:
+            service.close()

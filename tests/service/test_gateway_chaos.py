@@ -73,7 +73,9 @@ def test_sigkill_mid_flush_recovers_and_resumes(crash_at):
         gateway = AsyncShardGateway(
             crash_config(),
             shards=2,
-            fault_plans={0: FaultPlan(crash_at=crash_at, crash_at_hit=1)},
+            fault_plans={
+                (0, 0): FaultPlan(crash_at=crash_at, crash_at_hit=1)
+            },
             kill_on_crash=True,
         )
         await gateway.start()
@@ -134,7 +136,9 @@ def test_second_hit_crash_spares_first_flush():
             crash_config(),
             shards=2,
             fault_plans={
-                0: FaultPlan(crash_at="index.flush-begin", crash_at_hit=2)
+                (0, 0): FaultPlan(
+                    crash_at="index.flush-begin", crash_at_hit=2
+                )
             },
             kill_on_crash=True,
         )
@@ -172,7 +176,9 @@ def test_chaos_through_service_facade():
         crash_config(),
         shards=2,
         fault_plans={
-            0: FaultPlan(crash_at="index.before-shadow-flush", crash_at_hit=1)
+            (0, 0): FaultPlan(
+                crash_at="index.before-shadow-flush", crash_at_hit=1
+            )
         },
         kill_on_crash=True,
     )

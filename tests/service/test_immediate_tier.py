@@ -45,7 +45,6 @@ def small_config(**overrides) -> IndexConfig:
 def immediate_service(**overrides) -> QueryService:
     kwargs = dict(
         cache_capacity=64,
-        track_reference=False,
         read_tier="immediate",
     )
     kwargs.update(overrides)
@@ -61,7 +60,7 @@ class TestReadYourWrites:
         ranked = service.search_vector({"alpha": 1.0}, top_k=5)
         assert [d.doc_id for d in ranked] == [doc_id]
         # Nothing was published: the snapshot tier still answers empty.
-        assert service.search_streamed("alpha", tier="snapshot").doc_ids == []
+        assert service.snapshot().search_streamed("alpha").doc_ids == []
 
     def test_delete_hides_before_any_flush(self):
         service = immediate_service()
@@ -104,13 +103,12 @@ class TestReadYourWrites:
         assert vector_after == vector_before
 
     def test_immediate_tier_requires_configuration(self):
-        service = QueryService(small_config(), track_reference=False)
+        service = QueryService(small_config())
+        service.add_document("alpha")
+        assert service.memtier is None
+        assert service.search_streamed("alpha").doc_ids == []
         with pytest.raises(ValueError):
-            service.search_streamed("alpha", tier="immediate")
-        with pytest.raises(ValueError):
-            QueryService(
-                small_config(), track_reference=False, read_tier="bogus"
-            )
+            QueryService(small_config(), read_tier="bogus")
 
 
 class TestEpochCacheInteraction:
@@ -167,15 +165,13 @@ class TestBackgroundMerger:
         assert stats["errors"] == 0
         # Everything drained into the published snapshot...
         assert service.memtier_stats()["buffered_postings"] == 0
-        assert (
-            service.search_streamed("alpha", tier="snapshot").doc_ids == ids
-        )
+        assert service.snapshot().search_streamed("alpha").doc_ids == ids
         # ...and immediate answers were never wrong along the way (spot
         # check the final state).
         assert service.search_streamed("alpha").doc_ids == ids
 
     def test_requires_an_immediate_service(self):
-        service = QueryService(small_config(), track_reference=False)
+        service = QueryService(small_config())
         with pytest.raises(ValueError):
             BackgroundMerger(service)
 
@@ -299,7 +295,8 @@ class TestLoadgenImmediate:
         with pytest.raises(ValueError):
             LoadConfig(read_tier="immediate")  # verify defaults to True
         with pytest.raises(ValueError):
-            LoadConfig(read_tier="bogus", verify=False)
+            # Range-checked where it is consumed: building the service.
+            LoadGenerator(LoadConfig(read_tier="bogus", verify=False))
         with pytest.raises(ValueError):
             LoadConfig(verify=False, background_merge=True)
         with pytest.raises(ValueError):

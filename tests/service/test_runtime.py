@@ -244,7 +244,7 @@ def test_kill_on_crash_dies_at_the_first_crash():
         gateway = AsyncShardGateway(
             config(),
             shards=1,
-            fault_plans={0: FaultPlan(crash_at="index.flush-begin")},
+            fault_plans={(0, 0): FaultPlan(crash_at="index.flush-begin")},
             kill_on_crash=True,
         )
         await gateway.start()

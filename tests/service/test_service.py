@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.index import IndexConfig
+from repro.query.reference import BruteForceIndex
 from repro.service import IndexSnapshot, QueryService, ServiceError
 from repro.storage import faults
 from repro.storage.faults import FaultPlan, InjectedCrash
@@ -84,18 +85,27 @@ class TestPublication:
         assert 0 in held.search_boolean("red").doc_ids
 
     def test_reference_tracks_served_answers(self):
-        service = QueryService(small_config(), track_reference=True)
+        """A driver-side model frozen at a boundary equals what the
+        snapshot published there serves — also once the writer and the
+        live model have moved past it."""
+        service = QueryService(small_config())
+        reference = BruteForceIndex()
         for text in DOCS:
-            service.add_document(text)
+            reference.add_document(service.add_document(text), text.split())
         service.delete_document(1)
+        reference.delete_document(1)
         service.flush_and_publish()
-        snapshot = service.snapshot()
-        assert snapshot.reference is not None
+        snapshot, frozen = service.snapshot(), reference.freeze()
+        late = "red fox arrives late"
+        reference.add_document(service.add_document(late), late.split())
         for q in QUERIES:
             assert (
                 service.search_boolean(q, snapshot).doc_ids
-                == snapshot.reference.search_boolean(q)
+                == frozen.search_boolean(q)
             ), q
+        assert frozen.search_boolean("red AND fox") != (
+            reference.search_boolean("red AND fox")
+        )
 
 
 class TestCaching:

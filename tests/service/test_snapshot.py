@@ -67,18 +67,24 @@ class TestPublication:
             IndexSnapshot(writer.clone(), snapshot_id=1)
 
     def test_reference_attachment(self, writer):
+        """The id is all a driver needs to file its own frozen model
+        beside a snapshot: the two answer alike after both originals
+        have moved on."""
         reference = BruteForceIndex()
         for doc_id, text in enumerate(
             ["red fox runs", "red hen sits", "blue fox swims"]
         ):
             reference.add_document(doc_id, text.split())
-        snapshot = IndexSnapshot(
-            writer.clone(), snapshot_id=1, reference=reference.freeze()
-        )
+        snapshot = IndexSnapshot(writer.clone(), snapshot_id=1)
+        frozen = {snapshot.snapshot_id: reference.freeze()}
+        late = "red fox again"
+        reference.add_document(writer.add_document(late), late.split())
+        writer.flush_batch()
         q = "red AND fox"
         assert snapshot.search_boolean(q).doc_ids == (
-            snapshot.reference.search_boolean(q)
+            frozen[snapshot.snapshot_id].search_boolean(q)
         )
+        assert writer.search_boolean(q).doc_ids == reference.search_boolean(q)
 
 
 class TestSnapshotQueries:

@@ -4,8 +4,10 @@ Acceptance claim of the serving subsystem: with >= 4 reader threads
 querying snapshots while the writer flushes >= 20 batches under fault
 injection (rotating crash points plus transient disk faults), every
 published snapshot passes ``core.invariants.check_index`` and every query
-answer matches the brute-force reference model frozen with the snapshot
+answer matches the driver's brute-force mirror as frozen for the snapshot
 that served it — zero invariant violations, zero stale-read divergences.
+The mirror is the driver's alone: a service that loses documents cannot
+lose them from the model it is checked against (``TestOracleIndependence``).
 """
 
 import random
@@ -47,11 +49,12 @@ class TestConcurrentStress:
         config = replace(STRESS_CONFIG, publish_mode=publish_mode)
         report = LoadGenerator(config).run()
 
-        # Zero stale-read divergences: every answer matched the reference
-        # model of the exact snapshot that served it, and (differential)
-        # every published snapshot answered the probe set identically to
-        # a fresh full-clone oracle.  A stale query-cache hit would show
-        # up here as a divergence — the cache is consulted per snapshot.
+        # Zero stale-read divergences: every answer matched the mirror
+        # frozen for the exact snapshot that served it, and (differential)
+        # after every publish the service answered the probe set
+        # identically to the live mirror.  A stale query-cache hit would
+        # show up here as a divergence — the cache is consulted per
+        # snapshot.
         assert report.divergences == 0, report.divergence_examples
         assert report.config["differential_checks"] == config.flush_cycles
 
@@ -106,6 +109,49 @@ class TestConcurrentStress:
         assert report.service["publishes"] == config.flush_cycles
         assert report.service["flush_recoveries"] == 0
         assert report.queries > 0
+
+
+class _LossyService(QueryService):
+    """Acknowledges every document and indexes six in seven: the
+    seventh keeps its id and loses its words."""
+
+    def add_document(self, text, doc_id=None):
+        self.seen = getattr(self, "seen", 0) + 1
+        return super().add_document(
+            "" if self.seen % 7 == 0 else text, doc_id
+        )
+
+
+class TestOracleIndependence:
+    """The oracle is fed by the driver, not by the service it checks:
+    with the model inside ``QueryService.add_document`` (and the clone
+    oracle cloning the service's own writer) this service reported zero
+    divergences under both checks."""
+
+    @pytest.mark.parametrize(
+        "checks",
+        [
+            {"verify": True, "differential": False},
+            {"verify": False, "differential": True},
+        ],
+        ids=["verify", "differential"],
+    )
+    def test_a_service_that_drops_documents_diverges(self, checks):
+        config = LoadConfig(
+            readers=2,
+            flush_cycles=6,
+            docs_per_batch=14,
+            vocabulary=30,
+            seed=43,
+            pace_s=0.002,
+            **checks,
+        )
+        service = _LossyService(
+            config.index_config(), cache_capacity=config.cache_capacity
+        )
+        report = LoadGenerator(config, service=service).run()
+        assert report.divergences > 0
+        assert any("mirror" in e for e in report.divergence_examples)
 
 
 FIXED_QUERIES_BOOLEAN = [

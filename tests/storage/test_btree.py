@@ -18,9 +18,9 @@ class TestConfig:
             BTreeConfig(order=2)
 
     def test_for_block(self):
-        cfg = BTreeConfig.for_block(4096, entry_bytes=16)
+        cfg = BTreeConfig.for_block(4096)
         assert cfg.order == 256
-        assert BTreeConfig.for_block(32, entry_bytes=16).order == 3
+        assert BTreeConfig.for_block(32).order == 3
         with pytest.raises(ValueError):
             BTreeConfig.for_block(0)
 

@@ -153,3 +153,51 @@ class TestExperimentAndStats:
         assert main(["stats", "--days", "6", "--scale", "0.3"]) == 0
         output = capsys.readouterr().out
         assert "Total Postings" in output
+
+
+class TestServeBench:
+    """``repro serve-bench`` end to end at toy size: exit status, the
+    divergence line, and the report keys the ``ci.yml`` heredocs read."""
+
+    def _run(self, tmp_path, capsys, *flags):
+        import json
+
+        path = tmp_path / "report.json"
+        argv = [
+            "serve-bench", "--readers", "2", "--cycles", "3",
+            *flags, "--json", str(path),
+        ]
+        assert main(argv) == 0
+        assert "divergences:      0" in capsys.readouterr().out
+        return json.loads(path.read_text())
+
+    def test_in_process_differential_under_faults(self, tmp_path, capsys):
+        report = self._run(
+            tmp_path, capsys,
+            "--publish-mode", "cow", "--differential",
+            "--delete-every", "3", "--inject-faults",
+        )
+        assert report["divergences"] == 0
+        assert report["config"]["differential_checks"] == 3
+        assert report["config"]["verify"] is True
+        assert report["service"]["publishes"] == 3
+        assert report["gateway"] == {}
+
+    def test_gateway_open_loop_differential(self, tmp_path, capsys):
+        report = self._run(
+            tmp_path, capsys,
+            "--gateway", "--shards", "2", "--replicas", "2",
+            "--differential", "--arrival", "open",
+            "--arrival-queries", "40",
+        )
+        gateway, arrivals = report["gateway"], report["open_loop"]
+        assert gateway["failovers"] == 0
+        assert arrivals["scheduled"] == 40
+        assert (
+            arrivals["completed"] + arrivals["shed"]
+            + arrivals["deadline_exceeded"] == arrivals["scheduled"]
+        )
+        batching = gateway["batching"]
+        assert 0 < batching["batch_frames"] <= batching["batched_reads"]
+        assert gateway["replication"]["replica_divergences"] == 0
+        assert gateway["rebalance"]["splits"] == 0
