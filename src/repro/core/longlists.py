@@ -71,6 +71,11 @@ CP_MID_RELEASE_FREE = faults.register_crash_point(
 )
 
 
+class ShortChunkError(ValueError):
+    """Disk blocks decoded to a different posting count than the directory
+    records for them: answering from them would answer short."""
+
+
 @dataclass
 class LongListCounters:
     """Cumulative activity of the long-list manager.
@@ -217,6 +222,12 @@ class LongListManager:
         postings = self.content_cls()
         for block in raw:
             postings.extend(self.content_cls.decode(block))
+        if len(postings) != chunk.npostings:
+            raise ShortChunkError(
+                f"chunk at disk {chunk.disk} start {chunk.start} decodes "
+                f"to {len(postings)} postings, the directory says "
+                f"{chunk.npostings}"
+            )
         if cache is not None:
             cache.put(
                 chunk.disk, chunk.start, data_blocks, chunk.npostings, postings

@@ -22,6 +22,8 @@ of postings at a time).
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Protocol, runtime_checkable
 
 
@@ -64,29 +66,72 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
         shift += 7
 
 
+# Byte <-> id-step tables for blocks whose gaps all fit one varint byte:
+# a stored byte ``b`` (gap - 1) is an id step of ``b + 1``.
+_PLUS_ONE = bytes(range(1, 256)) + b"\x00"
+_MINUS_ONE = b"\x00" + bytes(range(255))
+
+
 def encode_doc_ids(doc_ids: Iterable[int]) -> bytes:
-    """Delta + varint encode a strictly increasing doc-id sequence."""
+    """Delta + varint encode a strictly increasing doc-id sequence.
+
+    The leading id is stored absolute, every later one as ``gap - 1``.
+    """
+    ids = list(doc_ids)
+    if not ids:
+        return b""
+    first = ids[0]
+    if first < 0:
+        raise ValueError(
+            f"doc ids must be strictly increasing; {first} after -1"
+        )
+    steps = list(map(sub, ids[1:], ids))
+    if steps and min(steps) < 1:
+        at = next(i for i, step in enumerate(steps) if step < 1)
+        raise ValueError(
+            "doc ids must be strictly increasing; "
+            f"{ids[at + 1]} after {ids[at]}"
+        )
+    if not steps or max(steps) <= 0x80:
+        # Every gap is one byte — each block of a frequent word.
+        values, tail = [first], bytes(steps).translate(_MINUS_ONE)
+    else:
+        values, tail = [first, *[step - 1 for step in steps]], b""
     out = bytearray()
-    prev = -1
-    for doc in doc_ids:
-        if doc <= prev:
-            raise ValueError(
-                f"doc ids must be strictly increasing; {doc} after {prev}"
-            )
-        out += encode_varint(doc - prev - 1)
-        prev = doc
-    return bytes(out)
+    for value in values:
+        while value > 0x7F:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
+    return bytes(out) + tail
 
 
 def decode_doc_ids(data: bytes) -> list[int]:
     """Inverse of :func:`encode_doc_ids`."""
-    out: list[int] = []
-    prev = -1
-    pos = 0
-    while pos < len(data):
-        gap, pos = decode_varint(data, pos)
-        prev = prev + 1 + gap
-        out.append(prev)
+    if not data:
+        return []
+    if data[-1] & 0x80:
+        raise ValueError("truncated varint")
+    first = shift = 0
+    for pos, byte in enumerate(data, 1):
+        first |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            break
+        shift += 7
+    tail = data[pos:]
+    if tail.isascii():
+        # Every gap is one byte — each block of a frequent word.
+        return list(accumulate(tail.translate(_PLUS_ONE), initial=first))
+    out = [first]
+    gap = shift = 0
+    for byte in tail:
+        if byte & 0x80:
+            gap |= (byte & 0x7F) << shift
+            shift += 7
+        else:
+            first += (gap | byte << shift) + 1
+            out.append(first)
+            gap = shift = 0
     return out
 
 
@@ -161,13 +206,15 @@ class DocPostings:
 
     def __init__(self, doc_ids: Iterable[int] = ()) -> None:
         ids = list(doc_ids)
-        for prev, cur in zip(ids, ids[1:]):
-            if cur <= prev:
-                raise ValueError(
-                    f"doc ids must be strictly increasing; {cur} after {prev}"
-                )
-        if ids and ids[0] < 0:
-            raise ValueError("doc ids must be >= 0")
+        if ids:
+            for prev, cur in zip(ids, ids[1:]):
+                if cur <= prev:
+                    raise ValueError(
+                        "doc ids must be strictly increasing; "
+                        f"{cur} after {prev}"
+                    )
+            if ids[0] < 0:
+                raise ValueError("doc ids must be >= 0")
         self.doc_ids = ids
 
     def __len__(self) -> int:

@@ -30,59 +30,27 @@ class QueryParseError(Exception):
 
 
 # -- sorted-list merges ---------------------------------------------------------
+#
+# Inputs are strictly increasing (paper §3: ids are sorted and every update
+# appends), so each merge is a C-level pass over a hash set.
 
 
 def intersect(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Sorted-list intersection (two-pointer merge)."""
-    out: list[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            out.append(a[i])
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            i += 1
-        else:
-            j += 1
-    return out
+    """Sorted-list intersection."""
+    if len(a) > len(b):
+        a, b = b, a
+    return list(filter(set(a).__contains__, b))
 
 
 def union(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Sorted-list union (two-pointer merge)."""
-    out: list[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            out.append(a[i])
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
+    """Sorted-list union."""
+    return sorted({*a, *b})
 
 
 def difference(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Sorted-list difference ``a - b`` (two-pointer merge)."""
-    out: list[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            j += 1
-    out.extend(a[i:])
-    return out
+    """Sorted-list difference ``a - b``."""
+    drop = set(b)
+    return [doc for doc in a if doc not in drop]
 
 
 # -- AST -------------------------------------------------------------------------
@@ -93,7 +61,7 @@ class Word:
     word: str
 
     def evaluate(self, fetch: Callable[[str], Sequence[int]], ndocs: int):
-        return list(fetch(self.word))
+        return fetch(self.word)
 
     def words(self) -> set[str]:
         return {self.word}
@@ -159,7 +127,7 @@ class Not:
     child: object
 
     def evaluate(self, fetch, ndocs):
-        return difference(list(range(ndocs)), self.child.evaluate(fetch, ndocs))
+        return difference(range(ndocs), self.child.evaluate(fetch, ndocs))
 
     def words(self) -> set[str]:
         return self.child.words()
@@ -260,6 +228,8 @@ def evaluate(
     """Parse and evaluate a boolean query.
 
     ``fetch`` maps a lowercased word to its sorted posting list (empty for
-    unknown words); ``ndocs`` bounds the universe for NOT.
+    unknown words); ``ndocs`` bounds the universe for NOT.  A fetched list
+    belongs to the caller: a single-word query returns it uncopied, so
+    ``fetch`` must hand out a list nothing else will mutate.
     """
     return parse(query).evaluate(fetch, ndocs)

@@ -17,10 +17,12 @@ decodes, which is where streaming wins.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..core.index import DualStructureIndex
+from ..core.longlists import ShortChunkError
 from ..storage.block import blocks_for_postings
 
 
@@ -59,9 +61,12 @@ class ListCursor:
     """A lazy cursor over one word's postings on the simulated disks.
 
     Blocks are decoded on first touch; ``next_geq`` advances to the first
-    document id ≥ its argument (sequential block scan — chunk metadata
-    does not record doc-id ranges, so blocks cannot be skipped, only left
-    unread when evaluation stops early).
+    document id ≥ its argument.  Chunk metadata does not record doc-id
+    ranges, so every block up to the target is still read and decoded —
+    blocks are only left unread when evaluation stops early — but inside
+    a decoded block the cursor gallops (``bisect``) instead of scanning.
+
+    ``current`` is ``None`` and ``exhausted`` true once the list is spent.
     """
 
     def __init__(
@@ -73,24 +78,30 @@ class ListCursor:
         self.stats = stats
         self.block_postings = index.config.block_postings
         entry = index.directory.get(word)
-        # (disk, block address, starts-a-chunk): chunk read ops are only
-        # charged when evaluation actually touches the chunk.
-        self._blocks: list[tuple[int, int, bool]] = []
+        # (disk, block address, postings in the block, starts-a-chunk):
+        # chunk read ops are only charged when evaluation actually touches
+        # the chunk.
+        self._blocks: list[tuple[int, int, int, bool]] = []
+        self._bucket_docs: list[int] = []
         if entry is not None:
             for chunk in entry.chunks:
                 data_blocks = blocks_for_postings(
                     chunk.npostings, self.block_postings
                 )
                 for b in range(data_blocks):
+                    held = chunk.npostings - b * self.block_postings
                     self._blocks.append(
-                        (chunk.disk, chunk.start + b, b == 0)
+                        (
+                            chunk.disk,
+                            chunk.start + b,
+                            min(held, self.block_postings),
+                            b == 0,
+                        )
                     )
         else:
             short = index.buckets.get(word)
             if short is not None:
                 self._bucket_docs = list(short.doc_ids)
-            else:
-                self._bucket_docs = []
         self._entry = entry
         # The unflushed in-memory batch is searchable alongside the larger
         # index (paper §1); it is served after the on-disk blocks, free of
@@ -101,9 +112,9 @@ class ListCursor:
         self._buffer: list[int] = []
         self._buffer_pos = 0
         self._next_block = 0
-        self._exhausted = False
+        self.exhausted = False
         self.current: int | None = None
-        self._advance()
+        self.next()
 
     # -- block refill -------------------------------------------------------
 
@@ -116,6 +127,10 @@ class ListCursor:
             self._buffer_pos = 0
             self.stats.postings_decoded += len(self._buffer)
             return True
+        self.exhausted = True
+        self.current = None
+        self._buffer = []
+        self._buffer_pos = 0
         return False
 
     def _refill_disk(self) -> bool:
@@ -130,42 +145,46 @@ class ListCursor:
             return False
         if self._next_block >= len(self._blocks):
             return False
-        disk_id, address, chunk_start = self._blocks[self._next_block]
+        disk_id, address, npostings, chunk_start = self._blocks[
+            self._next_block
+        ]
         self._next_block += 1
         if chunk_start:
             self.stats.read_ops += 1  # positioned read opening the chunk
         raw = self.index.array.disks[disk_id].read_blocks(address, 1)[0]
         decoded = self.index.longlists.content_cls.decode(raw)
+        if len(decoded) != npostings:
+            raise ShortChunkError(
+                f"block {address} of disk {disk_id} decodes to "
+                f"{len(decoded)} postings, the directory says {npostings}"
+            )
         self._buffer = decoded.doc_ids
         self._buffer_pos = 0
         self.stats.blocks_read += 1
-        self.stats.postings_decoded += len(self._buffer)
-        return bool(self._buffer)
-
-    def _advance(self) -> None:
-        while self._buffer_pos >= len(self._buffer):
-            if not self._refill():
-                self._exhausted = True
-                self.current = None
-                return
-        self.current = self._buffer[self._buffer_pos]
-        self._buffer_pos += 1
+        self.stats.postings_decoded += npostings
+        return True
 
     # -- cursor API ----------------------------------------------------------
 
-    @property
-    def exhausted(self) -> bool:
-        return self._exhausted
-
     def next(self) -> None:
         """Advance one posting."""
-        if not self._exhausted:
-            self._advance()
+        if self._buffer_pos >= len(self._buffer) and not self._refill():
+            return
+        self.current = self._buffer[self._buffer_pos]
+        self._buffer_pos += 1
 
     def next_geq(self, doc_id: int) -> None:
         """Advance until ``current >= doc_id`` (or exhaustion)."""
-        while not self._exhausted and self.current < doc_id:
-            self._advance()
+        if self.exhausted or self.current >= doc_id:
+            return
+        # A block whose last id is below the target is skipped unscanned;
+        # the next one is read exactly when a scan would have run off it.
+        while self._buffer[-1] < doc_id:
+            if not self._refill():
+                return
+        pos = bisect_left(self._buffer, doc_id, self._buffer_pos)
+        self.current = self._buffer[pos]
+        self._buffer_pos = pos + 1
 
 
 def stream_intersect(cursors: Sequence[ListCursor]) -> Iterator[int]:
@@ -178,12 +197,19 @@ def stream_intersect(cursors: Sequence[ListCursor]) -> Iterator[int]:
     if not cursors or any(c.exhausted for c in cursors):
         return
     while True:
-        target = max(c.current for c in cursors)
+        target = cursors[0].current
         for cursor in cursors:
-            cursor.next_geq(target)
-            if cursor.exhausted:
-                return
-        if all(c.current == target for c in cursors):
+            if cursor.current > target:
+                target = cursor.current
+        aligned = True
+        for cursor in cursors:
+            if cursor.current < target:
+                cursor.next_geq(target)
+                if cursor.exhausted:
+                    return
+                if cursor.current != target:
+                    aligned = False
+        if aligned:
             yield target
             for cursor in cursors:
                 cursor.next()
@@ -195,7 +221,7 @@ def stream_union(cursors: Sequence[ListCursor]) -> Iterator[int]:
     """Yield documents present in any cursor, in ascending order."""
     live = [c for c in cursors if not c.exhausted]
     while live:
-        doc = min(c.current for c in live)
+        doc = min([c.current for c in live])
         yield doc
         for cursor in live:
             if cursor.current == doc:

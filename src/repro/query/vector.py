@@ -19,6 +19,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import neg
 from typing import Callable, Mapping, Sequence
 
 
@@ -70,10 +72,9 @@ def rank(
             continue
         for doc in postings:
             scores[doc] = scores.get(doc, 0.0) + contribution
-    best = heapq.nlargest(
-        top_k, scores.items(), key=lambda item: (item[1], -item[0])
-    )
-    return [ScoredDocument(doc_id=d, score=s) for d, s in best]
+    # Highest score first, ties to the lower id: tuples compare in C.
+    best = heapq.nsmallest(top_k, zip(map(neg, scores.values()), scores))
+    return [ScoredDocument(doc_id=d, score=scores[d]) for _, d in best]
 
 
 def query_terms(weights: Mapping[str, float]) -> list[str]:
@@ -97,12 +98,13 @@ def shard_candidates(
     """
     dfs = []
     masks: dict[int, int] = {}
+    mask_of = masks.get
     for bit, word in enumerate(terms):
         postings = fetch(word)
         dfs.append(len(postings))
         flag = 1 << bit
         for doc in postings:
-            masks[doc] = masks.get(doc, 0) | flag
+            masks[doc] = mask_of(doc, 0) | flag
     groups: dict[int, list[int]] = {}
     for doc, mask in masks.items():
         groups.setdefault(mask, []).append(doc)
@@ -146,11 +148,9 @@ def rank_candidates(
                 scores[mask] = score if listed else None
             score = scores[mask]
             if score is not None:
-                scored.extend((doc, score) for doc in docs)
-    best = heapq.nlargest(
-        top_k, scored, key=lambda item: (item[1], -item[0])
-    )
-    return [ScoredDocument(doc_id=d, score=s) for d, s in best]
+                scored.extend(zip(repeat(-score), docs))
+    best = heapq.nsmallest(top_k, scored)
+    return [ScoredDocument(doc_id=d, score=-s) for s, d in best]
 
 
 def query_from_document(words: Sequence[str]) -> dict[str, float]:
