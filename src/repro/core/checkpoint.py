@@ -15,6 +15,11 @@ is replayed, never half-applied.
 Format: a small framed binary format (magic ``DSIX``, version byte, then
 length-prefixed sections).  ``save``/``load`` work on file paths or binary
 file objects.
+
+A *redo record* (magic ``DSRD``, :func:`save_record` / :func:`apply_record`)
+carries a checkpoint forward to a later batch boundary at the cost of what
+the batches in between dirtied, so a restore point is a checkpoint plus a
+chain of records (DESIGN.md §19).
 """
 
 from __future__ import annotations
@@ -41,7 +46,12 @@ from .longlists import LongListManager
 from .memindex import InMemoryIndex
 from .policy import Alloc, Limit, Policy, Style
 from .positional import PositionalPostings
-from .postings import CountPostings, DocPostings
+from .postings import (
+    CountPostings,
+    DocPostings,
+    decode_doc_ids,
+    encode_doc_ids,
+)
 
 _MAGIC = b"DSIX"
 _VERSION = 1
@@ -251,22 +261,8 @@ def _save(index: DualStructureIndex, fp: BinaryIO) -> None:
         for word, payload in bucket.lists.items():
             _w_u64(fp, word)
             _w_payload(fp, payload)
-    # flush regions (shadow bookkeeping)
-    _w_u32(fp, len(index.flusher._bucket_regions))
-    for chunk in index.flusher._bucket_regions:
-        _w_chunk(fp, chunk)
-    have_dir = index.flusher._directory_region is not None
-    _w_u32(fp, 1 if have_dir else 0)
-    if have_dir:
-        _w_chunk(fp, index.flusher._directory_region)
-    # free lists: store allocated state as free intervals
-    for disk in index.array.disks:
-        intervals = list(disk.freelist.intervals())
-        _w_u64(fp, disk.freelist.nblocks)
-        _w_u64(fp, len(intervals))
-        for start, length in intervals:
-            _w_u64(fp, start)
-            _w_u64(fp, length)
+    _w_regions(fp, index)
+    _w_freelists(fp, index)
     # disk contents
     _w_u32(fp, 1 if cfg.store_contents else 0)
     if cfg.store_contents:
@@ -276,20 +272,7 @@ def _save(index: DualStructureIndex, fp: BinaryIO) -> None:
             for block, data in blocks.items():
                 _w_u64(fp, block)
                 _w_bytes(fp, data)
-    # counters
-    c = index.longlists.counters
-    for value in (
-        c.appends,
-        c.appends_to_existing,
-        c.in_place_updates,
-        c.reads,
-        c.writes,
-        c.blocks_read,
-        c.blocks_written,
-        c.lists_created,
-        c.whole_moves,
-    ):
-        _w_u64(fp, value)
+    _w_counters(fp, index)
     # adaptive-allocation update-size estimates
     sizes = index.longlists._update_sizes
     _w_u64(fp, len(sizes))
@@ -297,6 +280,79 @@ def _save(index: DualStructureIndex, fp: BinaryIO) -> None:
         _w_u64(fp, word)
         _w_f64(fp, estimate)
     faults.crash_point(CP_END_SAVE)
+
+
+# Sections a checkpoint and a redo record both carry whole: each is small
+# and rewritten by every batch.
+
+
+def _w_regions(fp: BinaryIO, index: DualStructureIndex) -> None:
+    """Flush regions (shadow bookkeeping)."""
+    _w_u32(fp, len(index.flusher._bucket_regions))
+    for chunk in index.flusher._bucket_regions:
+        _w_chunk(fp, chunk)
+    have_dir = index.flusher._directory_region is not None
+    _w_u32(fp, 1 if have_dir else 0)
+    if have_dir:
+        _w_chunk(fp, index.flusher._directory_region)
+
+
+def _r_regions(fp: BinaryIO, index: DualStructureIndex) -> None:
+    nregions = _r_u32(fp)
+    index.flusher._bucket_regions = [_r_chunk(fp) for _ in range(nregions)]
+    index.flusher._directory_region = _r_chunk(fp) if _r_u32(fp) else None
+
+
+def _w_freelists(fp: BinaryIO, index: DualStructureIndex) -> None:
+    """Free lists: the allocated state stored as free intervals."""
+    for disk in index.array.disks:
+        intervals = list(disk.freelist.intervals())
+        _w_u64(fp, disk.freelist.nblocks)
+        _w_u64(fp, len(intervals))
+        for start, length in intervals:
+            _w_u64(fp, start)
+            _w_u64(fp, length)
+
+
+def _r_freelists(fp: BinaryIO, index: DualStructureIndex) -> None:
+    for disk in index.array.disks:
+        nblocks = _r_u64(fp)
+        if nblocks != disk.freelist.nblocks:
+            raise CheckpointError(
+                "checkpoint disk capacity does not match configuration"
+            )
+        nintervals = _r_u64(fp)
+        disk.freelist._starts = []
+        disk.freelist._lengths = []
+        for _ in range(nintervals):
+            disk.freelist._starts.append(_r_u64(fp))
+            disk.freelist._lengths.append(_r_u64(fp))
+        disk.freelist.check_invariants()
+
+
+_COUNTERS = (
+    "appends",
+    "appends_to_existing",
+    "in_place_updates",
+    "reads",
+    "writes",
+    "blocks_read",
+    "blocks_written",
+    "lists_created",
+    "whole_moves",
+)
+
+
+def _w_counters(fp: BinaryIO, index: DualStructureIndex) -> None:
+    c = index.longlists.counters
+    for name in _COUNTERS:
+        _w_u64(fp, getattr(c, name))
+
+
+def _r_counters(fp: BinaryIO, index: DualStructureIndex) -> None:
+    c = index.longlists.counters
+    for name in _COUNTERS:
+        setattr(c, name, _r_u64(fp))
 
 
 # -- load -----------------------------------------------------------------------
@@ -372,25 +428,8 @@ def _load(fp: BinaryIO) -> DualStructureIndex:
             payload = _r_payload(fp)
             bucket.lists[word] = payload
             bucket.npostings += len(payload)
-    # flush regions
-    nregions = _r_u32(fp)
-    index.flusher._bucket_regions = [_r_chunk(fp) for _ in range(nregions)]
-    if _r_u32(fp):
-        index.flusher._directory_region = _r_chunk(fp)
-    # free lists
-    for disk in index.array.disks:
-        nblocks = _r_u64(fp)
-        if nblocks != disk.freelist.nblocks:
-            raise CheckpointError(
-                "checkpoint disk capacity does not match configuration"
-            )
-        nintervals = _r_u64(fp)
-        disk.freelist._starts = []
-        disk.freelist._lengths = []
-        for _ in range(nintervals):
-            disk.freelist._starts.append(_r_u64(fp))
-            disk.freelist._lengths.append(_r_u64(fp))
-        disk.freelist.check_invariants()
+    _r_regions(fp, index)
+    _r_freelists(fp, index)
     # disk contents
     if _r_u32(fp):
         for disk in index.array.disks:
@@ -398,25 +437,199 @@ def _load(fp: BinaryIO) -> DualStructureIndex:
             for _ in range(nblocks_stored):
                 block = _r_u64(fp)
                 disk._blocks[block] = _r_bytes(fp)
-    # counters
-    c = index.longlists.counters
-    (
-        c.appends,
-        c.appends_to_existing,
-        c.in_place_updates,
-        c.reads,
-        c.writes,
-        c.blocks_read,
-        c.blocks_written,
-        c.lists_created,
-        c.whole_moves,
-    ) = (_r_u64(fp) for _ in range(9))
+    _r_counters(fp, index)
     # adaptive-allocation update-size estimates
     nsizes = _r_u64(fp)
     for _ in range(nsizes):
         word = _r_u64(fp)
         index.longlists._update_sizes[word] = _r_f64(fp)
     return index
+
+
+# -- redo records -----------------------------------------------------------------
+#
+# A record takes a checkpoint's state to a later batch boundary of the
+# same writer: the post-image of exactly the dirty set a DeltaJournal
+# names.  Every ordered mapping a checkpoint writes (directory entries,
+# each bucket's short lists, each disk's blocks, update-size estimates)
+# travels as a *delta*, so that the state a record restores saves to the
+# writer's own bytes, iteration order included.
+#
+# Why a delta can carry the order: every key outside the dirty set was
+# untouched, so it still sits where it sat.  A key inserted since (new,
+# or removed and put back) went to the end of the mapping, after all of
+# those.  Cut the longest run of dirty keys off the end — the *tail* —
+# and every other dirty key still in the mapping (the *head*) was only
+# reassigned in place.  The restore drops every dirty key that is not in
+# the head, assigns the head in place and appends the tail in order.  A
+# dirty set that over-records is still exact: an untouched key marked
+# dirty lands in the head, or in a tail that re-appends it where it was.
+
+_RECORD_MAGIC = b"DSRD"
+
+
+def _w_delta(fp: BinaryIO, mapping: dict, dirty, write_value) -> None:
+    """Head then tail entries of ``mapping`` over the keys ``dirty``."""
+    tail = []
+    for key in reversed(mapping):
+        if key not in dirty:
+            break
+        tail.append(key)
+    tail.reverse()
+    in_tail = set(tail)
+    head = sorted(k for k in dirty if k in mapping and k not in in_tail)
+    for keys in (head, tail):
+        _w_u32(fp, len(keys))
+        for key in keys:
+            _w_u64(fp, key)
+            write_value(fp, mapping[key])
+
+
+def _r_delta(fp: BinaryIO, mapping: dict, dirty, read_value) -> None:
+    """Inverse of :func:`_w_delta`, applied to ``mapping`` in place."""
+    head = [(_r_u64(fp), read_value(fp)) for _ in range(_r_u32(fp))]
+    tail = [(_r_u64(fp), read_value(fp)) for _ in range(_r_u32(fp))]
+    kept = {key for key, _ in head}
+    for key in dirty:
+        if key not in kept:
+            mapping.pop(key, None)
+    for key, value in head:
+        if key not in mapping:
+            raise CheckpointError(
+                "redo record does not chain onto this state"
+            )
+        mapping[key] = value
+    mapping.update(tail)
+
+
+def _w_ids(fp: BinaryIO, ids) -> None:
+    _w_bytes(fp, encode_doc_ids(sorted(ids)))
+
+
+def _r_ids(fp: BinaryIO) -> list[int]:
+    try:
+        return decode_doc_ids(_r_bytes(fp))
+    except ValueError as exc:
+        raise CheckpointError(f"corrupt redo record ({exc})") from exc
+
+
+def _by_bucket(buckets: BucketManager, words) -> dict[int, set[int]]:
+    """The dirty words grouped by the bucket that holds (or would hold)
+    each one's short list — the dirty key set of that bucket's lists."""
+    groups: dict[int, set[int]] = {}
+    for word in words:
+        groups.setdefault(buckets.bucket_of(word), set()).add(word)
+    return groups
+
+
+def _w_chunks(fp: BinaryIO, entry: LongListEntry) -> None:
+    _w_u32(fp, len(entry.chunks))
+    for chunk in entry.chunks:
+        _w_chunk(fp, chunk)
+
+
+def save_record(index: DualStructureIndex, dirty: DeltaJournal, fp) -> None:
+    """Write the redo record from an earlier boundary of ``index`` to now.
+
+    ``dirty`` is a journal covering every mutation since that boundary
+    (a union of publish journals).  Only its dirty words' short lists and
+    directory entries, its dirty blocks and the small whole sections
+    (flush regions, free intervals, counters, progress) are written, so
+    the record costs what the batches since touched.  Same boundary rule
+    as :func:`save`; raises :class:`CheckpointError` when the journal
+    cannot vouch for the divergence (bucket growth, crash recovery) —
+    the caller takes a full checkpoint instead.
+    """
+    if len(index.memory) != 0:
+        raise CheckpointError(
+            "a redo record requires an empty in-memory batch; call "
+            "flush_batch() first"
+        )
+    if dirty.requires_full:
+        raise CheckpointError(
+            "the journal cannot vouch for a redo record (structure change "
+            "or crash recovery since the chained boundary)"
+        )
+    if not index.config.store_contents:
+        raise CheckpointError("a redo record requires content mode")
+    fp.write(_RECORD_MAGIC)
+    fp.write(bytes([_VERSION]))
+    buckets = index.buckets
+    _w_u32(fp, buckets.nbuckets)
+    _w_u64(fp, index._batches)
+    _w_u64(fp, index._next_doc_id)
+    _w_u32(fp, index.array._next_disk)
+    words = dirty.dirty_words
+    _w_ids(fp, words)
+    longlists = index.longlists
+    _w_delta(fp, longlists.directory._entries, words, _w_chunks)
+    by_bucket = _by_bucket(buckets, words)
+    _w_u32(fp, len(by_bucket))
+    for bucket_id in sorted(by_bucket):
+        _w_u32(fp, bucket_id)
+        _w_delta(
+            fp,
+            buckets.buckets[bucket_id].lists,
+            by_bucket[bucket_id],
+            _w_payload,
+        )
+    _w_delta(fp, longlists._update_sizes, words, _w_f64)
+    _w_regions(fp, index)
+    _w_freelists(fp, index)
+    by_disk: list[set[int]] = [set() for _ in index.array.disks]
+    for disk_id, block in dirty.dirty_blocks:
+        by_disk[disk_id].add(block)
+    for disk, blocks in zip(index.array.disks, by_disk):
+        _w_ids(fp, blocks)
+        _w_delta(fp, disk._blocks, blocks, _w_bytes)
+    _w_counters(fp, index)
+
+
+def _r_chunks(fp: BinaryIO) -> list[Chunk]:
+    return [_r_chunk(fp) for _ in range(_r_u32(fp))]
+
+
+def apply_record(index: DualStructureIndex, fp) -> None:
+    """Apply one :func:`save_record` record to ``index`` in place.
+
+    ``index`` must hold exactly the state the record was cut from (a
+    loaded checkpoint, with the records before this one applied);
+    raises :class:`CheckpointError` on a truncated or foreign record and
+    where the state visibly does not match.
+    """
+    if fp.read(4) != _RECORD_MAGIC:
+        raise CheckpointError("not a redo record")
+    version = fp.read(1)
+    if version != bytes([_VERSION]):
+        raise CheckpointError(f"unsupported redo record version {version!r}")
+    buckets = index.buckets
+    if _r_u32(fp) != buckets.nbuckets:
+        raise CheckpointError("redo record was cut from another bucket space")
+    index._batches = _r_u64(fp)
+    index._next_doc_id = _r_u64(fp)
+    index.array._next_disk = _r_u32(fp)
+    words = _r_ids(fp)
+    longlists = index.longlists
+    entries = longlists.directory._entries
+    _r_delta(fp, entries, words, _r_chunks)
+    for word in words:
+        chunks = entries.get(word)
+        if isinstance(chunks, list):
+            entries[word] = LongListEntry(word=word, chunks=chunks)
+    by_bucket = _by_bucket(buckets, words)
+    for _ in range(_r_u32(fp)):
+        bucket_id = _r_u32(fp)
+        if bucket_id not in by_bucket:
+            raise CheckpointError("corrupt redo record (bucket id)")
+        bucket = buckets.buckets[bucket_id]
+        _r_delta(fp, bucket.lists, by_bucket[bucket_id], _r_payload)
+        bucket.npostings = sum(map(len, bucket.lists.values()))
+    _r_delta(fp, longlists._update_sizes, words, _r_f64)
+    _r_regions(fp, index)
+    _r_freelists(fp, index)
+    for disk in index.array.disks:
+        _r_delta(fp, disk._blocks, _r_ids(fp), _r_bytes)
+    _r_counters(fp, index)
 
 
 def clone(index: DualStructureIndex) -> DualStructureIndex:

@@ -6,9 +6,11 @@ entries and chunks of long lists that were appended to or relocated, the
 disk blocks rewritten or freed by those moves, and the deletion set.
 ``DeltaJournal`` records exactly that dirty set so that
 ``checkpoint.clone_incremental`` can deep-copy only what changed and
-structurally share everything else with the previous snapshot, and so
+structurally share everything else with the previous snapshot, so
 the serving cache can evict only results whose terms intersect the
-batch's dirty vocabulary.
+batch's dirty vocabulary, and so a shard worker can cut a redo record
+(``checkpoint.save_record``) from the journals of every publish since
+its last checkpoint, folded together with :meth:`DeltaJournal.absorb`.
 
 The journal is created once by ``DualStructureIndex`` (content mode
 only) and fed by the ``journal`` hooks of the disks, the bucket manager,
@@ -113,6 +115,18 @@ class DeltaJournal:
         checkpoint clone (the differential-testing oracle).
         """
         return self.structure_changed or self.recovered
+
+    def absorb(self, other: "DeltaJournal") -> None:
+        """Fold ``other``'s dirty set into this one — a journal spanning
+        several publishes (a shard worker's since-checkpoint journal,
+        which a redo record is cut from)."""
+        self.dirty_words |= other.dirty_words
+        self.dirty_buckets |= other.dirty_buckets
+        self.dirty_blocks |= other.dirty_blocks
+        self.deletions_changed |= other.deletions_changed
+        self.structure_changed |= other.structure_changed
+        self.recovered |= other.recovered
+        self.batches += other.batches
 
     def clear(self) -> None:
         """Reset in place after a successful publish.

@@ -17,7 +17,8 @@ builds the serving front end on top:
   replica, reads rotate round-robin across them with every answer
   validated against the published version vector, and a dead or lagging
   replica is rebuilt in the background — from the shard's parent-side
-  checkpoint plus the replayed op log — while its siblings keep serving.
+  restore point plus the replayed op log — while its siblings keep
+  serving.
   A shard-level :class:`~repro.core.rebalance.RebuildScheduler` staggers
   ``grow_buckets`` rebuilds so at most one shard pays the rehash +
   full-clone publish spike per flush round.
@@ -59,10 +60,12 @@ gateway trades it for multi-core execution and documents the difference.
 Durability/failover model: the gateway is the single writer, so it can
 journal every mutation parent-side — ``(add, doc_id, text)`` /
 ``(delete, doc_id)`` / ``(flush, grow)`` per shard — and retain one
-serialized checkpoint per shard from the last boundary at which *every*
-replica was healthy (``checkpoint_every`` controls the cadence).
-Rebuilding a dead replica is then deterministic: restore the checkpoint,
-replay the log.  No state is lost because nothing any single worker
+restore point per shard from the last boundary at which no replica was
+mid-rebuild (``checkpoint_every`` controls the cadence): a full base
+plus a chain of redo records, each the post-image of what the batches
+since the previous one dirtied (DESIGN.md §19).  Rebuilding a dead
+replica is then deterministic: restore base + chain, replay the log.
+No state is lost because nothing any single worker
 alone knew is needed to reconstruct it — and with ``replicas >= 2`` the
 rebuild happens entirely off the read path, so a SIGKILL mid-flush no
 longer stalls reads on that shard (the single-replica failover latency
@@ -72,6 +75,7 @@ the PR 6 chaos battery measures becomes the k=1 degenerate case).
 from __future__ import annotations
 
 import asyncio
+import io
 import itertools
 import socket
 import threading
@@ -92,7 +96,7 @@ from ..query import boolean as boolean_query
 from ..query import scatter
 from ..query import streaming as streaming_query
 from ..query import vector as vector_query
-from ..textindex import QueryAnswer
+from ..textindex import QueryAnswer, TextDocumentIndex
 from . import wire
 from .replication import (
     Replica,
@@ -563,7 +567,20 @@ class AsyncShardGateway:
 
     @property
     def _checkpoints(self) -> list[bytes | None]:
-        return [rs.checkpoint for rs in self._sets]
+        """Each shard's restore point as one :meth:`TextDocumentIndex.save`
+        blob, materialized through the restore a respawn runs.  Kept for
+        ``benchmarks/harness/replica.py``, which loads these blobs for
+        its space axis."""
+        blobs = []
+        for rs in self._sets:
+            point = rs.restore_point()
+            if point is None:
+                blobs.append(None)
+                continue
+            buf = io.BytesIO()
+            TextDocumentIndex.restore(point[0], point[1:]).save(buf)
+            blobs.append(buf.getvalue())
+        return blobs
 
     # -- lifecycle --------------------------------------------------------
 
@@ -715,13 +732,16 @@ class AsyncShardGateway:
         replica.rebuild_task = asyncio.get_running_loop().create_task(
             self._rebuild(rs, replica)
         )
+        # A failed rebuild is recorded (FAILED, rebuild_failures) whether
+        # or not a reader waits on it.
+        replica.rebuild_task.add_done_callback(_retrieve)
 
     def _note_death(self, rs: ReplicaSet, replica: Replica) -> None:
         self._mark_recovering(rs, replica, observed_kill=True)
 
     async def _rebuild(self, rs: ReplicaSet, replica: Replica) -> None:
-        """Rebuild one replica: respawn from the shard checkpoint, then
-        catch up on the shared op log.
+        """Rebuild one replica: respawn from the shard's restore point
+        (base + chain), then catch up on the shared op log.
 
         Runs as a background task; reads rotate to siblings meanwhile
         and writes skip this replica (its ``log_pos`` stays behind, so
@@ -741,7 +761,7 @@ class AsyncShardGateway:
                     old.close()
                     replica.worker = None
                 spec = replica.spec.respawn_spec()
-                spec.restore = rs.checkpoint
+                spec.restore = rs.restore_point()
                 await self._spawn(replica, spec)
                 replica.log_pos = 0
                 while True:
@@ -1019,22 +1039,32 @@ class AsyncShardGateway:
         )
 
     async def _checkpoint_shard(self, i: int) -> None:
-        """Refresh shard ``i``'s checkpoint and truncate its op log.
+        """Carry shard ``i``'s restore point to this boundary and
+        truncate its op log.
 
-        Requires every replica healthy and caught up — a mid-rebuild
-        replica still needs the log's tail for its catch-up replay, so
-        the round is deferred (the old checkpoint + full log stay valid).
-        The all-healthy condition is re-checked *after* the checkpoint
-        RPC returns: a sibling may die during the await, and truncating
-        under its in-flight rebuild would orphan the replay.
+        The first healthy replica answers with a redo record chained on
+        the set's token, or with a base when the chain's bytes have
+        reached the base's (:meth:`ReplicaSet.wants_base`) or the replica
+        cannot chain one (it is not the process that gave the token, or
+        growth or recovery intervened).  Requires no replica mid-rebuild
+        and every healthy one caught up — a mid-rebuild replica still
+        needs the log's tail for its catch-up replay, so the round is
+        deferred (the old restore point + full log stay valid).  The
+        condition is re-checked *after* the RPC returns: a sibling may
+        die during the await, and truncating under its in-flight rebuild
+        would orphan the replay.  A deferred answer is dropped; its token
+        was fresh, so the next round cannot chain onto it and takes a
+        base.
         """
         rs = self._sets[i]
-        if not rs.caught_up():
+        healthy = rs.healthy()
+        if not healthy or not rs.caught_up():
             self.repl.checkpoints_deferred += 1
             return
-        target = rs.replicas[0]
+        target = healthy[0]
+        since = None if rs.wants_base() else rs.token
         try:
-            blob = await self._locked_rpc(target, "checkpoint", ())
+            reply = await self._locked_rpc(target, "checkpoint", (since,))
         except self._DEATH:
             self._note_death(rs, target)
             self.repl.checkpoints_deferred += 1
@@ -1042,7 +1072,12 @@ class AsyncShardGateway:
         if not rs.caught_up():
             self.repl.checkpoints_deferred += 1
             return
-        rs.checkpoint = blob
+        rs.adopt(reply)
+        if reply.record:
+            self.repl.checkpoint_records += 1
+            self.repl.chain_bytes += len(reply.blob)
+        else:
+            self.repl.checkpoint_bases += 1
         rs.oplog.clear()
         for replica in rs.replicas:
             replica.log_pos = 0
@@ -1087,19 +1122,34 @@ class AsyncShardGateway:
         async with self._writer_lock:
             return await self._split_locked(victim)
 
-    async def _boundary_checkpoint(self, rs: ReplicaSet) -> bytes:
-        """A fresh checkpoint blob of a shard's boundary state, with
-        failover across replicas (writer lock held, so every healthy
-        replica is at the same boundary)."""
+    async def _boundary_checkpoint(
+        self, rs: ReplicaSet
+    ) -> tuple[bytes, ...]:
+        """A restore point of a shard's boundary state, with failover
+        across replicas (writer lock held, so every healthy replica is at
+        the same boundary): the set's own restore point plus a record
+        when the answering replica can chain one, else a fresh base.
+        The set adopts neither — its op log stays — so its next round
+        takes a base."""
+        reply = None
         for replica in rs.replicas:
             if replica.state is not ReplicaState.HEALTHY:
                 continue
             try:
-                return await self._locked_rpc(replica, "checkpoint", ())
+                reply = await self._locked_rpc(
+                    replica, "checkpoint", (rs.token,)
+                )
+                break
             except self._DEATH:
                 self._note_death(rs, replica)
-        replica = await self._await_any_rebuild(rs)
-        return await self._locked_rpc(replica, "checkpoint", ())
+        if reply is None:
+            replica = await self._await_any_rebuild(rs)
+            reply = await self._locked_rpc(
+                replica, "checkpoint", (rs.token,)
+            )
+        if reply.record:
+            return (*rs.restore_point(), reply.blob)
+        return (reply.blob,)
 
     async def _flush_set(self, shard_id: int) -> None:
         """Journal and run one out-of-band flush on a single shard (a
@@ -1111,10 +1161,13 @@ class AsyncShardGateway:
             self._refresh_published()
             self._snapshot_id += 1
 
-    def _spawned_set(self, new_id: int, restore: bytes) -> ReplicaSet:
+    def _spawned_set(
+        self, new_id: int, restore: tuple[bytes, ...]
+    ) -> ReplicaSet:
         """A ReplicaSet for a brand-new shard id (not yet spawned or
-        registered) restored from ``restore``, specs derived from shard
-        0's base config."""
+        registered) restored from the restore point ``restore``, specs
+        derived from shard 0's base config.  Its processes have given no
+        checkpoint answer, so its first round takes a base."""
         base = dc_replace(
             self._sets[0].replicas[0].spec,
             shard_id=new_id,
@@ -1122,15 +1175,15 @@ class AsyncShardGateway:
             fault_plan=None,
         )
         rs = ReplicaSet(new_id, replica_specs(base, self.replicas, None, new_id))
-        rs.checkpoint = restore
+        rs.base, rs.chain = restore[0], list(restore[1:])
         return rs
 
     async def _split_locked(self, victim: int) -> int:
         """The split protocol (writer lock held, at a flush boundary).
 
         1. Checkpoint the victim and spawn the new shard's replica set
-           from that blob — a byte-copy of the victim, invisible to
-           readers until cutover.
+           from that restore point — a byte-copy of the victim,
+           invisible to readers until cutover.
         2. Tombstone the *stayers* on the new shard (journaled deletes,
            so a replica rebuild replays them) and flush it.
         3. Cut over synchronously: publish the split routing table, add

@@ -9,9 +9,10 @@ module adds the replica layer the gateway composes:
   with its own stream connection, request sequencing, health state, and
   bookkeeping of how far through the shard's op log it has applied.
 * :class:`ReplicaSet` — the k replicas of one shard plus the shared
-  recovery material (one op log, one checkpoint blob — the journal is a
-  property of the *shard's write history*, not of any replica) and the
-  round-robin read rotation with eligibility filtering.
+  recovery material (one op log, one restore point of base + redo
+  records — the journal is a property of the *shard's write history*,
+  not of any replica) and the round-robin read rotation with
+  eligibility filtering.
 * :class:`ReplicationStats` — the counters the serving report surfaces.
 
 The replication protocol (DESIGN.md §15) in brief:
@@ -67,8 +68,9 @@ class ReplicaState(enum.Enum):
 
     ``HEALTHY`` —(connection breaks / stale stamp)→ ``RECOVERING``
     —(rebuild completes)→ ``HEALTHY``; a rebuild that cannot complete
-    (respawn keeps failing) parks the replica at ``FAILED``, which only
-    an explicit re-kick leaves.
+    (respawn keeps failing) parks the replica at ``FAILED``, and nothing
+    moves it out: it serves no reads, takes no writes and has no replay
+    in flight, so the op log is truncated past it.
     """
 
     HEALTHY = "healthy"
@@ -131,13 +133,17 @@ class Replica:
 class ReplicaSet:
     """The k replicas of one shard plus their shared recovery material.
 
-    The op log and checkpoint blob live here — not per replica — because
-    they describe the shard's write history, which is replica-invariant:
-    any replica can be rebuilt from the one checkpoint plus the one log.
-    The log is truncated only when *every* replica is ``HEALTHY`` and
-    fully caught up (otherwise an in-flight rebuild would lose its
-    tail), so the invariant "the journal holds exactly the ops since the
-    stored checkpoint" always holds for every replica at once.
+    The op log and the restore point live here — not per replica —
+    because they describe the shard's write history, which is
+    replica-invariant: any replica can be rebuilt from the one restore
+    point plus the one log.  The restore point is a full checkpoint
+    ``base`` plus the ``chain`` of redo records taken since, and
+    ``token`` names the checkpoint answer the chain ends on (DESIGN.md
+    §19).  The log is truncated only when no replica is mid-rebuild and
+    every healthy one is fully caught up (otherwise an in-flight rebuild
+    would lose its tail), so the invariant "the journal holds exactly
+    the ops since the stored restore point" holds for every replica
+    that can still be rebuilt or written to.
     """
 
     def __init__(
@@ -148,7 +154,9 @@ class ReplicaSet:
             Replica(shard_id, j, spec) for j, spec in enumerate(specs)
         ]
         self.oplog: list[tuple] = []
-        self.checkpoint: bytes | None = None
+        self.base: bytes | None = None
+        self.chain: list[bytes] = []
+        self.token: int | None = None
         #: Published version-vector entry for this shard; rotation
         #: excludes replicas trailing it.
         self.expected_version = 0
@@ -202,13 +210,40 @@ class ReplicaSet:
         ]
 
     def caught_up(self) -> bool:
-        """Every replica healthy and at the end of the op log — the only
-        state in which the log may be truncated."""
+        """No replica mid-rebuild and every healthy one at the end of
+        the op log — the only state in which the log may be truncated.
+        A ``FAILED`` replica has no replay in flight and never leaves
+        that state, so it does not hold the log."""
         return all(
-            r.state is ReplicaState.HEALTHY
-            and r.log_pos == len(self.oplog)
+            r.state is ReplicaState.FAILED
+            or (
+                r.state is ReplicaState.HEALTHY
+                and r.log_pos == len(self.oplog)
+            )
             for r in self.replicas
         )
+
+    def restore_point(self) -> tuple[bytes, ...] | None:
+        """``(base, *chain)`` — what a respawn restores from — or None
+        before the first checkpoint."""
+        if self.base is None:
+            return None
+        return (self.base, *self.chain)
+
+    def adopt(self, reply) -> None:
+        """Install a checkpoint answer as the new restore point: a
+        record extends the chain, a base replaces it."""
+        if reply.record:
+            self.chain.append(reply.blob)
+        else:
+            self.base, self.chain = reply.blob, []
+        self.token = reply.token
+
+    def wants_base(self) -> bool:
+        """The one compaction rule: once the chain's bytes reach the
+        base's, the next checkpoint is a base (so the restore point never
+        exceeds about twice a base, in bytes and in restore work)."""
+        return sum(map(len, self.chain)) >= len(self.base or b"")
 
     def describe(self) -> dict:
         return {
@@ -249,6 +284,11 @@ class ReplicationStats:
     #: Checkpoint rounds skipped because a replica was mid-rebuild (the
     #: op log must be retained for its catch-up replay).
     checkpoints_deferred: int = 0
+    #: Checkpoint answers adopted as full bases / as redo records, and
+    #: the bytes of those records (DESIGN.md §19).
+    checkpoint_bases: int = 0
+    checkpoint_records: int = 0
+    chain_bytes: int = 0
     #: Healthy replicas of one shard disagreeing on a flush outcome —
     #: always 0 unless the determinism contract is broken.
     replica_divergences: int = 0
@@ -263,6 +303,9 @@ class ReplicationStats:
             "rebuilds_completed": self.rebuilds_completed,
             "rebuild_failures": self.rebuild_failures,
             "checkpoints_deferred": self.checkpoints_deferred,
+            "checkpoint_bases": self.checkpoint_bases,
+            "checkpoint_records": self.checkpoint_records,
+            "chain_bytes": self.chain_bytes,
             "replica_divergences": self.replica_divergences,
         }
 

@@ -157,7 +157,8 @@ def encode_parts(
 
     Callers that can issue scatter writes (``sendmsg``, stream-writer
     buffering) avoid the full extra copy ``header + payload`` would cost
-    on multi-MB checkpoint blobs.
+    on a checkpoint base (a whole shard; its redo records are a fraction
+    of that).
     """
     payload = pickle.dumps(
         _flatten(message), protocol=pickle.HIGHEST_PROTOCOL
@@ -257,7 +258,7 @@ def send_message(sock, message, max_frame: int = DEFAULT_MAX_FRAME) -> None:
     """Write one message to a blocking socket as a single frame.
 
     Header and payload go out as a scatter write (``sendmsg``) so the
-    payload — which for checkpoint replies is a multi-MB blob — is never
+    payload — which for a checkpoint base is the whole shard — is never
     copied into a joined ``header + payload`` buffer.  Platforms without
     ``sendmsg`` fall back to two ``sendall`` calls (still copy-free).
     """

@@ -8,7 +8,9 @@ here: the worker drives the same
 :class:`~repro.service.runtime.ShardRuntime` the in-process
 :class:`~repro.service.server.QueryService` drives, and adds what only a
 replica needs — skipping an idle flush, the gateway's growth grant,
-dying for real at an injected crash, checkpoints.
+dying for real at an injected crash, checkpoints (a redo record chained
+on the caller's token, folded from every publish's journal through the
+runtime's ``install`` hook, or a full base; DESIGN.md §19).
 Queries are answered from the worker's *published* snapshot, never the
 live writer, so the visibility contract matches the in-process service:
 a document becomes queryable at the flush that publishes it.
@@ -41,10 +43,12 @@ from __future__ import annotations
 
 import io
 import os
+import secrets
 import signal
 import time
 from dataclasses import dataclass, replace
 
+from ..core.delta import DeltaJournal
 from ..core.index import IndexConfig
 from ..core.memtier import MemTier
 from ..core.rebalance import BucketGrower
@@ -67,8 +71,9 @@ class WorkerSpec:
     shard_id: int
     index_config: IndexConfig | None = None
     publish_mode: str = "cow"
-    #: Serialized :meth:`TextDocumentIndex.save` blob to restore from.
-    restore: bytes | None = None
+    #: Restore point: a :meth:`TextDocumentIndex.save` base blob followed
+    #: by the redo records chained on it (:meth:`TextDocumentIndex.restore`).
+    restore: tuple[bytes, ...] | None = None
     #: Crash/fault schedule installed in the worker process.
     fault_plan: FaultPlan | None = None
     #: Turn an ``InjectedCrash`` into SIGKILL of the worker process.
@@ -106,6 +111,21 @@ class FlushOutcome:
     #: gateway's rebuild scheduler for a growth grant next round (always
     #: False when the volume was built without ``grow_buckets``).
     wants_grow: bool = False
+
+
+@dataclass(frozen=True)
+class CheckpointReply:
+    """One checkpoint request's reply: a redo record chained on the
+    caller's token, or a full base (DESIGN.md §19)."""
+
+    #: Names this answer; pass it back as ``since`` to chain the next
+    #: record onto it.  Fresh in every answer, so an answer the caller
+    #: discarded can never be chained onto.
+    token: int
+    #: True: ``blob`` is a :meth:`TextDocumentIndex.save_record` record;
+    #: False: a :meth:`TextDocumentIndex.save` base.
+    record: bool
+    blob: bytes
 
 
 @dataclass
@@ -154,11 +174,21 @@ class ShardWorker:
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
         if spec.restore is not None:
-            self.writer = TextDocumentIndex.load(io.BytesIO(spec.restore))
+            self.writer = TextDocumentIndex.restore(
+                spec.restore[0], spec.restore[1:]
+            )
         else:
             self.writer = TextDocumentIndex(spec.index_config)
         self.stats = WorkerStats()
         self._dirty_since_publish = False
+        # Checkpoint chaining: every publish's journal folds into
+        # ``_since``; a record is cut from it when the caller names
+        # ``_token``, the answer this process gave last, taken at
+        # ``_mark``.  A fresh process has answered nothing, so its first
+        # checkpoint is a base.
+        self._since = DeltaJournal()
+        self._token: int | None = None
+        self._mark = self.writer.mark
         # The flush → recover → publish → rebase state machine (DESIGN.md
         # §10.1).  Building it publishes the initial (empty or restored)
         # state, so readers always have a snapshot.
@@ -235,7 +265,7 @@ class ShardWorker:
             if grow:
                 self.writer.index.grow_bucket_space(self._grower)
             start = time.perf_counter()
-            self.runtime.publish()
+            self.runtime.publish(install=self._absorb)
             publish_seconds = time.perf_counter() - start
             self._dirty_since_publish = False
         return FlushOutcome(
@@ -255,11 +285,38 @@ class ShardWorker:
     def _mem_epoch(self) -> int:
         return self.memtier.epoch if self.memtier is not None else 0
 
-    def checkpoint(self) -> bytes:
-        """The writer serialized at its current batch boundary."""
+    def _absorb(self, index, cow, delta):
+        """The publish's ``install`` hook: fold the batch's journal into
+        the since-checkpoint one before the runtime clears it.  A process
+        that has given no checkpoint answer can only answer a base, so it
+        keeps none (a replica the gateway never asks stays that way)."""
+        if self._token is not None:
+            self._since.absorb(delta)
+        return index
+
+    def checkpoint(self, since: int | None) -> CheckpointReply:
+        """The writer at its current batch boundary, as a redo record
+        when ``since`` is this process's last answer and nothing since
+        required a full clone (growth, recovery), else as a full base."""
+        dirty = DeltaJournal()
+        dirty.absorb(self._since)
+        # Mutations not yet published (none at a gateway flush boundary)
+        # belong in the record too.
+        dirty.absorb(self.writer.delta)
+        record = (
+            since is not None
+            and since == self._token
+            and not dirty.requires_full
+        )
         buf = io.BytesIO()
-        self.writer.save(buf)
-        return buf.getvalue()
+        if record:
+            self.writer.save_record(buf, dirty, self._mark)
+        else:
+            self.writer.save(buf)
+        self._token = secrets.randbits(64)
+        self._mark = self.writer.mark
+        self._since.clear()
+        return CheckpointReply(self._token, record, buf.getvalue())
 
     # -- retrieval (published snapshot) -----------------------------------
 

@@ -461,3 +461,95 @@ class TextDocumentIndex:
             index.deletions.deleted.add(doc_id)
         index._last_read_ops = 0
         return index
+
+    # -- redo records (base + chain) ------------------------------------------------
+
+    _RECORD_MAGIC = b"DSTR"
+
+    @property
+    def mark(self) -> tuple[int, int]:
+        """``(batches, vocabulary size)``: the boundary a later redo
+        record chains from (both only grow)."""
+        return self.index.batches, len(self.vocabulary)
+
+    def save_record(self, target, dirty, mark: tuple[int, int]) -> None:
+        """Write the redo record from the boundary ``mark`` to now into
+        the binary file object ``target``.
+
+        ``dirty`` is a :class:`~repro.core.delta.DeltaJournal` covering
+        every mutation since ``mark`` was taken.  The record holds the
+        core record of :func:`repro.core.checkpoint.save_record`, the
+        words the vocabulary gained and, when it changed, the deletion
+        set.  Raises :class:`~repro.core.checkpoint.CheckpointError`
+        where :meth:`save` would, or when the journal cannot vouch for a
+        record (growth, crash recovery): take a base instead.
+        """
+        batches, nwords = mark
+        target.write(self._RECORD_MAGIC)
+        target.write(struct.pack("<QQ", batches, nwords))
+        core = io.BytesIO()
+        checkpoint.save_record(self.index, dirty, core)
+        blob = core.getvalue()
+        target.write(struct.pack("<Q", len(blob)))
+        target.write(blob)
+        words = self.vocabulary._words[nwords:]
+        target.write(struct.pack("<Q", len(words)))
+        for word in words:
+            data = word.encode("utf-8")
+            target.write(struct.pack("<I", len(data)))
+            target.write(data)
+        if dirty.deletions_changed:
+            deleted = sorted(self.deletions.deleted)
+            target.write(struct.pack("<Q", len(deleted)))
+            target.write(struct.pack(f"<{len(deleted)}Q", *deleted))
+        else:
+            target.write(struct.pack("<Q", _UNCHANGED))
+
+    @classmethod
+    def restore(cls, base: bytes, records) -> "TextDocumentIndex":
+        """The index a :meth:`save` blob plus its chain of redo records
+        describes: load ``base``, then apply each record in order.
+
+        The one reader of records.  The result saves to exactly the bytes
+        the writer's own :meth:`save` produced at the last record's
+        boundary.  Raises :class:`~repro.core.checkpoint.CheckpointError`
+        on a truncated record or one that does not chain onto the state
+        before it.
+        """
+        index = cls.load(io.BytesIO(base))
+        for record in records:
+            index._apply_record(io.BytesIO(record))
+        return index
+
+    def _apply_record(self, fp) -> None:
+        def take(n: int) -> bytes:
+            data = fp.read(n)
+            if len(data) != n:
+                raise checkpoint.CheckpointError("truncated redo record")
+            return data
+
+        def read(fmt: str) -> tuple:
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+        if fp.read(4) != self._RECORD_MAGIC:
+            raise checkpoint.CheckpointError("not a text-index redo record")
+        if read("<QQ") != self.mark:
+            raise checkpoint.CheckpointError(
+                "redo record does not chain onto this state"
+            )
+        core_fp = io.BytesIO(take(*read("<Q")))
+        checkpoint.apply_record(self.index, core_fp)
+        if core_fp.read(1):
+            raise checkpoint.CheckpointError("corrupt redo record (core)")
+        (nwords,) = read("<Q")
+        for _ in range(nwords):
+            self.vocabulary.id_of(take(*read("<I")).decode("utf-8"))
+        (ndeleted,) = read("<Q")
+        if ndeleted != _UNCHANGED:
+            self.deletions.deleted = set(read(f"<{ndeleted}Q"))
+        if fp.read(1):
+            raise checkpoint.CheckpointError("corrupt redo record (tail)")
+
+
+#: Deletion-count sentinel: the record leaves the deletion set as it was.
+_UNCHANGED = 2**64 - 1

@@ -350,3 +350,211 @@ def test_immediate_tier_unreplicated_read_after_rebuild_sees_unflushed():
         assert service.check().ok
     finally:
         service.close()
+
+
+# -- base + chain (DESIGN.md §19) -------------------------------------------------
+
+
+async def _assert_oracle_async(gateway, oracle, context):
+    for query in QUERIES:
+        got = await gateway.search_boolean(query)
+        assert got.doc_ids == oracle.search_boolean(query), (context, query)
+
+
+async def _materialized_is_the_writer(gateway, shard: int) -> None:
+    """The gateway's materialized restore point equals a base the shard
+    writes itself right now, byte for byte."""
+    rs = gateway._sets[shard]
+    reply = await gateway._locked_rpc(rs.healthy()[0], "checkpoint", (None,))
+    assert not reply.record
+    assert gateway._checkpoints[shard] == reply.blob
+
+
+@pytest.mark.slow
+def test_replica_rebuilt_from_a_chain_answers_like_its_sibling():
+    """Kill replica 0 while the restore point is a base plus records:
+    the rebuild restores base + chain + op-log tail and then answers
+    every query like the brute-force oracle, charging exactly the read
+    ops its untouched sibling charges."""
+    service = GatewayService(crash_config(), shards=1, replicas=2)
+    try:
+        oracle = BruteForceIndex()
+        _ingest(service, oracle, DOCS[:5])
+        service.flush_and_publish()  # a base
+        _ingest(service, oracle, DOCS[5:7])
+        service.delete_document(2)
+        oracle.delete_document(2)
+        service.flush_and_publish()  # a record chained on it
+        rs = service.gateway._sets[0]
+        repl = service.gateway.repl
+        assert len(rs.chain) == 1 and repl.checkpoint_bases == 1
+        pending = service.add_document(DOCS[7])  # journaled only
+        service.kill_replica(0, 0)
+        _assert_oracle(service, oracle, "kill r0")  # fails over inline
+        service.wait_for_recovery()
+        assert repl.rebuilds_completed == 1
+        service.flush_and_publish()
+        oracle.add_document(pending, DOCS[7].split())
+        before = _worker_queries(service)
+        for query in QUERIES:
+            first = service.search_boolean(query)
+            second = service.search_boolean(query)
+            assert first.doc_ids == oracle.search_boolean(query), query
+            assert second.doc_ids == first.doc_ids, query
+            assert second.read_ops == first.read_ops, query
+        after = _worker_queries(service)
+        assert all(after[j] > before[j] for j in (0, 1)), (before, after)
+        assert repl.replica_divergences == 0
+        service._run(_materialized_is_the_writer(service.gateway, 0))
+        assert service.check().ok
+    finally:
+        service.close()
+
+
+@pytest.mark.slow
+def test_a_discarded_checkpoint_is_never_chained_onto():
+    """A sibling dies while the checkpoint RPC is in flight, so the
+    gateway drops the answer (its op log must stay for the rebuild).
+    The answer's token was fresh: the next round names the set's old
+    token, the worker no longer holds it, and the answer is a base — a
+    record chained on the dropped answer would not restore."""
+
+    async def body():
+        gateway = AsyncShardGateway(crash_config(), shards=1, replicas=2)
+        await gateway.start()
+        try:
+            rs = gateway._sets[0]
+            oracle = BruteForceIndex()
+            for chunk in (DOCS[:3], DOCS[3:5]):
+                for text in chunk:
+                    oracle.add_document(
+                        await gateway.add_document(text), text.split()
+                    )
+                await gateway.flush()
+            assert gateway.repl.checkpoint_records == 1
+            real_rpc = gateway._locked_rpc
+
+            async def sibling_dies_during_checkpoint(replica, method, args):
+                value = await real_rpc(replica, method, args)
+                if method == "checkpoint":
+                    gateway.kill_replica(0, 1)
+                    gateway._note_death(rs, rs.replicas[1])
+                return value
+
+            gateway._locked_rpc = sibling_dies_during_checkpoint
+            for text in DOCS[5:7]:
+                oracle.add_document(
+                    await gateway.add_document(text), text.split()
+                )
+            deferred = gateway.repl.checkpoints_deferred
+            await gateway.flush()
+            gateway._locked_rpc = real_rpc
+            assert gateway.repl.checkpoints_deferred == deferred + 1
+            assert len(rs.oplog) > 0 and len(rs.chain) == 1
+            await gateway.quiesce()
+            bases = gateway.repl.checkpoint_bases
+            records = gateway.repl.checkpoint_records
+            for text in DOCS[7:]:
+                oracle.add_document(
+                    await gateway.add_document(text), text.split()
+                )
+            await gateway.flush()
+            assert gateway.repl.checkpoint_bases == bases + 1
+            assert gateway.repl.checkpoint_records == records
+            assert rs.chain == [] and rs.oplog == []
+            await _assert_oracle_async(gateway, oracle, "after the base")
+            await _materialized_is_the_writer(gateway, 0)
+        finally:
+            await gateway.close()
+
+    asyncio.run(body())
+
+
+@pytest.mark.slow
+def test_split_while_the_victim_has_a_chain():
+    """The new shard spawns from the victim's base + chain + one record
+    cut at the split boundary, answers exactly, and rebuilds from its
+    own restore point after a murder."""
+
+    async def body():
+        gateway = AsyncShardGateway(crash_config(), shards=2, replicas=2)
+        await gateway.start()
+        try:
+            oracle = BruteForceIndex()
+            for chunk in (DOCS[:4], DOCS[4:7], DOCS[7:]):
+                for text in chunk:
+                    oracle.add_document(
+                        await gateway.add_document(text), text.split()
+                    )
+                await gateway.flush()
+            await gateway.delete_document(3)
+            oracle.delete_document(3)
+            await gateway.flush()
+            point = gateway._sets[0].restore_point()
+            assert len(point) >= 2  # a base and at least one record
+            new_id = await gateway.split_shard(0)
+            restore = gateway._sets[new_id].replicas[0].spec.restore
+            assert restore[:-1] == point  # ... plus the split's record
+            await _assert_oracle_async(gateway, oracle, "split")
+            gateway.kill_replica(new_id, 0)
+            await _assert_oracle_async(gateway, oracle, "split")
+            await gateway.quiesce()
+            assert gateway.repl.rebuilds_completed == 1
+            assert gateway.repl.replica_divergences == 0
+            for shard in (0, new_id):
+                await _materialized_is_the_writer(gateway, shard)
+            assert (await gateway.check()).ok
+        finally:
+            await gateway.close()
+
+    asyncio.run(body())
+
+
+@pytest.mark.slow
+def test_a_failed_replica_does_not_hold_the_op_log():
+    """A replica whose rebuild cannot respawn parks at FAILED and never
+    leaves it.  It has no replay in flight, so checkpoint rounds go on
+    past it: the log is truncated at every flush and no round is
+    deferred (at the parent every later round deferred and the log, and
+    every later replay, grew without bound)."""
+
+    async def body():
+        gateway = AsyncShardGateway(crash_config(), shards=1, replicas=2)
+        await gateway.start()
+        try:
+            rs = gateway._sets[0]
+            oracle = BruteForceIndex()
+            for text in DOCS[:3]:
+                oracle.add_document(
+                    await gateway.add_document(text), text.split()
+                )
+            await gateway.flush()
+            real_spawn = gateway._spawn
+
+            async def no_machine_for_respawns(replica, spec=None):
+                if spec is not None:  # a rebuild's respawn
+                    raise OSError("no machine to respawn on")
+                await real_spawn(replica, spec)
+
+            gateway._spawn = no_machine_for_respawns
+            gateway.kill_replica(0, 1)
+            # The write finds the corpse.
+            oracle.add_document(
+                await gateway.add_document(DOCS[3]), DOCS[3].split()
+            )
+            await gateway.quiesce()
+            assert rs.replicas[1].state is ReplicaState.FAILED
+            assert gateway.repl.rebuild_failures == 1
+            deferred = gateway.repl.checkpoints_deferred
+            for text in DOCS[4:9]:
+                oracle.add_document(
+                    await gateway.add_document(text), text.split()
+                )
+                await gateway.flush()
+                assert rs.oplog == []
+                assert gateway.repl.checkpoints_deferred == deferred
+            await _assert_oracle_async(gateway, oracle, "one replica failed")
+        finally:
+            await gateway.close()
+
+    asyncio.run(body())
