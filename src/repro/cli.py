@@ -250,13 +250,7 @@ def cmd_serve_bench(args) -> int:
         seed=args.seed,
         verify=verify,
         delete_every=args.delete_every,
-        crash_every=(
-            4
-            if args.inject_faults
-            and not args.gateway
-            and args.read_tier != "immediate"
-            else 0
-        ),
+        crash_every=4 if args.inject_faults and not args.gateway else 0,
         transient_rate=args.fault_rate if args.inject_faults else 0.0,
         # A short writer sleep between cycles so readers interleave.
         pace_s=0.001,

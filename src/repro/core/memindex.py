@@ -213,8 +213,12 @@ class InMemoryIndex:
         self._sorted_words = None
 
     def clear(self) -> None:
-        """Reset after the batch has been written to disk."""
-        self._lists.clear()
+        """Reset after the batch has been written to disk.
+
+        The batch is *retired*, not emptied: a reader holding the old dict
+        (:mod:`repro.core.memtier`) keeps the whole batch, which nothing
+        mutates again — the flush only reads payloads."""
+        self._lists = {}
         self._ndocs = 0
         self._npostings = 0
         self._sorted_words = None

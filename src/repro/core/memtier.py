@@ -1,17 +1,17 @@
-"""The immediate-access in-memory tier: a queryable write buffer.
+"""The immediate-access in-memory tier: the writer's own batch, queryable.
 
 The paper's visibility contract is batch-grained: a document ingested into
 the in-memory batch (:mod:`repro.core.memindex`) becomes searchable only
 at the flush that publishes it, so read-your-writes latency is bounded
 below by the whole flush + publish path.  The paper also says the batch
 "can be searched simultaneously with the larger index" (§1); this module
-is that: a mirror of the one pending batch that absorbs ``add_document``
-/ ``delete_document`` the moment they happen and is queryable
-concurrently, while the ordinary flush path drains it into the
+is that, over the one copy of the batch there is — the writer's own
+:class:`~repro.core.memindex.InMemoryIndex`, read through the writer's
+vocabulary — while the ordinary flush path drains it into the
 dual-structure disk index.
 
-It holds one update's worth of postings and is gone at the flush, so it
-is kept uncompressed.  Moffat & Mackenzie's immediate-access index
+A batch is one update's worth of postings and is gone at the flush, so it
+stays uncompressed.  Moffat & Mackenzie's immediate-access index
 (PAPERS.md) seals and compresses segments because their in-memory index
 *is* the collection; here a batch averages 2.6 postings a term, a sealed
 64-document segment was larger than the lists it replaced, and sealing
@@ -20,19 +20,22 @@ lost adds, reads and flushes in every pair of the trial that removed it
 
 Structure — one writer, lock-free readers:
 
-* the **active segment** is an append-only ``term -> [doc ids]`` map the
-  writer inserts into; readers slice it under the *visibility watermark*
-  (the highest fully inserted doc id), so a half-inserted document is
-  never observable — its id sits above the watermark until every term is
-  in place;
+* the **batch handle** is the writer's ``pending_batch()``: per volume,
+  its vocabulary and its live ``word id -> payload`` dict.  Payload lists
+  grow only at the tail, in ascending doc-id order, so a reader slices
+  each to the ids at or below the *visibility watermark* (the highest
+  fully ingested doc id); the runtime advances the watermark after the
+  writer has inserted the whole document, so none is seen half-inserted;
 * **tombstones** record buffered deletions (of snapshot documents and of
   buffered documents alike) as an immutable frozenset replaced wholesale
   per delete, filtering both tiers' answers;
-* at each publish :meth:`MemTier.rebase` swaps in the new base snapshot
-  and drops everything the snapshot now covers — under the writer lock,
-  so nothing is ever lost or double-counted; a reader holding the old
-  view keeps a consistent (old base + buffered) state whose merged answer
-  is identical.
+* a flush *retires* the batch — a fresh dict takes its place — instead of
+  emptying it, and a crash's rollback and replay do the same, so the tier
+  keeps reading the whole retired batch against the old base until
+  :meth:`MemTier.rebase` swaps in the new base, the writer's new handle
+  and empty tombstones in one assignment.  No reader ever pairs the old
+  base with an emptied batch, or one publication's base with another's
+  batch or tombstones.
 
 The **epoch** counts this tier's mutations (adds, deletes, rebases).  The
 result cache stamps an immediate-tier entry with the epoch it was
@@ -49,62 +52,26 @@ exactly the read ops its snapshot-tier evaluation would.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Iterable
-
-
-class ActiveSegment:
-    """The append-only segment the writer inserts into.
-
-    Lists only ever grow at the tail and doc ids arrive in increasing
-    order, so a reader holding a view slices each list to the ids at or
-    below its captured watermark (a bisect on the immutable-so-far
-    prefix) — concurrent appends extend the list past the slice but never
-    reorder it.
-    """
-
-    __slots__ = ("lists",)
-
-    def __init__(self) -> None:
-        self.lists: dict[str, list[int]] = {}
-
-    def add(self, doc_id: int, terms: Iterable[str]) -> None:
-        """Append one document's postings."""
-        lists = self.lists
-        for term in terms:
-            docs = lists.get(term)
-            if docs is None:
-                lists[term] = [doc_id]
-            else:
-                docs.append(doc_id)
-
-    def postings_upto(self, term: str, watermark: int) -> list[int]:
-        """The term's doc ids at or below ``watermark`` (copied)."""
-        docs = self.lists.get(term)
-        if not docs:
-            return []
-        # The slice point is stable: ids are ascending and appends only
-        # extend the tail, so bisect over a concurrent append is safe.
-        return docs[: bisect_right(docs, watermark)]
+from bisect import bisect_right
+from heapq import merge
 
 
 class MemTierView:
     """One atomically captured read view of the memory tier.
 
     Everything a two-tier evaluation needs, frozen at capture time: the
-    base disk snapshot, the (shared but watermark-sliced) active segment,
-    the tombstone set, the visibility watermark, and the epoch to stamp
-    cached results with.  Answers computed from one view are internally
-    consistent even while the writer keeps ingesting or a background
-    merge publishes: each of these fields is immutable or safely
-    sliceable.
+    base disk snapshot, the batch handle (shared, sliced at the
+    watermark), the tombstone set, the visibility watermark, and the
+    epoch to stamp cached results with.  Answers computed from one view
+    are internally consistent even while the writer keeps ingesting or a
+    background merge publishes.
     """
 
-    __slots__ = ("base", "active", "tombstones", "visible", "epoch")
+    __slots__ = ("base", "batch", "tombstones", "visible", "epoch")
 
-    def __init__(self, base, active, tombstones, visible, epoch) -> None:
+    def __init__(self, base, batch, tombstones, visible, epoch) -> None:
         self.base = base
-        self.active = active
+        self.batch = batch
         self.tombstones = tombstones
         self.visible = visible
         self.epoch = epoch
@@ -112,7 +79,7 @@ class MemTierView:
     @property
     def base_ndocs(self) -> int:
         """Doc ids below this live in the base snapshot's universe."""
-        return self.base.ndocs if self.base is not None else 0
+        return self.base.ndocs
 
     @property
     def ndocs(self) -> int:
@@ -126,8 +93,18 @@ class MemTierView:
 
     def postings(self, term: str) -> list[int]:
         """The term's buffered doc ids, ascending, tombstones *not* yet
-        filtered (the merge layer filters once over both tiers)."""
-        return self.active.postings_upto(term, self.visible)
+        filtered (the merge layer filters once over both tiers): per
+        volume a vocabulary lookup, a ``dict.get`` and a bisect at the
+        watermark, merged across volumes (disjoint ids) when sharded."""
+        runs = []
+        for vocabulary, lists in self.batch:
+            payload = lists.get(vocabulary.lookup(term))
+            if payload is not None:
+                docs = payload.doc_ids
+                runs.append(docs[: bisect_right(docs, self.visible)])
+        if len(runs) > 1:
+            return list(merge(*runs))
+        return runs[0] if runs else []
 
     def is_empty(self) -> bool:
         """True when the merged answer equals the base snapshot's."""
@@ -135,75 +112,49 @@ class MemTierView:
 
 
 class MemTier:
-    """The writer-owned memory tier with lock-free reader views.
+    """The writer's pending batch as a tier, with lock-free reader views.
 
     Threading contract (the same one the serving layer already lives
-    by): all mutators — :meth:`add_document`, :meth:`delete_document`,
-    :meth:`rebase` — are called under the service's writer lock;
-    :meth:`view` is safe from any number of reader threads concurrently,
-    because every published structure is either immutable (tombstone
-    frozensets, the view itself) or append-only under a captured
-    watermark (the active segment's lists).
+    by): all mutators — :meth:`advance`, :meth:`delete_document`,
+    :meth:`rebase` — are called under the service's writer lock, after
+    the writer itself has changed; :meth:`view` is safe from any number
+    of reader threads concurrently.  Every mutator changes state first
+    and bumps the epoch last, and a view reads the epoch first, so an
+    answer is never cached under an epoch newer than what it saw.
     """
 
-    def __init__(self, *, base=None) -> None:
-        self._base = base
-        self._active = ActiveSegment()
-        self._tombstones: frozenset[int] = frozenset()
-        self._visible = (base.ndocs - 1) if base is not None else -1
+    def __init__(self, writer, base) -> None:
+        self._writer = writer
+        # (base, batch handle, tombstones), replaced whole.
+        self._state = (base, writer.pending_batch(), frozenset())
+        self._visible = base.ndocs - 1
         self._epoch = 0
         self.rebases = 0
 
     # -- writer side -------------------------------------------------------
 
-    def add_document(self, doc_id: int, words: Iterable[str]) -> None:
-        """Absorb one document immediately (distinct lowercased terms).
-
-        Postings land in the active segment first; the watermark moves
-        only after the *whole* document is inserted, so a concurrent
-        reader either sees all of the document or none of it.
-        """
-        if doc_id <= self._visible:
-            raise ValueError(
-                f"doc id {doc_id} is not above the watermark "
-                f"{self._visible}"
-            )
-        self._epoch += 1
-        self._active.add(doc_id, {w.lower() for w in words})
-        # Publication point: the document becomes visible here, whole.
+    def advance(self, doc_id: int) -> None:
+        """Make the writer's newest document visible, whole."""
         self._visible = doc_id
+        self._epoch += 1
 
     def delete_document(self, doc_id: int) -> None:
         """Tombstone a document (snapshot-resident or buffered) now."""
-        self._epoch += 1
         # Copy-on-write: readers holding the old frozenset keep a
         # consistent deletion filter.
-        self._tombstones = self._tombstones | {doc_id}
+        base, batch, tombstones = self._state
+        self._state = (base, batch, tombstones | {doc_id})
+        self._epoch += 1
 
     def rebase(self, base) -> None:
-        """Swap in the freshly published base snapshot and drop what it
-        covers (called at publish time, under the writer lock).
+        """Swap in the freshly published base and the writer's new batch
+        handle together (called at publish time, under the writer lock).
 
-        The flush that produced ``base`` drained the writer's whole
-        batch and applied every pending deletion, so normally *all*
-        buffered postings and tombstones are covered; anything above the
-        new base's universe (which cannot happen under the writer lock,
-        but is pruned rather than asserted away) is re-buffered.  The
-        retired segment is never appended to again, so a reader
-        mid-iteration on it stays correct.
+        The flush that produced ``base`` retired the batch the old handle
+        reads, and ``base`` carries every deletion made before it, so the
+        tombstones start over.
         """
-        base_ndocs = base.ndocs
-        survivors = ActiveSegment()
-        for term, docs in self._active.lists.items():
-            kept = docs[bisect_left(docs, base_ndocs):]
-            if kept:
-                survivors.lists[term] = kept
-        self._active = survivors
-        self._tombstones = frozenset(
-            d for d in self._tombstones if d >= base_ndocs
-        )
-        self._base = base
-        self._visible = max(self._visible, base_ndocs - 1)
+        self._state = (base, self._writer.pending_batch(), frozenset())
         self._epoch += 1
         self.rebases += 1
 
@@ -216,27 +167,26 @@ class MemTier:
     def view(self) -> MemTierView:
         """Capture one consistent read view (no locks).
 
-        Field order matters: the structural fields (base, active,
-        tombstones) are read before the watermark, so ``visible`` can
-        only run *ahead* of the captured structures — ids it admits that
-        the old active segment does not contain are simply absent, which
-        degrades to an earlier (still consistent) prefix of the ingest
-        stream, never a torn document.
+        Field order matters: the epoch first (see the class doc), then
+        the watermark, then the structures — so the structures are at
+        least as new as the watermark.  Past a rebase the new base covers
+        every id the old watermark admitted; before it the old batch
+        holds them.
         """
-        base = self._base
-        active = self._active
-        tombstones = self._tombstones
         epoch = self._epoch
         visible = self._visible
-        return MemTierView(base, active, tombstones, visible, epoch)
+        base, batch, tombstones = self._state
+        return MemTierView(base, batch, tombstones, visible, epoch)
 
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
         """Point-in-time counters (writer thread or tests)."""
+        _, batch, tombstones = self._state
+        buffered = sum(len(p) for _, lists in batch for p in lists.values())
         return {
             "epoch": self._epoch,
-            "buffered_postings": sum(map(len, self._active.lists.values())),
-            "tombstones": len(self._tombstones),
+            "buffered_postings": buffered,
+            "tombstones": len(tombstones),
             "rebases": self.rebases,
         }

@@ -86,6 +86,10 @@ class IndexShard(Protocol):
         """Whether aborted flushes can be rolled back and replayed."""
 
     @property
+    def needs_recovery(self) -> bool:
+        """True while an aborted flush awaits :meth:`recover`."""
+
+    @property
     def delta(self):
         """The delta journal(s) covering mutations since the last
         publish, or ``None`` when journaling is off.  For a sharded
@@ -105,6 +109,10 @@ class IndexShard(Protocol):
     def recover(self, replay: bool = True) -> "BatchResult | None":
         """Roll back an aborted flush to the last batch boundary and —
         when ``replay`` — re-apply and re-flush the aborted batch."""
+
+    def pending_batch(self) -> tuple:
+        """The unflushed batch as ``(vocabulary, word id -> payload)``
+        per volume, retired whole (never emptied) by the next flush."""
 
     # -- publication ------------------------------------------------------
 

@@ -144,6 +144,15 @@ class ShardedTextIndex:
         return self.shards[0].crash_safe
 
     @property
+    def needs_recovery(self) -> bool:
+        return any(shard.needs_recovery for shard in self.shards)
+
+    def pending_batch(self) -> tuple:
+        return tuple(
+            part for shard in self.shards for part in shard.pending_batch()
+        )
+
+    @property
     def delta(self):
         journals = [shard.delta for shard in self.shards]
         if any(journal is None for journal in journals):

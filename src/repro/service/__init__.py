@@ -28,8 +28,8 @@ background while its siblings keep serving — a
 flush round.
 
 With ``read_tier="immediate"`` the service additionally keeps a
-:class:`~repro.core.memtier.MemTier` — an in-memory mirror of the
-pending batch absorbed into every answer through
+:class:`~repro.core.memtier.MemTier` — the writer's own pending batch,
+read under a watermark and absorbed into every answer through
 :mod:`repro.query.twotier` — so ingested documents are queryable
 *before* any flush;
 :class:`~repro.service.server.BackgroundMerger` drains the buffer

@@ -25,8 +25,9 @@ With ``differential=True`` the writer thread probes served answers
 against the live mirror: right after each flush on the snapshot tier,
 mid-buffer on the immediate tier, on every host.  With
 ``crash_every > 0`` the generator installs a crash plan before every Nth
-flush, cycling through the registered flush/checkpoint crash points, so
-publication is exercised across writer crashes and recoveries.
+flush (under background merges, for the next merge to meet), cycling
+through the registered flush/checkpoint crash points, so publication is
+exercised across writer crashes and recoveries on either read tier.
 
 Two arrival disciplines drive the readers:
 
@@ -121,7 +122,7 @@ class LoadConfig:
     check_invariants: bool = True
     #: Every Nth ingested document triggers one random deletion (0 = never).
     delete_every: int = 0
-    #: Install a crash plan before every Nth flush (0 = never).
+    #: Install a crash plan before every Nth cycle's flush (0 = never).
     crash_every: int = 0
     #: Transient-I/O fault rate injected into the writer's disks.
     transient_rate: float = 0.0
@@ -216,12 +217,6 @@ class LoadConfig:
                 "not a pinned reference snapshot; set verify=False "
                 "(mid-buffer differential probes against the "
                 "brute-force mirror cover correctness)"
-            )
-        if self.read_tier == "immediate" and self.crash_every:
-            raise ValueError(
-                "crash recovery rebuilds the writer from durable "
-                "state, not the memory tier; use transient_rate for "
-                "immediate-tier fault injection"
             )
         if self.background_merge:
             if self.read_tier != "immediate":
@@ -776,6 +771,9 @@ class LoadGenerator:
                     # served answers must already include everything.
                     self._differential_check(cycle, differential_divergences)
                     differential_checks += 1
+                # Under background merges a plan stays installed until a
+                # merge reaches its point or the next plan replaces it.
+                crashing = self._maybe_crash_plan(cycle)
                 if not cfg.background_merge:
                     if cfg.verify:
                         # Frozen before the publish, under the id it will
@@ -784,7 +782,6 @@ class LoadGenerator:
                         self._frozen[
                             self.service.snapshot().snapshot_id + 1
                         ] = self._mirror.freeze()
-                    crashing = self._maybe_crash_plan(cycle)
                     try:
                         self.service.flush_and_publish()
                     finally:
@@ -808,6 +805,8 @@ class LoadGenerator:
         finally:
             if merger is not None:
                 merger.stop()
+            if cfg.crash_every:
+                faults.uninstall()
             stop.set()
             for thread in threads:
                 thread.join(timeout=120.0)

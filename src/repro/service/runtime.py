@@ -6,12 +6,15 @@ two batch boundaries (DESIGN.md §10.1).  It has two hosts —
 lock, :class:`~repro.service.worker.ShardWorker` drives it inside its
 process — and neither re-implements a step:
 
-1. **mirror** — every ingested document and deletion also lands in the
-   immediate-access memory tier, when one is attached;
+1. **watermark** — every ingested document advances the immediate
+   tier's visibility watermark over the writer's own batch, and every
+   deletion lands in its tombstones, when a tier is attached;
 2. **flush** — apply the pending batch; an injected crash or transient
    I/O error on a ``crash_safe`` volume rolls back to the state the
    flush began from and replays (paper §1 restartability), within a
-   budget;
+   budget.  Past the budget the next flush starts with that rollback,
+   and writes are refused until it has run (and, on the immediate tier,
+   published): a rollback would drop them, or the tier not show them;
 3. **clone** — copy the writer at its new boundary: incrementally
    against the previous publication under ``publish_mode="cow"``,
    falling back to the full checkpoint clone when the journal cannot
@@ -34,7 +37,6 @@ from ..core.index import BatchResult
 from ..core.memtier import MemTier
 from ..pipeline.profiling import HitMissCounters
 from ..storage.faults import InjectedCrash, TransientIOError
-from ..text.tokenizer import tokenize_document
 
 _FAULTS = (InjectedCrash, TransientIOError)
 
@@ -49,7 +51,8 @@ class ShardRuntime:
     it.  ``on_crash`` is called at every :class:`InjectedCrash` before
     any recovery (the worker's ``kill_on_crash`` dies there).  ``error``
     is the exception type an exhausted retry budget is reported as;
-    ``None`` lets the last fault propagate as itself.
+    ``None`` lets the last fault propagate as itself (and refuses a
+    write with ``RuntimeError``).
 
     Construction publishes the writer's initial (empty or restored)
     state, uncounted.  A host serving the immediate tier then assigns
@@ -88,18 +91,28 @@ class ShardRuntime:
         if delta is not None:
             delta.clear()
 
-    # -- mirror -----------------------------------------------------------
+    # -- watermark --------------------------------------------------------
+
+    def _writable(self) -> None:
+        if self.writer.needs_recovery or (
+            self.memtier is not None
+            and self.writer.batches != self.published.batches
+        ):
+            raise (self.error or RuntimeError)(
+                "a failed flush must be retried before the next write"
+            )
 
     def add_document(self, text: str, doc_id: int | None = None) -> int:
+        self._writable()
         doc_id = self.writer.add_document(text, doc_id=doc_id)
         if self.memtier is not None:
-            # Immediate visibility: the buffered postings serve reads the
-            # moment this returns (the tier's visibility watermark
-            # advances last, so no reader sees half a document).
-            self.memtier.add_document(doc_id, tokenize_document(text))
+            # The writer's batch holds the whole document now: it serves
+            # immediate reads the moment this returns.
+            self.memtier.advance(doc_id)
         return doc_id
 
     def delete_document(self, doc_id: int) -> None:
+        self._writable()
         self.writer.delete_document(doc_id)
         if self.memtier is not None:
             self.memtier.delete_document(doc_id)
@@ -126,7 +139,7 @@ class ShardRuntime:
         """Apply the pending batch, rolling back and replaying through
         the volume's undo log on injected faults."""
         attempts = 0
-        recovering = False
+        recovering = self.writer.needs_recovery
         while True:
             try:
                 if recovering:
@@ -215,10 +228,9 @@ class ShardRuntime:
             delta.clear()
         self.published = index
         if self.memtier is not None:
-            # Buffered postings the flush absorbed are pruned; anything
-            # buffered after this boundary survives.  Old views stay
-            # content-equivalent (old base + buffer == new base + pruned
-            # buffer), so in-flight immediate readers are safe.
+            # Until here the tier read the retired batch on the old base;
+            # old views stay content-equivalent (old base + retired batch
+            # == new base + the writer's new, empty batch).
             self.memtier.rebase(base)
         self.stats.publishes += 1
         if cow:

@@ -178,15 +178,15 @@ class QueryService:
         )
         self.buffer_counters = self._runtime.buffer_counters
         self._snapshot = IndexSnapshot(self._runtime.published, 0)
-        # The immediate-access memory tier (DESIGN.md §14): a queryable
-        # write buffer mirroring the writer's pending batch, rebased onto
-        # each published snapshot.  Built only when the service serves
-        # the immediate tier.
+        # The immediate-access memory tier (DESIGN.md §14): the writer's
+        # own pending batch, read under a watermark over each published
+        # snapshot.  Built only when the service serves the immediate
+        # tier.
         self.read_tier = read_tier
         self._memtier: MemTier | None = None
         if read_tier == "immediate":
             self._memtier = self._runtime.memtier = MemTier(
-                base=self._snapshot
+                self._writer, self._snapshot
             )
 
     # -- writer API --------------------------------------------------------
@@ -227,7 +227,8 @@ class QueryService:
         flush roll back and replay through the index's undo log
         (``crash_safe=True``); failures during the publish clone are
         retried in place.  Raises :class:`ServiceError` when the retry
-        budget is exhausted.
+        budget is exhausted; the next call then begins with the rollback
+        and replay, and writes are refused until it has run.
         """
         with self._writer_lock:
             with self.timings.stage("serve.flush"):
@@ -454,9 +455,8 @@ class BackgroundMerger:
     invariant across the boundary (DESIGN.md §14).
 
     Flush failures under fault injection are counted and retried on the
-    next tick — the service's own recovery machinery already replays the
-    batch, so a failed merge leaves the tier intact and merely defers
-    visibility compaction.
+    next tick, whose flush begins with the rollback and replay — a failed
+    merge leaves the tier intact and merely defers visibility compaction.
     """
 
     def __init__(

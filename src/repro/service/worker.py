@@ -83,8 +83,8 @@ class WorkerSpec:
     #: Decoded-chunk buffer cache blocks per publish (0 = no cache).
     buffer_cache_blocks: int = 0
     max_frame: int = wire.DEFAULT_MAX_FRAME
-    #: "immediate" keeps a per-worker memory tier mirroring the pending
-    #: batch so the gateway can serve reads before the next flush.
+    #: "immediate" serves the writer's pending batch through a memory
+    #: tier so the gateway can read documents before the next flush.
     read_tier: str = "snapshot"
 
     def respawn_spec(self) -> "WorkerSpec":
@@ -201,18 +201,18 @@ class ShardWorker:
             buffer_cache_blocks=spec.buffer_cache_blocks,
             on_crash=_die if spec.kill_on_crash else None,
         )
-        # The immediate-access memory tier mirrors the writer's pending
-        # batch against the published snapshot.  Doc ids are *global*
-        # (the gateway's router hands each shard an increasing
-        # subsequence), but the two-tier partition invariant holds per
-        # shard all the same: the published snapshot's ndocs is a global
-        # id watermark, and everything this shard buffers sits above it.
-        # A respawned worker rebuilds the tier naturally from the op-log
-        # replay the gateway drives through add/delete.
+        # The immediate-access memory tier reads the writer's pending
+        # batch over the published snapshot.  Doc ids are *global* (the
+        # gateway's router hands each shard an increasing subsequence),
+        # but the two-tier partition invariant holds per shard all the
+        # same: the published snapshot's ndocs is a global id watermark,
+        # and everything this shard buffers sits above it.  A respawned
+        # worker's batch refills from the op-log replay the gateway
+        # drives through add/delete.
         self.memtier: MemTier | None = None
         if spec.read_tier == "immediate":
             self.memtier = self.runtime.memtier = MemTier(
-                base=self.runtime.published
+                self.writer, self.runtime.published
             )
         # Bucket growth is *gateway-scheduled*: the in-flush auto-grower
         # is detached so replicas of one shard never grow unilaterally —
@@ -256,7 +256,9 @@ class ShardWorker:
         ``grow_buckets``.
         """
         grow = grow and self._grower is not None
-        pending = len(self.writer.index.memory) > 0
+        pending = (
+            len(self.writer.index.memory) > 0 or self.writer.needs_recovery
+        )
         result = None
         publish_seconds = 0.0
         if pending or self._dirty_since_publish or grow:

@@ -127,6 +127,12 @@ class TextDocumentIndex:
         """True while an aborted crash-safe flush awaits :meth:`recover`."""
         return self.index._aborted_batch is not None
 
+    def pending_batch(self) -> tuple:
+        """The unflushed batch, one ``(vocabulary, word id -> payload)``
+        pair per volume: the live dict, which the next flush retires
+        whole (the immediate tier's handle, :mod:`repro.core.memtier`)."""
+        return ((self.vocabulary, self.index.memory._lists),)
+
     def dirty_terms(self) -> frozenset:
         """Lowercased terms the current batch's delta journal touched."""
         if self.index.delta is None:

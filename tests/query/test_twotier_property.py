@@ -21,9 +21,8 @@ def _word(n: int) -> str:
     return f"w{chr(ord('a') + n - 1)}"
 
 
-# Small vocabulary + tiny buckets + a tiny seal threshold: documents
-# collide on words constantly and the buffer exercises the sealed-segment
-# path, not just the active one.
+# Small vocabulary + tiny buckets: documents collide on words constantly
+# and lists outgrow their buckets into long-list chunks.
 doc_words = st.lists(
     st.sets(st.integers(min_value=1, max_value=12), min_size=1, max_size=6),
     min_size=1,
@@ -32,6 +31,8 @@ doc_words = st.lists(
 # 0 = never flush mid-stream (everything stays buffered).
 flush_every = st.integers(min_value=0, max_value=7)
 delete_seed = st.integers(min_value=0, max_value=6)
+# 3 = the writer is sharded and the tier's batch spans three volumes.
+shard_count = st.sampled_from([1, 3])
 flat_query = st.tuples(
     st.sampled_from(["AND", "OR"]),
     st.lists(st.integers(min_value=1, max_value=14), min_size=1, max_size=4),
@@ -55,7 +56,7 @@ vector_weights = st.dictionaries(
 )
 
 
-def _build(docs, every, delete_seed):
+def _build(docs, every, delete_seed, shards):
     """An immediate-tier service and the oracle, fed one interleaved
     stream of adds, deletes, and mid-stream flushes."""
     service = QueryService(
@@ -69,6 +70,7 @@ def _build(docs, every, delete_seed):
         ),
         cache_capacity=0,  # differential answers must not be memoized
         read_tier="immediate",
+        shards=shards,
     )
     oracle = BruteForceIndex()
     for i, words in enumerate(docs):
@@ -94,12 +96,13 @@ def _build(docs, every, delete_seed):
     docs=doc_words,
     every=flush_every,
     delete_seed=delete_seed,
+    shards=shard_count,
     query=flat_query,
 )
 def test_flat_queries_match_oracle_mid_buffer(
-    docs, every, delete_seed, query
+    docs, every, delete_seed, shards, query
 ):
-    service, oracle = _build(docs, every, delete_seed)
+    service, oracle = _build(docs, every, delete_seed, shards)
     operator, word_nums = query
     text = f" {operator} ".join(_word(n) for n in word_nums)
 
@@ -121,12 +124,13 @@ def test_flat_queries_match_oracle_mid_buffer(
     docs=doc_words,
     every=flush_every,
     delete_seed=delete_seed,
+    shards=shard_count,
     expr=boolean_expr,
 )
 def test_general_boolean_matches_oracle_mid_buffer(
-    docs, every, delete_seed, expr
+    docs, every, delete_seed, shards, expr
 ):
-    service, oracle = _build(docs, every, delete_seed)
+    service, oracle = _build(docs, every, delete_seed, shards)
     assert (
         service.search_boolean(expr).doc_ids == oracle.search_boolean(expr)
     ), expr
@@ -141,12 +145,13 @@ def test_general_boolean_matches_oracle_mid_buffer(
     docs=doc_words,
     every=flush_every,
     delete_seed=delete_seed,
+    shards=shard_count,
     weights=vector_weights,
 )
 def test_vector_ranking_matches_oracle_mid_buffer(
-    docs, every, delete_seed, weights
+    docs, every, delete_seed, shards, weights
 ):
-    service, oracle = _build(docs, every, delete_seed)
+    service, oracle = _build(docs, every, delete_seed, shards)
     got = [
         (d.doc_id, d.score) for d in service.search_vector(weights, top_k=8)
     ]
@@ -167,13 +172,16 @@ def test_vector_ranking_matches_oracle_mid_buffer(
     docs=doc_words,
     every=flush_every,
     delete_seed=delete_seed,
+    shards=shard_count,
     query=flat_query,
 )
-def test_read_ops_match_the_snapshot_tier(docs, every, delete_seed, query):
+def test_read_ops_match_the_snapshot_tier(
+    docs, every, delete_seed, shards, query
+):
     """Memory postings carry no I/O charge: mid-buffer, an immediate
     answer costs exactly what the snapshot tier charges for the same
     query over the same published base."""
-    service, oracle = _build(docs, every, delete_seed)
+    service, oracle = _build(docs, every, delete_seed, shards)
     operator, word_nums = query
     text = f" {operator} ".join(_word(n) for n in word_nums)
 

@@ -306,7 +306,6 @@ class TestLoadgenImmediate:
                 background_merge=True,
                 gateway=True,
             )
-        with pytest.raises(ValueError):
-            LoadConfig(
-                verify=False, read_tier="immediate", crash_every=4
-            )
+        # Crash plans compose with the immediate tier: it reads the
+        # writer's own batch, which rollback and replay restore.
+        LoadConfig(verify=False, read_tier="immediate", crash_every=4)

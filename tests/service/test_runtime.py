@@ -236,6 +236,67 @@ def test_exhausted_budget_keeps_each_hosts_error_type():
             worker.flush()
 
 
+@pytest.mark.parametrize("read_tier", ["snapshot", "immediate"])
+@pytest.mark.parametrize(
+    "point", ["index.flush-begin", "index.before-recovery-point"]
+)
+@pytest.mark.parametrize("host", ["service", "worker"])
+def test_exhausted_budget_resumes_at_the_next_flush(host, point, read_tier):
+    """An exhausted budget leaves the writer awaiting recovery.  The next
+    flush rolls back and replays; until it has run a write is refused
+    with the host's error type (a rollback would drop or renumber it),
+    and the immediate tier keeps showing the failed batch."""
+    if host == "service":
+        service = QueryService(
+            config(), max_flush_retries=0, read_tier=read_tier
+        )
+        add, delete = service.add_document, service.delete_document
+        flush, stats = service.flush_and_publish, service.stats
+        refused = ServiceError
+
+        def published(word):
+            return service.snapshot().fetch_postings(word)[0]
+
+        def immediate(word):
+            return service.search_streamed(word).doc_ids
+
+    else:
+        worker = ShardWorker(
+            WorkerSpec(
+                shard_id=0,
+                index_config=config(),
+                max_flush_retries=0,
+                read_tier=read_tier,
+            )
+        )
+        add, delete = worker.add_document, worker.delete_document
+        flush, stats = worker.flush, worker.stats
+        refused = RuntimeError
+
+        def published(word):
+            return worker.runtime.published.fetch_postings(word)[0]
+
+        def immediate(word):
+            return worker.search_streamed(word, "immediate")[0]
+
+    add("apple")
+    with faults.injected(FaultPlan(crash_at=point)):
+        with pytest.raises((ServiceError, InjectedCrash)):
+            flush()
+    with pytest.raises(refused, match="failed flush"):
+        add("banana")
+    with pytest.raises(refused, match="failed flush"):
+        delete(0)
+    if read_tier == "immediate":
+        assert immediate("apple") == [0]
+    flush()
+    assert published("apple") == [0]
+    assert stats.flush_recoveries == 1
+    assert add("banana") == 1
+    flush()
+    assert published("banana") == [1]
+
+
 def test_kill_on_crash_dies_at_the_first_crash():
     """The worker's hook fires before any recovery: no reply, the
     connection drops, and the process was SIGKILLed."""
