@@ -63,10 +63,14 @@ journal every mutation parent-side — ``(add, doc_id, text)`` /
 restore point per shard from the last boundary at which no replica was
 mid-rebuild (``checkpoint_every`` controls the cadence): a full base
 plus a chain of redo records, each the post-image of what the batches
-since the previous one dirtied (DESIGN.md §19).  Rebuilding a dead
-replica is then deterministic: restore base + chain, replay the log.
-No state is lost because nothing any single worker
-alone knew is needed to reconstruct it — and with ``replicas >= 2`` the
+since the previous one dirtied (DESIGN.md §19).  Every replica follows
+its shard's op log: one catch-up loop applies the ops past its
+``log_pos``, and a write is "journal, then catch up every healthy
+replica".  One bring-up — spawn from the restore point, catch up, read
+the stamp — serves start (an empty log), the rebuild of a dead replica
+and a split's new shard (seeded with the victim's restore point and a
+copy of its log).  No state is lost because nothing any single worker
+alone knew is needed to reconstruct it — and with ``replicas >= 2`` a
 rebuild happens entirely off the read path, so a SIGKILL mid-flush no
 longer stalls reads on that shard (the single-replica failover latency
 the PR 6 chaos battery measures becomes the k=1 degenerate case).
@@ -81,7 +85,7 @@ import socket
 import threading
 import time
 from contextlib import asynccontextmanager
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 
 from ..core.index import BatchResult, IndexConfig
 from ..core.invariants import InvariantReport, Violation
@@ -241,14 +245,7 @@ class GatewayStats:
     worker_kills_observed: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "failovers": self.failovers,
-            "deadline_exceeded": self.deadline_exceeded,
-            "shed": self.shed,
-            "flushes": self.flushes,
-            "replayed_ops": self.replayed_ops,
-            "worker_kills_observed": self.worker_kills_observed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -585,33 +582,72 @@ class AsyncShardGateway:
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn every replica of every shard and open its connection."""
+        """Bring every replica of every shard up: the empty-log case of
+        :meth:`_bring_up`, each with its own spec (and fault plan)."""
         self._writer_lock = asyncio.Lock()
         self._sem = asyncio.Semaphore(self.max_inflight)
         await asyncio.gather(
             *(
-                self._spawn(replica)
+                self._bring_up(rs, replica, replica.spec)
                 for rs in self._sets
                 for replica in rs.replicas
             )
         )
 
-    async def _spawn(
-        self, replica: Replica, spec: WorkerSpec | None = None
-    ) -> None:
-        worker = WorkerProcess(spec or replica.spec)
+    async def _spawn(self, replica: Replica, spec: WorkerSpec) -> None:
+        worker = WorkerProcess(spec)
         reader, writer = await asyncio.open_connection(
             sock=worker.take_socket()
         )
         replica.worker = worker
         replica.reader = reader
         replica.writer = writer
-        # The lock object must survive respawns: tasks queued on it at
-        # rebuild time would otherwise race a new lock's holders onto one
-        # StreamReader.
-        if replica.lock is None:
-            replica.lock = asyncio.Lock()
         replica.seq = itertools.count(1)
+
+    async def _bring_up(
+        self, rs: ReplicaSet, replica: Replica, spec: WorkerSpec
+    ) -> None:
+        """The one way a worker reaches its shard's state: retire the
+        replica's old process, if any, spawn ``spec`` from the set's
+        restore point, catch up on the op log and read the stamp.
+
+        The replica's lock is held throughout, so no read reaches the
+        replacement mid-replay.  The catch-up re-reads the log's length
+        after every await, so it picks up everything journaled meanwhile
+        (writes skip a replica that is not ``HEALTHY``).
+        """
+        async with replica.lock:
+            if replica.worker is not None:
+                if replica.writer is not None:
+                    replica.writer.close()
+                replica.worker.close()
+                replica.worker = None
+            await self._spawn(
+                replica, dc_replace(spec, restore=rs.restore_point())
+            )
+            replica.log_pos = 0
+            while True:
+                await self._catch_up(rs, replica)
+                info = await self._rpc(replica, "info", ())
+                if replica.log_pos == len(rs.oplog):
+                    # Nothing landed during the info call; from here to
+                    # the caller's state flip there is no await, so the
+                    # stamp below cannot go stale.
+                    break
+            self.stats.replayed_ops += replica.log_pos
+            replica.version = info["batches"]
+            replica.wants_grow = info["wants_grow"]
+
+    async def _catch_up(self, rs: ReplicaSet, replica: Replica):
+        """Apply ``rs.oplog[replica.log_pos:]`` to the replica (its lock
+        held) — the one loop that feeds a worker journaled ops.  Returns
+        the reply to the last op applied, None when there was none."""
+        value = None
+        while replica.log_pos < len(rs.oplog):
+            method, args = _op_rpc(rs.oplog[replica.log_pos])
+            value = await self._rpc(replica, method, args)
+            replica.log_pos += 1
+        return value
 
     async def close(self) -> None:
         """Shut every replica down and reap the processes."""
@@ -740,51 +776,18 @@ class AsyncShardGateway:
         self._mark_recovering(rs, replica, observed_kill=True)
 
     async def _rebuild(self, rs: ReplicaSet, replica: Replica) -> None:
-        """Rebuild one replica: respawn from the shard's restore point
-        (base + chain), then catch up on the shared op log.
-
-        Runs as a background task; reads rotate to siblings meanwhile
-        and writes skip this replica (its ``log_pos`` stays behind, so
-        the catch-up loop — which re-reads ``len(oplog)`` after every
-        await — picks up everything journaled during the rebuild).  The
-        replica's lock is held throughout so no query reaches the
-        replacement mid-replay.
-        """
+        """Rebuild one replica in the background: a :meth:`_bring_up`
+        from its respawn spec while reads rotate to its siblings."""
         if self._rebuild_hold_s:
             await asyncio.sleep(self._rebuild_hold_s)
-        async with replica.lock:
-            try:
-                old = replica.worker
-                if old is not None:
-                    if replica.writer is not None:
-                        replica.writer.close()
-                    old.close()
-                    replica.worker = None
-                spec = replica.spec.respawn_spec()
-                spec.restore = rs.restore_point()
-                await self._spawn(replica, spec)
-                replica.log_pos = 0
-                while True:
-                    while replica.log_pos < len(rs.oplog):
-                        op = rs.oplog[replica.log_pos]
-                        self.stats.replayed_ops += 1
-                        method, args = _op_rpc(op)
-                        await self._rpc(replica, method, args)
-                        replica.log_pos += 1
-                    info = await self._rpc(replica, "info", ())
-                    if replica.log_pos == len(rs.oplog):
-                        # Nothing landed during the info call; between
-                        # this check and the state flip there is no
-                        # await, so the stamp below cannot go stale.
-                        break
-                replica.version = info["batches"]
-                replica.wants_grow = info.get("wants_grow", False)
-                replica.state = ReplicaState.HEALTHY
-                self.repl.rebuilds_completed += 1
-            except Exception:
-                replica.state = ReplicaState.FAILED
-                self.repl.rebuild_failures += 1
-                raise
+        try:
+            await self._bring_up(rs, replica, replica.spec.respawn_spec())
+        except Exception:
+            replica.state = ReplicaState.FAILED
+            self.repl.rebuild_failures += 1
+            raise
+        replica.state = ReplicaState.HEALTHY
+        self.repl.rebuilds_completed += 1
 
     async def quiesce(self) -> None:
         """Wait for every in-flight rebuild to finish (test/bench hook)."""
@@ -867,76 +870,46 @@ class AsyncShardGateway:
             self._deleted.add(doc_id)
 
     async def _journal(self, rs: ReplicaSet, op: tuple) -> list:
-        """Append one op to a shard's journal and fan it out — the only
-        place an op enters a log; returns :meth:`_fan_write`'s results.
+        """Append one op to a shard's journal — the only place an op
+        enters a log — then catch every healthy replica up to it.
+
+        Returns each replica's reply, aligned with ``rs.replicas`` and
+        ``None`` where a replica is not healthy, died, or had applied
+        the op by finishing a rebuild.  Under the writer lock the op is
+        the log's head, so a reply is always this op's.
 
         Journal before sending: if a replica dies mid-call, its rebuild
-        replay performs this very op, so nothing here retries.  That
-        replay is also why an op that cannot be framed is refused
-        *before* the append.  Journaled, it would raise to the caller
-        from every replica with no ``log_pos`` moved; the next write
-        would find every healthy replica behind the journal head and
-        resync them all, and every rebuild would replay the op and park
-        at ``FAILED`` — the shard dead for good.  The trial encoding
-        carries the widest request id, so what passes here fits under
-        any sequence number a replica's connection stamps it with.
+        replays this very op, so nothing here retries.  That replay is
+        also why an op that cannot be framed is refused *before* the
+        append.  Journaled, it would stop every replica's catch-up at its
+        slot for good and every rebuild would replay it and park at
+        ``FAILED`` — the shard dead for good.  The trial encoding carries
+        the widest request id, so what passes here fits under any
+        sequence number a replica's connection stamps it with.
         """
         method, args = _op_rpc(op)
         wire.encode_parts(
             wire.Request(_WIDEST_REQUEST_ID, method, args), self.max_frame
         )
         rs.oplog.append(op)
-        return await self._fan_write(rs, op, len(rs.oplog) - 1)
-
-    async def _fan_write(
-        self, rs: ReplicaSet, op: tuple, op_index: int
-    ) -> list:
-        """Apply one journaled op to every replica that can take it.
-
-        Returns the per-replica results aligned with ``rs.replicas``
-        (``None`` for replicas that skipped — mid-rebuild, dead, or
-        already caught up past this op by their replay).
-        """
         return list(
             await asyncio.gather(
-                *(
-                    self._write_replica(rs, replica, op, op_index)
-                    for replica in rs.replicas
-                )
+                *(self._follow(rs, replica) for replica in rs.replicas)
             )
         )
 
-    async def _write_replica(
-        self, rs: ReplicaSet, replica: Replica, op: tuple, op_index: int
-    ):
-        """Send one op to one replica, guarded against double-apply.
-
-        ``log_pos`` is the arbiter: a rebuild's catch-up replay and the
-        writer's fan-out both target the same journal slot, and whichever
-        holds the replica's lock first applies it — the other observes
-        ``log_pos`` has moved past ``op_index`` and backs off.
-        """
+    async def _follow(self, rs: ReplicaSet, replica: Replica):
+        """A live write's leg on one replica: catch it up if healthy."""
         if replica.state is not ReplicaState.HEALTHY:
-            return None  # the rebuild's catch-up replay covers this op
+            return None  # its bring-up holds the lock and covers the op
         async with replica.lock:
             if replica.state is not ReplicaState.HEALTHY:
                 return None
-            if replica.log_pos > op_index:
-                return None  # already applied via a rebuild replay
-            if replica.log_pos < op_index:
-                # A healthy replica behind the journal head means our
-                # bookkeeping lied (should be impossible); resync it
-                # rather than apply out of order.
-                self._mark_recovering(rs, replica, observed_kill=False)
-                return None
-            method, args = _op_rpc(op)
             try:
-                value = await self._rpc(replica, method, args)
+                return await self._catch_up(rs, replica)
             except self._DEATH:
                 self._note_death(rs, replica)
                 return None
-            replica.log_pos = op_index + 1
-            return value
 
     async def flush(self) -> tuple[BatchResult, GatewaySnapshot]:
         """Flush every shard (scatter), publish the new boundary, and
@@ -1118,38 +1091,12 @@ class AsyncShardGateway:
 
         Returns the new shard's id.  Reads keep serving throughout: the
         answer stream is exact at every instant (see ``_split_locked``).
+        Raises ``ValueError`` between flushes: a split moves documents
+        at a flush boundary only, and sends the victim nothing before
+        its mover tombstones.
         """
         async with self._writer_lock:
             return await self._split_locked(victim)
-
-    async def _boundary_checkpoint(
-        self, rs: ReplicaSet
-    ) -> tuple[bytes, ...]:
-        """A restore point of a shard's boundary state, with failover
-        across replicas (writer lock held, so every healthy replica is at
-        the same boundary): the set's own restore point plus a record
-        when the answering replica can chain one, else a fresh base.
-        The set adopts neither — its op log stays — so its next round
-        takes a base."""
-        reply = None
-        for replica in rs.replicas:
-            if replica.state is not ReplicaState.HEALTHY:
-                continue
-            try:
-                reply = await self._locked_rpc(
-                    replica, "checkpoint", (rs.token,)
-                )
-                break
-            except self._DEATH:
-                self._note_death(rs, replica)
-        if reply is None:
-            replica = await self._await_any_rebuild(rs)
-            reply = await self._locked_rpc(
-                replica, "checkpoint", (rs.token,)
-            )
-        if reply.record:
-            return (*rs.restore_point(), reply.blob)
-        return (reply.blob,)
 
     async def _flush_set(self, shard_id: int) -> None:
         """Journal and run one out-of-band flush on a single shard (a
@@ -1161,29 +1108,19 @@ class AsyncShardGateway:
             self._refresh_published()
             self._snapshot_id += 1
 
-    def _spawned_set(
-        self, new_id: int, restore: tuple[bytes, ...]
-    ) -> ReplicaSet:
-        """A ReplicaSet for a brand-new shard id (not yet spawned or
-        registered) restored from the restore point ``restore``, specs
-        derived from shard 0's base config.  Its processes have given no
-        checkpoint answer, so its first round takes a base."""
-        base = dc_replace(
-            self._sets[0].replicas[0].spec,
-            shard_id=new_id,
-            restore=restore,
-            fault_plan=None,
-        )
-        rs = ReplicaSet(new_id, replica_specs(base, self.replicas, None, new_id))
-        rs.base, rs.chain = restore[0], list(restore[1:])
-        return rs
-
     async def _split_locked(self, victim: int) -> int:
-        """The split protocol (writer lock held, at a flush boundary).
+        """The split protocol (writer lock held).
 
-        1. Checkpoint the victim and spawn the new shard's replica set
-           from that restore point — a byte-copy of the victim,
-           invisible to readers until cutover.
+        The victim must be at a flush boundary — its op log empty or
+        ending in a flush — or the split is refused before anything
+        moves: replayed into the new shard, unflushed ops would be
+        published by that shard's flush before the gateway's own.
+
+        1. Seed the new shard's replica set with the victim's restore
+           point and a copy of its op log, and bring every replica up
+           from them as a start or a rebuild would — a copy of the
+           victim built from parent-side state alone (no RPC reaches
+           the victim), invisible to readers until cutover.
         2. Tombstone the *stayers* on the new shard (journaled deletes,
            so a replica rebuild replays them) and flush it.
         3. Cut over synchronously: publish the split routing table, add
@@ -1202,18 +1139,22 @@ class AsyncShardGateway:
         from published per-shard snapshots.
         """
         if self.read_tier == "immediate":
-            # The one refusal at the move (the constructor holds the
-            # config-time one): a worker's live write buffer would have
-            # to migrate with the slice.
+            # The constructor holds the config-time twin of this
+            # refusal: a worker's live write buffer would have to
+            # migrate with the slice.
             raise ValueError(
                 "online rebalance requires read_tier='snapshot'"
             )
         if victim not in self._active:
             raise ValueError(f"shard {victim} is not an active shard")
+        vrs = self._sets[victim]
+        if vrs.oplog and vrs.oplog[-1][0] != "flush":
+            raise ValueError(
+                f"shard {victim} has unflushed writes: split it at a "
+                "flush boundary"
+            )
         new_id = len(self._sets)
         table = self.routing.split(victim, new_id)
-        vrs = self._sets[victim]
-        blob = await self._boundary_checkpoint(vrs)
         movers, stayers = [], []
         for doc_id in range(self._next_doc_id):
             if doc_id in self._deleted or doc_id in self._holes:
@@ -1224,8 +1165,17 @@ class AsyncShardGateway:
                 movers.append(doc_id)
             else:
                 stayers.append(doc_id)
-        rs = self._spawned_set(new_id, blob)
-        await asyncio.gather(*(self._spawn(r) for r in rs.replicas))
+        spec = dc_replace(vrs.replicas[0].spec, shard_id=new_id)
+        rs = ReplicaSet(
+            new_id, replica_specs(spec, self.replicas, None, new_id)
+        )
+        # No token: these processes have given no checkpoint answer, so
+        # the set's first round takes a base.
+        rs.base, rs.chain = vrs.base, list(vrs.chain)
+        rs.oplog = list(vrs.oplog)
+        await asyncio.gather(
+            *(self._bring_up(rs, r, r.spec) for r in rs.replicas)
+        )
         self._sets.append(rs)
         for doc_id in stayers:
             await self._journal(rs, ("delete", doc_id))

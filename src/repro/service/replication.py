@@ -17,15 +17,14 @@ module adds the replica layer the gateway composes:
 
 The replication protocol (DESIGN.md §15) in brief:
 
-**Writes** journal once per shard (journal-before-RPC, as before) and
-fan out to every ``HEALTHY`` replica.  A replica whose connection breaks
-is marked ``RECOVERING`` and rebuilt in the background — checkpoint
-restore plus catch-up replay of the shared op log — while its siblings
-keep absorbing writes and serving reads.  Per-replica ``log_pos``
-tracks exactly which journal prefix each replica has applied, so a
-write racing a rebuild can never double-apply an op: whichever path
-holds the replica's lock first applies it, and the other sees
-``log_pos`` has moved past its op.
+**Writes** journal once per shard (journal-before-RPC) and every
+replica *follows* the journal: per-replica ``log_pos`` counts the prefix
+it has applied, and one catch-up loop applies the rest under the
+replica's lock.  A live write catches up every ``HEALTHY`` replica; a
+replica whose connection breaks is marked ``RECOVERING`` and rebuilt in
+the background — restore point plus the same catch-up — while its
+siblings keep absorbing writes and serving reads.  An op is applied
+once whichever path reaches it first, since both start at ``log_pos``.
 
 **Reads** rotate round-robin over *eligible* replicas: ``HEALTHY``,
 fully caught up on the op log, and at (or past) the published version
@@ -56,9 +55,10 @@ grows at the identical batch boundary.
 
 from __future__ import annotations
 
+import asyncio
 import enum
 import itertools
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 
 from .worker import WorkerSpec
 
@@ -97,7 +97,9 @@ class Replica:
         self.reader = None
         self.writer = None
         self.seq = itertools.count(1)
-        self.lock = None  # asyncio.Lock, created on the gateway's loop
+        #: One lock for the replica's lifetime: tasks queued on it across
+        #: a respawn must not race a new lock's holders onto one stream.
+        self.lock = asyncio.Lock()
         self.state = ReplicaState.HEALTHY
         #: Shard version (writer batch counter) after this replica's last
         #: acknowledged flush or rebuild.
@@ -294,20 +296,7 @@ class ReplicationStats:
     replica_divergences: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "reads_served": self.reads_served,
-            "read_failovers": self.read_failovers,
-            "stale_discarded": self.stale_discarded,
-            "reads_waited_for_rebuild": self.reads_waited_for_rebuild,
-            "rebuilds_started": self.rebuilds_started,
-            "rebuilds_completed": self.rebuilds_completed,
-            "rebuild_failures": self.rebuild_failures,
-            "checkpoints_deferred": self.checkpoints_deferred,
-            "checkpoint_bases": self.checkpoint_bases,
-            "checkpoint_records": self.checkpoint_records,
-            "chain_bytes": self.chain_bytes,
-            "replica_divergences": self.replica_divergences,
-        }
+        return asdict(self)
 
 
 def replica_specs(

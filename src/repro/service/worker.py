@@ -46,7 +46,7 @@ import os
 import secrets
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from ..core.delta import DeltaJournal
 from ..core.index import IndexConfig
@@ -147,19 +147,7 @@ class WorkerStats:
     batched_reads: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "publishes": self.publishes,
-            "cow_publishes": self.cow_publishes,
-            "full_clone_publishes": self.full_clone_publishes,
-            "cow_fallbacks": self.cow_fallbacks,
-            "flush_recoveries": self.flush_recoveries,
-            "publish_retries": self.publish_retries,
-            "invariant_checks": self.invariant_checks,
-            "requests": self.requests,
-            "queries": self.queries,
-            "batch_frames": self.batch_frames,
-            "batched_reads": self.batched_reads,
-        }
+        return asdict(self)
 
 
 class ShardWorker:
@@ -527,6 +515,26 @@ def _die() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _over_budget(reply):
+    """The refusal sent in place of a reply over the frame budget.  A
+    batch degrades per member: every answer is refused, but the envelope
+    still arrives, so no waiter hangs."""
+    if isinstance(reply, wire.BatchResponse):
+        members = tuple(
+            _refusal(r.request_id, "batch response") for r in reply.responses
+        )
+        return wire.BatchResponse(reply.request_id, members, reply.version)
+    return _refusal(reply.request_id, "response")
+
+
+def _refusal(request_id: int, what: str) -> wire.Response:
+    return wire.Response(
+        request_id,
+        False,
+        error=f"FrameTooLarge: {what} exceeded the frame budget",
+    )
+
+
 def serve(sock, spec: WorkerSpec) -> None:
     """The worker request loop: read a frame, dispatch, reply, repeat.
 
@@ -549,46 +557,24 @@ def serve(sock, spec: WorkerSpec) -> None:
             worker.stats.requests += 1
             if isinstance(request, wire.BatchRequest):
                 responses, version = worker.batched_read(request.requests)
-                reply = wire.BatchResponse(
+                response = wire.BatchResponse(
                     request.request_id, responses, version
                 )
-                try:
-                    wire.send_message(sock, reply, spec.max_frame)
-                except wire.FrameTooLarge:
-                    # Degrade per member: every answer is refused, but
-                    # the envelope still arrives so no waiter hangs.
-                    errored = tuple(
-                        wire.Response(
-                            r.request_id,
-                            False,
-                            error="FrameTooLarge: batch response "
-                            "exceeded the frame budget",
-                        )
-                        for r in responses
-                    )
-                    wire.send_message(
-                        sock,
-                        wire.BatchResponse(
-                            request.request_id, errored, version
-                        ),
-                        spec.max_frame,
-                    )
-                continue
-            if request.method == "shutdown":
+            elif request.method == "shutdown":
                 wire.send_message(
                     sock,
                     wire.Response(request.request_id, True, None),
                     spec.max_frame,
                 )
                 break
-            handler = DISPATCH.get(request.method)
-            if handler is None:
+            elif request.method not in DISPATCH:
                 response = wire.Response(
                     request.request_id,
                     False,
                     error=f"UnknownMethod: {request.method!r}",
                 )
             else:
+                handler = DISPATCH[request.method]
                 try:
                     value = getattr(worker, handler)(*request.args)
                     response = wire.Response(request.request_id, True, value)
@@ -601,16 +587,7 @@ def serve(sock, spec: WorkerSpec) -> None:
             try:
                 wire.send_message(sock, response, spec.max_frame)
             except wire.FrameTooLarge:
-                wire.send_message(
-                    sock,
-                    wire.Response(
-                        request.request_id,
-                        False,
-                        error="FrameTooLarge: response exceeded the "
-                        "frame budget",
-                    ),
-                    spec.max_frame,
-                )
+                wire.send_message(sock, _over_budget(response), spec.max_frame)
     finally:
         faults.uninstall()
         sock.close()

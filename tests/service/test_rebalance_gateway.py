@@ -2,11 +2,11 @@
 in-process sharded index and the brute-force oracle while shards split
 under live traffic, and the move survives replica death mid-protocol.
 
-The protocol under test (DESIGN.md §17): a split checkpoints the
-victim at a flush boundary, spawns the new shard from the blob,
-tombstones each side's foreign half, and cuts the routing table over
-*flip-first* — the overlap window where both shards hold the movers is
-exactly what the gateway's unique-merge collapses.
+The protocol under test (DESIGN.md §17): at a flush boundary a split
+brings the new shard up from the victim's parent-side restore point and
+op log, tombstones each side's foreign half, and cuts the routing table
+over *flip-first* — the overlap window where both shards hold the movers
+is exactly what the gateway's unique-merge collapses.
 """
 
 from __future__ import annotations
@@ -151,9 +151,8 @@ class TestSplitMergeDifferential:
 class TestChaos:
     def test_replica_death_during_split_fails_over(self):
         """SIGKILL one replica of the victim right before the split:
-        the boundary checkpoint/tombstone RPCs fail over to the
-        surviving sibling, no read ever waits for the rebuild, and
-        parity holds afterwards."""
+        the tombstone writes fail over to the surviving sibling, no
+        read ever waits for the rebuild, and parity holds afterwards."""
 
         async def body():
             gateway = AsyncShardGateway(
@@ -176,6 +175,41 @@ class TestChaos:
                 processes = _worker_processes(gateway)
                 await _compare(gateway, local, oracle)
                 assert gateway.repl.reads_waited_for_rebuild == 0
+                assert (await gateway.check()).ok
+            finally:
+                await gateway.close()
+            assert not any(p.is_alive() for p in processes)
+
+        asyncio.run(body())
+
+    def test_both_victim_replicas_dead_before_split(self):
+        """SIGKILL *every* replica of the victim right before the split:
+        the new shard is built from the parent-side restore point and op
+        log alone, the mover tombstones find the corpses and wait out a
+        rebuild, and answers, read ops and invariants hold."""
+
+        async def body():
+            gateway = AsyncShardGateway(
+                small_config(), shards=2, replicas=2, router_seed=1
+            )
+            await gateway.start()
+            try:
+                local = ShardedTextIndex(
+                    small_config(), shards=2, router_seed=1
+                )
+                oracle = BruteForceIndex()
+                await _ingest(gateway, local, oracle, _docs(20))
+                counts = gateway._shard_doc_counts()
+                victim = max(counts, key=counts.get)
+                gateway.kill_replica(victim, 0)
+                gateway.kill_replica(victim, 1)
+                new_id = await gateway.split_shard(victim)
+                assert local.split_shard(victim) == new_id
+                await gateway.quiesce()
+                assert gateway.repl.rebuilds_completed == 2
+                assert gateway.repl.replica_divergences == 0
+                processes = _worker_processes(gateway)
+                await _compare(gateway, local, oracle)
                 assert (await gateway.check()).ok
             finally:
                 await gateway.close()
@@ -254,6 +288,36 @@ class TestGuardsAndStats:
             try:
                 with pytest.raises(ValueError, match="requires read_tier"):
                     await gateway.split_shard(0)
+            finally:
+                await gateway.close()
+
+        asyncio.run(body())
+
+    def test_split_between_flushes_is_refused(self):
+        """A split replays the victim's op log into the new shard, so it
+        runs at a flush boundary only: with an unflushed add pending it
+        refuses before anything is spawned, routed or journaled."""
+
+        async def body():
+            gateway = AsyncShardGateway(
+                small_config(), shards=2, replicas=2, router_seed=1
+            )
+            await gateway.start()
+            try:
+                for i in range(10):
+                    await gateway.add_document(f"wa {_word(1 + i % 5)}")
+                await gateway.flush()
+                doc_id = await gateway.add_document("wa wb")
+                victim = gateway.route(doc_id)
+                oplog = list(gateway._sets[victim].oplog)
+                with pytest.raises(ValueError, match="flush boundary"):
+                    await gateway.split_shard(victim)
+                assert gateway.routing.epoch == 0
+                assert len(gateway._sets) == 2
+                assert gateway._sets[victim].oplog == oplog
+                await gateway.flush()
+                assert await gateway.split_shard(victim) == 2
+                assert gateway.routing.epoch == 1
             finally:
                 await gateway.close()
 

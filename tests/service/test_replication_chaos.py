@@ -472,8 +472,8 @@ def test_a_discarded_checkpoint_is_never_chained_onto():
 
 @pytest.mark.slow
 def test_split_while_the_victim_has_a_chain():
-    """The new shard spawns from the victim's base + chain + one record
-    cut at the split boundary, answers exactly, and rebuilds from its
+    """The new shard spawns from the victim's base + chain (the split
+    asks the victim for nothing), answers exactly, and rebuilds from its
     own restore point after a murder."""
 
     async def body():
@@ -493,8 +493,8 @@ def test_split_while_the_victim_has_a_chain():
             point = gateway._sets[0].restore_point()
             assert len(point) >= 2  # a base and at least one record
             new_id = await gateway.split_shard(0)
-            restore = gateway._sets[new_id].replicas[0].spec.restore
-            assert restore[:-1] == point  # ... plus the split's record
+            restore = gateway._sets[new_id].replicas[0].worker.spec.restore
+            assert restore == point
             await _assert_oracle_async(gateway, oracle, "split")
             gateway.kill_replica(new_id, 0)
             await _assert_oracle_async(gateway, oracle, "split")
@@ -531,8 +531,8 @@ def test_a_failed_replica_does_not_hold_the_op_log():
             await gateway.flush()
             real_spawn = gateway._spawn
 
-            async def no_machine_for_respawns(replica, spec=None):
-                if spec is not None:  # a rebuild's respawn
+            async def no_machine_for_respawns(replica, spec):
+                if replica.state is ReplicaState.RECOVERING:  # a rebuild
                     raise OSError("no machine to respawn on")
                 await real_spawn(replica, spec)
 
