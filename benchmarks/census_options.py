@@ -56,7 +56,10 @@ side, "tests" what only tests add.
            tests go, named with dispositions.
   seam     only tests pass a second value, and the value is how a test
            reaches behaviour that stays (a deadline, a frame budget, a
-           crash point, a toy size): stays.
+           crash point, a toy size): stays only when no fixture reaches
+           the behaviour (a monkeypatched module constant, a parked
+           replica, a held step); otherwise the value becomes a constant
+           and the test a fixture.
   derived  every call site computes it from other inputs: compute it once,
            delete the field.
   two      two commands need different values (or a command computes it per
@@ -353,7 +356,7 @@ def _canonical(text: str) -> str:
         text = text[1:-1]
     constant = re.fullmatch(r"(?:\w+\.)+([A-Z][A-Z0-9_]+)", text)
     if constant:
-        return constant.group(1)  # wire.DEFAULT_MAX_FRAME, spelled bare
+        return constant.group(1)  # loadgen.TOP_K, spelled bare
     try:
         number = float(text)
     except ValueError:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: ``(kind, query_key)`` — snapshot validity lives in the entry, not the key.
 CacheKey = tuple[str, object]
@@ -50,7 +50,7 @@ CacheKey = tuple[str, object]
 
 @dataclass
 class CacheStats:
-    """Aggregate counters plus the per-entry hit ledger."""
+    """Aggregate counters."""
 
     hits: int = 0
     misses: int = 0
@@ -59,8 +59,6 @@ class CacheStats:
     entries_invalidated: int = 0
     entries_retained: int = 0
     epoch_invalidations: int = 0
-    #: hits per live entry (dropped with the entries themselves).
-    entry_hits: dict[CacheKey, int] = field(default_factory=dict)
 
     @property
     def lookups(self) -> int:
@@ -164,20 +162,15 @@ class QueryResultCache:
                 and entry.versions != versions
             ):
                 del self._entries[key]
-                self._stats.entry_hits.pop(key, None)
                 self._stats.misses += 1
                 return None
             if epoch is not None and entry.epoch != epoch:
                 del self._entries[key]
-                self._stats.entry_hits.pop(key, None)
                 self._stats.epoch_invalidations += 1
                 self._stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self._stats.hits += 1
-            self._stats.entry_hits[key] = (
-                self._stats.entry_hits.get(key, 0) + 1
-            )
             return entry.value
 
     def put(
@@ -212,9 +205,8 @@ class QueryResultCache:
                 value, terms, universe_sensitive, snapshot_id, versions, epoch
             )
             while len(self._entries) > self.capacity:
-                evicted, _ = self._entries.popitem(last=False)
+                self._entries.popitem(last=False)
                 self._stats.evictions += 1
-                self._stats.entry_hits.pop(evicted, None)
 
     def publish_delta(
         self,
@@ -245,7 +237,6 @@ class QueryResultCache:
                     or not entry.terms.isdisjoint(dirty_terms)
                 ):
                     del self._entries[key]
-                    self._stats.entry_hits.pop(key, None)
                     dropped += 1
                 else:
                     entry.last_id = new_id
@@ -263,7 +254,6 @@ class QueryResultCache:
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
-            self._stats.entry_hits.clear()
             self._stats.invalidations += 1
             self._stats.entries_invalidated += dropped
             return dropped
@@ -279,5 +269,4 @@ class QueryResultCache:
                 entries_invalidated=self._stats.entries_invalidated,
                 entries_retained=self._stats.entries_retained,
                 epoch_invalidations=self._stats.epoch_invalidations,
-                entry_hits=dict(self._stats.entry_hits),
             )

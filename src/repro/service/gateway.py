@@ -60,20 +60,20 @@ gateway trades it for multi-core execution and documents the difference.
 Durability/failover model: the gateway is the single writer, so it can
 journal every mutation parent-side — ``(add, doc_id, text)`` /
 ``(delete, doc_id)`` / ``(flush, grow)`` per shard — and retain one
-restore point per shard from the last boundary at which no replica was
-mid-rebuild (``checkpoint_every`` controls the cadence): a full base
-plus a chain of redo records, each the post-image of what the batches
-since the previous one dirtied (DESIGN.md §19).  Every replica follows
-its shard's op log: one catch-up loop applies the ops past its
-``log_pos``, and a write is "journal, then catch up every healthy
-replica".  One bring-up — spawn from the restore point, catch up, read
-the stamp — serves start (an empty log), the rebuild of a dead replica
-and a split's new shard (seeded with the victim's restore point and a
-copy of its log).  No state is lost because nothing any single worker
-alone knew is needed to reconstruct it — and with ``replicas >= 2`` a
-rebuild happens entirely off the read path, so a SIGKILL mid-flush no
-longer stalls reads on that shard (the single-replica failover latency
-the PR 6 chaos battery measures becomes the k=1 degenerate case).
+restore point per shard, carried to every flush boundary at which no
+replica is mid-rebuild: a full base plus a chain of redo records, each
+the post-image of what the batches since the previous one dirtied
+(DESIGN.md §19).  Every replica follows its shard's op log: one
+catch-up loop applies the ops past its ``log_pos``, and a write is
+"journal, then catch up every healthy replica".  One bring-up — spawn
+from the restore point, catch up, read the stamp — serves start (an
+empty log), the rebuild of a dead replica and a split's new shard
+(seeded with the victim's restore point and a copy of its log).  No
+state is lost because nothing any single worker alone knew is needed to
+reconstruct it — and with ``replicas >= 2`` a rebuild happens entirely
+off the read path, so a SIGKILL mid-flush no longer stalls reads on that
+shard (the single-replica failover latency the chaos battery measures
+becomes the k=1 degenerate case).
 """
 
 from __future__ import annotations
@@ -443,13 +443,11 @@ class AsyncShardGateway:
         queue_limit: int = 256,
         max_inflight: int = 0,
         shard_timeout_s: float = 30.0,
-        checkpoint_every: int = 1,
         rebuild_stagger: bool = True,
         check_invariants: bool = False,
         buffer_cache_blocks: int = 0,
         fault_plans: dict | None = None,
         kill_on_crash: bool = False,
-        max_frame: int = wire.DEFAULT_MAX_FRAME,
         read_tier: str = "snapshot",
         coalesce: bool = False,
         rebalance: bool = False,
@@ -461,8 +459,6 @@ class AsyncShardGateway:
             raise ValueError("gateway needs replicas >= 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if shard_timeout_s <= 0:
             raise ValueError("shard_timeout_s must be > 0")
         if read_tier not in ("snapshot", "immediate"):
@@ -488,8 +484,6 @@ class AsyncShardGateway:
         self.queue_limit = queue_limit
         self.max_inflight = max_inflight or 2 * shards * replicas
         self.shard_timeout_s = shard_timeout_s
-        self.checkpoint_every = checkpoint_every
-        self.max_frame = max_frame
         per_shard = max(1, buffer_cache_blocks // shards)
         self._sets: list[ReplicaSet] = []
         for i in range(shards):
@@ -502,7 +496,6 @@ class AsyncShardGateway:
                 buffer_cache_blocks=(
                     per_shard if buffer_cache_blocks else 0
                 ),
-                max_frame=max_frame,
                 read_tier=read_tier,
             )
             self._sets.append(
@@ -583,16 +576,24 @@ class AsyncShardGateway:
 
     async def start(self) -> None:
         """Bring every replica of every shard up: the empty-log case of
-        :meth:`_bring_up`, each with its own spec (and fault plan)."""
+        :meth:`_bring_up`, each with its own spec (and fault plan).
+
+        A failure is raised only once every bring-up has settled, so
+        every process that did start is attached to its replica and
+        :meth:`close` reaps it."""
         self._writer_lock = asyncio.Lock()
         self._sem = asyncio.Semaphore(self.max_inflight)
-        await asyncio.gather(
+        results = await asyncio.gather(
             *(
                 self._bring_up(rs, replica, replica.spec)
                 for rs in self._sets
                 for replica in rs.replicas
-            )
+            ),
+            return_exceptions=True,
         )
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
 
     async def _spawn(self, replica: Replica, spec: WorkerSpec) -> None:
         worker = WorkerProcess(spec)
@@ -689,12 +690,12 @@ class AsyncShardGateway:
             raise WorkerDied(f"{replica.name} has no connection")
         request_id = next(replica.seq)
         header, payload = wire.encode_parts(
-            message_type(request_id, *fields), self.max_frame
+            message_type(request_id, *fields)
         )
         stream_writer.write(header)
         stream_writer.write(payload)
         await stream_writer.drain()
-        reply = await wire.read_message_async(replica.reader, self.max_frame)
+        reply = await wire.read_message_async(replica.reader)
         if reply is None:
             raise WorkerDied(
                 f"{replica.name} closed the connection mid-exchange"
@@ -720,34 +721,6 @@ class AsyncShardGateway:
     async def _locked_rpc(self, replica: Replica, method: str, args: tuple):
         async with replica.lock:
             return await self._rpc(replica, method, args)
-
-    async def _call_replica(
-        self,
-        replica: Replica,
-        method: str,
-        *args,
-        timeout: float | None = None,
-    ):
-        """One RPC to a specific replica with deadline accounting.
-
-        The deadline covers the whole request: waiting for the replica's
-        connection (a worker mid-flush queues its readers) plus
-        execution.  A call that runs over it is *abandoned, not
-        cancelled* — exactly like a batch member: the exchange finishes
-        under the replica's lock and reads its own reply, so the stream
-        stays framed for the next call.  Death exceptions propagate raw
-        — the caller decides between sibling failover and
-        rebuild-and-wait.
-        """
-        if timeout is None:
-            return await self._locked_rpc(replica, method, args)
-        call = asyncio.ensure_future(self._locked_rpc(replica, method, args))
-        call.add_done_callback(_retrieve)
-        await asyncio.wait((call,), timeout=timeout)
-        if not call.done():
-            self.stats.deadline_exceeded += 1
-            raise ShardDeadlineExceeded((replica.shard_id,), method)
-        return call.result()
 
     # -- failover ---------------------------------------------------------
 
@@ -888,9 +861,7 @@ class AsyncShardGateway:
         sequence number a replica's connection stamps it with.
         """
         method, args = _op_rpc(op)
-        wire.encode_parts(
-            wire.Request(_WIDEST_REQUEST_ID, method, args), self.max_frame
-        )
+        wire.encode_parts(wire.Request(_WIDEST_REQUEST_ID, method, args))
         rs.oplog.append(op)
         return list(
             await asyncio.gather(
@@ -951,10 +922,9 @@ class AsyncShardGateway:
                 (outcome.publish_seconds for outcome in outcomes),
                 default=0.0,
             )
-            if self._batches % self.checkpoint_every == 0:
-                await asyncio.gather(
-                    *(self._checkpoint_shard(i) for i in active)
-                )
+            await asyncio.gather(
+                *(self._checkpoint_shard(i) for i in active)
+            )
             await self._maybe_rebalance()
             return aggregate, self.snapshot()
 
@@ -984,7 +954,7 @@ class AsyncShardGateway:
         # with this very flush op, so wait one out and synthesize the
         # outcome from the rebuilt replica's state.
         replica = await self._await_any_rebuild(rs)
-        info = await self._call_replica(replica, "info")
+        info = await self._locked_rpc(replica, "info", ())
         return FlushOutcome(
             result=None,
             version=info["batches"],
@@ -1243,9 +1213,6 @@ class AsyncShardGateway:
             return snapshot.ndocs, snapshot.deleted
         return self._published_ndocs, self._published_deleted
 
-    def _tier(self) -> str | None:
-        return "immediate" if self.read_tier == "immediate" else None
-
     async def _read_shard(
         self,
         i: int,
@@ -1402,7 +1369,7 @@ class AsyncShardGateway:
             ndocs, deleted = self._universe(snapshot)
             route = self.routing.route  # the table ``active`` is drawn under
             active, answers = await self._scatter_read(
-                "eval_boolean", (query, ndocs, self._tier())
+                "eval_boolean", (query, ndocs)
             )
             runs = []
             read_ops = 0
@@ -1425,9 +1392,7 @@ class AsyncShardGateway:
     ) -> QueryAnswer:
         async with self._admit():
             streaming_query.parse_flat(query)  # uniform rejection up front
-            _, answers = await self._scatter_read(
-                "search_streamed", (query, self._tier())
-            )
+            _, answers = await self._scatter_read("search_streamed", (query,))
             docs = scatter.merge_unique([docs for docs, _ in answers])
             return QueryAnswer(
                 doc_ids=docs, read_ops=sum(ops for _, ops in answers)
@@ -1459,7 +1424,7 @@ class AsyncShardGateway:
             # it; the steady state sends None and pays no hash per posting.
             routing = self.routing if self._split_overlap else None
             _, answers = await self._scatter_read(
-                "eval_vector", (tuple(terms), top_k, self._tier(), routing)
+                "eval_vector", (tuple(terms), top_k, routing)
             )
             ranked = vector_query.rank_candidates(
                 weights,
@@ -1470,43 +1435,18 @@ class AsyncShardGateway:
             )
             return ranked, sum(read_ops for _, read_ops in answers)
 
-    async def ping(
-        self,
-        shard: int = 0,
-        delay: float = 0.0,
-        timeout: float | None = None,
-        admit: bool = False,
-        replica: int = 0,
-    ) -> dict:
-        """Worker liveness probe; ``delay`` blocks the worker loop that
-        long first (the deadline/backpressure tests lean on this).
-        Targets one specific replica — it is a probe of a process, not a
-        balanced read."""
-        if admit:
-            async with self._admit():
-                return await self._ping_replica(
-                    shard, replica, delay, timeout
-                )
-        return await self._ping_replica(shard, replica, delay, timeout)
-
-    async def _ping_replica(
-        self, shard: int, replica_id: int, delay: float,
-        timeout: float | None,
-    ) -> dict:
+    async def ping(self, shard: int = 0, replica: int = 0) -> dict:
+        """Liveness probe of one specific replica — a probe of a
+        process, not a balanced read: one frame out and back, no index
+        work.  A dead target is rebuilt first."""
         rs = self._sets[shard]
-        target = rs.replicas[replica_id]
-        method = "debug_sleep" if delay else "ping"
-        args = (delay,) if delay else ()
+        target = rs.replicas[replica]
         try:
-            return await self._call_replica(
-                target, method, *args, timeout=timeout
-            )
+            return await self._locked_rpc(target, "ping", ())
         except self._DEATH:
             self._note_death(rs, target)
             await self._await_any_rebuild(rs)
-            return await self._call_replica(
-                target, method, *args, timeout=timeout
-            )
+            return await self._locked_rpc(target, "ping", ())
 
     # -- introspection ----------------------------------------------------
 
@@ -1520,7 +1460,7 @@ class AsyncShardGateway:
             for replica in rs.replicas:
                 if replica.state is not ReplicaState.HEALTHY:
                     continue
-                sub = await self._call_replica(replica, "check")
+                sub = await self._locked_rpc(replica, "check", ())
                 report.checks += sub.checks
                 for violation in sub.violations:
                     report.violations.append(
@@ -1538,9 +1478,7 @@ class AsyncShardGateway:
             for replica in rs.replicas:
                 if replica.state is not ReplicaState.HEALTHY:
                     continue
-                entry = dict(
-                    await self._call_replica(replica, "stats")
-                )
+                entry = dict(await self._locked_rpc(replica, "stats", ()))
                 entry["shard"] = i
                 entry["replica"] = replica.replica_id
                 stats.append(entry)
@@ -1554,7 +1492,7 @@ class AsyncShardGateway:
                 stats.append({})
                 continue
             stats.append(
-                await self._call_replica(healthy[0], "buffer_stats")
+                await self._locked_rpc(healthy[0], "buffer_stats", ())
             )
         return stats
 
@@ -1597,7 +1535,13 @@ class GatewayService:
         self.buffer_counters = None
         self._stats_lock = threading.Lock()
         self._closed = False
-        self._run(self.gateway.start())
+        try:
+            self._run(self.gateway.start())
+        except BaseException:
+            # Nothing else holds this object: reap the workers that did
+            # start and the loop thread before the caller sees the error.
+            self.close()
+            raise
 
     def _run(self, coro):
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()

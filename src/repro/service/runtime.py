@@ -11,10 +11,11 @@ process — and neither re-implements a step:
    deletion lands in its tombstones, when a tier is attached;
 2. **flush** — apply the pending batch; an injected crash or transient
    I/O error on a ``crash_safe`` volume rolls back to the state the
-   flush began from and replays (paper §1 restartability), within a
-   budget.  Past the budget the next flush starts with that rollback,
-   and writes are refused until it has run (and, on the immediate tier,
-   published): a rollback would drop them, or the tier not show them;
+   flush began from and replays (paper §1 restartability), within
+   :data:`MAX_FLUSH_RETRIES`.  Past the budget the next flush starts
+   with that rollback, and writes are refused until it has run (and, on
+   the immediate tier, published): a rollback would drop them, or the
+   tier not show them;
 3. **clone** — copy the writer at its new boundary: incrementally
    against the previous publication under ``publish_mode="cow"``,
    falling back to the full checkpoint clone when the journal cannot
@@ -39,6 +40,11 @@ from ..pipeline.profiling import HitMissCounters
 from ..storage.faults import InjectedCrash, TransientIOError
 
 _FAULTS = (InjectedCrash, TransientIOError)
+
+#: Faults one flush (and, separately, one publish clone) may absorb
+#: before the runtime gives up.  Read at call time, so a test reaches the
+#: exhausted budget by monkeypatching it to 0.
+MAX_FLUSH_RETRIES = 8
 
 
 class ShardRuntime:
@@ -65,7 +71,6 @@ class ShardRuntime:
         stats,
         *,
         publish_mode: str,
-        max_flush_retries: int,
         check_invariants: bool,
         buffer_cache_blocks: int,
         on_crash=None,
@@ -76,7 +81,6 @@ class ShardRuntime:
         self.writer = writer
         self.stats = stats
         self.publish_mode = publish_mode
-        self.max_flush_retries = max_flush_retries
         self.check_invariants = check_invariants
         self.buffer_cache_blocks = buffer_cache_blocks
         self.buffer_counters = (
@@ -127,7 +131,7 @@ class ShardRuntime:
         if not retryable:
             raise exc
         attempts += 1
-        if attempts > self.max_flush_retries:
+        if attempts > MAX_FLUSH_RETRIES:
             if self.error is None:
                 raise exc
             raise self.error(

@@ -51,6 +51,10 @@ from .snapshot import IndexSnapshot
 
 _OPERATORS = {"and", "or", "not"}
 
+#: Seconds between two looks of the :class:`BackgroundMerger` at the
+#: memory tier.
+MERGE_INTERVAL_S = 0.02
+
 
 def _boolean_terms(query: str) -> tuple[frozenset, bool]:
     """The vocabulary terms of a boolean query, plus whether its answer
@@ -139,15 +143,12 @@ class QueryService:
         *,
         cache_capacity: int = 256,
         check_invariants: bool = False,
-        max_flush_retries: int = 8,
         publish_mode: str = "clone",
         buffer_cache_blocks: int = 0,
         shards: int = 1,
         router_seed: int = 0,
         read_tier: str = "snapshot",
     ) -> None:
-        if max_flush_retries < 0:
-            raise ValueError("max_flush_retries must be >= 0")
         if buffer_cache_blocks < 0:
             raise ValueError("buffer_cache_blocks must be >= 0")
         if shards < 1:
@@ -171,7 +172,6 @@ class QueryService:
             self._writer,
             self.stats,
             publish_mode=publish_mode,
-            max_flush_retries=max_flush_retries,
             check_invariants=check_invariants,
             buffer_cache_blocks=buffer_cache_blocks,
             error=ServiceError,
@@ -463,7 +463,6 @@ class BackgroundMerger:
         self,
         service: QueryService,
         *,
-        interval: float = 0.02,
         min_buffered: int = 1,
     ) -> None:
         if service.memtier is None:
@@ -471,10 +470,7 @@ class BackgroundMerger:
                 "background merge requires a service with "
                 "read_tier='immediate'"
             )
-        if interval <= 0:
-            raise ValueError("interval must be > 0")
         self.service = service
-        self.interval = interval
         self.min_buffered = min_buffered
         self.merges = 0
         self.errors = 0
@@ -503,7 +499,7 @@ class BackgroundMerger:
         while not self._stop.is_set():
             if self._due():
                 self._merge_once()
-            self._stop.wait(self.interval)
+            self._stop.wait(MERGE_INTERVAL_S)
 
     def start(self) -> "BackgroundMerger":
         self._thread = threading.Thread(

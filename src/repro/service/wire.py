@@ -38,9 +38,11 @@ MAGIC = b"RSW1"
 _HEADER = struct.Struct(">4sI")
 HEADER_BYTES = _HEADER.size
 
-#: Default ceiling on one frame's payload.  Checkpoint blobs of the test
-#: corpora are well under a megabyte; 64 MiB leaves room for real ones.
-DEFAULT_MAX_FRAME = 64 * 1024 * 1024
+#: Ceiling on one frame's payload, on both ends of every connection.
+#: Checkpoint blobs of the test corpora are well under a megabyte; 64 MiB
+#: leaves room for real ones.  Read at call time, so a test may
+#: monkeypatch it — a worker forked afterwards inherits the patched value.
+MAX_FRAME = 64 * 1024 * 1024
 
 
 class WireError(Exception):
@@ -150,9 +152,7 @@ def _rebuild(flat: tuple):
     raise BadFrame(f"unknown message tag {tag!r}")
 
 
-def encode_parts(
-    message, max_frame: int = DEFAULT_MAX_FRAME
-) -> tuple[bytes, bytes]:
+def encode_parts(message) -> tuple[bytes, bytes]:
     """Serialize one message into ``(header, payload)`` without joining.
 
     Callers that can issue scatter writes (``sendmsg``, stream-writer
@@ -163,21 +163,21 @@ def encode_parts(
     payload = pickle.dumps(
         _flatten(message), protocol=pickle.HIGHEST_PROTOCOL
     )
-    if len(payload) > max_frame:
+    if len(payload) > MAX_FRAME:
         raise FrameTooLarge(
             f"message of {len(payload)} bytes exceeds the "
-            f"{max_frame}-byte frame budget"
+            f"{MAX_FRAME}-byte frame budget"
         )
     return _HEADER.pack(MAGIC, len(payload)), payload
 
 
-def encode(message, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
+def encode(message) -> bytes:
     """Serialize one message into a complete frame."""
-    header, payload = encode_parts(message, max_frame)
+    header, payload = encode_parts(message)
     return header + payload
 
 
-def decode_header(header: bytes, max_frame: int = DEFAULT_MAX_FRAME) -> int:
+def decode_header(header: bytes) -> int:
     """Validate a frame header; returns the payload length it declares."""
     if len(header) != HEADER_BYTES:
         raise TruncatedFrame(
@@ -186,10 +186,10 @@ def decode_header(header: bytes, max_frame: int = DEFAULT_MAX_FRAME) -> int:
     magic, length = _HEADER.unpack(header)
     if magic != MAGIC:
         raise BadFrame(f"bad frame magic {magic!r}")
-    if length > max_frame:
+    if length > MAX_FRAME:
         raise FrameTooLarge(
             f"declared payload of {length} bytes exceeds the "
-            f"{max_frame}-byte frame budget"
+            f"{MAX_FRAME}-byte frame budget"
         )
     return length
 
@@ -199,9 +199,9 @@ def decode_payload(payload: bytes):
     return _rebuild(pickle.loads(payload))
 
 
-def decode(frame: bytes, max_frame: int = DEFAULT_MAX_FRAME):
+def decode(frame: bytes):
     """Decode one complete frame (header + payload) into its message."""
-    length = decode_header(frame[:HEADER_BYTES], max_frame)
+    length = decode_header(frame[:HEADER_BYTES])
     payload = frame[HEADER_BYTES:]
     if len(payload) < length:
         raise TruncatedFrame(
@@ -238,7 +238,7 @@ def _recv_exact(sock, n: int):
     return buf
 
 
-def recv_message(sock, max_frame: int = DEFAULT_MAX_FRAME):
+def recv_message(sock):
     """Read one message from a blocking socket.
 
     Returns ``None`` on a clean EOF between frames; raises
@@ -247,14 +247,14 @@ def recv_message(sock, max_frame: int = DEFAULT_MAX_FRAME):
     header = _recv_exact(sock, HEADER_BYTES)
     if header is None:
         return None
-    length = decode_header(header, max_frame)
+    length = decode_header(header)
     payload = _recv_exact(sock, length) if length else b""
     if length and payload is None:
         raise TruncatedFrame(f"EOF before a {length}-byte payload")
     return decode_payload(payload)
 
 
-def send_message(sock, message, max_frame: int = DEFAULT_MAX_FRAME) -> None:
+def send_message(sock, message) -> None:
     """Write one message to a blocking socket as a single frame.
 
     Header and payload go out as a scatter write (``sendmsg``) so the
@@ -262,7 +262,7 @@ def send_message(sock, message, max_frame: int = DEFAULT_MAX_FRAME) -> None:
     copied into a joined ``header + payload`` buffer.  Platforms without
     ``sendmsg`` fall back to two ``sendall`` calls (still copy-free).
     """
-    header, payload = encode_parts(message, max_frame)
+    header, payload = encode_parts(message)
     sendmsg = getattr(sock, "sendmsg", None)
     if sendmsg is None:  # pragma: no cover - non-POSIX sockets
         sock.sendall(header)
@@ -286,7 +286,7 @@ def send_message(sock, message, max_frame: int = DEFAULT_MAX_FRAME) -> None:
 # -- asyncio stream I/O (gateway side) -----------------------------------------
 
 
-async def read_message_async(reader, max_frame: int = DEFAULT_MAX_FRAME):
+async def read_message_async(reader):
     """Read one message from an :class:`asyncio.StreamReader`.
 
     Returns ``None`` on a clean EOF between frames; raises
@@ -302,7 +302,7 @@ async def read_message_async(reader, max_frame: int = DEFAULT_MAX_FRAME):
         raise TruncatedFrame(
             f"EOF after {len(exc.partial)} header bytes"
         ) from exc
-    length = decode_header(header, max_frame)
+    length = decode_header(header)
     if not length:
         return decode_payload(b"")
     try:

@@ -79,10 +79,8 @@ class WorkerSpec:
     #: Turn an ``InjectedCrash`` into SIGKILL of the worker process.
     kill_on_crash: bool = False
     check_invariants: bool = False
-    max_flush_retries: int = 8
     #: Decoded-chunk buffer cache blocks per publish (0 = no cache).
     buffer_cache_blocks: int = 0
-    max_frame: int = wire.DEFAULT_MAX_FRAME
     #: "immediate" serves the writer's pending batch through a memory
     #: tier so the gateway can read documents before the next flush.
     read_tier: str = "snapshot"
@@ -184,7 +182,6 @@ class ShardWorker:
             self.writer,
             self.stats,
             publish_mode=spec.publish_mode,
-            max_flush_retries=spec.max_flush_retries,
             check_invariants=spec.check_invariants,
             buffer_cache_blocks=spec.buffer_cache_blocks,
             on_crash=_die if spec.kill_on_crash else None,
@@ -310,20 +307,13 @@ class ShardWorker:
 
     # -- retrieval (published snapshot) -----------------------------------
 
-    def _immediate_view(self):
-        if self.memtier is None:
-            raise ValueError(
-                f"shard {self.spec.shard_id} was built with "
-                "read_tier='snapshot'"
-            )
-        return self.memtier.view()
-
-    def _counted_fetch(self, tier: str | None):
+    def _counted_fetch(self):
         """``(fetch, counter)``: an evaluator's ``word -> doc_ids`` over
-        the state a read addresses — the immediate view, or the
-        published snapshot — charging read ops into ``counter[0]``."""
-        if tier == "immediate":
-            view = self._immediate_view()
+        the state this worker's read tier serves — the immediate view,
+        or the published snapshot — charging read ops into
+        ``counter[0]``."""
+        if self.memtier is not None:
+            view = self.memtier.view()
 
             def source(word: str):
                 return twotier.fetch_postings(view, word)
@@ -338,9 +328,7 @@ class ShardWorker:
 
         return fetch, counter
 
-    def eval_boolean(
-        self, query: str, ndocs: int, tier: str | None = None
-    ) -> tuple[list[int], int]:
+    def eval_boolean(self, query: str, ndocs: int) -> tuple[list[int], int]:
         """This shard's part of a gateway boolean query: ``(doc_ids,
         read_ops)`` evaluated against its own postings.
 
@@ -354,11 +342,11 @@ class ShardWorker:
         one each fetch carries.
         """
         self.stats.queries += 1
-        fetch, counter = self._counted_fetch(tier)
+        fetch, counter = self._counted_fetch()
         return boolean_query.evaluate(query, fetch, ndocs), counter[0]
 
     def eval_vector(
-        self, terms: tuple, top_k: int, tier: str | None = None, routing=None
+        self, terms: tuple, top_k: int, routing=None
     ) -> tuple[tuple, int]:
         """This shard's part of a gateway vector query: ``((df per term,
         candidates grouped by term bitmask), read_ops)`` — see
@@ -373,7 +361,7 @@ class ShardWorker:
         the fetch, so the filter does not move them.
         """
         self.stats.queries += 1
-        fetch, counter = self._counted_fetch(tier)
+        fetch, counter = self._counted_fetch()
         if routing is not None:
             counted, route, here = fetch, routing.route, self.spec.shard_id
 
@@ -382,16 +370,14 @@ class ShardWorker:
 
         return vector_query.shard_candidates(terms, fetch, top_k), counter[0]
 
-    def search_streamed(
-        self, query: str, tier: str | None = None
-    ) -> tuple[list[int], int]:
+    def search_streamed(self, query: str) -> tuple[list[int], int]:
         """Per-shard flat AND/OR evaluation as ``(doc_ids, read_ops)``
         (every document lives wholly on one shard, so the gateway may
         union shard answers).  The immediate tier merges buffered
         postings over the published snapshot."""
         self.stats.queries += 1
-        if tier == "immediate":
-            answer = twotier.search_streamed(self._immediate_view(), query)
+        if self.memtier is not None:
+            answer = twotier.search_streamed(self.memtier.view(), query)
         else:
             answer = self.runtime.published.search_streamed(query)
         return answer.doc_ids, answer.read_ops
@@ -549,7 +535,7 @@ def serve(sock, spec: WorkerSpec) -> None:
     try:
         while True:
             try:
-                request = wire.recv_message(sock, spec.max_frame)
+                request = wire.recv_message(sock)
             except wire.WireError:
                 break
             if request is None:
@@ -562,9 +548,7 @@ def serve(sock, spec: WorkerSpec) -> None:
                 )
             elif request.method == "shutdown":
                 wire.send_message(
-                    sock,
-                    wire.Response(request.request_id, True, None),
-                    spec.max_frame,
+                    sock, wire.Response(request.request_id, True, None)
                 )
                 break
             elif request.method not in DISPATCH:
@@ -585,9 +569,9 @@ def serve(sock, spec: WorkerSpec) -> None:
                         error=f"{type(exc).__name__}: {exc}",
                     )
             try:
-                wire.send_message(sock, response, spec.max_frame)
+                wire.send_message(sock, response)
             except wire.FrameTooLarge:
-                wire.send_message(sock, _over_budget(response), spec.max_frame)
+                wire.send_message(sock, _over_budget(response))
     finally:
         faults.uninstall()
         sock.close()

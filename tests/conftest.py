@@ -28,3 +28,12 @@ def small_experiment_config(**overrides) -> ExperimentConfig:
 def small_experiment() -> Experiment:
     """One shared small experiment; stages are cached inside it."""
     return Experiment(small_experiment_config())
+
+
+@pytest.fixture
+def no_flush_retries(monkeypatch):
+    """A flush retry budget of 0: the first injected fault exhausts it,
+    in every host the test builds in this process."""
+    from repro.service import runtime
+
+    monkeypatch.setattr(runtime, "MAX_FLUSH_RETRIES", 0)

@@ -35,7 +35,7 @@ def config() -> IndexConfig:
     )
 
 
-def tier(writer=None, max_flush_retries: int = 8) -> ShardRuntime:
+def tier(writer=None) -> ShardRuntime:
     """A runtime over a real writer with the tier attached, as both
     hosts build it."""
     writer = writer or TextDocumentIndex(config())
@@ -43,7 +43,6 @@ def tier(writer=None, max_flush_retries: int = 8) -> ShardRuntime:
         writer,
         ServiceStats(),
         publish_mode="cow",
-        max_flush_retries=max_flush_retries,
         check_invariants=False,
         buffer_cache_blocks=0,
     )
@@ -186,11 +185,13 @@ class TestMemTier:
         assert runtime.memtier.view().postings("wa") == [9]
         assert view.postings("wa") == list(range(9))
 
-    def test_a_write_waits_for_the_publish_of_a_flushed_batch(self):
+    def test_a_write_waits_for_the_publish_of_a_flushed_batch(
+        self, no_flush_retries
+    ):
         """A flushed batch whose publish failed is retired from the
         writer but not yet in any base: the tier still reads it, and a
         write it could not show is refused until the publish lands."""
-        runtime = tier(max_flush_retries=0)
+        runtime = tier()
         runtime.add_document("wa")
         runtime.flush()
         with faults.injected(FaultPlan(crash_at="checkpoint.cow-publish")):

@@ -157,10 +157,10 @@ def test_worker_isolates_poison_members_in_a_mixed_batch():
     from repro.service import wire
 
     members = (
-        wire.Request(0, "search_streamed", ("wb", None)),
+        wire.Request(0, "search_streamed", ("wb",)),
         wire.Request(1, "add_document", ("sneaky write", 99)),
-        wire.Request(2, "search_streamed", ("wa AND", None)),
-        wire.Request(3, "search_streamed", ("wa", None)),
+        wire.Request(2, "search_streamed", ("wa AND",)),
+        wire.Request(3, "search_streamed", ("wa",)),
     )
     responses, version = worker.batched_read(members)
     assert len(responses) == 4
@@ -185,7 +185,7 @@ def test_gateway_isolates_poison_members_in_a_mixed_batch():
             await gateway.add_document("wa wb")
             await gateway.flush()
             good, bad = await asyncio.gather(
-                gateway._read_shard(0, "search_streamed", ("wa", None)),
+                gateway._read_shard(0, "search_streamed", ("wa",)),
                 gateway._read_shard(0, "bogus_method", ()),
                 return_exceptions=True,
             )

@@ -138,24 +138,6 @@ class TestValidityRange:
 
 
 class TestCounters:
-    def test_per_entry_hit_counters(self):
-        cache = QueryResultCache(capacity=4)
-        put(cache, "a", "A")
-        put(cache, "b", "B")
-        for _ in range(3):
-            cache.get(key("a"), 1)
-        cache.get(key("b"), 1)
-        hits = cache.stats().entry_hits
-        assert hits[key("a")] == 3
-        assert hits[key("b")] == 1
-
-    def test_eviction_drops_entry_counter(self):
-        cache = QueryResultCache(capacity=1)
-        put(cache, "a", "A")
-        cache.get(key("a"), 1)
-        put(cache, "b", "B")  # evicts a
-        assert key("a") not in cache.stats().entry_hits
-
     def test_wholesale_invalidation(self):
         cache = QueryResultCache(capacity=8)
         for q in "abc":
@@ -165,7 +147,6 @@ class TestCounters:
         stats = cache.stats()
         assert stats.invalidations == 1
         assert stats.entries_invalidated == 3
-        assert stats.entry_hits == {}
         assert cache.get(key("a"), 1) is None
 
     def test_hit_rate(self):

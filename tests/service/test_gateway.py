@@ -13,6 +13,10 @@ The tentpole claims pinned here:
   bounded wait queue fills — it never queues unboundedly.
 * A SIGKILLed worker is rebuilt from the parent-side checkpoint plus the
   replayed op log with no acknowledged operation lost.
+
+Slow shards are made, not configured: :func:`park` holds one replica's
+single-threaded worker in a ``debug_sleep``, and the searches bound for
+it queue behind the sleep on its connection.
 """
 
 from __future__ import annotations
@@ -73,6 +77,15 @@ def run_gateway(coro_fn, **gateway_kwargs):
     return asyncio.run(main())
 
 
+def park(gateway, shard: int, replica: int, seconds: float):
+    """Block one replica's worker loop for ``seconds``: the sleep holds
+    its connection, so every read bound for it waits behind the sleep."""
+    target = gateway._sets[shard].replicas[replica]
+    return asyncio.ensure_future(
+        gateway._locked_rpc(target, "debug_sleep", (seconds,))
+    )
+
+
 class TestWorkerProcess:
     def test_remote_errors_are_typed(self):
         async def body(gateway):
@@ -84,8 +97,8 @@ class TestWorkerProcess:
             # so no answer can come back without a version stamp.
             for method, args in (
                 ("no_such_method", ()),
-                ("versioned_read", ("eval_boolean", ("apple", 0, None))),
-                ("eval_boolean", ("apple", 0, None)),
+                ("versioned_read", ("eval_boolean", ("apple", 0))),
+                ("eval_boolean", ("apple", 0)),
             ):
                 with pytest.raises(RemoteWorkerError, match="UnknownMethod"):
                     await gateway._locked_rpc(replica, method, args)
@@ -99,25 +112,36 @@ class TestWorkerProcess:
 class TestDeadlines:
     def test_slow_shard_raises_typed_partial_failure(self):
         async def body(gateway):
+            for text in DOCS:
+                await gateway.add_document(text)
+            await gateway.flush()
+            query = "apple OR banana"
+            want = (await gateway.search_boolean(query)).doc_ids
+            sleeper = park(gateway, 0, 0, 1.0)
+            await asyncio.sleep(0.05)
+            gateway.shard_timeout_s = 0.1
             with pytest.raises(ShardDeadlineExceeded) as info:
-                await gateway.ping(shard=0, delay=1.0, timeout=0.1)
+                await gateway.search_boolean(query)
             assert info.value.shards == (0,)
+            # The sibling shard answered in time, and the error says so.
+            assert info.value.completed == 1
             assert gateway.stats.deadline_exceeded == 1
-            # The late call is abandoned, not cancelled: it reads its
-            # own reply, and the next call on the same connection gets
-            # its own too, not the sleeper's.
-            pong = await gateway.ping(shard=0)
-            assert pong["shard"] == 0
+            await sleeper
+            # The late member was abandoned, not cancelled: its frame
+            # read its own reply, and the next read on the same
+            # connection gets its own answer.
+            assert (await gateway.search_boolean(query)).doc_ids == want
 
         run_gateway(body, shards=2)
 
     def test_deadline_inside_a_reply_keeps_the_stream_framed(self):
-        """A deadline that fires after a reply's header and before the
-        end of its payload must not cancel the read: a cancelled
-        ``readexactly`` leaves the header consumed, and the next exchange
-        then reads payload bytes as a header (``BadFrame``, on a replica
-        nothing marks unhealthy).  Driven at the ``_exchange`` level on
-        an in-memory stream, since only there can a reply be cut."""
+        """A member deadline that fires after a batch reply's header and
+        before the end of its payload must not cancel the read: a
+        cancelled ``readexactly`` leaves the header consumed, and the
+        next exchange then reads payload bytes as a header (``BadFrame``,
+        on a replica nothing marks unhealthy).  Driven through the read
+        path on an in-memory stream, since only there can a reply be
+        cut."""
 
         class StubWriter:
             def write(self, data):
@@ -132,15 +156,24 @@ class TestDeadlines:
             replica.reader = asyncio.StreamReader()
             replica.writer = StubWriter()
             replica.lock = asyncio.Lock()
-            first = wire.encode(wire.Response(1, True, "first " * 50))
-            second = wire.encode(wire.Response(2, True, "second"))
+
+            def reply(request_id, answer):
+                member = wire.Response(0, True, answer)
+                return wire.encode(
+                    wire.BatchResponse(request_id, (member,), 0)
+                )
+
+            first = reply(1, (list(range(200)), 5))
+            second = reply(2, ([7], 1))
             cut = wire.HEADER_BYTES + 7
             replica.reader.feed_data(first[:cut])
+            gateway.shard_timeout_s = 0.05
             with pytest.raises(ShardDeadlineExceeded):
-                await gateway._call_replica(replica, "ping", timeout=0.05)
+                await gateway._read_shard(0, "search_streamed", ("wa",))
             assert gateway.stats.deadline_exceeded == 1
             replica.reader.feed_data(first[cut:] + second)
-            assert await gateway._call_replica(replica, "ping") == "second"
+            got = await gateway._read_shard(0, "search_streamed", ("wb",))
+            assert got == ([7], 1)
 
         asyncio.run(main())
 
@@ -148,9 +181,7 @@ class TestDeadlines:
         async def body(gateway):
             # Occupy the single-threaded worker; the query behind it
             # must count its wait against the deadline.
-            sleeper = asyncio.create_task(
-                gateway.ping(shard=0, delay=0.6)
-            )
+            sleeper = park(gateway, 0, 0, 0.6)
             await asyncio.sleep(0.05)
             gateway.shard_timeout_s = 0.15
             with pytest.raises(ShardDeadlineExceeded) as info:
@@ -164,41 +195,41 @@ class TestDeadlines:
 class TestAdmissionControl:
     def test_bounded_queue_sheds_load(self):
         async def body(gateway):
-            first = asyncio.create_task(
-                gateway.ping(shard=0, delay=0.5, admit=True)
-            )
+            sleeper = park(gateway, 0, 0, 0.5)
             await asyncio.sleep(0.05)
-            second = asyncio.create_task(
-                gateway.ping(shard=0, delay=0.0, admit=True)
-            )
+            first = asyncio.create_task(gateway.search_boolean("apple"))
             await asyncio.sleep(0.05)
-            # max_inflight=1 is executing, queue_limit=1 is waiting: the
-            # third arrival must be shed immediately, not queued.
+            second = asyncio.create_task(gateway.search_boolean("apple"))
+            await asyncio.sleep(0.05)
+            # max_inflight=1 is executing (queued behind the parked
+            # replica), queue_limit=1 is waiting: the third arrival must
+            # be shed immediately, not queued.
             with pytest.raises(GatewayOverloaded):
-                await gateway.ping(shard=0, admit=True)
+                await gateway.search_boolean("apple")
             assert gateway.stats.shed == 1
-            await first
-            await second
+            await sleeper
+            assert (await first).doc_ids == (await second).doc_ids == []
 
         run_gateway(body, shards=1, max_inflight=1, queue_limit=1)
 
     def test_admission_recovers_after_drain(self):
         async def body(gateway):
-            blocker = asyncio.create_task(
-                gateway.ping(shard=0, delay=0.2, admit=True)
-            )
+            await gateway.add_document(DOCS[0])
+            await gateway.flush()
+            sleeper = park(gateway, 0, 0, 0.2)
             await asyncio.sleep(0.05)
-            queued = asyncio.create_task(
-                gateway.ping(shard=0, admit=True)
-            )
+            blocker = asyncio.create_task(gateway.search_boolean("apple"))
+            await asyncio.sleep(0.05)
+            queued = asyncio.create_task(gateway.search_boolean("apple"))
             await asyncio.sleep(0.05)
             with pytest.raises(GatewayOverloaded):
-                await gateway.ping(shard=0, admit=True)
+                await gateway.search_boolean("apple")
+            await sleeper
             await blocker
             await queued
             # Once the queue drains, admission resumes.
-            pong = await gateway.ping(shard=0, admit=True)
-            assert pong["shard"] == 0
+            got = await gateway.search_boolean("apple")
+            assert got.doc_ids == [0]
 
         run_gateway(body, shards=1, max_inflight=1, queue_limit=1)
 
@@ -232,7 +263,18 @@ class TestFailover:
         run_gateway(body, shards=2)
 
     def test_failover_respects_checkpoint_cadence(self):
+        """A rebuild replays every batch past its shard's restore point,
+        however many there are: with the checkpoint step held after the
+        first flush, flushes 2 and 3 ride the op log."""
+
         async def body(gateway):
+            checkpoint = gateway._checkpoint_shard
+
+            async def first_flush_only(i):
+                if gateway._batches == 1:
+                    await checkpoint(i)
+
+            gateway._checkpoint_shard = first_flush_only
             local = ShardedTextIndex(small_config(), shards=2)
             for cycle in range(3):
                 for text in DOCS[cycle * 2 : cycle * 2 + 2]:
@@ -240,8 +282,10 @@ class TestFailover:
                     local.add_document(text)
                 await gateway.flush()
                 local.flush_batch()
-            # checkpoint_every=2: flush 3's ops are still in the log.
-            assert any(len(rs.oplog) for rs in gateway._sets)
+            oplog = gateway._sets[0].oplog
+            assert [op for op in oplog if op[0] == "flush"] == [
+                ("flush", False)
+            ] * 2
             gateway._sets[0].replicas[0].worker.process.kill()
             answer = await gateway.search_streamed("banana AND cherry")
             want = local.search_streamed("banana AND cherry")
@@ -249,7 +293,7 @@ class TestFailover:
             assert gateway.stats.failovers == 1
             assert gateway.stats.replayed_ops > 0
 
-        run_gateway(body, shards=2, checkpoint_every=2)
+        run_gateway(body, shards=2)
 
 
 class TestGatewayService:
@@ -293,6 +337,40 @@ class TestGatewayService:
         service = GatewayService(small_config(), shards=1)
         service.close()
         service.close()
+
+    def test_failed_start_reaps_its_workers(self, monkeypatch):
+        """A constructor that raises leaves nothing behind: nothing holds
+        the half-built service, so nobody else could close it.  The
+        second of three worker spawns fails; the two that started and
+        the loop thread are gone by the time the error arrives."""
+        import multiprocessing
+        import threading
+
+        from repro.service import gateway as gateway_module
+
+        def loops():
+            return {
+                t for t in threading.enumerate() if t.name == "gateway-loop"
+            }
+
+        children, threads = set(multiprocessing.active_children()), loops()
+        spawned = []
+        real = gateway_module.WorkerProcess
+
+        def second_spawn_fails(spec):
+            spawned.append(spec.shard_id)
+            if len(spawned) == 2:
+                raise OSError("out of processes")
+            return real(spec)
+
+        monkeypatch.setattr(
+            gateway_module, "WorkerProcess", second_spawn_fails
+        )
+        with pytest.raises(OSError, match="out of processes"):
+            GatewayService(small_config(), shards=3)
+        assert len(spawned) == 3
+        assert set(multiprocessing.active_children()) == children
+        assert loops() == threads
 
 
 class TestReplicaVersionGuard:
@@ -361,7 +439,7 @@ class TestReplicaVersionGuard:
             assert got.doc_ids == [0, 2, 3]
             assert gateway.repl.stale_discarded == 1  # no new discards
 
-        run_gateway(body, shards=1, replicas=2, checkpoint_every=100)
+        run_gateway(body, shards=1, replicas=2)
 
     def test_slow_replica_fails_over_to_sibling(self):
         async def body(gateway):
@@ -371,9 +449,7 @@ class TestReplicaVersionGuard:
             # Park replica 0 behind a long debug_sleep; a read under a
             # short deadline must fail over to the idle sibling instead
             # of surfacing the deadline.
-            blocker = asyncio.ensure_future(
-                gateway.ping(shard=0, replica=0, delay=1.0)
-            )
+            blocker = park(gateway, 0, 0, 1.0)
             await asyncio.sleep(0.05)
             gateway.shard_timeout_s = 0.15
             gateway._sets[0]._cursor = 0  # rotation starts at the slug
@@ -390,12 +466,7 @@ class TestReplicaVersionGuard:
             for text in DOCS[:4]:
                 await gateway.add_document(text)
             await gateway.flush()
-            blockers = [
-                asyncio.ensure_future(
-                    gateway.ping(shard=0, replica=j, delay=1.0)
-                )
-                for j in range(2)
-            ]
+            blockers = [park(gateway, 0, j, 1.0) for j in range(2)]
             await asyncio.sleep(0.05)
             gateway.shard_timeout_s = 0.15
             with pytest.raises(ShardDeadlineExceeded) as info:
@@ -414,7 +485,7 @@ class TestUnsendableOp:
     """An op no replica can be sent never enters the journal.
 
     ``add_document`` used to append to the shard's op log before the
-    frame was encoded.  A document over ``max_frame`` then raised
+    frame was encoded.  A document over the frame budget then raised
     :class:`~repro.service.wire.FrameTooLarge` to the caller with the op
     journaled and no replica's ``log_pos`` moved: the next write found
     every healthy replica "behind the journal head" and resynced them
@@ -424,16 +495,17 @@ class TestUnsendableOp:
 
     OVERSIZED = "pad " * 10_000  # a 40 KB frame against an 8 KB budget
 
-    def _service(self):
-        return GatewayService(
-            small_config(), shards=1, replicas=2, max_frame=8192
-        )
+    def _service(self, monkeypatch):
+        # Patched before the fork: both ends of every connection, the
+        # workers included, frame against the 8 KB budget.
+        monkeypatch.setattr(wire, "MAX_FRAME", 8192)
+        return GatewayService(small_config(), shards=1, replicas=2)
 
-    def test_oversized_add_leaves_the_shard_serving(self):
+    def test_oversized_add_leaves_the_shard_serving(self, monkeypatch):
         from repro.query.reference import BruteForceIndex
         from repro.service.replication import ReplicaState
 
-        service = self._service()
+        service = self._service(monkeypatch)
         oracle = BruteForceIndex()
         try:
             for text in DOCS[:3]:
@@ -473,8 +545,8 @@ class TestUnsendableOp:
         finally:
             service.close()
 
-    def test_refused_explicit_id_leaves_no_holes(self):
-        service = self._service()
+    def test_refused_explicit_id_leaves_no_holes(self, monkeypatch):
+        service = self._service(monkeypatch)
         try:
             service.add_document(DOCS[0])
             holes = set(service.gateway._holes)

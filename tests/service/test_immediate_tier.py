@@ -150,9 +150,7 @@ class TestEpochCacheInteraction:
 class TestBackgroundMerger:
     def test_drains_without_writer_flushes(self):
         service = immediate_service()
-        merger = BackgroundMerger(
-            service, interval=0.005, min_buffered=8
-        ).start()
+        merger = BackgroundMerger(service, min_buffered=8).start()
         try:
             ids = [
                 service.add_document(f"alpha doc{chr(97 + i % 7)}")

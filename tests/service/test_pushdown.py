@@ -373,7 +373,7 @@ async def _split_probing_the_window(gateway, victim, probe) -> None:
 async def _summed_df(gateway, terms, routing) -> list[int]:
     """Per-term df summed over the shards' ``eval_vector`` replies."""
     _, replies = await gateway._scatter_read(
-        "eval_vector", (terms, 6, None, routing)
+        "eval_vector", (terms, 6, routing)
     )
     return [
         sum(dfs[bit] for (dfs, _), _ in replies)
@@ -389,7 +389,7 @@ async def _fetch_cost(gateway, terms) -> int:
     cost = 0
     for term in terms:
         _, answers = await gateway._scatter_read(
-            "eval_boolean", (term, ndocs, None)
+            "eval_boolean", (term, ndocs)
         )
         cost += sum(ops for _, ops in answers)
     return cost
@@ -640,12 +640,13 @@ class TestScatterFailover:
             assert victim.state is not ReplicaState.HEALTHY
             await gateway.quiesce()
 
-        _run(body, checkpoint_every=100)
+        _run(body)
 
     def test_late_first_attempt(self):
         async def body(gateway, oracle):
+            slug = gateway._sets[0].replicas[0]
             blocker = asyncio.ensure_future(
-                gateway.ping(shard=0, replica=0, delay=0.6)
+                gateway._locked_rpc(slug, "debug_sleep", (0.6,))
             )
             await asyncio.sleep(0.05)
             gateway.shard_timeout_s = 0.15

@@ -239,9 +239,7 @@ def test_checkpoint_deferred_while_victim_rebuilds():
     once the set is whole again."""
 
     async def body():
-        gateway = AsyncShardGateway(
-            crash_config(), shards=1, replicas=2, checkpoint_every=1
-        )
+        gateway = AsyncShardGateway(crash_config(), shards=1, replicas=2)
         gateway._rebuild_hold_s = 0.5
         await gateway.start()
         try:

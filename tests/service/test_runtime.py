@@ -221,15 +221,13 @@ def test_cow_publish_crash_is_retried_in_both_hosts():
         assert 20 in host.postings("wa"), host_type.__name__
 
 
-def test_exhausted_budget_keeps_each_hosts_error_type():
-    service = QueryService(config(), max_flush_retries=0)
+def test_exhausted_budget_keeps_each_hosts_error_type(no_flush_retries):
+    service = QueryService(config())
     service.add_document("apple")
     with faults.injected(FaultPlan(crash_at="index.flush-begin")):
         with pytest.raises(ServiceError, match="flush failed 1 times"):
             service.flush_and_publish()
-    worker = ShardWorker(
-        WorkerSpec(shard_id=0, index_config=config(), max_flush_retries=0)
-    )
+    worker = ShardWorker(WorkerSpec(shard_id=0, index_config=config()))
     worker.add_document("apple")
     with faults.injected(FaultPlan(crash_at="index.flush-begin")):
         with pytest.raises(InjectedCrash):
@@ -241,15 +239,15 @@ def test_exhausted_budget_keeps_each_hosts_error_type():
     "point", ["index.flush-begin", "index.before-recovery-point"]
 )
 @pytest.mark.parametrize("host", ["service", "worker"])
-def test_exhausted_budget_resumes_at_the_next_flush(host, point, read_tier):
+def test_exhausted_budget_resumes_at_the_next_flush(
+    host, point, read_tier, no_flush_retries
+):
     """An exhausted budget leaves the writer awaiting recovery.  The next
     flush rolls back and replays; until it has run a write is refused
     with the host's error type (a rollback would drop or renumber it),
     and the immediate tier keeps showing the failed batch."""
     if host == "service":
-        service = QueryService(
-            config(), max_flush_retries=0, read_tier=read_tier
-        )
+        service = QueryService(config(), read_tier=read_tier)
         add, delete = service.add_document, service.delete_document
         flush, stats = service.flush_and_publish, service.stats
         refused = ServiceError
@@ -262,12 +260,7 @@ def test_exhausted_budget_resumes_at_the_next_flush(host, point, read_tier):
 
     else:
         worker = ShardWorker(
-            WorkerSpec(
-                shard_id=0,
-                index_config=config(),
-                max_flush_retries=0,
-                read_tier=read_tier,
-            )
+            WorkerSpec(shard_id=0, index_config=config(), read_tier=read_tier)
         )
         add, delete = worker.add_document, worker.delete_document
         flush, stats = worker.flush, worker.stats
@@ -277,7 +270,7 @@ def test_exhausted_budget_resumes_at_the_next_flush(host, point, read_tier):
             return worker.runtime.published.fetch_postings(word)[0]
 
         def immediate(word):
-            return worker.search_streamed(word, "immediate")[0]
+            return worker.search_streamed(word)[0]
 
     add("apple")
     with faults.injected(FaultPlan(crash_at=point)):

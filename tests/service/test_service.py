@@ -200,10 +200,10 @@ class TestFaultRecovery:
         assert service.stats.flush_recoveries == 0
         assert snapshot.search_boolean("red").doc_ids == [0]
 
-    def test_retry_budget_exhaustion_raises_service_error(self):
-        service = QueryService(
-            small_config(crash_safe=True), max_flush_retries=0
-        )
+    def test_retry_budget_exhaustion_raises_service_error(
+        self, no_flush_retries
+    ):
+        service = QueryService(small_config(crash_safe=True))
         service.add_document("red fox")
         faults.install(
             FaultPlan(crash_at="index.flush-begin", crash_at_hit=1)
@@ -226,10 +226,8 @@ class TestFaultRecovery:
         finally:
             faults.uninstall()
 
-    def test_readers_never_see_crashed_flush(self):
-        service = QueryService(
-            small_config(crash_safe=True), max_flush_retries=0
-        )
+    def test_readers_never_see_crashed_flush(self, no_flush_retries):
+        service = QueryService(small_config(crash_safe=True))
         service.add_document("red fox")
         service.flush_and_publish()
         before = service.snapshot()

@@ -21,6 +21,13 @@ def roundtrip(message):
     return wire.decode(wire.encode(message))
 
 
+@pytest.fixture
+def budget(monkeypatch):
+    """Shrink the frame budget: ``budget(64)`` reaches
+    :class:`~repro.service.wire.FrameTooLarge` without megabyte payloads."""
+    return lambda size: monkeypatch.setattr(wire, "MAX_FRAME", size)
+
+
 class TestFraming:
     def test_request_roundtrip(self):
         request = wire.Request(7, "search_boolean", ("a AND b", None))
@@ -57,16 +64,18 @@ class TestRejection:
         with pytest.raises(wire.TruncatedFrame):
             wire.decode(frame[:-3])
 
-    def test_oversized_encode_rejected_before_send(self):
+    def test_oversized_encode_rejected_before_send(self, budget):
         big = wire.Request(1, "add_document", ("x" * 4096,))
+        budget(64)
         with pytest.raises(wire.FrameTooLarge):
-            wire.encode(big, max_frame=64)
+            wire.encode(big)
 
-    def test_oversized_declared_length_rejected(self):
+    def test_oversized_declared_length_rejected(self, budget):
         # The receiver refuses the frame from its header alone.
         header = wire._HEADER.pack(wire.MAGIC, 2**31)
+        budget(1024)
         with pytest.raises(wire.FrameTooLarge):
-            wire.decode_header(header, max_frame=1024)
+            wire.decode_header(header)
 
 
 class TestBlockingSocket:
@@ -101,12 +110,13 @@ class TestBlockingSocket:
         finally:
             b.close()
 
-    def test_oversized_incoming_frame_rejected(self):
+    def test_oversized_incoming_frame_rejected(self, budget):
         a, b = socket.socketpair()
         try:
             wire.send_message(a, wire.Request(1, "x", ("y" * 512,)))
+            budget(64)
             with pytest.raises(wire.FrameTooLarge):
-                wire.recv_message(b, max_frame=64)
+                wire.recv_message(b)
         finally:
             a.close()
             b.close()
@@ -152,13 +162,12 @@ class TestAsyncReader:
         with pytest.raises(wire.TruncatedFrame):
             asyncio.run(go())
 
-    def test_async_oversized_frame_rejected(self):
+    def test_async_oversized_frame_rejected(self, budget):
         frame = wire.encode(wire.Request(1, "x", ("y" * 512,)))
+        budget(64)
 
         async def go():
-            return await wire.read_message_async(
-                self._reader_with(frame), max_frame=64
-            )
+            return await wire.read_message_async(self._reader_with(frame))
 
         with pytest.raises(wire.FrameTooLarge):
             asyncio.run(go())
@@ -208,10 +217,11 @@ class TestCopyElimination:
         assert len(header) == wire.HEADER_BYTES
         assert wire.decode_header(header) == len(payload)
 
-    def test_encode_parts_enforces_frame_budget(self):
+    def test_encode_parts_enforces_frame_budget(self, budget):
         big = wire.Request(1, "add_document", ("x" * 4096,))
+        budget(64)
         with pytest.raises(wire.FrameTooLarge):
-            wire.encode_parts(big, max_frame=64)
+            wire.encode_parts(big)
 
     def test_scatter_write_survives_partial_sends(self):
         """A multi-MB payload overflows the socket buffer, forcing
