@@ -5,21 +5,24 @@ The paper relies on periodic flushes of the buckets and directory so that
 (§1).  This module makes that concrete for the library: a checkpoint is a
 self-contained binary snapshot of everything the index needs to resume —
 configuration, directory, bucket contents, free-space maps, flush-region
-bookkeeping, counters, and (in content mode) the simulated disks' block
-payloads.
+bookkeeping, the RELEASE list, counters, and (in content mode) the
+simulated disks' block payloads.
 
 Checkpoints are only taken at batch boundaries (the in-memory batch must be
 empty), matching the paper's recovery granularity: work since the last flush
 is replayed, never half-applied.
 
-Format: a small framed binary format (magic ``DSIX``, version byte, then
-length-prefixed sections).  ``save``/``load`` work on file paths or binary
+One codec writes and reads the index state.  A *redo record* (magic
+``DSRD``, :func:`save_record` / :func:`apply_record`) carries an index
+from one batch boundary of a writer to a later one at the cost of what
+the batches in between dirtied.  A *checkpoint* (magic ``DSIX``,
+:func:`save` / :func:`load`) is the record cut from the empty index —
+every key dirty — under a header naming the configuration that empty
+index is built from.  So a restore point is a checkpoint plus a chain of
+records (DESIGN.md §19).  Both are framed with the length-checked
+``_w_*`` / ``_r_*`` helpers, so every truncation raises
+:class:`CheckpointError`.  ``save``/``load`` work on file paths or binary
 file objects.
-
-A *redo record* (magic ``DSRD``, :func:`save_record` / :func:`apply_record`)
-carries a checkpoint forward to a later batch boundary at the cost of what
-the batches in between dirtied, so a restore point is a checkpoint plus a
-chain of records (DESIGN.md §19).
 """
 
 from __future__ import annotations
@@ -54,14 +57,15 @@ from .postings import (
 )
 
 _MAGIC = b"DSIX"
-_VERSION = 1
+_RECORD_MAGIC = b"DSRD"
+_VERSION = 2
 
 CP_BEGIN_SAVE = faults.register_crash_point(
     "checkpoint.begin-save", "checkpoint save started, header not written"
 )
 CP_MID_SAVE = faults.register_crash_point(
     "checkpoint.mid-save",
-    "directory section written, buckets and free lists not yet",
+    "configuration header written, index state not yet",
 )
 CP_END_SAVE = faults.register_crash_point(
     "checkpoint.end-save", "all sections written, save about to return"
@@ -121,12 +125,15 @@ def _r_f64(fp: BinaryIO) -> float:
     return struct.unpack("<d", data)[0]
 
 
-def _r_bytes(fp: BinaryIO) -> bytes:
-    n = _r_u32(fp)
+def _r_exact(fp: BinaryIO, n: int) -> bytes:
     data = fp.read(n)
     if len(data) != n:
         raise CheckpointError("truncated checkpoint (bytes)")
     return data
+
+
+def _r_bytes(fp: BinaryIO) -> bytes:
+    return _r_exact(fp, _r_u32(fp))
 
 
 def _r_str(fp: BinaryIO) -> str:
@@ -160,6 +167,20 @@ def _r_chunk(fp: BinaryIO) -> Chunk:
     )
 
 
+def _w_chunks(fp: BinaryIO, chunks: list[Chunk]) -> None:
+    _w_u32(fp, len(chunks))
+    for chunk in chunks:
+        _w_chunk(fp, chunk)
+
+
+def _r_chunks(fp: BinaryIO) -> list[Chunk]:
+    return [_r_chunk(fp) for _ in range(_r_u32(fp))]
+
+
+def _w_entry(fp: BinaryIO, entry: LongListEntry) -> None:
+    _w_chunks(fp, entry.chunks)
+
+
 def _w_payload(fp: BinaryIO, payload) -> None:
     if isinstance(payload, CountPostings):
         fp.write(b"C")
@@ -185,42 +206,27 @@ def _r_payload(fp: BinaryIO):
     raise CheckpointError(f"unknown payload tag {tag!r}")
 
 
-# -- save -----------------------------------------------------------------------
-
-
-def save(index: DualStructureIndex, target) -> None:
-    """Write a checkpoint of ``index`` to a path or binary file object.
-
-    Raises :class:`CheckpointError` when the in-memory batch is not empty
-    (checkpoints happen at batch boundaries) or the array uses a buddy
-    allocator (whose internal state is not interval-shaped).
-    """
+def _check_boundary(index: DualStructureIndex) -> None:
+    """The one boundary rule of a checkpoint, a record and a cow clone:
+    an empty in-memory batch and an interval-shaped allocator."""
     if len(index.memory) != 0:
         raise CheckpointError(
-            "checkpoint requires an empty in-memory batch; call "
+            "a checkpoint requires an empty in-memory batch; call "
             "flush_batch() first"
         )
     for disk in index.array.disks:
         if isinstance(disk.freelist, BuddyFreeList):
             raise CheckpointError("buddy allocator state is not checkpointable")
-    if hasattr(target, "write"):
-        _save(index, target)
-    else:
-        with open(target, "wb") as fp:
-            _save(index, fp)
 
 
-def _save(index: DualStructureIndex, fp: BinaryIO) -> None:
-    cfg = index.config
-    faults.crash_point(CP_BEGIN_SAVE)
-    fp.write(_MAGIC)
-    fp.write(bytes([_VERSION]))
-    # configuration — the bucket count is taken from the *live* manager,
-    # not the config: bucket growth enlarges the manager and re-syncs the
-    # config, but the manager is authoritative if they ever disagree (a
-    # checkpoint that under-counts buckets would rebuild a manager too
-    # small for the grown bucket ids and corrupt the restore).
-    _w_u32(fp, index.buckets.nbuckets)
+# -- the configuration header ----------------------------------------------------
+#
+# What a copy of an index carries of its configuration: fault plans,
+# crash safety and bucket growth are the host's, never the checkpoint's.
+
+
+def _w_config(fp: BinaryIO, cfg: IndexConfig) -> None:
+    _w_u32(fp, cfg.nbuckets)
     _w_u32(fp, cfg.bucket_size)
     _w_u32(fp, cfg.block_postings)
     _w_u32(fp, cfg.ndisks)
@@ -235,72 +241,222 @@ def _save(index: DualStructureIndex, fp: BinaryIO) -> None:
     _w_u64(fp, cfg.nblocks_override or 0)
     _w_u32(fp, 1 if cfg.trace_enabled else 0)
     _w_u32(fp, cfg.directory_entry_bytes)
-    profile = cfg.profile or SEAGATE_SCSI_1994
-    _w_str(fp, profile.name)
-    # progress
-    _w_u64(fp, index._batches)
-    _w_u64(fp, index._next_doc_id)
-    _w_u32(fp, index.array._next_disk)
-    # directory
-    entries = list(index.longlists.directory.entries())
-    _w_u64(fp, len(entries))
-    for entry in entries:
-        _w_u64(fp, entry.word)
-        _w_u32(fp, len(entry.chunks))
-        for chunk in entry.chunks:
-            _w_chunk(fp, chunk)
+    _w_str(fp, (cfg.profile or SEAGATE_SCSI_1994).name)
+
+
+def _r_config(fp: BinaryIO) -> IndexConfig:
+    return IndexConfig(
+        nbuckets=_r_u32(fp),
+        bucket_size=_r_u32(fp),
+        block_postings=_r_u32(fp),
+        ndisks=_r_u32(fp),
+        allocator=_r_str(fp),
+        policy=Policy(
+            style=Style(_r_str(fp)),
+            limit=Limit(_r_str(fp)),
+            alloc=Alloc(_r_str(fp)),
+            k=_r_f64(fp),
+            extent_blocks=_r_u32(fp),
+        ),
+        store_contents=bool(_r_u32(fp)),
+        positional=bool(_r_u32(fp)),
+        nblocks_override=_r_u64(fp) or None,
+        trace_enabled=bool(_r_u32(fp)),
+        directory_entry_bytes=_r_u32(fp),
+        profile=PROFILES.get(_r_str(fp), SEAGATE_SCSI_1994),
+    )
+
+
+def save_header(index: DualStructureIndex, fp: BinaryIO) -> None:
+    """Write a checkpoint's header: magic, version and the configuration
+    of the empty index its body — :func:`save_record` with every key
+    dirty — applies to.
+
+    The bucket count is taken from the *live* manager, not the config:
+    bucket growth enlarges the manager and re-syncs the config, but the
+    manager is authoritative if they ever disagree (a header that
+    under-counts buckets would build a manager too small for the grown
+    bucket ids).
+    """
+    _check_boundary(index)
+    faults.crash_point(CP_BEGIN_SAVE)
+    fp.write(_MAGIC)
+    fp.write(bytes([_VERSION]))
+    _w_config(fp, _dc_replace(index.config, nbuckets=index.buckets.nbuckets))
     faults.crash_point(CP_MID_SAVE)
-    # buckets
-    nonempty = [
-        (i, b) for i, b in enumerate(index.buckets.buckets) if b.lists
-    ]
-    _w_u64(fp, len(nonempty))
-    for bucket_id, bucket in nonempty:
-        _w_u32(fp, bucket_id)
-        _w_u32(fp, len(bucket.lists))
-        for word, payload in bucket.lists.items():
-            _w_u64(fp, word)
-            _w_payload(fp, payload)
-    _w_regions(fp, index)
-    _w_freelists(fp, index)
-    # disk contents
-    _w_u32(fp, 1 if cfg.store_contents else 0)
-    if cfg.store_contents:
-        for disk in index.array.disks:
-            blocks = disk._blocks
-            _w_u64(fp, len(blocks))
-            for block, data in blocks.items():
-                _w_u64(fp, block)
-                _w_bytes(fp, data)
-    _w_counters(fp, index)
-    # adaptive-allocation update-size estimates
-    sizes = index.longlists._update_sizes
-    _w_u64(fp, len(sizes))
-    for word, estimate in sizes.items():
-        _w_u64(fp, word)
-        _w_f64(fp, estimate)
-    faults.crash_point(CP_END_SAVE)
 
 
-# Sections a checkpoint and a redo record both carry whole: each is small
-# and rewritten by every batch.
+def load_header(fp: BinaryIO) -> IndexConfig:
+    """The configuration a :func:`save_header` header names."""
+    if fp.read(4) != _MAGIC:
+        raise CheckpointError("not a dual-structure index checkpoint")
+    version = fp.read(1)
+    if version != bytes([_VERSION]):
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
+    return _r_config(fp)
+
+
+# -- checkpoints -------------------------------------------------------------------
+
+
+def save(index: DualStructureIndex, target) -> None:
+    """Write a checkpoint of ``index`` to a path or binary file object.
+
+    Raises :class:`CheckpointError` when the in-memory batch is not empty
+    (checkpoints happen at batch boundaries) or the array uses a buddy
+    allocator (whose internal state is not interval-shaped).
+    """
+    if hasattr(target, "write"):
+        _save(index, target)
+    else:
+        with open(target, "wb") as fp:
+            _save(index, fp)
+
+
+def _save(index: DualStructureIndex, fp: BinaryIO) -> None:
+    save_header(index, fp)
+    save_record(index, None, fp)
+
+
+def load(source) -> DualStructureIndex:
+    """Reconstruct a :class:`DualStructureIndex` from a checkpoint."""
+    if hasattr(source, "read"):
+        return _load(source)
+    with open(source, "rb") as fp:
+        return _load(fp)
+
+
+def _load(fp: BinaryIO) -> DualStructureIndex:
+    index = DualStructureIndex(load_header(fp))
+    apply_record(index, fp)
+    return index
+
+
+# -- redo records -------------------------------------------------------------------
+#
+# A record takes a writer's state to a later batch boundary: the
+# post-image of exactly the dirty set a DeltaJournal names.  Every
+# ordered mapping of the state (directory entries, each bucket's short
+# lists, each disk's blocks, update-size estimates) travels as a
+# *delta*, so that the state a record restores saves to the writer's own
+# bytes, iteration order included.
+#
+# Why a delta can carry the order: every key outside the dirty set was
+# untouched, so it still sits where it sat.  A key inserted since (new,
+# or removed and put back) went to the end of the mapping, after all of
+# those.  Cut the longest run of dirty keys off the end — the *tail* —
+# and every other dirty key still in the mapping (the *head*) was only
+# reassigned in place.  The restore drops every dirty key that is not in
+# the head, assigns the head in place and appends the tail in order.  A
+# dirty set that over-records is still exact: an untouched key marked
+# dirty lands in the head, or in a tail that re-appends it where it was.
+#
+# A checkpoint's body is the record cut from the empty index: every key
+# is dirty (``None`` below), so each mapping has no head and is written
+# whole as its tail, with no per-key membership test or sort, and the
+# restore fills the empty mapping with one ``update``.
+
+#: A dirty-key list's length word meaning "every key" (a checkpoint).
+_EVERY = 0xFFFFFFFF
+
+
+def _w_dirty(fp: BinaryIO, keys) -> None:
+    """A dirty key set, or ``None`` for every key."""
+    if keys is None:
+        _w_u32(fp, _EVERY)
+    else:
+        _w_bytes(fp, encode_doc_ids(sorted(keys)))
+
+
+def _r_dirty(fp: BinaryIO) -> list[int] | None:
+    n = _r_u32(fp)
+    if n == _EVERY:
+        return None
+    data = _r_exact(fp, n)
+    try:
+        return decode_doc_ids(data)
+    except ValueError as exc:
+        raise CheckpointError(f"corrupt redo record ({exc})") from exc
+
+
+def _w_delta(fp: BinaryIO, mapping, dirty, write_value) -> None:
+    """Head then tail entries of ``mapping`` over the keys ``dirty``."""
+    if dirty is None:
+        head, tail = (), mapping.items()
+    else:
+        keys = []
+        for key in reversed(mapping):
+            if key not in dirty:
+                break
+            keys.append(key)
+        keys.reverse()
+        in_tail = set(keys)
+        head = [
+            (key, mapping[key])
+            for key in sorted(
+                k for k in dirty if k in mapping and k not in in_tail
+            )
+        ]
+        tail = [(key, mapping[key]) for key in keys]
+    for entries in (head, tail):
+        _w_u32(fp, len(entries))
+        for key, value in entries:
+            _w_u64(fp, key)
+            write_value(fp, value)
+
+
+def _r_delta(fp: BinaryIO, mapping: dict, dirty, read_value) -> list:
+    """Inverse of :func:`_w_delta`, applied to ``mapping`` in place;
+    returns the entries it assigned."""
+    head = [(_r_u64(fp), read_value(fp)) for _ in range(_r_u32(fp))]
+    tail = [(_r_u64(fp), read_value(fp)) for _ in range(_r_u32(fp))]
+    if dirty is not None:
+        kept = {key for key, _ in head}
+        for key in dirty:
+            if key not in kept:
+                mapping.pop(key, None)
+    for key, value in head:
+        if key not in mapping:
+            raise CheckpointError(
+                "redo record does not chain onto this state"
+            )
+        mapping[key] = value
+    mapping.update(tail)
+    return head + tail
+
+
+def _by_bucket(buckets: BucketManager, words) -> dict[int, set[int] | None]:
+    """The dirty key set of each bucket's lists: the dirty words grouped
+    by the bucket that holds (or would hold) each one's short list, or
+    every key of every bucket when ``words`` is ``None``."""
+    if words is None:
+        return dict.fromkeys(range(buckets.nbuckets))
+    groups: dict[int, set[int]] = {}
+    for word in words:
+        groups.setdefault(buckets.bucket_of(word), set()).add(word)
+    return groups
+
+
+# Sections a record carries whole: each is small and rewritten by every
+# batch.
 
 
 def _w_regions(fp: BinaryIO, index: DualStructureIndex) -> None:
-    """Flush regions (shadow bookkeeping)."""
-    _w_u32(fp, len(index.flusher._bucket_regions))
-    for chunk in index.flusher._bucket_regions:
-        _w_chunk(fp, chunk)
+    """The chunks no directory entry owns: flush regions (shadow
+    bookkeeping) and the RELEASE list a deletion sweep leaves for the
+    next flush to free."""
+    _w_chunks(fp, index.flusher._bucket_regions)
     have_dir = index.flusher._directory_region is not None
     _w_u32(fp, 1 if have_dir else 0)
     if have_dir:
         _w_chunk(fp, index.flusher._directory_region)
+    _w_chunks(fp, index.longlists.release)
 
 
 def _r_regions(fp: BinaryIO, index: DualStructureIndex) -> None:
-    nregions = _r_u32(fp)
-    index.flusher._bucket_regions = [_r_chunk(fp) for _ in range(nregions)]
+    index.flusher._bucket_regions = _r_chunks(fp)
     index.flusher._directory_region = _r_chunk(fp) if _r_u32(fp) else None
+    index.longlists.release = _r_chunks(fp)
 
 
 def _w_freelists(fp: BinaryIO, index: DualStructureIndex) -> None:
@@ -355,203 +511,38 @@ def _r_counters(fp: BinaryIO, index: DualStructureIndex) -> None:
         setattr(c, name, _r_u64(fp))
 
 
-# -- load -----------------------------------------------------------------------
-
-
-def load(source) -> DualStructureIndex:
-    """Reconstruct a :class:`DualStructureIndex` from a checkpoint."""
-    if hasattr(source, "read"):
-        return _load(source)
-    with open(source, "rb") as fp:
-        return _load(fp)
-
-
-def _load(fp: BinaryIO) -> DualStructureIndex:
-    if fp.read(4) != _MAGIC:
-        raise CheckpointError("not a dual-structure index checkpoint")
-    version = fp.read(1)
-    if version != bytes([_VERSION]):
-        raise CheckpointError(f"unsupported checkpoint version {version!r}")
-    nbuckets = _r_u32(fp)
-    bucket_size = _r_u32(fp)
-    block_postings = _r_u32(fp)
-    ndisks = _r_u32(fp)
-    allocator = _r_str(fp)
-    policy = Policy(
-        style=Style(_r_str(fp)),
-        limit=Limit(_r_str(fp)),
-        alloc=Alloc(_r_str(fp)),
-        k=_r_f64(fp),
-        extent_blocks=_r_u32(fp),
-    )
-    store_contents = bool(_r_u32(fp))
-    positional = bool(_r_u32(fp))
-    nblocks_override = _r_u64(fp) or None
-    trace_enabled = bool(_r_u32(fp))
-    directory_entry_bytes = _r_u32(fp)
-    profile_name = _r_str(fp)
-    profile = PROFILES.get(profile_name, SEAGATE_SCSI_1994)
-    config = IndexConfig(
-        nbuckets=nbuckets,
-        bucket_size=bucket_size,
-        block_postings=block_postings,
-        ndisks=ndisks,
-        allocator=allocator,
-        policy=policy,
-        store_contents=store_contents,
-        positional=positional,
-        nblocks_override=nblocks_override,
-        trace_enabled=trace_enabled,
-        directory_entry_bytes=directory_entry_bytes,
-        profile=profile,
-    )
-    index = DualStructureIndex(config)
-    index._batches = _r_u64(fp)
-    index._next_doc_id = _r_u64(fp)
-    index.array._next_disk = _r_u32(fp)
-    # directory
-    nentries = _r_u64(fp)
-    for _ in range(nentries):
-        word = _r_u64(fp)
-        nchunks = _r_u32(fp)
-        entry = index.longlists.directory.entry(word)
-        for _ in range(nchunks):
-            entry.chunks.append(_r_chunk(fp))
-    # buckets
-    nbucket_records = _r_u64(fp)
-    for _ in range(nbucket_records):
-        bucket_id = _r_u32(fp)
-        nwords = _r_u32(fp)
-        bucket = index.buckets.buckets[bucket_id]
-        for _ in range(nwords):
-            word = _r_u64(fp)
-            payload = _r_payload(fp)
-            bucket.lists[word] = payload
-            bucket.npostings += len(payload)
-    _r_regions(fp, index)
-    _r_freelists(fp, index)
-    # disk contents
-    if _r_u32(fp):
-        for disk in index.array.disks:
-            nblocks_stored = _r_u64(fp)
-            for _ in range(nblocks_stored):
-                block = _r_u64(fp)
-                disk._blocks[block] = _r_bytes(fp)
-    _r_counters(fp, index)
-    # adaptive-allocation update-size estimates
-    nsizes = _r_u64(fp)
-    for _ in range(nsizes):
-        word = _r_u64(fp)
-        index.longlists._update_sizes[word] = _r_f64(fp)
-    return index
-
-
-# -- redo records -----------------------------------------------------------------
-#
-# A record takes a checkpoint's state to a later batch boundary of the
-# same writer: the post-image of exactly the dirty set a DeltaJournal
-# names.  Every ordered mapping a checkpoint writes (directory entries,
-# each bucket's short lists, each disk's blocks, update-size estimates)
-# travels as a *delta*, so that the state a record restores saves to the
-# writer's own bytes, iteration order included.
-#
-# Why a delta can carry the order: every key outside the dirty set was
-# untouched, so it still sits where it sat.  A key inserted since (new,
-# or removed and put back) went to the end of the mapping, after all of
-# those.  Cut the longest run of dirty keys off the end — the *tail* —
-# and every other dirty key still in the mapping (the *head*) was only
-# reassigned in place.  The restore drops every dirty key that is not in
-# the head, assigns the head in place and appends the tail in order.  A
-# dirty set that over-records is still exact: an untouched key marked
-# dirty lands in the head, or in a tail that re-appends it where it was.
-
-_RECORD_MAGIC = b"DSRD"
-
-
-def _w_delta(fp: BinaryIO, mapping: dict, dirty, write_value) -> None:
-    """Head then tail entries of ``mapping`` over the keys ``dirty``."""
-    tail = []
-    for key in reversed(mapping):
-        if key not in dirty:
-            break
-        tail.append(key)
-    tail.reverse()
-    in_tail = set(tail)
-    head = sorted(k for k in dirty if k in mapping and k not in in_tail)
-    for keys in (head, tail):
-        _w_u32(fp, len(keys))
-        for key in keys:
-            _w_u64(fp, key)
-            write_value(fp, mapping[key])
-
-
-def _r_delta(fp: BinaryIO, mapping: dict, dirty, read_value) -> None:
-    """Inverse of :func:`_w_delta`, applied to ``mapping`` in place."""
-    head = [(_r_u64(fp), read_value(fp)) for _ in range(_r_u32(fp))]
-    tail = [(_r_u64(fp), read_value(fp)) for _ in range(_r_u32(fp))]
-    kept = {key for key, _ in head}
-    for key in dirty:
-        if key not in kept:
-            mapping.pop(key, None)
-    for key, value in head:
-        if key not in mapping:
-            raise CheckpointError(
-                "redo record does not chain onto this state"
-            )
-        mapping[key] = value
-    mapping.update(tail)
-
-
-def _w_ids(fp: BinaryIO, ids) -> None:
-    _w_bytes(fp, encode_doc_ids(sorted(ids)))
-
-
-def _r_ids(fp: BinaryIO) -> list[int]:
-    try:
-        return decode_doc_ids(_r_bytes(fp))
-    except ValueError as exc:
-        raise CheckpointError(f"corrupt redo record ({exc})") from exc
-
-
-def _by_bucket(buckets: BucketManager, words) -> dict[int, set[int]]:
-    """The dirty words grouped by the bucket that holds (or would hold)
-    each one's short list — the dirty key set of that bucket's lists."""
-    groups: dict[int, set[int]] = {}
-    for word in words:
-        groups.setdefault(buckets.bucket_of(word), set()).add(word)
-    return groups
-
-
-def _w_chunks(fp: BinaryIO, entry: LongListEntry) -> None:
-    _w_u32(fp, len(entry.chunks))
-    for chunk in entry.chunks:
-        _w_chunk(fp, chunk)
-
-
-def save_record(index: DualStructureIndex, dirty: DeltaJournal, fp) -> None:
+def save_record(
+    index: DualStructureIndex, dirty: DeltaJournal | None, fp
+) -> None:
     """Write the redo record from an earlier boundary of ``index`` to now.
 
     ``dirty`` is a journal covering every mutation since that boundary
     (a union of publish journals).  Only its dirty words' short lists and
     directory entries, its dirty blocks and the small whole sections
-    (flush regions, free intervals, counters, progress) are written, so
-    the record costs what the batches since touched.  Same boundary rule
-    as :func:`save`; raises :class:`CheckpointError` when the journal
-    cannot vouch for the divergence (bucket growth, crash recovery) —
-    the caller takes a full checkpoint instead.
+    (flush regions, the RELEASE list, free intervals, counters, progress)
+    are written, so the record costs what the batches since touched.
+    ``dirty=None`` cuts the record from the empty index, every key dirty:
+    a checkpoint's body.  Same boundary rule as :func:`save`; raises
+    :class:`CheckpointError` when the journal cannot vouch for the
+    divergence (bucket growth, crash recovery) — the caller takes a full
+    checkpoint instead.
     """
-    if len(index.memory) != 0:
-        raise CheckpointError(
-            "a redo record requires an empty in-memory batch; call "
-            "flush_batch() first"
-        )
-    if dirty.requires_full:
-        raise CheckpointError(
-            "the journal cannot vouch for a redo record (structure change "
-            "or crash recovery since the chained boundary)"
-        )
-    if not index.config.store_contents:
-        raise CheckpointError("a redo record requires content mode")
+    _check_boundary(index)
+    if dirty is None:
+        words = None
+        blocks = [None] * len(index.array.disks)
+    else:
+        if dirty.requires_full:
+            raise CheckpointError(
+                "the journal cannot vouch for a redo record (structure "
+                "change or crash recovery since the chained boundary)"
+            )
+        if not index.config.store_contents:
+            raise CheckpointError("a redo record requires content mode")
+        words = dirty.dirty_words
+        blocks = [set() for _ in index.array.disks]
+        for disk_id, block in dirty.dirty_blocks:
+            blocks[disk_id].add(block)
     fp.write(_RECORD_MAGIC)
     fp.write(bytes([_VERSION]))
     buckets = index.buckets
@@ -559,41 +550,36 @@ def save_record(index: DualStructureIndex, dirty: DeltaJournal, fp) -> None:
     _w_u64(fp, index._batches)
     _w_u64(fp, index._next_doc_id)
     _w_u32(fp, index.array._next_disk)
-    words = dirty.dirty_words
-    _w_ids(fp, words)
+    _w_dirty(fp, words)
     longlists = index.longlists
-    _w_delta(fp, longlists.directory._entries, words, _w_chunks)
-    by_bucket = _by_bucket(buckets, words)
-    _w_u32(fp, len(by_bucket))
-    for bucket_id in sorted(by_bucket):
+    _w_delta(fp, longlists.directory._entries, words, _w_entry)
+    # A checkpoint names only the buckets that hold lists.
+    groups = [
+        (bucket_id, group)
+        for bucket_id, group in sorted(_by_bucket(buckets, words).items())
+        if group is not None or buckets.buckets[bucket_id].lists
+    ]
+    _w_u32(fp, len(groups))
+    for bucket_id, group in groups:
         _w_u32(fp, bucket_id)
-        _w_delta(
-            fp,
-            buckets.buckets[bucket_id].lists,
-            by_bucket[bucket_id],
-            _w_payload,
-        )
+        _w_delta(fp, buckets.buckets[bucket_id].lists, group, _w_payload)
     _w_delta(fp, longlists._update_sizes, words, _w_f64)
     _w_regions(fp, index)
     _w_freelists(fp, index)
-    by_disk: list[set[int]] = [set() for _ in index.array.disks]
-    for disk_id, block in dirty.dirty_blocks:
-        by_disk[disk_id].add(block)
-    for disk, blocks in zip(index.array.disks, by_disk):
-        _w_ids(fp, blocks)
-        _w_delta(fp, disk._blocks, blocks, _w_bytes)
+    for disk, dirty_blocks in zip(index.array.disks, blocks):
+        _w_dirty(fp, dirty_blocks)
+        _w_delta(fp, disk._blocks, dirty_blocks, _w_bytes)
     _w_counters(fp, index)
-
-
-def _r_chunks(fp: BinaryIO) -> list[Chunk]:
-    return [_r_chunk(fp) for _ in range(_r_u32(fp))]
+    if dirty is None:
+        faults.crash_point(CP_END_SAVE)
 
 
 def apply_record(index: DualStructureIndex, fp) -> None:
     """Apply one :func:`save_record` record to ``index`` in place.
 
-    ``index`` must hold exactly the state the record was cut from (a
-    loaded checkpoint, with the records before this one applied);
+    ``index`` must hold exactly the state the record was cut from (for a
+    checkpoint's body, the empty index :func:`load` builds; otherwise
+    the restored state with the records before this one applied);
     raises :class:`CheckpointError` on a truncated or foreign record and
     where the state visibly does not match.
     """
@@ -608,27 +594,24 @@ def apply_record(index: DualStructureIndex, fp) -> None:
     index._batches = _r_u64(fp)
     index._next_doc_id = _r_u64(fp)
     index.array._next_disk = _r_u32(fp)
-    words = _r_ids(fp)
+    words = _r_dirty(fp)
     longlists = index.longlists
     entries = longlists.directory._entries
-    _r_delta(fp, entries, words, _r_chunks)
-    for word in words:
-        chunks = entries.get(word)
-        if isinstance(chunks, list):
-            entries[word] = LongListEntry(word=word, chunks=chunks)
-    by_bucket = _by_bucket(buckets, words)
+    for word, chunks in _r_delta(fp, entries, words, _r_chunks):
+        entries[word] = LongListEntry(word=word, chunks=chunks)
+    groups = _by_bucket(buckets, words)
     for _ in range(_r_u32(fp)):
         bucket_id = _r_u32(fp)
-        if bucket_id not in by_bucket:
+        if bucket_id not in groups:
             raise CheckpointError("corrupt redo record (bucket id)")
         bucket = buckets.buckets[bucket_id]
-        _r_delta(fp, bucket.lists, by_bucket[bucket_id], _r_payload)
+        _r_delta(fp, bucket.lists, groups[bucket_id], _r_payload)
         bucket.npostings = sum(map(len, bucket.lists.values()))
     _r_delta(fp, longlists._update_sizes, words, _r_f64)
     _r_regions(fp, index)
     _r_freelists(fp, index)
     for disk in index.array.disks:
-        _r_delta(fp, disk._blocks, _r_ids(fp), _r_bytes)
+        _r_delta(fp, disk._blocks, _r_dirty(fp), _r_bytes)
     _r_counters(fp, index)
 
 
@@ -648,36 +631,30 @@ def clone(index: DualStructureIndex) -> DualStructureIndex:
     return load(buf)
 
 
-def roundtrip(index: DualStructureIndex) -> DualStructureIndex:
-    """Save to memory and load back (test/debug convenience)."""
-    return clone(index)
-
-
 # -- incremental copy-on-write clone -------------------------------------------
 
 
-def _config_fingerprint(cfg: IndexConfig) -> tuple:
-    """The structural parameters two clones of one index must agree on.
+def _copy_chunks(chunks: list[Chunk]) -> list[Chunk]:
+    """Fresh chunk records: the writer mutates its own in place."""
+    return [
+        Chunk(
+            disk=c.disk,
+            start=c.start,
+            nblocks=c.nblocks,
+            npostings=c.npostings,
+            reserved=c.reserved,
+        )
+        for c in chunks
+    ]
 
-    This is exactly the projection the serialized format round-trips —
-    fault plans, crash safety, and bucket growth are deliberately absent
-    (``_load`` never reconstructs them), so a full clone and an
-    incremental clone of the same writer compare equal.
-    """
-    return (
-        cfg.nbuckets,
-        cfg.bucket_size,
-        cfg.block_postings,
-        cfg.ndisks,
-        cfg.allocator,
-        cfg.policy,
-        cfg.store_contents,
-        cfg.positional,
-        cfg.nblocks_override,
-        cfg.trace_enabled,
-        cfg.directory_entry_bytes,
-        (cfg.profile or SEAGATE_SCSI_1994).name,
-    )
+
+def _config_fingerprint(cfg: IndexConfig) -> bytes:
+    """The structural parameters two clones of one index must agree on:
+    the configuration header a checkpoint carries, so a full clone and an
+    incremental clone of the same writer compare equal."""
+    buf = io.BytesIO()
+    _w_config(buf, cfg)
+    return buf.getvalue()
 
 
 def clone_incremental(
@@ -699,7 +676,8 @@ def clone_incremental(
       :class:`~repro.storage.blockmap.LayeredBlocks` overlay whose only
       own entries are the batch's dirty blocks (rewrites carry the
       writer's bytes, frees are masked with ``ABSENT``);
-    * dirty words and flush regions are copied fresh from the writer,
+    * dirty words, flush regions and the RELEASE list are copied fresh
+      from the writer,
       never aliased to it; a dirty bucket gets a fresh list table that
       copies the batch's words' short lists from the writer and shares
       every other word's list with ``prev``.
@@ -721,21 +699,7 @@ def clone_incremental(
         )
     if not cfg.store_contents:
         raise CheckpointError("incremental clone requires content mode")
-    if len(index.memory) != 0:
-        raise CheckpointError(
-            "incremental clone requires an empty in-memory batch; call "
-            "flush_batch() first"
-        )
-    if index.longlists.release:
-        raise CheckpointError(
-            "incremental clone requires an empty RELEASE list (publish at "
-            "a batch boundary, not mid-sweep)"
-        )
-    for disk in index.array.disks:
-        if isinstance(disk.freelist, BuddyFreeList):
-            raise CheckpointError(
-                "buddy allocator state is not checkpointable"
-            )
+    _check_boundary(index)
     if _config_fingerprint(cfg) != _config_fingerprint(index.config):
         raise CheckpointError(
             "previous clone was built from a different configuration"
@@ -819,49 +783,27 @@ def clone_incremental(
             entries.pop(word, None)
         else:
             entries[word] = LongListEntry(
-                word=word,
-                chunks=[
-                    Chunk(
-                        disk=c.disk,
-                        start=c.start,
-                        nblocks=c.nblocks,
-                        npostings=c.npostings,
-                        reserved=c.reserved,
-                    )
-                    for c in source_entry.chunks
-                ],
+                word=word, chunks=_copy_chunks(source_entry.chunks)
             )
     out.longlists.directory._entries = entries
     out.longlists.counters = _dc_replace(index.longlists.counters)
     out.longlists._update_sizes = dict(index.longlists._update_sizes)
 
-    # Flush regions: small, always rewritten each batch — copy fresh.
-    # FlushCounters stay zero, matching what a load reconstructs.
+    # Flush regions and the RELEASE list: small, always rewritten each
+    # batch — copy fresh.  FlushCounters stay zero, matching what a load
+    # reconstructs.
     out.flusher = FlushManager(
         out.array,
         cfg.block_postings,
         trace=out.trace,
         directory_entry_bytes=cfg.directory_entry_bytes,
     )
-    out.flusher._bucket_regions = [
-        Chunk(
-            disk=c.disk,
-            start=c.start,
-            nblocks=c.nblocks,
-            npostings=c.npostings,
-            reserved=c.reserved,
-        )
-        for c in index.flusher._bucket_regions
-    ]
+    out.flusher._bucket_regions = _copy_chunks(index.flusher._bucket_regions)
     if index.flusher._directory_region is not None:
-        c = index.flusher._directory_region
-        out.flusher._directory_region = Chunk(
-            disk=c.disk,
-            start=c.start,
-            nblocks=c.nblocks,
-            npostings=c.npostings,
-            reserved=c.reserved,
-        )
+        out.flusher._directory_region = _copy_chunks(
+            [index.flusher._directory_region]
+        )[0]
+    out.longlists.release = _copy_chunks(index.longlists.release)
     out.memory = InMemoryIndex()
     out.grower = None
     out._batches = index._batches

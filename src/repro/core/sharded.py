@@ -186,18 +186,21 @@ class ShardedTextIndex:
                 f"doc id {doc_id} below next id {self._next_doc_id}: "
                 "ids must be non-decreasing"
             )
-        if doc_id > self._next_doc_id:
-            self._holes.update(range(self._next_doc_id, doc_id))
         self.shards[self.route(doc_id)].add_document(text, doc_id=doc_id)
+        # Only an accepted add leaves holes behind it (the gateway's rule).
+        self._holes.update(range(self._next_doc_id, doc_id))
         self._next_doc_id = doc_id + 1
         return doc_id
 
     def delete_document(self, doc_id: int) -> None:
-        """Route the deletion to the shard that indexed the document."""
+        """Route the deletion to the shard that indexed the document;
+        refused, as the gateway refuses it, for an id never added."""
         if not 0 <= doc_id < self._next_doc_id:
             raise ValueError(
                 f"doc id {doc_id} outside [0, {self._next_doc_id})"
             )
+        if doc_id in self._holes:
+            raise ValueError(f"doc id {doc_id} was never added")
         self.shards[self.route(doc_id)].delete_document(doc_id)
         self._deleted.add(doc_id)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .core import checkpoint
 from .core.deletion import DeletionManager, SweepStats
@@ -407,8 +408,10 @@ class TextDocumentIndex:
     _MAGIC = b"DSTX"
 
     def save(self, target) -> None:
-        """Persist the whole text index to one file: the core checkpoint,
-        the vocabulary, and the deletion filter set.
+        """Persist the whole text index to one file: the core
+        checkpoint's configuration header, then the redo record cut from
+        the empty index — every word's lists, the whole vocabulary and
+        the whole deletion set.
 
         Like core checkpoints, saving happens at batch boundaries (flush
         first).  ``target`` is a path or binary file object.
@@ -421,25 +424,15 @@ class TextDocumentIndex:
 
     def _save(self, fp) -> None:
         fp.write(self._MAGIC)
-        core = io.BytesIO()
-        checkpoint.save(self.index, core)
-        blob = core.getvalue()
-        fp.write(struct.pack("<Q", len(blob)))
-        fp.write(blob)
-        words = list(self.vocabulary.words())
-        fp.write(struct.pack("<Q", len(words)))
-        for word in words:
-            data = word.encode("utf-8")
-            fp.write(struct.pack("<I", len(data)))
-            fp.write(data)
-        deleted = sorted(self.deletions.deleted)
-        fp.write(struct.pack("<Q", len(deleted)))
-        for doc_id in deleted:
-            fp.write(struct.pack("<Q", doc_id))
+        checkpoint.save_header(self.index, fp)
+        self.save_record(fp, None, (0, 0))
 
     @classmethod
     def load(cls, source) -> "TextDocumentIndex":
-        """Restore a text index saved by :meth:`save`."""
+        """Restore a text index saved by :meth:`save`: build the empty
+        index its header names and apply its record.  Raises
+        :class:`~repro.core.checkpoint.CheckpointError` on a truncated
+        or foreign file."""
         if hasattr(source, "read"):
             return cls._load(source)
         with open(source, "rb") as fp:
@@ -448,24 +441,9 @@ class TextDocumentIndex:
     @classmethod
     def _load(cls, fp) -> "TextDocumentIndex":
         if fp.read(4) != cls._MAGIC:
-            raise ValueError("not a text-index snapshot")
-        (core_len,) = struct.unpack("<Q", fp.read(8))
-        core = checkpoint.load(io.BytesIO(fp.read(core_len)))
-        index = cls.__new__(cls)
-        index.index = core
-        index.vocabulary = Vocabulary()
-        (nwords,) = struct.unpack("<Q", fp.read(8))
-        for _ in range(nwords):
-            (wlen,) = struct.unpack("<I", fp.read(4))
-            index.vocabulary.id_of(fp.read(wlen).decode("utf-8"))
-        index.tokenizer_config = None
-        index.region_rules = None
-        index.deletions = DeletionManager(core)
-        (ndeleted,) = struct.unpack("<Q", fp.read(8))
-        for _ in range(ndeleted):
-            (doc_id,) = struct.unpack("<Q", fp.read(8))
-            index.deletions.deleted.add(doc_id)
-        index._last_read_ops = 0
+            raise checkpoint.CheckpointError("not a text-index snapshot")
+        index = cls(checkpoint.load_header(fp))
+        index._apply_record(fp)
         return index
 
     # -- redo records (base + chain) ------------------------------------------------
@@ -486,9 +464,11 @@ class TextDocumentIndex:
         every mutation since ``mark`` was taken.  The record holds the
         core record of :func:`repro.core.checkpoint.save_record`, the
         words the vocabulary gained and, when it changed, the deletion
-        set.  Raises :class:`~repro.core.checkpoint.CheckpointError`
-        where :meth:`save` would, or when the journal cannot vouch for a
-        record (growth, crash recovery): take a base instead.
+        set.  ``dirty=None`` with mark ``(0, 0)`` is the record from the
+        empty index, the body of :meth:`save`.  Raises
+        :class:`~repro.core.checkpoint.CheckpointError` where :meth:`save`
+        would, or when the journal cannot vouch for a record (growth,
+        crash recovery): take a base instead.
         """
         batches, nwords = mark
         target.write(self._RECORD_MAGIC)
@@ -498,13 +478,17 @@ class TextDocumentIndex:
         blob = core.getvalue()
         target.write(struct.pack("<Q", len(blob)))
         target.write(blob)
+        # The words the vocabulary gained: their lengths in characters,
+        # then all of them as one UTF-8 run.
         words = self.vocabulary._words[nwords:]
-        target.write(struct.pack("<Q", len(words)))
-        for word in words:
-            data = word.encode("utf-8")
-            target.write(struct.pack("<I", len(data)))
-            target.write(data)
-        if dirty.deletions_changed:
+        data = "".join(words).encode("utf-8")
+        target.write(
+            struct.pack(
+                f"<QQ{len(words)}I", len(words), len(data), *map(len, words)
+            )
+        )
+        target.write(data)
+        if dirty is None or dirty.deletions_changed:
             deleted = sorted(self.deletions.deleted)
             target.write(struct.pack("<Q", len(deleted)))
             target.write(struct.pack(f"<{len(deleted)}Q", *deleted))
@@ -516,7 +500,8 @@ class TextDocumentIndex:
         """The index a :meth:`save` blob plus its chain of redo records
         describes: load ``base``, then apply each record in order.
 
-        The one reader of records.  The result saves to exactly the bytes
+        A base is itself a record, from the empty index, so every step
+        is :meth:`_apply_record`.  The result saves to exactly the bytes
         the writer's own :meth:`save` produced at the last record's
         boundary.  Raises :class:`~repro.core.checkpoint.CheckpointError`
         on a truncated record or one that does not chain onto the state
@@ -547,9 +532,15 @@ class TextDocumentIndex:
         checkpoint.apply_record(self.index, core_fp)
         if core_fp.read(1):
             raise checkpoint.CheckpointError("corrupt redo record (core)")
-        (nwords,) = read("<Q")
-        for _ in range(nwords):
-            self.vocabulary.id_of(take(*read("<I")).decode("utf-8"))
+        nwords, nbytes = read("<QQ")
+        lengths = read(f"<{nwords}I")
+        text = take(nbytes).decode("utf-8")
+        if sum(lengths) != len(text):
+            raise checkpoint.CheckpointError("corrupt redo record (words)")
+        ends = list(accumulate(lengths))
+        self.vocabulary.ids_of(
+            text[start:end] for start, end in zip([0, *ends], ends)
+        )
         (ndeleted,) = read("<Q")
         if ndeleted != _UNCHANGED:
             self.deletions.deleted = set(read(f"<{ndeleted}Q"))

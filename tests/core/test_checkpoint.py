@@ -34,7 +34,7 @@ def populate(idx, batches=6, docs=15):
 class TestRoundtrip:
     def test_directory_and_buckets_survive(self):
         idx = populate(make_index())
-        restored = checkpoint.roundtrip(idx)
+        restored = checkpoint.clone(idx)
         assert sorted(restored.directory.words()) == sorted(
             idx.directory.words()
         )
@@ -44,13 +44,13 @@ class TestRoundtrip:
     def test_queries_work_after_restore(self):
         idx = populate(make_index())
         expected = {w: idx.fetch(w)[0].doc_ids for w in (1, 2, 3, 10)}
-        restored = checkpoint.roundtrip(idx)
+        restored = checkpoint.clone(idx)
         for word, docs in expected.items():
             assert restored.fetch(word)[0].doc_ids == docs
 
     def test_updates_continue_after_restore(self):
         idx = populate(make_index())
-        restored = checkpoint.roundtrip(idx)
+        restored = checkpoint.clone(idx)
         before = restored.posting_count(1)
         restored.add_document([1])
         restored.flush_batch()
@@ -58,7 +58,7 @@ class TestRoundtrip:
 
     def test_counters_survive(self):
         idx = populate(make_index())
-        restored = checkpoint.roundtrip(idx)
+        restored = checkpoint.clone(idx)
         assert (
             restored.longlists.counters.in_place_updates
             == idx.longlists.counters.in_place_updates
@@ -69,7 +69,7 @@ class TestRoundtrip:
 
     def test_free_space_maps_survive(self):
         idx = populate(make_index())
-        restored = checkpoint.roundtrip(idx)
+        restored = checkpoint.clone(idx)
         assert [d.free_blocks for d in restored.array.disks] == [
             d.free_blocks for d in idx.array.disks
         ]
@@ -78,7 +78,7 @@ class TestRoundtrip:
         idx = populate(
             make_index(policy=Policy(style=Style.WHOLE, limit=Limit.ZERO))
         )
-        restored = checkpoint.roundtrip(idx)
+        restored = checkpoint.clone(idx)
         assert restored.config.policy == idx.config.policy
 
     def test_size_only_mode_roundtrips(self):
@@ -86,7 +86,7 @@ class TestRoundtrip:
         for _ in range(4):
             idx.add_counts([(1, 40), (2, 3)])
             idx.flush_batch()
-        restored = checkpoint.roundtrip(idx)
+        restored = checkpoint.clone(idx)
         assert restored.stats() == idx.stats()
 
 

@@ -61,7 +61,7 @@ def test_random_states_roundtrip(policy, batches):
             index.add_document([word] + extras, doc_id=doc_id)
             doc_id += 1
         index.flush_batch()
-    restored = checkpoint.roundtrip(index)
+    restored = checkpoint.clone(index)
 
     assert restored.stats() == index.stats()
     words = set(index.directory.words()) | set(index.buckets.words())

@@ -139,6 +139,18 @@ class TestIngestAndRouting:
         with pytest.raises(ValueError):
             index.delete_document(20)
 
+    def test_delete_of_a_hole_is_refused_whichever_shard_owns_it(self):
+        """The gateway's rule: an id explicit-id ingest skipped was never
+        added, whatever the owning shard's own document count says."""
+        index = ShardedTextIndex(small_config(), shards=2)
+        index.add_document("wa wb", doc_id=0)
+        index.add_document("wb wc", doc_id=10)
+        index.flush_batch()
+        for hole in range(1, 10):
+            with pytest.raises(ValueError, match="never added"):
+                index.delete_document(hole)
+        assert index.search_boolean("NOT wc").doc_ids == list(range(10))
+
 
 class TestFlushModes:
     def test_empty_shard_version_stands_still(self):

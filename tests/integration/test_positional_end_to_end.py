@@ -153,7 +153,7 @@ class TestAcrossPoliciesAndBatches:
     def test_checkpoint_preserves_positions(self, index):
         from repro.core import checkpoint
 
-        restored_core = checkpoint.roundtrip(index.index)
+        restored_core = checkpoint.clone(index.index)
         restored = TextDocumentIndex.__new__(TextDocumentIndex)
         restored.index = restored_core
         restored.vocabulary = index.vocabulary

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.core.checkpoint import CheckpointError
 from repro.core.index import IndexConfig
 from repro.core.positional import Region
 from repro.textindex import TextDocumentIndex
@@ -73,13 +74,79 @@ class TestSnapshot:
         assert restored.ndocs == index.ndocs
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="not a text-index snapshot"):
+        with pytest.raises(CheckpointError, match="not a text-index snapshot"):
             TextDocumentIndex.load(io.BytesIO(b"XXXX"))
 
     def test_save_requires_flushed_batch(self):
         index = make_index()
         index.add_document("unflushed")
-        from repro.core.checkpoint import CheckpointError
-
         with pytest.raises(CheckpointError):
             index.save(io.BytesIO())
+
+
+def three_batches():
+    index = TextDocumentIndex(
+        IndexConfig(
+            nbuckets=4, bucket_size=16, block_postings=4, store_contents=True
+        )
+    )
+    for batch in range(3):
+        for i in range(25):
+            index.add_document(f"alpha beta w{i % 7} x{(batch * 25 + i) % 11}")
+        index.flush_batch()
+    return index
+
+
+def sweep(index):
+    """Delete every third of the first 60 documents and sweep: the sweep
+    retires long-list chunks to the RELEASE list, which only the next
+    flush frees."""
+    for doc_id in range(0, 60, 3):
+        index.delete_document(doc_id)
+    index.sweep_deletions()
+    assert index.index.longlists.release
+
+
+def save(index):
+    buf = io.BytesIO()
+    index.save(buf)
+    return buf.getvalue()
+
+
+def release_of(index):
+    return [
+        (c.disk, c.start, c.nblocks) for c in index.index.longlists.release
+    ]
+
+
+class TestSweepBoundary:
+    def test_a_copy_taken_after_a_sweep_frees_what_the_writer_frees(self):
+        index = three_batches()
+        sweep(index)
+        copy = index.clone()
+        assert release_of(copy) == release_of(index)
+        copy.check().raise_if_failed()
+        for volume in (index, copy):
+            volume.add_document("alpha gamma")
+            volume.flush_batch()
+        assert not copy.index.longlists.release
+        assert (
+            copy.stats().disk_allocated_blocks
+            == index.stats().disk_allocated_blocks
+        )
+        assert save(copy) == save(index)
+
+    def test_a_cow_clone_after_a_sweep_carries_the_release_list(self):
+        index = three_batches()
+        prev = index.clone()
+        index.delta.clear()
+        sweep(index)
+        cow = index.clone_incremental(prev, index.delta)
+        assert release_of(cow) == release_of(index)
+        cow.check().raise_if_failed()
+        full = index.clone()
+        for query in ("alpha", "beta AND w3", "NOT x4"):
+            assert (
+                cow.search_boolean(query).doc_ids
+                == full.search_boolean(query).doc_ids
+            )
