@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..core.positional import Region
-from .tokenizer import TokenizerConfig, _line_ignored, tokenize_line
+from .tokenizer import TokenizerConfig, _kept_lines, _words
 
 #: Default region-tagged header prefixes for News articles.
 DEFAULT_REGION_PREFIXES: dict[str, Region] = {
@@ -77,10 +77,8 @@ def tokenize_occurrences(
     cfg = config or TokenizerConfig()
     region_rules = rules or RegionRules()
     position = 0
-    for line in text.splitlines():
-        if _line_ignored(line, cfg.ignored_prefixes):
-            continue
+    for line in _kept_lines(text, cfg):
         region, content = region_rules.region_of(line)
-        for token in tokenize_line(content, cfg):
+        for token in _words(content, cfg):
             yield Occurrence(token, position, region)
             position += 1

@@ -9,18 +9,32 @@ converting upper case letters to lower case."
 
 The tokenizer reproduces those rules:
 
-* a token is a maximal run of ASCII letters **or** a maximal run of digits
-  (a mixed run like ``abc123`` yields two tokens, ``abc`` and ``123``);
-* lines whose first token-ish prefix matches an ignored header (``Date:``
-  and friends, configurable) contribute nothing;
-* tokens are lowercased into *words*;
+* a token is a maximal run of ASCII letters **or** a maximal run of
+  characters :meth:`str.isdigit` accepts, which takes in the decimal
+  digits of every script and also superscript, subscript and circled
+  digits such as ``²`` and ``①`` (a mixed run like ``abc123`` yields two
+  tokens, ``abc`` and ``123``);
+* every other character separates tokens, non-ASCII letters included
+  (``café`` yields ``caf``);
+* lines (:meth:`str.splitlines`) that start, after leading whitespace and
+  lowercased, with an ignored header (``Date:`` and friends,
+  configurable) contribute nothing;
+* tokens longer than ``max_token_length`` characters are dropped whole;
+* tokens are lowercased into *words*, and stop words are matched after
+  lowercasing;
 * per-document deduplication happens one level up (the in-memory index and
   the batch builder both deduplicate), but :func:`tokenize_document`
   offers it directly for convenience.
+
+One compiled pattern does the lexing for every entry point here and in
+:mod:`repro.text.occurrences`.  ``tests/reference_tokenizer.py`` holds a
+per-character lexer with the same rules, the oracle the differential
+tests compare against.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -65,51 +79,67 @@ class TokenizerConfig:
         return cls(stop_words=DEFAULT_STOP_WORDS)
 
 
-def _line_ignored(line: str, prefixes: tuple[str, ...]) -> bool:
-    stripped = line.lstrip().lower()
-    return any(stripped.startswith(p) for p in prefixes)
+#: The characters :meth:`str.isdigit` accepts that ``re``'s ``\d`` (which is
+#: :meth:`str.isdecimal`) does not: 128 superscript, subscript, circled,
+#: parenthesized and other digits, ``²`` and ``①`` among them.  Written
+#: out because deriving it scans every code point, ~70 ms each process
+#: would pay at import; ``tests/text/test_tokenizer_differential.py``
+#: checks it against the running Python's Unicode database.
+_OTHER_DIGITS = (
+    r"\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
+    r"\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
+    r"\u2776-\u277e\u2780-\u2788\u278a-\u2792"
+    r"\U00010a40-\U00010a43\U00010e60-\U00010e68\U00011052-\U0001105a"
+    r"\U0001f100-\U0001f10a"
+)
+
+#: A token: a maximal run of ASCII letters or of ``str.isdigit`` characters.
+_TOKEN = re.compile(r"[A-Za-z]+|[\d" + _OTHER_DIGITS + "]+")
+
+
+def _kept_lines(text: str, cfg: TokenizerConfig) -> list[str]:
+    """``text``'s lines, minus those starting with an ignored header."""
+    prefixes = cfg.ignored_prefixes
+    return [
+        line
+        for line in text.splitlines()
+        if not line.lstrip().lower().startswith(prefixes)
+    ]
+
+
+def _words(text: str, cfg: TokenizerConfig) -> list[str]:
+    """The kept words of ``text`` in order; ignored lines are the caller's.
+
+    No token crosses a line break, so ``text`` may be many lines joined.
+    """
+    if not cfg.lowercase:
+        tokens = _TOKEN.findall(text)
+    elif text.isascii():
+        tokens = _TOKEN.findall(text.lower())
+    else:
+        # Lowercasing first would invent tokens: 'İ' lowers to 'i' plus a
+        # combining dot, and the Kelvin sign to 'k'.
+        tokens = [token.lower() for token in _TOKEN.findall(text)]
+    limit = cfg.max_token_length
+    stop_words = cfg.stop_words
+    if not stop_words:
+        return [token for token in tokens if len(token) <= limit]
+    return [
+        token
+        for token in tokens
+        if len(token) <= limit and token.lower() not in stop_words
+    ]
 
 
 def tokenize_line(line: str, config: TokenizerConfig | None = None) -> Iterator[str]:
     """Yield the tokens of one line: letter runs and digit runs."""
-    cfg = config or TokenizerConfig()
-    token: list[str] = []
-    mode = ""  # "alpha", "digit", or "" outside a token
-
-    def finish() -> Iterator[str]:
-        nonlocal token
-        if token and len(token) <= cfg.max_token_length:
-            text = "".join(token)
-            if cfg.lowercase:
-                text = text.lower()
-            if text.lower() not in cfg.stop_words:
-                yield text
-        token = []
-
-    for ch in line:
-        if ch.isascii() and ch.isalpha():
-            kind = "alpha"
-        elif ch.isdigit():
-            kind = "digit"
-        else:
-            kind = ""
-        if kind and kind == mode:
-            token.append(ch)
-        else:
-            yield from finish()
-            mode = kind
-            if kind:
-                token.append(ch)
-    yield from finish()
+    return iter(_words(line, config or TokenizerConfig()))
 
 
 def tokenize(text: str, config: TokenizerConfig | None = None) -> Iterator[str]:
     """Yield all tokens of a document, skipping ignored header lines."""
     cfg = config or TokenizerConfig()
-    for line in text.splitlines():
-        if _line_ignored(line, cfg.ignored_prefixes):
-            continue
-        yield from tokenize_line(line, cfg)
+    return iter(_words("\n".join(_kept_lines(text, cfg)), cfg))
 
 
 def tokenize_document(
@@ -120,10 +150,4 @@ def tokenize_document(
     This is the unit the abstracts-style index stores: one posting per
     (word, document) pair.
     """
-    seen: set[str] = set()
-    out: list[str] = []
-    for token in tokenize(text, config):
-        if token not in seen:
-            seen.add(token)
-            out.append(token)
-    return out
+    return list(dict.fromkeys(tokenize(text, config)))

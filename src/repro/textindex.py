@@ -35,7 +35,7 @@ from .query import streaming as streaming_query
 from .query import vector as vector_query
 from .query.vector import ScoredDocument
 from .text.occurrences import RegionRules, tokenize_occurrences
-from .text.tokenizer import TokenizerConfig, tokenize_document
+from .text.tokenizer import TokenizerConfig, tokenize, tokenize_document
 from .text.vocabulary import Vocabulary, VocabularyView
 
 
@@ -297,8 +297,9 @@ class TextDocumentIndex:
     def search_phrase(self, phrase: str) -> QueryAnswer:
         """Documents containing the words of ``phrase`` consecutively."""
         self._last_read_ops = 0
-        words = tokenize_document(phrase, self.tokenizer_config)
-        payloads = [self._fetch_positional(w) for w in words]
+        words = list(tokenize(phrase, self.tokenizer_config))
+        fetched = {w: self._fetch_positional(w) for w in dict.fromkeys(words)}
+        payloads = [fetched[w] for w in words]
         docs = self.deletions.filter(positional_query.phrase_docs(payloads))
         return QueryAnswer(doc_ids=docs, read_ops=self._last_read_ops)
 
@@ -327,7 +328,7 @@ class TextDocumentIndex:
     def more_like(self, text: str, top_k: int = 10) -> list[ScoredDocument]:
         """Vector query derived from a document, the paper's vector-IRM
         workload shape."""
-        words = tokenize_document(text, self.tokenizer_config)
+        words = list(tokenize(text, self.tokenizer_config))
         return self.search_vector(
             vector_query.query_from_document(words), top_k=top_k
         )

@@ -67,6 +67,15 @@ class TestPhrase:
     def test_title_words_participate(self, index):
         assert index.search_phrase("hungry cat").doc_ids == [0]
 
+    def test_repeated_words_stay_in_the_phrase(self, index):
+        index.add_document("new york is big")
+        index.add_document("i love new york new york")
+        index.flush_batch()
+        answer = index.search_phrase("new york new york")
+        assert answer.doc_ids == [4]
+        # Each distinct word is fetched once.
+        assert answer.read_ops == index.search_phrase("new york").read_ops
+
 
 class TestProximity:
     def test_within_k(self, index):

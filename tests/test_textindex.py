@@ -89,6 +89,13 @@ class TestQueries:
         hits = index.more_like("red fox red", top_k=3)
         assert hits[0].doc_id == 0
 
+    def test_more_like_weighs_term_frequency(self, index):
+        # "fox" and "red" share a df of 2, so only fox's in-document
+        # frequency of 2 puts "blue fox" (doc 2) above "red hen" (doc 1).
+        hits = index.more_like("fox red fox", top_k=3)
+        assert [h.doc_id for h in hits] == [0, 2, 1]
+        assert hits[1].score == 2 * hits[2].score
+
     def test_read_ops_accumulate_per_query(self, index):
         one = index.search_boolean("red").read_ops
         two = index.search_boolean("red AND fox").read_ops
