@@ -214,18 +214,15 @@ class GatewaySnapshot:
     Unlike the in-process :class:`~repro.service.snapshot.IndexSnapshot`
     this does not *pin* shard state — it records the boundary's identity
     (snapshot id, universe size, deletion set) so universe-sensitive
-    evaluation (``NOT``, idf) uses a consistent published view.
+    evaluation (``NOT``, idf) uses a consistent published view.  The
+    gateway stores the current one and replaces it whole at every
+    publish (:meth:`AsyncShardGateway._publish`).
     """
 
     snapshot_id: int
     ndocs: int
     deleted: frozenset
     shard_versions: tuple[int, ...]
-    #: The memory-tier epoch each shard's flush reply carried at this
-    #: boundary (empty when the gateway serves the snapshot tier only).
-    #: Reported only: an epoch is per worker process, so nothing
-    #: compares one (:mod:`repro.service.replication`).
-    mem_epochs: tuple[int, ...] = ()
     #: Routing-table epoch the boundary was published under.  A shard
     #: split bumps it (and the snapshot id), so any identity
     #: comparison over this token distinguishes pre- and post-rebalance
@@ -470,13 +467,6 @@ class AsyncShardGateway:
                 "single-flight coalescing was removed "
                 "(benchmarks/results/TRIAL_batching.txt)"
             )
-        if rebalance and read_tier == "immediate":
-            # The immediate tier reads workers' live write buffers; a
-            # relocation would need those buffers migrated mid-epoch,
-            # which the split protocol does not attempt.
-            raise ValueError(
-                "online rebalance requires read_tier='snapshot'"
-            )
         self.read_tier = read_tier
         self.nshards = shards
         self.replicas = replicas
@@ -543,14 +533,8 @@ class AsyncShardGateway:
         self._next_doc_id = 0
         self._deleted: set[int] = set()
         self._batches = 0
-        self._snapshot_id = 0
-        self._published_ndocs = 0
-        self._published_deleted: frozenset = frozenset()
-        self._published_versions: tuple[int, ...] = (0,) * shards
-        #: :attr:`GatewaySnapshot.mem_epochs` of the current boundary.
-        self._mem_epochs: tuple[int, ...] = (
-            (0,) * shards if read_tier == "immediate" else ()
-        )
+        #: The current published boundary; only :meth:`_publish` writes it.
+        self._published = GatewaySnapshot(0, 0, frozenset(), (0,) * shards)
         self.stats = GatewayStats()
         self.repl = ReplicationStats()
         self.batching = BatchingStats()
@@ -904,14 +888,11 @@ class AsyncShardGateway:
             outcomes = await asyncio.gather(
                 *(self._flush_shard(i, i in granted) for i in active)
             )
-            self._published_ndocs = self._next_doc_id
-            self._published_deleted = frozenset(self._deleted)
             for i, outcome in zip(active, outcomes):
-                self._sets[i].expected_version = outcome.version
-            self._refresh_published()
-            if self.read_tier == "immediate":
-                self._mem_epochs = tuple(o.mem_epoch for o in outcomes)
-            self._snapshot_id += 1
+                self._sets[i].adopt_flush(outcome)
+            self._publish(
+                ndocs=self._next_doc_id, deleted=frozenset(self._deleted)
+            )
             results = [
                 outcome.result
                 for outcome in outcomes
@@ -926,7 +907,7 @@ class AsyncShardGateway:
                 *(self._checkpoint_shard(i) for i in active)
             )
             await self._maybe_rebalance()
-            return aggregate, self.snapshot()
+            return aggregate, self._published
 
     async def _flush_shard(self, i: int, grow: bool) -> FlushOutcome:
         """Journal one flush op on shard ``i``, fan it to the replicas
@@ -1025,15 +1006,22 @@ class AsyncShardGateway:
         for replica in rs.replicas:
             replica.log_pos = 0
 
-    # -- rebalancing (online split) ----------------------------------------
-
-    def _refresh_published(self) -> None:
-        """Rebuild the published version vector from the active sets'
-        expected versions (the vector follows ``_active`` order, so a
-        cutover that changes the active set changes its length)."""
-        self._published_versions = tuple(
-            self._sets[i].expected_version for i in self._active
+    def _publish(self, **changes) -> None:
+        """Replace the published boundary whole: the next snapshot id,
+        the active sets' expected versions in ``_active`` order (so a
+        cutover that grows the active set grows the vector) and the
+        current routing epoch, plus ``changes`` (a flush's universe)."""
+        self._published = dc_replace(
+            self._published,
+            snapshot_id=self._published.snapshot_id + 1,
+            shard_versions=tuple(
+                self._sets[i].expected_version for i in self._active
+            ),
+            routing_epoch=self.routing.epoch,
+            **changes,
         )
+
+    # -- rebalancing (online split) ----------------------------------------
 
     def _shard_doc_counts(self) -> dict[int, int]:
         """Live documents per active shard under the current routing
@@ -1070,13 +1058,12 @@ class AsyncShardGateway:
 
     async def _flush_set(self, shard_id: int) -> None:
         """Journal and run one out-of-band flush on a single shard (a
-        rebalance publish), then fold its new version into the published
-        vector if the shard is active."""
+        rebalance publish), then publish a new boundary if the shard is
+        active."""
         outcome = await self._flush_shard(shard_id, False)
-        self._sets[shard_id].expected_version = outcome.version
+        self._sets[shard_id].adopt_flush(outcome)
         if shard_id in self._active:
-            self._refresh_published()
-            self._snapshot_id += 1
+            self._publish()
 
     async def _split_locked(self, victim: int) -> int:
         """The split protocol (writer lock held).
@@ -1093,28 +1080,23 @@ class AsyncShardGateway:
            the victim), invisible to readers until cutover.
         2. Tombstone the *stayers* on the new shard (journaled deletes,
            so a replica rebuild replays them) and flush it.
-        3. Cut over synchronously: publish the split routing table, add
-           the shard to the active list, extend the published vector,
-           bump the snapshot id.  From this instant reads scatter to the
-           new shard too; the victim still holds the movers, so both
-           shards briefly answer for them — ``merge_unique`` in the
-           answer merges keeps doc ids exact through the overlap, and
-           vector queries (which sum per-shard df) carry the routing
-           table while ``_split_overlap`` is up, so each worker counts
-           only the documents routed to it.
+        3. Cut over synchronously: install the split routing table, add
+           the shard to the active list and publish the boundary that
+           names it.  From this instant reads scatter to the new shard
+           too; the victim still holds the movers, so both shards
+           briefly answer for them — ``merge_unique`` in the answer
+           merges keeps doc ids exact through the overlap, and vector
+           queries (which sum per-shard df) carry the routing table
+           while ``_split_overlap`` is up, so each worker counts only
+           the documents routed to it.
         4. Tombstone the *movers* on the victim and flush it, closing
-           the overlap window.
+           the overlap window.  On the immediate tier a tombstone is
+           visible once journaled, so the window is shorter still.
 
-        No step loses availability: every read throughout is served
-        from published per-shard snapshots.
+        No step loses availability: every read is served by each shard's
+        read tier, on either tier — the immediate one adds only the
+        writer's pending batch, empty when a split starts (rule above).
         """
-        if self.read_tier == "immediate":
-            # The constructor holds the config-time twin of this
-            # refusal: a worker's live write buffer would have to
-            # migrate with the slice.
-            raise ValueError(
-                "online rebalance requires read_tier='snapshot'"
-            )
         if victim not in self._active:
             raise ValueError(f"shard {victim} is not an active shard")
         vrs = self._sets[victim]
@@ -1155,8 +1137,7 @@ class AsyncShardGateway:
         self.routing = table
         self._active.append(new_id)
         self.nshards = len(self._active)
-        self._refresh_published()
-        self._snapshot_id += 1
+        self._publish()
         self._split_overlap = True
         # -- retire the movers from the victim --
         for doc_id in movers:
@@ -1189,14 +1170,7 @@ class AsyncShardGateway:
 
     def snapshot(self) -> GatewaySnapshot:
         """The current published boundary's identity token (no RPC)."""
-        return GatewaySnapshot(
-            snapshot_id=self._snapshot_id,
-            ndocs=self._published_ndocs,
-            deleted=self._published_deleted,
-            shard_versions=self._published_versions,
-            mem_epochs=self._mem_epochs,
-            routing_epoch=self.routing.epoch,
-        )
+        return self._published
 
     # -- read path (replicated scatter-gather) ----------------------------
 
@@ -1209,9 +1183,8 @@ class AsyncShardGateway:
         exactly the universe the workers' buffered postings live in."""
         if self.read_tier == "immediate":
             return self._next_doc_id, frozenset(self._deleted)
-        if snapshot is not None:
-            return snapshot.ndocs, snapshot.deleted
-        return self._published_ndocs, self._published_deleted
+        snapshot = snapshot or self._published
+        return snapshot.ndocs, snapshot.deleted
 
     async def _read_shard(
         self,
@@ -1521,8 +1494,6 @@ class GatewayService:
 
     def __init__(self, *args, **kwargs) -> None:
         self.gateway = AsyncShardGateway(*args, **kwargs)
-        self.shards = self.gateway.nshards
-        self.replicas = self.gateway.replicas
         self.read_tier = self.gateway.read_tier
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -1634,7 +1605,10 @@ class GatewayService:
         merged["workers"] = workers
         merged["read_tier"] = self.read_tier
         if self.read_tier == "immediate":
-            merged["mem_epochs"] = list(self.gateway.snapshot().mem_epochs)
+            gateway = self.gateway
+            merged["mem_epochs"] = [
+                gateway._sets[i].mem_epoch for i in gateway._active
+            ]
         for key in (
             "publishes",
             "cow_publishes",

@@ -171,8 +171,7 @@ class LoadConfig:
     #: assigned sequential ids, byte-identical to the unskewed path.
     doc_skew: float = 0.0
     #: Let the gateway split hot shards online when per-shard live-doc
-    #: skew exceeds the planner bound (gateway only; the gateway refuses
-    #: it on the immediate tier).
+    #: skew exceeds the planner bound (gateway only; either read tier).
     rebalance: bool = False
     #: Planner bound: split when max/mean imbalance exceeds this.
     rebalance_threshold: float = 1.5

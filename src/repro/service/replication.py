@@ -162,6 +162,9 @@ class ReplicaSet:
         #: Published version-vector entry for this shard; rotation
         #: excludes replicas trailing it.
         self.expected_version = 0
+        #: Memory-tier epoch of the last flush outcome adopted (0 on the
+        #: snapshot tier); reported only: it is per process (module doc).
+        self.mem_epoch = 0
         self._cursor = 0
 
     @property
@@ -240,6 +243,11 @@ class ReplicaSet:
         else:
             self.base, self.chain = reply.blob, []
         self.token = reply.token
+
+    def adopt_flush(self, outcome) -> None:
+        """Take a flush outcome as the shard's published state."""
+        self.expected_version = outcome.version
+        self.mem_epoch = outcome.mem_epoch
 
     def wants_base(self) -> bool:
         """The one compaction rule: once the chain's bytes reach the

@@ -242,9 +242,9 @@ class TestGatewayImmediate:
                 for d in oracle.search_vector({"delta": 1.0, "alpha": 1.0})
             ]
             assert got == want
-            # The boundary token reports each shard's memory-tier epoch.
+            # The stats report each shard's memory-tier epoch.
             service.flush_and_publish()
-            assert len(service.gateway.snapshot().mem_epochs) == 2
+            assert len(service.gateway_stats()["mem_epochs"]) == 2
         finally:
             service.close()
 

@@ -3,6 +3,8 @@ skewed placement, and an end-to-end gateway run where the planner
 splits the hot shard under live differential checking.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.shard import shard_of
@@ -31,19 +33,6 @@ class TestConfigValidation:
     def test_rebalance_requires_gateway(self):
         with pytest.raises(ValueError, match="set gateway=True"):
             LoadConfig(shards=2, rebalance=True)
-
-    def test_rebalance_rejects_immediate_tier(self):
-        """The refusal is the gateway's (DESIGN.md §17): the generator
-        hits it building its service, before any worker spawns."""
-        config = LoadConfig(
-            shards=2,
-            gateway=True,
-            verify=False,
-            read_tier="immediate",
-            rebalance=True,
-        )
-        with pytest.raises(ValueError, match="requires read_tier"):
-            LoadGenerator(config)
 
     def test_threshold_must_exceed_one(self):
         with pytest.raises(ValueError, match="rebalance_threshold"):
@@ -86,15 +75,27 @@ class TestSkewedPlacement:
         assert first == second
 
 
+def _skewed_run(read_tier: str):
+    report = LoadGenerator(replace(SKEWED_CONFIG, read_tier=read_tier)).run()
+    assert report.divergences == 0, report.divergence_examples
+    reb = report.gateway["rebalance"]
+    assert reb["splits"] >= 1
+    assert reb["docs_moved"] > 0
+    assert reb["routing_epoch"] >= 1
+    assert len(reb["active_shards"]) >= 3
+    assert report.gateway["replication"]["reads_waited_for_rebuild"] == 0
+    assert report.config["rebalance"] is True
+    assert report.config["doc_skew"] == 2.5
+    return report
+
+
 class TestEndToEnd:
     def test_planner_splits_hot_shard_without_divergence(self):
-        report = LoadGenerator(SKEWED_CONFIG).run()
-        assert report.divergences == 0, report.divergence_examples
-        reb = report.gateway["rebalance"]
-        assert reb["splits"] >= 1
-        assert reb["docs_moved"] > 0
-        assert reb["routing_epoch"] >= 1
-        assert len(reb["active_shards"]) >= 3
-        assert report.gateway["replication"]["reads_waited_for_rebuild"] == 0
-        assert report.config["rebalance"] is True
-        assert report.config["doc_skew"] == 2.5
+        _skewed_run("snapshot")
+
+    def test_planner_splits_hot_shard_on_the_immediate_tier(self):
+        """Differential checks run mid-buffer here, so every cycle after
+        a split compares unflushed writes across the new topology."""
+        report = _skewed_run("immediate")
+        active = report.gateway["rebalance"]["active_shards"]
+        assert len(report.gateway["mem_epochs"]) == len(active)

@@ -19,7 +19,7 @@ What is pinned here, rule by rule:
 * no exception — inside a split's overlap window, where two shards
   hold the movers, the vector pushdown carries the routing table so
   each worker counts only its own documents, boolean ``NOT`` stays
-  exact, and both still cost one member per shard;
+  exact, and both still cost one member per shard, on both read tiers;
 * the lean scatter's failover — a killed, stale or late first attempt
   on one shard moves exactly the counters the per-member path moved.
 """
@@ -395,6 +395,66 @@ async def _fetch_cost(gateway, terms) -> int:
     return cost
 
 
+async def _queries_inside_the_window(read_tier: str) -> None:
+    gateway = AsyncShardGateway(
+        small_config(), shards=2, router_seed=1, read_tier=read_tier
+    )
+    await gateway.start()
+    try:
+        oracle = BruteForceIndex()
+        for doc_id in range(24):
+            text = " ".join(_word(1 + (doc_id * k) % 6) for k in (1, 2, 5))
+            await gateway.add_document(text)
+            oracle.add_document(doc_id, text.split())
+        await gateway.delete_document(5)
+        oracle.delete_document(5)
+        await gateway.flush()
+        counts = gateway._shard_doc_counts()
+        victim = max(counts, key=counts.get)
+        weights = {"wa": 2.0, "wb": 1.0, "wc": -0.5}
+        terms = ("wa", "wb", "wc")
+        true = [len(oracle.fetch(w)) for w in terms]
+
+        async def probe():
+            assert len(gateway._active) == 3
+            for query in NOT_SHAPES:
+                got = await gateway.search_boolean(query)
+                assert got.doc_ids == oracle.search_boolean(query), query
+            before = gateway.batching.batched_reads
+            got, ops = await gateway.search_vector_counted(weights, top_k=6)
+            assert _scored(got) == _scored(
+                oracle.search_vector(weights, top_k=6)
+            )
+            # Answer-level here too: one member per active shard.
+            assert gateway.batching.batched_reads - before == 3
+            assert ops == await _fetch_cost(gateway, terms)
+            summed = await _summed_df(gateway, terms, None)
+            if read_tier == "snapshot":
+                # What the routing argument is for: unfiltered, the
+                # summed df counts every mover twice here.
+                assert all(s >= t for s, t in zip(summed, true))
+                assert summed != true
+            else:
+                # The victim's mover tombstones are already visible.
+                assert summed == true
+            assert await _summed_df(gateway, terms, gateway.routing) == true
+
+        await _split_probing_the_window(gateway, victim, probe)
+        # Window closed: three disjoint shards, no table on the wire.
+        assert await _summed_df(gateway, terms, None) == true
+        before = gateway.batching.batched_reads
+        got = await gateway.search_vector(weights, top_k=6)
+        assert _scored(got) == _scored(
+            oracle.search_vector(weights, top_k=6)
+        )
+        assert gateway.batching.batched_reads - before == 3
+        for query in NOT_SHAPES:
+            got = await gateway.search_boolean(query)
+            assert got.doc_ids == oracle.search_boolean(query), query
+    finally:
+        await gateway.close()
+
+
 def test_queries_inside_a_split_overlap_window():
     """Between a split's cutover and the victim's tombstone flush two
     shards hold the movers.  Boolean answers — complements included —
@@ -402,65 +462,15 @@ def test_queries_inside_a_split_overlap_window():
     the vector pushdown, still one member per shard: the gateway sends
     its routing table along and every worker counts only the documents
     routed to it, so the shards' df sum to the global one."""
+    asyncio.run(_queries_inside_the_window("snapshot"))
 
-    async def main():
-        gateway = AsyncShardGateway(small_config(), shards=2, router_seed=1)
-        await gateway.start()
-        try:
-            oracle = BruteForceIndex()
-            for doc_id in range(24):
-                text = " ".join(
-                    _word(1 + (doc_id * k) % 6) for k in (1, 2, 5)
-                )
-                await gateway.add_document(text)
-                oracle.add_document(doc_id, text.split())
-            await gateway.delete_document(5)
-            oracle.delete_document(5)
-            await gateway.flush()
-            counts = gateway._shard_doc_counts()
-            victim = max(counts, key=counts.get)
-            weights = {"wa": 2.0, "wb": 1.0, "wc": -0.5}
-            terms = ("wa", "wb", "wc")
-            true = [len(oracle.fetch(w)) for w in terms]
 
-            async def probe():
-                assert len(gateway._active) == 3
-                for query in NOT_SHAPES:
-                    got = await gateway.search_boolean(query)
-                    assert got.doc_ids == oracle.search_boolean(query), query
-                before = gateway.batching.batched_reads
-                got, ops = await gateway.search_vector_counted(
-                    weights, top_k=6
-                )
-                assert _scored(got) == _scored(
-                    oracle.search_vector(weights, top_k=6)
-                )
-                # Answer-level here too: one member per active shard.
-                assert gateway.batching.batched_reads - before == 3
-                assert ops == await _fetch_cost(gateway, terms)
-                # What the routing argument is for: unfiltered, the
-                # summed df counts every mover twice here.
-                summed = await _summed_df(gateway, terms, None)
-                assert all(s >= t for s, t in zip(summed, true))
-                assert summed != true
-                assert await _summed_df(gateway, terms, gateway.routing) == true
-
-            await _split_probing_the_window(gateway, victim, probe)
-            # Window closed: three disjoint shards, no table on the wire.
-            assert await _summed_df(gateway, terms, None) == true
-            before = gateway.batching.batched_reads
-            got = await gateway.search_vector(weights, top_k=6)
-            assert _scored(got) == _scored(
-                oracle.search_vector(weights, top_k=6)
-            )
-            assert gateway.batching.batched_reads - before == 3
-            for query in NOT_SHAPES:
-                got = await gateway.search_boolean(query)
-                assert got.doc_ids == oracle.search_boolean(query), query
-        finally:
-            await gateway.close()
-
-    asyncio.run(main())
+def test_queries_inside_a_split_overlap_window_on_the_immediate_tier():
+    """The window is shorter on the immediate tier: the victim's mover
+    tombstones are visible once journaled, so at the held-open point
+    not even the unfiltered df counts a mover twice, while the routed
+    df and every answer stay exact."""
+    asyncio.run(_queries_inside_the_window("immediate"))
 
 
 @gateway_settings
@@ -470,21 +480,24 @@ def test_queries_inside_a_split_overlap_window():
     replicas=st.integers(min_value=1, max_value=2),
     seed=st.sampled_from([0, 1, 97]),
     pick=st.integers(min_value=0, max_value=2),
+    read_tier=st.sampled_from(["snapshot", "immediate"]),
     vectors=st.lists(vector_queries, min_size=2, max_size=4),
 )
 def test_vector_pushdown_is_exact_inside_and_after_the_overlap_window(
-    docs, shards, replicas, seed, pick, vectors
+    docs, shards, replicas, seed, pick, read_tier, vectors
 ):
-    """Random corpora, deletions, topologies and victims: vector answers
-    (zero and negative weights, ``top_k`` past the candidate count) and
-    their read ops are the oracle's inside the held-open window and
-    after it; there the unfiltered df over-count by exactly the movers
-    while the filtered df sum to the oracle's."""
+    """Random corpora, deletions, topologies, victims and read tiers:
+    vector answers (zero and negative weights, ``top_k`` past the
+    candidate count) and their read ops are the oracle's inside the
+    held-open window and after it; there the filtered df sum to the
+    oracle's, and the unfiltered df over-count by exactly the movers on
+    the snapshot tier and not at all on the immediate tier, where the
+    victim's mover tombstones are visible once journaled."""
 
     async def main():
         gateway = AsyncShardGateway(
             small_config(), shards=shards, replicas=replicas,
-            router_seed=seed,
+            router_seed=seed, read_tier=read_tier,
         )
         await gateway.start()
         try:
@@ -521,11 +534,12 @@ def test_vector_pushdown_is_exact_inside_and_after_the_overlap_window(
             async def probe():
                 await check()
                 table = gateway.routing
+                # The immediate tier already hides the victim's movers.
                 movers = [
                     words_
                     for doc_id, words_ in live.items()
                     if table.route(doc_id) != old_table.route(doc_id)
-                ]
+                ] if read_tier == "snapshot" else []
                 twice = [sum(w in m for m in movers) for w in terms]
                 assert await _summed_df(gateway, terms, None) == [
                     t + m for t, m in zip(true, twice)

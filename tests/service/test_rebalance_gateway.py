@@ -1,6 +1,7 @@
 """Gateway online split battery: answers stay byte-identical to the
 in-process sharded index and the brute-force oracle while shards split
-under live traffic, and the move survives replica death mid-protocol.
+under live traffic, on both read tiers, and the move survives replica
+death mid-protocol.
 
 The protocol under test (DESIGN.md §17): at a flush boundary a split
 brings the new shard up from the victim's parent-side restore point and
@@ -105,47 +106,63 @@ async def _ingest(gateway, local, oracle, docs, start=0):
     local.flush_batch()
 
 
+async def _split_during_traffic(read_tier: str) -> None:
+    """Split under traffic, then write under the new epoch.  On the
+    immediate tier the post-split writes are compared unflushed, again
+    once a replica of the new shard has been killed and rebuilt from
+    its restore point plus op log, and once more after the flush."""
+    gateway = AsyncShardGateway(
+        small_config(), shards=2, replicas=2, router_seed=1,
+        read_tier=read_tier,
+    )
+    await gateway.start()
+    try:
+        local = ShardedTextIndex(small_config(), shards=2, router_seed=1)
+        oracle = BruteForceIndex()
+        await _ingest(gateway, local, oracle, _docs(20))
+        await _compare(gateway, local, oracle)
+        counts = gateway._shard_doc_counts()
+        victim = max(counts, key=counts.get)
+        new_id = await gateway.split_shard(victim)
+        assert local.split_shard(victim) == new_id
+        assert gateway.routing.epoch == 1
+        await _compare(gateway, local, oracle)
+        # Post-split traffic routes under the new epoch.
+        for i, words in enumerate(_docs(6, stride=3), start=20):
+            text = " ".join(_word(w) for w in sorted(words))
+            await gateway.add_document(text)
+            local.add_document(text)
+            oracle.add_document(i, text.split())
+        await gateway.delete_document(4)
+        local.delete_document(4)
+        oracle.delete_document(4)
+        if read_tier == "immediate":
+            await _compare(gateway, local, oracle)
+            # The new shard's rebuild must replay unflushed writes.
+            assert any(op[0] == "add" for op in gateway._sets[new_id].oplog)
+            gateway.kill_replica(new_id, 0)
+            await _compare(gateway, local, oracle)
+            await gateway.quiesce()
+            assert gateway.repl.rebuilds_completed == 1
+        await gateway.flush()
+        local.flush_batch()
+        await _compare(gateway, local, oracle)
+        assert gateway.repl.reads_waited_for_rebuild == 0
+        assert gateway.repl.replica_divergences == 0
+        assert gateway.rebalance.splits == 1
+        assert gateway.rebalance.docs_moved > 0
+        processes = _worker_processes(gateway)
+    finally:
+        await gateway.close()
+    assert not any(p.is_alive() for p in processes)
+
+
 class TestSplitMergeDifferential:
     def test_split_during_traffic_matches_local_and_oracle(self):
-        async def body():
-            gateway = AsyncShardGateway(
-                small_config(), shards=2, replicas=2, router_seed=1
-            )
-            await gateway.start()
-            try:
-                local = ShardedTextIndex(
-                    small_config(), shards=2, router_seed=1
-                )
-                oracle = BruteForceIndex()
-                await _ingest(gateway, local, oracle, _docs(20))
-                await _compare(gateway, local, oracle)
-                counts = gateway._shard_doc_counts()
-                victim = max(counts, key=counts.get)
-                new_id = await gateway.split_shard(victim)
-                assert local.split_shard(victim) == new_id
-                assert gateway.routing.epoch == 1
-                processes = _worker_processes(gateway)
-                await _compare(gateway, local, oracle)
-                # Post-split traffic routes under the new epoch.
-                for i, words in enumerate(_docs(6, stride=3), start=20):
-                    text = " ".join(_word(w) for w in sorted(words))
-                    await gateway.add_document(text)
-                    local.add_document(text)
-                    oracle.add_document(i, text.split())
-                await gateway.delete_document(4)
-                local.delete_document(4)
-                oracle.delete_document(4)
-                await gateway.flush()
-                local.flush_batch()
-                await _compare(gateway, local, oracle)
-                assert gateway.repl.reads_waited_for_rebuild == 0
-                assert gateway.rebalance.splits == 1
-                assert gateway.rebalance.docs_moved > 0
-            finally:
-                await gateway.close()
-            assert not any(p.is_alive() for p in processes)
+        asyncio.run(_split_during_traffic("snapshot"))
 
-        asyncio.run(body())
+    def test_split_during_traffic_on_the_immediate_tier(self):
+        asyncio.run(_split_during_traffic("immediate"))
 
 
 class TestChaos:
@@ -269,59 +286,61 @@ class TestPlannerDriven:
         asyncio.run(body())
 
 
+async def _split_between_flushes(read_tier: str) -> None:
+    gateway = AsyncShardGateway(
+        small_config(), shards=2, replicas=2, router_seed=1,
+        read_tier=read_tier,
+    )
+    await gateway.start()
+    try:
+        for i in range(10):
+            await gateway.add_document(f"wa {_word(1 + i % 5)}")
+        await gateway.flush()
+        doc_id = await gateway.add_document("wa wb")
+        victim = gateway.route(doc_id)
+        oplog = list(gateway._sets[victim].oplog)
+        with pytest.raises(ValueError, match="flush boundary"):
+            await gateway.split_shard(victim)
+        assert gateway.routing.epoch == 0
+        assert len(gateway._sets) == 2
+        assert gateway._sets[victim].oplog == oplog
+        await gateway.flush()
+        assert await gateway.split_shard(victim) == 2
+        assert gateway.routing.epoch == 1
+    finally:
+        await gateway.close()
+
+
 class TestGuardsAndStats:
-    def test_rebalance_rejected_on_immediate_tier(self):
-        with pytest.raises(ValueError, match="requires read_tier"):
-            AsyncShardGateway(
-                small_config(),
-                shards=2,
-                read_tier="immediate",
-                rebalance=True,
-            )
-
-    def test_split_rejected_on_immediate_tier(self):
-        async def body():
-            gateway = AsyncShardGateway(
-                small_config(), shards=2, read_tier="immediate"
-            )
-            await gateway.start()
-            try:
-                with pytest.raises(ValueError, match="requires read_tier"):
-                    await gateway.split_shard(0)
-            finally:
-                await gateway.close()
-
-        asyncio.run(body())
-
     def test_split_between_flushes_is_refused(self):
         """A split replays the victim's op log into the new shard, so it
         runs at a flush boundary only: with an unflushed add pending it
         refuses before anything is spawned, routed or journaled."""
+        asyncio.run(_split_between_flushes("snapshot"))
 
-        async def body():
-            gateway = AsyncShardGateway(
-                small_config(), shards=2, replicas=2, router_seed=1
-            )
-            await gateway.start()
-            try:
-                for i in range(10):
-                    await gateway.add_document(f"wa {_word(1 + i % 5)}")
-                await gateway.flush()
-                doc_id = await gateway.add_document("wa wb")
-                victim = gateway.route(doc_id)
-                oplog = list(gateway._sets[victim].oplog)
-                with pytest.raises(ValueError, match="flush boundary"):
-                    await gateway.split_shard(victim)
-                assert gateway.routing.epoch == 0
-                assert len(gateway._sets) == 2
-                assert gateway._sets[victim].oplog == oplog
-                await gateway.flush()
-                assert await gateway.split_shard(victim) == 2
-                assert gateway.routing.epoch == 1
-            finally:
-                await gateway.close()
+    def test_split_between_flushes_is_refused_on_the_immediate_tier(self):
+        """The same one rule on the tier that serves the unflushed add."""
+        asyncio.run(_split_between_flushes("immediate"))
 
-        asyncio.run(body())
+    def test_mem_epochs_cover_every_active_shard_after_a_split(self):
+        """The cutover publishes the new shard into every per-shard
+        report at once, the memory-tier epochs included, not at the
+        next flush."""
+        service = GatewayService(
+            small_config(), shards=2, router_seed=1, read_tier="immediate"
+        )
+        try:
+            for i in range(12):
+                service.add_document(f"{_word(1 + i % 5)} {_word(2)}")
+            service.flush_and_publish()
+            service.split_shard(0)
+            stats = service.gateway_stats()
+            active = stats["rebalance"]["active_shards"]
+            assert len(active) == 3
+            assert len(stats["mem_epochs"]) == len(active)
+            assert len(service.snapshot().shard_versions) == len(active)
+        finally:
+            service.close()
 
     def test_delete_of_never_added_hole_raises(self):
         async def body():
