@@ -317,8 +317,7 @@ def cmd_serve_bench(args) -> int:
             f"result cache:     {cache['hits']} hits / "
             f"{cache['misses']} misses "
             f"(rate {cache['hit_rate']:.1%}), {cache['evictions']} evictions, "
-            f"{cache['invalidations']} invalidations "
-            f"({cache['entries_retained']} entries carried across publishes)"
+            f"{cache['invalidations']} invalidations"
         )
     if report.buffer_cache:
         buffers = report.buffer_cache

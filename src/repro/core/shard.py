@@ -76,9 +76,8 @@ class IndexShard(Protocol):
     def shard_versions(self) -> tuple[int, ...]:
         """Per-shard batch counters — the shard-snapshot vector.
 
-        A published snapshot is identified by this vector; the result
-        cache keys its entries on it.  A single volume reports a
-        one-element vector.
+        A published snapshot reports it as its ``shard_versions``.  A
+        single volume reports a one-element vector.
         """
 
     @property
@@ -125,10 +124,6 @@ class IndexShard(Protocol):
         :class:`~repro.core.checkpoint.CheckpointError` when coverage
         cannot be proven; sharded implementations may fall back
         per-shard instead of raising)."""
-
-    def dirty_terms(self) -> frozenset:
-        """Lowercased vocabulary terms touched since the last publish
-        (drives delta-scoped result-cache invalidation)."""
 
     def freeze(self) -> None:
         """Debug write barrier: mark every underlying structure

@@ -55,21 +55,17 @@ class ShardDeltaVector:
     """Aggregate view over per-shard delta journals.
 
     The serving layer treats the writer's ``delta`` as one object: it
-    passes it to ``clone_incremental``, asks whether deletions changed,
-    and clears it after a publish.  For a sharded writer each of those is
-    a fan-out over the per-shard :class:`~repro.core.delta.DeltaJournal`s
-    — which stay individually attached to their volumes, so flushes keep
-    recording into them between publishes.
+    passes it to ``clone_incremental`` and clears it after a publish.
+    For a sharded writer both are a fan-out over the per-shard
+    :class:`~repro.core.delta.DeltaJournal`s — which stay individually
+    attached to their volumes, so flushes keep recording into them
+    between publishes.
     """
 
     __slots__ = ("journals",)
 
     def __init__(self, journals: Sequence) -> None:
         self.journals = list(journals)
-
-    @property
-    def deletions_changed(self) -> bool:
-        return any(j.deletions_changed for j in self.journals)
 
     def clear(self) -> None:
         for journal in self.journals:
@@ -399,12 +395,6 @@ class ShardedTextIndex:
             except CheckpointError:
                 copy.shards.append(shard.clone())
         return copy
-
-    def dirty_terms(self) -> frozenset:
-        terms: set[str] = set()
-        for shard in self.shards:
-            terms |= shard.dirty_terms()
-        return frozenset(terms)
 
     def freeze(self) -> None:
         for shard in self.shards:

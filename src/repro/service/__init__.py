@@ -6,9 +6,9 @@ an immutable published :class:`IndexSnapshot` while a single writer
 absorbs batch updates, publishing a fresh snapshot atomically at each
 flush — either a full checkpoint clone (``publish_mode="clone"``) or an
 incremental copy-on-write snapshot sharing all untouched structure with
-its predecessor (``publish_mode="cow"``).  A validity-ranged
-:class:`QueryResultCache` short-circuits repeated queries and is
-invalidated delta-scoped at cow publishes (wholesale under clone);
+its predecessor (``publish_mode="cow"``).  A :class:`QueryResultCache`
+short-circuits repeated queries within one snapshot and is cleared at
+every publish;
 :class:`LoadGenerator` drives the mixed workload — checking served
 answers against a brute-force mirror it alone owns — and reports
 throughput plus tail and publish latency.

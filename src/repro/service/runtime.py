@@ -25,8 +25,9 @@ process — and neither re-implements a step:
 4. **check + freeze** (``check_invariants``) and the buffer-cache carry
    (a cow publish keeps the previous cache minus the batch's dirty
    blocks; a full clone starts cold);
-5. **install** — the host's hook: whatever must see the new state and
-   the batch's journal together (result-cache update, pointer swap);
+5. **install** — the host's hook: whatever must see the new state, or
+   the batch's journal before it is cleared (the service's result-cache
+   clear and pointer swap; a worker's since-checkpoint journal);
 6. **clear** the journal, then **rebase** the memory tier onto the
    object readers now see, then count.
 """

@@ -11,9 +11,8 @@ Protocol (DESIGN.md §10):
   (``publish_mode="cow"``, structurally sharing everything the batch's
   delta journal did not touch with the previous snapshot) — wraps the
   clone in an :class:`~repro.service.snapshot.IndexSnapshot`, atomically
-  swaps it into ``self._snapshot`` and invalidates the result cache:
-  wholesale under ``clone``, delta-scoped under ``cow`` (only entries
-  whose terms intersect the batch's dirty vocabulary are dropped);
+  swaps it into ``self._snapshot`` and clears the result cache, whose
+  entries hit only at the snapshot id they were computed at;
 * **readers** never lock: they load the current snapshot reference (one
   atomic pointer read) and evaluate against that immutable structure, so a
   query that started before a publish simply finishes on the older
@@ -33,7 +32,6 @@ workers; this module adds the lock, the snapshot ids and the result cache.
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass, field
 
@@ -49,23 +47,9 @@ from .cache import QueryResultCache
 from .runtime import ShardRuntime
 from .snapshot import IndexSnapshot
 
-_OPERATORS = {"and", "or", "not"}
-
 #: Seconds between two looks of the :class:`BackgroundMerger` at the
 #: memory tier.
 MERGE_INTERVAL_S = 0.02
-
-
-def _boolean_terms(query: str) -> tuple[frozenset, bool]:
-    """The vocabulary terms of a boolean query, plus whether its answer
-    depends on the doc-id universe (it contains a ``NOT``)."""
-    tokens = [t.lower() for t in re.split(r"[\s()]+", query) if t]
-    terms = frozenset(t for t in tokens if t not in _OPERATORS)
-    return terms, "not" in tokens
-
-
-def _streamed_terms(query: str) -> frozenset:
-    return frozenset(t.lower() for t in query.split()[::2])
 
 
 class ServiceError(Exception):
@@ -112,8 +96,8 @@ class QueryService:
 
     Readers call ``search_boolean`` / ``search_streamed`` /
     ``search_vector`` from any number of threads; the writer ingests and
-    publishes.  Cached answers are keyed by ``(kind, query)`` with a
-    snapshot-id validity interval, and report the read ops the original
+    publishes.  Cached answers are keyed by ``(kind, query)``, stamped
+    with the snapshot id they were computed at, and report the read ops the original
     evaluation charged (a hit costs no I/O; the cache stats record it).
 
     ``publish_mode`` selects how snapshots are built: ``"clone"`` (the
@@ -239,23 +223,10 @@ class QueryService:
             return result, self._snapshot
 
     def _install(self, index: IndexShard, cow: bool, delta) -> IndexSnapshot:
-        """The runtime's install hook: wrap the clone, update the result
+        """The runtime's install hook: wrap the clone, clear the result
         cache, swap the pointer — in that order."""
-        prev = self._snapshot
-        snapshot = IndexSnapshot(index, prev.snapshot_id + 1)
-        # Cache update precedes the swap so no reader can compute against
-        # the new snapshot while stale entries are still resident (and
-        # precedes the journal clear: it reads the batch's dirty terms).
-        if cow:
-            self.cache.publish_delta(
-                snapshot.snapshot_id,
-                self._writer.dirty_terms(),
-                universe_changed=snapshot.ndocs != prev.ndocs,
-                deletions_changed=delta.deletions_changed,
-                versions=snapshot.version_vector,
-            )
-        else:
-            self.cache.invalidate()
+        snapshot = IndexSnapshot(index, self._snapshot.snapshot_id + 1)
+        self.cache.invalidate()
         # The swap is a single reference assignment (atomic under the
         # interpreter); readers holding the old snapshot finish on it.
         self._snapshot = snapshot
@@ -297,46 +268,29 @@ class QueryService:
         self._count_query("boolean")
         if self._memtier is not None:
             view = self._memtier.view()
-            base = view.base
+            snapshot_id = view.base.snapshot_id
             key = ("imm-boolean", query)
-            cached = self.cache.get(
-                key,
-                base.snapshot_id,
-                base.version_vector,
-                epoch=view.epoch,
-            )
+            cached = self.cache.get(key, snapshot_id, view.epoch)
             if cached is not None:
                 doc_ids, read_ops = cached
                 return QueryAnswer(doc_ids=list(doc_ids), read_ops=read_ops)
             answer = twotier.search_boolean(view, query)
-            terms, universe_sensitive = _boolean_terms(query)
             self.cache.put(
                 key,
                 (tuple(answer.doc_ids), answer.read_ops),
-                base.snapshot_id,
-                terms=terms,
-                universe_sensitive=universe_sensitive,
-                versions=base.version_vector,
-                epoch=view.epoch,
+                snapshot_id,
+                view.epoch,
             )
             return answer
         snapshot = snapshot or self._snapshot
         key = ("boolean", query)
-        cached = self.cache.get(
-            key, snapshot.snapshot_id, snapshot.version_vector
-        )
+        cached = self.cache.get(key, snapshot.snapshot_id)
         if cached is not None:
             doc_ids, read_ops = cached
             return QueryAnswer(doc_ids=list(doc_ids), read_ops=read_ops)
         answer = snapshot.search_boolean(query)
-        terms, universe_sensitive = _boolean_terms(query)
         self.cache.put(
-            key,
-            (tuple(answer.doc_ids), answer.read_ops),
-            snapshot.snapshot_id,
-            terms=terms,
-            universe_sensitive=universe_sensitive,
-            versions=snapshot.version_vector,
+            key, (tuple(answer.doc_ids), answer.read_ops), snapshot.snapshot_id
         )
         return answer
 
@@ -349,14 +303,9 @@ class QueryService:
         self._count_query("streamed")
         if self._memtier is not None:
             view = self._memtier.view()
-            base = view.base
+            snapshot_id = view.base.snapshot_id
             key = ("imm-streamed", query)
-            cached = self.cache.get(
-                key,
-                base.snapshot_id,
-                base.version_vector,
-                epoch=view.epoch,
-            )
+            cached = self.cache.get(key, snapshot_id, view.epoch)
             if cached is not None:
                 doc_ids, read_ops = cached
                 return QueryAnswer(doc_ids=list(doc_ids), read_ops=read_ops)
@@ -364,27 +313,19 @@ class QueryService:
             self.cache.put(
                 key,
                 (tuple(answer.doc_ids), answer.read_ops),
-                base.snapshot_id,
-                terms=_streamed_terms(query),
-                versions=base.version_vector,
-                epoch=view.epoch,
+                snapshot_id,
+                view.epoch,
             )
             return answer
         snapshot = snapshot or self._snapshot
         key = ("streamed", query)
-        cached = self.cache.get(
-            key, snapshot.snapshot_id, snapshot.version_vector
-        )
+        cached = self.cache.get(key, snapshot.snapshot_id)
         if cached is not None:
             doc_ids, read_ops = cached
             return QueryAnswer(doc_ids=list(doc_ids), read_ops=read_ops)
         answer = snapshot.search_streamed(query)
         self.cache.put(
-            key,
-            (tuple(answer.doc_ids), answer.read_ops),
-            snapshot.snapshot_id,
-            terms=_streamed_terms(query),
-            versions=snapshot.version_vector,
+            key, (tuple(answer.doc_ids), answer.read_ops), snapshot.snapshot_id
         )
         return answer
 
@@ -399,46 +340,23 @@ class QueryService:
         query_key = (tuple(sorted(weights.items())), top_k)
         if self._memtier is not None:
             view = self._memtier.view()
-            base = view.base
+            snapshot_id = view.base.snapshot_id
             key = ("imm-vector", query_key)
-            cached = self.cache.get(
-                key,
-                base.snapshot_id,
-                base.version_vector,
-                epoch=view.epoch,
-            )
+            cached = self.cache.get(key, snapshot_id, view.epoch)
             if cached is not None:
                 return list(cached)
             ranked, _ = twotier.search_vector_counted(
                 view, weights, top_k=top_k
             )
-            self.cache.put(
-                key,
-                tuple(ranked),
-                base.snapshot_id,
-                terms=frozenset(w.lower() for w in weights),
-                universe_sensitive=True,
-                versions=base.version_vector,
-                epoch=view.epoch,
-            )
+            self.cache.put(key, tuple(ranked), snapshot_id, view.epoch)
             return ranked
         snapshot = snapshot or self._snapshot
         key = ("vector", query_key)
-        cached = self.cache.get(
-            key, snapshot.snapshot_id, snapshot.version_vector
-        )
+        cached = self.cache.get(key, snapshot.snapshot_id)
         if cached is not None:
             return list(cached)
         ranked = snapshot.search_vector(weights, top_k=top_k)
-        # Ranking normalizes by idf(ndocs): universe-sensitive.
-        self.cache.put(
-            key,
-            tuple(ranked),
-            snapshot.snapshot_id,
-            terms=frozenset(w.lower() for w in weights),
-            universe_sensitive=True,
-            versions=snapshot.version_vector,
-        )
+        self.cache.put(key, tuple(ranked), snapshot.snapshot_id)
         return ranked
 
 

@@ -45,11 +45,12 @@ if TYPE_CHECKING:
 class IndexSnapshot:
     """One published, immutable-by-convention state of the index.
 
-    ``snapshot_id`` increases by one per publication; ``batch`` is the
-    number of batch updates the snapshot has absorbed and
-    ``shard_versions`` the per-shard batch counters (a one-element vector
-    for a single volume) — the identity the result cache keys on, and
-    the id a stress driver files its own oracle's frozen copy under.
+    ``snapshot_id`` increases by one per publication and names this one
+    immutable snapshot within its service — the stamp the result cache
+    keys on, and the id a stress driver files its own oracle's frozen
+    copy under.  ``batch`` is the number of batch updates the snapshot
+    has absorbed and ``shard_versions`` the per-shard batch counters (a
+    one-element vector for a single volume).
     """
 
     def __init__(self, index: "IndexShard", snapshot_id: int) -> None:
@@ -57,21 +58,7 @@ class IndexSnapshot:
         self.snapshot_id = snapshot_id
         self.batch = index.batches
         self.shard_versions = index.shard_versions
-        # The routing-table epoch the snapshot was published under (0
-        # for single volumes and never-rebalanced sharded writers).  A
-        # split moves documents between shards, so per-shard batch
-        # counters alone no longer identify the state — the epoch rides
-        # ahead of them in :attr:`version_vector`.
-        self.routing_epoch = getattr(index, "routing_epoch", 0)
         self.ndocs = index.ndocs
-
-    @property
-    def version_vector(self) -> tuple[int, ...]:
-        """The cache-identity vector: routing epoch, then the per-shard
-        batch counters.  Equal vectors imply the same routing topology
-        *and* the same per-shard states, so a cached answer keyed on
-        this vector can never survive a split."""
-        return (self.routing_epoch,) + tuple(self.shard_versions)
 
     # -- retrieval (thread-safe: no shared accounting) --------------------
 

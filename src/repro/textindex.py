@@ -134,15 +134,6 @@ class TextDocumentIndex:
         whole (the immediate tier's handle, :mod:`repro.core.memtier`)."""
         return ((self.vocabulary, self.index.memory._lists),)
 
-    def dirty_terms(self) -> frozenset:
-        """Lowercased terms the current batch's delta journal touched."""
-        if self.index.delta is None:
-            return frozenset()
-        return frozenset(
-            self.vocabulary.word_of(word_id).lower()
-            for word_id in self.index.delta.dirty_words
-        )
-
     def freeze(self) -> None:
         """Debug write barrier over the core index (publish-time)."""
         from .core.invariants import freeze_index

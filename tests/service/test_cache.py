@@ -1,4 +1,5 @@
-"""Unit tests for the delta-scoped, validity-ranged query-result cache."""
+"""Unit tests for the query-result cache: exact-stamp entries, LRU,
+counters, and wholesale invalidation at every publish."""
 
 import threading
 
@@ -11,14 +12,8 @@ def key(query):
     return ("boolean", query)
 
 
-def put(cache, query, value, snapshot_id=1, terms=None, universe=False):
-    cache.put(
-        key(query),
-        value,
-        snapshot_id,
-        terms=frozenset(terms if terms is not None else {query}),
-        universe_sensitive=universe,
-    )
+def put(cache, query, value, snapshot_id=1):
+    cache.put(key(query), value, snapshot_id)
 
 
 class TestLRU:
@@ -70,70 +65,17 @@ class TestValidityRange:
         put(cache, "a", "A", snapshot_id=2)
         assert cache.get(key("a"), 1) is None  # older reader
         assert cache.get(key("a"), 2) == "A"
-        assert cache.get(key("a"), 3) is None  # not yet extended
-
-    def test_clean_entry_extends_across_publish(self):
-        cache = QueryResultCache(capacity=4)
-        put(cache, "a", "A", snapshot_id=1, terms={"a"})
-        dropped = cache.publish_delta(
-            2, frozenset({"z"}), universe_changed=False,
-            deletions_changed=False,
-        )
-        assert dropped == 0
-        assert cache.get(key("a"), 2) == "A"
-        # And the old snapshot id still hits (lagging readers).
-        assert cache.get(key("a"), 1) == "A"
-        assert cache.stats().entries_retained == 1
-
-    def test_dirty_term_evicts(self):
-        cache = QueryResultCache(capacity=4)
-        put(cache, "a", "A", snapshot_id=1, terms={"a", "b"})
-        put(cache, "c", "C", snapshot_id=1, terms={"c"})
-        dropped = cache.publish_delta(
-            2, frozenset({"b"}), universe_changed=False,
-            deletions_changed=False,
-        )
-        assert dropped == 1
-        assert cache.get(key("a"), 2) is None
-        assert cache.get(key("c"), 2) == "C"
-
-    def test_universe_sensitive_evicted_when_docs_added(self):
-        cache = QueryResultCache(capacity=4)
-        put(cache, "not-q", "N", snapshot_id=1, terms={"a"}, universe=True)
-        put(cache, "plain", "P", snapshot_id=1, terms={"a"})
-        cache.publish_delta(
-            2, frozenset(), universe_changed=True, deletions_changed=False
-        )
-        assert cache.get(key("not-q"), 2) is None
-        assert cache.get(key("plain"), 2) == "P"
-
-    def test_deletion_change_evicts_everything(self):
-        cache = QueryResultCache(capacity=4)
-        put(cache, "a", "A", snapshot_id=1, terms={"a"})
-        put(cache, "b", "B", snapshot_id=1, terms={"b"})
-        dropped = cache.publish_delta(
-            2, frozenset(), universe_changed=False, deletions_changed=True
-        )
-        assert dropped == 2
-        assert cache.get(key("a"), 2) is None
-        assert cache.get(key("b"), 2) is None
+        assert cache.get(key("a"), 3) is None  # a later snapshot misses
 
     def test_stranded_entries_dropped(self):
-        """An entry that missed a publish_delta window (e.g. written for
-        an already-superseded snapshot) cannot be resurrected."""
+        """An entry a lagging reader writes for an already-superseded
+        snapshot is never served at a newer one."""
         cache = QueryResultCache(capacity=4)
-        put(cache, "a", "A", snapshot_id=1, terms={"a"})
-        # Publish 2 evicts it (dirty); a lagging reader re-puts for id 1.
-        cache.publish_delta(
-            2, frozenset({"a"}), universe_changed=False,
-            deletions_changed=False,
-        )
-        put(cache, "a", "A", snapshot_id=1, terms={"a"})
-        # Publish 3: entry's last_id (1) != 2 -> stranded, dropped even
-        # though its terms are clean.
-        cache.publish_delta(
-            3, frozenset(), universe_changed=False, deletions_changed=False
-        )
+        put(cache, "a", "A", snapshot_id=1)
+        cache.invalidate()  # publish 2
+        put(cache, "a", "A", snapshot_id=1)  # the lagging reader's put
+        assert cache.get(key("a"), 2) is None
+        cache.invalidate()  # publish 3
         assert cache.get(key("a"), 3) is None
 
 
@@ -178,13 +120,6 @@ class TestThreadSafety:
                     if i % 7 == 0:
                         put(cache, q, (worker_id, i), snapshot_id=sid)
                     elif i % 97 == 0:
-                        cache.publish_delta(
-                            sid + 1,
-                            frozenset({q}),
-                            universe_changed=bool(i % 2),
-                            deletions_changed=False,
-                        )
-                    elif i % 193 == 0:
                         cache.invalidate()
                     else:
                         cache.get(key(q), sid)

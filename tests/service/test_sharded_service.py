@@ -4,7 +4,7 @@ Extends the stress battery to a document-hash-sharded writer: snapshots
 publish the per-shard version *vector* atomically, both publish modes
 serve answers identical to the brute-force reference and to a fresh
 full-clone oracle (differential), and crash injection recovers without
-divergence.  The result cache's shard-vector guard is pinned directly.
+divergence.
 """
 
 from dataclasses import replace
@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.sharded import ShardedTextIndex
 from repro.service import LoadConfig, LoadGenerator, QueryService
-from repro.service.cache import QueryResultCache
 from repro.storage import faults
 
 SHARDED_CONFIG = LoadConfig(
@@ -88,48 +87,3 @@ class TestShardedService:
         with pytest.raises(ValueError):
             QueryService(shards=0)
 
-
-class TestCacheShardVector:
-    def test_version_mismatch_drops_entry_at_newest_snapshot(self):
-        cache = QueryResultCache(capacity=8)
-        key = ("boolean", "wa AND wb")
-        cache.put(key, (1, 2), snapshot_id=5, versions=(3, 1))
-        assert cache.get(key, 5, versions=(3, 1)) == (1, 2)
-        # Same snapshot id but a different shard vector: the entry must
-        # not be served (shard layout or out-of-band advance) — and it
-        # is dropped so the recomputed answer replaces it.
-        assert cache.get(key, 5, versions=(3, 2)) is None
-        assert cache.get(key, 5, versions=(3, 1)) is None
-
-    def test_publish_delta_advances_vector(self):
-        cache = QueryResultCache(capacity=8)
-        key = ("boolean", "wa")
-        cache.put(
-            key, (0,), snapshot_id=1, terms=frozenset({"wa"}),
-            versions=(1, 0),
-        )
-        cache.publish_delta(
-            2,
-            dirty_terms=frozenset({"wz"}),
-            universe_changed=False,
-            deletions_changed=False,
-            versions=(1, 1),
-        )
-        assert cache.get(key, 2, versions=(1, 1)) == (0,)
-        assert cache.get(key, 2, versions=(1, 0)) is None
-
-    def test_older_snapshot_lookup_skips_vector_check(self):
-        cache = QueryResultCache(capacity=8)
-        key = ("vector", ("wa",))
-        cache.put(key, (9,), snapshot_id=3, versions=(2,))
-        cache.publish_delta(
-            4,
-            dirty_terms=frozenset(),
-            universe_changed=False,
-            deletions_changed=False,
-            versions=(3,),
-        )
-        # A reader still pinned to snapshot 3 carries the old vector;
-        # the interval admits it and the vector guard only applies at
-        # the entry's newest snapshot.
-        assert cache.get(key, 3, versions=(2,)) == (9,)
