@@ -19,9 +19,9 @@ sample to its history.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .postings import PostingPayload
+from .postings import DocPostings, PostingPayload
 
 
 @dataclass
@@ -109,10 +109,11 @@ def modular_hash(nbuckets: int) -> Callable[[int], int]:
 class BucketManager:
     """All buckets plus the overflow/eviction algorithm of paper §2.
 
-    ``insert`` returns the list of ``(word, payload)`` migrations the
-    insertion caused — short lists promoted to long lists.  The caller
-    (ComputeBuckets or the index facade) routes those to the long-list
-    manager; this class knows nothing about disks.
+    :meth:`merge` runs the algorithm over one batch and hands every long
+    word and every evicted short list — a short list promoted to a long
+    list — to the caller's ``to_long``; the index facade and
+    ComputeBuckets route those to their long lists.  :meth:`insert` is
+    its one-word form.  This class knows nothing about disks.
     """
 
     #: Delta-journal hook (attached by ``DualStructureIndex`` in content
@@ -185,7 +186,39 @@ class BucketManager:
         Returns the migrations caused: while the bucket overflows, its
         longest short list is evicted and reported for promotion to a long
         list.  (An in-memory list larger than the whole bucket simply passes
-        straight through as its own migration.)
+        straight through as its own migration.)  A one-word :meth:`merge`.
+        """
+        migrations: list[tuple[int, PostingPayload]] = []
+        self.merge(
+            ((word, payload),),
+            lambda word: False,
+            lambda mword, mpayload: migrations.append((mword, mpayload)),
+            None,
+        )
+        return migrations
+
+    def merge(
+        self,
+        items: Iterable[tuple[int, PostingPayload]],
+        is_long: Callable[[int], bool],
+        to_long: Callable[[int, PostingPayload], object],
+        before_word: Callable[[], object] | None,
+    ) -> tuple[int, int, int, int, int]:
+        """Run §2 over one batch of in-memory lists, in the caller's order.
+
+        A word ``is_long`` reports goes to ``to_long(word, payload)``.  Any
+        other word's list is inserted into bucket h(w), and while that
+        bucket overflows its longest short list is evicted and handed to
+        ``to_long`` at once.  ``before_word``, unless None, is called before
+        every word.
+
+        Returns ``(new, bucket, long, migrations, npostings)``: the
+        Figure-7 tallies (a *bucket* word already had a short list, a
+        *new* one did not), the evictions, and the postings merged.
+
+        The journal's bucket hook fires once per bucket, before that
+        bucket's first mutation in this call — its consumers capture on
+        first touch — and the word hook fires for every bucket word.
         """
         if self.frozen:
             from .delta import FrozenStateError
@@ -193,19 +226,73 @@ class BucketManager:
             raise FrozenStateError(
                 "attempt to insert into a frozen (published) bucket manager"
             )
-        bucket_id = self.bucket_of(word)
-        bucket = self.buckets[bucket_id]
-        if self.journal is not None:
-            self.journal.note_bucket(bucket_id)
-            self.journal.note_word(word)
-        bucket.insert(word, payload)
-        self._record(bucket_id)
-        migrations: list[tuple[int, PostingPayload]] = []
-        while bucket.overflowing:
-            evicted = bucket.remove_longest()
-            migrations.append(evicted)
-            self._record(bucket_id)
-        return migrations
+        buckets, nbuckets, hash_fn = self.buckets, self.nbuckets, self.hash_fn
+        journal, watched = self.journal, self._watched
+        if journal is not None:
+            note_bucket, note_word = journal.note_bucket, journal.note_word
+        noted: set[int] = set()
+        new = in_bucket = nlong = migrations = npostings = 0
+        for word, payload in items:
+            if before_word is not None:
+                before_word()
+            # DocPostings are copied and extended inline, with extend's
+            # check and message; other payload kinds use their methods.
+            ids = payload.doc_ids if type(payload) is DocPostings else None
+            n = len(payload) if ids is None else len(ids)
+            npostings += n
+            if is_long(word):
+                nlong += 1
+                to_long(word, payload)
+                continue
+            bucket_id = hash_fn(word)
+            if not 0 <= bucket_id < nbuckets:
+                raise ValueError(
+                    f"hash function returned {bucket_id} outside "
+                    f"[0, {nbuckets})"
+                )
+            bucket = buckets[bucket_id]
+            lists = bucket.lists
+            if journal is not None:
+                if bucket_id not in noted:
+                    noted.add(bucket_id)
+                    note_bucket(bucket_id)
+                note_word(word)
+            existing = lists.get(word)
+            if existing is None:
+                new += 1
+                if ids is None:
+                    lists[word] = payload.copy()
+                else:
+                    # No __init__: the ids were checked when they arrived.
+                    copy = object.__new__(DocPostings)
+                    copy.doc_ids = ids[:]
+                    lists[word] = copy
+            else:
+                in_bucket += 1
+                if ids is None or type(existing) is not DocPostings:
+                    existing.extend(payload)
+                elif ids:
+                    held = existing.doc_ids
+                    if held and ids[0] <= held[-1]:
+                        raise ValueError(
+                            "appended postings must have larger doc ids "
+                            f"({ids[0]} after {held[-1]})"
+                        )
+                    held += ids
+            bucket.npostings += n
+            if watched:
+                self._record(bucket_id)
+            else:
+                self._step += 1
+            while len(lists) + bucket.npostings > bucket.capacity:
+                evicted = bucket.remove_longest()
+                migrations += 1
+                if watched:
+                    self._record(bucket_id)
+                else:
+                    self._step += 1
+                to_long(*evicted)
+        return new, in_bucket, nlong, migrations, npostings
 
     def remove(self, word: int) -> PostingPayload:
         """Remove a word's short list (used when promoting externally)."""

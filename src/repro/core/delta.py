@@ -23,8 +23,12 @@ The structure hooks (``note_bucket``, ``note_word``, ``note_blocks``)
 have two consumers.  On a ``crash_safe`` volume the structures point at
 the :class:`~repro.core.undo.UndoLog` instead, which captures a
 pre-image of whatever is about to change and then forwards the call
-here.  Hence the contract every mutation site keeps: **the hook is
-called before the mutation**, and no flush-path mutation bypasses it.
+here.  Hence the contract every mutation site keeps: **a structure's
+hook is called before that structure's first mutation in a flush**, and
+no flush-path mutation bypasses it.  Repeats are idempotent — the log
+captures on first touch only and this journal keeps sets — so a site
+may call again before each later mutation, or, like
+``BucketManager.merge``'s bucket hook, once per flush.
 
 Recording is deliberately a superset: anything that *might* differ from
 the previous snapshot is marked dirty.  Over-recording costs a little

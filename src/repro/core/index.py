@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 from ..storage import faults
 from ..storage.diskarray import DiskArray, DiskArrayConfig
@@ -325,25 +326,15 @@ class DualStructureIndex:
             self._aborted_next_doc_id = self._next_doc_id
             undo.arm()
         faults.crash_point(CP_FLUSH_BEGIN)
-        counts = {c: 0 for c in WordCategory}
-        npostings = 0
-        migrations = 0
         ops_before = self.longlists.counters.io_ops
         in_place_before = self.longlists.counters.in_place_updates
         nwords = len(self.memory)
-
-        for word, payload in self.memory.items():
-            faults.crash_point(CP_BEFORE_WORD)
-            category = self.classify(word)
-            counts[category] += 1
-            npostings += len(payload)
-            if category is WordCategory.LONG:
-                self.longlists.append(word, payload)
-            else:
-                for mword, mpayload in self.buckets.insert(word, payload):
-                    migrations += 1
-                    self.longlists.append(mword, mpayload)
-
+        new, in_bucket, nlong, migrations, npostings = self.buckets.merge(
+            self.memory.items(),
+            self.longlists.directory.__contains__,
+            self.longlists.append,
+            partial(faults.crash_point, CP_BEFORE_WORD),
+        )
         if self.grower is not None:
             # Rebalance before the flush so the enlarged region is what
             # gets written ("expanded and written in a larger region").
@@ -375,9 +366,9 @@ class DualStructureIndex:
             batch=self._batches - 1,
             nwords=nwords,
             npostings=npostings,
-            new_words=counts[WordCategory.NEW],
-            bucket_words=counts[WordCategory.BUCKET],
-            long_words=counts[WordCategory.LONG],
+            new_words=new,
+            bucket_words=in_bucket,
+            long_words=nlong,
             migrations=migrations,
             io_ops=self.longlists.counters.io_ops - ops_before,
             in_place_updates=(

@@ -154,8 +154,8 @@ class InMemoryIndex:
         word enters the batch — flushing iterates these pairs once per
         batch, and appends to existing lists must not re-pay it.
         """
-        for word in self._ordered_words():
-            yield word, self._lists[word]
+        words = self._ordered_words()
+        return zip(words, map(self._lists.__getitem__, words))
 
     def items_by_bucket(self, hash_fn, nbuckets: int):
         """All (word, list) pairs grouped by destination bucket.

@@ -2,9 +2,10 @@
 
 The paper's restartability (§1, §3) is a shadow discipline — write the
 new buckets and directory, then free the old — never a copy of the
-index.  A flush mutates a bounded set of things, and every mutation site
-calls a ``journal.note_*`` hook *before* it mutates (the contract stated
-in :mod:`repro.core.delta`).  On a ``crash_safe`` volume those
+index.  A flush mutates a bounded set of things, and a structure's
+``journal.note_*`` hook is called *before* that structure's first
+mutation in the flush; repeats are idempotent (the contract stated in
+:mod:`repro.core.delta`).  On a ``crash_safe`` volume those
 ``journal`` attributes point at an :class:`UndoLog`, which
 
 * is **armed** when ``flush_batch`` begins: it copies the small state a

@@ -138,21 +138,19 @@ class ComputeBucketsProcess:
         """Apply one batch update; return its long-list events and the
         Figure-7 category tallies."""
         events: list[LongListUpdate] = []
-        counts = CategoryCounts()
-        for word, npostings in update:
-            if word in self._long_words:
-                counts.long += 1
-                events.append(LongListUpdate(word, npostings))
-                continue
-            if self.manager.contains(word):
-                counts.bucket += 1
-            else:
-                counts.new += 1
-            migrations = self.manager.insert(word, CountPostings(npostings))
-            for mword, mpayload in migrations:
-                self._long_words.add(mword)
-                events.append(LongListUpdate(mword, len(mpayload)))
-        return events, counts
+        long_words = self._long_words
+
+        def to_long(word: int, payload: CountPostings) -> None:
+            long_words.add(word)
+            events.append(LongListUpdate(word, len(payload)))
+
+        new, bucket, long_, _, _ = self.manager.merge(
+            ((word, CountPostings(npostings)) for word, npostings in update),
+            long_words.__contains__,
+            to_long,
+            None,
+        )
+        return events, CategoryCounts(new, bucket, long_)
 
     def run(self, updates: Iterable[BatchUpdate]) -> BucketStageResult:
         """Process all batch updates and collect the stage outputs."""
