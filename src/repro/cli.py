@@ -22,7 +22,6 @@ Seven subcommands cover the library's main entry points::
         retries do not depend on what else is on the command line.
 
     repro serve-bench [--readers N] [--cycles N] [--docs-per-batch N]
-                      [--publish-mode clone|cow]
                       [--shards N] [--differential]
                       [--gateway] [--replicas K]
                       [--grow-buckets] [--read-tier snapshot|immediate]
@@ -37,13 +36,14 @@ Seven subcommands cover the library's main entry points::
         snapshots while the writer flushes batch updates; prints
         throughput, p50/p95/p99 query and publish latency, and cache
         statistics, and writes the machine-readable BENCH_serving report
-        with ``--json``.  ``--publish-mode cow`` (the default) publishes
-        incrementally via the delta journal; ``clone`` uses the full
-        checkpoint clone.  ``--differential`` probes served answers against the
-        driver's own brute-force mirror after every flush (mid-buffer on
-        the immediate tier), on every host.  ``--inject-faults`` crashes
-        the writer mid-flush on a rotating schedule of crash points (plus
-        transient disk faults) and recovers.  ``--gateway`` serves through
+        with ``--json``.  Every publish is incremental via the delta
+        journal, each volume falling back to the full checkpoint clone
+        when its journal cannot prove coverage.  ``--differential``
+        probes served answers against the driver's own brute-force
+        mirror after every flush (mid-buffer on the immediate tier), on
+        every host.  ``--inject-faults`` crashes the writer mid-flush on
+        a rotating schedule of crash points (plus transient disk faults)
+        and recovers.  ``--gateway`` serves through
         one worker process per shard behind the asyncio scatter-gather
         gateway (per-shard deadlines, bounded-queue admission control,
         checkpoint+oplog failover); ``--arrival open`` offers a
@@ -254,7 +254,6 @@ def cmd_serve_bench(args) -> int:
         transient_rate=args.fault_rate if args.inject_faults else 0.0,
         # A short writer sleep between cycles so readers interleave.
         pace_s=0.001,
-        publish_mode=args.publish_mode,
         differential=args.differential,
         shards=args.shards,
         gateway=args.gateway,
@@ -505,13 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--docs-per-batch", type=int, default=20)
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--delete-every", type=int, default=0)
-    p_serve.add_argument(
-        "--publish-mode",
-        choices=("clone", "cow"),
-        default="cow",
-        help="snapshot publication: full checkpoint clone, or "
-        "incremental copy-on-write sharing untouched structure",
-    )
     p_serve.add_argument(
         "--differential",
         action="store_true",

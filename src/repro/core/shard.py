@@ -15,15 +15,17 @@ Thread-safety contract: the ``search_*`` methods must keep all read-op
 accounting local to the call (no shared counters), because published
 clones are queried from many reader threads at once.
 
-The module also owns the document router: a *stable* doc-id hash (no
-dependence on ``PYTHONHASHSEED`` or process identity) so that clones,
-recovered writers, and worker processes all agree on which shard owns a
-document.
+The module also owns a volume's one publish step (:func:`publish_copy`)
+and the document router: a *stable* doc-id hash (no dependence on
+``PYTHONHASHSEED`` or process identity) so that clones, recovered
+writers, and worker processes all agree on which shard owns a document.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
+
+from .checkpoint import CheckpointError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..query.vector import ScoredDocument
@@ -116,14 +118,8 @@ class IndexShard(Protocol):
     # -- publication ------------------------------------------------------
 
     def clone(self) -> "IndexShard":
-        """An independent deep copy at the current batch boundary."""
-
-    def clone_incremental(self, prev: "IndexShard", delta) -> "IndexShard":
-        """A copy structurally sharing everything ``delta`` left
-        untouched with ``prev`` (raises
-        :class:`~repro.core.checkpoint.CheckpointError` when coverage
-        cannot be proven; sharded implementations may fall back
-        per-shard instead of raising)."""
+        """An independent deep copy at the current batch boundary: the
+        publish step's fallback and the oracle its tests compare with."""
 
     def freeze(self) -> None:
         """Debug write barrier: mark every underlying structure
@@ -131,13 +127,6 @@ class IndexShard(Protocol):
 
     def check(self) -> "InvariantReport":
         """Run the dual-structure invariant checker over every volume."""
-
-    def attach_buffer_cache(
-        self, blocks: int, counters, prev=None, delta=None
-    ) -> None:
-        """Wire a decoded-chunk buffer cache into this (published) index,
-        carrying ``prev``'s cache forward minus ``delta``'s dirty blocks
-        when both are given."""
 
     # -- retrieval (thread-safe: per-call accounting) ---------------------
 
@@ -152,3 +141,36 @@ class IndexShard(Protocol):
     def search_vector_counted(
         self, weights: Mapping[str, float], top_k: int = 10
     ) -> "tuple[list[ScoredDocument], int]": ...
+
+
+def publish_copy(volume, prev, journal, blocks: int, counters):
+    """``(copy, fell_back)``: one volume's next published copy.
+
+    The copy shares everything ``journal`` left untouched with ``prev``,
+    the volume's previous publication (``clone_incremental``).  When the
+    journal cannot prove it covers the gap (crash recovery, bucket
+    growth, config drift: :class:`~repro.core.checkpoint.CheckpointError`)
+    or there is no predecessor, the copy is a full ``clone()`` instead
+    and ``fell_back`` is True.  With ``blocks`` > 0 the copy gets a
+    decoded-chunk buffer cache counting into ``counters``: ``prev``'s,
+    minus the journal's dirty blocks, when the copy shares structure;
+    a cold one when it fell back, since the journal's coverage is then
+    void.  This is the only place a publish falls back.
+    """
+    copy = None
+    if prev is not None:
+        try:
+            copy = volume.clone_incremental(prev, journal)
+        except CheckpointError:
+            pass
+    fell_back = copy is None
+    if fell_back:
+        copy = volume.clone()
+    if blocks:
+        copy.attach_buffer_cache(
+            blocks,
+            counters,
+            prev=None if fell_back else prev,
+            delta=journal,
+        )
+    return copy, fell_back

@@ -44,19 +44,19 @@ from ..query import streaming as streaming_query
 from ..query import vector as vector_query
 from ..query.vector import ScoredDocument
 from ..textindex import QueryAnswer, TextDocumentIndex
-from .checkpoint import CheckpointError
 from .index import BatchResult, IndexConfig
 from .invariants import InvariantReport, Violation
 from .rebalance import RebuildScheduler
 from .routing import RoutingTable
+from .shard import publish_copy
 
 
 class ShardDeltaVector:
     """Aggregate view over per-shard delta journals.
 
     The serving layer treats the writer's ``delta`` as one object: it
-    passes it to ``clone_incremental`` and clears it after a publish.
-    For a sharded writer both are a fan-out over the per-shard
+    passes it to ``publish_copy`` and clears it after a publish.  For a
+    sharded writer both are a fan-out over the per-shard
     :class:`~repro.core.delta.DeltaJournal`s — which stay individually
     attached to their volumes, so flushes keep recording into them
     between publishes.
@@ -354,47 +354,41 @@ class ShardedTextIndex:
         copy.shards = [shard.clone() for shard in self.shards]
         return copy
 
-    def clone_incremental(self, prev, delta) -> "ShardedTextIndex":
-        """Per-shard copy-on-write against ``prev``'s shard vector.
+    def publish_copy(
+        self, prev, delta, blocks: int, counters
+    ) -> tuple["ShardedTextIndex", int]:
+        """``(copy, fallbacks)``: the next published copy, and how many
+        shards fell back to a full clone.
 
-        Shards whose journal cannot prove coverage (crash recovery, a
-        structural rebuild) fall back to a full
-        clone *individually* — one bad shard never forces siblings to
-        give up sharing, and unlike the single-volume method this one
-        only raises when the shard layouts are incompatible.
+        Each shard goes through :func:`~repro.core.shard.publish_copy`
+        against its counterpart in ``prev`` with its own journal, so one
+        shard that cannot prove coverage (crash recovery, a structural
+        rebuild) never forces its siblings to give up sharing.  A layout
+        change (shard count, router seed, routing epoch: documents moved
+        between shards) leaves no counterpart, and every shard falls
+        back.  ``blocks`` splits evenly across the shards; all their
+        caches count into ``counters``, so hit rates stay global.
         """
-        if (
-            not isinstance(prev, ShardedTextIndex)
-            or len(prev.shards) != len(self.shards)
-            or prev.router_seed != self.router_seed
-            or prev.routing != self.routing
-        ):
-            # A routing-epoch change means documents moved between
-            # shards: per-shard deltas no longer describe the gap, so
-            # the caller must publish a full clone.
-            raise CheckpointError(
-                "previous snapshot has a different shard layout"
-            )
-        journals = (
-            delta.journals
-            if delta is not None
-            else [None] * len(self.shards)
+        same_layout = (
+            isinstance(prev, ShardedTextIndex)
+            and len(prev.shards) == len(self.shards)
+            and prev.router_seed == self.router_seed
+            and prev.routing == self.routing
         )
+        nshards = len(self.shards)
+        prevs = prev.shards if same_layout else [None] * nshards
+        journals = delta.journals if delta is not None else [None] * nshards
+        per_shard = max(1, blocks // nshards) if blocks else 0
         copy = self._empty_copy()
         copy.shards = []
-        for shard, prev_shard, journal in zip(
-            self.shards, prev.shards, journals
-        ):
-            if journal is None:
-                copy.shards.append(shard.clone())
-                continue
-            try:
-                copy.shards.append(
-                    shard.clone_incremental(prev_shard, journal)
-                )
-            except CheckpointError:
-                copy.shards.append(shard.clone())
-        return copy
+        fallbacks = 0
+        for shard, prev_shard, journal in zip(self.shards, prevs, journals):
+            volume, fell_back = publish_copy(
+                shard, prev_shard, journal, per_shard, counters
+            )
+            copy.shards.append(volume)
+            fallbacks += fell_back
+        return copy, fallbacks
 
     def freeze(self) -> None:
         for shard in self.shards:
@@ -412,29 +406,6 @@ class ShardedTextIndex:
                     Violation(violation.code, f"shard {i}: {violation.detail}")
                 )
         return report
-
-    def attach_buffer_cache(
-        self, blocks: int, counters, prev=None, delta=None
-    ) -> None:
-        """Split the block budget evenly across shards; each shard
-        carries its own cache forward from its counterpart in ``prev``
-        minus its own journal's dirty blocks.  All shard caches share
-        ``counters``, so hit-rate accounting stays global."""
-        per_shard = max(1, blocks // len(self.shards))
-        prev_shards = (
-            prev.shards if prev is not None else [None] * len(self.shards)
-        )
-        journals = (
-            delta.journals
-            if delta is not None
-            else [None] * len(self.shards)
-        )
-        for shard, prev_shard, journal in zip(
-            self.shards, prev_shards, journals
-        ):
-            shard.attach_buffer_cache(
-                per_shard, counters, prev=prev_shard, delta=journal
-            )
 
     # -- retrieval (scatter-gather) ---------------------------------------
 

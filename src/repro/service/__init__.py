@@ -4,11 +4,11 @@ The subsystem the paper's motivation asks for but its evaluation never
 builds: reader threads answer boolean / streamed / vector queries against
 an immutable published :class:`IndexSnapshot` while a single writer
 absorbs batch updates, publishing a fresh snapshot atomically at each
-flush — either a full checkpoint clone (``publish_mode="clone"``) or an
-incremental copy-on-write snapshot sharing all untouched structure with
-its predecessor (``publish_mode="cow"``).  A :class:`QueryResultCache`
-short-circuits repeated queries within one snapshot and is cleared at
-every publish;
+flush: an incremental copy-on-write snapshot sharing all untouched
+structure with its predecessor, in which a volume whose delta journal
+cannot prove coverage is a full checkpoint clone instead (counted as a
+fallback).  A :class:`QueryResultCache` short-circuits repeated queries
+within one snapshot and is cleared at every publish;
 :class:`LoadGenerator` drives the mixed workload — checking served
 answers against a brute-force mirror it alone owns — and reports
 throughput plus tail and publish latency.

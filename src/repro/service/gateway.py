@@ -460,6 +460,10 @@ class AsyncShardGateway:
             raise ValueError("shard_timeout_s must be > 0")
         if read_tier not in ("snapshot", "immediate"):
             raise ValueError("read_tier must be 'snapshot' or 'immediate'")
+        if publish_mode != "cow":
+            # Pinned by benchmarks/harness/workloads.py:333,370; every
+            # worker publishes by cow, the full clone its fallback.
+            raise ValueError("publish_mode must be 'cow'")
         if coalesce is not False:
             # Pinned by benchmarks/harness/workloads.py:335, which passes
             # the keyword; the mechanism it named was tried and removed.
@@ -480,7 +484,6 @@ class AsyncShardGateway:
             base = WorkerSpec(
                 shard_id=i,
                 index_config=config,
-                publish_mode=publish_mode,
                 kill_on_crash=kill_on_crash,
                 check_invariants=check_invariants,
                 buffer_cache_blocks=(

@@ -128,9 +128,6 @@ class LoadConfig:
     transient_rate: float = 0.0
     #: Seconds the writer sleeps between cycles so readers interleave.
     pace_s: float = 0.0
-    #: How snapshots are published: "cow" (incremental copy-on-write)
-    #: or "clone" (full checkpoint clone, the oracle).
-    publish_mode: str = "cow"
     #: Block budget of the shared decoded-chunk cache (0 = disabled).
     buffer_cache_blocks: int = 128
     #: Probe served answers against the generator's brute-force mirror
@@ -178,9 +175,9 @@ class LoadConfig:
 
     def __post_init__(self) -> None:
         # Ranges of the run's own shape, and the rules that span two
-        # fields.  A value one layer consumes (publish_mode, read_tier,
-        # shards, replicas) is range-checked by the constructor that
-        # branches on it, when the generator builds its service.
+        # fields.  A value one layer consumes (read_tier, shards,
+        # replicas) is range-checked by the constructor that branches on
+        # it, when the generator builds its service.
         if self.readers <= 0 or self.flush_cycles <= 0:
             raise ValueError("readers and flush_cycles must be > 0")
         if self.docs_per_batch <= 0 or self.vocabulary <= 0:
@@ -399,7 +396,6 @@ class LoadGenerator:
                 cfg.index_config(),
                 shards=cfg.shards,
                 replicas=cfg.replicas,
-                publish_mode=cfg.publish_mode,
                 check_invariants=cfg.check_invariants,
                 buffer_cache_blocks=cfg.buffer_cache_blocks,
                 read_tier=cfg.read_tier,
@@ -415,7 +411,6 @@ class LoadGenerator:
                 cfg.index_config(),
                 cache_capacity=cfg.cache_capacity,
                 check_invariants=cfg.check_invariants,
-                publish_mode=cfg.publish_mode,
                 buffer_cache_blocks=cfg.buffer_cache_blocks,
                 shards=cfg.shards,
                 read_tier=cfg.read_tier,

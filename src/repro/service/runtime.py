@@ -16,15 +16,16 @@ process — and neither re-implements a step:
    with that rollback, and writes are refused until it has run (and, on
    the immediate tier, published): a rollback would drop them, or the
    tier not show them;
-3. **clone** — copy the writer at its new boundary: incrementally
-   against the previous publication under ``publish_mode="cow"``,
-   falling back to the full checkpoint clone when the journal cannot
-   prove coverage (:class:`CheckpointError`); a fault during either
-   clone is retried in place — the flush already completed, so cloning
-   is safely repeatable;
-4. **check + freeze** (``check_invariants``) and the buffer-cache carry
-   (a cow publish keeps the previous cache minus the batch's dirty
-   blocks; a full clone starts cold);
+3. **clone** — copy the writer at its new boundary, one volume at a
+   time through :func:`~repro.core.shard.publish_copy`: incrementally
+   against the previous publication, falling back to the full checkpoint
+   clone when the volume's journal cannot prove coverage
+   (:class:`~repro.core.checkpoint.CheckpointError`), with the buffer
+   cache carried only by a volume that shared structure (minus the
+   batch's dirty blocks); a fault during either clone is retried in
+   place — the flush already completed, so cloning is safely
+   repeatable;
+4. **check + freeze** (``check_invariants``);
 5. **install** — the host's hook: whatever must see the new state, or
    the batch's journal before it is cleared (the service's result-cache
    clear and pointer swap; a worker's since-checkpoint journal);
@@ -34,9 +35,10 @@ process — and neither re-implements a step:
 
 from __future__ import annotations
 
-from ..core.checkpoint import CheckpointError
 from ..core.index import BatchResult
 from ..core.memtier import MemTier
+from ..core.shard import publish_copy
+from ..core.sharded import ShardedTextIndex
 from ..pipeline.profiling import HitMissCounters
 from ..storage.faults import InjectedCrash, TransientIOError
 
@@ -55,8 +57,12 @@ class ShardRuntime:
     ``WorkerStats``): the runtime increments ``publishes``,
     ``cow_publishes``, ``full_clone_publishes``, ``cow_fallbacks``,
     ``flush_recoveries``, ``publish_retries`` and ``invariant_checks`` on
-    it.  ``on_crash`` is called at every :class:`InjectedCrash` before
-    any recovery (the worker's ``kill_on_crash`` dies there).  ``error``
+    it.  ``cow_fallbacks`` counts volumes that fell back to a full clone
+    (a sharded writer's layout change counts every one);
+    ``cow_publishes`` counts publishes in which no volume fell back, and
+    ``full_clone_publishes`` the rest.  ``on_crash`` is called at every
+    :class:`InjectedCrash` before any recovery (the worker's
+    ``kill_on_crash`` dies there).  ``error``
     is the exception type an exhausted retry budget is reported as;
     ``None`` lets the last fault propagate as itself (and refuses a
     write with ``RuntimeError``).
@@ -71,17 +77,13 @@ class ShardRuntime:
         writer,
         stats,
         *,
-        publish_mode: str,
         check_invariants: bool,
         buffer_cache_blocks: int,
         on_crash=None,
         error: type | None = None,
     ) -> None:
-        if publish_mode not in ("clone", "cow"):
-            raise ValueError("publish_mode must be 'clone' or 'cow'")
         self.writer = writer
         self.stats = stats
-        self.publish_mode = publish_mode
         self.check_invariants = check_invariants
         self.buffer_cache_blocks = buffer_cache_blocks
         self.buffer_counters = (
@@ -167,31 +169,25 @@ class ShardRuntime:
 
     # -- publish ----------------------------------------------------------
 
-    def _clone(self, delta):
-        """``(clone, cow)`` of the writer at its boundary."""
-        cow = (
-            self.publish_mode == "cow"
-            and delta is not None
-            and self.published is not None
-        )
+    def _copy(self, delta):
+        """``(copy, fallbacks)`` of the writer at its boundary."""
         attempts = 0
         while True:
             try:
-                if cow:
-                    try:
-                        return (
-                            self.writer.clone_incremental(
-                                self.published, delta
-                            ),
-                            True,
-                        )
-                    except CheckpointError:
-                        # The journal cannot prove coverage (crash
-                        # recovery, bucket growth, config drift): fall
-                        # back to the oracle.
-                        self.stats.cow_fallbacks += 1
-                        cow = False
-                return self.writer.clone(), False
+                if isinstance(self.writer, ShardedTextIndex):
+                    return self.writer.publish_copy(
+                        self.published,
+                        delta,
+                        self.buffer_cache_blocks,
+                        self.buffer_counters,
+                    )
+                return publish_copy(
+                    self.writer,
+                    self.published,
+                    delta,
+                    self.buffer_cache_blocks,
+                    self.buffer_counters,
+                )
             except _FAULTS as exc:
                 # Nothing was published yet and the writer sits at a
                 # consistent boundary: clone again.
@@ -199,10 +195,10 @@ class ShardRuntime:
                 self.stats.publish_retries += 1
 
     def _build(self):
-        """Steps 3–4: ``(clone, cow, delta)``, checked, frozen and
-        cached, not yet visible to anyone."""
+        """Steps 3–4: ``(clone, fallbacks, delta)``, cached, checked and
+        frozen, not yet visible to anyone."""
         delta = self.writer.delta
-        index, cow = self._clone(delta)
+        index, fallbacks = self._copy(delta)
         if self.check_invariants:
             report = index.check()
             self.stats.invariant_checks += 1
@@ -210,25 +206,17 @@ class ShardRuntime:
             # Debug-mode write barrier: published (and possibly shared)
             # structure must never be mutated again.
             index.freeze()
-        if self.buffer_cache_blocks:
-            index.attach_buffer_cache(
-                self.buffer_cache_blocks,
-                self.buffer_counters,
-                prev=self.published if cow else None,
-                delta=delta if cow else None,
-            )
-        return index, cow, delta
+        return index, fallbacks, delta
 
-    def publish(self, install=None) -> bool:
-        """Publish the writer's boundary state; True when it shares
-        structure with its predecessor (cow).
+    def publish(self, install=None) -> None:
+        """Publish the writer's boundary state.
 
-        ``install(index, cow, delta)`` runs while the batch's journal is
-        still intact and returns the object the host's readers see from
-        then on (default: the clone itself).
+        ``install(index, delta)`` runs while the batch's journal is still
+        intact and returns the object the host's readers see from then
+        on (default: the clone itself).
         """
-        index, cow, delta = self._build()
-        base = index if install is None else install(index, cow, delta)
+        index, fallbacks, delta = self._build()
+        base = index if install is None else install(index, delta)
         if delta is not None:
             delta.clear()
         self.published = index
@@ -238,8 +226,8 @@ class ShardRuntime:
             # == new base + the writer's new, empty batch).
             self.memtier.rebase(base)
         self.stats.publishes += 1
-        if cow:
-            self.stats.cow_publishes += 1
-        else:
+        self.stats.cow_fallbacks += fallbacks
+        if fallbacks:
             self.stats.full_clone_publishes += 1
-        return cow
+        else:
+            self.stats.cow_publishes += 1

@@ -6,13 +6,13 @@ Protocol (DESIGN.md §10):
   and is the only thread that mutates it (``add_document`` /
   ``delete_document`` / ``flush_and_publish`` serialize on the writer lock);
 * at each flush the writer *publishes*: it clones the index at the batch
-  boundary — either wholesale (``publish_mode="clone"``, the original
-  copy-on-publish through the checkpoint machinery) or incrementally
-  (``publish_mode="cow"``, structurally sharing everything the batch's
-  delta journal did not touch with the previous snapshot) — wraps the
-  clone in an :class:`~repro.service.snapshot.IndexSnapshot`, atomically
-  swaps it into ``self._snapshot`` and clears the result cache, whose
-  entries hit only at the snapshot id they were computed at;
+  boundary, incrementally — structurally sharing everything the batch's
+  delta journal did not touch with the previous snapshot — per volume,
+  and by the full checkpoint clone for a volume whose journal cannot
+  prove coverage (crash recovery, bucket growth); it wraps the clone in
+  an :class:`~repro.service.snapshot.IndexSnapshot`, atomically swaps it
+  into ``self._snapshot`` and clears the result cache, whose entries hit
+  only at the snapshot id they were computed at;
 * **readers** never lock: they load the current snapshot reference (one
   atomic pointer read) and evaluate against that immutable structure, so a
   query that started before a publish simply finishes on the older
@@ -100,15 +100,14 @@ class QueryService:
     with the snapshot id they were computed at, and report the read ops the original
     evaluation charged (a hit costs no I/O; the cache stats record it).
 
-    ``publish_mode`` selects how snapshots are built: ``"clone"`` (the
-    default, and the cow tests' known-good twin) serializes the whole
-    index per publish; ``"cow"`` builds each snapshot incrementally from
-    the previous one plus the writer's delta journal — O(batch) instead
-    of O(index) — falling back to a full clone whenever the journal
+    Each publish builds the snapshot incrementally from the previous one
+    plus the writer's delta journal — O(batch) instead of O(index) —
+    and falls back to a full clone, per volume, whenever the journal
     cannot prove coverage (crash recovery, bucket growth).
-    ``buffer_cache_blocks`` > 0 attaches a shared LRU of decoded
-    long-list chunks to every published snapshot (carried across cow
-    publishes minus the batch's dirty blocks).
+    ``publish_mode`` is a pin the benchmark harness passes; only
+    ``"cow"`` is accepted.  ``buffer_cache_blocks`` > 0 attaches a
+    shared LRU of decoded long-list chunks to every published snapshot
+    (carried across publishes minus the batch's dirty blocks).
 
     ``shards`` > 1 partitions the collection by stable doc-id hash
     across that many independent dual-structure volumes (see
@@ -127,12 +126,16 @@ class QueryService:
         *,
         cache_capacity: int = 256,
         check_invariants: bool = False,
-        publish_mode: str = "clone",
+        publish_mode: str = "cow",
         buffer_cache_blocks: int = 0,
         shards: int = 1,
         router_seed: int = 0,
         read_tier: str = "snapshot",
     ) -> None:
+        if publish_mode != "cow":
+            # Pinned by benchmarks/harness/workloads.py:288 and
+            # tracing.py:220,224; the full clone is the fallback only.
+            raise ValueError("publish_mode must be 'cow'")
         if buffer_cache_blocks < 0:
             raise ValueError("buffer_cache_blocks must be >= 0")
         if shards < 1:
@@ -155,7 +158,6 @@ class QueryService:
         self._runtime = ShardRuntime(
             self._writer,
             self.stats,
-            publish_mode=publish_mode,
             check_invariants=check_invariants,
             buffer_cache_blocks=buffer_cache_blocks,
             error=ServiceError,
@@ -222,7 +224,7 @@ class QueryService:
                     self._runtime.publish(self._install)
             return result, self._snapshot
 
-    def _install(self, index: IndexShard, cow: bool, delta) -> IndexSnapshot:
+    def _install(self, index: IndexShard, delta) -> IndexSnapshot:
         """The runtime's install hook: wrap the clone, clear the result
         cache, swap the pointer — in that order."""
         snapshot = IndexSnapshot(index, self._snapshot.snapshot_id + 1)

@@ -3,8 +3,8 @@
 Each worker runs :func:`worker_main` in its own process and owns a
 complete :class:`~repro.textindex.TextDocumentIndex` end-to-end: ingest,
 flush, snapshot publication and query evaluation.  Flush-with-recovery
-and publication (full clone or incremental copy-on-write) are not written
-here: the worker drives the same
+and publication (incremental copy-on-write, the full clone its fallback)
+are not written here: the worker drives the same
 :class:`~repro.service.runtime.ShardRuntime` the in-process
 :class:`~repro.service.server.QueryService` drives, and adds what only a
 replica needs — skipping an idle flush, the gateway's growth grant,
@@ -70,7 +70,6 @@ class WorkerSpec:
 
     shard_id: int
     index_config: IndexConfig | None = None
-    publish_mode: str = "cow"
     #: Restore point: a :meth:`TextDocumentIndex.save` base blob followed
     #: by the redo records chained on it (:meth:`TextDocumentIndex.restore`).
     restore: tuple[bytes, ...] | None = None
@@ -181,7 +180,6 @@ class ShardWorker:
         self.runtime = ShardRuntime(
             self.writer,
             self.stats,
-            publish_mode=spec.publish_mode,
             check_invariants=spec.check_invariants,
             buffer_cache_blocks=spec.buffer_cache_blocks,
             on_crash=_die if spec.kill_on_crash else None,
@@ -272,7 +270,7 @@ class ShardWorker:
     def _mem_epoch(self) -> int:
         return self.memtier.epoch if self.memtier is not None else 0
 
-    def _absorb(self, index, cow, delta):
+    def _absorb(self, index, delta):
         """The publish's ``install`` hook: fold the batch's journal into
         the since-checkpoint one before the runtime clears it.  A process
         that has given no checkpoint answer can only answer a base, so it

@@ -379,7 +379,8 @@ class TextDocumentIndex:
         publish cost is O(batch) rather than O(index).  Raises
         :class:`~repro.core.checkpoint.CheckpointError` when the delta
         cannot prove it covers the gap (e.g. after crash recovery or a
-        structural rebuild); callers fall back to :meth:`clone`.
+        structural rebuild); :func:`repro.core.shard.publish_copy`, the
+        one publish step, then falls back to :meth:`clone`.
         """
         core = checkpoint.clone_incremental(self.index, prev.index, delta)
         copy = TextDocumentIndex.__new__(TextDocumentIndex)

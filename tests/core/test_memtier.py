@@ -42,7 +42,6 @@ def tier(writer=None) -> ShardRuntime:
     runtime = ShardRuntime(
         writer,
         ServiceStats(),
-        publish_mode="cow",
         check_invariants=False,
         buffer_cache_blocks=0,
     )
@@ -309,10 +308,10 @@ def test_a_view_held_between_retirement_and_rebase_answers_exactly(point):
     held = []
     install = service._install
 
-    def hold(index, cow, delta):
+    def hold(index, delta):
         assert len(service.writer_index.index.memory) == 0  # retired
         held.append(service.memtier.view())
-        return install(index, cow, delta)
+        return install(index, delta)
 
     class ViewAtCrash(FaultPlan):
         def _crash(self, what):

@@ -20,10 +20,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.checkpoint import CheckpointError
 from repro.core.index import IndexConfig
 from repro.core.shard import IndexShard, shard_of
 from repro.core.sharded import ShardedTextIndex, build_text_index
+from repro.pipeline.profiling import HitMissCounters
+from repro.storage import faults
 from repro.storage.faults import FaultPlan, InjectedCrash
 from repro.textindex import TextDocumentIndex
 
@@ -264,19 +265,79 @@ class TestPublication:
         for text in corpus(12, seed=9):
             index.add_document(text)
         index.flush_batch()
-        cow = index.clone_incremental(prev, index.delta)
+        cow, fallbacks = index.publish_copy(prev, index.delta, 0, None)
+        assert fallbacks == 0
         assert answers(cow) == answers(index.clone())
         assert cow.check().ok
         assert cow.shard_versions == index.shard_versions
 
     def test_clone_incremental_rejects_layout_mismatch(self):
+        """A predecessor of another layout has no counterpart shards:
+        every shard falls back to the full clone."""
         index = build(corpus(10), shards=3)
         other = build(corpus(10), shards=2)
-        with pytest.raises(CheckpointError, match="shard layout"):
-            index.clone_incremental(other, index.delta)
         reseeded = build(corpus(10), shards=3, router_seed=1)
-        with pytest.raises(CheckpointError, match="shard layout"):
-            index.clone_incremental(reseeded, index.delta)
+        for prev in (other, reseeded):
+            copy, fallbacks = index.publish_copy(prev, index.delta, 0, None)
+            assert fallbacks == 3
+            assert answers(copy) == answers(index.clone())
+
+    def test_one_recovered_shard_falls_back_alone(self):
+        """The per-volume publish step on a 3-shard writer where one
+        shard recovers: that shard alone is a fresh clone with a cold
+        buffer cache; its siblings share structure with their
+        predecessors and carry their caches.  A split changes the layout
+        and falls back on every shard."""
+        counters = HitMissCounters()
+        config = small_config(crash_safe=True)
+        index = build(corpus(60), shards=3, config=config)
+        prev, _ = index.publish_copy(None, index.delta, 300, counters)
+        index.delta.clear()
+        for shard in prev.shards:  # warm every shard's cache
+            shard.search_boolean("wa OR wb OR wc OR wd OR we OR wf")
+        assert all(
+            s.index.longlists.buffer_cache._entries for s in prev.shards
+        )
+        for n in range(12):  # new words only: no long-list block is dirtied
+            index.add_document(f"zq{'abcdefghijkl'[n]} zr")
+        assert all(len(s.index.memory) for s in index.shards)
+        with faults.injected(FaultPlan(crash_at="index.flush-begin")):
+            with pytest.raises(InjectedCrash):
+                index.flush_batch()
+        index.recover()
+        recovered = [
+            i for i, s in enumerate(index.shards) if s.delta.requires_full
+        ]
+        assert len(recovered) == 1
+
+        copy, fallbacks = index.publish_copy(prev, index.delta, 300, counters)
+        assert fallbacks == 1
+        for i, (shard, before) in enumerate(zip(copy.shards, prev.shards)):
+            entries = {
+                e.word: e for e in before.index.longlists.directory.entries()
+            }
+            shared = sum(
+                entries.get(e.word) is e
+                for e in shard.index.longlists.directory.entries()
+            )
+            cached = len(shard.index.longlists.buffer_cache._entries)
+            if i in recovered:
+                assert (shared, cached) == (0, 0), i
+            else:
+                assert shared > 0, i
+                assert cached == len(
+                    before.index.longlists.buffer_cache._entries
+                ), i
+        assert answers(copy) == answers(index.clone())
+
+        index.delta.clear()
+        index.split_shard(recovered[0])
+        split, fallbacks = index.publish_copy(copy, index.delta, 300, counters)
+        assert fallbacks == len(index.shards) == 4
+        assert not any(
+            s.index.longlists.buffer_cache._entries for s in split.shards
+        )
+        assert answers(split) == answers(index.clone())
 
     def test_check_prefixes_shard_violations(self):
         index = build(corpus(60), shards=2)

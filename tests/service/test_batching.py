@@ -6,7 +6,7 @@ battery pins it three ways:
 * hypothesis differential — the gateway, the in-process
   :class:`ShardedTextIndex` and the :class:`BruteForceIndex` oracle
   answer identically (doc ids, scores, read-op accounting) across shards
-  × replicas × read tiers × publish modes, and at one client every query
+  × replicas × read tiers, and at one client every query
   is exactly one single-member frame per active shard;
 * per-member error isolation — a poison member in a mixed batch errors
   alone, at the worker and through the gateway;
@@ -99,18 +99,14 @@ async def _compare(batched, local, oracle) -> int:
     shards=st.sampled_from([2, 3]),
     replicas=st.sampled_from([1, 2]),
     read_tier=st.sampled_from(["snapshot", "immediate"]),
-    publish_mode=st.sampled_from(["cow", "clone"]),
 )
-def test_batched_equals_local_equals_oracle(
-    docs, shards, replicas, read_tier, publish_mode
-):
+def test_batched_equals_local_equals_oracle(docs, shards, replicas, read_tier):
     async def main():
         batched = AsyncShardGateway(
             small_config(),
             shards=shards,
             replicas=replicas,
             read_tier=read_tier,
-            publish_mode=publish_mode,
         )
         await batched.start()
         try:

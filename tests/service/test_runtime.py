@@ -70,13 +70,12 @@ def no_leaked_plan():
 
 
 class ServiceHost:
-    def __init__(self, publish_mode: str, disk_plan: FaultPlan | None):
-        self.service = QueryService(
-            config(disk_plan), publish_mode=publish_mode
-        )
+    def __init__(self, disk_plan: FaultPlan | None):
+        self.service = QueryService(config(disk_plan))
         self.add = self.service.add_document
         self.delete = self.service.delete_document
         self.flush = self.service.flush_and_publish
+        self.grow = self.service.writer_index.index.grow_bucket_space
 
     def postings(self, word: str) -> list[int]:
         return self.service.snapshot().fetch_postings(word)[0]
@@ -89,18 +88,15 @@ class ServiceHost:
 
 
 class WorkerHost:
-    def __init__(self, publish_mode: str, disk_plan: FaultPlan | None):
+    def __init__(self, disk_plan: FaultPlan | None):
         self.worker = ShardWorker(
-            WorkerSpec(
-                shard_id=0,
-                index_config=config(disk_plan),
-                publish_mode=publish_mode,
-            )
+            WorkerSpec(shard_id=0, index_config=config(disk_plan))
         )
         self.writer = self.worker.writer
         self.add = self.worker.add_document
         self.delete = self.worker.delete_document
         self.flush = self.worker.flush
+        self.grow = self.writer.index.grow_bucket_space
 
     def postings(self, word: str) -> list[int]:
         return self.worker.runtime.published.fetch_postings(word)[0]
@@ -127,12 +123,27 @@ def unfaulted_twin() -> TextDocumentIndex:
     return twin
 
 
-def drive(host, crash_plan: FaultPlan | None) -> None:
-    """One clean batch (so a cow publish has a predecessor to share),
-    then one batch flushed with the plan armed."""
+def drive(
+    host,
+    crash_plan: FaultPlan | None,
+    predecessor: str = "cow",
+    grow: bool = False,
+) -> None:
+    """One batch (so a cow publish has a predecessor to share), then one
+    batch flushed with the plan armed.  ``predecessor="clone"`` crashes
+    the first batch's flush once, so its publish falls back to the full
+    clone and the armed batch shares with that.  ``grow`` grows the
+    buckets between the batches, which voids the journal's coverage: the
+    armed batch's publish falls back to the full clone."""
     for text in FIRST:
         host.add(text)
-    host.flush()
+    if predecessor == "clone":
+        with faults.injected(FaultPlan(crash_at="index.flush-begin")):
+            host.flush()
+    else:
+        host.flush()
+    if grow:
+        host.grow()
     for text in SECOND:
         host.add(text)
     host.delete(1)
@@ -172,37 +183,37 @@ class TransientAt(FaultPlan):
         raise TransientIOError(what)
 
 
-@pytest.mark.parametrize("publish_mode", ["cow", "clone"])
+@pytest.mark.parametrize("predecessor", ["cow", "clone"])
 @pytest.mark.parametrize("plan_type", [FaultPlan, TransientAt])
 @pytest.mark.parametrize("fault", CRASH_CYCLE)
-def test_hosts_agree_under_every_fault(fault, plan_type, publish_mode):
+def test_hosts_agree_under_every_fault(fault, plan_type, predecessor):
     twin = unfaulted_twin()
     ledgers = []
     for host_type in (ServiceHost, WorkerHost):
         plan = plan_type(crash_at=fault, crash_at_hit=1)
-        host = host_type(publish_mode, None)
-        drive(host, plan)  # the flush returns, whatever fired
-        if (publish_mode, fault) not in {
-            # a clone publish never passes the cow point
-            ("clone", "checkpoint.cow-publish"),
-            # a cow flush never serializes
-            ("cow", "checkpoint.mid-save"),
-        }:
-            assert plan.fired is not None, host_type.__name__
+        host = host_type(None)
+        # Only a full clone serializes, so that point is reached
+        # through a fallback publish.
+        grow = fault == "checkpoint.mid-save"
+        drive(host, plan, predecessor, grow)  # returns, whatever fired
+        assert plan.fired == f"crash point {fault} (hit 1)", (
+            host_type.__name__
+        )
         assert_answers_like(host, twin, host_type.__name__)
         ledgers.append(ledger_of(host))
     service, worker = ledgers
     assert service == worker
+    assert service["cow_fallbacks"] >= (predecessor == "clone")
 
 
-@pytest.mark.parametrize("publish_mode", ["cow", "clone"])
-def test_hosts_agree_with_a_transient_rate_plan_on_the_disks(publish_mode):
+@pytest.mark.parametrize("predecessor", ["cow", "clone"])
+def test_hosts_agree_with_a_transient_rate_plan_on_the_disks(predecessor):
     twin = unfaulted_twin()
     ledgers = []
     for host_type in (ServiceHost, WorkerHost):
         disk_plan = FaultPlan(seed=7, transient_rate=0.2)
-        host = host_type(publish_mode, disk_plan)
-        drive(host, None)
+        host = host_type(disk_plan)
+        drive(host, None, predecessor)
         assert disk_plan.writes > 0, host_type.__name__
         assert_answers_like(host, twin, host_type.__name__)
         ledgers.append(ledger_of(host))
@@ -213,7 +224,7 @@ def test_hosts_agree_with_a_transient_rate_plan_on_the_disks(publish_mode):
 def test_cow_publish_crash_is_retried_in_both_hosts():
     """The divergence the runtime closed, spelled out."""
     for host_type in (ServiceHost, WorkerHost):
-        host = host_type("cow", None)
+        host = host_type(None)
         drive(host, FaultPlan(crash_at="checkpoint.cow-publish"))
         ledger = host.ledger()
         assert ledger["publish_retries"] == 1, host_type.__name__

@@ -184,11 +184,16 @@ class TestFaultRecovery:
             ), q
 
     def test_publish_clone_crash_is_retried(self):
-        # With crash_safe=False the flush path never saves a recovery
-        # point, so the first checkpoint.mid-save arrival is the publish
+        # A bucket growth voids the journal's coverage, so the next
+        # publish falls back to the full clone — the only publish that
+        # serializes.  With crash_safe=False the flush path never saves a
+        # recovery point, so the first checkpoint.mid-save arrival is that
         # clone itself — the retry path, not the recovery path.
         service = QueryService(small_config())
         service.add_document("red fox")
+        service.flush_and_publish()
+        service.writer_index.index.grow_bucket_space()
+        service.add_document("red hen")
         faults.install(
             FaultPlan(crash_at="checkpoint.mid-save", crash_at_hit=1)
         )
@@ -198,7 +203,8 @@ class TestFaultRecovery:
             faults.uninstall()
         assert service.stats.publish_retries >= 1
         assert service.stats.flush_recoveries == 0
-        assert snapshot.search_boolean("red").doc_ids == [0]
+        assert service.stats.cow_fallbacks == 1
+        assert snapshot.search_boolean("red").doc_ids == [0, 1]
 
     def test_retry_budget_exhaustion_raises_service_error(
         self, no_flush_retries

@@ -11,7 +11,6 @@ lose them from the model it is checked against (``TestOracleIndependence``).
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -44,9 +43,8 @@ def no_leaked_plan():
 
 
 class TestConcurrentStress:
-    @pytest.mark.parametrize("publish_mode", ["clone", "cow"])
-    def test_readers_vs_faulty_writer(self, publish_mode):
-        config = replace(STRESS_CONFIG, publish_mode=publish_mode)
+    def test_readers_vs_faulty_writer(self):
+        config = STRESS_CONFIG
         report = LoadGenerator(config).run()
 
         # Zero stale-read divergences: every answer matched the mirror
@@ -72,16 +70,15 @@ class TestConcurrentStress:
         # once (crash_every=3 installs a crash on 6 of the 20 cycles).
         assert service["flush_recoveries"] >= 1
 
-        if publish_mode == "cow":
-            # Incremental publication actually ran; recovery cycles fall
-            # back to the full clone (requires_full), hence both counters.
-            assert service["cow_publishes"] >= 1
-            assert (
-                service["cow_publishes"] + service["full_clone_publishes"]
-                == config.flush_cycles
-            )
-        else:
-            assert service["cow_publishes"] == 0
+        # Incremental publication actually ran, and recovery cycles fell
+        # back to the full clone (requires_full): readers were served
+        # from both kinds of snapshot.
+        assert service["cow_publishes"] >= 1
+        assert service["cow_fallbacks"] >= 1
+        assert (
+            service["cow_publishes"] + service["full_clone_publishes"]
+            == config.flush_cycles
+        )
 
         # All reader threads survived and did real work.
         assert report.queries > 0

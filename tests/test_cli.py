@@ -142,6 +142,7 @@ class TestExperimentAndStats:
             ["experiment", "--doc-skew", "1.0"],
             ["serve-bench", "--batch-size", "1"],
             ["serve-bench", "--coalesce"],
+            ["serve-bench", "--publish-mode", "clone"],
         ],
     )
     def test_sweep_and_jobs_are_gone(self, argv, capsys):
@@ -174,7 +175,7 @@ class TestServeBench:
     def test_in_process_differential_under_faults(self, tmp_path, capsys):
         report = self._run(
             tmp_path, capsys,
-            "--publish-mode", "cow", "--differential",
+            "--differential",
             "--delete-every", "3", "--inject-faults",
         )
         assert report["divergences"] == 0
