@@ -25,25 +25,23 @@ Asserted claims:
 
 import numpy as np
 
-from dataclasses import replace
-
-from _common import base_config, report
+from _common import report
 from repro.analysis.reporting import format_table
 from repro.core.compression import bytes_per_posting, implied_block_postings
 from repro.core.policy import Policy
 from repro.pipeline.content import build_content_index
+from repro.pipeline.experiment import ExperimentConfig
 
 WORKLOAD_SCALE = 0.25
 BLOCK_SIZE = 4096
 
 
 def run_measurement():
-    config = base_config()
-    workload = replace(config.workload, scale=WORKLOAD_SCALE)
+    config = ExperimentConfig.at_scale(WORKLOAD_SCALE)
     index = build_content_index(
-        workload,
+        config.workload,
         Policy.recommended_whole(),
-        nbuckets=max(32, int(256 * WORKLOAD_SCALE)),
+        nbuckets=config.nbuckets,
         bucket_size=config.bucket_size,
         block_postings=config.block_postings,
     )

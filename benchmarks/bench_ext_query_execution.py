@@ -18,12 +18,11 @@ Reproduced claims, now with executed queries:
 
 import numpy as np
 
-from _common import base_config, report
-from dataclasses import replace
-
+from _common import report
 from repro.analysis.reporting import format_table, ratio
 from repro.core.policy import Limit, Policy, Style
 from repro.pipeline.content import build_content_index
+from repro.pipeline.experiment import ExperimentConfig
 from repro.query.boolean import intersect
 
 WORKLOAD_SCALE = 0.25
@@ -37,15 +36,15 @@ POLICIES = {
 
 
 def build_indexes():
-    config = base_config()
-    workload = replace(config.workload, scale=WORKLOAD_SCALE)
-    # Bucket space sized to THIS bench's fixed workload scale, not to
+    # The experiment at THIS bench's fixed workload scale, not at
     # REPRO_SCALE (the workload here is pinned at WORKLOAD_SCALE).
+    config = ExperimentConfig.at_scale(WORKLOAD_SCALE)
+    workload = config.workload
     indexes = {
         name: build_content_index(
             workload,
             policy,
-            nbuckets=max(32, int(256 * WORKLOAD_SCALE)),
+            nbuckets=config.nbuckets,
             bucket_size=config.bucket_size,
             block_postings=config.block_postings,
         )

@@ -15,9 +15,10 @@ dual-structure index under the recommended new-style policy:
   construction) with bounded writes — the paper's motivation, measured.
 """
 
-from _common import base_config, base_experiment, physical_exercise_config, report
+from _common import base_config, base_experiment, report
 from repro.analysis.reporting import format_table
 from repro.core.policy import Policy
+from repro.figures import default_exercise_config
 from repro.pipeline.exercise import ExerciseDisksProcess
 from repro.pipeline.rebuild import PeriodicRebuildBaseline
 from repro.storage.iotrace import OpKind
@@ -29,7 +30,7 @@ def run_comparison():
     config = base_config()
     experiment = base_experiment()
     updates = experiment.updates()
-    exerciser = ExerciseDisksProcess(physical_exercise_config())
+    exerciser = ExerciseDisksProcess(default_exercise_config(experiment))
 
     incremental = experiment.run_policy(
         Policy.recommended_new(), exercise=False

@@ -8,7 +8,7 @@ with the *log-ish* growth of long lists, not with raw volume — and that
 scaling bucket space with the corpus restores the short/long balance.
 """
 
-from _common import base_config, report
+from _common import report
 from repro.analysis.reporting import format_table
 from repro.core.policy import Limit, Policy, Style
 from repro.pipeline.experiment import Experiment, ExperimentConfig
@@ -18,19 +18,10 @@ SCALES = [0.5, 1.0, 2.0]
 
 def run_scales():
     rows = []
-    base = base_config()
     for scale in SCALES:
         # Absolute corpus scales, independent of REPRO_SCALE; bucket space
         # scales with the corpus ("the correct parameters").
-        config = ExperimentConfig(
-            workload=base.workload.__class__(
-                **{**base.workload.__dict__, "scale": scale}
-            ),
-            nbuckets=max(32, int(256 * scale)),
-            bucket_size=base.bucket_size,
-            block_postings=base.block_postings,
-        )
-        experiment = Experiment(config)
+        experiment = Experiment(ExperimentConfig.at_scale(scale))
         new0 = experiment.run_policy(Policy(style=Style.NEW, limit=Limit.ZERO))
         newz = experiment.run_policy(Policy(style=Style.NEW, limit=Limit.Z))
         whole = experiment.run_policy(

@@ -18,12 +18,11 @@ Measured on a content-mode index over the synthetic corpus for
 
 import numpy as np
 
-from dataclasses import replace
-
-from _common import base_config, report
+from _common import report
 from repro.analysis.reporting import format_table, ratio
 from repro.core.policy import Policy
 from repro.pipeline.content import build_content_index
+from repro.pipeline.experiment import ExperimentConfig
 from repro.query.boolean import intersect
 from repro.query.streaming import streamed_and
 from repro.storage.block import blocks_for_postings
@@ -53,14 +52,13 @@ def _measure(index, bp, pairs):
 
 
 def run_comparison():
-    config = base_config()
-    workload = replace(config.workload, scale=WORKLOAD_SCALE)
-    # Bucket space sized to THIS bench's fixed workload scale, not to
+    # The experiment at THIS bench's fixed workload scale, not at
     # REPRO_SCALE (the workload here is pinned at WORKLOAD_SCALE).
+    config = ExperimentConfig.at_scale(WORKLOAD_SCALE)
     index = build_content_index(
-        workload,
+        config.workload,
         Policy.recommended_new(),
-        nbuckets=max(32, int(256 * WORKLOAD_SCALE)),
+        nbuckets=config.nbuckets,
         bucket_size=config.bucket_size,
         block_postings=config.block_postings,
     )

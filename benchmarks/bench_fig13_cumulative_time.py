@@ -8,14 +8,14 @@ coalesce into sequential streams; the ordering from fastest to slowest is
 new 0 < new z < fill z < whole z < whole 0; new 0 grows almost linearly.
 """
 
-from _common import base_experiment, physical_exercise_config, report
+from _common import base_experiment, report
 from repro import figures
 from repro.analysis.reporting import ratio
 
 
 def test_fig13_cumulative_build_time(benchmark, capfd):
     result = benchmark.pedantic(
-        lambda: figures.figure13(base_experiment(), physical_exercise_config()), rounds=1, iterations=1
+        lambda: figures.figure13(base_experiment()), rounds=1, iterations=1
     )
     series = result.data["series"]
     infeasible = result.data["infeasible"]

@@ -9,13 +9,13 @@ fewer postings).
 
 import numpy as np
 
-from _common import base_experiment, physical_exercise_config, report
+from _common import base_experiment, report
 from repro import figures
 
 
 def test_fig14_time_per_update(benchmark, capfd):
     result = benchmark.pedantic(
-        lambda: figures.figure14(base_experiment(), physical_exercise_config()), rounds=1, iterations=1
+        lambda: figures.figure14(base_experiment()), rounds=1, iterations=1
     )
     series = result.data["series"]
     report("fig14_time_per_update", result.rendered, capfd)

@@ -20,13 +20,9 @@ paper's conclusion that incrementality does not cost an order of
 magnitude.
 """
 
-from _common import (
-    base_experiment,
-    physical_exercise_config,
-    report,
-    timing_policies,
-)
+from _common import base_experiment, report
 from repro.analysis.reporting import format_table
+from repro.figures import default_exercise_config, timing_policies
 from repro.pipeline.exercise import ExerciseDisksProcess
 
 #: Our synthetic corpus stands in for ≈1/20 of the paper's 259 MB.
@@ -44,7 +40,7 @@ CITED_RATES_MB_MIN = {
 
 def run_policies():
     experiment = base_experiment()
-    exerciser = ExerciseDisksProcess(physical_exercise_config())
+    exerciser = ExerciseDisksProcess(default_exercise_config(experiment))
     rates = {}
     for name, policy in timing_policies().items():
         if name == "fill 0":

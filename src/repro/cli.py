@@ -14,7 +14,9 @@ Seven subcommands cover the library's main entry points::
     repro experiment [--policy SPEC ...] [--days N] [--scale S] [--exercise]
                      [--inject-faults] [--fault-rate R] [--fault-seed S]
         Run the paper's pipeline on the synthetic News workload and print
-        the evaluation metrics.  ``--policy`` may repeat: the long-list
+        the evaluation metrics.  ``--scale`` grows the corpus and the
+        bucket region together (``ExperimentConfig.at_scale``, the rule
+        the benches use).  ``--policy`` may repeat: the long-list
         trace is computed once and replayed against each policy in turn.
         ``--inject-faults`` exercises the disks with transient I/O faults
         injected and reports the retry counts; every policy gets its own
@@ -76,6 +78,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+from dataclasses import replace
 
 from .core.index import IndexConfig
 from .core.policy import Alloc, Limit, Policy, Style
@@ -209,8 +212,10 @@ def _print_run(policy: Policy, run, fault_plan, args, exercise: bool) -> None:
 def cmd_experiment(args) -> int:
     fault_plan = _fault_plan_from_args(args)
     policies = args.policy or [Policy.recommended_new()]
-    config = ExperimentConfig(
-        workload=SyntheticNewsConfig(days=args.days, scale=args.scale),
+    config = ExperimentConfig.at_scale(args.scale)
+    config = replace(
+        config,
+        workload=replace(config.workload, days=args.days),
         fault_plan=fault_plan,
     )
     experiment = Experiment(config)

@@ -39,7 +39,7 @@ class FigureResult:
 
 
 def _series_policies() -> dict[str, Policy]:
-    """The five curves of Figures 8–10."""
+    """The five curves of Figures 8–10 (whole 0 ≡ whole z in op counts)."""
     return {
         "new 0": Policy(style=Style.NEW, limit=Limit.ZERO),
         "new z": Policy(style=Style.NEW, limit=Limit.Z),
@@ -49,7 +49,7 @@ def _series_policies() -> dict[str, Policy]:
     }
 
 
-def _timing_policies() -> dict[str, Policy]:
+def timing_policies() -> dict[str, Policy]:
     """The six policies of Figures 13–14 (whole 0 ≠ whole z in time)."""
     return {
         "new 0": Policy(style=Style.NEW, limit=Limit.ZERO),
@@ -61,13 +61,13 @@ def _timing_policies() -> dict[str, Policy]:
     }
 
 
-def default_exercise_config(
-    experiment: Experiment, physical_blocks: int = 8192
-) -> ExerciseConfig:
-    """Physical disks scaled with the corpus (DESIGN.md §7: small enough
-    that the fill-0 layout does not fit, as on the paper's hardware)."""
+def default_exercise_config(experiment: Experiment) -> ExerciseConfig:
+    """The experiment's physical disks
+    (:attr:`~repro.pipeline.experiment.ExperimentConfig.physical_blocks`)."""
     return ExerciseConfig(
-        profile=SEAGATE_SCSI_1994.with_capacity(physical_blocks),
+        profile=SEAGATE_SCSI_1994.with_capacity(
+            experiment.config.physical_blocks
+        ),
         ndisks=experiment.config.ndisks,
         buffer_blocks=experiment.config.buffer_blocks,
     )
@@ -363,21 +363,18 @@ def figure12(experiment: Experiment) -> FigureResult:
 # -- Figures 13 and 14 -----------------------------------------------------------------
 
 
-def _exercise_all(experiment: Experiment, exercise_config: ExerciseConfig):
-    exerciser = ExerciseDisksProcess(exercise_config)
+def _exercise_all(experiment: Experiment):
+    exerciser = ExerciseDisksProcess(default_exercise_config(experiment))
     outcomes = {}
-    for name, policy in _timing_policies().items():
+    for name, policy in timing_policies().items():
         disks = experiment.run_policy(policy).disks
         outcomes[name] = (disks, exerciser.run(disks.trace))
     return outcomes
 
 
-def figure13(
-    experiment: Experiment, exercise_config: ExerciseConfig | None = None
-) -> FigureResult:
+def figure13(experiment: Experiment) -> FigureResult:
     """Cumulative build time on the physical disk model."""
-    config = exercise_config or default_exercise_config(experiment)
-    outcomes = _exercise_all(experiment, config)
+    outcomes = _exercise_all(experiment)
     feasible = {
         name: ex.result.cumulative_s
         for name, (_, ex) in outcomes.items()
@@ -409,12 +406,9 @@ def figure13(
     )
 
 
-def figure14(
-    experiment: Experiment, exercise_config: ExerciseConfig | None = None
-) -> FigureResult:
+def figure14(experiment: Experiment) -> FigureResult:
     """Time per update on the physical disk model."""
-    config = exercise_config or default_exercise_config(experiment)
-    outcomes = _exercise_all(experiment, config)
+    outcomes = _exercise_all(experiment)
     series = {
         name: ex.result.per_update_s
         for name, (_, ex) in outcomes.items()
@@ -452,7 +446,8 @@ def regenerate(name: str) -> FigureResult:
     """Regenerate one artifact by id (``fig8``, ``table5``, ...).
 
     ``fig1`` builds its own small system; everything else runs against
-    a fresh base-configuration experiment.
+    a fresh experiment at ``REPRO_SCALE``
+    (:meth:`~repro.pipeline.experiment.ExperimentConfig.at_scale`).
     """
     try:
         fn = REGISTRY[name]
@@ -462,10 +457,4 @@ def regenerate(name: str) -> FigureResult:
         ) from None
     if name == "fig1":
         return fn()
-    return fn(
-        Experiment(
-            ExperimentConfig(
-                workload=SyntheticNewsConfig(scale=default_scale())
-            )
-        )
-    )
+    return fn(Experiment(ExperimentConfig.at_scale(default_scale())))

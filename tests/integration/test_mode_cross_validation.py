@@ -15,41 +15,56 @@ from repro.core.index import DualStructureIndex, IndexConfig
 from repro.core.policy import Limit, Policy, Style
 from repro.pipeline.compute_buckets import ComputeBucketsProcess
 from repro.pipeline.compute_disks import ComputeDisksProcess, DiskStageConfig
+from repro.pipeline.experiment import ExperimentConfig
 from repro.workload.synthetic import SyntheticNews, SyntheticNewsConfig
 
-WORKLOAD = SyntheticNewsConfig(days=12, docs_per_day=40)
-NBUCKETS = 16
-BUCKET_SIZE = 256
-BLOCK_POSTINGS = 16
+#: A toy geometry whose 16 buckets overflow within the first updates.
+SMALL = ExperimentConfig(
+    workload=SyntheticNewsConfig(days=12, docs_per_day=40),
+    nbuckets=16,
+    bucket_size=256,
+    block_postings=16,
+)
 
 
 @pytest.fixture(scope="module", params=[
-    Policy(style=Style.NEW, limit=Limit.ZERO),
-    Policy(style=Style.NEW, limit=Limit.Z),
-    Policy(style=Style.WHOLE, limit=Limit.ZERO),
-    Policy(style=Style.FILL, limit=Limit.Z, extent_blocks=2),
-], ids=lambda p: p.name)
+    *(
+        pytest.param((policy, SMALL), id=policy.name)
+        for policy in (
+            Policy(style=Style.NEW, limit=Limit.ZERO),
+            Policy(style=Style.NEW, limit=Limit.Z),
+            Policy(style=Style.WHOLE, limit=Limit.ZERO),
+            Policy(style=Style.FILL, limit=Limit.Z, extent_blocks=2),
+        )
+    ),
+    # The paper's experiment at scale 0.05: the scaled region of 32
+    # buckets of 1,024 units still overflows (~25 long lists).
+    pytest.param(
+        (Policy.recommended_new(), ExperimentConfig.at_scale(0.05)),
+        id="recommended new at scale 0.05",
+    ),
+])
 def both_modes(request):
-    policy = request.param
-    news = SyntheticNews(WORKLOAD)
+    policy, config = request.param
+    news = SyntheticNews(config.workload)
 
     # Size-only pipeline (the paper's evaluation path).
-    bucket_stage = ComputeBucketsProcess(NBUCKETS, BUCKET_SIZE)
+    bucket_stage = ComputeBucketsProcess(config.nbuckets, config.bucket_size)
     bucket_result = bucket_stage.run(news.batches())
     disks = ComputeDisksProcess(
         DiskStageConfig(
             policy=policy,
-            block_postings=BLOCK_POSTINGS,
-            bucket_flush_blocks=4,
+            block_postings=config.block_postings,
+            bucket_flush_blocks=config.bucket_flush_blocks,
         )
     ).run(bucket_result.trace)
 
     # Content-mode library (real doc ids through the same algorithms).
     index = DualStructureIndex(
         IndexConfig(
-            nbuckets=NBUCKETS,
-            bucket_size=BUCKET_SIZE,
-            block_postings=BLOCK_POSTINGS,
+            nbuckets=config.nbuckets,
+            bucket_size=config.bucket_size,
+            block_postings=config.block_postings,
             ndisks=4,
             nblocks_override=4_194_304,
             store_contents=True,
@@ -57,7 +72,7 @@ def both_modes(request):
         )
     )
     doc_id = 0
-    for day in range(WORKLOAD.days):
+    for day in range(config.workload.days):
         for words in news.day_documents(day):
             index.add_document([int(w) for w in words], doc_id=doc_id)
             doc_id += 1

@@ -1,7 +1,10 @@
 """Unit tests for the experiment runner and its caching."""
 
+from dataclasses import fields
+
 import pytest
 
+from repro import cli, figures
 from repro.core.policy import Limit, Policy, Style, figure8_policies
 from repro.pipeline.experiment import Experiment, ExperimentConfig
 from repro.storage import faults
@@ -122,6 +125,41 @@ class TestConfig:
         assert cfg.bucket_flush_blocks == expected
 
     def test_scaled(self):
-        cfg = tiny_config().scaled(2.0)
-        assert cfg.workload.scale == 2.0
-        assert cfg.nbuckets == 16
+        # One rule scales the corpus, the bucket region and the physical
+        # disks together; at scale 1 it is the base case field by field.
+        base, at_one = ExperimentConfig(), ExperimentConfig.at_scale(1.0)
+        for f in fields(ExperimentConfig):
+            assert getattr(at_one, f.name) == getattr(base, f.name), f.name
+        assert at_one.physical_blocks == 8192
+        geometry = {
+            scale: (cfg.workload.scale, cfg.nbuckets, cfg.physical_blocks)
+            for scale in (0.05, 4, 20)
+            for cfg in [ExperimentConfig.at_scale(scale)]
+        }
+        assert geometry == {
+            0.05: (0.05, 32, 1024),
+            4: (4, 1024, 32768),
+            20: (20, 5120, 163840),
+        }
+
+    def test_entry_points_build_the_scaled_experiment(self, monkeypatch):
+        # `repro experiment --scale` and `repro figure` under REPRO_SCALE
+        # run the experiment the benches run, not a 256-bucket one.
+        built = []
+
+        class Built(Exception):
+            pass
+
+        class Recording(Experiment):
+            def run_policies(self, policies, exercise=False):
+                built.append(self.config)
+                raise Built
+
+        monkeypatch.setattr(cli, "Experiment", Recording)
+        with pytest.raises(Built):
+            cli.main(["experiment", "--scale", "4"])
+        assert built == [ExperimentConfig.at_scale(4)]
+
+        monkeypatch.setenv("REPRO_SCALE", "4")
+        monkeypatch.setitem(figures.REGISTRY, "fig8", lambda e: e.config)
+        assert figures.regenerate("fig8") == ExperimentConfig.at_scale(4)

@@ -68,12 +68,11 @@ class TestArtifacts:
         assert len(f12.data["sweep"]["whole"]) == len(figures.FIGURE12_KS)
 
     def test_timing_figures(self, experiment):
-        config = figures.default_exercise_config(
-            experiment, physical_blocks=100_000
-        )
-        f13 = figures.figure13(experiment, config)
-        f14 = figures.figure14(experiment, config)
-        # Roomy disks: everything feasible at this tiny scale.
+        f13 = figures.figure13(experiment)
+        f14 = figures.figure14(experiment)
+        # The scale-1 physical disks (8,192 blocks each) are roomy for
+        # this tiny corpus: everything is feasible.
+        assert experiment.config.physical_blocks == 8192
         assert f13.data["infeasible"] == []
         assert set(f13.data["series"]) == set(f14.data["series"])
         for series in f13.data["series"].values():
