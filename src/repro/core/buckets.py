@@ -123,6 +123,11 @@ class BucketManager:
     #: manager level (``Bucket`` uses ``__slots__`` and stays flag-free).
     journal = None
     frozen = False
+    #: The words whose payloads are the writer's own: the delta journal's
+    #: ``dirty_words``, noted since the last publish.  Any other resident
+    #: payload may be shared with a published snapshot, so :meth:`merge`
+    #: extends a copy of it.  ``None``: nothing is ever shared.
+    owned = None
 
     def __init__(
         self,
@@ -218,7 +223,9 @@ class BucketManager:
 
         The journal's bucket hook fires once per bucket, before that
         bucket's first mutation in this call — its consumers capture on
-        first touch — and the word hook fires for every bucket word.
+        first touch — and the word hook fires for every bucket word.  A
+        resident list whose word is not :attr:`owned` is extended on a
+        copy, so a snapshot sharing it never sees the batch.
         """
         if self.frozen:
             from .delta import FrozenStateError
@@ -227,7 +234,7 @@ class BucketManager:
                 "attempt to insert into a frozen (published) bucket manager"
             )
         buckets, nbuckets, hash_fn = self.buckets, self.nbuckets, self.hash_fn
-        journal, watched = self.journal, self._watched
+        journal, watched, owned = self.journal, self._watched, self.owned
         if journal is not None:
             note_bucket, note_word = journal.note_bucket, journal.note_word
         noted: set[int] = set()
@@ -252,6 +259,7 @@ class BucketManager:
                 )
             bucket = buckets[bucket_id]
             lists = bucket.lists
+            shared = owned is not None and word not in owned
             if journal is not None:
                 if bucket_id not in noted:
                     noted.add(bucket_id)
@@ -269,6 +277,8 @@ class BucketManager:
                     lists[word] = copy
             else:
                 in_bucket += 1
+                if shared:
+                    existing = lists[word] = existing.copy()
                 if ids is None or type(existing) is not DocPostings:
                     existing.extend(payload)
                 elif ids:

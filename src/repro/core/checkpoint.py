@@ -379,17 +379,25 @@ def _r_dirty(fp: BinaryIO) -> list[int] | None:
         raise CheckpointError(f"corrupt redo record ({exc})") from exc
 
 
+def _dirty_tail(mapping, dirty) -> list:
+    """``mapping``'s longest run of ``dirty`` keys at its end, in its
+    order: every key it gained since the boundary ``dirty`` covers (a
+    dict appends), while every other dirty key kept its place."""
+    keys = []
+    for key in reversed(mapping):
+        if key not in dirty:
+            break
+        keys.append(key)
+    keys.reverse()
+    return keys
+
+
 def _w_delta(fp: BinaryIO, mapping, dirty, write_value) -> None:
     """Head then tail entries of ``mapping`` over the keys ``dirty``."""
     if dirty is None:
         head, tail = (), mapping.items()
     else:
-        keys = []
-        for key in reversed(mapping):
-            if key not in dirty:
-                break
-            keys.append(key)
-        keys.reverse()
+        keys = _dirty_tail(mapping, dirty)
         in_tail = set(keys)
         head = [
             (key, mapping[key])
@@ -676,11 +684,12 @@ def clone_incremental(
       :class:`~repro.storage.blockmap.LayeredBlocks` overlay whose only
       own entries are the batch's dirty blocks (rewrites carry the
       writer's bytes, frees are masked with ``ABSENT``);
-    * dirty words, flush regions and the RELEASE list are copied fresh
-      from the writer,
-      never aliased to it; a dirty bucket gets a fresh list table that
-      copies the batch's words' short lists from the writer and shares
-      every other word's list with ``prev``.
+    * dirty words' directory entries, flush regions and the RELEASE
+      list are copied fresh from the writer, never aliased to it;
+    * a dirty bucket gets a fresh list table holding the writer's own
+      short-list payloads: the writer extends a payload in place only
+      while its word is noted in ``delta``, which the publish clears, so
+      from then on it extends a copy (``BucketManager.owned``).
 
     Shared state is safe because published clones are never mutated —
     enforced in debug mode by ``invariants.freeze_index``.  Raises
@@ -721,46 +730,46 @@ def clone_incremental(
     # so the incremental path does the same for exact parity.
     out.array = DiskArray(cfg.array_config())
     out.array._next_disk = index.array._next_disk
-    dirty_by_disk: dict[int, list[int]] = {}
+    # The overlay ends with the blocks the writer's map gained, in its
+    # order, and a block it freed and wrote again is masked below the
+    # overlay first, so the snapshot's map iterates (and saves) in the
+    # writer's order.
+    dirty_by_disk: dict[int, set[int]] = {}
     for disk_id, block in delta.dirty_blocks:
-        dirty_by_disk.setdefault(disk_id, []).append(block)
+        dirty_by_disk.setdefault(disk_id, set()).add(block)
     for disk_id, disk in enumerate(out.array.disks):
         writer_disk = index.array.disks[disk_id]
         disk.freelist._starts = list(writer_disk.freelist._starts)
         disk.freelist._lengths = list(writer_disk.freelist._lengths)
         disk.freelist.check_invariants()
-        overlay: dict = {}
         writer_blocks = writer_disk._blocks
-        for block in dirty_by_disk.get(disk_id, ()):
-            payload = writer_blocks.get(block)
-            overlay[block] = ABSENT if payload is None else payload
-        disk._blocks = LayeredBlocks.over(
-            prev.array.disks[disk_id]._blocks, overlay
-        )
+        dirty = dirty_by_disk.get(disk_id, set())
+        tail = _dirty_tail(writer_blocks, dirty)
+        base = prev.array.disks[disk_id]._blocks
+        moved = {block: ABSENT for block in tail if block in base}
+        if moved:
+            base = LayeredBlocks.over(base, moved)
+        overlay = {
+            block: writer_blocks.get(block, ABSENT)
+            for block in dirty.difference(tail)
+        }
+        overlay.update((block, writer_blocks[block]) for block in tail)
+        disk._blocks = LayeredBlocks.over(base, overlay)
 
-    # Buckets: share every untouched Bucket object with prev.  A dirty
-    # bucket gets a fresh list table in the writer's order, but only the
-    # batch's words are copied from the writer (never aliased — the
-    # writer extends its short lists in place).  Every path that changes
-    # a short list notes its word, so a word outside ``dirty_words`` has
-    # in the writer exactly the content prev's (frozen) list holds: share
-    # that object instead.
-    out.buckets = BucketManager(cfg.nbuckets, cfg.bucket_size)
+    # Buckets: share every untouched Bucket object with prev; a dirty
+    # bucket gets a fresh list table in the writer's order, sharing the
+    # writer's payloads.  The manager is assembled without building
+    # nbuckets empty Buckets only to replace them.
     shared_buckets = list(prev.buckets.buckets)
-    dirty_words = delta.dirty_words
     for bucket_id in delta.dirty_buckets:
         source = index.buckets.buckets[bucket_id]
-        clean = shared_buckets[bucket_id].lists
-        fresh = Bucket(source.capacity)
-        for word, payload in source.lists.items():
-            fresh.lists[word] = (
-                payload.copy()
-                if word in dirty_words or word not in clean
-                else clean[word]
-            )
+        fresh = shared_buckets[bucket_id] = Bucket(source.capacity)
+        fresh.lists = dict(source.lists)
         fresh.npostings = source.npostings
-        shared_buckets[bucket_id] = fresh
-    out.buckets.buckets = shared_buckets
+    out.buckets = object.__new__(BucketManager)
+    vars(out.buckets).update(
+        vars(prev.buckets), buckets=shared_buckets, _watched={}, frozen=False
+    )
 
     # Long lists: share untouched directory entries (and their Chunk
     # records) with prev; dirty words get fresh entries with fresh chunk
@@ -774,14 +783,13 @@ def clone_incremental(
         trace=out.trace,
         content_cls=content_cls,
     )
-    entries = dict(prev.longlists.directory._entries)
+    # The writer's words, in its order: prev's entries, dirty ones next.
+    writer_entries = index.longlists.directory._entries
+    shared = prev.longlists.directory._entries
+    entries = dict(zip(writer_entries, map(shared.get, writer_entries)))
     for word in delta.dirty_words:
-        source_entry = index.longlists.directory.get(word)
-        if source_entry is None:
-            # The word has no long list any more (bucket-resident, or
-            # removed by a deletion sweep).
-            entries.pop(word, None)
-        else:
+        source_entry = writer_entries.get(word)
+        if source_entry is not None:
             entries[word] = LongListEntry(
                 word=word, chunks=_copy_chunks(source_entry.chunks)
             )

@@ -182,7 +182,8 @@ class DeletionManager:
             bucket = self.index.buckets.buckets[bucket_id]
             # This mutates the Bucket directly (no overflow is possible
             # when shrinking a list), bypassing the manager's journal
-            # hook — record the dirty bucket and word explicitly.
+            # hook — record the dirty bucket and word explicitly.  The
+            # noted word owns the fresh copy of ``kept`` that insert makes.
             if self.index.delta is not None:
                 self.index.delta.note_bucket(bucket_id)
                 self.index.delta.note_word(word)

@@ -98,8 +98,10 @@ class DeltaJournal:
         self.structure_changed = True
 
     def note_recovery(self) -> None:
-        """Crash recovery rebuilt the index; journal coverage is void."""
+        """Crash recovery rebuilt the index; journal coverage is void,
+        and so is the writer's ownership of the words noted so far."""
         self.recovered = True
+        self.dirty_words.clear()
 
     def note_batch(self) -> None:
         """A flush completed; used to cross-check publish bookkeeping."""

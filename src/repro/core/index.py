@@ -237,8 +237,11 @@ class DualStructureIndex:
         evaluation mode.  Both objects are long-lived and reset in place
         (the journal at each publish, the log at each batch boundary),
         and recovery restores the structures in place, so the references
-        set here stay valid for the life of the index.
+        set here stay valid for the life of the index.  The journal's
+        noted words are also the bucket manager's :attr:`owned` set.
         """
+        if self.delta is not None:
+            self.buckets.owned = self.delta.dirty_words
         journal = self._undo if self._undo is not None else self.delta
         if journal is None:
             return
@@ -320,7 +323,7 @@ class DualStructureIndex:
                     "an aborted flush has not been rolled back; call "
                     "recover() before flushing again"
                 )
-            # Capture the batch before any disk structure is touched so an
+            # Keep the batch before any disk structure is touched so an
             # aborted update can be re-applied after rollback.
             self._aborted_batch = self.memory.snapshot()
             self._aborted_next_doc_id = self._next_doc_id
@@ -434,7 +437,8 @@ class DualStructureIndex:
         self.memory.clear()
         # The journal kept recording through the aborted flush, but the
         # rollback is not one of its hooks: void its coverage so the next
-        # publish falls back to a full clone.
+        # publish falls back to a full clone, and its noted words, since
+        # the rollback put back payloads a snapshot may share.
         if self.delta is not None:
             self.delta.note_recovery()
         if replay and self._aborted_batch is not None:

@@ -180,32 +180,19 @@ class InMemoryIndex:
             yield bucket_id, groups[bucket_id]
 
     def snapshot(self) -> tuple:
-        """An independent copy of the batch contents (crash recovery).
+        """The batch contents by reference (crash recovery).
 
-        Taken by the index before a flush starts mutating disk structures,
-        so an aborted batch can be re-applied after rollback.  The copies
-        belong to whoever restores them — :meth:`restore` moves them in
-        without re-copying — so call :meth:`snapshot` again if another
-        independent copy is needed.
+        Taken by the index before a flush starts mutating disk
+        structures, so an aborted batch can be re-applied after
+        rollback.  No payload is copied: the flush only reads them, and
+        a host takes no document between an aborted flush and its
+        ``recover()``.
         """
-        return (
-            [(word, payload.copy()) for word, payload in self._lists.items()],
-            self._ndocs,
-            self._npostings,
-        )
+        return list(self._lists.items()), self._ndocs, self._npostings
 
     def restore(self, snapshot: tuple) -> None:
-        """Replace the batch contents with a :meth:`snapshot`'s payloads.
-
-        **Move semantics**: :meth:`snapshot` already produced independent
-        payload copies, so restore adopts them directly instead of paying
-        a second deep copy per list.  The snapshot is *consumed* — after
-        a restore the index owns (and will mutate) those payloads, so a
-        snapshot must be restored at most once.  The crash-recovery loop
-        satisfies this by construction: ``flush_batch`` re-snapshots the
-        restored memory before touching anything, so every recovery
-        attempt replays from a fresh copy.
-        """
+        """Replace the batch contents with a :meth:`snapshot`'s payloads,
+        which this index owns (and extends) from then on."""
         lists, ndocs, npostings = snapshot
         self._lists = dict(lists)
         self._ndocs = ndocs

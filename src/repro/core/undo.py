@@ -12,8 +12,8 @@ mutation in the flush; repeats are idempotent (the contract stated in
   flush always touches (free intervals, counters, flush regions, the
   RELEASE list, trace lengths, batch number, config, the bucket table);
 * captures a **pre-image on first touch** at each hook while armed — a
-  bucket's list table and list lengths, a word's directory entry and
-  update-size estimate, a block's stored bytes;
+  bucket's list table, a word's directory entry, update-size estimate
+  and short-list length, a block's stored bytes;
 * forwards every hook to the :class:`~repro.core.delta.DeltaJournal`
   (when the volume has one), armed or not;
 * is **sealed** when the batch is complete, dropping the pre-images;
@@ -26,8 +26,9 @@ its filter set, so a boundary taken before the sweep would resurrect the
 swept documents when the next flush aborts.
 
 Rollback leans on three properties of the flush path.  Short lists only
-grow in place or leave their bucket whole, so a bucket is restored from
-a shallow copy of its list table plus the old lengths.  ``BucketGrower``
+grow or leave their bucket whole, and a list grows in place only after
+its word is noted, so a bucket is restored from a shallow copy of its
+list table plus the noted words' old lengths.  ``BucketGrower``
 builds a fresh bucket table and leaves the old ``Bucket`` objects
 intact, so growth inside a flush undoes by reference.  New directory
 entries and update-size estimates land at the end of their dicts, so
@@ -76,10 +77,7 @@ class UndoLog:
         if self.armed and bucket_id not in self._buckets:
             bucket = self.index.buckets.buckets[bucket_id]
             self._buckets[bucket_id] = (
-                bucket,
-                dict(bucket.lists),
-                [len(p) for p in bucket.lists.values()],
-                bucket.npostings,
+                bucket, dict(bucket.lists), bucket.npostings
             )
         if self.forward is not None:
             self.forward.note_bucket(bucket_id)
@@ -88,6 +86,8 @@ class UndoLog:
         if self.armed and word not in self._words:
             longlists = self.index.longlists
             entry = longlists.directory.get(word)
+            # A word has a long list or a short one, never both.
+            short = self.index.buckets.get(word) if entry is None else None
             self._words[word] = (
                 entry,
                 # _update_in_place mutates Chunk.npostings; the other
@@ -95,6 +95,8 @@ class UndoLog:
                 None if entry is None else list(entry.chunks),
                 None if entry is None else [c.npostings for c in entry.chunks],
                 longlists._update_sizes.get(word),
+                short,
+                None if short is None else len(short),
             )
         if self.forward is not None:
             self.forward.note_word(word)
@@ -190,16 +192,19 @@ class UndoLog:
                 else:
                     disk._blocks[block] = data
 
-        for bucket, lists, lengths, npostings in self._buckets.values():
-            for (word, payload), n in zip(lists.items(), lengths):
-                if len(payload) != n:
-                    lists[word] = payload.split(n)[0]
+        for bucket, lists, npostings in self._buckets.values():
             bucket.lists = lists
             bucket.npostings = npostings
 
+        buckets = index.buckets
         entries = index.longlists.directory._entries
         sizes = index.longlists._update_sizes
-        for word, (entry, chunks, npostings, size) in self._words.items():
+        for word, saved in self._words.items():
+            entry, chunks, npostings, size, short, n = saved
+            if short is not None and len(short) != n:
+                # Grown in place: its restored table holds it again.
+                lists = buckets.buckets[buckets.bucket_of(word)].lists
+                lists[word] = short.split(n)[0]
             if entry is None:
                 entries.pop(word, None)
             else:

@@ -77,21 +77,32 @@ class LayeredBlocks:
 
     @staticmethod
     def _compact(layers: list[dict]) -> list[dict]:
+        # Replay the overlays oldest first as _materialize does, keeping
+        # base blocks rewritten in place apart from blocks appended after
+        # the base (in order) and base blocks freed on the way (masked).
         base = layers[-1]
-        merged: dict = {}
-        # Oldest overlay first so newer entries win.
+        kept, added, masked = {}, {}, {}
         for overlay in reversed(layers[:-1]):
-            merged.update(overlay)
-        if len(merged) * 2 >= len(base):
+            for block, payload in overlay.items():
+                if block in base and block not in masked:
+                    if payload is ABSENT:
+                        masked[block] = ABSENT
+                        kept.pop(block, None)
+                    else:
+                        kept[block] = payload
+                elif payload is ABSENT:
+                    added.pop(block, None)
+                else:
+                    added[block] = payload
+        merged = {**kept, **added}
+        if (len(merged) + len(masked)) * 2 >= len(base):
             # The dirty volume rivals the base: fold into a fresh base.
             folded = dict(base)
-            for block, payload in merged.items():
-                if payload is ABSENT:
-                    folded.pop(block, None)
-                else:
-                    folded[block] = payload
+            for block in masked:
+                del folded[block]
+            folded.update(merged)
             return [folded]
-        return [merged, base]
+        return [merged, masked, base] if masked else [merged, base]
 
     # ------------------------------------------------------------------
     # Single-block resolution (query path)

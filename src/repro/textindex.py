@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .core import checkpoint
 from .core.deletion import DeletionManager, SweepStats
@@ -473,7 +473,7 @@ class TextDocumentIndex:
         target.write(blob)
         # The words the vocabulary gained: their lengths in characters,
         # then all of them as one UTF-8 run.
-        words = self.vocabulary._words[nwords:]
+        words = list(islice(self.vocabulary.words(), nwords, None))
         data = "".join(words).encode("utf-8")
         target.write(
             struct.pack(

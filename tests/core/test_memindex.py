@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core.index import DualStructureIndex, IndexConfig
+from repro.core.invariants import check_index
 from repro.core.memindex import InMemoryIndex
 from repro.core.postings import CountPostings, DocPostings
+from repro.storage import faults
+from repro.storage.faults import FaultPlan, InjectedCrash
 
 
 class TestDocuments:
@@ -100,14 +104,42 @@ class TestSnapshotRestore:
         assert idx.get(4) is None
         assert [w for w, _ in idx.items()] == [1, 2, 3]
 
-    def test_snapshot_payloads_are_independent_of_the_live_index(self):
-        idx = InMemoryIndex()
-        idx.add_document(0, [1])
-        snap = idx.snapshot()
-        idx.add_document(1, [1])  # mutates the live payload in place
-        assert idx.get(1).doc_ids == [0, 1]
-        idx.restore(snap)
-        assert idx.get(1).doc_ids == [0]
+    def test_flush_keeps_the_batch_by_reference(self):
+        """The flush keeps the batch it may replay without copying a
+        payload, and a crash plus replay answers like a clean flush."""
+        for point in ("index.before-shadow-flush", "index.before-recovery-point"):
+            self._crash_and_replay(point)
+
+    @staticmethod
+    def _crash_and_replay(point):
+        config = IndexConfig(
+            nbuckets=4,
+            bucket_size=16,
+            block_postings=4,
+            ndisks=2,
+            nblocks_override=10_000,
+            store_contents=True,
+            crash_safe=True,
+        )
+        clean, crashed = DualStructureIndex(config), DualStructureIndex(config)
+        for index in (clean, crashed):
+            for doc in ([1, 2, 3], [2, 3, 9], [3, 4, 5]):
+                index.add_document(doc)
+            index.flush_batch()
+            for doc in ([1, 3, 6], [2, 3, 7], [3, 5, 8]):
+                index.add_document(doc)
+        clean.flush_batch()
+        batch = dict(crashed.memory.items())
+        with faults.injected(FaultPlan(crash_at=point, crash_at_hit=1)):
+            with pytest.raises(InjectedCrash):
+                crashed.flush_batch()
+        kept, ndocs, npostings = crashed._aborted_batch
+        assert (ndocs, npostings) == (3, 9)
+        assert all(payload is batch[word] for word, payload in kept)
+        crashed.recover(replay=True)
+        assert check_index(crashed).ok
+        for word in range(1, 10):
+            assert crashed.fetch(word) == clean.fetch(word), word
 
     def test_restore_moves_payloads_without_recopying(self):
         idx = InMemoryIndex()

@@ -7,6 +7,8 @@ O(batch) to build and structurally sharing all untouched state with its
 predecessor.
 """
 
+import io
+
 import pytest
 
 from repro.core import checkpoint
@@ -67,6 +69,12 @@ def build_writer(nbatches=3):
         if batch == 0:
             writer.delete_document(0)
     return writer
+
+
+def saved(index):
+    buf = io.BytesIO()
+    index.save(buf)
+    return buf.getvalue()
 
 
 def assert_same_answers(a, b):
@@ -144,12 +152,18 @@ class TestCloneIncrementalParity:
             for d in cow.index.index.array.disks
         ) if hasattr(cow.index, "index") else True
 
-    def test_clean_word_lists_are_shared_with_the_predecessor(self):
-        """Inside a dirty bucket only the batch's words are copied: a
-        clean word's short list is the predecessor's object, a batch
-        word's is neither the writer's nor the predecessor's."""
+    def test_clean_payloads_shared_until_extended(self):
+        """A publish shares the writer's short-list payloads: a word the
+        batch left alone has one payload object in the writer, ``prev``
+        and the cow snapshot.  The writer's next extension of that word
+        is made on a copy, so the snapshot's object keeps its postings."""
         writer = build_writer()
         prev = writer.clone()
+        writer.index.delta.clear()
+        for doc in DOCS:  # every resident word: every such bucket dirty
+            writer.add_document(doc)
+        writer.flush_batch()
+        prev = writer.clone_incremental(prev, writer.index.delta)
         writer.index.delta.clear()
         writer.add_document("zebra fox")  # fox is resident, zebra is new
         writer.flush_batch()
@@ -163,15 +177,99 @@ class TestCloneIncrementalParity:
             for index in (cow, prev, writer)
         )
         assert list(mine) == list(writers)
-        assert mine[fox] == writers[fox]
-        assert mine[fox] is not writers[fox]
+        assert mine[fox] is writers[fox]
         assert mine[fox] is not theirs[fox]
         clean = [w for w in mine if w not in delta.dirty_words]
         assert clean, "pick a bucket that also holds an untouched word"
         for word in clean:
-            assert mine[word] is theirs[word]
-            assert mine[word] is not writers[word]
-        assert_same_answers(cow, writer.clone())
+            assert mine[word] is theirs[word] is writers[word]
+        writer.index.delta.clear()
+
+        word = clean[0]
+        held = list(mine[word].doc_ids)
+        payload = mine[word]
+        writer.add_document(writer.vocabulary.word_of(word))
+        writer.flush_batch()
+        assert writer.index.buckets.get(word) is not payload
+        assert mine[word] is payload and payload.doc_ids == held
+        assert len(writer.index.buckets.get(word)) == len(held) + 1
+
+    def test_cow_snapshot_saves_like_the_full_clone(self):
+        """A published snapshot saves (and so clones) to the bytes of the
+        writer's full clone at its boundary, through the service too."""
+        writer = TextDocumentIndex(small_config())
+        prev = writer.clone()
+        for cycle in range(3):
+            for i in range(4):
+                writer.add_document(DOCS[(cycle + i) % len(DOCS)])
+            writer.flush_batch()
+            cow = writer.clone_incremental(prev, writer.index.delta)
+            writer.index.delta.clear()
+            assert saved(cow) == saved(writer.clone())
+            assert saved(cow.clone()) == saved(cow)
+            prev = cow
+        service = QueryService(small_config(crash_safe=True), shards=1)
+        for doc in DOCS:
+            service.add_document(doc)
+        service.flush_and_publish()
+        service.add_document("zebra fox")
+        service.flush_and_publish()
+        assert service.stats.cow_publishes == 2
+        published = service.snapshot().index
+        assert saved(published) == saved(service.writer_index.clone())
+
+    def test_long_cow_chains_save_like_the_full_clone(self):
+        """Past the overlay stack's compaction depth, over a base larger
+        than the chain's dirty blocks, with sweeps and windows of two
+        flushes freeing and rewriting blocks, every snapshot still saves
+        to its full clone's bytes: its maps keep the writer's order."""
+        def add(n):
+            for _ in range(n):
+                i = writer.ndocs
+                writer.add_document(f"{DOCS[i % len(DOCS)]} w{chr(97 + i % 26)}")
+
+        writer = TextDocumentIndex(small_config(block_postings=4))
+        add(600)
+        writer.flush_batch()
+        prev = writer.clone()
+        writer.index.delta.clear()
+        history = []
+        for cycle in range(40):
+            add(2)
+            if cycle % 5 == 4:
+                writer.delete_document(writer.ndocs - 3)
+                writer.sweep_deletions()
+            if cycle % 3 == 2:
+                writer.flush_batch()
+                add(2)
+            writer.flush_batch()
+            cow = writer.clone_incremental(prev, writer.index.delta)
+            writer.index.delta.clear()
+            history.append((cow, saved(writer.clone())))
+            assert saved(cow) == history[-1][1], cycle
+            prev = cow
+        for cycle, (cow, want) in enumerate(history):
+            assert saved(cow) == want, cycle
+
+    def test_block_freed_and_written_again_moves_to_the_end(self):
+        """A block the writer frees and writes again in one publish window
+        moves to the end of the writer's map, and of the snapshot's."""
+        writer = build_writer()
+        prev = writer.clone()
+        writer.index.delta.clear()
+        disk = writer.index.array.disks[0]
+        first, second = disk.allocate(1), disk.allocate(1)
+        disk.write_blocks(first, [b"first"])
+        disk.write_blocks(second, [b"second"])
+        prev = writer.clone_incremental(prev, writer.index.delta)
+        writer.index.delta.clear()
+        disk.free(first, 1)
+        assert disk.allocate(1) == first
+        disk.write_blocks(first, [b"again"])
+        assert list(disk._blocks)[-2:] == [second, first]
+        cow = writer.clone_incremental(prev, writer.index.delta)
+        assert list(cow.index.array.disks[0]._blocks)[-2:] == [second, first]
+        assert saved(cow) == saved(writer.clone())
 
     def test_requires_full_after_recovery(self):
         writer = TextDocumentIndex(small_config(crash_safe=True))
