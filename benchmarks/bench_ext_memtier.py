@@ -24,6 +24,7 @@ memtier-smoke job uploads the same report as a workflow artifact).
 """
 
 import json
+from dataclasses import asdict
 
 from _common import RESULTS_DIR, report
 from repro.service import LoadConfig, LoadGenerator
@@ -88,9 +89,9 @@ def test_ext_memtier_visibility_and_throughput(capfd):
 
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
-        "snapshot": snap.as_dict(),
-        "immediate": imm.as_dict(),
-        "immediate_merged": merged.as_dict(),
+        "snapshot": asdict(snap),
+        "immediate": asdict(imm),
+        "immediate_merged": asdict(merged),
         "comparison": {
             "visibility_p50_snapshot_s": snap_vis,
             "visibility_p50_immediate_s": imm_vis,

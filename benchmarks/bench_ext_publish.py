@@ -192,11 +192,9 @@ def test_ext_publish_buffer_cache_sweep(capfd):
             pace_s=0.001,
         )
         serving_report = LoadGenerator(config).run()
-        stats = serving_report.buffer_cache or {
-            "hits": 0,
-            "misses": 0,
-            "hit_rate": 0.0,
-        }
+        stats = serving_report.buffer_cache or {"hits": 0, "misses": 0}
+        lookups = stats["hits"] + stats["misses"]
+        stats["hit_rate"] = stats["hits"] / lookups if lookups else 0.0
         rows.append((budget, stats))
     # More budget never hurts: hit rate is monotone (modulo the disabled
     # row, which reports 0.0).

@@ -228,6 +228,12 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _rate(counts: dict) -> float:
+    """A report section's hit rate, from its hit and miss counts."""
+    lookups = counts["hits"] + counts["misses"]
+    return counts["hits"] / lookups if lookups else 0.0
+
+
 def cmd_serve_bench(args) -> int:
     from .service import LoadConfig, LoadGenerator
 
@@ -320,26 +326,30 @@ def cmd_serve_bench(args) -> int:
         print(
             f"result cache:     {cache['hits']} hits / "
             f"{cache['misses']} misses "
-            f"(rate {cache['hit_rate']:.1%}), {cache['evictions']} evictions, "
+            f"(rate {_rate(cache):.1%}), {cache['evictions']} evictions, "
             f"{cache['invalidations']} invalidations"
         )
     if report.buffer_cache:
         buffers = report.buffer_cache
         print(
             f"buffer cache:     {buffers['hits']} hits / "
-            f"{buffers['misses']} misses (rate {buffers['hit_rate']:.1%}), "
+            f"{buffers['misses']} misses (rate {_rate(buffers):.1%}), "
             f"{buffers['evictions']} evictions, "
             f"{buffers['invalidated']} delta-invalidated"
         )
     service = report.service
+    print(
+        f"writer:           {service['publishes']} snapshots published "
+        f"({service['cow_publishes']} cow, "
+        f"{service['full_clone_publishes']} full, "
+        f"{service['cow_fallbacks']} fallbacks), "
+        f"{service['documents_ingested']} docs ingested, "
+        f"{service['flush_recoveries']} crash recoveries"
+    )
     if report.gateway:
         gw = report.gateway
         print(
-            f"gateway:          {gw['publishes']} worker publishes "
-            f"({gw['cow_publishes']} cow, "
-            f"{gw['full_clone_publishes']} full, "
-            f"{gw['cow_fallbacks']} fallbacks), "
-            f"{gw['failovers']} failovers, "
+            f"gateway:          {gw['failovers']} failovers, "
             f"{gw['replayed_ops']} ops replayed, "
             f"{gw['shed']} shed, "
             f"{gw['deadline_exceeded']} deadline misses"
@@ -380,17 +390,9 @@ def cmd_serve_bench(args) -> int:
             print(
                 f"batching:         {batching['batched_reads']} reads in "
                 f"{batching['batch_frames']} batch frames "
-                f"({batching['frames_saved']} frames saved)"
+                f"({batching['batched_reads'] - batching['batch_frames']}"
+                " frames saved)"
             )
-    else:
-        print(
-            f"writer:           {service['publishes']} snapshots published "
-            f"({service['cow_publishes']} cow, "
-            f"{service['full_clone_publishes']} full, "
-            f"{service['cow_fallbacks']} fallbacks), "
-            f"{service['documents_ingested']} docs ingested, "
-            f"{service['flush_recoveries']} crash recoveries"
-        )
     vis = report.visibility
     if vis.get("count"):
         print(

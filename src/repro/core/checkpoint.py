@@ -701,10 +701,15 @@ def clone_incremental(
     cfg = prev.config
     if delta is None:
         raise CheckpointError("incremental clone requires a delta journal")
-    if delta.requires_full:
+    if delta.recovered:
         raise CheckpointError(
-            "delta journal cannot vouch for sharing (structure change or "
-            "crash recovery since the previous publish); use a full clone"
+            "crash recovery since the previous publish: the delta journal "
+            "cannot vouch for sharing; use a full clone"
+        )
+    if delta.structure_changed:
+        raise CheckpointError(
+            "bucket growth since the previous publish: the delta journal "
+            "cannot vouch for sharing; use a full clone"
         )
     if not cfg.store_contents:
         raise CheckpointError("incremental clone requires content mode")

@@ -182,11 +182,6 @@ class MemTier:
 
     def stats(self) -> dict:
         """Point-in-time counters (writer thread or tests)."""
-        _, batch, tombstones = self._state
+        _, batch, _ = self._state
         buffered = sum(len(p) for _, lists in batch for p in lists.values())
-        return {
-            "epoch": self._epoch,
-            "buffered_postings": buffered,
-            "tombstones": len(tombstones),
-            "rebases": self.rebases,
-        }
+        return {"buffered_postings": buffered, "rebases": self.rebases}

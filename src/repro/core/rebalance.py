@@ -215,7 +215,6 @@ class RebalancePlanner(RebuildScheduler):
         super().__init__()
         self.policy = policy or RebalancePolicy()
         self._cooldown_left = 0
-        self.planned_splits = 0
 
     @staticmethod
     def imbalance(counts) -> float:
@@ -255,16 +254,5 @@ class RebalancePlanner(RebuildScheduler):
             and counts[victim] >= policy.min_shard_docs
         ):
             self._cooldown_left = policy.cooldown
-            self.planned_splits += 1
             return victim
         return None
-
-    def as_dict(self) -> dict:
-        out = super().as_dict()
-        out.update(
-            {
-                "planned_splits": self.planned_splits,
-                "cooldown_left": self._cooldown_left,
-            }
-        )
-        return out

@@ -100,14 +100,6 @@ class RoutingTable:
         seed, same slot count, same ownership vector."""
         return (self.seed, self.nslots, self.owners)
 
-    def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "seed": self.seed,
-            "nslots": self.nslots,
-            "owners": list(self.owners),
-        }
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoutingTable):
             return NotImplemented

@@ -144,33 +144,33 @@ class IndexShard(Protocol):
 
 
 def publish_copy(volume, prev, journal, blocks: int, counters):
-    """``(copy, fell_back)``: one volume's next published copy.
+    """``(copy, cause)``: one volume's next published copy, and why it
+    fell back to a full clone (``None`` when it did not).
 
     The copy shares everything ``journal`` left untouched with ``prev``,
     the volume's previous publication (``clone_incremental``).  When the
     journal cannot prove it covers the gap (crash recovery, bucket
-    growth, config drift: :class:`~repro.core.checkpoint.CheckpointError`)
-    or there is no predecessor, the copy is a full ``clone()`` instead
-    and ``fell_back`` is True.  With ``blocks`` > 0 the copy gets a
+    growth, config drift: :class:`~repro.core.checkpoint.CheckpointError`,
+    whose message is the cause) or there is no predecessor, the copy is
+    a full ``clone()`` instead.  With ``blocks`` > 0 the copy gets a
     decoded-chunk buffer cache counting into ``counters``: ``prev``'s,
     minus the journal's dirty blocks, when the copy shares structure;
     a cold one when it fell back, since the journal's coverage is then
     void.  This is the only place a publish falls back.
     """
-    copy = None
+    copy, cause = None, "no predecessor"
     if prev is not None:
         try:
-            copy = volume.clone_incremental(prev, journal)
-        except CheckpointError:
-            pass
-    fell_back = copy is None
-    if fell_back:
+            copy, cause = volume.clone_incremental(prev, journal), None
+        except CheckpointError as exc:
+            cause = str(exc)
+    if cause is not None:
         copy = volume.clone()
     if blocks:
         copy.attach_buffer_cache(
             blocks,
             counters,
-            prev=None if fell_back else prev,
+            prev=None if cause is not None else prev,
             delta=journal,
         )
-    return copy, fell_back
+    return copy, cause

@@ -356,9 +356,9 @@ class ShardedTextIndex:
 
     def publish_copy(
         self, prev, delta, blocks: int, counters
-    ) -> tuple["ShardedTextIndex", int]:
-        """``(copy, fallbacks)``: the next published copy, and how many
-        shards fell back to a full clone.
+    ) -> tuple["ShardedTextIndex", list]:
+        """``(copy, causes)``: the next published copy, and per shard why
+        it fell back to a full clone (``None`` where it shared).
 
         Each shard goes through :func:`~repro.core.shard.publish_copy`
         against its counterpart in ``prev`` with its own journal, so one
@@ -366,8 +366,9 @@ class ShardedTextIndex:
         rebuild) never forces its siblings to give up sharing.  A layout
         change (shard count, router seed, routing epoch: documents moved
         between shards) leaves no counterpart, and every shard falls
-        back.  ``blocks`` splits evenly across the shards; all their
-        caches count into ``counters``, so hit rates stay global.
+        back with "no predecessor".  ``blocks`` splits evenly across the
+        shards; all their caches count into ``counters``, so hit rates
+        stay global.
         """
         same_layout = (
             isinstance(prev, ShardedTextIndex)
@@ -381,14 +382,14 @@ class ShardedTextIndex:
         per_shard = max(1, blocks // nshards) if blocks else 0
         copy = self._empty_copy()
         copy.shards = []
-        fallbacks = 0
+        causes = []
         for shard, prev_shard, journal in zip(self.shards, prevs, journals):
-            volume, fell_back = publish_copy(
+            volume, cause = publish_copy(
                 shard, prev_shard, journal, per_shard, counters
             )
             copy.shards.append(volume)
-            fallbacks += fell_back
-        return copy, fallbacks
+            causes.append(cause)
+        return copy, causes
 
     def freeze(self) -> None:
         for shard in self.shards:

@@ -37,6 +37,7 @@ popping them restores the old iteration order.
 
 from __future__ import annotations
 
+from ..obs import event
 from ..storage.blockmap import ABSENT
 from ..storage.freelist import BuddyFreeList
 
@@ -178,6 +179,12 @@ class UndoLog:
         index._next_doc_id = self.boundary_next_doc_id
         if not self.armed:
             return
+        event(
+            "undo.rollback",
+            buckets=len(self._buckets),
+            words=len(self._words),
+            blocks=sum(map(len, self._blocks)),
+        )
         for owner, name, value in self._attrs:
             setattr(owner, name, value)
         for counters, fields in self._counters:

@@ -22,18 +22,16 @@ class StageTimings:
     """Accumulated wall-clock seconds per named stage.
 
     A stage may be entered more than once (``serve.flush`` once per
-    batch); seconds accumulate and ``counts`` records the spans.
+    batch); its seconds accumulate.
     """
 
     seconds: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
 
     def add(self, stage: str, seconds: float) -> None:
         """Fold one measured span into a stage's total."""
         if seconds < 0:
             raise ValueError(f"negative span for stage {stage!r}")
         self.seconds[stage] = self.seconds.get(stage, 0.0) + seconds
-        self.counts[stage] = self.counts.get(stage, 0) + 1
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
@@ -47,13 +45,6 @@ class StageTimings:
     def get(self, stage: str) -> float:
         """Total seconds recorded for a stage (0.0 if never entered)."""
         return self.seconds.get(stage, 0.0)
-
-    def as_dict(self) -> dict[str, float]:
-        """JSON-ready ``{stage: seconds}`` map, rounded for stable diffs."""
-        return {
-            stage: round(seconds, 6)
-            for stage, seconds in sorted(self.seconds.items())
-        }
 
 
 @dataclass
@@ -94,25 +85,6 @@ class HitMissCounters:
     def note_invalidated(self) -> None:
         with self._lock:
             self.invalidated += 1
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when idle)."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidated": self.invalidated,
-            "hit_rate": round(self.hit_rate, 6),
-        }
 
 
 def percentile(samples: list[float], p: float) -> float:

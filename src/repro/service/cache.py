@@ -52,18 +52,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "entries_invalidated": self.entries_invalidated,
-            "entries_retained": self.entries_retained,
-            "epoch_invalidations": self.epoch_invalidations,
-            "hit_rate": round(self.hit_rate, 6),
-        }
-
 
 class QueryResultCache:
     """A bounded LRU map from ``(kind, query)`` to stamped results.

@@ -85,7 +85,8 @@ import socket
 import threading
 import time
 from contextlib import asynccontextmanager
-from dataclasses import asdict, dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field, fields
+from dataclasses import replace as dc_replace
 
 from ..core.index import BatchResult, IndexConfig
 from ..core.invariants import InvariantReport, Violation
@@ -95,6 +96,7 @@ from ..core.rebalance import (
     RebuildScheduler,
 )
 from ..core.routing import RoutingTable
+from ..obs import event
 from ..pipeline.profiling import LatencyRecorder, StageTimings
 from ..query import boolean as boolean_query
 from ..query import scatter
@@ -109,6 +111,7 @@ from .replication import (
     ReplicationStats,
     replica_specs,
 )
+from .runtime import RuntimeStats
 from .server import ServiceStats
 from .worker import FlushOutcome, WorkerSpec, worker_main
 
@@ -241,9 +244,6 @@ class GatewayStats:
     replayed_ops: int = 0
     worker_kills_observed: int = 0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RebalanceStats:
@@ -258,18 +258,8 @@ class RebalanceStats:
     #: — the scatter merges dedupe — this measures the window, not an
     #: outage.
     cutover_seconds: float = 0.0
-    last_cutover_seconds: float = 0.0
     #: max/mean live-doc imbalance at the last planner sample.
     last_imbalance: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "splits": self.splits,
-            "docs_moved": self.docs_moved,
-            "cutover_seconds": round(self.cutover_seconds, 6),
-            "last_cutover_seconds": round(self.last_cutover_seconds, 6),
-            "last_imbalance": round(self.last_imbalance, 6),
-        }
 
 
 @dataclass
@@ -282,31 +272,14 @@ class BatchingStats:
     batched_reads: int = 0
     #: Occurrences of each batch size, ``{size: count}``.
     histogram: dict = field(default_factory=dict)
+    #: Always 0: no read travels outside a batch frame.  Kept because
+    #: benchmarks/harness/replica.py:236 reads the key.
+    single_read_frames: int = field(default=0, init=False)
 
     def record_batch(self, size: int) -> None:
         self.batch_frames += 1
         self.batched_reads += size
         self.histogram[size] = self.histogram.get(size, 0) + 1
-
-    @property
-    def frames_saved(self) -> int:
-        """Frames batching avoided: each envelope of n members replaces
-        n standalone frames."""
-        return self.batched_reads - self.batch_frames
-
-    def as_dict(self) -> dict:
-        return {
-            # Pinned by benchmarks/harness/replica.py:236, which reads
-            # the key; no read travels outside a batch frame any more.
-            "single_read_frames": 0,
-            "batch_frames": self.batch_frames,
-            "batched_reads": self.batched_reads,
-            "frames_saved": self.frames_saved,
-            "batch_size_histogram": {
-                str(size): count
-                for size, count in sorted(self.histogram.items())
-            },
-        }
 
 
 #: Most member reads one batch frame carries; a replica's queue that
@@ -570,17 +543,21 @@ class AsyncShardGateway:
         :meth:`close` reaps it."""
         self._writer_lock = asyncio.Lock()
         self._sem = asyncio.Semaphore(self.max_inflight)
+        replicas = [r for rs in self._sets for r in rs.replicas]
         results = await asyncio.gather(
             *(
-                self._bring_up(rs, replica, replica.spec)
-                for rs in self._sets
-                for replica in rs.replicas
+                self._bring_up(self._sets[r.shard_id], r, r.spec)
+                for r in replicas
             ),
             return_exceptions=True,
         )
-        for result in results:
+        failed = None
+        for replica, result in zip(replicas, results):
             if isinstance(result, BaseException):
-                raise result
+                event("start.failed", replica=replica.name, error=repr(result))
+                failed = failed or result
+        if failed is not None:
+            raise failed
 
     async def _spawn(self, replica: Replica, spec: WorkerSpec) -> None:
         worker = WorkerProcess(spec)
@@ -725,6 +702,8 @@ class AsyncShardGateway:
             self.stats.worker_kills_observed += 1
         self.stats.failovers += 1
         self.repl.rebuilds_started += 1
+        cause = "died" if observed_kill else "stale stamp"
+        event("replica.down", replica=replica.name, cause=cause)
         replica.rebuild_task = asyncio.get_running_loop().create_task(
             self._rebuild(rs, replica)
         )
@@ -740,14 +719,17 @@ class AsyncShardGateway:
         from its respawn spec while reads rotate to its siblings."""
         if self._rebuild_hold_s:
             await asyncio.sleep(self._rebuild_hold_s)
+        event("replica.rebuilding", replica=replica.name, oplog=len(rs.oplog))
         try:
             await self._bring_up(rs, replica, replica.spec.respawn_spec())
-        except Exception:
+        except Exception as exc:
             replica.state = ReplicaState.FAILED
             self.repl.rebuild_failures += 1
+            event("replica.failed", replica=replica.name, error=repr(exc))
             raise
         replica.state = ReplicaState.HEALTHY
         self.repl.rebuilds_completed += 1
+        event("replica.healthy", replica=replica.name, ops=replica.log_pos)
 
     async def quiesce(self) -> None:
         """Wait for every in-flight rebuild to finish (test/bench hook)."""
@@ -784,6 +766,7 @@ class AsyncShardGateway:
         build an unbounded backlog)."""
         if self._pending >= self.max_inflight + self.queue_limit:
             self.stats.shed += 1
+            event("read.shed", pending=self._pending, limit=self.queue_limit)
             raise GatewayOverloaded(self._pending, self.queue_limit)
         self._pending += 1
         try:
@@ -888,6 +871,8 @@ class AsyncShardGateway:
                 granted = self.rebuild_scheduler.grant(wants)
             else:
                 granted = frozenset(wants)
+            if granted:
+                event("growth.grant", shards=sorted(granted), wanted=wants)
             outcomes = await asyncio.gather(
                 *(self._flush_shard(i, i in granted) for i in active)
             )
@@ -989,7 +974,9 @@ class AsyncShardGateway:
             self.repl.checkpoints_deferred += 1
             return
         target = healthy[0]
-        since = None if rs.wants_base() else rs.token
+        # The compaction rule, not a missing chain, asks for this base.
+        compaction = rs.base is not None and rs.wants_base()
+        since = None if compaction else rs.token
         try:
             reply = await self._locked_rpc(target, "checkpoint", (since,))
         except self._DEATH:
@@ -1002,9 +989,13 @@ class AsyncShardGateway:
         rs.adopt(reply)
         if reply.record:
             self.repl.checkpoint_records += 1
-            self.repl.chain_bytes += len(reply.blob)
         else:
             self.repl.checkpoint_bases += 1
+        kind = "record" if reply.record else "base"
+        event(
+            "checkpoint", shard=i, kind=kind, bytes=len(reply.blob),
+            compaction=compaction
+        )
         rs.oplog.clear()
         for replica in rs.replicas:
             replica.log_pos = 0
@@ -1057,7 +1048,11 @@ class AsyncShardGateway:
         its mover tombstones.
         """
         async with self._writer_lock:
-            return await self._split_locked(victim)
+            try:
+                return await self._split_locked(victim)
+            except ValueError as exc:
+                event("split.refused", shard=victim, reason=str(exc))
+                raise
 
     async def _flush_set(self, shard_id: int) -> None:
         """Journal and run one out-of-band flush on a single shard (a
@@ -1155,19 +1150,11 @@ class AsyncShardGateway:
         self.rebalance.splits += 1
         self.rebalance.docs_moved += len(movers)
         self.rebalance.cutover_seconds += window
-        self.rebalance.last_cutover_seconds = window
+        event(
+            "split.cutover", shard=victim, new_shard=new_id,
+            docs_moved=len(movers), cutover_seconds=window
+        )
         return new_id
-
-    def rebalance_report(self) -> dict:
-        """The ``rebalance`` stats section (no RPC)."""
-        report = self.rebalance.as_dict()
-        report["routing_epoch"] = self.routing.epoch
-        report["active_shards"] = list(self._active)
-        report["routing"] = self.routing.as_dict()
-        report["enabled"] = self.rebalance_planner is not None
-        if self.rebalance_planner is not None:
-            report["planner"] = self.rebalance_planner.as_dict()
-        return report
 
     # -- snapshots ---------------------------------------------------------
 
@@ -1230,6 +1217,7 @@ class AsyncShardGateway:
                 # alone (queueing behind the connection's writes, batch
                 # execution).
                 self.stats.deadline_exceeded += 1
+                event("read.deadline", replica=replica.name, method=method)
                 timed_out = True
                 continue
             try:
@@ -1472,16 +1460,6 @@ class AsyncShardGateway:
             )
         return stats
 
-    def replication_stats(self) -> dict:
-        """The report's ``replication`` section (no RPC)."""
-        merged = self.repl.as_dict()
-        merged["replicas"] = self.replicas
-        merged["rebuild_stagger"] = self.rebuild_scheduler is not None
-        if self.rebuild_scheduler is not None:
-            merged["scheduler"] = self.rebuild_scheduler.as_dict()
-        merged["shards"] = [rs.describe() for rs in self._sets]
-        return merged
-
 
 class GatewayService:
     """Thread-safe synchronous facade over :class:`AsyncShardGateway`.
@@ -1491,6 +1469,8 @@ class GatewayService:
     ``snapshot`` / ``search_*`` plus ``stats`` / ``timings`` /
     ``publish_latency`` — so :class:`~repro.service.loadgen.LoadGenerator`
     and the CLI drive both serving stacks through one code path.  The
+    workers publish, so ``stats`` counts documents and queries only; the
+    :class:`RuntimeStats` sums are in :meth:`gateway_stats`.  The
     asyncio loop runs on a dedicated thread; every public method is safe
     to call from any thread.
     """
@@ -1506,7 +1486,6 @@ class GatewayService:
         self.stats = ServiceStats()
         self.timings = StageTimings()
         self.publish_latency = LatencyRecorder()
-        self.buffer_counters = None
         self._stats_lock = threading.Lock()
         self._closed = False
         try:
@@ -1523,10 +1502,7 @@ class GatewayService:
     # -- writer API -------------------------------------------------------
 
     def add_document(self, text: str, doc_id: int | None = None) -> int:
-        with self.timings.stage("serve.ingest"):
-            doc_id = self._run(
-                self.gateway.add_document(text, doc_id=doc_id)
-            )
+        doc_id = self._run(self.gateway.add_document(text, doc_id=doc_id))
         with self._stats_lock:
             self.stats.documents_ingested += 1
         return doc_id
@@ -1540,8 +1516,6 @@ class GatewayService:
         with self.timings.stage("serve.flush"):
             result, snapshot = self._run(self.gateway.flush())
         self.publish_latency.record(self.gateway.last_publish_seconds)
-        with self._stats_lock:
-            self.stats.publishes += 1
         return result, snapshot
 
     # -- reader API -------------------------------------------------------
@@ -1597,33 +1571,35 @@ class GatewayService:
     # -- introspection / lifecycle ----------------------------------------
 
     def check(self) -> InvariantReport:
-        report = self._run(self.gateway.check())
-        with self._stats_lock:
-            self.stats.invariant_checks += 1
-        return report
+        return self._run(self.gateway.check())
 
     def gateway_stats(self) -> dict:
-        workers = self._run(self.gateway.worker_stats())
-        merged = self.gateway.stats.as_dict()
+        """The report's ``gateway`` section; its :class:`RuntimeStats`
+        keys are the sums over the healthy workers' counters."""
+        gateway = self.gateway
+        workers = self._run(gateway.worker_stats())
+        merged = asdict(gateway.stats)
         merged["workers"] = workers
-        merged["read_tier"] = self.read_tier
         if self.read_tier == "immediate":
-            gateway = self.gateway
             merged["mem_epochs"] = [
                 gateway._sets[i].mem_epoch for i in gateway._active
             ]
-        for key in (
-            "publishes",
-            "cow_publishes",
-            "full_clone_publishes",
-            "cow_fallbacks",
-            "flush_recoveries",
-        ):
-            merged[key] = sum(w.get(key, 0) for w in workers)
-        merged["routing_epoch"] = self.gateway.routing.epoch
-        merged["rebalance"] = self.gateway.rebalance_report()
-        merged["replication"] = self.gateway.replication_stats()
-        merged["batching"] = self.gateway.batching.as_dict()
+        for f in fields(RuntimeStats):
+            merged[f.name] = sum(w[f.name] for w in workers)
+        merged["routing_epoch"] = gateway.routing.epoch
+        merged["rebalance"] = {
+            **asdict(gateway.rebalance),
+            "routing_epoch": gateway.routing.epoch,
+            "active_shards": list(gateway._active),
+            "enabled": gateway.rebalance_planner is not None,
+        }
+        merged["replication"] = {
+            **asdict(gateway.repl), "replicas": gateway.replicas
+        }
+        if gateway.rebuild_scheduler is not None:
+            scheduler = gateway.rebuild_scheduler.as_dict()
+            merged["replication"]["scheduler"] = scheduler
+        merged["batching"] = asdict(gateway.batching)
         return merged
 
     def buffer_stats(self) -> list[dict]:

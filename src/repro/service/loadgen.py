@@ -6,11 +6,11 @@ miniature: one writer ingests documents and publishes a snapshot per
 flush cycle while N reader threads issue a seeded mix of boolean,
 streamed, and vector queries against whatever snapshot is current.
 
-Measurements ride the :mod:`repro.pipeline.profiling` plumbing — stage
-spans (``serve.ingest`` / ``serve.flush`` / ``serve.publish``) accumulate
-in the service's :class:`StageTimings`, and every query latency lands in a
-per-thread :class:`LatencyRecorder`, merged into p50/p95/p99 afterwards —
-and are archived as ``BENCH_serving.json`` by ``repro serve-bench``.
+Every query latency lands in a per-thread
+:class:`~repro.pipeline.profiling.LatencyRecorder`, merged into
+p50/p95/p99 afterwards, and the run's report — the services' counter
+dataclasses through :func:`dataclasses.asdict` — is archived as
+``BENCH_serving.json`` by ``repro serve-bench``.
 
 The oracle is the generator's own: one brute-force mirror
 (:class:`~repro.query.reference.BruteForceIndex`) fed by the writer thread
@@ -60,7 +60,7 @@ import json
 import random
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator
 
 from ..core.index import IndexConfig
@@ -71,6 +71,7 @@ from ..query.reference import BruteForceIndex
 from ..storage import faults
 from ..storage.faults import FaultPlan
 from .gateway import GatewayOverloaded, GatewayService, ShardDeadlineExceeded
+from .runtime import RuntimeStats
 from .server import BackgroundMerger, QueryService
 
 #: Crash points cycled through by ``crash_every`` (update + publish paths).
@@ -307,7 +308,6 @@ class ServingReport:
     latency: dict[str, dict]
     cache: dict
     service: dict
-    stage_seconds: dict[str, float]
     divergences: int
     divergence_examples: list[str] = field(default_factory=list)
     buffer_cache: dict = field(default_factory=dict)
@@ -318,28 +318,11 @@ class ServingReport:
     #: Memory-tier counters (immediate tier only).
     memtier: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "queries": self.queries,
-            "throughput_qps": round(self.throughput_qps, 3),
-            "latency": self.latency,
-            "cache": self.cache,
-            "buffer_cache": self.buffer_cache,
-            "service": self.service,
-            "stage_seconds": self.stage_seconds,
-            "divergences": self.divergences,
-            "divergence_examples": self.divergence_examples[:5],
-            "open_loop": self.open_loop,
-            "gateway": self.gateway,
-            "visibility": self.visibility,
-            "memtier": self.memtier,
-        }
-
     def write_json(self, path) -> None:
+        report = asdict(self)
+        report["divergence_examples"] = self.divergence_examples[:5]
         with open(path, "w", encoding="utf-8") as fp:
-            json.dump(self.as_dict(), fp, indent=2, sort_keys=True)
+            json.dump(report, fp, indent=2, sort_keys=True)
             fp.write("\n")
 
 
@@ -847,14 +830,18 @@ class LoadGenerator:
                 memtier_report["merger"] = merger.stats()
         gateway_stats: dict = {}
         buffer_cache: dict = {}
+        service = asdict(self.service.stats)
         if cfg.gateway:
             gateway_stats = self.service.gateway_stats()
+            # The workers publish; the facade only counts documents and
+            # queries.
+            for f in fields(RuntimeStats):
+                service[f.name] = gateway_stats[f.name]
             for worker in self.service.buffer_stats():
                 for key, value in worker.items():
-                    if isinstance(value, (int, float)):
-                        buffer_cache[key] = buffer_cache.get(key, 0) + value
+                    buffer_cache[key] = buffer_cache.get(key, 0) + value
         elif self.service.buffer_counters is not None:
-            buffer_cache = self.service.buffer_counters.as_dict()
+            buffer_cache = asdict(self.service.buffer_counters)
         return ServingReport(
             config={
                 **asdict(cfg),
@@ -867,11 +854,8 @@ class LoadGenerator:
             latency=latency,
             # The gateway keeps no parent-side result cache (workers are
             # the authority), so its runs report none.
-            cache={}
-            if cfg.gateway
-            else self.service.cache.stats().as_dict(),
-            service=self.service.stats.as_dict(),
-            stage_seconds=self.service.timings.as_dict(),
+            cache={} if cfg.gateway else asdict(self.service.cache.stats()),
+            service=service,
             divergences=len(divergences),
             divergence_examples=divergences,
             buffer_cache=buffer_cache,

@@ -58,7 +58,7 @@ from __future__ import annotations
 import asyncio
 import enum
 import itertools
-from dataclasses import asdict, dataclass, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 
 from .worker import WorkerSpec
 
@@ -255,24 +255,6 @@ class ReplicaSet:
         exceeds about twice a base, in bytes and in restore work)."""
         return sum(map(len, self.chain)) >= len(self.base or b"")
 
-    def describe(self) -> dict:
-        return {
-            "shard": self.shard_id,
-            "replicas": [
-                {
-                    "replica": r.replica_id,
-                    "state": r.state.value,
-                    "version": r.version,
-                    "log_pos": r.log_pos,
-                    "wants_grow": r.wants_grow,
-                }
-                for r in self.replicas
-            ],
-            "oplog": len(self.oplog),
-            "expected_version": self.expected_version,
-        }
-
-
 @dataclass
 class ReplicationStats:
     """Replication-layer counters (the report's ``replication`` section)."""
@@ -294,17 +276,13 @@ class ReplicationStats:
     #: Checkpoint rounds skipped because a replica was mid-rebuild (the
     #: op log must be retained for its catch-up replay).
     checkpoints_deferred: int = 0
-    #: Checkpoint answers adopted as full bases / as redo records, and
-    #: the bytes of those records (DESIGN.md §19).
+    #: Checkpoint answers adopted as full bases / as redo records
+    #: (DESIGN.md §19).
     checkpoint_bases: int = 0
     checkpoint_records: int = 0
-    chain_bytes: int = 0
     #: Healthy replicas of one shard disagreeing on a flush outcome —
     #: always 0 unless the determinism contract is broken.
     replica_divergences: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def replica_specs(

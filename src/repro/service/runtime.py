@@ -31,14 +31,23 @@ process — and neither re-implements a step:
    clear and pointer swap; a worker's since-checkpoint journal);
 6. **clear** the journal, then **rebase** the memory tier onto the
    object readers now see, then count.
+
+Every step that counts into :class:`RuntimeStats` also emits the
+:mod:`repro.obs` event that says why: ``flush``, ``flush.recovery``,
+``publish`` (cow or fallback, with each volume's cause),
+``publish.retry``, and ``writes.refused`` / ``writes.resumed`` around an
+exhausted budget.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from ..core.index import BatchResult
 from ..core.memtier import MemTier
 from ..core.shard import publish_copy
 from ..core.sharded import ShardedTextIndex
+from ..obs import event
 from ..pipeline.profiling import HitMissCounters
 from ..storage.faults import InjectedCrash, TransientIOError
 
@@ -50,20 +59,32 @@ _FAULTS = (InjectedCrash, TransientIOError)
 MAX_FLUSH_RETRIES = 8
 
 
+@dataclass
+class RuntimeStats:
+    """The counters :class:`ShardRuntime` increments, on whichever
+    subclass its host hands it (``ServiceStats`` / ``WorkerStats``)."""
+
+    publishes: int = 0
+    #: Publishes in which no volume fell back to a full clone; the rest
+    #: are ``full_clone_publishes``.
+    cow_publishes: int = 0
+    full_clone_publishes: int = 0
+    #: Volumes that fell back (a sharded writer's layout change counts
+    #: every one).
+    cow_fallbacks: int = 0
+    flush_recoveries: int = 0
+    publish_retries: int = 0
+    invariant_checks: int = 0
+
+
 class ShardRuntime:
     """One writer volume, its published clone, and the steps between.
 
-    ``stats`` is the host's own counter object (``ServiceStats`` /
-    ``WorkerStats``): the runtime increments ``publishes``,
-    ``cow_publishes``, ``full_clone_publishes``, ``cow_fallbacks``,
-    ``flush_recoveries``, ``publish_retries`` and ``invariant_checks`` on
-    it.  ``cow_fallbacks`` counts volumes that fell back to a full clone
-    (a sharded writer's layout change counts every one);
-    ``cow_publishes`` counts publishes in which no volume fell back, and
-    ``full_clone_publishes`` the rest.  ``on_crash`` is called at every
-    :class:`InjectedCrash` before any recovery (the worker's
-    ``kill_on_crash`` dies there).  ``error``
-    is the exception type an exhausted retry budget is reported as;
+    ``stats`` is the host's :class:`RuntimeStats`.  ``tags`` are fields
+    every event of this runtime carries (a worker names its shard).
+    ``on_crash`` is called at every :class:`InjectedCrash` before any
+    recovery (the worker's ``kill_on_crash`` dies there).  ``error`` is
+    the exception type an exhausted retry budget is reported as;
     ``None`` lets the last fault propagate as itself (and refuses a
     write with ``RuntimeError``).
 
@@ -91,6 +112,9 @@ class ShardRuntime:
         )
         self.on_crash = on_crash
         self.error = error
+        self.tags: dict = {}
+        #: The fault that exhausted a budget, while writes are refused.
+        self._wedged: str | None = None
         self.memtier: MemTier | None = None
         #: The writer's clone at the last published boundary.
         self.published = None
@@ -100,11 +124,14 @@ class ShardRuntime:
 
     # -- watermark --------------------------------------------------------
 
-    def _writable(self) -> None:
-        if self.writer.needs_recovery or (
+    def _refusing(self) -> bool:
+        return self.writer.needs_recovery or (
             self.memtier is not None
             and self.writer.batches != self.published.batches
-        ):
+        )
+
+    def _writable(self) -> None:
+        if self._refusing():
             raise (self.error or RuntimeError)(
                 "a failed flush must be retried before the next write"
             )
@@ -135,6 +162,9 @@ class ShardRuntime:
             raise exc
         attempts += 1
         if attempts > MAX_FLUSH_RETRIES:
+            if self._refusing():
+                self._wedged = fault = repr(exc)
+                event("writes.refused", **self.tags, step=what, fault=fault)
             if self.error is None:
                 raise exc
             raise self.error(
@@ -146,31 +176,45 @@ class ShardRuntime:
         """Apply the pending batch, rolling back and replaying through
         the volume's undo log on injected faults."""
         attempts = 0
-        recovering = self.writer.needs_recovery
+        # Why the next attempt must recover first (None: it need not).
+        fault = None
+        if self.writer.needs_recovery:
+            fault = self._wedged or "an earlier flush"
         while True:
             try:
-                if recovering:
+                if fault is None:
+                    result = self.writer.flush_batch()
+                else:
                     # Roll back to the last completed batch boundary and
                     # replay the aborted batch.  If the replay dies too,
                     # the next attempt recovers again — never re-flushes
                     # on top of partial state.
                     self.stats.flush_recoveries += 1
-                    replayed = self.writer.recover(replay=True)
-                    if replayed is not None:
-                        return replayed
-                    recovering = False
-                    continue
-                return self.writer.flush_batch()
+                    event("flush.recovery", **self.tags, fault=fault)
+                    result = self.writer.recover(replay=True)
+                    if result is None:
+                        fault = None
+                        continue
             except _FAULTS as exc:
                 attempts = self._retry(
                     "flush", attempts, exc, self.writer.crash_safe
                 )
-                recovering = True
+                fault = repr(exc)
+                continue
+            event(
+                "flush",
+                **self.tags,
+                batch=self.writer.batches,
+                postings=result.npostings,
+                io_ops=result.io_ops,
+            )
+            return result
 
     # -- publish ----------------------------------------------------------
 
     def _copy(self, delta):
-        """``(copy, fallbacks)`` of the writer at its boundary."""
+        """``(copy, causes)`` of the writer at its boundary: per volume,
+        why it fell back to a full clone (``None`` where it shared)."""
         attempts = 0
         while True:
             try:
@@ -181,24 +225,26 @@ class ShardRuntime:
                         self.buffer_cache_blocks,
                         self.buffer_counters,
                     )
-                return publish_copy(
+                copy, cause = publish_copy(
                     self.writer,
                     self.published,
                     delta,
                     self.buffer_cache_blocks,
                     self.buffer_counters,
                 )
+                return copy, [cause]
             except _FAULTS as exc:
                 # Nothing was published yet and the writer sits at a
                 # consistent boundary: clone again.
                 attempts = self._retry("publish", attempts, exc)
                 self.stats.publish_retries += 1
+                event("publish.retry", **self.tags, fault=repr(exc))
 
     def _build(self):
-        """Steps 3–4: ``(clone, fallbacks, delta)``, cached, checked and
+        """Steps 3–4: ``(clone, causes, delta)``, cached, checked and
         frozen, not yet visible to anyone."""
         delta = self.writer.delta
-        index, fallbacks = self._copy(delta)
+        index, causes = self._copy(delta)
         if self.check_invariants:
             report = index.check()
             self.stats.invariant_checks += 1
@@ -206,7 +252,7 @@ class ShardRuntime:
             # Debug-mode write barrier: published (and possibly shared)
             # structure must never be mutated again.
             index.freeze()
-        return index, fallbacks, delta
+        return index, causes, delta
 
     def publish(self, install=None) -> None:
         """Publish the writer's boundary state.
@@ -215,7 +261,7 @@ class ShardRuntime:
         intact and returns the object the host's readers see from then
         on (default: the clone itself).
         """
-        index, fallbacks, delta = self._build()
+        index, causes, delta = self._build()
         base = index if install is None else install(index, delta)
         if delta is not None:
             delta.clear()
@@ -225,9 +271,20 @@ class ShardRuntime:
             # old views stay content-equivalent (old base + retired batch
             # == new base + the writer's new, empty batch).
             self.memtier.rebase(base)
+        fallbacks = len(causes) - causes.count(None)
         self.stats.publishes += 1
         self.stats.cow_fallbacks += fallbacks
         if fallbacks:
             self.stats.full_clone_publishes += 1
         else:
             self.stats.cow_publishes += 1
+        event(
+            "publish",
+            **self.tags,
+            batch=index.batches,
+            mode="fallback" if fallbacks else "cow",
+            causes=causes,
+        )
+        if self._wedged is not None:
+            self._wedged = None
+            event("writes.resumed", **self.tags, batch=index.batches)

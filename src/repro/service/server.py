@@ -44,7 +44,7 @@ from ..query import twotier
 from ..query.vector import ScoredDocument
 from ..textindex import QueryAnswer
 from .cache import QueryResultCache
-from .runtime import ShardRuntime
+from .runtime import RuntimeStats, ShardRuntime
 from .snapshot import IndexSnapshot
 
 #: Seconds between two looks of the :class:`BackgroundMerger` at the
@@ -57,38 +57,16 @@ class ServiceError(Exception):
 
 
 @dataclass
-class ServiceStats:
+class ServiceStats(RuntimeStats):
     """Counters describing one service lifetime."""
 
-    publishes: int = 0
-    cow_publishes: int = 0
-    full_clone_publishes: int = 0
-    cow_fallbacks: int = 0
     documents_ingested: int = 0
     documents_deleted: int = 0
-    flush_recoveries: int = 0
-    publish_retries: int = 0
-    invariant_checks: int = 0
     queries: dict[str, int] = field(default_factory=dict)
 
     @property
     def queries_served(self) -> int:
         return sum(self.queries.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "publishes": self.publishes,
-            "cow_publishes": self.cow_publishes,
-            "full_clone_publishes": self.full_clone_publishes,
-            "cow_fallbacks": self.cow_fallbacks,
-            "documents_ingested": self.documents_ingested,
-            "documents_deleted": self.documents_deleted,
-            "flush_recoveries": self.flush_recoveries,
-            "publish_retries": self.publish_retries,
-            "invariant_checks": self.invariant_checks,
-            "queries": dict(sorted(self.queries.items())),
-            "queries_served": self.queries_served,
-        }
 
 
 class QueryService:
@@ -193,8 +171,7 @@ class QueryService:
         choosing ids; ordinary callers let the writer assign them).
         """
         with self._writer_lock:
-            with self.timings.stage("serve.ingest"):
-                doc_id = self._runtime.add_document(text, doc_id)
+            doc_id = self._runtime.add_document(text, doc_id)
             self.stats.documents_ingested += 1
             return doc_id
 
@@ -219,9 +196,8 @@ class QueryService:
         with self._writer_lock:
             with self.timings.stage("serve.flush"):
                 result = self._runtime.flush()
-            with self.timings.stage("serve.publish"):
-                with self.publish_latency.span():
-                    self._runtime.publish(self._install)
+            with self.publish_latency.span():
+                self._runtime.publish(self._install)
             return result, self._snapshot
 
     def _install(self, index: IndexShard, delta) -> IndexSnapshot:

@@ -59,7 +59,7 @@ from ..storage import faults
 from ..storage.faults import FaultPlan
 from ..textindex import TextDocumentIndex
 from . import wire
-from .runtime import ShardRuntime
+from .runtime import RuntimeStats, ShardRuntime
 
 
 @dataclass
@@ -126,25 +126,11 @@ class CheckpointReply:
 
 
 @dataclass
-class WorkerStats:
+class WorkerStats(RuntimeStats):
     """Counters one worker accumulates over its lifetime."""
 
-    publishes: int = 0
-    cow_publishes: int = 0
-    full_clone_publishes: int = 0
-    cow_fallbacks: int = 0
-    flush_recoveries: int = 0
-    publish_retries: int = 0
-    invariant_checks: int = 0
     requests: int = 0
     queries: int = 0
-    #: Batch frames received and member reads they carried (the spread
-    #: between ``batched_reads`` and ``batch_frames`` is frames saved).
-    batch_frames: int = 0
-    batched_reads: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class ShardWorker:
@@ -184,6 +170,7 @@ class ShardWorker:
             buffer_cache_blocks=spec.buffer_cache_blocks,
             on_crash=_die if spec.kill_on_crash else None,
         )
+        self.runtime.tags = {"shard": spec.shard_id}
         # The immediate-access memory tier reads the writer's pending
         # batch over the published snapshot.  Doc ids are *global* (the
         # gateway's router hands each shard an increasing subsequence),
@@ -401,8 +388,6 @@ class ShardWorker:
         :class:`~repro.service.wire.Response` while its batchmates
         answer normally.
         """
-        self.stats.batch_frames += 1
-        self.stats.batched_reads += len(requests)
         responses = []
         for i, request in enumerate(requests):
             if request.method not in READ_METHODS:
@@ -432,16 +417,10 @@ class ShardWorker:
 
     def info(self) -> dict:
         return {
-            "pid": os.getpid(),
-            "shard": self.spec.shard_id,
             "ndocs": self.writer.ndocs,
             "batches": self.writer.batches,
-            "snapshot_version": self.stats.publishes,
-            "published_ndocs": self.runtime.published.ndocs,
-            "read_tier": self.spec.read_tier,
             "mem_epoch": self._mem_epoch(),
             "wants_grow": self._wants_grow(),
-            "occupancy": self.writer.index.buckets.occupancy(),
             "nbuckets": self.writer.index.buckets.nbuckets,
         }
 
@@ -454,7 +433,7 @@ class ShardWorker:
         (counters cannot cross the process boundary, so each worker
         keeps its own)."""
         counters = self.runtime.buffer_counters
-        return counters.as_dict() if counters is not None else {}
+        return asdict(counters) if counters is not None else {}
 
     def debug_sleep(self, seconds: float) -> float:
         """Block the worker loop (deadline and backpressure tests)."""
@@ -465,7 +444,7 @@ class ShardWorker:
         return {"pid": os.getpid(), "shard": self.spec.shard_id}
 
     def stats_dict(self) -> dict:
-        return self.stats.as_dict()
+        return asdict(self.stats)
 
 
 #: The gateway's read surface: what a batch frame's members may name

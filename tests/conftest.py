@@ -37,3 +37,24 @@ def no_flush_retries(monkeypatch):
     from repro.service import runtime
 
     monkeypatch.setattr(runtime, "MAX_FLUSH_RETRIES", 0)
+
+
+@pytest.fixture
+def events():
+    """The lifecycle events this process emits while the test runs, as
+    ``(name, fields)`` pairs (:mod:`repro.obs`).  A forked gateway
+    worker's events stay in that worker."""
+    import logging
+
+    from repro.obs import logger
+
+    trail = []
+    handler = logging.Handler()
+    handler.emit = lambda record: trail.append((record.msg, record.fields))
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield trail
+    finally:
+        logger.setLevel(logging.NOTSET)
+        logger.removeHandler(handler)

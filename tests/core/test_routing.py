@@ -113,16 +113,6 @@ class TestIdentity:
         assert a != RoutingTable.initial(2, 1)
         assert hash(a) == hash(RoutingTable.initial(2, 0))
 
-    def test_as_dict_round_trip_fields(self):
-        table = RoutingTable.initial(2, 9).split(0, 2)
-        d = table.as_dict()
-        assert d == {
-            "epoch": 1,
-            "seed": 9,
-            "nslots": table.nslots,
-            "owners": list(table.owners),
-        }
-
     def test_owners_must_cover_slots(self):
         with pytest.raises(ValueError):
             RoutingTable(0, 0, 3, (0, 1))

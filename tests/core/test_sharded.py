@@ -265,8 +265,8 @@ class TestPublication:
         for text in corpus(12, seed=9):
             index.add_document(text)
         index.flush_batch()
-        cow, fallbacks = index.publish_copy(prev, index.delta, 0, None)
-        assert fallbacks == 0
+        cow, causes = index.publish_copy(prev, index.delta, 0, None)
+        assert causes == [None] * 3
         assert answers(cow) == answers(index.clone())
         assert cow.check().ok
         assert cow.shard_versions == index.shard_versions
@@ -278,8 +278,8 @@ class TestPublication:
         other = build(corpus(10), shards=2)
         reseeded = build(corpus(10), shards=3, router_seed=1)
         for prev in (other, reseeded):
-            copy, fallbacks = index.publish_copy(prev, index.delta, 0, None)
-            assert fallbacks == 3
+            copy, causes = index.publish_copy(prev, index.delta, 0, None)
+            assert causes == ["no predecessor"] * 3
             assert answers(copy) == answers(index.clone())
 
     def test_one_recovered_shard_falls_back_alone(self):
@@ -310,8 +310,9 @@ class TestPublication:
         ]
         assert len(recovered) == 1
 
-        copy, fallbacks = index.publish_copy(prev, index.delta, 300, counters)
-        assert fallbacks == 1
+        copy, causes = index.publish_copy(prev, index.delta, 300, counters)
+        assert [i for i, c in enumerate(causes) if c] == recovered
+        assert "crash recovery" in causes[recovered[0]]
         for i, (shard, before) in enumerate(zip(copy.shards, prev.shards)):
             entries = {
                 e.word: e for e in before.index.longlists.directory.entries()
@@ -332,8 +333,8 @@ class TestPublication:
 
         index.delta.clear()
         index.split_shard(recovered[0])
-        split, fallbacks = index.publish_copy(copy, index.delta, 300, counters)
-        assert fallbacks == len(index.shards) == 4
+        split, causes = index.publish_copy(copy, index.delta, 300, counters)
+        assert causes == ["no predecessor"] * 4
         assert not any(
             s.index.longlists.buffer_cache._entries for s in split.shards
         )

@@ -17,6 +17,7 @@ battery pins it three ways:
 from __future__ import annotations
 
 import asyncio
+from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -134,7 +135,7 @@ def test_batched_equals_local_equals_oracle(docs, shards, replicas, read_tier):
             counters = batched.batching
             assert counters.batch_frames == queries * shards
             assert counters.batched_reads == counters.batch_frames
-            assert counters.as_dict()["single_read_frames"] == 0
+            assert asdict(counters)["single_read_frames"] == 0
             assert batched.repl.reads_served == counters.batched_reads
         finally:
             await batched.close()

@@ -338,11 +338,12 @@ class TestGatewayService:
         service.close()
         service.close()
 
-    def test_failed_start_reaps_its_workers(self, monkeypatch):
+    def test_failed_start_reaps_its_workers(self, monkeypatch, events):
         """A constructor that raises leaves nothing behind: nothing holds
         the half-built service, so nobody else could close it.  The
         second of three worker spawns fails; the two that started and
-        the loop thread are gone by the time the error arrives."""
+        the loop thread are gone by the time the error arrives, and the
+        one event names the replica that failed and why."""
         import multiprocessing
         import threading
 
@@ -371,6 +372,10 @@ class TestGatewayService:
         assert len(spawned) == 3
         assert set(multiprocessing.active_children()) == children
         assert loops() == threads
+        [(name, fields)] = events
+        assert name == "start.failed"
+        assert fields["replica"] == f"shard {spawned[1]}/r0"
+        assert "out of processes" in fields["error"]
 
 
 class TestReplicaVersionGuard:

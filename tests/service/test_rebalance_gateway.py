@@ -286,7 +286,7 @@ class TestPlannerDriven:
         asyncio.run(body())
 
 
-async def _split_between_flushes(read_tier: str) -> None:
+async def _split_between_flushes(read_tier: str, events: list) -> None:
     gateway = AsyncShardGateway(
         small_config(), shards=2, replicas=2, router_seed=1,
         read_tier=read_tier,
@@ -307,20 +307,38 @@ async def _split_between_flushes(read_tier: str) -> None:
         await gateway.flush()
         assert await gateway.split_shard(victim) == 2
         assert gateway.routing.epoch == 1
+        # The refusal is an event of its own, before the split that
+        # follows the flush; every shard checkpoints at each boundary
+        # and the new shard's first restore point is a base.
+        assert {name for name, _ in events} == {
+            "checkpoint", "split.refused", "split.cutover"
+        }
+        splits = [(n, f) for n, f in events if n.startswith("split.")]
+        assert [(n, f["shard"]) for n, f in splits] == [
+            ("split.refused", victim), ("split.cutover", victim)
+        ]
+        assert "flush boundary" in splits[0][1]["reason"]
+        assert splits[1][1]["new_shard"] == 2
+        checkpoints = [
+            (f["shard"], f["kind"]) for n, f in events if n == "checkpoint"
+        ]
+        assert checkpoints[-1] == (2, "base")
     finally:
         await gateway.close()
 
 
 class TestGuardsAndStats:
-    def test_split_between_flushes_is_refused(self):
+    def test_split_between_flushes_is_refused(self, events):
         """A split replays the victim's op log into the new shard, so it
         runs at a flush boundary only: with an unflushed add pending it
         refuses before anything is spawned, routed or journaled."""
-        asyncio.run(_split_between_flushes("snapshot"))
+        asyncio.run(_split_between_flushes("snapshot", events))
 
-    def test_split_between_flushes_is_refused_on_the_immediate_tier(self):
+    def test_split_between_flushes_is_refused_on_the_immediate_tier(
+        self, events
+    ):
         """The same one rule on the tier that serves the unflushed add."""
-        asyncio.run(_split_between_flushes("immediate"))
+        asyncio.run(_split_between_flushes("immediate", events))
 
     def test_mem_epochs_cover_every_active_shard_after_a_split(self):
         """The cutover publishes the new shard into every per-shard

@@ -309,7 +309,7 @@ def test_immediate_tier_rebuilt_replica_rejoins_the_rotation():
             _assert_oracle(service, oracle, f"kill r{victim}")
             service.wait_for_recovery()
             assert repl.rebuilds_completed == round_
-            assert all(map(rs.eligible, rs.replicas)), rs.describe()
+            assert all(map(rs.eligible, rs.replicas)), rs.replicas
             failovers = repl.read_failovers
             before = _worker_queries(service)
             _assert_oracle(service, oracle, f"rebuilt r{victim}")  # 2k reads

@@ -23,6 +23,7 @@ import pytest
 from repro.core.index import IndexConfig
 from repro.service.gateway import AsyncShardGateway
 from repro.service.loadgen import CRASH_CYCLE
+from repro.service.runtime import RuntimeStats
 from repro.service.server import QueryService, ServiceError
 from repro.service.worker import ShardWorker, WorkerSpec
 from repro.storage import faults
@@ -41,13 +42,7 @@ FIRST, SECOND = (
 QUERIES = ["wa AND wb", "wc OR wd", "NOT we"]
 
 #: What the runtime counts on whichever stats object its host hands it.
-LEDGER = (
-    "flush_recoveries",
-    "publish_retries",
-    "cow_fallbacks",
-    "cow_publishes",
-    "full_clone_publishes",
-)
+LEDGER = [f.name for f in dataclasses.fields(RuntimeStats)]
 
 
 def config(fault_plan: FaultPlan | None = None) -> IndexConfig:
@@ -84,7 +79,7 @@ class ServiceHost:
         return self.service.search_boolean(query).doc_ids
 
     def ledger(self) -> dict:
-        return self.service.stats.as_dict()
+        return dataclasses.asdict(self.service.stats)
 
 
 class WorkerHost:
@@ -108,7 +103,7 @@ class WorkerHost:
         return [d for d in docs if d not in dead]  # the gateway's filter
 
     def ledger(self) -> dict:
-        return self.worker.stats.as_dict()
+        return dataclasses.asdict(self.worker.stats)
 
 
 def unfaulted_twin() -> TextDocumentIndex:
@@ -232,6 +227,24 @@ def test_cow_publish_crash_is_retried_in_both_hosts():
         assert 20 in host.postings("wa"), host_type.__name__
 
 
+def test_fallback_events_tell_recovery_from_growth(events):
+    """A publish the rollback forced and one bucket growth forced both
+    fall back to the full clone, for different reasons: each publish
+    event carries its volume's own cause."""
+    for host_type in (ServiceHost, WorkerHost):
+        events.clear()
+        host = host_type(None)
+        drive(host, FaultPlan(crash_at="index.flush-begin"))
+        host.grow()
+        host.add("wa wb")
+        host.flush()
+        causes = [f["causes"] for name, f in events if name == "publish"]
+        assert len(causes) == 3, host_type.__name__
+        assert causes[0] == [None], host_type.__name__
+        assert causes[1][0].startswith("crash recovery"), causes
+        assert causes[2][0].startswith("bucket growth"), causes
+
+
 def test_exhausted_budget_keeps_each_hosts_error_type(no_flush_retries):
     service = QueryService(config())
     service.add_document("apple")
@@ -251,12 +264,14 @@ def test_exhausted_budget_keeps_each_hosts_error_type(no_flush_retries):
 )
 @pytest.mark.parametrize("host", ["service", "worker"])
 def test_exhausted_budget_resumes_at_the_next_flush(
-    host, point, read_tier, no_flush_retries
+    host, point, read_tier, no_flush_retries, events
 ):
     """An exhausted budget leaves the writer awaiting recovery.  The next
     flush rolls back and replays; until it has run a write is refused
     with the host's error type (a rollback would drop or renumber it),
-    and the immediate tier keeps showing the failed batch."""
+    and the immediate tier keeps showing the failed batch.  The event
+    trail names the wedge, the crash point that caused it, the rollback
+    and the fallback publish that ends it."""
     if host == "service":
         service = QueryService(config(), read_tier=read_tier)
         add, delete = service.add_document, service.delete_document
@@ -299,6 +314,27 @@ def test_exhausted_budget_resumes_at_the_next_flush(
     assert add("banana") == 1
     flush()
     assert published("banana") == [1]
+    assert [name for name, _ in events] == [
+        "writes.refused",
+        "flush.recovery",
+        "undo.rollback",
+        "flush",
+        "publish",
+        "writes.resumed",
+        "flush",
+        "publish",
+    ]
+    refusal, recovery = events[0][1], events[1][1]
+    assert point in refusal["fault"]
+    assert recovery["fault"] == refusal["fault"]
+    assert events[4][1]["causes"][0].startswith("crash recovery")
+    assert events[7][1]["mode"] == "cow"
+    if host == "worker":
+        assert all(
+            fields["shard"] == 0
+            for name, fields in events
+            if name != "undo.rollback"
+        )
 
 
 def test_kill_on_crash_dies_at_the_first_crash():

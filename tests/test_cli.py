@@ -202,3 +202,10 @@ class TestServeBench:
         assert 0 < batching["batch_frames"] <= batching["batched_reads"]
         assert gateway["replication"]["replica_divergences"] == 0
         assert gateway["rebalance"]["splits"] == 0
+        # The workers publish: the service ledger is theirs, summed.
+        service = report["service"]
+        assert service["publishes"] == gateway["publishes"] > 0
+        assert (
+            service["cow_publishes"] + service["full_clone_publishes"]
+            == service["publishes"]
+        )
