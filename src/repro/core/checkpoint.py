@@ -299,34 +299,19 @@ def load_header(fp: BinaryIO) -> IndexConfig:
 # -- checkpoints -------------------------------------------------------------------
 
 
-def save(index: DualStructureIndex, target) -> None:
-    """Write a checkpoint of ``index`` to a path or binary file object.
+def save(index: DualStructureIndex, fp: BinaryIO) -> None:
+    """Write a checkpoint of ``index`` to a binary file object.
 
     Raises :class:`CheckpointError` when the in-memory batch is not empty
     (checkpoints happen at batch boundaries) or the array uses a buddy
     allocator (whose internal state is not interval-shaped).
     """
-    if hasattr(target, "write"):
-        _save(index, target)
-    else:
-        with open(target, "wb") as fp:
-            _save(index, fp)
-
-
-def _save(index: DualStructureIndex, fp: BinaryIO) -> None:
     save_header(index, fp)
     save_record(index, None, fp)
 
 
-def load(source) -> DualStructureIndex:
+def load(fp: BinaryIO) -> DualStructureIndex:
     """Reconstruct a :class:`DualStructureIndex` from a checkpoint."""
-    if hasattr(source, "read"):
-        return _load(source)
-    with open(source, "rb") as fp:
-        return _load(fp)
-
-
-def _load(fp: BinaryIO) -> DualStructureIndex:
     index = DualStructureIndex(load_header(fp))
     apply_record(index, fp)
     return index

@@ -30,8 +30,8 @@ builds the serving front end on top:
 Read path (DESIGN.md §16) — one protocol: every query mode is
 *answer-level*, a query puts one member read per active shard on the
 :class:`_ReadBatcher` of the replica its rotation picked, and members
-travel in :class:`~repro.service.wire.BatchRequest` frames — nothing
-else on the wire can read.  The worker evaluates boolean, streamed and
+travel as the arguments of one ``batched_read`` request — nothing else
+on the wire can read.  The worker evaluates boolean, streamed and
 vector queries against its own postings and the gateway merges answers
 (a complementing ``NOT`` cut back to each shard's routed slice; vector
 replies carrying per-term df and candidates grouped by term bitmask,
@@ -336,47 +336,42 @@ class _ReadBatcher:
             await self._send(batch)
 
     async def _send(self, batch: list) -> None:
-        """Ship one batch as a single frame and distribute the answers.
+        """Ship one batch as a single ``batched_read`` call and
+        distribute the answers.
 
-        Member ids are batch ordinals; the envelope's ``request_id``
-        does the reply matching on the connection.  A connection-level
-        failure fans out to every member (each waiter runs its own
+        A connection-level failure, or a reply the worker could not
+        frame, fans out to every member (each waiter runs its own
         failover); a member-level failure resolves only that member.
         """
         gateway = self._gateway
         replica = self._replica
         gateway.batching.record_batch(len(batch))
-        members = tuple(
-            wire.Request(ordinal, method, args)
-            for ordinal, (method, args, _) in enumerate(batch)
-        )
+        members = tuple((method, args) for method, args, _ in batch)
         try:
             async with replica.lock:
-                reply = await gateway._exchange(
-                    replica, wire.BatchRequest, members
+                answers, version = await gateway._rpc(
+                    replica, "batched_read", (members,)
                 )
         except Exception as exc:  # noqa: BLE001 - fan the failure out
             for _, _, future in batch:
                 if not future.done():
                     future.set_exception(exc)
             return
-        for (method, _, future), member in zip(batch, reply.responses):
+        for (method, _, future), (ok, value) in zip(batch, answers):
             if future.done():
                 continue
-            if member.ok:
-                future.set_result((member.value, reply.version))
+            if ok:
+                future.set_result((value, version))
             else:
                 future.set_exception(
-                    RemoteWorkerError(
-                        f"{replica.name} {method}: {member.error}"
-                    )
+                    RemoteWorkerError(f"{replica.name} {method}: {value}")
                 )
-        if len(reply.responses) < len(batch):  # pragma: no cover
+        if len(answers) < len(batch):  # pragma: no cover
             exc = WorkerDied(
-                f"{replica.name} answered {len(reply.responses)} of "
+                f"{replica.name} answered {len(answers)} of "
                 f"{len(batch)} batch members"
             )
-            for _, _, future in batch[len(reply.responses):]:
+            for _, _, future in batch[len(answers):]:
                 if not future.done():
                     future.set_exception(exc)
 
@@ -641,20 +636,20 @@ class AsyncShardGateway:
 
     # -- RPC core ---------------------------------------------------------
 
-    async def _exchange(self, replica: Replica, message_type, *fields):
+    async def _exchange(self, replica: Replica, method: str, args: tuple):
         """One request/reply exchange on a replica's stream — the only
         place the gateway writes to or reads from a worker connection.
 
-        Sends ``message_type(request_id, *fields)`` and returns the reply
-        carrying that id.  Caller must hold (or be the sole owner of)
-        the replica's connection lock.
+        Sends ``Request(request_id, method, args)`` and returns the
+        :class:`~repro.service.wire.Response` carrying that id.  Caller
+        must hold (or be the sole owner of) the replica's connection lock.
         """
         stream_writer = replica.writer
         if stream_writer is None:
             raise WorkerDied(f"{replica.name} has no connection")
         request_id = next(replica.seq)
         header, payload = wire.encode_parts(
-            message_type(request_id, *fields)
+            wire.Request(request_id, method, args)
         )
         stream_writer.write(header)
         stream_writer.write(payload)
@@ -677,7 +672,7 @@ class AsyncShardGateway:
     async def _rpc(self, replica: Replica, method: str, args: tuple):
         """One method call on a replica (connection lock held as for
         :meth:`_exchange`): the value, or the worker's typed failure."""
-        response = await self._exchange(replica, wire.Request, method, args)
+        response = await self._exchange(replica, method, args)
         if response.ok:
             return response.value
         raise RemoteWorkerError(f"{replica.name} {method}: {response.error}")

@@ -68,7 +68,7 @@ from ..core.rebalance import GrowthPolicy, RebalancePolicy
 from ..core.shard import shard_of
 from ..pipeline.profiling import LatencyRecorder
 from ..query.reference import BruteForceIndex
-from ..storage import faults
+from ..storage import atomic_write, faults
 from ..storage.faults import FaultPlan
 from .gateway import GatewayOverloaded, GatewayService, ShardDeadlineExceeded
 from .runtime import RuntimeStats
@@ -321,9 +321,9 @@ class ServingReport:
     def write_json(self, path) -> None:
         report = asdict(self)
         report["divergence_examples"] = self.divergence_examples[:5]
-        with open(path, "w", encoding="utf-8") as fp:
-            json.dump(report, fp, indent=2, sort_keys=True)
-            fp.write("\n")
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        with atomic_write(path) as fp:
+            fp.write(text.encode("utf-8"))
 
 
 class _ReaderState:

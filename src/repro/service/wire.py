@@ -7,11 +7,14 @@ One frame carries one message::
     | 4 B   | 4 B (BE) | ``length`` bytes |
     +-------+----------+------------------+
 
-The payload is one of the four message classes below, pickled as a flat
-tuple of its fields (a leading tag names the class) and rebuilt by the
-decoder: a tuple of builtins costs a third of what a frozen dataclass
-instance does to pickle and unpickle, and the read path pays that per
-frame.  Pickle is acceptable here because both ends of every connection
+The payload is one of the two message classes below — a
+:class:`Request` or its :class:`Response` — pickled as a flat tuple of
+its fields (a leading tag names the class) and rebuilt by the decoder: a
+tuple of builtins costs a third of what a frozen dataclass instance does
+to pickle and unpickle, and the read path pays that per frame.  A read
+batch is no message of its own: it is the ordinary ``batched_read``
+request, whose members and answers are plain tuples in its ``args`` and
+``value``.  Pickle is acceptable here because both ends of every connection
 are processes this library spawned itself (a ``socketpair`` shared with
 a child) — the wire is a private process boundary, not a network
 service.  What the framing
@@ -80,36 +83,6 @@ class Response:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class BatchRequest:
-    """Many member reads in one frame (the gateway's micro-batch).
-
-    ``requests`` holds plain :class:`Request` members whose ids are batch
-    ordinals — the envelope's ``request_id`` is the one that matters for
-    reply matching on the connection.  Members must be read methods: the
-    worker evaluates all of them against one pinned published state and
-    stamps the whole batch with a single version vector entry.
-    """
-
-    request_id: int
-    requests: tuple = ()
-
-
-@dataclass(frozen=True)
-class BatchResponse:
-    """One reply frame answering every member of a :class:`BatchRequest`.
-
-    ``responses`` aligns index-for-index with the request's members; a
-    member that failed carries its own ``error`` so one poison query
-    cannot fail its batchmates.  ``version`` stamps the one worker state
-    every member evaluated against.
-    """
-
-    request_id: int
-    responses: tuple = ()
-    version: int = 0
-
-
 def _flatten(message) -> tuple:
     kind = type(message)
     if kind is Request:
@@ -117,22 +90,6 @@ def _flatten(message) -> tuple:
     if kind is Response:
         return (
             1, message.request_id, message.ok, message.value, message.error
-        )
-    if kind is BatchRequest:
-        return (
-            2,
-            message.request_id,
-            tuple((r.request_id, r.method, r.args) for r in message.requests),
-        )
-    if kind is BatchResponse:
-        return (
-            3,
-            message.request_id,
-            tuple(
-                (r.request_id, r.ok, r.value, r.error)
-                for r in message.responses
-            ),
-            message.version,
         )
     raise TypeError(f"{kind.__name__} is not a wire message")
 
@@ -143,12 +100,6 @@ def _rebuild(flat: tuple):
         return Request(*flat[1:])
     if tag == 1:
         return Response(*flat[1:])
-    if tag == 2:
-        return BatchRequest(flat[1], tuple(Request(*r) for r in flat[2]))
-    if tag == 3:
-        return BatchResponse(
-            flat[1], tuple(Response(*r) for r in flat[2]), flat[3]
-        )
     raise BadFrame(f"unknown message tag {tag!r}")
 
 

@@ -20,11 +20,12 @@ inherited socket and processes requests strictly in order — a worker is
 single-threaded on purpose.  Cross-shard concurrency comes from running
 many workers; the gateway's per-shard connection serialization matches
 this capacity exactly, so a request's deadline covers its queue wait.
-The gateway's read surface is three shard-evaluation methods
-(:data:`READ_METHODS`), reachable only as members of a batch frame
-(:meth:`ShardWorker.batched_read`, one version stamp per frame): the
-worker evaluates a query against its own postings and replies with an
-answer, never with raw posting lists.
+Every frame is one :data:`DISPATCH` call, ``shutdown`` aside.  The
+gateway's read surface is three shard-evaluation methods
+(:data:`READ_METHODS`), reachable only as members of a ``batched_read``
+call (:meth:`ShardWorker.batched_read`, one version stamp per frame):
+the worker evaluates a query against its own postings and replies with
+an answer, never with raw posting lists.
 
 Failure model: two distinct kinds of death are exercised.
 
@@ -367,9 +368,11 @@ class ShardWorker:
             answer = self.runtime.published.search_streamed(query)
         return answer.doc_ids, answer.read_ops
 
-    def batched_read(self, requests: tuple) -> tuple:
-        """Evaluate a micro-batch of reads against one pinned state —
-        the only way a read reaches this worker.
+    def batched_read(self, members: tuple) -> tuple:
+        """Evaluate a micro-batch of ``(method, args)`` reads against one
+        pinned state — the only way a read reaches this worker.  Returns
+        ``(answers, version)``, an answer per member: ``(True, value)``
+        or ``(False, "TypeName: detail")``.
 
         The gateway cannot trust an answer on the strength of its own
         bookkeeping alone — a replica may have fallen behind the
@@ -384,34 +387,21 @@ class ShardWorker:
         the one ``version`` is true for every member answer.  Only
         :data:`READ_METHODS` may be members; mutations must travel the
         journaled write path.  Per-member failures are isolated — a
-        poison query yields an errored member
-        :class:`~repro.service.wire.Response` while its batchmates
+        poison query yields an errored answer while its batchmates
         answer normally.
         """
-        responses = []
-        for i, request in enumerate(requests):
-            if request.method not in READ_METHODS:
-                responses.append(
-                    wire.Response(
-                        i,
-                        False,
-                        error=(
-                            f"ValueError: {request.method!r} is not a "
-                            "read method"
-                        ),
-                    )
+        answers = []
+        for method, args in members:
+            if method not in READ_METHODS:
+                answers.append(
+                    (False, f"ValueError: {method!r} is not a read method")
                 )
                 continue
             try:
-                value = getattr(self, request.method)(*request.args)
-                responses.append(wire.Response(i, True, value))
-            except Exception as exc:  # noqa: BLE001 - typed member reply
-                responses.append(
-                    wire.Response(
-                        i, False, error=f"{type(exc).__name__}: {exc}"
-                    )
-                )
-        return tuple(responses), self.writer.batches
+                answers.append((True, getattr(self, method)(*args)))
+            except Exception as exc:  # noqa: BLE001 - typed member answer
+                answers.append((False, f"{type(exc).__name__}: {exc}"))
+        return tuple(answers), self.writer.batches
 
     # -- introspection ----------------------------------------------------
 
@@ -447,16 +437,16 @@ class ShardWorker:
         return asdict(self.stats)
 
 
-#: The gateway's read surface: what a batch frame's members may name
-#: (everything here is side-effect-free on index state).  Reads exist
-#: only as batch members — none of these is in :data:`DISPATCH`, so a
-#: bare ``Request`` cannot fetch an answer that carries no version stamp.
+#: The gateway's read surface: what a ``batched_read`` request's members
+#: may name (everything here is side-effect-free on index state).  Reads
+#: exist only as batch members — none of these is in :data:`DISPATCH`, so
+#: a bare ``Request`` cannot fetch an answer that carries no version stamp.
 READ_METHODS = frozenset({"eval_boolean", "eval_vector", "search_streamed"})
 
 
-#: RPC method name -> ShardWorker attribute for bare ``Request`` frames
-#: (writes, lifecycle and introspection; every entry is part of the wire
-#: contract the gateway relies on).
+#: RPC method name -> ShardWorker attribute: every frame a worker answers
+#: (reads, batched; writes, lifecycle and introspection; every entry is
+#: part of the wire contract the gateway relies on).
 DISPATCH = {
     "ping": "ping",
     "info": "info",
@@ -465,6 +455,7 @@ DISPATCH = {
     "flush": "flush",
     "checkpoint": "checkpoint",
     "check": "check",
+    "batched_read": "batched_read",
     "buffer_stats": "buffer_stats",
     "debug_sleep": "debug_sleep",
     "stats": "stats_dict",
@@ -478,23 +469,13 @@ def _die() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _over_budget(reply):
-    """The refusal sent in place of a reply over the frame budget.  A
-    batch degrades per member: every answer is refused, but the envelope
-    still arrives, so no waiter hangs."""
-    if isinstance(reply, wire.BatchResponse):
-        members = tuple(
-            _refusal(r.request_id, "batch response") for r in reply.responses
-        )
-        return wire.BatchResponse(reply.request_id, members, reply.version)
-    return _refusal(reply.request_id, "response")
-
-
-def _refusal(request_id: int, what: str) -> wire.Response:
+def _over_budget(reply: wire.Response) -> wire.Response:
+    """The refusal sent in place of a reply over the frame budget, so no
+    waiter hangs (a batch's waiters all fail with it)."""
     return wire.Response(
-        request_id,
+        reply.request_id,
         False,
-        error=f"FrameTooLarge: {what} exceeded the frame budget",
+        error="FrameTooLarge: response exceeded the frame budget",
     )
 
 
@@ -518,12 +499,7 @@ def serve(sock, spec: WorkerSpec) -> None:
             if request is None:
                 break
             worker.stats.requests += 1
-            if isinstance(request, wire.BatchRequest):
-                responses, version = worker.batched_read(request.requests)
-                response = wire.BatchResponse(
-                    request.request_id, responses, version
-                )
-            elif request.method == "shutdown":
+            if request.method == "shutdown":
                 wire.send_message(
                     sock, wire.Response(request.request_id, True, None)
                 )

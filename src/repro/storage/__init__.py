@@ -5,6 +5,7 @@ See DESIGN.md ("Substitutions") for how the timing model preserves the
 behaviours the paper's evaluation depends on.
 """
 
+from .atomic import atomic_write
 from .block import BlockRange, Chunk, blocks_for_postings
 from .blockmap import ABSENT, LayeredBlocks
 from .btree import BTree, BTreeConfig
@@ -79,6 +80,7 @@ __all__ = [
     "Target",
     "TraceOp",
     "TransientIOError",
+    "atomic_write",
     "blocks_for_postings",
     "crash_point",
     "injected",

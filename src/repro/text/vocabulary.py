@@ -56,22 +56,6 @@ class Vocabulary:
         """All words in id order."""
         return iter(self._words)
 
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write one word per line, in id order."""
-        with open(path, "w", encoding="utf-8") as fp:
-            for word in self._words:
-                fp.write(word + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        vocab = cls()
-        with open(path, "r", encoding="utf-8") as fp:
-            for line in fp:
-                vocab.id_of(line.rstrip("\n"))
-        return vocab
-
 
 class VocabularyView:
     """Read-only, size-bounded view of a live :class:`Vocabulary`.
@@ -127,11 +111,6 @@ class VocabularyView:
 
     def words(self) -> Iterator[str]:
         return iter(self._base._words[: self._size])
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fp:
-            for word in self.words():
-                fp.write(word + "\n")
 
 
 def alphabetical_ids(words: Iterable[str]) -> dict[str, int]:

@@ -34,6 +34,7 @@ from .query import positional as positional_query
 from .query import streaming as streaming_query
 from .query import vector as vector_query
 from .query.vector import ScoredDocument
+from .storage import atomic_write
 from .text.occurrences import RegionRules, tokenize_occurrences
 from .text.tokenizer import TokenizerConfig, tokenize, tokenize_document
 from .text.vocabulary import Vocabulary, VocabularyView
@@ -407,12 +408,14 @@ class TextDocumentIndex:
         the whole deletion set.
 
         Like core checkpoints, saving happens at batch boundaries (flush
-        first).  ``target`` is a path or binary file object.
+        first).  ``target`` is a binary file object, or a path, which is
+        replaced atomically (:func:`~repro.storage.atomic.atomic_write`):
+        a failed save leaves the previous file whole.
         """
         if hasattr(target, "write"):
             self._save(target)
         else:
-            with open(target, "wb") as fp:
+            with atomic_write(target) as fp:
                 self._save(fp)
 
     def _save(self, fp) -> None:

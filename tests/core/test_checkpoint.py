@@ -94,8 +94,10 @@ class TestFileIO:
     def test_save_load_path(self, tmp_path):
         idx = populate(make_index())
         path = tmp_path / "index.ckpt"
-        checkpoint.save(idx, path)
-        restored = checkpoint.load(path)
+        with open(path, "wb") as fp:
+            checkpoint.save(idx, fp)
+        with open(path, "rb") as fp:
+            restored = checkpoint.load(fp)
         assert restored.stats() == idx.stats()
 
 

@@ -144,19 +144,21 @@ class TestExhaustiveSweep:
         _FIRED_BY_POLICY[pname] = fired
         assert fired, f"no crash point fired under policy {pname}"
 
-    def test_union_coverage_is_exhaustive(self):
+    def test_union_coverage_is_exhaustive(self, tmp_path):
         """Every registered crash point must fire under some policy.
 
         Runs after the per-policy sweeps (pytest executes the class in
         definition order); any policy result missing means the sweep above
         failed already.  Publication-path points — the incremental
         clone's and the checkpoint serializer's, which no flush runs —
-        live outside ``flush_batch`` and are exercised here directly.
+        and the snapshot file's replace live outside ``flush_batch`` and
+        are exercised here directly.
         """
         assert set(_FIRED_BY_POLICY) == {p[0] for p in POLICIES}
         union = set().union(*_FIRED_BY_POLICY.values())
         union |= _exercise_cow_publish_point()
         union |= _exercise_checkpoint_save_points()
+        union |= _exercise_atomic_save_point(tmp_path)
         missing = set(faults.registered_crash_points()) - union
         assert not missing, (
             f"crash points never exercised by any policy: {sorted(missing)}"
@@ -218,6 +220,23 @@ def _exercise_checkpoint_save_points():
         check_index(index).raise_if_failed()
         assert answers(checkpoint.clone(index)) == before
     return points
+
+
+def _exercise_atomic_save_point(tmp_path):
+    """Fire ``atomic.before-replace`` in a save over an existing
+    snapshot: the old snapshot stays, byte for byte."""
+    index = TextDocumentIndex(make_index(POLICIES[0][1]).config)
+    path = tmp_path / "snapshot.dstx"
+    index.save(path)
+    old = path.read_bytes()
+    for doc in BATCHES[0]:
+        index.add_document(" ".join(f"w{word}" for word in doc))
+    index.flush_batch()
+    with faults.injected(FaultPlan(crash_at="atomic.before-replace")):
+        with pytest.raises(InjectedCrash):
+            index.save(path)
+    assert path.read_bytes() == old
+    return {"atomic.before-replace"}
 
 
 class TestCrashDepth:

@@ -151,21 +151,19 @@ def test_worker_isolates_poison_members_in_a_mixed_batch():
     worker.add_document("wb wc", 1)
     worker.flush(False)
 
-    from repro.service import wire
-
     members = (
-        wire.Request(0, "search_streamed", ("wb",)),
-        wire.Request(1, "add_document", ("sneaky write", 99)),
-        wire.Request(2, "search_streamed", ("wa AND",)),
-        wire.Request(3, "search_streamed", ("wa",)),
+        ("search_streamed", ("wb",)),
+        ("add_document", ("sneaky write", 99)),
+        ("search_streamed", ("wa AND",)),
+        ("search_streamed", ("wa",)),
     )
-    responses, version = worker.batched_read(members)
-    assert len(responses) == 4
-    good_b, bad_write, bad_query, good_a = responses
-    assert good_b.ok and good_b.value[0] == [0, 1]
-    assert good_a.ok and good_a.value[0] == [0]
-    assert not bad_write.ok and "not a read method" in bad_write.error
-    assert not bad_query.ok and bad_query.error
+    answers, version = worker.batched_read(members)
+    assert len(answers) == 4
+    good_b, bad_write, bad_query, good_a = answers
+    assert good_b[0] and good_b[1][0] == [0, 1]
+    assert good_a[0] and good_a[1][0] == [0]
+    assert not bad_write[0] and "not a read method" in bad_write[1]
+    assert not bad_query[0] and bad_query[1]
     assert version == worker.writer.batches
     # The refused write never touched the index.
     assert worker.writer.ndocs == 2

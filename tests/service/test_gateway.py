@@ -158,9 +158,8 @@ class TestDeadlines:
             replica.lock = asyncio.Lock()
 
             def reply(request_id, answer):
-                member = wire.Response(0, True, answer)
                 return wire.encode(
-                    wire.BatchResponse(request_id, (member,), 0)
+                    wire.Response(request_id, True, (((True, answer),), 0))
                 )
 
             first = reply(1, (list(range(200)), 5))
@@ -567,3 +566,49 @@ class TestUnsendableOp:
             assert service.search_boolean("banana").doc_ids == [0]
         finally:
             service.close()
+
+
+class TestOverBudgetReply:
+    """A read reply over the frame budget is refused, never sent: the
+    worker sends a typed ``FrameTooLarge`` in its place, so every member
+    of the frame fails, the stream stays framed and no replica is
+    blamed."""
+
+    def test_oversized_answer_fails_its_frame_typed(self, monkeypatch):
+        from repro.service.replication import ReplicaState
+
+        # Patched before the fork: the worker frames against it too.
+        monkeypatch.setattr(wire, "MAX_FRAME", 8192)
+
+        async def body(gateway):
+            for text in DOCS:
+                await gateway.add_document(text)
+            await gateway.flush()
+            frames = gateway.batching.batch_frames
+            # A NOT over a universe far wider than the shard names every
+            # id of it: some 30 KB of answer against the 8 KB budget.
+            # Both reads are issued in one tick, so they share a frame.
+            results = await asyncio.gather(
+                gateway._read_shard(0, "eval_boolean", ("NOT apple", 10_000)),
+                gateway._read_shard(0, "eval_boolean", ("apple", 8)),
+                return_exceptions=True,
+            )
+            assert gateway.batching.batch_frames == frames + 1
+            for result in results:
+                assert isinstance(result, RemoteWorkerError)
+                assert "FrameTooLarge" in str(result)
+            # The refusal arrived in the reply's place: the next small
+            # read on the same replica gets its own answer.
+            doc_ids, _ = await gateway._read_shard(
+                0, "eval_boolean", ("apple", 8)
+            )
+            assert doc_ids == [0, 3, 4, 6]
+            assert (await gateway.search_boolean("apple")).doc_ids == [
+                0, 3, 4, 6
+            ]
+            rs = gateway._sets[0]
+            assert [r.state for r in rs.replicas] == [ReplicaState.HEALTHY]
+            assert gateway.stats.failovers == 0
+            assert gateway.repl.rebuilds_started == 0
+
+        run_gateway(body, shards=1)

@@ -174,33 +174,37 @@ class TestAsyncReader:
 
 
 class TestBatchMessages:
+    """A read batch is an ordinary ``batched_read`` request: its members
+    are ``(method, args)`` pairs, its reply ``(answers, version)``."""
+
     def test_batch_request_roundtrip(self):
-        batch = wire.BatchRequest(
+        batch = wire.Request(
             41,
+            "batched_read",
             (
-                wire.Request(0, "search_streamed", ("wa", None)),
-                wire.Request(1, "search_streamed", ("wa AND wb", None)),
+                (
+                    ("search_streamed", ("wa", None)),
+                    ("search_streamed", ("wa AND wb", None)),
+                ),
             ),
         )
         assert roundtrip(batch) == batch
 
     def test_batch_response_roundtrip(self):
-        reply = wire.BatchResponse(
+        reply = wire.Response(
             41,
-            (
-                wire.Response(0, True, value=([1, 2], 3)),
-                wire.Response(1, False, error="ValueError: nope"),
-            ),
-            version=7,
+            True,
+            value=(((True, ([1, 2], 3)), (False, "ValueError: nope")), 7),
         )
         assert roundtrip(reply) == reply
-        assert reply.responses[0].ok and not reply.responses[1].ok
+        (good, bad), version = reply.value
+        assert good[0] and not bad[0] and version == 7
 
     def test_batch_over_socketpair(self):
         a, b = socket.socketpair()
         try:
-            batch = wire.BatchRequest(
-                5, tuple(wire.Request(i, "ping") for i in range(16))
+            batch = wire.Request(
+                5, "batched_read", (tuple(("ping", ()) for _ in range(16)),)
             )
             wire.send_message(a, batch)
             assert wire.recv_message(b) == batch

@@ -1,12 +1,15 @@
 """Tests for single-file TextDocumentIndex snapshots."""
 
 import io
+import os
 
 import pytest
 
 from repro.core.checkpoint import CheckpointError
 from repro.core.index import IndexConfig
 from repro.core.positional import Region
+from repro.storage import faults
+from repro.storage.faults import FaultPlan, InjectedCrash
 from repro.textindex import TextDocumentIndex
 
 
@@ -72,6 +75,26 @@ class TestSnapshot:
         index.save(path)
         restored = TextDocumentIndex.load(path)
         assert restored.ndocs == index.ndocs
+
+    def test_crash_before_replace_keeps_the_old_snapshot(self, tmp_path):
+        """A save over an existing snapshot that dies after writing the
+        new bytes and before replacing the old file leaves the old
+        snapshot whole: it loads, and saves back to the bytes first
+        written.  No temp file is left beside it."""
+        path = tmp_path / "snapshot.dstx"
+        make_index().save(path)
+        old = path.read_bytes()
+        grown = make_index()
+        grown.add_document("a third document about birds")
+        grown.flush_batch()
+        with faults.injected(FaultPlan(crash_at="atomic.before-replace")):
+            with pytest.raises(InjectedCrash):
+                grown.save(path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["snapshot.dstx"]
+        assert save(TextDocumentIndex.load(path)) == old
+        grown.save(path)
+        assert TextDocumentIndex.load(path).ndocs == 3
 
     def test_bad_magic_rejected(self):
         with pytest.raises(CheckpointError, match="not a text-index snapshot"):

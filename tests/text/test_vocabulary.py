@@ -31,15 +31,6 @@ class TestVocabulary:
         assert "a" in v and "c" not in v
         assert list(v.words()) == ["a", "b"]
 
-    def test_save_load_roundtrip(self, tmp_path):
-        v = Vocabulary()
-        v.ids_of(["gamma", "alpha", "beta"])
-        path = tmp_path / "vocab.txt"
-        v.save(path)
-        loaded = Vocabulary.load(path)
-        assert list(loaded.words()) == ["gamma", "alpha", "beta"]
-        assert loaded.id_of("alpha") == 1
-
 
 class TestAlphabeticalIds:
     def test_sorted_numbering_from_one(self):
