@@ -149,7 +149,7 @@ async def _arm(rebalance: bool) -> dict:
             cycle_p95.append(round(_p(samples, 0.95) * 1e3, 3))
         check = await gateway.check()
         assert check.ok, check.violations
-        counts = gateway._shard_doc_counts()
+        counts = gateway.placement.counts(gateway._active)
         active = {s: counts[s] for s in gateway.routing.shard_ids}
         return {
             "rebalance": rebalance,

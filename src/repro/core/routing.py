@@ -25,6 +25,12 @@ The epoch is the routing half of the serving stack's version vector: a
 cached answer or an incremental checkpoint stamped with epoch *e* is
 invalid under any *e' != e* (documents moved; per-shard complements and
 deltas no longer line up).
+
+:class:`Placement` is the one ledger both sharded writers (the
+in-process :class:`~repro.core.sharded.ShardedTextIndex` and the
+gateway) keep over that table: the next id, the holes explicit ids
+skipped and the user deletions, so the rules that ids only increase
+and that an id is live until deleted (paper §3) are decided once.
 """
 
 from __future__ import annotations
@@ -89,12 +95,6 @@ class RoutingTable:
             j for j, owner in enumerate(self.owners) if owner == shard_id
         )
 
-    def doc_share(self, shard_id: int) -> float:
-        """Fraction of the hash space this shard owns (slots are
-        equal-measure under the mix, so this is the expected doc share
-        of an unskewed id stream)."""
-        return len(self.slots_of(shard_id)) / self.nslots
-
     def layout(self) -> tuple:
         """The identity an incremental checkpoint must match: same
         seed, same slot count, same ownership vector."""
@@ -118,20 +118,6 @@ class RoutingTable:
         )
 
     # -- structural moves -------------------------------------------------
-
-    def refine(self) -> "RoutingTable":
-        """Double the slot space without moving any document.
-
-        ``(mix mod 2n) mod n == mix mod n``, so slot ``j`` of the new
-        table routes the documents that hashed to slot ``j % n`` of the
-        old one — assigning it the same owner preserves every route.
-        Bumps the epoch (the *slice identity* changed even though no
-        document moved) — callers that only refine as a step of a split
-        use :meth:`_refined` to avoid double-bumping.
-        """
-        return RoutingTable(
-            self.epoch + 1, self.seed, self.nslots * 2, self.owners * 2
-        )
 
     def _refined(self) -> "RoutingTable":
         """Refinement step without an epoch bump (internal to split)."""
@@ -164,3 +150,90 @@ class RoutingTable:
         return RoutingTable(
             self.epoch + 1, table.seed, table.nslots, tuple(owners)
         )
+
+
+class Placement:
+    """Which shard holds each global doc id, and whether it is live.
+
+    Ids are claimed in increasing order, which keeps every per-shard
+    posting list sorted and append-only.  ``holes`` are the ids an
+    explicit-id add skipped: they exist on no shard, so they are
+    neither deletable nor counted.  ``deleted`` holds *user* deletions
+    only; a split's tombstones hide a volume's stale copy of a document
+    that is still alive elsewhere, so they never enter it.
+    """
+
+    __slots__ = ("routing", "next_id", "holes", "deleted")
+
+    def __init__(self, nshards: int, seed: int) -> None:
+        self.routing = RoutingTable.initial(nshards, seed)
+        self.next_id = 0
+        self.holes: set[int] = set()
+        self.deleted: set[int] = set()
+
+    def claim(self, doc_id: int | None) -> tuple[int, int]:
+        """``(doc_id, shard)`` for the next add, the next id when
+        ``doc_id`` is None.  Changes nothing: see :meth:`admit`."""
+        if doc_id is None:
+            doc_id = self.next_id
+        elif doc_id < self.next_id:
+            raise ValueError(
+                f"doc id {doc_id} below next id {self.next_id}: "
+                "ids must be non-decreasing"
+            )
+        return doc_id, self.routing.route(doc_id)
+
+    def admit(self, doc_id: int) -> None:
+        """Record an add its shard accepted.  Only an accepted add
+        leaves holes: a refused one must not hide ids the next
+        documents will be given."""
+        self.holes.update(range(self.next_id, doc_id))
+        self.next_id = doc_id + 1
+
+    def owner(self, doc_id: int) -> int:
+        """The shard a delete of ``doc_id`` goes to; refused for an id
+        out of range or in a hole."""
+        if not 0 <= doc_id < self.next_id:
+            raise ValueError(f"doc id {doc_id} outside [0, {self.next_id})")
+        if doc_id in self.holes:
+            raise ValueError(f"doc id {doc_id} was never added")
+        return self.routing.route(doc_id)
+
+    def _live(self):
+        return (
+            doc_id
+            for doc_id in range(self.next_id)
+            if doc_id not in self.deleted and doc_id not in self.holes
+        )
+
+    def counts(self, shards) -> dict[int, int]:
+        """Live documents per shard of ``shards`` (every shard the table
+        routes to).  An O(ndocs) scan; planners sample it at flush
+        boundaries, where the flush amortizes it."""
+        counts = dict.fromkeys(shards, 0)
+        for doc_id in self._live():
+            counts[self.routing.route(doc_id)] += 1
+        return counts
+
+    def split(self, victim: int, new_id: int) -> tuple:
+        """``(table, movers, stayers)``: the next table with the upper
+        half of ``victim``'s slots on ``new_id``, and the victim's live
+        documents that move and that stay.  The caller installs
+        ``table`` as :attr:`routing` at its cutover."""
+        table = self.routing.split(victim, new_id)
+        movers, stayers = [], []
+        for doc_id in self._live():
+            if self.routing.route(doc_id) == victim:
+                moves = table.route(doc_id) == new_id
+                (movers if moves else stayers).append(doc_id)
+        return table, movers, stayers
+
+    def copy(self) -> "Placement":
+        """An independent copy for a published snapshot (the table is
+        immutable and shared)."""
+        copy = Placement.__new__(Placement)
+        copy.routing = self.routing
+        copy.next_id = self.next_id
+        copy.holes = set(self.holes)
+        copy.deleted = set(self.deleted)
+        return copy

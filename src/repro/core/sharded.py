@@ -47,7 +47,7 @@ from ..textindex import QueryAnswer, TextDocumentIndex
 from .index import BatchResult, IndexConfig
 from .invariants import InvariantReport, Violation
 from .rebalance import RebuildScheduler
-from .routing import RoutingTable
+from .routing import Placement, RoutingTable
 from .shard import publish_copy
 
 
@@ -94,26 +94,14 @@ class ShardedTextIndex:
                 "TextDocumentIndex (or build_text_index) for one volume"
             )
         self.shards = [TextDocumentIndex(config) for _ in range(shards)]
-        self.router_seed = router_seed
         # Epoch 0: identity slot map, routing exactly like shard_of.
-        self.routing = RoutingTable.initial(shards, router_seed)
+        self.placement = Placement(shards, router_seed)
         # Serialize grow_buckets rebuilds across shards: at most one
         # shard pays the rehash + full-clone publish per flush round.
         self.rebuild_scheduler = (
             RebuildScheduler() if rebuild_stagger else None
         )
-        self._next_doc_id = 0
         self._batches = 0
-        # *User* deletions over the global universe.  Per-shard deleted
-        # sets additionally hold rebalance tombstones (documents a split
-        # moved off a volume), which must hide a shard's stale copy but
-        # must NOT hide the document from NOT-complement answers — so
-        # global answer filtering uses this set, never the shard union.
-        self._deleted: set[int] = set()
-        # Doc ids skipped by explicit-id ingest (skewed placement):
-        # they exist on no shard, so rebalance doc counts must not
-        # treat them as live documents.
-        self._holes: set[int] = set()
         # Completed per-shard results of the batch currently being
         # flushed: survives a sibling shard's crash so recovery resumes
         # instead of redoing finished shards.
@@ -124,7 +112,7 @@ class ShardedTextIndex:
     @property
     def ndocs(self) -> int:
         """Size of the *global* doc-id universe (spans all shards)."""
-        return self._next_doc_id
+        return self.placement.next_id
 
     @property
     def batches(self) -> int:
@@ -156,6 +144,10 @@ class ShardedTextIndex:
         return ShardDeltaVector(journals)
 
     @property
+    def routing(self) -> RoutingTable:
+        return self.placement.routing
+
+    @property
     def routing_epoch(self) -> int:
         """The routing table's epoch (0 until the first rebalance)."""
         return self.routing.epoch
@@ -167,7 +159,7 @@ class ShardedTextIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedTextIndex(shards={len(self.shards)}, "
-            f"ndocs={self._next_doc_id}, versions={self.shard_versions})"
+            f"ndocs={self.ndocs}, versions={self.shard_versions})"
         )
 
     # -- ingest -----------------------------------------------------------
@@ -175,30 +167,16 @@ class ShardedTextIndex:
     def add_document(self, text: str, doc_id: int | None = None) -> int:
         """Assign (or accept) a global doc id and index the document on
         the shard the router owns it to."""
-        if doc_id is None:
-            doc_id = self._next_doc_id
-        elif doc_id < self._next_doc_id:
-            raise ValueError(
-                f"doc id {doc_id} below next id {self._next_doc_id}: "
-                "ids must be non-decreasing"
-            )
-        self.shards[self.route(doc_id)].add_document(text, doc_id=doc_id)
-        # Only an accepted add leaves holes behind it (the gateway's rule).
-        self._holes.update(range(self._next_doc_id, doc_id))
-        self._next_doc_id = doc_id + 1
+        doc_id, shard = self.placement.claim(doc_id)
+        self.shards[shard].add_document(text, doc_id=doc_id)
+        self.placement.admit(doc_id)
         return doc_id
 
     def delete_document(self, doc_id: int) -> None:
         """Route the deletion to the shard that indexed the document;
         refused, as the gateway refuses it, for an id never added."""
-        if not 0 <= doc_id < self._next_doc_id:
-            raise ValueError(
-                f"doc id {doc_id} outside [0, {self._next_doc_id})"
-            )
-        if doc_id in self._holes:
-            raise ValueError(f"doc id {doc_id} was never added")
-        self.shards[self.route(doc_id)].delete_document(doc_id)
-        self._deleted.add(doc_id)
+        self.shards[self.placement.owner(doc_id)].delete_document(doc_id)
+        self.placement.deleted.add(doc_id)
 
     # -- flushing ---------------------------------------------------------
 
@@ -286,65 +264,46 @@ class ShardedTextIndex:
     # -- rebalancing ------------------------------------------------------
 
     def shard_doc_counts(self) -> list[int]:
-        """Live documents per shard under the current routing epoch.
-
-        An O(ndocs) lazy scan over the global universe (the index keeps
-        no per-shard doc list); the rebalance planner samples this at
-        flush boundaries, where the cost is amortized against the flush
-        itself.
-        """
-        counts = [0] * len(self.shards)
-        for doc_id in range(self._next_doc_id):
-            if doc_id in self._deleted or doc_id in self._holes:
-                continue
-            counts[self.routing.route(doc_id)] += 1
-        return counts
+        """Live documents per shard under the current routing epoch."""
+        return list(self.placement.counts(range(len(self.shards))).values())
 
     def split_shard(self, victim: int) -> int:
         """Split ``victim``'s hash slice onto a brand-new shard.
 
         The new volume is spawned as a *clone* of the victim (the same
         move a replica rebuild makes from a checkpoint), after which
-        each copy tombstones the half it no longer owns: the victim
-        deletes the movers, the clone deletes the stayers.  Routing
-        tombstones go through the ordinary deletion filter — they hide a
-        volume's stale copy from its answers — but never enter the
-        global user-deletion set, so the documents stay globally alive.
-        Publishes the next routing epoch and returns the new shard id.
+        each copy tombstones the live half it no longer owns: the victim
+        deletes the movers, the clone deletes the stayers — the same
+        partition the gateway moves.  Routing tombstones go through the
+        ordinary deletion filter — they hide a volume's stale copy from
+        its answers — but never enter the global user-deletion set, so
+        the documents stay globally alive.  Publishes the next routing
+        epoch and returns the new shard id.
         """
         if not 0 <= victim < len(self.shards):
             raise ValueError(f"no shard {victim}")
         new_id = len(self.shards)
-        table = self.routing.split(victim, new_id)
+        table, movers, stayers = self.placement.split(victim, new_id)
         vol = self.shards[victim]
         if len(vol.index.memory):
             # Clones exist at batch boundaries only.
             vol.flush_batch()
         clone = vol.clone()
         self.shards.append(clone)
-        for doc_id in range(vol.ndocs):
-            if self.routing.route(doc_id) != victim:
-                continue  # never lived on this volume
-            if table.route(doc_id) == new_id:
-                vol.delete_document(doc_id)  # mover: stale on the victim
-            else:
-                clone.delete_document(doc_id)  # stayer: stale on the clone
-        self.routing = table
+        for doc_id in movers:
+            vol.delete_document(doc_id)
+        for doc_id in stayers:
+            clone.delete_document(doc_id)
+        self.placement.routing = table
         return new_id
 
     # -- publication ------------------------------------------------------
 
     def _empty_copy(self) -> "ShardedTextIndex":
         copy = ShardedTextIndex.__new__(ShardedTextIndex)
-        copy.router_seed = self.router_seed
-        # Routing tables are immutable: the clone shares this epoch's
-        # table and parts ways at the writer's next rebalance.
-        copy.routing = self.routing
+        copy.placement = self.placement.copy()
         copy.rebuild_scheduler = None
-        copy._next_doc_id = self._next_doc_id
         copy._batches = self._batches
-        copy._deleted = set(self._deleted)
-        copy._holes = set(self._holes)
         copy._inflight = {}
         return copy
 
@@ -373,7 +332,6 @@ class ShardedTextIndex:
         same_layout = (
             isinstance(prev, ShardedTextIndex)
             and len(prev.shards) == len(self.shards)
-            and prev.router_seed == self.router_seed
             and prev.routing == self.routing
         )
         nshards = len(self.shards)
@@ -433,7 +391,7 @@ class ShardedTextIndex:
         # Filter with the *user* deletion set, not the per-shard union —
         # after a split the union also holds rebalance tombstones for
         # documents that moved shards but are globally alive.
-        dead = self._deleted
+        dead = self.placement.deleted
         docs = [d for d in docs if d not in dead] if dead else list(docs)
         return QueryAnswer(doc_ids=docs, read_ops=counter[0])
 

@@ -11,7 +11,7 @@ from .content import build_content_index
 from .exercise import ExerciseConfig, ExerciseDisksProcess, ExerciseOutcome
 from .experiment import Experiment, ExperimentConfig, PolicyRun, default_scale
 from .invert import InvertIndexProcess
-from .profiling import HitMissCounters, StageTimings
+from .profiling import HitMissCounters
 from .rebuild import PeriodicRebuildBaseline, RebuildResult
 from .stats import CorpusStats, corpus_stats
 
@@ -34,7 +34,6 @@ __all__ = [
     "PeriodicRebuildBaseline",
     "PolicyRun",
     "RebuildResult",
-    "StageTimings",
     "build_content_index",
     "corpus_stats",
     "default_scale",

@@ -1,10 +1,8 @@
 """Wall-clock and cache-counter instruments shared with the serving layer.
 
-:class:`StageTimings` accumulates ``perf_counter`` spans per named stage
-(``serve.ingest`` / ``serve.flush`` / ``serve.publish`` in
-:mod:`repro.service`), :class:`HitMissCounters` is the tally the block
-buffer cache reports into, and :class:`LatencyRecorder` keeps per-operation
-samples so a tail percentile survives aggregation.  The experiment
+:class:`HitMissCounters` is the tally the block buffer cache reports
+into, and :class:`LatencyRecorder` keeps per-operation samples so a tail
+percentile survives aggregation.  The experiment
 pipeline itself is not instrumented: it is seconds of serial work
 (``benchmarks/results/TRIAL_sweep.txt``).
 """
@@ -15,36 +13,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
-
-
-@dataclass
-class StageTimings:
-    """Accumulated wall-clock seconds per named stage.
-
-    A stage may be entered more than once (``serve.flush`` once per
-    batch); its seconds accumulate.
-    """
-
-    seconds: dict[str, float] = field(default_factory=dict)
-
-    def add(self, stage: str, seconds: float) -> None:
-        """Fold one measured span into a stage's total."""
-        if seconds < 0:
-            raise ValueError(f"negative span for stage {stage!r}")
-        self.seconds[stage] = self.seconds.get(stage, 0.0) + seconds
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block and record it under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
-
-    def get(self, stage: str) -> float:
-        """Total seconds recorded for a stage (0.0 if never entered)."""
-        return self.seconds.get(stage, 0.0)
 
 
 @dataclass
@@ -106,10 +74,8 @@ def percentile(samples: list[float], p: float) -> float:
 class LatencyRecorder:
     """Per-query latency samples and their tail summary.
 
-    The serving layer's counterpart to :class:`StageTimings`: where stage
-    timers measure *aggregate* wall-clock per pipeline stage, this records
-    each individual operation so the tail (p95/p99) — the metric a serving
-    system is judged on — survives aggregation.  Each reader thread records
+    Records each individual operation so the tail (p95/p99) — the metric
+    a serving system is judged on — survives aggregation.  Each reader thread records
     into its own instance; :meth:`merge` folds them together afterwards, so
     no locking is needed on the hot path.
     """

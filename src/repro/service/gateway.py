@@ -95,9 +95,9 @@ from ..core.rebalance import (
     RebalancePolicy,
     RebuildScheduler,
 )
-from ..core.routing import RoutingTable
+from ..core.routing import Placement, RoutingTable
 from ..obs import event
-from ..pipeline.profiling import LatencyRecorder, StageTimings
+from ..pipeline.profiling import LatencyRecorder
 from ..query import boolean as boolean_query
 from ..query import scatter
 from ..query import streaming as streaming_query
@@ -442,7 +442,6 @@ class AsyncShardGateway:
         self.read_tier = read_tier
         self.nshards = shards
         self.replicas = replicas
-        self.router_seed = router_seed
         self.queue_limit = queue_limit
         self.max_inflight = max_inflight or 2 * shards * replicas
         self.shard_timeout_s = shard_timeout_s
@@ -463,15 +462,12 @@ class AsyncShardGateway:
                 ReplicaSet(i, replica_specs(base, replicas, fault_plans, i))
             )
         #: The versioned slice → shard map (epoch 0 routes exactly like
-        #: the static ``shard_of``); structural moves publish successors.
-        self.routing = RoutingTable.initial(shards, router_seed)
+        #: the static ``shard_of``) and the id ledger over it; structural
+        #: moves install successor tables.
+        self.placement = Placement(shards, router_seed)
         #: Shard ids currently serving: a split's new set is in
         #: ``_sets`` from its spawn but joins this list only at cutover.
         self._active: list[int] = list(range(shards))
-        #: Doc ids skipped by explicit-id ingest (skewed placement):
-        #: they exist nowhere, so rebalance doc counts and relocation
-        #: scans must not treat them as live victim documents.
-        self._holes: set[int] = set()
         self.rebalance = RebalanceStats()
         #: A split is between its cutover and the victim's tombstone
         #: flush: two active shards both hold the movers.  Answer merges
@@ -501,8 +497,6 @@ class AsyncShardGateway:
         self._writer_lock: asyncio.Lock | None = None
         self._sem: asyncio.Semaphore | None = None
         self._pending = 0
-        self._next_doc_id = 0
-        self._deleted: set[int] = set()
         self._batches = 0
         #: The current published boundary; only :meth:`_publish` writes it.
         self._published = GatewaySnapshot(0, 0, frozenset(), (0,) * shards)
@@ -613,26 +607,30 @@ class AsyncShardGateway:
         """Shut every replica down and reap the processes."""
         for rs in self._sets:
             for replica in rs.replicas:
-                task = replica.rebuild_task
-                if task is not None and not task.done():
-                    task.cancel()
-                    try:
-                        await task
-                    except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                        pass
-                if replica.worker is None:
-                    continue
-                try:
-                    await asyncio.wait_for(
-                        self._locked_rpc(replica, "shutdown", ()),
-                        timeout=5.0,
-                    )
-                except Exception:  # noqa: BLE001 - best-effort shutdown
-                    pass
-                if replica.writer is not None:
-                    replica.writer.close()
-                replica.worker.close()
-                replica.worker = None
+                await self._shut_down(replica)
+
+    async def _shut_down(self, replica: Replica) -> None:
+        """Stop a replica's rebuild, ask its worker to shut down and
+        reap the process."""
+        task = replica.rebuild_task
+        if task is not None and not task.done():
+            task.cancel()
+            try:
+                await task
+            except (asyncio.CancelledError, Exception):  # noqa: BLE001
+                pass
+        if replica.worker is None:
+            return
+        try:
+            await asyncio.wait_for(
+                self._locked_rpc(replica, "shutdown", ()), timeout=5.0
+            )
+        except Exception:  # noqa: BLE001 - best-effort shutdown
+            pass
+        if replica.writer is not None:
+            replica.writer.close()
+        replica.worker.close()
+        replica.worker = None
 
     # -- RPC core ---------------------------------------------------------
 
@@ -698,7 +696,7 @@ class AsyncShardGateway:
         self.stats.failovers += 1
         self.repl.rebuilds_started += 1
         cause = "died" if observed_kill else "stale stamp"
-        event("replica.down", replica=replica.name, cause=cause)
+        event("replica.down", **replica.tags, cause=cause)
         replica.rebuild_task = asyncio.get_running_loop().create_task(
             self._rebuild(rs, replica)
         )
@@ -714,17 +712,17 @@ class AsyncShardGateway:
         from its respawn spec while reads rotate to its siblings."""
         if self._rebuild_hold_s:
             await asyncio.sleep(self._rebuild_hold_s)
-        event("replica.rebuilding", replica=replica.name, oplog=len(rs.oplog))
+        event("replica.rebuilding", **replica.tags, oplog=len(rs.oplog))
         try:
             await self._bring_up(rs, replica, replica.spec.respawn_spec())
         except Exception as exc:
             replica.state = ReplicaState.FAILED
             self.repl.rebuild_failures += 1
-            event("replica.failed", replica=replica.name, error=repr(exc))
+            event("replica.failed", **replica.tags, error=repr(exc))
             raise
         replica.state = ReplicaState.HEALTHY
         self.repl.rebuilds_completed += 1
-        event("replica.healthy", replica=replica.name, ops=replica.log_pos)
+        event("replica.healthy", **replica.tags, ops=replica.log_pos)
 
     async def quiesce(self) -> None:
         """Wait for every in-flight rebuild to finish (test/bench hook)."""
@@ -775,37 +773,26 @@ class AsyncShardGateway:
 
     # -- writer path (single logical writer) ------------------------------
 
+    @property
+    def routing(self) -> RoutingTable:
+        return self.placement.routing
+
     def route(self, doc_id: int) -> int:
         return self.routing.route(doc_id)
 
     async def add_document(self, text: str, doc_id: int | None = None) -> int:
         async with self._writer_lock:
-            if doc_id is None:
-                doc_id = self._next_doc_id
-            elif doc_id < self._next_doc_id:
-                raise ValueError(
-                    f"doc id {doc_id} below next id {self._next_doc_id}: "
-                    "ids must be non-decreasing"
-                )
-            rs = self._sets[self.route(doc_id)]
-            await self._journal(rs, ("add", doc_id, text))
-            # Only an accepted add leaves holes behind it: a refused one
-            # must not hide ids the next documents will be given.
-            self._holes.update(range(self._next_doc_id, doc_id))
-            self._next_doc_id = doc_id + 1
+            doc_id, shard = self.placement.claim(doc_id)
+            await self._journal(self._sets[shard], ("add", doc_id, text))
+            self.placement.admit(doc_id)
             return doc_id
 
     async def delete_document(self, doc_id: int) -> None:
-        if not 0 <= doc_id < self._next_doc_id:
-            raise ValueError(
-                f"doc id {doc_id} outside [0, {self._next_doc_id})"
-            )
-        if doc_id in self._holes:
-            raise ValueError(f"doc id {doc_id} was never added")
         async with self._writer_lock:
-            rs = self._sets[self.route(doc_id)]
+            # Routed under the lock: a cutover may land while it waits.
+            rs = self._sets[self.placement.owner(doc_id)]
             await self._journal(rs, ("delete", doc_id))
-            self._deleted.add(doc_id)
+            self.placement.deleted.add(doc_id)
 
     async def _journal(self, rs: ReplicaSet, op: tuple) -> list:
         """Append one op to a shard's journal — the only place an op
@@ -874,7 +861,8 @@ class AsyncShardGateway:
             for i, outcome in zip(active, outcomes):
                 self._sets[i].adopt_flush(outcome)
             self._publish(
-                ndocs=self._next_doc_id, deleted=frozenset(self._deleted)
+                ndocs=self.placement.next_id,
+                deleted=frozenset(self.placement.deleted),
             )
             results = [
                 outcome.result
@@ -1012,22 +1000,12 @@ class AsyncShardGateway:
 
     # -- rebalancing (online split) ----------------------------------------
 
-    def _shard_doc_counts(self) -> dict[int, int]:
-        """Live documents per active shard under the current routing
-        (gateway bookkeeping only — no RPC)."""
-        counts = {i: 0 for i in self._active}
-        for doc_id in range(self._next_doc_id):
-            if doc_id in self._deleted or doc_id in self._holes:
-                continue
-            counts[self.routing.route(doc_id)] += 1
-        return counts
-
     async def _maybe_rebalance(self) -> None:
         """One planner round at a flush boundary (writer lock held)."""
         planner = self.rebalance_planner
         if planner is None:
             return
-        counts = self._shard_doc_counts()
+        counts = self.placement.counts(self._active)
         self.rebalance.last_imbalance = planner.imbalance(counts)
         victim = planner.plan(counts)
         if victim is not None:
@@ -1099,17 +1077,7 @@ class AsyncShardGateway:
                 "flush boundary"
             )
         new_id = len(self._sets)
-        table = self.routing.split(victim, new_id)
-        movers, stayers = [], []
-        for doc_id in range(self._next_doc_id):
-            if doc_id in self._deleted or doc_id in self._holes:
-                continue
-            if self.routing.route(doc_id) != victim:
-                continue
-            if table.route(doc_id) == new_id:
-                movers.append(doc_id)
-            else:
-                stayers.append(doc_id)
+        table, movers, stayers = self.placement.split(victim, new_id)
         spec = dc_replace(vrs.replicas[0].spec, shard_id=new_id)
         rs = ReplicaSet(
             new_id, replica_specs(spec, self.replicas, None, new_id)
@@ -1118,16 +1086,24 @@ class AsyncShardGateway:
         # the set's first round takes a base.
         rs.base, rs.chain = vrs.base, list(vrs.chain)
         rs.oplog = list(vrs.oplog)
-        await asyncio.gather(
-            *(self._bring_up(rs, r, r.spec) for r in rs.replicas)
+        results = await asyncio.gather(
+            *(self._bring_up(rs, r, r.spec) for r in rs.replicas),
+            return_exceptions=True,
         )
+        failed = [r for r in results if isinstance(r, BaseException)]
+        if failed:
+            # Not in ``_sets`` yet, so ``close`` would never reap these.
+            for replica in rs.replicas:
+                await self._shut_down(replica)
+            event("split.failed", shard=victim, error=repr(failed[0]))
+            raise failed[0]
         self._sets.append(rs)
         for doc_id in stayers:
             await self._journal(rs, ("delete", doc_id))
         await self._flush_set(new_id)
         # -- cutover (synchronous: atomic w.r.t. the event loop) --
         cut_started = time.perf_counter()
-        self.routing = table
+        self.placement.routing = table
         self._active.append(new_id)
         self.nshards = len(self._active)
         self._publish()
@@ -1167,7 +1143,7 @@ class AsyncShardGateway:
         state (every acknowledged add/delete, flushed or not), which is
         exactly the universe the workers' buffered postings live in."""
         if self.read_tier == "immediate":
-            return self._next_doc_id, frozenset(self._deleted)
+            return self.placement.next_id, frozenset(self.placement.deleted)
         snapshot = snapshot or self._published
         return snapshot.ndocs, snapshot.deleted
 
@@ -1479,7 +1455,7 @@ class GatewayService:
         )
         self._thread.start()
         self.stats = ServiceStats()
-        self.timings = StageTimings()
+        self.timings = {"serve.flush": 0.0}
         self.publish_latency = LatencyRecorder()
         self._stats_lock = threading.Lock()
         self._closed = False
@@ -1508,8 +1484,9 @@ class GatewayService:
             self.stats.documents_deleted += 1
 
     def flush_and_publish(self) -> tuple[BatchResult, GatewaySnapshot]:
-        with self.timings.stage("serve.flush"):
-            result, snapshot = self._run(self.gateway.flush())
+        start = time.perf_counter()
+        result, snapshot = self._run(self.gateway.flush())
+        self.timings["serve.flush"] += time.perf_counter() - start
         self.publish_latency.record(self.gateway.last_publish_seconds)
         return result, snapshot
 

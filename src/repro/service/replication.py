@@ -125,6 +125,11 @@ class Replica:
     def name(self) -> str:
         return f"shard {self.shard_id}/r{self.replica_id}"
 
+    @property
+    def tags(self) -> dict:
+        worker = self.worker
+        return {"replica": self.name, "pid": worker and worker.process.pid}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Replica({self.name}, {self.state.value}, "

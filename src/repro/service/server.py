@@ -33,13 +33,14 @@ workers; this module adds the lock, the snapshot ids and the result cache.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 
 from ..core.index import BatchResult, IndexConfig
 from ..core.memtier import MemTier
 from ..core.shard import IndexShard
 from ..core.sharded import build_text_index
-from ..pipeline.profiling import LatencyRecorder, StageTimings
+from ..pipeline.profiling import LatencyRecorder
 from ..query import twotier
 from ..query.vector import ScoredDocument
 from ..textindex import QueryAnswer
@@ -128,7 +129,7 @@ class QueryService:
         self._stats_lock = threading.Lock()
         self.cache = QueryResultCache(cache_capacity)
         self.stats = ServiceStats()
-        self.timings = StageTimings()
+        self.timings = {"serve.flush": 0.0}
         self.publish_latency = LatencyRecorder()
         # The flush → recover → publish → rebase state machine (DESIGN.md
         # §10.1).  Building it publishes the empty index, so readers
@@ -194,8 +195,9 @@ class QueryService:
         and replay, and writes are refused until it has run.
         """
         with self._writer_lock:
-            with self.timings.stage("serve.flush"):
-                result = self._runtime.flush()
+            start = time.perf_counter()
+            result = self._runtime.flush()
+            self.timings["serve.flush"] += time.perf_counter() - start
             with self.publish_latency.span():
                 self._runtime.publish(self._install)
             return result, self._snapshot

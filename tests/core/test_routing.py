@@ -1,5 +1,6 @@
-"""RoutingTable properties: the epoch-0 ≡ ``shard_of`` contract, the
-routing-preserving refinement, and the split move.
+"""RoutingTable properties: the epoch-0 ≡ ``shard_of`` contract and the
+split move (whose first refinement is route-preserving); and the
+Placement ledger against a brute-force model.
 
 The load-bearing claim is the degenerate-epoch equivalence: every layer
 that replaced a raw ``shard_of`` call with ``table.route`` must behave
@@ -10,10 +11,10 @@ only true if the epoch-0 table *is* the static router.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.routing import RoutingTable
+from repro.core.routing import Placement, RoutingTable
 from repro.core.shard import shard_of
 
 doc_ids = st.integers(min_value=0, max_value=2**40)
@@ -36,33 +37,10 @@ class TestEpochZeroEquivalence:
         assert table.nslots == 4
         assert table.shard_ids == (0, 1, 2, 3)
         assert table.nshards == 4
-        assert all(table.doc_share(s) == 0.25 for s in range(4))
 
     def test_single_shard_degenerate(self):
         table = RoutingTable.initial(1)
         assert table.route(12345) == 0 == shard_of(12345, 1)
-
-
-class TestRefinement:
-    @given(
-        doc_id=doc_ids,
-        nshards=st.integers(min_value=1, max_value=8),
-        seed=st.sampled_from([0, 5]),
-        rounds=st.integers(min_value=1, max_value=3),
-    )
-    def test_refine_preserves_every_route(self, doc_id, nshards, seed, rounds):
-        table = RoutingTable.initial(nshards, seed)
-        refined = table
-        for _ in range(rounds):
-            refined = refined.refine()
-        assert refined.route(doc_id) == table.route(doc_id)
-        assert refined.nslots == table.nslots * 2**rounds
-        assert refined.epoch == rounds
-
-    def test_refine_keeps_shares(self):
-        table = RoutingTable.initial(3, 1).refine()
-        for s in range(3):
-            assert table.doc_share(s) == pytest.approx(1 / 3)
 
 
 class TestSplit:
@@ -90,9 +68,9 @@ class TestSplit:
     def test_split_halves_the_share(self):
         table = RoutingTable.initial(2, 0)
         after = table.split(0, 2)
-        assert after.doc_share(0) == pytest.approx(0.25)
-        assert after.doc_share(2) == pytest.approx(0.25)
-        assert after.doc_share(1) == pytest.approx(0.5)
+        assert after.nslots == 4
+        assert len(after.slots_of(0)) == len(after.slots_of(2)) == 1
+        assert len(after.slots_of(1)) == 2
 
     def test_split_rejects_existing_owner(self):
         table = RoutingTable.initial(3, 0)
@@ -109,10 +87,79 @@ class TestIdentity:
     def test_equality_and_hash_cover_epoch_and_layout(self):
         a = RoutingTable.initial(2, 0)
         assert a == RoutingTable.initial(2, 0)
-        assert a != a.refine()
+        assert a != a.split(0, 2)
+        assert a != RoutingTable(1, 0, 2, (0, 1))
         assert a != RoutingTable.initial(2, 1)
         assert hash(a) == hash(RoutingTable.initial(2, 0))
 
     def test_owners_must_cover_slots(self):
         with pytest.raises(ValueError):
             RoutingTable(0, 0, 3, (0, 1))
+
+
+# One ledger step: an add (automatic, or explicit at next id + k, so a
+# negative k runs backwards), an add whose shard refuses it, a delete of
+# next id + k (k < 0 reaches back over live ids, deleted ids and holes;
+# k >= 0 is out of range), or a split of the n-th shard in the table.
+ledger_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.none() | st.integers(-2, 3)),
+        st.tuples(st.just("refused"), st.integers(0, 3)),
+        st.tuples(st.just("delete"), st.integers(-12, 1)),
+        st.tuples(st.just("split"), st.integers(0, 7)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=ledger_ops, nshards=st.integers(1, 3), seed=st.sampled_from([0, 7]))
+def test_placement_matches_brute_force_model(ops, nshards, seed):
+    placement = Placement(nshards, seed)
+    next_id, added, deleted = 0, set(), set()
+    shards = list(range(nshards))
+    for op, k in ops:
+        live = added - deleted
+        table = placement.routing
+        if op in ("add", "refused"):
+            want = next_id if k is None else next_id + k
+            if want < next_id:
+                with pytest.raises(ValueError, match="below next id"):
+                    placement.claim(want)
+                continue
+            claimed = placement.claim(None if k is None else want)
+            assert claimed == (want, table.route(want))
+            if op == "add":
+                placement.admit(want)
+                added.add(want)
+                next_id = want + 1
+        elif op == "delete":
+            doc_id = next_id + k
+            if not 0 <= doc_id < next_id:
+                with pytest.raises(ValueError, match="outside"):
+                    placement.owner(doc_id)
+            elif doc_id not in added:
+                with pytest.raises(ValueError, match="was never added"):
+                    placement.owner(doc_id)
+            else:
+                assert placement.owner(doc_id) == table.route(doc_id)
+                placement.deleted.add(doc_id)
+                deleted.add(doc_id)
+        else:
+            victim = table.shard_ids[k % table.nshards]
+            new_id = len(shards)
+            new_table, movers, stayers = placement.split(victim, new_id)
+            assert placement.routing is table  # installed by the caller
+            assert set(movers) | set(stayers) == {
+                d for d in live if table.route(d) == victim
+            }
+            assert not set(movers) & set(stayers)
+            assert all(new_table.route(d) == new_id for d in movers)
+            assert all(new_table.route(d) == victim for d in stayers)
+            placement.routing = new_table
+            shards.append(new_id)
+        assert placement.next_id == next_id
+        assert placement.counts(shards) == {
+            s: sum(placement.routing.route(d) == s for d in added - deleted)
+            for s in shards
+        }

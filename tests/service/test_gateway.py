@@ -376,6 +376,69 @@ class TestGatewayService:
         assert fields["replica"] == f"shard {spawned[1]}/r0"
         assert "out of processes" in fields["error"]
 
+    def test_failed_split_reaps_its_workers(self, monkeypatch, events):
+        """A split whose new shard cannot be brought up reaps that
+        shard's processes before the error arrives (the set never joined
+        the gateway, so ``close`` could not), leaves routing and the
+        active shards as they were, and says why in one event."""
+        import multiprocessing
+
+        service = GatewayService(small_config(), shards=2, replicas=2)
+        try:
+            children = set(multiprocessing.active_children())
+            for text in DOCS:
+                service.add_document(text)
+            service.flush_and_publish()
+            real = AsyncShardGateway._catch_up
+
+            async def new_shard_fails(gateway, rs, replica):
+                if rs.shard_id == 2:
+                    raise OSError("catch-up lost")
+                return await real(gateway, rs, replica)
+
+            monkeypatch.setattr(
+                AsyncShardGateway, "_catch_up", new_shard_fails
+            )
+            with pytest.raises(OSError, match="catch-up lost"):
+                service.split_shard(0)
+            assert set(multiprocessing.active_children()) == children
+            gateway = service.gateway
+            assert (gateway._active, len(gateway._sets)) == ([0, 1], 2)
+            assert gateway.routing.epoch == 0
+            [fields] = [f for name, f in events if name == "split.failed"]
+            assert fields["shard"] == 0
+            assert "catch-up lost" in fields["error"]
+            assert service.search_boolean("apple").doc_ids == [0, 3, 4, 6]
+        finally:
+            service.close()
+
+    def test_replica_events_name_their_process(self, events):
+        """``replica.down`` and ``replica.rebuilding`` name the process
+        that died, ``replica.healthy`` the one that replaced it."""
+        service = GatewayService(small_config(), shards=1, replicas=2)
+        try:
+            def pid():
+                return service._run(service.gateway.ping(0, 1))["pid"]
+
+            before = pid()
+            service.kill_replica(0, 1)
+            service.add_document(DOCS[0])  # the write finds the death
+            service.wait_for_recovery()
+            after = pid()
+            assert after != before
+            trail = [
+                (name, fields["pid"])
+                for name, fields in events
+                if name.startswith("replica.")
+            ]
+            assert trail == [
+                ("replica.down", before),
+                ("replica.rebuilding", before),
+                ("replica.healthy", after),
+            ]
+        finally:
+            service.close()
+
 
 class TestReplicaVersionGuard:
     """The version-vector guard: a replica lagging the published
@@ -553,10 +616,10 @@ class TestUnsendableOp:
         service = self._service(monkeypatch)
         try:
             service.add_document(DOCS[0])
-            holes = set(service.gateway._holes)
+            holes = set(service.gateway.placement.holes)
             with pytest.raises(wire.FrameTooLarge):
                 service.add_document(self.OVERSIZED, doc_id=5)
-            assert service.gateway._holes == holes
+            assert service.gateway.placement.holes == holes
             # Ids 1..4 are still to be assigned, and a document given one
             # of them is a document: deletable, not "never added".
             assert service.add_document(DOCS[1]) == 1

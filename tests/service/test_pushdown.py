@@ -409,7 +409,7 @@ async def _queries_inside_the_window(read_tier: str) -> None:
         await gateway.delete_document(5)
         oracle.delete_document(5)
         await gateway.flush()
-        counts = gateway._shard_doc_counts()
+        counts = gateway.placement.counts(gateway._active)
         victim = max(counts, key=counts.get)
         weights = {"wa": 2.0, "wb": 1.0, "wc": -0.5}
         terms = ("wa", "wb", "wc")

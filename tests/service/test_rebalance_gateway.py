@@ -121,7 +121,7 @@ async def _split_during_traffic(read_tier: str) -> None:
         oracle = BruteForceIndex()
         await _ingest(gateway, local, oracle, _docs(20))
         await _compare(gateway, local, oracle)
-        counts = gateway._shard_doc_counts()
+        counts = gateway.placement.counts(gateway._active)
         victim = max(counts, key=counts.get)
         new_id = await gateway.split_shard(victim)
         assert local.split_shard(victim) == new_id
@@ -182,7 +182,7 @@ class TestChaos:
                 )
                 oracle = BruteForceIndex()
                 await _ingest(gateway, local, oracle, _docs(20))
-                counts = gateway._shard_doc_counts()
+                counts = gateway.placement.counts(gateway._active)
                 victim = max(counts, key=counts.get)
                 gateway.kill_replica(victim, 0)
                 new_id = await gateway.split_shard(victim)
@@ -216,7 +216,7 @@ class TestChaos:
                 )
                 oracle = BruteForceIndex()
                 await _ingest(gateway, local, oracle, _docs(20))
-                counts = gateway._shard_doc_counts()
+                counts = gateway.placement.counts(gateway._active)
                 victim = max(counts, key=counts.get)
                 gateway.kill_replica(victim, 0)
                 gateway.kill_replica(victim, 1)
