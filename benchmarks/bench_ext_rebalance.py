@@ -25,9 +25,10 @@ structural claims, all asserted:
   the final doc imbalance lands below the control's and below the
   1.5x reporting bound.
 
-Cutover cost (wall seconds spent inside split windows) and per-cycle
-read p95s for both arms are archived so the latency price of a move is
-visible next to the balance it buys.
+The artifact archives exact counts only, so a rerun leaves it
+byte-identical.  Cutover cost (wall seconds spent inside split windows)
+and per-cycle read p95s for both arms are printed next to it, so the
+latency price of a move is visible beside the balance it buys.
 """
 
 import asyncio
@@ -97,7 +98,8 @@ def _p(samples, q) -> float:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-async def _arm(rebalance: bool) -> dict:
+async def _arm(rebalance: bool) -> tuple[dict, dict]:
+    """The arm's exact counts, and its wall-clock timings."""
     gateway = AsyncShardGateway(
         _config(),
         shards=SHARDS,
@@ -151,14 +153,11 @@ async def _arm(rebalance: bool) -> dict:
         assert check.ok, check.violations
         counts = gateway.placement.counts(gateway._active)
         active = {s: counts[s] for s in gateway.routing.shard_ids}
-        return {
+        exact = {
             "rebalance": rebalance,
             "divergences": divergences,
             "splits": gateway.rebalance.splits,
             "docs_moved": gateway.rebalance.docs_moved,
-            "cutover_seconds": round(
-                gateway.rebalance.cutover_seconds, 4
-            ),
             "routing_epoch": gateway.routing.epoch,
             "active_shards": sorted(active),
             "shard_docs": active,
@@ -169,15 +168,19 @@ async def _arm(rebalance: bool) -> dict:
                 gateway.repl.reads_waited_for_rebuild
             ),
             "read_failovers": gateway.repl.read_failovers,
+        }
+        timings = {
+            "cutover_ms": round(gateway.rebalance.cutover_seconds * 1e3, 1),
             "cycle_read_p95_ms": cycle_p95,
         }
+        return exact, timings
     finally:
         await gateway.close()
 
 
 def test_ext_rebalance_split_under_skew(capfd):
-    control = asyncio.run(_arm(rebalance=False))
-    rebalanced = asyncio.run(_arm(rebalance=True))
+    control, control_timings = asyncio.run(_arm(rebalance=False))
+    rebalanced, rebalanced_timings = asyncio.run(_arm(rebalance=True))
 
     # Exactness: both arms answer byte-identically to the oracle on
     # every probe, including the ones fired right after a cutover.
@@ -220,7 +223,7 @@ def test_ext_rebalance_split_under_skew(capfd):
     lines = [
         f"{'arm':>10} {'splits':>6} {'moved':>6} {'epoch':>5} "
         f"{'imbalance':>9} {'diverg.':>7} {'waited':>6} "
-        f"{'cutover':>9}",
+        f"{'failovers':>9}  shard docs",
     ]
     for label, arm in (("control", control), ("rebalance", rebalanced)):
         lines.append(
@@ -228,11 +231,11 @@ def test_ext_rebalance_split_under_skew(capfd):
             f"{arm['routing_epoch']:>5} {arm['imbalance']:>8.2f}x "
             f"{arm['divergences']:>7} "
             f"{arm['reads_waited_for_rebuild']:>6} "
-            f"{arm['cutover_seconds'] * 1e3:>7.1f}ms"
+            f"{arm['read_failovers']:>9}  {arm['shard_docs']}"
         )
-    lines.append(
-        "read p95 by cycle (ms): control "
-        f"{control['cycle_read_p95_ms']} / rebalance "
-        f"{rebalanced['cycle_read_p95_ms']}"
-    )
     report("BENCH_rebalance", "\n".join(lines), capfd)
+    with capfd.disabled():
+        for label, timings in (
+            ("control", control_timings), ("rebalance", rebalanced_timings)
+        ):
+            print(f"{label} (not archived): {timings}")

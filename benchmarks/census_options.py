@@ -11,7 +11,9 @@ that reach it from *commands* (``src/repro`` itself, ``cli.py`` flags with
 every ``ci.yml`` command line, ``benchmarks/bench_*.py``,
 ``benchmarks/harness/*.py``, ``examples/``) and from *tests* (``tests/``,
 ``benchmarks/harness/tests/``).  Matching is by callee name over stdlib
-``ast``; forwarding is followed (an argument that is the caller's own
+``ast``: ``x.f(...)`` reaches methods named ``f`` (or module ``f`` when
+``x`` names that imported module), ``f(...)`` functions and classes;
+forwarding is followed (an argument that is the caller's own
 parameter, a ``self.x`` assigned from one, a ``cfg.x`` / ``spec.x`` naming a
 dataclass field, an ``args.x`` naming a flag), ``**kwargs`` is resolved when
 the dict is a literal in scope, ``dataclasses.replace`` credits the fields
@@ -105,6 +107,7 @@ class Callable_:
         self.has_kwargs = has_kwargs
         self.has_varargs = has_varargs
         self.forward_to = None  # callee name for (*args, **kwargs) shells
+        self.method = False  # defined in a class body
 
 
 def _text(node) -> str:
@@ -233,6 +236,7 @@ class Tree:
             rel, params + kwonly, len(params), args.kwarg is not None,
             args.vararg is not None,
         )
+        out.method = cls_info is not None
         if args.vararg is not None and args.kwarg is not None:
             for call in ast.walk(fn):
                 if (
@@ -475,6 +479,8 @@ class Census:
         self.tree.read_cli()
         self.files_read: list[str] = []
         self.helpers: dict[str, list[ast.Call]] = {}
+        #: the current file's names for src/repro modules -> their paths
+        self.modules: dict[str, str] = {}
 
     # -- resolving an argument expression to value tokens --
 
@@ -606,10 +612,22 @@ class Census:
                     ctor = self.tree.classes[ctor.forward_to]["ctor"]
                 out.append(ctor)
             return out
+        # ``x.f(...)`` is a method call unless ``x`` names a module, and
+        # then it reaches that module's function; ``f(...)`` is a function.
+        module = None
+        if isinstance(func, ast.Attribute):
+            module = self.modules.get(ast.unparse(func.value), "")
         for cand in self.tree.by_name.get(name, []):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            out.append(cand)
+            if module is None:
+                fits = not cand.method
+            elif module:
+                fits = not cand.method and cand.path == module
+            else:
+                fits = cand.method
+            if fits:
+                out.append(cand)
         return out
 
     def _keywords(self, call: ast.Call, scope: Scope):
@@ -724,6 +742,7 @@ class Census:
         except SyntaxError:
             return
         top = Scope(self.tree, rel, side, _module_consts(module), None, None)
+        self.modules = self._module_names(module, rel)
         # Local helpers that splat their own **kwargs into a callee.
         self.helpers = {}
         if not rel.startswith("src/"):
@@ -742,6 +761,35 @@ class Census:
                     if forwards:
                         self.helpers[fn.name] = forwards
         self._visit(module, top, rel)
+
+    def _module_names(self, module: ast.Module, rel: str) -> dict[str, str]:
+        """The names a file binds to ``src/repro`` modules (``import a.b
+        as x``, ``from a import b``, relative imports), each mapped to
+        the module's path as definitions carry it."""
+
+        def path_of(dotted: str) -> str | None:
+            base = self.root / "src" / pathlib.Path(*dotted.split("."))
+            for path in (base.with_suffix(".py"), base / "__init__.py"):
+                if path.is_file():
+                    return str(path.relative_to(self.root))
+            return None
+
+        names = {}
+        package = pathlib.Path(rel).parent.parts[1:]  # src/repro/x -> repro.x
+        for stmt in ast.walk(module):
+            if isinstance(stmt, ast.Import):
+                for alias in stmt.names:
+                    names[alias.asname or alias.name] = path_of(alias.name)
+            elif isinstance(stmt, ast.ImportFrom):
+                parts = []
+                if stmt.level:
+                    parts = list(package[: len(package) - stmt.level + 1])
+                if stmt.module:
+                    parts += stmt.module.split(".")
+                for alias in stmt.names:
+                    dotted = ".".join(parts + [alias.name])
+                    names[alias.asname or alias.name] = path_of(dotted)
+        return {name: path for name, path in names.items() if path}
 
     def _visit(self, parent, scope: Scope, rel: str) -> None:
         for child in ast.iter_child_nodes(parent):

@@ -25,7 +25,7 @@ builds the serving front end on top:
 * :class:`GatewayService` — a thread-safe synchronous facade with the
   :class:`~repro.service.server.QueryService` surface, so the load
   generator and CLI drive in-process and multi-process serving through
-  the same code.
+  the same code; a lone caller drives the event loop itself (DESIGN.md §13).
 
 Read path (DESIGN.md §16) — one protocol: every query mode is
 *answer-level*, a query puts one member read per active shard on the
@@ -726,17 +726,13 @@ class AsyncShardGateway:
 
     async def quiesce(self) -> None:
         """Wait for every in-flight rebuild to finish (test/bench hook)."""
-        while True:
-            tasks = [
-                replica.rebuild_task
-                for rs in self._sets
-                for replica in rs.replicas
-                if replica.rebuild_task is not None
-                and not replica.rebuild_task.done()
-            ]
-            if not tasks:
-                return
+        while tasks := self.rebuilding():
             await asyncio.gather(*tasks, return_exceptions=True)
+
+    def rebuilding(self) -> list[asyncio.Task]:
+        """The rebuild tasks still in flight."""
+        tasks = (r.rebuild_task for rs in self._sets for r in rs.replicas)
+        return [task for task in tasks if task and not task.done()]
 
     def kill_replica(self, shard: int, replica: int = 0) -> None:
         """SIGKILL one replica's process (the chaos/bench murder weapon).
@@ -1441,19 +1437,18 @@ class GatewayService:
     ``publish_latency`` — so :class:`~repro.service.loadgen.LoadGenerator`
     and the CLI drive both serving stacks through one code path.  The
     workers publish, so ``stats`` counts documents and queries only; the
-    :class:`RuntimeStats` sums are in :meth:`gateway_stats`.  The
-    asyncio loop runs on a dedicated thread; every public method is safe
-    to call from any thread.
+    :class:`RuntimeStats` sums are in :meth:`gateway_stats`.  Every
+    public method is safe to call from any thread; no lone call pays a
+    thread hop, and between calls the loop, rebuilds too, stands still.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         self.gateway = AsyncShardGateway(*args, **kwargs)
         self.read_tier = self.gateway.read_tier
         self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="gateway-loop", daemon=True
-        )
-        self._thread.start()
+        self._turn = threading.Condition()
+        self._inside = 0  # callers inside the facade
+        self._thread = None  # gateway-loop, while callers overlap
         self.stats = ServiceStats()
         self.timings = {"serve.flush": 0.0}
         self.publish_latency = LatencyRecorder()
@@ -1463,12 +1458,39 @@ class GatewayService:
             self._run(self.gateway.start())
         except BaseException:
             # Nothing else holds this object: reap the workers that did
-            # start and the loop thread before the caller sees the error.
+            # start before the caller sees the error.
             self.close()
             raise
 
     def _run(self, coro):
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+        """Run ``coro`` on the loop.  A lone caller drives it; callers that
+        overlap ride it, then on a ``gateway-loop`` thread (DESIGN §13)."""
+        with self._turn:
+            # Once its last caller has left, gateway-loop is stopping.
+            self._turn.wait_for(lambda: self._inside or not self._thread)
+            self._inside += 1
+            drive = self._inside == 1
+        try:
+            if drive:
+                return self._loop.run_until_complete(coro)
+            return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+        finally:
+            with self._turn:
+                self._inside -= 1
+                if drive and self._inside:
+                    self._thread = threading.Thread(
+                        target=self._serve, name="gateway-loop", daemon=True
+                    )
+                    self._thread.start()
+                elif not (drive or self._inside):
+                    self._loop.call_soon_threadsafe(self._loop.stop)
+                self._turn.notify_all()
+
+    def _serve(self) -> None:
+        self._loop.run_forever()
+        with self._turn:
+            self._thread = None
+            self._turn.notify_all()
 
     # -- writer API -------------------------------------------------------
 
@@ -1566,7 +1588,8 @@ class GatewayService:
             "enabled": gateway.rebalance_planner is not None,
         }
         merged["replication"] = {
-            **asdict(gateway.repl), "replicas": gateway.replicas
+            **asdict(gateway.repl), "replicas": gateway.replicas,
+            "rebuilds_in_flight": len(gateway.rebuilding()),
         }
         if gateway.rebuild_scheduler is not None:
             scheduler = gateway.rebuild_scheduler.as_dict()
@@ -1584,6 +1607,8 @@ class GatewayService:
         try:
             self._run(self.gateway.close())
         finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
-            self._loop.close()
+            with self._turn:  # a loop another caller drives cannot close
+                if self._turn.wait_for(
+                    lambda: not (self._inside or self._thread), 10.0
+                ):
+                    self._loop.close()

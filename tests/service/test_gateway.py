@@ -22,6 +22,8 @@ it queue behind the sleep on its connection.
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import pytest
 
@@ -295,6 +297,57 @@ class TestFailover:
         run_gateway(body, shards=2)
 
 
+def sleep_on(service, shard: int, seconds: float):
+    """A coroutine that keeps one shard's only replica busy for
+    ``seconds``, to run through the facade."""
+    gateway = service.gateway
+    target = gateway._sets[shard].replicas[0]
+    return gateway._locked_rpc(target, "debug_sleep", (seconds,))
+
+
+def drive_in_thread(service, coro):
+    """Start ``coro`` through the facade on a second thread and return
+    once that thread is inside, driving the loop (the facade must be
+    idle).  The thread's outcome lands in the returned dict under
+    ``"value"`` or ``"error"``."""
+    outcome = {}
+
+    def call():
+        try:
+            outcome["value"] = service._run(coro)
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=call)
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while not service._inside:
+        assert time.monotonic() < deadline, "the thread never drove"
+        time.sleep(0.001)
+    outcome["thread"] = thread
+    return outcome
+
+
+async def runs_on(coro) -> str:
+    """Await ``coro``, then name the thread that drives the loop."""
+    await coro
+    return threading.current_thread().name
+
+
+def record_drivers(service) -> list:
+    """Record the thread of every ``run_until_complete`` on the loop."""
+    drivers = []
+    loop = service._loop
+    real = loop.run_until_complete
+
+    def recording(future):
+        drivers.append(threading.get_ident())
+        return real(future)
+
+    loop.run_until_complete = recording
+    return drivers
+
+
 class TestGatewayService:
     def test_facade_roundtrip_and_stats(self):
         service = GatewayService(small_config(), shards=2)
@@ -340,20 +393,15 @@ class TestGatewayService:
     def test_failed_start_reaps_its_workers(self, monkeypatch, events):
         """A constructor that raises leaves nothing behind: nothing holds
         the half-built service, so nobody else could close it.  The
-        second of three worker spawns fails; the two that started and
-        the loop thread are gone by the time the error arrives, and the
-        one event names the replica that failed and why."""
+        second of three worker spawns fails; the two that started are
+        gone by the time the error arrives, no thread is left behind,
+        and the one event names the replica that failed and why."""
         import multiprocessing
-        import threading
 
         from repro.service import gateway as gateway_module
 
-        def loops():
-            return {
-                t for t in threading.enumerate() if t.name == "gateway-loop"
-            }
-
-        children, threads = set(multiprocessing.active_children()), loops()
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
         spawned = []
         real = gateway_module.WorkerProcess
 
@@ -370,7 +418,7 @@ class TestGatewayService:
             GatewayService(small_config(), shards=3)
         assert len(spawned) == 3
         assert set(multiprocessing.active_children()) == children
-        assert loops() == threads
+        assert set(threading.enumerate()) == threads
         [(name, fields)] = events
         assert name == "start.failed"
         assert fields["replica"] == f"shard {spawned[1]}/r0"
@@ -436,6 +484,160 @@ class TestGatewayService:
                 ("replica.rebuilding", before),
                 ("replica.healthy", after),
             ]
+        finally:
+            service.close()
+
+    # A lone caller drives the loop on its own thread; a concurrent
+    # caller rides the driver's loop, and a driver that leaves while
+    # others are inside hands the loop to a gateway-loop thread, which
+    # stops when the last caller leaves.
+
+    def test_no_thread_is_started(self):
+        before = set(threading.enumerate())
+        service = GatewayService(small_config(), shards=2)
+        try:
+            for text in DOCS:
+                service.add_document(text)
+            service.flush_and_publish()
+            assert service.search_boolean("apple").doc_ids == [0, 3, 4, 6]
+            assert set(threading.enumerate()) == before
+        finally:
+            service.close()
+        assert set(threading.enumerate()) == before
+        assert "gateway-loop" not in {t.name for t in threading.enumerate()}
+
+    def test_concurrent_caller_is_not_queued_behind_the_driver(self):
+        """A ``ping`` of shard 1 finishes while another thread drives
+        the loop through a 2 s sleep on shard 0."""
+        service = GatewayService(small_config(), shards=2)
+        try:
+            drivers = record_drivers(service)
+            slow = drive_in_thread(service, sleep_on(service, 0, 2.0))
+            start = time.perf_counter()
+            assert service._run(service.gateway.ping(1, 0))["shard"] == 1
+            assert time.perf_counter() - start < 1.0
+            assert slow["thread"].is_alive()
+            slow["thread"].join(timeout=10.0)
+            assert not slow["thread"].is_alive()
+            assert "error" not in slow
+            # The ping rode the sleeper's loop: one thread drove, and
+            # the sleeper left alone, so no gateway-loop was started.
+            assert drivers == [slow["thread"].ident]
+            assert service._thread is None
+        finally:
+            service.close()
+
+    def test_driver_leaving_first_hands_the_loop_to_a_thread(self):
+        service = GatewayService(small_config(), shards=2)
+        try:
+            drivers = record_drivers(service)
+            short = drive_in_thread(service, sleep_on(service, 0, 0.3))
+            # Rides the short sleeper's loop, then gateway-loop's.
+            where = service._run(runs_on(sleep_on(service, 1, 1.0)))
+            assert where == "gateway-loop"
+            short["thread"].join(timeout=10.0)
+            assert not short["thread"].is_alive()
+            assert "error" not in short
+            # Alone again: this caller drives, after gateway-loop ended.
+            assert service._run(runs_on(asyncio.sleep(0))) == "MainThread"
+            assert service._thread is None
+            assert drivers == [short["thread"].ident, threading.get_ident()]
+            names = {t.name for t in threading.enumerate()}
+            assert "gateway-loop" not in names
+            assert service.search_boolean("apple").doc_ids == []
+        finally:
+            service.close()
+
+    def test_remote_errors_reach_driver_and_rider_typed(self):
+        service = GatewayService(small_config(), shards=2)
+        gateway = service.gateway
+        try:
+            with pytest.raises(RemoteWorkerError, match="ValueError"):
+                service._run(  # the lone caller drives
+                    gateway._locked_rpc(
+                        gateway._sets[0].replicas[0], "delete_document", (999,)
+                    )
+                )
+            slow = drive_in_thread(service, sleep_on(service, 0, 1.0))
+            with pytest.raises(RemoteWorkerError, match="UnknownMethod"):
+                service._run(
+                    gateway._locked_rpc(
+                        gateway._sets[1].replicas[0], "no_such_method", ()
+                    )
+                )
+            assert slow["thread"].is_alive()  # so the error rode its loop
+            slow["thread"].join(timeout=10.0)
+            assert not slow["thread"].is_alive()
+        finally:
+            service.close()
+
+    def test_concurrent_callers_stress(self):
+        """Six reader threads, more than the cores, switching every
+        microsecond: every call returns its own answer, no caller is
+        left waiting, and gateway-loop stops once the readers are out."""
+        import sys
+
+        queries = ["apple", "banana AND cherry", "fig OR kiwi", "NOT apple"]
+        service = GatewayService(small_config(), shards=2, replicas=2)
+        try:
+            for text in DOCS:
+                service.add_document(text)
+            service.flush_and_publish()
+            want = {q: service.search_boolean(q).doc_ids for q in queries}
+            answers = []
+
+            def reader(k):
+                for i in range(30):
+                    query = queries[(k + i) % len(queries)]
+                    got = service.search_boolean(query).doc_ids
+                    answers.append(got == want[query])
+
+            threads = [
+                threading.Thread(target=reader, args=(k,)) for k in range(6)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert answers == [True] * 180
+            assert service._inside == 0
+            service.search_boolean("apple")  # waits gateway-loop out
+            assert service._thread is None
+        finally:
+            service.close()
+
+    def test_kill_while_no_caller_is_inside(self):
+        """Nothing runs between calls, so a replica killed then is found
+        by the next read: its sibling answers, the report counts the
+        rebuild in flight, and ``wait_for_recovery`` drives it to the
+        end."""
+        from repro.service.replication import ReplicaState
+
+        service = GatewayService(small_config(), shards=1, replicas=2)
+        try:
+            for text in DOCS:
+                service.add_document(text)
+            service.flush_and_publish()
+            victim = service.gateway._sets[0].replicas[0]
+            service.gateway._rebuild_hold_s = 1.0  # outlasts the reads
+            service.kill_replica(0, 0)
+            victim.worker.process.join(timeout=5.0)
+            for _ in range(4):  # the rotation reaches the victim
+                assert service.search_boolean("apple").doc_ids == [0, 3, 4, 6]
+            assert service.gateway.stats.failovers == 1  # a read found it
+            replication = service.gateway_stats()["replication"]
+            assert replication["rebuilds_in_flight"] == 1
+            service.wait_for_recovery()
+            replication = service.gateway_stats()["replication"]
+            assert replication["rebuilds_in_flight"] == 0
+            assert victim.state is ReplicaState.HEALTHY
+            assert service.search_boolean("fig").doc_ids == [2, 6]
         finally:
             service.close()
 
