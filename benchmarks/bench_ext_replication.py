@@ -2,26 +2,27 @@
 and staggered vs. unscheduled grow-bucket rebuilds.
 
 Two claims, two arms, one artifact
-(``benchmarks/results/BENCH_replication.json``):
+(``benchmarks/results/BENCH_replication.json``), which holds exact
+counts only, so a run leaves it as it was; the timings are printed.
 
 **Availability.** With 2 replicas per shard, SIGKILLing one replica
 leaves query availability uninterrupted: no read waits for recovery
 (``reads_waited_for_rebuild == 0`` — the claim, and the assertion; the
-post-kill read p95 and 2x the healthy baseline are archived beside it,
-not gated: both are single-digit milliseconds on this corpus and CI
-gates on counts only).  The unreplicated control arm pays the
-full recovery latency instead: its first post-kill read blocks on
-checkpoint restore + op-log replay (``reads_waited_for_rebuild > 0``)
-and is archived for comparison.  Zero divergences in both arms — every
-answer is compared against an in-process twin.
+post-kill read p95 and 2x the healthy baseline are printed beside it,
+not gated: both are single-digit milliseconds on this corpus).  The
+unreplicated control arm pays the full recovery latency instead: its
+first post-kill read blocks on checkpoint restore + op-log replay
+(``reads_waited_for_rebuild > 0``).  Zero divergences in both arms —
+every answer is compared against an in-process twin.  Read failovers
+depend on how long the rebuild takes, so they are printed too.
 
 **Rebuild staggering.** When every shard crosses the growth threshold
 in the same flush round, unscheduled growth rehashes all of them at
 once and the round's publish pays every full-clone spike together; the
 scheduler serializes the grants to at most one shard per round.  The
 structural claim (max growths per round: staggered <= 1, unscheduled
->= 2) is asserted; the per-round publish latencies of both schedules
-are archived so the spike-smearing is visible in the artifact.
+>= 2) is asserted and the growths of every round are archived; the
+per-round flush and publish latencies of both schedules are printed.
 """
 
 import json
@@ -87,7 +88,7 @@ def _p(samples, q) -> float:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-def _availability_arm(replicas: int) -> dict:
+def _availability_arm(replicas: int) -> tuple[dict, dict]:
     service = GatewayService(
         _config(), shards=SHARDS, replicas=replicas
     )
@@ -112,10 +113,14 @@ def _availability_arm(replicas: int) -> dict:
         window = time.perf_counter() - t0
         service.wait_for_recovery()
         after_recovery = _read_window(service, twin, PROBE_READS // 2)
-        stats = service.gateway_stats()
-        repl = stats["replication"]
-        return {
+        repl = service.gateway_stats()["replication"]
+        exact = {
             "replicas": replicas,
+            "reads_waited_for_rebuild": repl["reads_waited_for_rebuild"],
+            "rebuilds_completed": repl["rebuilds_completed"],
+            "replica_divergences": repl["replica_divergences"],
+        }
+        timings = {
             "healthy_p50_ms": round(_p(healthy, 0.50) * 1e3, 3),
             "healthy_p95_ms": round(_p(healthy, 0.95) * 1e3, 3),
             "first_post_kill_read_ms": round(first * 1e3, 3),
@@ -125,11 +130,9 @@ def _availability_arm(replicas: int) -> dict:
             "after_recovery_p95_ms": round(
                 _p(after_recovery, 0.95) * 1e3, 3
             ),
-            "reads_waited_for_rebuild": repl["reads_waited_for_rebuild"],
             "read_failovers": repl["read_failovers"],
-            "rebuilds_completed": repl["rebuilds_completed"],
-            "replica_divergences": repl["replica_divergences"],
         }
+        return exact, timings
     finally:
         service.close()
 
@@ -157,8 +160,9 @@ def _storm_doc(i: int) -> str:
     )
 
 
-async def _stagger_arm(stagger: bool) -> dict:
-    """Growth storm under the async gateway, per-round telemetry."""
+async def _stagger_arm(stagger: bool) -> tuple[dict, dict]:
+    """Growth storm under the async gateway: ``(exact, timings)``, the
+    growths of every round and the flush and publish times of each."""
     from repro.service.gateway import AsyncShardGateway
 
     gateway = AsyncShardGateway(
@@ -170,7 +174,7 @@ async def _stagger_arm(stagger: bool) -> dict:
     await gateway.start()
     try:
         doc = 0
-        rounds = []
+        growths, flush_ms, publish_ms = [], [], []
         for _ in range(8):
             for _ in range(12):
                 await gateway.add_document(_storm_doc(doc))
@@ -190,33 +194,29 @@ async def _stagger_arm(stagger: bool) -> dict:
                 ]
                 for rs in gateway._sets
             ]
-            rounds.append(
-                {
-                    "growths": sum(
-                        1 for b, a in zip(before, after) if a > b
-                    ),
-                    "flush_ms": round(flush_s * 1e3, 3),
-                    "publish_ms": round(
-                        gateway.last_publish_seconds * 1e3, 3
-                    ),
-                }
-            )
+            growths.append(sum(1 for b, a in zip(before, after) if a > b))
+            flush_ms.append(round(flush_s * 1e3, 3))
+            publish_ms.append(round(gateway.last_publish_seconds * 1e3, 3))
         report_ = await gateway.check()
         assert report_.ok, report_.violations
-        publishes = [r["publish_ms"] for r in rounds]
-        return {
+        exact = {
             "stagger": stagger,
-            "rounds": rounds,
-            "total_growths": sum(r["growths"] for r in rounds),
-            "max_growths_per_round": max(r["growths"] for r in rounds),
-            "publish_p99_ms": _p(publishes, 0.99),
-            "publish_max_ms": max(publishes),
+            "growths_per_round": growths,
+            "total_growths": sum(growths),
+            "max_growths_per_round": max(growths),
             "scheduler": (
                 gateway.rebuild_scheduler.as_dict()
                 if gateway.rebuild_scheduler
                 else None
             ),
         }
+        timings = {
+            "flush_ms": flush_ms,
+            "publish_ms": publish_ms,
+            "publish_p99_ms": _p(publish_ms, 0.99),
+            "publish_max_ms": max(publish_ms),
+        }
+        return exact, timings
     finally:
         await gateway.close()
 
@@ -224,10 +224,12 @@ async def _stagger_arm(stagger: bool) -> dict:
 def test_ext_replication_availability_and_stagger(capfd):
     import asyncio
 
-    replicated = _availability_arm(replicas=2)
-    unreplicated = _availability_arm(replicas=1)
-    staggered = asyncio.run(_stagger_arm(stagger=True))
-    unscheduled = asyncio.run(_stagger_arm(stagger=False))
+    replicated, replicated_timings = _availability_arm(replicas=2)
+    unreplicated, unreplicated_timings = _availability_arm(replicas=1)
+    staggered, staggered_timings = asyncio.run(_stagger_arm(stagger=True))
+    unscheduled, unscheduled_timings = asyncio.run(
+        _stagger_arm(stagger=False)
+    )
 
     # Availability, structurally: with a sibling, no read ever waits for
     # recovery and nothing diverges; without one, the first post-kill
@@ -236,11 +238,6 @@ def test_ext_replication_availability_and_stagger(capfd):
     assert replicated["replica_divergences"] == 0
     assert replicated["rebuilds_completed"] == 1
     assert unreplicated["reads_waited_for_rebuild"] > 0
-
-    # Availability, in milliseconds, archived for reading: post-kill
-    # p95 next to 2x the healthy baseline (5 ms absolute floor — both
-    # are tiny on this corpus and scheduler noise dominates below that).
-    bound_ms = max(2.0 * replicated["healthy_p95_ms"], 5.0)
 
     # Staggering, structurally: at most one growth per round scheduled,
     # a storm (>= 2 in one round) unscheduled.
@@ -259,7 +256,6 @@ def test_ext_replication_availability_and_stagger(capfd):
         "availability": {
             "replicated": replicated,
             "unreplicated": unreplicated,
-            "post_kill_p95_bound_ms": round(bound_ms, 3),
         },
         "stagger": {
             "staggered": staggered,
@@ -271,24 +267,37 @@ def test_ext_replication_availability_and_stagger(capfd):
         json.dumps(doc, indent=2) + "\n", encoding="utf-8"
     )
 
-    lines = [
-        f"{'arm':>14} {'healthy p95':>12} {'post-kill p95':>14} "
-        f"{'first read':>11} {'waited':>7}",
-    ]
+    lines = [f"{'arm':>14} {'waited':>7} {'rebuilds':>8} {'diverg.':>7}"]
     for label, arm in (
         ("2 replicas", replicated),
         ("1 replica", unreplicated),
     ):
         lines.append(
-            f"{label:>14} {arm['healthy_p95_ms']:>10.2f}ms "
-            f"{arm['post_kill_p95_ms']:>12.2f}ms "
-            f"{arm['first_post_kill_read_ms']:>9.2f}ms "
-            f"{arm['reads_waited_for_rebuild']:>7}"
+            f"{label:>14} {arm['reads_waited_for_rebuild']:>7} "
+            f"{arm['rebuilds_completed']:>8} "
+            f"{arm['replica_divergences']:>7}"
         )
-    lines.append(
-        f"growth rounds: staggered max {staggered['max_growths_per_round']}"
-        f"/round (publish p99 {staggered['publish_p99_ms']:.2f} ms), "
-        f"unscheduled max {unscheduled['max_growths_per_round']}/round "
-        f"(publish p99 {unscheduled['publish_p99_ms']:.2f} ms)"
-    )
+    for label, arm in (
+        ("staggered", staggered),
+        ("unscheduled", unscheduled),
+    ):
+        lines.append(
+            f"growth rounds, {label}: {arm['growths_per_round']} "
+            f"(max {arm['max_growths_per_round']}/round, "
+            f"total {arm['total_growths']})"
+        )
     report("BENCH_replication", "\n".join(lines), capfd)
+
+    # Availability in milliseconds, printed for reading: post-kill p95
+    # next to 2x the healthy baseline (5 ms absolute floor: both are
+    # tiny on this corpus and scheduler noise dominates below that).
+    bound_ms = max(2.0 * replicated_timings["healthy_p95_ms"], 5.0)
+    with capfd.disabled():
+        print(f"post-kill p95 bound (not archived): {bound_ms:.3f} ms")
+        for label, timings in (
+            ("2 replicas", replicated_timings),
+            ("1 replica", unreplicated_timings),
+            ("staggered", staggered_timings),
+            ("unscheduled", unscheduled_timings),
+        ):
+            print(f"{label} (not archived): {timings}")

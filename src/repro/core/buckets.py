@@ -213,8 +213,10 @@ class BucketManager:
 
         A word ``is_long`` reports goes to ``to_long(word, payload)``.  Any
         other word's list is inserted into bucket h(w), and while that
-        bucket overflows its longest short list is evicted and handed to
-        ``to_long`` at once.  ``before_word``, unless None, is called before
+        bucket overflows its longest short list is evicted; once it fits,
+        that word's evictions go to ``to_long`` in eviction order, so a
+        ``to_long`` that raises leaves the bucket fully drained, as the
+        per-word loop did.  ``before_word``, unless None, is called before
         every word.
 
         Returns ``(new, bucket, long, migrations, npostings)``: the
@@ -294,14 +296,17 @@ class BucketManager:
                 self._record(bucket_id)
             else:
                 self._step += 1
-            while len(lists) + bucket.npostings > bucket.capacity:
-                evicted = bucket.remove_longest()
-                migrations += 1
-                if watched:
-                    self._record(bucket_id)
-                else:
-                    self._step += 1
-                to_long(*evicted)
+            if len(lists) + bucket.npostings > bucket.capacity:
+                evicted = []
+                while len(lists) + bucket.npostings > bucket.capacity:
+                    evicted.append(bucket.remove_longest())
+                    migrations += 1
+                    if watched:
+                        self._record(bucket_id)
+                    else:
+                        self._step += 1
+                for mword, mpayload in evicted:
+                    to_long(mword, mpayload)
         return new, in_bucket, nlong, migrations, npostings
 
     def remove(self, word: int) -> PostingPayload:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import io
 import struct
+from itertools import chain, starmap
 from typing import BinaryIO
 
 from dataclasses import replace as _dc_replace
@@ -54,6 +55,7 @@ from .postings import (
     DocPostings,
     decode_doc_ids,
     encode_doc_ids,
+    encode_gaps,
 )
 
 _MAGIC = b"DSIX"
@@ -82,17 +84,34 @@ class CheckpointError(Exception):
 
 # -- low-level helpers ---------------------------------------------------------
 
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_F64 = struct.Struct("<d")
+_CHUNK = struct.Struct("<IQQQQ")
+#: A keyed entry's head: the u64 key and a u32 (a chunk or byte count).
+_KEY_U32 = struct.Struct("<QI")
+#: An update-size estimate: the word and its f64.
+_KEY_F64 = struct.Struct("<Qd")
+#: A short list's entry head: the word, the payload tag, the byte count
+#: of a ``D``/``P`` payload or a ``C`` payload's count.
+_LIST_BYTES = struct.Struct("<QcI")
+_LIST_COUNT = struct.Struct("<QcQ")
+#: A bucket named by a record: its id and its head's entry count; a
+#: base's buckets have no head, so the tail's count follows.
+_BUCKET = struct.Struct("<II")
+_BASE_BUCKET = struct.Struct("<III")
+
 
 def _w_u32(fp: BinaryIO, value: int) -> None:
-    fp.write(struct.pack("<I", value))
+    fp.write(_U32.pack(value))
 
 
 def _w_u64(fp: BinaryIO, value: int) -> None:
-    fp.write(struct.pack("<Q", value))
+    fp.write(_U64.pack(value))
 
 
 def _w_f64(fp: BinaryIO, value: float) -> None:
-    fp.write(struct.pack("<d", value))
+    fp.write(_F64.pack(value))
 
 
 def _w_bytes(fp: BinaryIO, data: bytes) -> None:
@@ -140,17 +159,14 @@ def _r_str(fp: BinaryIO) -> str:
     return _r_bytes(fp).decode("utf-8")
 
 
-def _w_chunk(fp: BinaryIO, chunk: Chunk) -> None:
-    fp.write(
-        struct.pack(
-            "<IQQQQ",
-            chunk.disk,
-            chunk.start,
-            chunk.nblocks,
-            chunk.npostings,
-            chunk.reserved,
-        )
+def _pack_chunk(chunk: Chunk) -> bytes:
+    return _CHUNK.pack(
+        chunk.disk, chunk.start, chunk.nblocks, chunk.npostings, chunk.reserved
     )
+
+
+def _w_chunk(fp: BinaryIO, chunk: Chunk) -> None:
+    fp.write(_pack_chunk(chunk))
 
 
 def _r_chunk(fp: BinaryIO) -> Chunk:
@@ -168,31 +184,80 @@ def _r_chunk(fp: BinaryIO) -> Chunk:
 
 
 def _w_chunks(fp: BinaryIO, chunks: list[Chunk]) -> None:
-    _w_u32(fp, len(chunks))
-    for chunk in chunks:
-        _w_chunk(fp, chunk)
+    fp.write(_U32.pack(len(chunks)) + b"".join(map(_pack_chunk, chunks)))
 
 
 def _r_chunks(fp: BinaryIO) -> list[Chunk]:
     return [_r_chunk(fp) for _ in range(_r_u32(fp))]
 
 
-def _w_entry(fp: BinaryIO, entry: LongListEntry) -> None:
-    _w_chunks(fp, entry.chunks)
+def _pack_entry(word: int, entry: LongListEntry) -> bytes:
+    """A directory entry: the word and its chunk records."""
+    chunks = entry.chunks
+    return _KEY_U32.pack(word, len(chunks)) + b"".join(
+        map(_pack_chunk, chunks)
+    )
 
 
-def _w_payload(fp: BinaryIO, payload) -> None:
+def _pack_block(block: int, data: bytes) -> bytes:
+    return _KEY_U32.pack(block, len(data)) + data
+
+
+def _list_entries(seen: dict, encoded: dict, lists: dict, words) -> list:
+    """The entries of the short lists ``lists[word]`` for ``words``, in
+    order: each word as a u64 key, then its payload's tag and bytes.
+    The one place a checkpoint makes payload bytes.
+
+    A :class:`DocPostings` list's entry is kept in ``encoded`` as
+    ``(length, last id, entry)``.  An entry found in ``seen`` is reused
+    while ``ids[length - 1] == last``: a word's short list only loses ids
+    or gains the ids of documents added later, so that test pins the
+    first ``length`` ids (DESIGN.md §19), and only the ids after them
+    are encoded.
+    """
+    out = []
+    for word in words:
+        payload = lists[word]
+        if not isinstance(payload, DocPostings):
+            out.append(_other_entry(word, payload))
+            continue
+        ids = payload.doc_ids
+        known = seen.get(word)
+        if known is not None:
+            length, last, entry = known
+            if len(ids) >= length and ids[length - 1] == last:
+                if len(ids) > length:
+                    gaps = encode_gaps(last, ids[length:])
+                    data = memoryview(entry)[_LIST_BYTES.size :]
+                    entry = b"".join(
+                        (
+                            _LIST_BYTES.pack(
+                                word, b"D", len(data) + len(gaps)
+                            ),
+                            data,
+                            gaps,
+                        )
+                    )
+                    known = (len(ids), ids[-1], entry)
+                encoded[word] = known
+                out.append(entry)
+                continue
+        data = encode_gaps(-1, ids)
+        entry = _LIST_BYTES.pack(word, b"D", len(data)) + data
+        if ids:
+            encoded[word] = (len(ids), ids[-1], entry)
+        out.append(entry)
+    return out
+
+
+def _other_entry(word: int, payload) -> bytes:
+    """:func:`_list_entries` for a payload that is not a DocPostings."""
     if isinstance(payload, CountPostings):
-        fp.write(b"C")
-        _w_u64(fp, payload.count)
-    elif isinstance(payload, PositionalPostings):
-        fp.write(b"P")
-        _w_bytes(fp, payload.encode())
-    elif isinstance(payload, DocPostings):
-        fp.write(b"D")
-        _w_bytes(fp, payload.encode())
-    else:
-        raise CheckpointError(f"cannot checkpoint payload {type(payload)!r}")
+        return _LIST_COUNT.pack(word, b"C", payload.count)
+    if isinstance(payload, PositionalPostings):
+        data = payload.encode()
+        return _LIST_BYTES.pack(word, b"P", len(data)) + data
+    raise CheckpointError(f"cannot checkpoint payload {type(payload)!r}")
 
 
 def _r_payload(fp: BinaryIO):
@@ -307,7 +372,7 @@ def save(index: DualStructureIndex, fp: BinaryIO) -> None:
     allocator (whose internal state is not interval-shaped).
     """
     save_header(index, fp)
-    save_record(index, None, fp)
+    save_record(index, None, fp, {})
 
 
 def load(fp: BinaryIO) -> DualStructureIndex:
@@ -377,25 +442,29 @@ def _dirty_tail(mapping, dirty) -> list:
     return keys
 
 
-def _w_delta(fp: BinaryIO, mapping, dirty, write_value) -> None:
-    """Head then tail entries of ``mapping`` over the keys ``dirty``."""
+def _w_delta(fp: BinaryIO, mapping, dirty, pack) -> None:
+    """Head then tail entries of ``mapping`` over the keys ``dirty``,
+    each entry ``pack(key, value)``, in one write."""
     if dirty is None:
-        head, tail = (), mapping.items()
+        head, tail = (), mapping
+        tail_entries = starmap(pack, mapping.items())
     else:
-        keys = _dirty_tail(mapping, dirty)
-        in_tail = set(keys)
-        head = [
-            (key, mapping[key])
-            for key in sorted(
-                k for k in dirty if k in mapping and k not in in_tail
-            )
-        ]
-        tail = [(key, mapping[key]) for key in keys]
-    for entries in (head, tail):
-        _w_u32(fp, len(entries))
-        for key, value in entries:
-            _w_u64(fp, key)
-            write_value(fp, value)
+        tail = _dirty_tail(mapping, dirty)
+        in_tail = set(tail)
+        head = sorted(
+            k for k in dirty if k in mapping and k not in in_tail
+        )
+        tail_entries = map(pack, tail, map(mapping.__getitem__, tail))
+    fp.write(
+        b"".join(
+            [
+                _U32.pack(len(head)),
+                *map(pack, head, map(mapping.__getitem__, head)),
+                _U32.pack(len(tail)),
+                *tail_entries,
+            ]
+        )
+    )
 
 
 def _r_delta(fp: BinaryIO, mapping: dict, dirty, read_value) -> list:
@@ -430,6 +499,53 @@ def _by_bucket(buckets: BucketManager, words) -> dict[int, set[int] | None]:
     return groups
 
 
+def _w_buckets(
+    fp: BinaryIO, buckets: BucketManager, words, encoded: dict
+) -> None:
+    """The short lists of a record: for each bucket a dirty word hashes
+    to, in bucket order, the :func:`_w_delta` of its lists over the
+    dirty words; for a base (``words`` is ``None``) every bucket that
+    holds lists, each written whole.
+
+    The dirty words are grouped by bucket in one pass, and the tail test
+    asks the whole dirty set (every word in a bucket's lists hashes to
+    that bucket).  A base rebuilds ``encoded`` from the entries it
+    writes, so a word no longer in a bucket leaves it.
+    """
+    parts = []
+    if words is None:
+        seen = encoded.copy()
+        encoded.clear()
+        ngroups = 0
+        for bucket_id, bucket in enumerate(buckets.buckets):
+            lists = bucket.lists
+            if lists:
+                ngroups += 1
+                parts.append(_BASE_BUCKET.pack(bucket_id, 0, len(lists)))
+                parts += _list_entries(seen, encoded, lists, lists)
+    else:
+        hash_fn = buckets.hash_fn
+        groups: dict[int, list[int]] = {}
+        for word in sorted(words):
+            groups.setdefault(hash_fn(word), []).append(word)
+        ngroups = len(groups)
+        for bucket_id in sorted(groups):
+            lists = buckets.buckets[bucket_id].lists
+            tail = _dirty_tail(lists, words)
+            in_tail = set(tail)
+            head = [
+                word
+                for word in groups[bucket_id]
+                if word in lists and word not in in_tail
+            ]
+            parts.append(_BUCKET.pack(bucket_id, len(head)))
+            parts += _list_entries(encoded, encoded, lists, head)
+            parts.append(_U32.pack(len(tail)))
+            parts += _list_entries(encoded, encoded, lists, tail)
+    _w_u32(fp, ngroups)
+    fp.write(b"".join(parts))
+
+
 # Sections a record carries whole: each is small and rewritten by every
 # batch.
 
@@ -455,12 +571,15 @@ def _r_regions(fp: BinaryIO, index: DualStructureIndex) -> None:
 def _w_freelists(fp: BinaryIO, index: DualStructureIndex) -> None:
     """Free lists: the allocated state stored as free intervals."""
     for disk in index.array.disks:
-        intervals = list(disk.freelist.intervals())
-        _w_u64(fp, disk.freelist.nblocks)
-        _w_u64(fp, len(intervals))
-        for start, length in intervals:
-            _w_u64(fp, start)
-            _w_u64(fp, length)
+        intervals = [*chain.from_iterable(disk.freelist.intervals())]
+        fp.write(
+            struct.pack(
+                f"<QQ{len(intervals)}Q",
+                disk.freelist.nblocks,
+                len(intervals) // 2,
+                *intervals,
+            )
+        )
 
 
 def _r_freelists(fp: BinaryIO, index: DualStructureIndex) -> None:
@@ -494,8 +613,11 @@ _COUNTERS = (
 
 def _w_counters(fp: BinaryIO, index: DualStructureIndex) -> None:
     c = index.longlists.counters
-    for name in _COUNTERS:
-        _w_u64(fp, getattr(c, name))
+    fp.write(
+        struct.pack(
+            f"<{len(_COUNTERS)}Q", *[getattr(c, name) for name in _COUNTERS]
+        )
+    )
 
 
 def _r_counters(fp: BinaryIO, index: DualStructureIndex) -> None:
@@ -505,7 +627,10 @@ def _r_counters(fp: BinaryIO, index: DualStructureIndex) -> None:
 
 
 def save_record(
-    index: DualStructureIndex, dirty: DeltaJournal | None, fp
+    index: DualStructureIndex,
+    dirty: DeltaJournal | None,
+    fp,
+    encoded: dict,
 ) -> None:
     """Write the redo record from an earlier boundary of ``index`` to now.
 
@@ -519,6 +644,10 @@ def save_record(
     :class:`CheckpointError` when the journal cannot vouch for the
     divergence (bucket growth, crash recovery) — the caller takes a full
     checkpoint instead.
+
+    ``encoded`` holds the short-list entries earlier saves of this same
+    ``index`` wrote (:func:`_list_entries`); the save reuses and
+    refreshes them.  Pass a fresh dict to keep none.
     """
     _check_boundary(index)
     if dirty is None:
@@ -536,32 +665,28 @@ def save_record(
         blocks = [set() for _ in index.array.disks]
         for disk_id, block in dirty.dirty_blocks:
             blocks[disk_id].add(block)
-    fp.write(_RECORD_MAGIC)
-    fp.write(bytes([_VERSION]))
     buckets = index.buckets
-    _w_u32(fp, buckets.nbuckets)
-    _w_u64(fp, index._batches)
-    _w_u64(fp, index._next_doc_id)
-    _w_u32(fp, index.array._next_disk)
+    fp.write(
+        _RECORD_MAGIC
+        + bytes([_VERSION])
+        + struct.pack(
+            "<IQQI",
+            buckets.nbuckets,
+            index._batches,
+            index._next_doc_id,
+            index.array._next_disk,
+        )
+    )
     _w_dirty(fp, words)
     longlists = index.longlists
-    _w_delta(fp, longlists.directory._entries, words, _w_entry)
-    # A checkpoint names only the buckets that hold lists.
-    groups = [
-        (bucket_id, group)
-        for bucket_id, group in sorted(_by_bucket(buckets, words).items())
-        if group is not None or buckets.buckets[bucket_id].lists
-    ]
-    _w_u32(fp, len(groups))
-    for bucket_id, group in groups:
-        _w_u32(fp, bucket_id)
-        _w_delta(fp, buckets.buckets[bucket_id].lists, group, _w_payload)
-    _w_delta(fp, longlists._update_sizes, words, _w_f64)
+    _w_delta(fp, longlists.directory._entries, words, _pack_entry)
+    _w_buckets(fp, buckets, words, encoded)
+    _w_delta(fp, longlists._update_sizes, words, _KEY_F64.pack)
     _w_regions(fp, index)
     _w_freelists(fp, index)
     for disk, dirty_blocks in zip(index.array.disks, blocks):
         _w_dirty(fp, dirty_blocks)
-        _w_delta(fp, disk._blocks, dirty_blocks, _w_bytes)
+        _w_delta(fp, disk._blocks, dirty_blocks, _pack_block)
     _w_counters(fp, index)
     if dirty is None:
         faults.crash_point(CP_END_SAVE)

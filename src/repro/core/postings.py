@@ -23,7 +23,6 @@ of postings at a time).
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import sub
 from typing import Iterable, Protocol, runtime_checkable
 
 
@@ -66,10 +65,9 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
         shift += 7
 
 
-# Byte <-> id-step tables for blocks whose gaps all fit one varint byte:
+# Byte -> id-step table for blocks whose gaps all fit one varint byte:
 # a stored byte ``b`` (gap - 1) is an id step of ``b + 1``.
 _PLUS_ONE = bytes(range(1, 256)) + b"\x00"
-_MINUS_ONE = b"\x00" + bytes(range(255))
 
 
 def encode_doc_ids(doc_ids: Iterable[int]) -> bytes:
@@ -77,33 +75,29 @@ def encode_doc_ids(doc_ids: Iterable[int]) -> bytes:
 
     The leading id is stored absolute, every later one as ``gap - 1``.
     """
-    ids = list(doc_ids)
-    if not ids:
-        return b""
-    first = ids[0]
-    if first < 0:
-        raise ValueError(
-            f"doc ids must be strictly increasing; {first} after -1"
-        )
-    steps = list(map(sub, ids[1:], ids))
-    if steps and min(steps) < 1:
-        at = next(i for i, step in enumerate(steps) if step < 1)
-        raise ValueError(
-            "doc ids must be strictly increasing; "
-            f"{ids[at + 1]} after {ids[at]}"
-        )
-    if not steps or max(steps) <= 0x80:
-        # Every gap is one byte — each block of a frequent word.
-        values, tail = [first], bytes(steps).translate(_MINUS_ONE)
-    else:
-        values, tail = [first, *[step - 1 for step in steps]], b""
+    return encode_gaps(-1, doc_ids)
+
+
+def encode_gaps(last: int, doc_ids: Iterable[int]) -> bytes:
+    """The bytes strictly increasing ``doc_ids`` add to the encoding of
+    a sequence that ends at ``last``: ``encode_doc_ids(a + b) ==
+    encode_doc_ids(a) + encode_gaps(a[-1], b)``.  Every id is stored as
+    its gap from the one before it, minus one, so a leading id stored
+    absolute is its gap from -1 and ``encode_doc_ids(b)`` is
+    ``encode_gaps(-1, b)``."""
     out = bytearray()
-    for value in values:
-        while value > 0x7F:
-            out.append(value & 0x7F | 0x80)
-            value >>= 7
-        out.append(value)
-    return bytes(out) + tail
+    for doc in doc_ids:
+        gap = doc - last - 1
+        if gap < 0:
+            raise ValueError(
+                f"doc ids must be strictly increasing; {doc} after {last}"
+            )
+        while gap > 0x7F:
+            out.append(gap & 0x7F | 0x80)
+            gap >>= 7
+        out.append(gap)
+        last = doc
+    return bytes(out)
 
 
 def decode_doc_ids(data: bytes) -> list[int]:

@@ -956,12 +956,14 @@ class AsyncShardGateway:
         # The compaction rule, not a missing chain, asks for this base.
         compaction = rs.base is not None and rs.wants_base()
         since = None if compaction else rs.token
+        started = time.perf_counter()
         try:
             reply = await self._locked_rpc(target, "checkpoint", (since,))
         except self._DEATH:
             self._note_death(rs, target)
             self.repl.checkpoints_deferred += 1
             return
+        ms = (time.perf_counter() - started) * 1e3
         if not rs.caught_up():
             self.repl.checkpoints_deferred += 1
             return
@@ -973,7 +975,7 @@ class AsyncShardGateway:
         kind = "record" if reply.record else "base"
         event(
             "checkpoint", shard=i, kind=kind, bytes=len(reply.blob),
-            compaction=compaction
+            ms=round(ms, 3), compaction=compaction
         )
         rs.oplog.clear()
         for replica in rs.replicas:

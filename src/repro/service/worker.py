@@ -161,6 +161,11 @@ class ShardWorker:
         self._since = DeltaJournal()
         self._token: int | None = None
         self._mark = self.writer.mark
+        # Each short list's entry as this process last wrote it, so a
+        # checkpoint encodes only the postings appended since (DESIGN.md
+        # §19).  The worker keeps it, not the payloads: QueryService and
+        # the bare index never checkpoint and pay nothing for it.
+        self._encoded: dict = {}
         # The flush → recover → publish → rebase state machine (DESIGN.md
         # §10.1).  Building it publishes the initial (empty or restored)
         # state, so readers always have a snapshot.
@@ -283,9 +288,9 @@ class ShardWorker:
         )
         buf = io.BytesIO()
         if record:
-            self.writer.save_record(buf, dirty, self._mark)
+            self.writer.save_record(buf, dirty, self._mark, self._encoded)
         else:
-            self.writer.save(buf)
+            self.writer.save_base(buf, self._encoded)
         self._token = secrets.randbits(64)
         self._mark = self.writer.mark
         self._since.clear()

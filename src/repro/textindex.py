@@ -413,15 +413,19 @@ class TextDocumentIndex:
         a failed save leaves the previous file whole.
         """
         if hasattr(target, "write"):
-            self._save(target)
+            self.save_base(target, {})
         else:
             with atomic_write(target) as fp:
-                self._save(fp)
+                self.save_base(fp, {})
 
-    def _save(self, fp) -> None:
+    def save_base(self, fp, encoded: dict) -> None:
+        """Write :meth:`save`'s bytes to the binary file object ``fp``,
+        reusing and refreshing the short-list entries in ``encoded``
+        (:func:`repro.core.checkpoint.save_record`): the dict a writer
+        keeps across its checkpoints."""
         fp.write(self._MAGIC)
         checkpoint.save_header(self.index, fp)
-        self.save_record(fp, None, (0, 0))
+        self.save_record(fp, None, (0, 0), encoded)
 
     @classmethod
     def load(cls, source) -> "TextDocumentIndex":
@@ -452,7 +456,9 @@ class TextDocumentIndex:
         record chains from (both only grow)."""
         return self.index.batches, len(self.vocabulary)
 
-    def save_record(self, target, dirty, mark: tuple[int, int]) -> None:
+    def save_record(
+        self, target, dirty, mark: tuple[int, int], encoded: dict
+    ) -> None:
         """Write the redo record from the boundary ``mark`` to now into
         the binary file object ``target``.
 
@@ -461,7 +467,8 @@ class TextDocumentIndex:
         core record of :func:`repro.core.checkpoint.save_record`, the
         words the vocabulary gained and, when it changed, the deletion
         set.  ``dirty=None`` with mark ``(0, 0)`` is the record from the
-        empty index, the body of :meth:`save`.  Raises
+        empty index, the body of :meth:`save`.  ``encoded`` is as for
+        :meth:`save_base`.  Raises
         :class:`~repro.core.checkpoint.CheckpointError` where :meth:`save`
         would, or when the journal cannot vouch for a record (growth,
         crash recovery): take a base instead.
@@ -470,7 +477,7 @@ class TextDocumentIndex:
         target.write(self._RECORD_MAGIC)
         target.write(struct.pack("<QQ", batches, nwords))
         core = io.BytesIO()
-        checkpoint.save_record(self.index, dirty, core)
+        checkpoint.save_record(self.index, dirty, core, encoded)
         blob = core.getvalue()
         target.write(struct.pack("<Q", len(blob)))
         target.write(blob)

@@ -12,12 +12,15 @@ by hand: after every checkpoint it adopts the answer and asserts that
 byte.  It also pins the token rule (a stale or discarded token, growth
 or recovery yields a base), that a record encodes exactly the dirty
 words' short lists — O(batch) without a clock — and that a truncated
-record raises :class:`CheckpointError`.
+record raises :class:`CheckpointError`.  The short-list entries a worker
+keeps across its checkpoints change no byte of any answer, and spare
+every encoding but that of the postings appended since.
 """
 
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -26,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core import checkpoint
 from repro.core.checkpoint import CheckpointError
+from repro.core.delta import DeltaJournal
 from repro.core.index import IndexConfig
 from repro.core.policy import Alloc, Limit, Policy, Style
 from repro.service.worker import ShardWorker, WorkerSpec
@@ -142,13 +146,15 @@ def test_restore_is_byte_identical_at_every_checkpoint(
     )
     gateway = Gateway(worker)
     written = []
-    real_w_payload = checkpoint._w_payload
+    real_list_entries = checkpoint._list_entries
 
-    def counting_w_payload(fp, payload):
-        written.append(payload)
-        real_w_payload(fp, payload)
+    def counting_list_entries(seen, encoded, lists, words):
+        written.extend(lists[word] for word in words)
+        return real_list_entries(seen, encoded, lists, words)
 
-    with mock.patch.object(checkpoint, "_w_payload", counting_w_payload):
+    with mock.patch.object(
+        checkpoint, "_list_entries", counting_list_entries
+    ):
         _run(worker, gateway, script, crash_safe, written)
 
 
@@ -330,4 +336,168 @@ class TestRecordFormat:
         reply = gateway.checkpoint(gateway.token)
         assert reply.record
         assert len(reply.blob) * 4 < len(gateway.base)
+        assert gateway.restored() == save(worker.writer)
+
+
+def cold_answer(worker: ShardWorker, since) -> bytes:
+    """What ``worker.checkpoint(since)`` answers, written with no kept
+    short-list entries: every list encoded from its first id."""
+    dirty = DeltaJournal()
+    dirty.absorb(worker._since)
+    dirty.absorb(worker.writer.delta)
+    buf = io.BytesIO()
+    if since is not None and since == worker._token and not dirty.requires_full:
+        worker.writer.save_record(buf, dirty, worker._mark, {})
+    else:
+        worker.writer.save_base(buf, {})
+    return buf.getvalue()
+
+
+adds = st.tuples(
+    st.just("add"), st.lists(st.sampled_from(WORDS), min_size=1, max_size=8)
+)
+memo_ops = st.lists(
+    st.one_of(
+        adds,
+        adds,
+        st.tuples(st.just("delete"), st.integers(0, 200)),
+        st.tuples(st.just("delete and sweep"), st.integers(0, 200)),
+        st.tuples(st.just("flush"), st.just(None)),
+        st.tuples(st.just("grow"), st.just(None)),
+        st.tuples(st.just("crash"), st.sampled_from(CRASH_POINTS)),
+        st.tuples(st.just("respawn"), st.just(None)),
+        st.tuples(st.just("checkpoint"), st.sampled_from(["chain", "base"])),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    read_tier=st.sampled_from(["snapshot", "immediate"]),
+    policy=st.sampled_from(POLICIES),
+    script=memo_ops,
+)
+def test_kept_entries_write_what_cleared_ones_write(read_tier, policy, script):
+    """Appends, deletions and sweeps, evictions (small buckets), growth,
+    recovered crashes and a respawn from the restore point: every base
+    and record a worker answers with its kept entries is the one it
+    writes with none."""
+    spec = WorkerSpec(
+        shard_id=0, index_config=config(policy, True), read_tier=read_tier
+    )
+    worker = ShardWorker(spec)
+    gateway = Gateway(worker)
+    for op, arg in script:
+        if op == "add":
+            worker.add_document(" ".join(arg))
+        elif op.startswith("delete"):
+            if worker.writer.ndocs:
+                worker.delete_document(arg % worker.writer.ndocs)
+            if op == "delete and sweep":
+                worker.writer.sweep_deletions()
+        elif op == "flush":
+            worker.flush()
+        elif op == "grow":
+            worker.flush(grow=True)
+        elif op == "crash":
+            # Crash safety is the host's: a respawned writer has none.
+            if worker.writer.crash_safe:
+                with faults.injected(FaultPlan(crash_at=arg)):
+                    worker.flush()
+        elif op == "respawn":
+            if gateway.base is not None:
+                worker = gateway.worker = ShardWorker(
+                    replace(spec, restore=(gateway.base, *gateway.chain))
+                )
+        else:
+            worker.flush()
+            since = gateway.token if arg == "chain" else None
+            want = cold_answer(worker, since)
+            assert gateway.checkpoint(since).blob == want
+            assert gateway.restored() == save(worker.writer)
+
+
+class TestKeptEntries:
+    def test_only_appended_postings_are_encoded(self):
+        """A second base with no write in between encodes no short list;
+        a record encodes each dirty list's postings appended since, and
+        a new word's list whole."""
+        worker = ShardWorker(
+            WorkerSpec(
+                shard_id=0,
+                index_config=IndexConfig(
+                    nbuckets=4, bucket_size=1000, store_contents=True
+                ),
+            )
+        )
+        words = "alpha beta gamma delta epsilon zeta eta theta iota".split()
+        for k in range(6):
+            worker.add_document(" ".join(words[: 4 + k]))
+        worker.flush()
+        gateway = Gateway(worker)
+        gateway.checkpoint(None)
+        calls = []
+        real_encode_gaps = checkpoint.encode_gaps
+        real_encode_doc_ids = checkpoint.encode_doc_ids
+
+        def encode_gaps(last, ids):
+            calls.append((last, list(ids)))
+            return real_encode_gaps(last, ids)
+
+        def encode_doc_ids(ids):
+            ids = list(ids)
+            calls.append(("doc ids", ids))
+            return real_encode_doc_ids(ids)
+
+        with mock.patch.multiple(
+            checkpoint, encode_gaps=encode_gaps, encode_doc_ids=encode_doc_ids
+        ):
+            assert not gateway.checkpoint(None).record
+            assert calls == []
+
+            writer = worker.writer
+            word = writer.vocabulary.lookup
+            lists = writer.index.buckets
+            last = {w: lists.get(word(w)).doc_ids[-1] for w in words[:2]}
+            a = worker.add_document("alpha beta fresh")
+            b = worker.add_document("beta")
+            worker.flush()
+            assert gateway.checkpoint(gateway.token).record
+        gaps = sorted(call for call in calls if call[0] != "doc ids")
+        assert gaps == sorted(
+            [(last["alpha"], [a]), (last["beta"], [a, b]), (-1, [a])]
+        )
+        assert gateway.restored() == save(worker.writer)
+
+    def test_a_swept_list_that_regrows_is_encoded_again(self):
+        """A sweep takes an id out of the middle of a kept list and an
+        add brings it back to its kept length: the last id no longer
+        matches, so the list is encoded whole."""
+        worker = ShardWorker(
+            WorkerSpec(
+                shard_id=0,
+                index_config=IndexConfig(
+                    nbuckets=1, bucket_size=1000, store_contents=True
+                ),
+            )
+        )
+        for _ in range(3):
+            worker.add_document("alpha")
+        worker.flush()
+        gateway = Gateway(worker)
+        gateway.checkpoint(None)
+        worker.delete_document(0)
+        worker.writer.sweep_deletions()
+        worker.add_document("alpha")
+        worker.flush()
+        want = cold_answer(worker, gateway.token)
+        reply = gateway.checkpoint(gateway.token)
+        assert reply.record
+        assert reply.blob == want
         assert gateway.restored() == save(worker.writer)

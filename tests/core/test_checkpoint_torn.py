@@ -102,7 +102,7 @@ def text_base_and_record():
     index.flush_batch()
     index.delete_document(11)
     record = io.BytesIO()
-    index.save_record(record, index.delta, mark)
+    index.save_record(record, index.delta, mark, {})
     return base.getvalue(), record.getvalue()
 
 

@@ -487,6 +487,28 @@ class TestGatewayService:
         finally:
             service.close()
 
+    def test_checkpoint_events_carry_their_wall_time(self, events):
+        """Every flush round checkpoints each shard, and its event names
+        the answer's kind, its size and the RPC's wall time."""
+        service = GatewayService(small_config(), shards=2)
+        try:
+            for round_ in range(2):
+                for text in DOCS:
+                    service.add_document(f"{text} r{round_}")
+                service.flush_and_publish()
+            rounds = [
+                fields for name, fields in events if name == "checkpoint"
+            ]
+            # The shards of one round answer in either order.
+            kinds = [(f["shard"], f["kind"]) for f in rounds]
+            assert sorted(kinds[:2]) == [(0, "base"), (1, "base")]
+            assert sorted(kinds[2:]) == [(0, "record"), (1, "record")]
+            for fields in rounds:
+                assert fields["bytes"] > 0
+                assert fields["ms"] > 0
+        finally:
+            service.close()
+
     # A lone caller drives the loop on its own thread; a concurrent
     # caller rides the driver's loop, and a driver that leaves while
     # others are inside hands the loop to a gateway-loop thread, which
