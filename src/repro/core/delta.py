@@ -13,11 +13,11 @@ batch's dirty vocabulary, and so a shard worker can cut a redo record
 its last checkpoint, folded together with :meth:`DeltaJournal.absorb`.
 
 The journal is created once by ``DualStructureIndex`` (content mode
-only) and fed by the ``journal`` hooks of the disks, the bucket manager,
-the long-list manager and the flush manager, and by the deletion
-manager.  It is a single long-lived object cleared in place after each
-successful publish, and recovery restores the structures in place, so
-the hooks are wired once.
+only), when a full copy of the volume is first taken, and fed by the
+``journal`` hooks of the disks, the bucket manager, the long-list manager
+and the flush manager, and by the deletion manager.  It is a single
+long-lived object cleared in place after each successful publish, and
+recovery restores the structures in place, so the hooks are wired once.
 
 The structure hooks (``note_bucket``, ``note_word``, ``note_blocks``)
 have two consumers.  On a ``crash_safe`` volume the structures point at

@@ -27,6 +27,7 @@ class InMemoryIndex:
         self._lists: dict[int, PostingPayload] = {}
         self._ndocs = 0
         self._npostings = 0
+        self._last_doc = -1  # the batch's highest doc id; no list ends above
         # Cached ascending key list for items()/items_by_bucket — the
         # flush hot path iterates it once per batch, and re-sorting the
         # whole dict per call is O(W log W) for work only new words
@@ -59,27 +60,27 @@ class InMemoryIndex:
 
         Duplicate words within the document are dropped, as the paper's
         lexical analysis does (§4.2).  Documents must arrive in increasing
-        id order so posting lists stay sorted.
+        id order so posting lists stay sorted: an id not above the batch's
+        highest raises ``ValueError`` and leaves the batch as it was.  That
+        one check stands in for one per posting, so no payload re-checks.
         """
+        if doc_id <= self._last_doc:
+            raise ValueError(f"doc ids must increase: {doc_id} after {self._last_doc}")
         lists = self._lists
-        seen: set[int] = set()
-        npostings = 0
+        get = lists.get
+        words = dict.fromkeys(words)
         for word in words:
-            if word in seen:
-                continue
-            seen.add(word)
-            payload = lists.get(word)
+            payload = get(word)
             if payload is None:
-                lists[word] = DocPostings((doc_id,))
+                payload = lists[word] = object.__new__(DocPostings)
+                payload.doc_ids = [doc_id]
                 self._sorted_words = None
             elif type(payload) is DocPostings:
-                # Hot path: append into the existing list instead of
-                # allocating a throwaway single-element payload per posting.
-                payload.append_doc(doc_id)
+                payload.doc_ids.append(doc_id)
             else:
                 payload.extend(DocPostings([doc_id]))
-            npostings += 1
-        self._npostings += npostings
+        self._last_doc = doc_id
+        self._npostings += len(words)
         self._ndocs += 1
 
     def add_document_occurrences(
@@ -188,15 +189,14 @@ class InMemoryIndex:
         a host takes no document between an aborted flush and its
         ``recover()``.
         """
-        return list(self._lists.items()), self._ndocs, self._npostings
+        lists = list(self._lists.items())
+        return lists, self._ndocs, self._npostings, self._last_doc
 
     def restore(self, snapshot: tuple) -> None:
         """Replace the batch contents with a :meth:`snapshot`'s payloads,
         which this index owns (and extends) from then on."""
-        lists, ndocs, npostings = snapshot
+        lists, self._ndocs, self._npostings, self._last_doc = snapshot
         self._lists = dict(lists)
-        self._ndocs = ndocs
-        self._npostings = npostings
         self._sorted_words = None
 
     def clear(self) -> None:
@@ -208,4 +208,5 @@ class InMemoryIndex:
         self._lists = {}
         self._ndocs = 0
         self._npostings = 0
+        self._last_doc = -1
         self._sorted_words = None

@@ -231,23 +231,6 @@ class DocPostings:
                 )
             self.doc_ids.extend(other.doc_ids)
 
-    def append_doc(self, doc_id: int) -> None:
-        """Append one posting without building a temporary payload.
-
-        Fast path for the per-posting indexing hot loop; equivalent to
-        ``extend(DocPostings([doc_id]))`` including the ordering check.
-        """
-        ids = self.doc_ids
-        if ids:
-            if doc_id <= ids[-1]:
-                raise ValueError(
-                    "appended postings must have larger doc ids "
-                    f"({doc_id} after {ids[-1]})"
-                )
-        elif doc_id < 0:
-            raise ValueError("doc ids must be >= 0")
-        ids.append(doc_id)
-
     def split(self, npostings: int) -> tuple["DocPostings", "DocPostings"]:
         if npostings < 0:
             raise ValueError("split point must be >= 0")

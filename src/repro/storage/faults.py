@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .disk import SimulatedDisk
 from .diskarray import DiskArray
@@ -75,6 +76,11 @@ def crash_point(name: str) -> None:
     """Mark that execution reached ``name``; crashes when a plan says so."""
     if _ACTIVE is not None:
         _ACTIVE.reach(name)
+
+
+def armed(name: str):
+    """:func:`crash_point` at ``name`` while a plan is installed, else None."""
+    return None if _ACTIVE is None else partial(crash_point, name)
 
 
 def install(plan: "FaultPlan") -> None:

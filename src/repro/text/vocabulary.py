@@ -18,12 +18,23 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
+class _Ids(dict):
+    """word -> id, where looking up an unseen word assigns it the next id
+    and appends it to the vocabulary's ``words``."""
+
+    def __missing__(self, word: str) -> int:
+        word_id = self[word] = len(self.words)
+        self.words.append(word)
+        return word_id
+
+
 class Vocabulary:
     """Bidirectional word ⇄ id mapping with arrival-order ids."""
 
     def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
         self._words: list[str] = []
+        self._ids = _Ids()
+        self._ids.words = self._words
 
     def __len__(self) -> int:
         return len(self._words)
@@ -33,12 +44,7 @@ class Vocabulary:
 
     def id_of(self, word: str) -> int:
         """The id for ``word``, assigning a fresh one if unseen."""
-        word_id = self._ids.get(word)
-        if word_id is None:
-            word_id = len(self._words)
-            self._ids[word] = word_id
-            self._words.append(word)
-        return word_id
+        return self._ids[word]
 
     def lookup(self, word: str) -> int | None:
         """The id for ``word`` if it has one, else None (no assignment)."""
@@ -49,12 +55,17 @@ class Vocabulary:
         return self._words[word_id]
 
     def ids_of(self, words: Iterable[str]) -> list[int]:
-        """Map many words, assigning ids as needed."""
-        return [self.id_of(w) for w in words]
+        """Map many words, assigning ids as needed: what an :meth:`id_of`
+        loop returns, in one pass that reads ``words`` once."""
+        return list(map(self._ids.__getitem__, words))
 
     def words(self) -> Iterator[str]:
         """All words in id order."""
         return iter(self._words)
+
+    def words_since(self, start: int) -> list[str]:
+        """The words with ids ``start`` and up, in id order."""
+        return self._words[start:]
 
 
 class VocabularyView:
@@ -111,6 +122,9 @@ class VocabularyView:
 
     def words(self) -> Iterator[str]:
         return iter(self._base._words[: self._size])
+
+    def words_since(self, start: int) -> list[str]:
+        return self._base._words[start : self._size]
 
 
 def alphabetical_ids(words: Iterable[str]) -> dict[str, int]:

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import io
 import struct
+import sys
+from array import array
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from .core import checkpoint
 from .core.deletion import DeletionManager, SweepStats
@@ -36,7 +38,7 @@ from .query import vector as vector_query
 from .query.vector import ScoredDocument
 from .storage import atomic_write
 from .text.occurrences import RegionRules, tokenize_occurrences
-from .text.tokenizer import TokenizerConfig, tokenize, tokenize_document
+from .text.tokenizer import TokenizerConfig, tokenize
 from .text.vocabulary import Vocabulary, VocabularyView
 
 
@@ -88,8 +90,8 @@ class TextDocumentIndex:
             return self.index.add_document_occurrences(
                 occurrences, doc_id=doc_id
             )
-        words = tokenize_document(text, self.tokenizer_config)
-        word_ids = [self.vocabulary.id_of(w) for w in words]
+        # A repeated word maps to its id again; the batch drops the repeat.
+        word_ids = self.vocabulary.ids_of(tokenize(text, self.tokenizer_config))
         return self.index.add_document(word_ids, doc_id=doc_id)
 
     def flush_batch(self) -> BatchResult:
@@ -483,13 +485,13 @@ class TextDocumentIndex:
         target.write(blob)
         # The words the vocabulary gained: their lengths in characters,
         # then all of them as one UTF-8 run.
-        words = list(islice(self.vocabulary.words(), nwords, None))
+        words = self.vocabulary.words_since(nwords)
         data = "".join(words).encode("utf-8")
-        target.write(
-            struct.pack(
-                f"<QQ{len(words)}I", len(words), len(data), *map(len, words)
-            )
-        )
+        lengths = array("I", map(len, words))
+        if sys.byteorder == "big":
+            lengths.byteswap()
+        target.write(struct.pack("<QQ", len(words), len(data)))
+        target.write(lengths)
         target.write(data)
         if dirty is None or dirty.deletions_changed:
             deleted = sorted(self.deletions.deleted)

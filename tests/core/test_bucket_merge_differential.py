@@ -187,6 +187,9 @@ def twin_indexes(s):
     )
     indexes = [DualStructureIndex(config), DualStructureIndex(config)]
     for index in indexes:
+        # Journal from the start, as a published volume does, so every
+        # batch's dirty sets are compared below.
+        index.begin_journal()
         hash_fn = make_hash(s["nbuckets"], s["stray"])
         if hash_fn is not None:
             index.buckets.hash_fn = hash_fn
