@@ -289,6 +289,8 @@ class ShardedTextIndex:
             # Clones exist at batch boundaries only.
             vol.flush_batch()
         clone = vol.clone()
+        # Both halves are writers whose journals begin at this copy.
+        clone.index.begin_journal()
         self.shards.append(clone)
         for doc_id in movers:
             vol.delete_document(doc_id)

@@ -279,10 +279,14 @@ class ShardWorker:
         dirty = DeltaJournal()
         dirty.absorb(self._since)
         # Mutations not yet published (none at a gateway flush boundary)
-        # belong in the record too.
-        dirty.absorb(self.writer.delta)
+        # belong in the record too; with no journal nothing covers them,
+        # and only a base will do.
+        delta = self.writer.delta
+        if delta is not None:
+            dirty.absorb(delta)
         record = (
-            since is not None
+            delta is not None
+            and since is not None
             and since == self._token
             and not dirty.requires_full
         )
