@@ -57,7 +57,6 @@ def _make_writer() -> TextDocumentIndex:
             block_postings=16,
             ndisks=2,
             nblocks_override=500_000,
-            store_contents=True,
         )
     )
 

@@ -68,7 +68,6 @@ def _config() -> IndexConfig:
         block_postings=8,
         ndisks=2,
         nblocks_override=200_000,
-        store_contents=True,
     )
 
 

@@ -57,7 +57,6 @@ def _config(grow: bool = False) -> IndexConfig:
         block_postings=8,
         ndisks=2,
         nblocks_override=200_000,
-        store_contents=True,
         crash_safe=True,
         grow_buckets=grow,
         growth=GrowthPolicy(occupancy_threshold=0.55),
@@ -147,7 +146,6 @@ def _storm_config() -> IndexConfig:
         block_postings=16,
         ndisks=2,
         nblocks_override=100_000,
-        store_contents=True,
         crash_safe=True,
         grow_buckets=True,
         growth=GrowthPolicy(occupancy_threshold=0.5),

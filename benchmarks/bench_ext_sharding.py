@@ -61,7 +61,7 @@ def _corpus():
 
 
 def _config():
-    return IndexConfig(nbuckets=64, bucket_size=256, store_contents=True)
+    return IndexConfig(nbuckets=64, bucket_size=256)
 
 
 def _p95_ms(samples):

@@ -23,6 +23,14 @@ process is pinned to one CPU, as a harness replica is, and every figure
 is from the replay whose pieces summed to the least time of
 ``--repeat``.
 
+The harness's machine-speed probe (``estimator.speed_probe``) runs before
+the first replay and after each one, and every replay is listed with the
+probes on its two sides and its slowdown factor
+(``estimator.speed_factors``: the smaller of those two probes over the
+run's fastest).  A replay marked ``slow`` ran while the machine was
+slower than at its fastest, so its figures cannot tell a slow period from
+a regression.
+
     python3 benchmarks/ingest_probe.py                        # seed 1994, 20 s script
     python3 benchmarks/ingest_probe.py --seed 27182 --repeat 5
     python3 benchmarks/ingest_probe.py --seconds 2 --repeat 1  # CI smoke
@@ -42,6 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks" / "harness"))
 
+from estimator import speed_factors, speed_probe  # noqa: E402
 from repro.text.tokenizer import tokenize  # noqa: E402
 from workloads import paper_batch  # noqa: E402
 
@@ -134,13 +143,25 @@ def main(argv: list[str]) -> int:
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     workload = paper_batch(args.seed, args.seconds, lambda: None)
-    runs = [replay(workload) for _ in range(max(1, args.repeat))]
+    runs, probes = [], [speed_probe()]
+    for _ in range(max(1, args.repeat)):
+        runs.append(replay(workload))
+        probes.append(speed_probe())
+    factors = speed_factors(range(len(probes)), probes, len(runs), min(probes))
     best = min(runs, key=lambda run: sum(run[piece] for piece in PIECES))
     docs = best["docs"]
     print(
         f"paper-batch seed {args.seed}, {args.seconds:g} s script: {docs} "
         f"docs, {best['batches']} batches, best of {len(runs)} replays"
     )
+    for n, (run, factor) in enumerate(zip(runs, factors)):
+        add = sum(run[piece] for piece in PIECES) / docs * 1e6
+        print(
+            f"  replay {n + 1}: add {add:7.2f} us/doc, speed probe "
+            f"{probes[n] * 1e3:.2f} -> {probes[n + 1] * 1e3:.2f} ms, "
+            f"x{factor:.3f}{'  slow' if factor > 1.0 else ''}"
+            f"{'  (best)' if run is best else ''}"
+        )
     print("without collections:")
     for piece in PIECES:
         print(f"  {piece:<13}{best[piece] / docs * 1e6:8.2f} us/doc")

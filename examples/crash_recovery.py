@@ -28,7 +28,6 @@ def make_index() -> TextDocumentIndex:
             bucket_size=256,
             block_postings=32,
             policy=Policy.recommended_new(),
-            store_contents=True,
         )
     )
 

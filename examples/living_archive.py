@@ -49,7 +49,6 @@ def main() -> None:
             bucket_size=128,
             block_postings=32,
             policy=Policy.adaptive_new(),
-            store_contents=True,
             positional=True,
             grow_buckets=True,
             growth=GrowthPolicy(occupancy_threshold=0.6),

@@ -29,7 +29,6 @@ def main() -> None:
             bucket_size=256,
             block_postings=32,
             policy=Policy.recommended_new(),
-            store_contents=True,
         )
     )
 

@@ -53,7 +53,7 @@ def main() -> None:
     # The recommended update-leaning policy from the paper's Section 5.4:
     # new style, in-place updates, proportional reserved space (k = 2).
     index = TextDocumentIndex(
-        IndexConfig(policy=Policy.recommended_new(), store_contents=True)
+        IndexConfig(policy=Policy.recommended_new())
     )
 
     print("== Day 1: index three articles, flush one batch update ==")

@@ -131,7 +131,6 @@ def cmd_index(args) -> int:
     index = TextDocumentIndex(
         IndexConfig(
             policy=args.policy,
-            store_contents=True,
             positional=args.positional,
             nbuckets=args.nbuckets,
             bucket_size=args.bucket_size,

@@ -112,13 +112,13 @@ class BucketManager:
     :meth:`merge` runs the algorithm over one batch and hands every long
     word and every evicted short list — a short list promoted to a long
     list — to the caller's ``to_long``; the index facade and
-    ComputeBuckets route those to their long lists.  :meth:`insert` is
-    its one-word form.  This class knows nothing about disks.
+    ComputeBuckets route those to their long lists.  This class knows
+    nothing about disks.
     """
 
-    #: Delta-journal hook (attached by ``DualStructureIndex`` in content
-    #: mode); ``frozen`` is set on published snapshots by the debug-mode
-    #: write barrier (``invariants.freeze_index``).  Bucket instances are
+    #: Delta-journal hook (attached by ``DualStructureIndex``); ``frozen``
+    #: is set on published snapshots by the debug-mode write barrier
+    #: (``invariants.freeze_index``).  Bucket instances are
     #: shared between consecutive snapshots, so mutation is policed at the
     #: manager level (``Bucket`` uses ``__slots__`` and stays flag-free).
     journal = None
@@ -182,25 +182,6 @@ class BucketManager:
     def get(self, word: int) -> PostingPayload | None:
         """The word's short-list payload, or None."""
         return self.buckets[self.bucket_of(word)].lists.get(word)
-
-    def insert(
-        self, word: int, payload: PostingPayload
-    ) -> list[tuple[int, PostingPayload]]:
-        """Insert an in-memory list into the word's bucket.
-
-        Returns the migrations caused: while the bucket overflows, its
-        longest short list is evicted and reported for promotion to a long
-        list.  (An in-memory list larger than the whole bucket simply passes
-        straight through as its own migration.)  A one-word :meth:`merge`.
-        """
-        migrations: list[tuple[int, PostingPayload]] = []
-        self.merge(
-            ((word, payload),),
-            lambda word: False,
-            lambda mword, mpayload: migrations.append((mword, mpayload)),
-            None,
-        )
-        return migrations
 
     def merge(
         self,
@@ -308,22 +289,6 @@ class BucketManager:
                 for mword, mpayload in evicted:
                     to_long(mword, mpayload)
         return new, in_bucket, nlong, migrations, npostings
-
-    def remove(self, word: int) -> PostingPayload:
-        """Remove a word's short list (used when promoting externally)."""
-        if self.frozen:
-            from .delta import FrozenStateError
-
-            raise FrozenStateError(
-                "attempt to remove from a frozen (published) bucket manager"
-            )
-        bucket_id = self.bucket_of(word)
-        if self.journal is not None:
-            self.journal.note_bucket(bucket_id)
-            self.journal.note_word(word)
-        payload = self.buckets[bucket_id].remove(word)
-        self._record(bucket_id)
-        return payload
 
     # -- statistics ----------------------------------------------------------
 

@@ -5,8 +5,8 @@ The paper relies on periodic flushes of the buckets and directory so that
 (§1).  This module makes that concrete for the library: a checkpoint is a
 self-contained binary snapshot of everything the index needs to resume —
 configuration, directory, bucket contents, free-space maps, flush-region
-bookkeeping, the RELEASE list, counters, and (in content mode) the
-simulated disks' block payloads.
+bookkeeping, the RELEASE list, counters, and the simulated disks' block
+payloads.
 
 Checkpoints are only taken at batch boundaries (the in-memory batch must be
 empty), matching the paper's recovery granularity: work since the last flush
@@ -16,13 +16,13 @@ One codec writes and reads the index state.  A *redo record* (magic
 ``DSRD``, :func:`save_record` / :func:`apply_record`) carries an index
 from one batch boundary of a writer to a later one at the cost of what
 the batches in between dirtied.  A *checkpoint* (magic ``DSIX``,
-:func:`save` / :func:`load`) is the record cut from the empty index —
-every key dirty — under a header naming the configuration that empty
-index is built from.  So a restore point is a checkpoint plus a chain of
+:func:`save_header` / :func:`load_header`, then a record) is the record
+cut from the empty index — every key dirty — under a header naming the
+configuration that empty index is built from; ``TextDocumentIndex.save``
+/ ``load`` wrap it.  So a restore point is a checkpoint plus a chain of
 records (DESIGN.md §19).  Both are framed with the length-checked
 ``_w_*`` / ``_r_*`` helpers, so every truncation raises
-:class:`CheckpointError`.  ``save``/``load`` work on file paths or binary
-file objects.
+:class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .memindex import InMemoryIndex
 from .policy import Alloc, Limit, Policy, Style
 from .positional import PositionalPostings
 from .postings import (
-    CountPostings,
     DocPostings,
     decode_doc_ids,
     encode_doc_ids,
@@ -92,10 +91,9 @@ _CHUNK = struct.Struct("<IQQQQ")
 _KEY_U32 = struct.Struct("<QI")
 #: An update-size estimate: the word and its f64.
 _KEY_F64 = struct.Struct("<Qd")
-#: A short list's entry head: the word, the payload tag, the byte count
-#: of a ``D``/``P`` payload or a ``C`` payload's count.
+#: A short list's entry head: the word, the payload tag (``D`` or
+#: ``P``) and the payload's byte count.
 _LIST_BYTES = struct.Struct("<QcI")
-_LIST_COUNT = struct.Struct("<QcQ")
 #: A bucket named by a record: its id and its head's entry count; a
 #: base's buckets have no head, so the tail's count follows.
 _BUCKET = struct.Struct("<II")
@@ -252,8 +250,6 @@ def _list_entries(seen: dict, encoded: dict, lists: dict, words) -> list:
 
 def _other_entry(word: int, payload) -> bytes:
     """:func:`_list_entries` for a payload that is not a DocPostings."""
-    if isinstance(payload, CountPostings):
-        return _LIST_COUNT.pack(word, b"C", payload.count)
     if isinstance(payload, PositionalPostings):
         data = payload.encode()
         return _LIST_BYTES.pack(word, b"P", len(data)) + data
@@ -262,8 +258,6 @@ def _other_entry(word: int, payload) -> bytes:
 
 def _r_payload(fp: BinaryIO):
     tag = fp.read(1)
-    if tag == b"C":
-        return CountPostings(_r_u64(fp))
     if tag == b"D":
         return DocPostings.decode(_r_bytes(fp))
     if tag == b"P":
@@ -301,7 +295,7 @@ def _w_config(fp: BinaryIO, cfg: IndexConfig) -> None:
     _w_str(fp, cfg.policy.alloc.value)
     _w_f64(fp, cfg.policy.k)
     _w_u32(fp, cfg.policy.extent_blocks)
-    _w_u32(fp, 1 if cfg.store_contents else 0)
+    _w_u32(fp, 1)  # content mode, the only mode an index has
     _w_u32(fp, 1 if cfg.positional else 0)
     _w_u64(fp, cfg.nblocks_override or 0)
     _w_u32(fp, 1 if cfg.trace_enabled else 0)
@@ -310,20 +304,27 @@ def _w_config(fp: BinaryIO, cfg: IndexConfig) -> None:
 
 
 def _r_config(fp: BinaryIO) -> IndexConfig:
+    nbuckets = _r_u32(fp)
+    bucket_size = _r_u32(fp)
+    block_postings = _r_u32(fp)
+    ndisks = _r_u32(fp)
+    allocator = _r_str(fp)
+    policy = Policy(
+        style=Style(_r_str(fp)),
+        limit=Limit(_r_str(fp)),
+        alloc=Alloc(_r_str(fp)),
+        k=_r_f64(fp),
+        extent_blocks=_r_u32(fp),
+    )
+    if _r_u32(fp) != 1:
+        raise CheckpointError("a size-only checkpoint has no index to load")
     return IndexConfig(
-        nbuckets=_r_u32(fp),
-        bucket_size=_r_u32(fp),
-        block_postings=_r_u32(fp),
-        ndisks=_r_u32(fp),
-        allocator=_r_str(fp),
-        policy=Policy(
-            style=Style(_r_str(fp)),
-            limit=Limit(_r_str(fp)),
-            alloc=Alloc(_r_str(fp)),
-            k=_r_f64(fp),
-            extent_blocks=_r_u32(fp),
-        ),
-        store_contents=bool(_r_u32(fp)),
+        nbuckets=nbuckets,
+        bucket_size=bucket_size,
+        block_postings=block_postings,
+        ndisks=ndisks,
+        allocator=allocator,
+        policy=policy,
         positional=bool(_r_u32(fp)),
         nblocks_override=_r_u64(fp) or None,
         trace_enabled=bool(_r_u32(fp)),
@@ -359,27 +360,6 @@ def load_header(fp: BinaryIO) -> IndexConfig:
     if version != bytes([_VERSION]):
         raise CheckpointError(f"unsupported checkpoint version {version!r}")
     return _r_config(fp)
-
-
-# -- checkpoints -------------------------------------------------------------------
-
-
-def save(index: DualStructureIndex, fp: BinaryIO) -> None:
-    """Write a checkpoint of ``index`` to a binary file object.
-
-    Raises :class:`CheckpointError` when the in-memory batch is not empty
-    (checkpoints happen at batch boundaries) or the array uses a buddy
-    allocator (whose internal state is not interval-shaped).
-    """
-    save_header(index, fp)
-    save_record(index, None, fp, {})
-
-
-def load(fp: BinaryIO) -> DualStructureIndex:
-    """Reconstruct a :class:`DualStructureIndex` from a checkpoint."""
-    index = DualStructureIndex(load_header(fp))
-    apply_record(index, fp)
-    return index
 
 
 # -- redo records -------------------------------------------------------------------
@@ -641,8 +621,10 @@ def save_record(
     are written, so the record costs what the batches since touched.
     ``dirty=None`` cuts the record from the empty index, every key dirty:
     a checkpoint's body, and the full copy ``index``'s journal covers
-    from (:meth:`DualStructureIndex.begin_journal`).  Same boundary rule
-    as :func:`save`; raises :class:`CheckpointError` when the journal
+    from (:meth:`DualStructureIndex.begin_journal`).  Raises
+    :class:`CheckpointError` when the in-memory batch is not empty
+    (records are cut at batch boundaries), when the array uses a buddy
+    allocator (whose state is not interval-shaped), and when the journal
     cannot vouch for the divergence (bucket growth, crash recovery) —
     the caller takes a full checkpoint instead.
 
@@ -661,8 +643,6 @@ def save_record(
                 "the journal cannot vouch for a redo record (structure "
                 "change or crash recovery since the chained boundary)"
             )
-        if not index.config.store_contents:
-            raise CheckpointError("a redo record requires content mode")
         words = dirty.dirty_words
         blocks = [set() for _ in index.array.disks]
         for disk_id, block in dirty.dirty_blocks:
@@ -698,8 +678,9 @@ def apply_record(index: DualStructureIndex, fp) -> None:
     """Apply one :func:`save_record` record to ``index`` in place.
 
     ``index`` must hold exactly the state the record was cut from (for a
-    checkpoint's body, the empty index :func:`load` builds; otherwise
-    the restored state with the records before this one applied);
+    checkpoint's body, the empty index built from :func:`load_header`'s
+    configuration; otherwise the restored state with the records before
+    this one applied);
     raises :class:`CheckpointError` on a truncated or foreign record and
     where the state visibly does not match.
     """
@@ -733,22 +714,6 @@ def apply_record(index: DualStructureIndex, fp) -> None:
     for disk in index.array.disks:
         _r_delta(fp, disk._blocks, _r_dirty(fp), _r_bytes)
     _r_counters(fp, index)
-
-
-def clone(index: DualStructureIndex) -> DualStructureIndex:
-    """An independent deep copy of ``index`` via the checkpoint format.
-
-    The serving layer's copy-on-publish primitive: the copy shares no
-    mutable structure with the original (directory, buckets, free lists,
-    disk block payloads are all rebuilt from the serialized form), so
-    readers holding the copy never observe a half-flushed bucket or a
-    partially relocated long list while the writer mutates the original.
-    Same preconditions as :func:`save` — call at a batch boundary.
-    """
-    buf = io.BytesIO()
-    save(index, buf)
-    buf.seek(0)
-    return load(buf)
 
 
 # -- incremental copy-on-write clone -------------------------------------------
@@ -785,9 +750,10 @@ def clone_incremental(
     """An O(batch) clone of ``index`` sharing structure with ``prev``.
 
     ``prev`` must be the immediately preceding published clone of the
-    same writer (itself produced by :func:`clone` or this function) and
-    ``delta`` the journal of every writer mutation since ``prev`` was
-    taken.  The result is equivalent to ``clone(index)`` but deep-copies
+    same writer (itself a full clone, a load of the writer's checkpoint,
+    or produced by this function) and ``delta`` the journal of every
+    writer mutation since ``prev`` was taken.  The result is equivalent
+    to a full clone of ``index`` but deep-copies
     only the dirty set:
 
     * untouched ``Bucket`` objects, directory entries, and chunk records
@@ -807,8 +773,8 @@ def clone_incremental(
     enforced in debug mode by ``invariants.freeze_index``.  Raises
     :class:`CheckpointError` whenever the delta cannot vouch for the
     divergence (bucket growth, crash recovery, bookkeeping mismatch) —
-    callers fall back to the full :func:`clone`, which doubles as the
-    differential-testing oracle for this fast path.
+    callers fall back to the full clone (``TextDocumentIndex.clone``),
+    which doubles as the differential-testing oracle for this fast path.
     """
     cfg = prev.config
     if delta is None:
@@ -823,8 +789,6 @@ def clone_incremental(
             "bucket growth since the previous publish: the delta journal "
             "cannot vouch for sharing; use a full clone"
         )
-    if not cfg.store_contents:
-        raise CheckpointError("incremental clone requires content mode")
     _check_boundary(index)
     if _config_fingerprint(cfg) != _config_fingerprint(index.config):
         raise CheckpointError(

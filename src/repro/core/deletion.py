@@ -27,8 +27,7 @@ deletions in an append-only inverted index:
 Sweeping a long list physically rewrites it through the index's own
 allocation policy (the old chunks retire to the RELEASE list), so space
 reclamation pays the same I/O the paper's machinery charges everywhere
-else.  Requires content mode — you cannot remove specific documents from
-size-only lists.
+else.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ class DeletionManager:
     """Filter-and-sweep deletion on top of a dual-structure index."""
 
     def __init__(self, index: DualStructureIndex) -> None:
-        if not index.config.store_contents:
-            raise ValueError(
-                "deletion requires content mode (store_contents=True)"
-            )
         self.index = index
         self.deleted: set[int] = set()
         self._sweep_snapshot: set[int] | None = None
@@ -170,11 +165,9 @@ class DeletionManager:
             if removed:
                 self.index.longlists.rewrite(word, kept)
             return removed
+        # Not long, so still short: only this step removes a queued
+        # word's short list, and a migration puts it in the directory.
         short = self.index.buckets.get(word)
-        if short is None:
-            return 0  # the word migrated or vanished since queueing
-        if not hasattr(short, "without_docs"):
-            raise RuntimeError("bucket holds size-only payloads")
         kept = short.without_docs(snapshot)
         removed = len(short) - len(kept)
         if removed:

@@ -6,16 +6,15 @@ entries and chunks of long lists that were appended to or relocated, the
 disk blocks rewritten or freed by those moves, and the deletion set.
 ``DeltaJournal`` records exactly that dirty set so that
 ``checkpoint.clone_incremental`` can deep-copy only what changed and
-structurally share everything else with the previous snapshot, so
-the serving cache can evict only results whose terms intersect the
-batch's dirty vocabulary, and so a shard worker can cut a redo record
-(``checkpoint.save_record``) from the journals of every publish since
-its last checkpoint, folded together with :meth:`DeltaJournal.absorb`.
+structurally share everything else with the previous snapshot, and so a
+shard worker can cut a redo record (``checkpoint.save_record``) from the
+journals of every publish since its last checkpoint, folded together
+with :meth:`DeltaJournal.absorb`.
 
-The journal is created once by ``DualStructureIndex`` (content mode
-only), when a full copy of the volume is first taken, and fed by the
-``journal`` hooks of the disks, the bucket manager, the long-list manager
-and the flush manager, and by the deletion manager.  It is a single
+The journal is created once by ``DualStructureIndex``, when a full copy
+of the volume is first taken (never on a published snapshot), and fed
+by the ``journal`` hooks of the disks, the bucket manager, the long-list
+manager and the flush manager, and by the deletion manager.  It is a single
 long-lived object cleared in place after each successful publish, and
 recovery restores the structures in place, so the hooks are wired once.
 

@@ -152,11 +152,3 @@ class FlushManager:
         self._bucket_regions = new_bucket_regions
         self._directory_region = new_directory_region
         self.counters.flushes += 1
-
-    @property
-    def resident_blocks(self) -> int:
-        """Blocks currently held by the live bucket + directory regions."""
-        blocks = sum(c.nblocks for c in self._bucket_regions)
-        if self._directory_region is not None:
-            blocks += self._directory_region.nblocks
-        return blocks

@@ -86,9 +86,7 @@ class IndexConfig:
     profile: DiskProfile | None = None
     allocator: str = "first-fit"
     policy: Policy = field(default_factory=Policy.recommended_new)
-    store_contents: bool = False
-    #: Store word positions and region flags in every posting (paper §1);
-    #: implies content mode semantics for payloads.
+    #: Store word positions and region flags in every posting (paper §1).
     positional: bool = False
     nblocks_override: int | None = None
     trace_enabled: bool = True
@@ -116,7 +114,7 @@ class IndexConfig:
             ndisks=self.ndisks,
             profile=self.profile or SEAGATE_SCSI_1994,
             allocator=self.allocator,
-            store_contents=self.store_contents,
+            store_contents=True,
             nblocks_override=self.nblocks_override,
         )
 
@@ -177,7 +175,8 @@ class IndexStats:
 class DualStructureIndex:
     """Incrementally updatable inverted index over integer word ids."""
 
-    #: Set by ``invariants.freeze_index`` on published snapshots; guarded
+    #: Set on every published snapshot (``shard.publish_copy``) and by
+    #: ``invariants.freeze_index``, which arms the structures too; guarded
     #: at the mutation entry points so copy-on-write sharing violations
     #: fail loudly in debug mode.
     frozen = False
@@ -218,22 +217,22 @@ class DualStructureIndex:
         self._next_doc_id = 0
         self._aborted_batch: tuple | None = None
         self._aborted_next_doc_id = 0
-        # Content-mode indexes journal every mutation for incremental
-        # copy-on-write publication from their first full copy on
-        # (begin_journal); evaluation-mode (size-only) indexes never do.
+        # The index journals every mutation for incremental copy-on-write
+        # publication from its first full copy on (begin_journal).
         self.delta: DeltaJournal | None = None
         self._undo = UndoLog(self) if self.config.crash_safe else None
         self._attach_journal()
 
     def begin_journal(self) -> None:
-        """Build the delta journal, in content mode, unless there is one.
+        """Build the delta journal unless there is one, or this is a
+        published (frozen) snapshot, which nothing copies from.
 
         Called as a full copy of the volume is taken (a base, which is
         also how a clone copies): every consumer of the journal starts
         from such a copy, so it need cover nothing before it, and a
         volume never copied pays for none.
         """
-        if self.delta is None and self.config.store_contents:
+        if self.delta is None and not self.frozen:
             self.delta = DeltaJournal()
             self._attach_journal()
 
@@ -243,9 +242,9 @@ class DualStructureIndex:
         On a ``crash_safe`` volume that is the undo log, which captures
         pre-images while a flush is in progress and forwards to the delta
         journal; otherwise the delta journal itself, or nothing before it
-        is built and in evaluation mode.  Both objects are long-lived and
-        reset in place (the journal at each publish, the log at each batch
-        boundary), and recovery restores the structures in place, so the
+        is built.  Both objects are long-lived and reset in place (the
+        journal at each publish, the log at each batch boundary), and
+        recovery restores the structures in place, so the
         references set here stay valid for the life of the index.  The
         journal's noted words are also the bucket manager's :attr:`owned`
         set.
@@ -308,10 +307,6 @@ class DualStructureIndex:
         self.memory.add_document_occurrences(doc_id, occurrences)
         self._next_doc_id = doc_id + 1
         return doc_id
-
-    def add_counts(self, pairs) -> None:
-        """Load word-occurrence pairs into the batch (evaluation mode)."""
-        self.memory.add_counts(pairs)
 
     def classify(self, word: int) -> WordCategory:
         """Categorize a word as the paper's Figure 7 does: long if the
@@ -465,39 +460,32 @@ class DualStructureIndex:
     def fetch(self, word: int):
         """Fetch a word's full posting list and the read ops it cost.
 
-        Requires content mode.  Merges, in order: the on-disk long list
-        (one read per chunk — the Figure 10 cost), or the bucket short list
-        (one bucket read), plus any unflushed postings from the current
-        in-memory batch ("the batch can be searched simultaneously with the
-        larger index", §1).
+        Merges, in order: the on-disk long list (one read per chunk — the
+        Figure 10 cost), or the bucket short list (one bucket read), plus
+        any unflushed postings from the current in-memory batch ("the
+        batch can be searched simultaneously with the larger index", §1).
+        The read ops are the caller's to charge: a fetch changes no
+        counter, trace or other state of the index.
         """
-        if not self.config.store_contents:
-            raise RuntimeError(
-                "retrieval requires store_contents=True in IndexConfig"
-            )
         content_cls = self.longlists.content_cls
         postings = content_cls()
         read_ops = 0
         entry = self.longlists.directory.get(word)
         if entry is not None:
-            postings = self.longlists.read_postings(word)
+            postings = self.longlists.query_postings(word)
             read_ops = entry.nchunks
         else:
             short = self.buckets.get(word)
             if short is not None:
-                if not isinstance(short, content_cls):
-                    raise RuntimeError("bucket holds count payloads")
                 postings = short.copy()
                 read_ops = 1
         pending = self.memory.get(word)
         if pending is not None:
-            if not isinstance(pending, content_cls):
-                raise RuntimeError("memory holds count payloads")
             postings.extend(pending.copy())
         return postings, read_ops
 
     def posting_count(self, word: int) -> int:
-        """Total postings currently indexed for a word (any mode)."""
+        """Total postings currently indexed for a word."""
         total = 0
         entry = self.longlists.directory.get(word)
         if entry is not None:

@@ -27,7 +27,6 @@ __all__ = [
     "InvariantReport",
     "Violation",
     "check_index",
-    "check_frozen",
     "freeze_index",
 ]
 
@@ -201,9 +200,7 @@ def _check_allocation_partition(index, report: InvariantReport) -> None:
 
 
 def _check_contents(index, report: InvariantReport) -> None:
-    """Content mode: chunk payloads decode to what the directory claims."""
-    if not index.config.store_contents:
-        return
+    """Chunk payloads decode to what the directory claims."""
     content_cls = index.longlists.content_cls
     block_postings = index.config.block_postings
     for entry in index.longlists.directory.entries():
@@ -336,20 +333,16 @@ def freeze_index(index) -> None:
     immediate :class:`FrozenStateError` instead of silent corruption of
     other snapshots.
 
-    Reads stay unrestricted: query-side counters and traces may still
-    advance on a frozen index.  Intended for debug/check mode; the flag
-    costs one attribute test per mutation when armed.
+    Reads stay unrestricted, and a query advances no counter or trace
+    the index saves (``LongListManager.query_postings``).  Intended for
+    debug/check mode; the flag costs one attribute test per mutation
+    when armed.
     """
     index.frozen = True
     index.buckets.frozen = True
     index.longlists.frozen = True
     for disk in index.array.disks:
         disk.frozen = True
-
-
-def check_frozen(index) -> bool:
-    """True when ``freeze_index`` has armed the barrier on this index."""
-    return bool(getattr(index, "frozen", False))
 
 
 def check_index(index) -> InvariantReport:

@@ -234,29 +234,42 @@ class LongListManager:
             )
         return postings
 
-    def read_postings(self, word: int):
-        """Read a word's full long list back (content mode only).
+    def query_postings(self, word: int):
+        """A word's full long list, decoded and sorted (content mode only),
+        for a query.
 
-        Performs one traced read per chunk — the cost model of Figure 10 —
-        and returns the decoded, sorted document ids.
+        A query costs one read per chunk (Figure 10), which the caller
+        charges (``DualStructureIndex.fetch`` returns it).  Nothing is
+        recorded here: the counters and trace hold the update side's I/O
+        and are saved with the index, so a published snapshot answers
+        from any thread and saves to the same bytes after any number of
+        queries.
         """
         if not self._content:
-            raise RuntimeError("read_postings requires content mode")
-        entry = self.directory.get(word)
+            raise RuntimeError("query_postings requires content mode")
         postings = self.content_cls()
-        if entry is None:
-            return postings
-        for chunk in entry.chunks:
-            self._record(
-                OpKind.READ,
-                chunk.disk,
-                chunk.start,
-                chunk.nblocks,
-                word,
-                chunk.npostings,
-            )
-            postings.extend(self._read_chunk_postings(chunk))
+        entry = self.directory.get(word)
+        if entry is not None:
+            for chunk in entry.chunks:
+                postings.extend(self._read_chunk_postings(chunk))
         return postings
+
+    def read_postings(self, word: int):
+        """Read a word's full long list back for an update (the deletion
+        sweep's read before its rewrite): ``query_postings`` plus one
+        traced read per chunk in the counters and trace."""
+        entry = self.directory.get(word)
+        if entry is not None:
+            for chunk in entry.chunks:
+                self._record(
+                    OpKind.READ,
+                    chunk.disk,
+                    chunk.start,
+                    chunk.nblocks,
+                    word,
+                    chunk.npostings,
+                )
+        return self.query_postings(word)
 
     # -- the Figure-2 algorithm -------------------------------------------------
 

@@ -6,10 +6,11 @@ be written to disk.  Collecting many documents into an in-memory inverted
 index before writing the index to disk amortizes the cost of storing a
 posting."
 
-This is the batching structure whose contents become one *batch update*.
-It supports both payload kinds: real document ids (library use) and bare
-counts (evaluation pipeline, where a batch update is a list of
-word-occurrence pairs, paper §4.2).
+This is the batching structure whose contents become one *batch update*:
+document ids, or positional postings on a positional index.  The paper's
+size-only batch update (word-occurrence pairs, §4.2) never passes
+through it; the pipeline merges ``CountPostings`` into a
+:class:`~repro.core.buckets.BucketManager` directly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .positional import PositionalPostings, Region
-from .postings import CountPostings, DocPostings, PostingPayload
+from .postings import DocPostings, PostingPayload
 
 
 class InMemoryIndex:
@@ -28,11 +29,11 @@ class InMemoryIndex:
         self._ndocs = 0
         self._npostings = 0
         self._last_doc = -1  # the batch's highest doc id; no list ends above
-        # Cached ascending key list for items()/items_by_bucket — the
-        # flush hot path iterates it once per batch, and re-sorting the
-        # whole dict per call is O(W log W) for work only new words
-        # change.  None = stale (a word was inserted or the dict was
-        # replaced); rebuilt lazily on the next ordered iteration.
+        # Cached ascending key list for items() — the flush hot path
+        # iterates it once per batch, and re-sorting the whole dict per
+        # call is O(W log W) for work only new words change.  None =
+        # stale (a word was inserted or the dict was replaced); rebuilt
+        # lazily on the next ordered iteration.
         self._sorted_words: list[int] | None = None
 
     def __len__(self) -> int:
@@ -75,10 +76,8 @@ class InMemoryIndex:
                 payload = lists[word] = object.__new__(DocPostings)
                 payload.doc_ids = [doc_id]
                 self._sorted_words = None
-            elif type(payload) is DocPostings:
-                payload.doc_ids.append(doc_id)
             else:
-                payload.extend(DocPostings([doc_id]))
+                payload.doc_ids.append(doc_id)
         self._last_doc = doc_id
         self._npostings += len(words)
         self._ndocs += 1
@@ -114,26 +113,6 @@ class InMemoryIndex:
             self._npostings += 1
         self._ndocs += 1
 
-    def add_counts(self, pairs: Iterable[tuple[int, int]]) -> None:
-        """Load a batch of word-occurrence pairs (evaluation mode)."""
-        lists = self._lists
-        npostings = 0
-        for word, count in pairs:
-            if count <= 0:
-                raise ValueError(
-                    f"word {word} has non-positive count {count}"
-                )
-            payload = lists.get(word)
-            if payload is None:
-                lists[word] = CountPostings(count)
-                self._sorted_words = None
-            elif type(payload) is CountPostings:
-                payload.add_count(count)
-            else:
-                payload.extend(CountPostings(count))
-            npostings += count
-        self._npostings += npostings
-
     def get(self, word: int) -> PostingPayload | None:
         """The in-memory list for a word, or None."""
         return self._lists.get(word)
@@ -148,37 +127,12 @@ class InMemoryIndex:
     def items(self) -> Iterator[tuple[int, PostingPayload]]:
         """All (word, in-memory list) pairs in ascending word order.
 
-        Sorted order matters operationally: the paper notes that sorting
-        the in-memory lists into bucket order lets an implementation keep
-        only one bucket in memory at a time during the merge.  The sort
-        itself is cached across calls and invalidated only when a new
+        The sort is cached across calls and invalidated only when a new
         word enters the batch — flushing iterates these pairs once per
         batch, and appends to existing lists must not re-pay it.
         """
         words = self._ordered_words()
         return zip(words, map(self._lists.__getitem__, words))
-
-    def items_by_bucket(self, hash_fn, nbuckets: int):
-        """All (word, list) pairs grouped by destination bucket.
-
-        The paper's memory optimization (§4.3): "the cost of maintaining
-        all the buckets in memory during the update process can be avoided
-        by sorting the in-memory lists into bucket order and then merging
-        the in-memory list with the buckets, requiring only one bucket to
-        be in memory at any single point in time."  Within each bucket the
-        words stay in ascending order, so the overall outcome is identical
-        to the word-ordered merge (asserted in tests).
-
-        Yields ``(bucket_id, [(word, payload), ...])`` in bucket order,
-        skipping empty buckets.
-        """
-        groups: dict[int, list[tuple[int, PostingPayload]]] = {}
-        for word in self._ordered_words():
-            groups.setdefault(hash_fn(word) % nbuckets, []).append(
-                (word, self._lists[word])
-            )
-        for bucket_id in sorted(groups):
-            yield bucket_id, groups[bucket_id]
 
     def snapshot(self) -> tuple:
         """The batch contents by reference (crash recovery).

@@ -173,16 +173,6 @@ class CountPostings:
             raise TypeError("cannot mix payload kinds in one index")
         self.count += other.count
 
-    def add_count(self, count: int) -> None:
-        """Fold ``count`` postings in without building a temporary payload.
-
-        Fast path for the batch-loading hot loop; equivalent to
-        ``extend(CountPostings(count))``.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        self.count += count
-
     def split(self, npostings: int) -> tuple["CountPostings", "CountPostings"]:
         if npostings < 0:
             raise ValueError("split point must be >= 0")

@@ -111,12 +111,6 @@ class RoutingTable:
     def __hash__(self) -> int:
         return hash((self.epoch, self.layout()))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RoutingTable(epoch={self.epoch}, nslots={self.nslots}, "
-            f"owners={self.owners})"
-        )
-
     # -- structural moves -------------------------------------------------
 
     def _refined(self) -> "RoutingTable":

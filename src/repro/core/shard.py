@@ -166,6 +166,9 @@ def publish_copy(volume, prev, journal, blocks: int, counters):
             cause = str(exc)
     if cause is not None:
         copy = volume.clone()
+    # Published: nothing mutates the copy, so nothing journals it either
+    # (a save of it starts no journal; a flush of it raises).
+    copy.index.frozen = True
     if blocks:
         copy.attach_buffer_cache(
             blocks,

@@ -156,12 +156,6 @@ class ShardedTextIndex:
         """The shard index owning ``doc_id`` under the current epoch."""
         return self.routing.route(doc_id)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardedTextIndex(shards={len(self.shards)}, "
-            f"ndocs={self.ndocs}, versions={self.shard_versions})"
-        )
-
     # -- ingest -----------------------------------------------------------
 
     def add_document(self, text: str, doc_id: int | None = None) -> int:

@@ -37,7 +37,6 @@ def build_content_index(
             block_postings=block_postings,
             ndisks=ndisks,
             nblocks_override=virtual_blocks,
-            store_contents=True,
             policy=policy,
             trace_enabled=False,
         )

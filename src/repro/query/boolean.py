@@ -63,9 +63,6 @@ class Word:
     def evaluate(self, fetch: Callable[[str], Sequence[int]], ndocs: int):
         return fetch(self.word)
 
-    def words(self) -> set[str]:
-        return {self.word}
-
     def complements(self) -> bool:
         return False
 
@@ -92,9 +89,6 @@ class And:
             self.left.evaluate(fetch, ndocs), self.right.evaluate(fetch, ndocs)
         )
 
-    def words(self) -> set[str]:
-        return self.left.words() | self.right.words()
-
     def complements(self) -> bool:
         # Mirrors ``evaluate``: the one ``Not`` operand taken as a
         # difference is never complemented; a second one still is.
@@ -115,9 +109,6 @@ class Or:
             self.left.evaluate(fetch, ndocs), self.right.evaluate(fetch, ndocs)
         )
 
-    def words(self) -> set[str]:
-        return self.left.words() | self.right.words()
-
     def complements(self) -> bool:
         return self.left.complements() or self.right.complements()
 
@@ -128,9 +119,6 @@ class Not:
 
     def evaluate(self, fetch, ndocs):
         return difference(range(ndocs), self.child.evaluate(fetch, ndocs))
-
-    def words(self) -> set[str]:
-        return self.child.words()
 
     def complements(self) -> bool:
         """Does evaluating this node subtract from ``range(ndocs)``

@@ -72,8 +72,6 @@ class ListCursor:
     def __init__(
         self, index: DualStructureIndex, word: int, stats: StreamStats
     ) -> None:
-        if not index.config.store_contents:
-            raise RuntimeError("streaming requires content mode")
         self.index = index
         self.stats = stats
         self.block_postings = index.config.block_postings

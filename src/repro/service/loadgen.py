@@ -252,7 +252,6 @@ class LoadConfig:
             block_postings=16,
             ndisks=2,
             nblocks_override=500_000,
-            store_contents=True,
             crash_safe=self.injects_faults,
             fault_plan=plan,
             grow_buckets=self.grow_buckets,

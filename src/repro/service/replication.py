@@ -130,12 +130,6 @@ class Replica:
         worker = self.worker
         return {"replica": self.name, "pid": worker and worker.process.pid}
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Replica({self.name}, {self.state.value}, "
-            f"version={self.version}, log_pos={self.log_pos})"
-        )
-
 
 class ReplicaSet:
     """The k replicas of one shard plus their shared recovery material.

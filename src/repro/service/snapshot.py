@@ -87,9 +87,3 @@ class IndexSnapshot:
     ) -> tuple[list[ScoredDocument], int]:
         """:meth:`search_vector` plus the read ops it charged."""
         return self.index.search_vector_counted(weights, top_k=top_k)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"IndexSnapshot(id={self.snapshot_id}, batch={self.batch}, "
-            f"shards={self.shard_versions}, ndocs={self.ndocs})"
-        )

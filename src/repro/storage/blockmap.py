@@ -30,9 +30,6 @@ class _Absent:
 
     __slots__ = ()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<ABSENT>"
-
 
 ABSENT = _Absent()
 _MISSING = object()
@@ -46,7 +43,7 @@ class LayeredBlocks:
 
     Implements the read-side mapping surface the rest of the system uses
     on ``SimulatedDisk._blocks``: ``get``, ``__getitem__``,
-    ``__contains__``, ``items``, ``keys``, ``__iter__``, ``__len__``.
+    ``__contains__``, ``items``, ``__iter__``, ``__len__``.
     Iteration and ``len`` materialize a merged dict lazily (O(index)) —
     they only serve checkpointing and diagnostics, never the query path,
     which resolves single blocks through ``get``.
@@ -144,9 +141,6 @@ class LayeredBlocks:
 
     def items(self):
         return self._materialize().items()
-
-    def keys(self):
-        return self._materialize().keys()
 
     def __iter__(self) -> Iterator:
         return iter(self._materialize())

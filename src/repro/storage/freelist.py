@@ -17,7 +17,7 @@ All allocators expose the same interface:
 ``free(start, nblocks)``
     Return a previously allocated run to free space.
 
-``free_blocks`` / ``largest_free_run`` / ``fragmentation``
+``free_blocks`` / ``largest_free_run``
     Inspection helpers used by utilization metrics and tests.
 """
 
@@ -128,18 +128,6 @@ class FirstFitFreeList:
     def largest_free_run(self) -> int:
         """Length of the largest contiguous free run (0 when full)."""
         return max(self._lengths, default=0)
-
-    def fragmentation(self) -> float:
-        """External fragmentation in [0, 1].
-
-        Defined as ``1 - largest_run / free_blocks``; 0 when all free space
-        is one run (or the disk is full), approaching 1 when free space is
-        shattered into many small runs.
-        """
-        free = self.free_blocks
-        if free == 0:
-            return 0.0
-        return 1.0 - self.largest_free_run / free
 
     def intervals(self) -> Iterator[tuple[int, int]]:
         """Yield ``(start, length)`` free intervals in address order."""
@@ -264,12 +252,6 @@ class BuddyFreeList:
             if self._free[k]:
                 return 1 << k
         return 0
-
-    def fragmentation(self) -> float:
-        free = self.free_blocks
-        if free == 0:
-            return 0.0
-        return 1.0 - self.largest_free_run / free
 
     def check_invariants(self) -> None:
         seen: set[int] = set()

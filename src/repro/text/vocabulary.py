@@ -89,12 +89,6 @@ class VocabularyView:
         self._base = base
         self._size = len(base)
 
-    def __len__(self) -> int:
-        return self._size
-
-    def __contains__(self, word: str) -> bool:
-        return self.lookup(word) is not None
-
     def id_of(self, word: str) -> int:
         word_id = self.lookup(word)
         if word_id is None:
@@ -110,18 +104,8 @@ class VocabularyView:
             return None
         return word_id
 
-    def word_of(self, word_id: int) -> str:
-        if not 0 <= word_id < self._size:
-            raise IndexError(
-                f"word id {word_id} outside view of size {self._size}"
-            )
-        return self._base._words[word_id]
-
     def ids_of(self, words: Iterable[str]) -> list[int]:
         return [self.id_of(w) for w in words]
-
-    def words(self) -> Iterator[str]:
-        return iter(self._base._words[: self._size])
 
     def words_since(self, start: int) -> list[str]:
         return self._base._words[start : self._size]

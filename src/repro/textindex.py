@@ -24,7 +24,7 @@ import io
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import checkpoint
@@ -59,10 +59,7 @@ class TextDocumentIndex:
         tokenizer_config: TokenizerConfig | None = None,
         region_rules: RegionRules | None = None,
     ) -> None:
-        base = config or IndexConfig()
-        if not base.store_contents:
-            base = replace(base, store_contents=True)
-        self.index = DualStructureIndex(base)
+        self.index = DualStructureIndex(config or IndexConfig())
         self.vocabulary = Vocabulary()
         self.tokenizer_config = tokenizer_config
         self.region_rules = region_rules
@@ -118,7 +115,8 @@ class TextDocumentIndex:
 
     @property
     def delta(self):
-        """The writer's delta journal (``None`` in evaluation mode)."""
+        """The writer's delta journal (``None`` until its first full
+        copy)."""
         return self.index.delta
 
     def recover(self, replay: bool = True) -> BatchResult | None:

@@ -182,7 +182,6 @@ def twin_indexes(s):
         nbuckets=s["nbuckets"],
         bucket_size=s["bucket_size"],
         crash_safe=True,
-        store_contents=s["kind"] == "docs",
         positional=s["kind"] == "positional",
     )
     indexes = [DualStructureIndex(config), DualStructureIndex(config)]
@@ -208,7 +207,12 @@ def index_state(index):
 
 
 @settings(max_examples=60, deadline=None)
-@given(scenarios, st.lists(st.booleans(), min_size=5, max_size=5))
+@given(
+    # An index holds document postings; counts are the pipeline's, whose
+    # bucket stage the next test checks.
+    scenarios.filter(lambda s: s["kind"] != "count"),
+    st.lists(st.booleans(), min_size=5, max_size=5),
+)
 def test_undo_rollback_matches_the_per_word_loop(s, rollbacks):
     old, new = twin_indexes(s)
     for batch_no, pairs in enumerate(s["batches"], 1):
@@ -290,7 +294,6 @@ def test_flush_reaches_the_crash_points_the_loop_did(style):
     the ``longlists.*`` points of each append exactly as before."""
     config = IndexConfig(
         policy=Policy(style=style, limit=Limit.Z),
-        store_contents=True,
         nbuckets=4,
         bucket_size=16,
         crash_safe=True,

@@ -5,6 +5,8 @@ import pytest
 from repro.core.buckets import Bucket, BucketManager, modular_hash
 from repro.core.postings import CountPostings, DocPostings
 
+from ..counted import insert
+
 
 class TestBucket:
     def test_size_counts_words_and_postings(self):
@@ -69,54 +71,47 @@ class TestModularHash:
 class TestBucketManager:
     def test_insert_without_overflow_returns_nothing(self):
         mgr = BucketManager(4, 100)
-        assert mgr.insert(1, CountPostings(5)) == []
+        assert insert(mgr, 1, CountPostings(5)) == []
         assert mgr.contains(1)
         assert len(mgr.get(1)) == 5
 
     def test_overflow_evicts_longest(self):
         mgr = BucketManager(1, 10)
-        mgr.insert(1, CountPostings(3))  # size 4
-        mgr.insert(2, CountPostings(2))  # size 7
-        migrations = mgr.insert(3, CountPostings(4))  # size 12 > 10
+        insert(mgr, 1, CountPostings(3))  # size 4
+        insert(mgr, 2, CountPostings(2))  # size 7
+        migrations = insert(mgr, 3, CountPostings(4))  # size 12 > 10
         assert [(w, len(p)) for w, p in migrations] == [(3, 4)]
         assert not mgr.contains(3)
         assert mgr.contains(1) and mgr.contains(2)
 
     def test_cascade_eviction_until_fits(self):
         mgr = BucketManager(1, 10)
-        mgr.insert(1, CountPostings(4))  # 5 units
-        mgr.insert(2, CountPostings(3))  # 9 units
-        migrations = mgr.insert(3, CountPostings(7))  # 17 units
+        insert(mgr, 1, CountPostings(4))  # 5 units
+        insert(mgr, 2, CountPostings(3))  # 9 units
+        migrations = insert(mgr, 3, CountPostings(7))  # 17 units
         # Evicts 3 (8 units) → 9 units ≤ 10: one eviction suffices.
         assert [w for w, _ in migrations] == [3]
 
     def test_giant_list_passes_straight_through(self):
         mgr = BucketManager(2, 10)
-        migrations = mgr.insert(1, CountPostings(50))
+        migrations = insert(mgr, 1, CountPostings(50))
         assert [(w, len(p)) for w, p in migrations] == [(1, 50)]
         assert mgr.total_units == 0
 
     def test_words_route_by_hash(self):
         mgr = BucketManager(4, 100)
-        mgr.insert(5, CountPostings(1))
+        insert(mgr, 5, CountPostings(1))
         assert mgr.buckets[1].nwords == 1  # 5 mod 4
         assert mgr.bucket_of(5) == 1
 
     def test_custom_hash_validated(self):
         mgr = BucketManager(4, 100, hash_fn=lambda w: 99)
         with pytest.raises(ValueError):
-            mgr.insert(1, CountPostings(1))
-
-    def test_remove(self):
-        mgr = BucketManager(4, 100)
-        mgr.insert(1, CountPostings(5))
-        payload = mgr.remove(1)
-        assert len(payload) == 5
-        assert not mgr.contains(1)
+            insert(mgr, 1, CountPostings(1))
 
     def test_occupancy_and_capacity(self):
         mgr = BucketManager(4, 100)
-        mgr.insert(1, CountPostings(9))
+        insert(mgr, 1, CountPostings(9))
         assert mgr.capacity_units == 400
         assert mgr.total_units == 10
         assert mgr.occupancy() == pytest.approx(10 / 400)
@@ -124,13 +119,13 @@ class TestBucketManager:
     def test_words_iterator(self):
         mgr = BucketManager(4, 100)
         for w in (1, 2, 7):
-            mgr.insert(w, CountPostings(1))
+            insert(mgr, w, CountPostings(1))
         assert sorted(mgr.words()) == [1, 2, 7]
 
     def test_works_with_doc_postings(self):
         mgr = BucketManager(2, 10)
-        mgr.insert(1, DocPostings([1, 2, 3]))
-        mgr.insert(1, DocPostings([9]))
+        insert(mgr, 1, DocPostings([1, 2, 3]))
+        insert(mgr, 1, DocPostings([9]))
         assert mgr.get(1).doc_ids == [1, 2, 3, 9]
 
     def test_flush_blocks_from_bytes(self):
@@ -148,8 +143,8 @@ class TestAnimation:
     def test_watched_bucket_records_every_change(self):
         mgr = BucketManager(1, 10)
         mgr.watch(0)
-        mgr.insert(1, CountPostings(3))
-        mgr.insert(2, CountPostings(6))  # size 11 > 10 → evict 2
+        insert(mgr, 1, CountPostings(3))
+        insert(mgr, 2, CountPostings(6))  # size 11 > 10 → evict 2
         history = mgr.history(0)
         # insert, insert, eviction = 3 samples
         assert len(history) == 3
@@ -160,14 +155,14 @@ class TestAnimation:
     def test_eviction_shows_downward_spike(self):
         mgr = BucketManager(1, 10)
         mgr.watch(0)
-        mgr.insert(1, CountPostings(8))
-        mgr.insert(2, CountPostings(7))
+        insert(mgr, 1, CountPostings(8))
+        insert(mgr, 2, CountPostings(7))
         sizes = [s.size for s in mgr.history(0)]
         assert sizes[-1] < sizes[-2]
 
     def test_unwatched_bucket_has_no_history(self):
         mgr = BucketManager(2, 10)
-        mgr.insert(1, CountPostings(1))
+        insert(mgr, 1, CountPostings(1))
         with pytest.raises(KeyError):
             mgr.history(1)
 
@@ -175,6 +170,6 @@ class TestAnimation:
         mgr = BucketManager(1, 100)
         mgr.watch(0)
         for w in range(5):
-            mgr.insert(w, CountPostings(1))
+            insert(mgr, w, CountPostings(1))
         steps = [s.step for s in mgr.history(0)]
         assert steps == sorted(steps)

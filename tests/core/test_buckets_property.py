@@ -7,6 +7,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.core.buckets import BucketManager
 from repro.core.postings import CountPostings
 
+from ..counted import insert as insert_one
+
 
 class BucketMachine(RuleBasedStateMachine):
     """Random inserts preserve capacity bounds and conserve postings."""
@@ -27,7 +29,7 @@ class BucketMachine(RuleBasedStateMachine):
             self.migrated[word] += count
             return
         self.inserted_postings += count
-        for mword, payload in self.manager.insert(word, CountPostings(count)):
+        for mword, payload in insert_one(self.manager, word, CountPostings(count)):
             self.migrated[mword] = self.migrated.get(mword, 0) + len(payload)
 
     @invariant()
@@ -77,7 +79,7 @@ def test_eviction_always_picks_a_longest_list(pairs):
         bucket = manager.buckets[0]
         before = {w: len(p) for w, p in bucket.lists.items()}
         before[word] = before.get(word, 0) + count
-        migrations = manager.insert(word, CountPostings(count))
+        migrations = insert_one(manager, word, CountPostings(count))
         if migrations:
             evicted_len = len(migrations[0][1])
             assert evicted_len == max(before.values())

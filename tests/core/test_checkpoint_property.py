@@ -3,9 +3,10 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import checkpoint
 from repro.core.index import DualStructureIndex, IndexConfig
 from repro.core.policy import Alloc, Limit, Policy, Style
+
+from .. import checkpoints
 
 policies = st.sampled_from(
     [
@@ -51,7 +52,6 @@ def test_random_states_roundtrip(policy, batches):
             block_postings=4,
             ndisks=2,
             nblocks_override=100_000,
-            store_contents=True,
             policy=policy,
         )
     )
@@ -61,7 +61,7 @@ def test_random_states_roundtrip(policy, batches):
             index.add_document([word] + extras, doc_id=doc_id)
             doc_id += 1
         index.flush_batch()
-    restored = checkpoint.clone(index)
+    restored = checkpoints.clone(index)
 
     assert restored.stats() == index.stats()
     words = set(index.directory.words()) | set(index.buckets.words())

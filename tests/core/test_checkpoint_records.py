@@ -61,7 +61,6 @@ def config(policy: Policy, crash_safe: bool) -> IndexConfig:
         block_postings=4,
         ndisks=2,
         nblocks_override=20_000,
-        store_contents=True,
         policy=policy,
         grow_buckets=True,
         crash_safe=crash_safe,
@@ -285,7 +284,7 @@ class TestOrder:
             WorkerSpec(
                 shard_id=0,
                 index_config=IndexConfig(
-                    nbuckets=1, bucket_size=1000, store_contents=True
+                    nbuckets=1, bucket_size=1000
                 ),
             )
         )
@@ -432,7 +431,7 @@ class TestKeptEntries:
             WorkerSpec(
                 shard_id=0,
                 index_config=IndexConfig(
-                    nbuckets=4, bucket_size=1000, store_contents=True
+                    nbuckets=4, bucket_size=1000
                 ),
             )
         )
@@ -483,7 +482,7 @@ class TestKeptEntries:
             WorkerSpec(
                 shard_id=0,
                 index_config=IndexConfig(
-                    nbuckets=1, bucket_size=1000, store_contents=True
+                    nbuckets=1, bucket_size=1000
                 ),
             )
         )

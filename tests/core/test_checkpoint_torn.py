@@ -16,18 +16,18 @@ import random
 
 import pytest
 
-from repro.core import checkpoint
 from repro.core.checkpoint import CheckpointError
 from repro.core.index import DualStructureIndex, IndexConfig
 from repro.core.policy import Limit, Policy, Style
 from repro.textindex import TextDocumentIndex
+
+from .. import checkpoints
 
 
 def checkpointed_index_bytes():
     index = DualStructureIndex(
         IndexConfig(
             policy=Policy(style=Style.NEW, limit=Limit.Z),
-            store_contents=True,
             nbuckets=4,
             bucket_size=16,
         )
@@ -40,7 +40,7 @@ def checkpointed_index_bytes():
             )
         index.flush_batch()
     buf = io.BytesIO()
-    checkpoint.save(index, buf)
+    checkpoints.save(index, buf)
     return index, buf.getvalue()
 
 
@@ -48,7 +48,7 @@ INDEX, IMAGE = checkpointed_index_bytes()
 
 
 def test_full_image_round_trips():
-    restored = checkpoint.load(io.BytesIO(IMAGE))
+    restored = checkpoints.load(io.BytesIO(IMAGE))
     assert restored.stats() == INDEX.stats()
 
 
@@ -56,18 +56,18 @@ def test_full_image_round_trips():
 def test_truncation_at_every_eighth_boundary(eighths):
     cut = len(IMAGE) * eighths // 8
     with pytest.raises(CheckpointError):
-        checkpoint.load(io.BytesIO(IMAGE[:cut]))
+        checkpoints.load(io.BytesIO(IMAGE[:cut]))
 
 
 def test_truncation_one_byte_short():
     with pytest.raises(CheckpointError):
-        checkpoint.load(io.BytesIO(IMAGE[:-1]))
+        checkpoints.load(io.BytesIO(IMAGE[:-1]))
 
 
 @pytest.mark.parametrize("cut", [1, 2, 3, 5, 7, 11])
 def test_truncation_inside_header(cut):
     with pytest.raises(CheckpointError):
-        checkpoint.load(io.BytesIO(IMAGE[:cut]))
+        checkpoints.load(io.BytesIO(IMAGE[:cut]))
 
 
 # The text-index format every host loads (``TextDocumentIndex.save`` and
@@ -83,7 +83,6 @@ def text_base_and_record():
             block_postings=4,
             ndisks=2,
             nblocks_override=4_096,
-            store_contents=True,
         )
     )
     rng = random.Random(7)

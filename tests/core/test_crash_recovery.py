@@ -30,6 +30,8 @@ from repro.storage import faults
 from repro.storage.faults import FaultPlan, InjectedCrash
 from repro.textindex import TextDocumentIndex
 
+from .. import checkpoints
+
 # A deliberately hot workload: a tiny vocabulary and long documents push
 # every word through bucket overflow into the long-list machinery within a
 # few batches, so even the WHOLE-only crash points (whole-list read,
@@ -66,7 +68,6 @@ def make_index(policy, crash_safe=True):
     return DualStructureIndex(
         IndexConfig(
             policy=policy,
-            store_contents=True,
             nbuckets=4,
             bucket_size=16,
             crash_safe=crash_safe,
@@ -177,7 +178,7 @@ def _exercise_cow_publish_point():
     for doc in BATCHES[0]:
         index.add_document(doc)
     index.flush_batch()
-    prev = checkpoint.clone(index)
+    prev = checkpoints.clone(index)
     index.delta.clear()
     for doc in BATCHES[1]:
         index.add_document(doc)
@@ -191,7 +192,7 @@ def _exercise_cow_publish_point():
     finally:
         faults.uninstall()
     retried = checkpoint.clone_incremental(index, prev, index.delta)
-    oracle = checkpoint.clone(index)
+    oracle = checkpoints.clone(index)
     assert {w: retried.fetch(w)[0].doc_ids for w in QUERY_WORDS} == {
         w: oracle.fetch(w)[0].doc_ids for w in QUERY_WORDS
     }
@@ -199,7 +200,7 @@ def _exercise_cow_publish_point():
 
 
 def _exercise_checkpoint_save_points():
-    """Fire each serializer point inside ``checkpoint.clone(index)``: the
+    """Fire each serializer point inside ``checkpoints.clone(index)``: the
     writer is untouched, so a second clone succeeds and answers like it."""
     index = make_index(POLICIES[0][1])
     for batch in BATCHES[:2]:
@@ -215,10 +216,10 @@ def _exercise_checkpoint_save_points():
     for point in sorted(points):
         with faults.injected(FaultPlan(crash_at=point)):
             with pytest.raises(InjectedCrash):
-                checkpoint.clone(index)
+                checkpoints.clone(index)
         assert answers(index) == before
         check_index(index).raise_if_failed()
-        assert answers(checkpoint.clone(index)) == before
+        assert answers(checkpoints.clone(index)) == before
     return points
 
 
@@ -346,7 +347,6 @@ class TestSweepThenAbortedFlush:
         index = TextDocumentIndex(
             IndexConfig(
                 policy=policy,
-                store_contents=True,
                 nbuckets=4,
                 bucket_size=16,
                 crash_safe=True,

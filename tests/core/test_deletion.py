@@ -14,7 +14,6 @@ def make_index(policy=None, **overrides):
         block_postings=8,
         ndisks=2,
         nblocks_override=200_000,
-        store_contents=True,
     )
     if policy is not None:
         defaults["policy"] = policy
@@ -62,11 +61,6 @@ class TestFilter:
             mgr.delete(-1)
         with pytest.raises(ValueError):
             mgr.delete(index.ndocs)
-
-    def test_requires_content_mode(self):
-        index = make_index(store_contents=False)
-        with pytest.raises(ValueError):
-            DeletionManager(index)
 
 
 class TestSweep:

@@ -67,12 +67,6 @@ class TestFlush:
         # Steady state: same residency, not doubled.
         assert array.allocated_blocks == resident_after_first
 
-    def test_resident_blocks(self):
-        flusher, _, _ = make_flusher()
-        assert flusher.resident_blocks == 0
-        flusher.flush(256, Directory())
-        assert flusher.resident_blocks == 256 + 1  # buckets + empty directory
-
     def test_counters(self):
         flusher, _, _ = make_flusher()
         flusher.flush(256, Directory())
@@ -86,3 +80,13 @@ class TestFlush:
         with pytest.raises(DiskFullError):
             flusher.flush(100_000, Directory())
         assert array.allocated_blocks == 0
+
+    def test_failed_stripe_frees_the_stripes_it_took(self):
+        """Disk 0 takes its stripe, disk 1 and the fallback cannot: the
+        flush raises and gives disk 0's stripe back."""
+        flusher, array, _ = make_flusher(ndisks=2, nblocks=100)
+        array.allocate_on(0, 30)
+        array.allocate_on(1, 60)
+        with pytest.raises(DiskFullError):
+            flusher.flush(100, Directory())
+        assert array.allocated_blocks == 90

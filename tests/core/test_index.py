@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.index import DualStructureIndex, IndexConfig, WordCategory
+from repro.core.invariants import InvariantError, check_index
 from repro.core.policy import Limit, Policy, Style
+from repro.core.positional import Region
+from repro.core.postings import DocPostings
 
 
 def make_index(**overrides):
@@ -13,7 +16,6 @@ def make_index(**overrides):
         block_postings=16,
         ndisks=2,
         nblocks_override=100_000,
-        store_contents=True,
     )
     defaults.update(overrides)
     return DualStructureIndex(IndexConfig(**defaults))
@@ -125,13 +127,6 @@ class TestRetrieval:
         assert reads == entry.nchunks
         assert len(postings.doc_ids) == entry.npostings
 
-    def test_fetch_requires_content_mode(self):
-        idx = make_index(store_contents=False)
-        idx.add_counts([(1, 5)])
-        idx.flush_batch()
-        with pytest.raises(RuntimeError):
-            idx.fetch(1)
-
     def test_posting_count_spans_structures(self):
         idx = make_index()
         idx.add_document([7])
@@ -177,3 +172,28 @@ class TestStatsAndTrace:
             idx.flush_batch()
         stats = idx.stats()
         assert stats.long_postings + stats.bucket_postings == total
+
+
+@pytest.mark.parametrize("field", ["nbuckets", "bucket_size", "block_postings"])
+def test_config_refuses_a_size_below_one(field):
+    with pytest.raises(ValueError, match=field):
+        IndexConfig(**{field: 0})
+
+
+def test_positional_ingest_refuses_a_decreasing_doc_id():
+    idx = make_index(positional=True)
+    idx.add_document_occurrences([(1, 0, Region.BODY)], doc_id=5)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        idx.add_document_occurrences([(2, 0, Region.BODY)], doc_id=4)
+    assert idx.ndocs == 6 and len(idx.memory) == 1
+
+
+def test_a_violation_is_reported_by_code_and_evidence():
+    """A word given a short list beside its long list fails the check,
+    and the raised error names the broken invariant and the word."""
+    idx = make_index()
+    TestMigration().fill_until_migration(idx)
+    bucket = idx.buckets.buckets[idx.buckets.bucket_of(1)]
+    bucket.lists[1] = DocPostings([0])
+    with pytest.raises(InvariantError, match=r"\[dual-structure\] word 1 "):
+        check_index(idx).raise_if_failed()

@@ -1,8 +1,8 @@
 """Property test: :func:`check_index` holds after every flush.
 
-Random document batches under random Table-2 policies, in both content
-mode (documents via ``add_document``) and count mode (word-occurrence
-pairs via ``add_counts``, the evaluation pipeline's path).  The single
+Random document batches under random Table-2 policies, drawn as
+documents or as word-occurrence pairs (the paper's size-only batch
+update, loaded as documents by ``tests/counted.py``).  The single
 property is the one the whole-index checker formalizes: after any flush,
 the dual structure satisfies every invariant of §2–§3 — structure
 exclusivity, bucket capacity, chunk geometry, allocation partition,
@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from repro.core.index import DualStructureIndex, IndexConfig
 from repro.core.invariants import check_index
 from repro.core.policy import Alloc, Limit, Policy, Style
+
+from ..counted import add_counts
 
 # The Table-2 policy space: every style x limit, plus allocation variants.
 policies = st.sampled_from(
@@ -64,7 +66,7 @@ SETTINGS = settings(
 def test_content_mode_invariants_after_every_flush(policy, batches):
     index = DualStructureIndex(
         IndexConfig(
-            policy=policy, store_contents=True, nbuckets=4, bucket_size=24
+            policy=policy, nbuckets=4, bucket_size=24
         )
     )
     for batch in batches:
@@ -76,12 +78,12 @@ def test_content_mode_invariants_after_every_flush(policy, batches):
 
 @SETTINGS
 @given(policy=policies, batches=count_batches)
-def test_count_mode_invariants_after_every_flush(policy, batches):
+def test_invariants_after_every_flush_of_counted_batches(policy, batches):
     index = DualStructureIndex(
         IndexConfig(policy=policy, nbuckets=4, bucket_size=24)
     )
     for batch in batches:
-        index.add_counts(batch)
+        add_counts(index, batch)
         index.flush_batch()
         check_index(index).raise_if_failed()
 
@@ -94,7 +96,6 @@ def test_crash_safe_mode_preserves_invariants(policy, batches):
     index = DualStructureIndex(
         IndexConfig(
             policy=policy,
-            store_contents=True,
             nbuckets=4,
             bucket_size=24,
             crash_safe=True,

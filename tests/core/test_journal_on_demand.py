@@ -27,7 +27,6 @@ def config(**overrides):
         block_postings=4,
         ndisks=2,
         nblocks_override=100_000,
-        store_contents=True,
         **overrides,
     )
 

@@ -288,6 +288,16 @@ class TestContentMode:
         mgr.read_postings(1)
         assert mgr.counters.reads - reads_before == 2
 
+    def test_a_query_read_records_nothing(self):
+        mgr = self.content_manager(Policy(style=Style.NEW, limit=Limit.ZERO))
+        mgr.trace = IOTrace()
+        mgr.append(1, DocPostings([1]))
+        mgr.append(1, DocPostings([2]))
+        counters, nops = dict(vars(mgr.counters)), mgr.trace.nops
+        assert mgr.query_postings(1).doc_ids == [1, 2]
+        assert vars(mgr.counters) == counters
+        assert mgr.trace.nops == nops
+
     def test_unknown_word_reads_empty(self):
         mgr = self.content_manager(Policy(style=Style.NEW, limit=Limit.ZERO))
         assert mgr.read_postings(9).doc_ids == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.index import DualStructureIndex, IndexConfig
 from repro.core.invariants import check_index
 from repro.core.memindex import InMemoryIndex
-from repro.core.postings import CountPostings, DocPostings
+from repro.core.postings import DocPostings
 from repro.storage import faults
 from repro.storage.faults import FaultPlan, InjectedCrash
 
@@ -75,17 +75,6 @@ class TestOrderedIterationCache:
         assert idx._sorted_words is None
         assert [w for w, _ in idx.items()] == [1, 2, 7]
 
-    def test_items_by_bucket_matches_word_order_after_cache_reuse(self):
-        idx = InMemoryIndex()
-        for doc_id, words in enumerate([[4, 8, 15], [16, 23], [42, 4]]):
-            idx.add_document(doc_id, words)
-        grouped = [
-            word
-            for _, pairs in idx.items_by_bucket(lambda w: w, 3)
-            for word, _ in pairs
-        ]
-        assert sorted(grouped) == [w for w, _ in idx.items()]
-
     def test_clear_resets_the_cache(self):
         idx = InMemoryIndex()
         idx.add_document(0, [3, 1])
@@ -122,7 +111,6 @@ class TestSnapshotRestore:
             block_postings=4,
             ndisks=2,
             nblocks_override=10_000,
-            store_contents=True,
             crash_safe=True,
         )
         clean, crashed = DualStructureIndex(config), DualStructureIndex(config)
@@ -156,23 +144,10 @@ class TestSnapshotRestore:
         assert idx.get(1) is snap[0][0][1]
 
 
-class TestCounts:
-    def test_add_counts(self):
-        idx = InMemoryIndex()
-        idx.add_counts([(1, 5), (2, 3)])
-        idx.add_counts([(1, 2)])
-        assert isinstance(idx.get(1), CountPostings)
-        assert len(idx.get(1)) == 7
-        assert idx.npostings == 10
-
-    def test_nonpositive_count_rejected(self):
-        idx = InMemoryIndex()
-        with pytest.raises(ValueError):
-            idx.add_counts([(1, 0)])
-
+class TestContains:
     def test_contains(self):
         idx = InMemoryIndex()
-        idx.add_counts([(4, 1)])
+        idx.add_document(0, [4])
         assert 4 in idx
         assert 5 not in idx
 
@@ -265,7 +240,6 @@ def test_a_dropped_batch_takes_its_ids_again():
             block_postings=4,
             ndisks=2,
             nblocks_override=10_000,
-            store_contents=True,
             crash_safe=True,
         )
     )

@@ -1,13 +1,20 @@
-"""Cross-mode consistency: count mode must mirror content mode exactly.
+"""Cross-mode consistency, batch by batch: the paper's size-only pipeline
+must mirror the index users query.
 
-The evaluation pipeline runs the index in count mode (``CountPostings``
-via ``add_counts``) while retrieval runs it in content mode
-(``DocPostings`` via ``add_document``).  The paper's figures are computed
-from the count-mode runs, so the two modes must agree not just on final
-state but *per batch*: same :class:`BatchResult` numbers, same directory
-list sizes, and the same I/O trace length for every batch.  A divergence
-would mean the reported update costs do not describe the index users
-actually query.
+The evaluation pipeline never builds an index.  Its bucket stage merges
+each batch update's ``CountPostings`` into a bare
+:class:`~repro.core.buckets.BucketManager`
+(:class:`~repro.pipeline.compute_buckets.ComputeBucketsProcess`), and its
+disk stage replays the long-list updates through a
+:class:`~repro.core.longlists.LongListManager` on a disk array that stores
+no contents (:class:`~repro.pipeline.compute_disks.ComputeDisksProcess`).
+The paper's figures are computed from those stages, so after every batch
+they must agree with a :class:`DualStructureIndex` fed the same documents:
+the same word categories and migrations, the same directory list sizes,
+and the same I/O, op for op.  ``tests/integration/test_mode_cross_validation.py``
+compares the end states on the synthetic corpus; this compares every
+batch of a hot toy workload.  A divergence would mean the reported update
+costs do not describe the index users actually query.
 """
 
 import random
@@ -17,6 +24,11 @@ import pytest
 from repro.core.index import DualStructureIndex, IndexConfig
 from repro.core.invariants import check_index
 from repro.core.policy import Limit, Policy, Style
+from repro.pipeline.compute_buckets import (
+    ComputeBucketsProcess,
+    LongListTrace,
+)
+from repro.pipeline.compute_disks import ComputeDisksProcess, DiskStageConfig
 
 POLICIES = [
     ("new", Policy(style=Style.NEW, limit=Limit.Z)),
@@ -26,10 +38,11 @@ POLICIES = [
 
 
 def seeded_batches(nbatches=8, seed=271):
+    """Batches of documents over words 1..16 (the pipeline reserves 0)."""
     rng = random.Random(seed)
     return [
         [
-            [rng.randrange(16) for _ in range(rng.randrange(4, 28))]
+            [rng.randrange(1, 17) for _ in range(rng.randrange(4, 28))]
             for _ in range(12)
         ]
         for _ in range(nbatches)
@@ -37,7 +50,7 @@ def seeded_batches(nbatches=8, seed=271):
 
 
 def counts_for(batch):
-    """The count-mode image of a document batch: one posting per distinct
+    """The size-only image of a document batch: one posting per distinct
     word per document, exactly what ``InMemoryIndex.add_document`` keeps."""
     totals: dict[int, int] = {}
     for doc in batch:
@@ -46,58 +59,58 @@ def counts_for(batch):
     return sorted(totals.items())
 
 
-def make_index(policy, store_contents):
-    return DualStructureIndex(
-        IndexConfig(
-            policy=policy,
-            store_contents=store_contents,
-            nbuckets=4,
-            bucket_size=24,
-        )
-    )
+def last_batch(trace):
+    """The last batch's ops of an I/O trace."""
+    *_, last = trace.batches()
+    return last
 
 
 @pytest.mark.parametrize("pname,policy", POLICIES, ids=[p[0] for p in POLICIES])
-def test_count_and_doc_modes_agree_per_batch(pname, policy):
-    batches = seeded_batches()
-    content = make_index(policy, store_contents=True)
-    counts = make_index(policy, store_contents=False)
+def test_pipeline_and_index_agree_per_batch(pname, policy):
+    index = DualStructureIndex(
+        IndexConfig(policy=policy, nbuckets=4, bucket_size=24)
+    )
+    buckets = ComputeBucketsProcess(4, 24)
+    # The same bucket region, so that long lists land on the same blocks.
+    region = index.buckets.flush_blocks(index.array.profile.block_size)
+    disks = ComputeDisksProcess(
+        DiskStageConfig(policy=policy, bucket_flush_blocks=region)
+    )
 
-    for batch_no, batch in enumerate(batches):
+    for batch_no, batch in enumerate(seeded_batches()):
         for doc in batch:
-            content.add_document(doc)
-        counts.add_counts(counts_for(batch))
+            index.add_document(doc)
+        result = index.flush_batch()
+        events, categories = buckets.process_update(counts_for(batch))
+        trace = LongListTrace()
+        trace.batches.append(events)
+        disks.run(trace)
 
-        content_result = content.flush_batch()
-        counts_result = counts.flush_batch()
-        assert content_result == counts_result, (
-            f"{pname}: batch {batch_no} BatchResult diverges between modes"
-        )
-
+        assert (result.new_words, result.bucket_words, result.long_words) == (
+            categories.new, categories.bucket, categories.long
+        ), f"{pname}: batch {batch_no} word categories diverge"
+        # One long-list update per long word and per eviction.
+        assert len(events) == result.long_words + result.migrations
         # Same long-list shape, word by word.
-        content_dir = {
+        assert {
             e.word: (e.npostings, e.nchunks)
-            for e in content.directory.entries()
-        }
-        counts_dir = {
+            for e in index.directory.entries()
+        } == {
             e.word: (e.npostings, e.nchunks)
-            for e in counts.directory.entries()
-        }
-        assert content_dir == counts_dir, f"{pname}: batch {batch_no}"
-
-        check_index(content).raise_if_failed()
-        check_index(counts).raise_if_failed()
-
-    # Identical per-batch I/O trace lengths (and identical ops: count mode
-    # must schedule exactly the writes content mode performs).
-    content_batches = list(content.trace.batches())
-    counts_batches = list(counts.trace.batches())
-    assert len(content_batches) == len(counts_batches)
-    for batch_no, (a, b) in enumerate(zip(content_batches, counts_batches)):
-        assert len(a) == len(b), (
-            f"{pname}: batch {batch_no} trace lengths differ "
-            f"({len(a)} vs {len(b)})"
+            for e in disks.manager.directory.entries()
+        }, f"{pname}: batch {batch_no} directories diverge"
+        # Same short lists, by size.
+        assert {
+            w: len(index.buckets.get(w)) for w in index.buckets.words()
+        } == {
+            w: len(buckets.manager.get(w)) for w in buckets.manager.words()
+        }, f"{pname}: batch {batch_no} buckets diverge"
+        # The same I/O (long lists and the bucket flush), operation for
+        # operation, and the same long-list totals.
+        assert last_batch(index.trace) == last_batch(disks.trace), (
+            f"{pname}: batch {batch_no} I/O ops diverge"
         )
-        assert a == b, f"{pname}: batch {batch_no} trace ops differ"
-
-    assert content.stats() == counts.stats()
+        assert vars(index.longlists.counters) == vars(disks.manager.counters), (
+            f"{pname}: batch {batch_no} long-list counters diverge"
+        )
+        check_index(index).raise_if_failed()

@@ -7,10 +7,12 @@ from repro.core.index import DualStructureIndex, IndexConfig
 from repro.core.postings import CountPostings
 from repro.core.rebalance import BucketGrower, GrowthPolicy
 
+from ..counted import add_counts, insert
+
 
 def fill_manager(manager, nwords, postings_each=3):
     for word in range(1, nwords + 1):
-        manager.insert(word, CountPostings(postings_each))
+        insert(manager, word, CountPostings(postings_each))
 
 
 class TestGrowthPolicy:
@@ -52,8 +54,8 @@ class TestGrow:
 
     def test_rehash_routes_by_new_modulus(self):
         manager = BucketManager(4, 400)
-        manager.insert(5, CountPostings(1))  # bucket 1 of 4
-        manager.insert(7, CountPostings(1))  # bucket 3 of 4
+        insert(manager, 5, CountPostings(1))  # bucket 1 of 4
+        insert(manager, 7, CountPostings(1))  # bucket 3 of 4
         BucketGrower().grow(manager)
         assert manager.bucket_of(5) == 5
         assert manager.bucket_of(7) == 7
@@ -103,7 +105,7 @@ class TestIndexIntegration:
             merged = {}
             for w, c in pairs:
                 merged[w] = merged.get(w, 0) + c
-            index.add_counts(sorted(merged.items()))
+            add_counts(index, sorted(merged.items()))
             index.flush_batch()
 
     def test_auto_growth_reduces_migrations(self):
@@ -192,7 +194,6 @@ class TestShardedStagger:
                 block_postings=16,
                 ndisks=2,
                 nblocks_override=100_000,
-                store_contents=True,
                 grow_buckets=True,
                 growth=GrowthPolicy(occupancy_threshold=0.5),
             ),
@@ -265,7 +266,6 @@ class TestGrownCheckpointRoundTrip:
                 block_postings=16,
                 ndisks=2,
                 nblocks_override=100_000,
-                store_contents=True,
                 grow_buckets=True,
                 growth=GrowthPolicy(occupancy_threshold=0.5),
             )
@@ -312,7 +312,6 @@ class TestGrownCheckpointRoundTrip:
                 block_postings=16,
                 ndisks=2,
                 nblocks_override=100_000,
-                store_contents=True,
                 grow_buckets=True,
                 growth=GrowthPolicy(occupancy_threshold=0.5),
             )

@@ -92,6 +92,11 @@ class TestIdentity:
         assert a != RoutingTable.initial(2, 1)
         assert hash(a) == hash(RoutingTable.initial(2, 0))
 
+    def test_a_table_is_unequal_to_its_own_fields(self):
+        a = RoutingTable.initial(2, 0)
+        assert a != (a.epoch, a.seed, a.nslots, a.owners)
+        assert a != a.layout()
+
     def test_owners_must_cover_slots(self):
         with pytest.raises(ValueError):
             RoutingTable(0, 0, 3, (0, 1))

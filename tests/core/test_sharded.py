@@ -38,7 +38,6 @@ def small_config(**overrides):
         block_postings=4,
         ndisks=2,
         nblocks_override=100_000,
-        store_contents=True,
     )
     base.update(overrides)
     return IndexConfig(**base)

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.index import IndexConfig
-from repro.core.rebalance import RebalancePlanner
+from repro.core.rebalance import RebalancePlanner, RebalancePolicy
 from repro.core.sharded import ShardedTextIndex
 from repro.query.reference import BruteForceIndex
 
@@ -27,7 +27,6 @@ def small_config() -> IndexConfig:
         block_postings=4,
         ndisks=2,
         nblocks_override=100_000,
-        store_contents=True,
     )
 
 
@@ -149,6 +148,29 @@ def test_random_move_sequences_match_oracle(docs, shards, seed, nsplits):
         next_id += 1
         index.flush_batch()
         _check(index, oracle)
+
+
+class TestPlannerInputs:
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            dict(max_imbalance=1.0),
+            dict(min_docs=-1),
+            dict(min_shard_docs=-1),
+            dict(cooldown=-1),
+        ],
+        ids=["max_imbalance", "min_docs", "min_shard_docs", "cooldown"],
+    )
+    def test_policy_refuses_a_bound_out_of_range(self, bound):
+        with pytest.raises(ValueError):
+            RebalancePolicy(**bound)
+
+    def test_no_documents_is_no_imbalance(self):
+        assert RebalancePlanner.imbalance({}) == 0.0
+        assert RebalancePlanner.imbalance([0, 0]) == 0.0
+
+    def test_balanced_shards_are_not_split(self):
+        assert RebalancePlanner().plan({0: 50, 1: 50}) is None
 
 
 class TestPlannerDriven:

@@ -3,7 +3,7 @@
 The undo log (``core/undo.py``) replaces a whole-index recovery point
 with pre-images of what one flush dirties.  The properties, for random
 batches under each update style, with bucket growth, positional
-payloads, evaluation mode and deletion sweeps between flushes, and a
+payloads and deletion sweeps between flushes, and a
 crash at a drawn arrival of a drawn crash point of the final flush:
 
 (a) after ``recover(replay=False)`` the index is structurally what it
@@ -23,7 +23,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import checkpoint
 from repro.core.deletion import DeletionManager
 from repro.core.index import DualStructureIndex, IndexConfig
 from repro.core.invariants import check_index
@@ -32,6 +31,7 @@ from repro.core.rebalance import GrowthPolicy
 from repro.storage import faults
 from repro.storage.faults import FaultPlan, InjectedCrash
 
+from .. import checkpoints
 from .test_crash_recovery import POLICIES
 
 VOCAB = 14
@@ -84,12 +84,10 @@ def assert_same_dump(got: dict, want: dict, what: str) -> None:
     assert not differing, f"{what}: {differing} differ"
 
 
-def load(index, docs, evaluation: bool, positional: bool) -> None:
+def load(index, docs, positional: bool) -> None:
     """Put one batch of documents into the in-memory index."""
     for doc in docs:
-        if evaluation:
-            index.add_counts((w, doc.count(w)) for w in set(doc))
-        elif positional:
+        if positional:
             index.add_document_occurrences(
                 (w, pos, Region.TITLE if pos == 0 else Region.BODY)
                 for pos, w in enumerate(doc)
@@ -98,9 +96,7 @@ def load(index, docs, evaluation: bool, positional: bool) -> None:
             index.add_document(doc)
 
 
-def lists_of(index, evaluation: bool) -> list:
-    if evaluation:
-        return [index.posting_count(w) for w in range(VOCAB)]
+def lists_of(index) -> list:
     return [index.fetch(w)[0] for w in range(VOCAB)]
 
 
@@ -112,19 +108,17 @@ def lists_of(index, evaluation: bool) -> list:
 @given(
     policy=st.sampled_from([p for _, p in POLICIES]),
     grow=st.booleans(),
-    mode=st.sampled_from(["docs", "positional", "evaluation"]),
+    positional=st.booleans(),
     batches=batches,
     sweep=st.booleans(),
     data=st.data(),
 )
 def test_crash_and_recover_is_structurally_a_clean_run(
-    policy, grow, mode, batches, sweep, data
+    policy, grow, positional, batches, sweep, data
 ):
-    evaluation, positional = mode == "evaluation", mode == "positional"
     index = DualStructureIndex(
         IndexConfig(
             policy=policy,
-            store_contents=not evaluation,
             positional=positional,
             nbuckets=4,
             bucket_size=16,
@@ -134,11 +128,11 @@ def test_crash_and_recover_is_structurally_a_clean_run(
             crash_safe=True,
         )
     )
-    deletions = None if evaluation else DeletionManager(index)
+    deletions = DeletionManager(index)
     for docs in batches[:-1]:
-        load(index, docs, evaluation, positional)
+        load(index, docs, positional)
         index.flush_batch()
-        if deletions is not None and sweep:
+        if sweep:
             # A sweep between flushes rewrites lists outside any flush
             # and leaves its retired chunks on RELEASE for the next one.
             victims = data.draw(
@@ -148,7 +142,7 @@ def test_crash_and_recover_is_structurally_a_clean_run(
                 deletions.delete(doc_id)
             deletions.sweep_all()
     boundary_ndocs = index.ndocs
-    load(index, batches[-1], evaluation, positional)
+    load(index, batches[-1], positional)
     before = dump(index)
 
     # Copied before the flush: an armed log holds the ABSENT sentinel,
@@ -173,6 +167,6 @@ def test_crash_and_recover_is_structurally_a_clean_run(
     assert_same_dump(dump(index), dump(twin), f"replay from {point}#{hit}")
     assert index.ndocs == twin.ndocs
     check_index(index).raise_if_failed()
-    assert lists_of(checkpoint.clone(index), evaluation) == lists_of(
-        checkpoint.clone(twin), evaluation
+    assert lists_of(checkpoints.clone(index)) == lists_of(
+        checkpoints.clone(twin)
     )

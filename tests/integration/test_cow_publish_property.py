@@ -82,7 +82,6 @@ def make_writer(crash_safe):
             block_postings=4,
             ndisks=2,
             nblocks_override=200_000,
-            store_contents=True,
             crash_safe=crash_safe,
         )
     )
@@ -113,6 +112,22 @@ def saved(index):
     cycles=[
         plain_cycle([[0, 1, 2], [0, 4]]),
         plain_cycle([[0, 1, 2]], flush_crash="index.before-release"),
+    ],
+)
+# Six batches of one hot word: the queries read its long list, which
+# must leave the saved bytes of a snapshot as they were.
+@example(
+    crash_safe=False,
+    cycles=[
+        plain_cycle(docs)
+        for docs in (
+            [[0]],
+            [[0], [0], [0], [0, 5]],
+            [[0], [0, 3], [0, 4]],
+            [[0], [0], [0, 1], [0, 1]],
+            [[0], [0], [0], [0, 1], [0, 6]],
+            [[0], [0, 1], [0, 1], [0, 1], [0, 1, 2, 7, 8]],
+        )
     ],
 )
 def test_cow_chain_matches_full_clone_oracle(crash_safe, cycles):

@@ -18,7 +18,6 @@ def index():
             block_postings=16,
             ndisks=2,
             nblocks_override=100_000,
-            store_contents=True,
         )
     )
     idx.add_document("the cat sat")  # 0
@@ -74,7 +73,6 @@ class TestReferenceModelWithDeletes:
                 block_postings=8,
                 ndisks=2,
                 nblocks_override=200_000,
-                store_contents=True,
             )
         )
         # Pure-alphabetic words: the paper's lexer splits letter and

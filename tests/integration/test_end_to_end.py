@@ -27,7 +27,6 @@ class TestTextDocumentIndex:
                 block_postings=16,
                 ndisks=2,
                 nblocks_override=100_000,
-                store_contents=True,
             )
         )
         idx.add_document("Date: ignored\n\nthe cat sat with the dog")
@@ -81,7 +80,6 @@ class TestSyntheticArticlesRoundtrip:
                 block_postings=16,
                 ndisks=2,
                 nblocks_override=100_000,
-                store_contents=True,
             )
         )
         doc_id = 0

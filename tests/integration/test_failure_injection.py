@@ -13,10 +13,11 @@ import io
 
 import pytest
 
-from repro.core import checkpoint
 from repro.core.index import DualStructureIndex, IndexConfig
 from repro.core.policy import Limit, Policy, Style
 from repro.storage.disk import DiskFullError
+
+from .. import checkpoints
 
 
 def tiny_disk_index(nblocks=96):
@@ -28,7 +29,6 @@ def tiny_disk_index(nblocks=96):
             block_postings=8,
             ndisks=2,
             nblocks_override=nblocks,
-            store_contents=True,
             policy=Policy(style=Style.NEW, limit=Limit.ZERO),
         )
     )
@@ -38,7 +38,7 @@ def fill_until_failure(index, snapshot_every=1):
     """Feed batches until the disks overflow; returns the last good
     checkpoint and how many batches committed."""
     last_checkpoint = io.BytesIO()
-    checkpoint.save(index, last_checkpoint)
+    checkpoints.save(index, last_checkpoint)
     committed = 0
     doc = 0
     for batch in range(1000):
@@ -52,7 +52,7 @@ def fill_until_failure(index, snapshot_every=1):
         committed += 1
         if committed % snapshot_every == 0:
             last_checkpoint = io.BytesIO()
-            checkpoint.save(index, last_checkpoint)
+            checkpoints.save(index, last_checkpoint)
     raise AssertionError("disks never filled up")
 
 
@@ -70,7 +70,7 @@ class TestDiskExhaustion:
         index = tiny_disk_index()
         ckpt, committed = fill_until_failure(index)
         ckpt.seek(0)
-        restored = checkpoint.load(ckpt)
+        restored = checkpoints.load(ckpt)
         # The restored index serves all committed batches.
         assert restored.stats().batches == committed
         docs, _ = restored.fetch(1)
@@ -88,7 +88,7 @@ class TestDiskExhaustion:
         index = tiny_disk_index(nblocks=256)
         ckpt, committed = fill_until_failure(index)
         ckpt.seek(0)
-        restored = checkpoint.load(ckpt)
+        restored = checkpoints.load(ckpt)
         next_doc = restored.ndocs
         restored.add_document([1], doc_id=next_doc)
         restored.flush_batch()  # at least one more batch fits post-restore

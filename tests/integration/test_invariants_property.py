@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from repro.core.index import DualStructureIndex, IndexConfig
 from repro.core.policy import Alloc, Limit, Policy, Style
 
+from ..counted import add_counts
+
 policies = st.sampled_from(
     [
         Policy(style=Style.NEW, limit=Limit.ZERO),
@@ -87,7 +89,7 @@ def test_index_invariants_hold_after_every_batch(policy, batches):
         merged: dict[int, int] = {}
         for word, count in batch:
             merged[word] = merged.get(word, 0) + count
-        index.add_counts(sorted(merged.items()))
+        add_counts(index, sorted(merged.items()))
         ingested += sum(merged.values())
         index.flush_batch()
         check_invariants(index, ingested)

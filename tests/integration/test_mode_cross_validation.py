@@ -67,7 +67,6 @@ def both_modes(request):
             block_postings=config.block_postings,
             ndisks=4,
             nblocks_override=4_194_304,
-            store_contents=True,
             policy=policy,
         )
     )

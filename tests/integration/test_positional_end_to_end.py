@@ -35,7 +35,6 @@ def make_index(policy=None):
         block_postings=16,
         ndisks=2,
         nblocks_override=100_000,
-        store_contents=True,
         positional=True,
         **({"policy": policy} if policy else {}),
     )
@@ -152,7 +151,6 @@ class TestAcrossPoliciesAndBatches:
                 block_postings=16,
                 ndisks=2,
                 nblocks_override=50_000,
-                store_contents=True,
             )
         )
         plain.add_document("hello world")
@@ -160,9 +158,9 @@ class TestAcrossPoliciesAndBatches:
             plain.search_phrase("hello world")
 
     def test_checkpoint_preserves_positions(self, index):
-        from repro.core import checkpoint
+        from .. import checkpoints
 
-        restored_core = checkpoint.clone(index.index)
+        restored_core = checkpoints.clone(index.index)
         restored = TextDocumentIndex.__new__(TextDocumentIndex)
         restored.index = restored_core
         restored.vocabulary = index.vocabulary

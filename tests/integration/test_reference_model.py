@@ -53,7 +53,6 @@ def build_both(policy, seed, nbatches=8, docs_per_batch=12, vocab=40):
             block_postings=8,  # tiny blocks force multi-block chunks
             ndisks=2,
             nblocks_override=200_000,
-            store_contents=True,
             policy=policy,
         )
     )

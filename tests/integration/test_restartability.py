@@ -6,9 +6,10 @@ aborted incremental update can restart from the last flush).
 import io
 import random
 
-from repro.core import checkpoint
 from repro.core.index import DualStructureIndex, IndexConfig
 from repro.core.policy import Limit, Policy, Style
+
+from .. import checkpoints
 
 
 def make_index():
@@ -19,7 +20,6 @@ def make_index():
             block_postings=16,
             ndisks=2,
             nblocks_override=100_000,
-            store_contents=True,
             policy=Policy(style=Style.NEW, limit=Limit.Z),
         )
     )
@@ -50,10 +50,10 @@ def test_resume_from_checkpoint_matches_straight_run():
             interrupted.add_document(words, doc_id=doc_id)
         interrupted.flush_batch()
     buf = io.BytesIO()
-    checkpoint.save(interrupted, buf)
+    checkpoints.save(interrupted, buf)
     del interrupted  # the crash
     buf.seek(0)
-    resumed = checkpoint.load(buf)
+    resumed = checkpoints.load(buf)
     for batch in batches[4:]:
         for doc_id, words in batch:
             resumed.add_document(words, doc_id=doc_id)
@@ -77,10 +77,10 @@ def test_unflushed_batch_is_lost_on_crash_not_corrupted():
     idx.add_document([1, 2], doc_id=0)
     idx.flush_batch()
     buf = io.BytesIO()
-    checkpoint.save(idx, buf)
+    checkpoints.save(idx, buf)
     idx.add_document([1, 3], doc_id=1)  # never flushed, never checkpointed
 
     buf.seek(0)
-    restored = checkpoint.load(buf)
+    restored = checkpoints.load(buf)
     assert restored.fetch(1)[0].doc_ids == [0]
     assert restored.fetch(3)[0].doc_ids == []

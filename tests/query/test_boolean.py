@@ -86,10 +86,6 @@ class TestEvaluation:
 
 
 class TestParser:
-    def test_words_collected(self):
-        ast = parse("(cat AND dog) OR NOT mouse")
-        assert ast.words() == {"cat", "dog", "mouse"}
-
     def test_empty_query(self):
         with pytest.raises(QueryParseError):
             parse("")

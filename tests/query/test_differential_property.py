@@ -45,7 +45,6 @@ def build_pair(docs, delete_seed):
             block_postings=4,
             ndisks=2,
             nblocks_override=100_000,
-            store_contents=True,
         )
     )
     oracle = BruteForceIndex()

@@ -253,7 +253,6 @@ def seeded_index(policy, seed, block_postings):
             block_postings=block_postings,
             ndisks=2,
             nblocks_override=200_000,
-            store_contents=True,
             policy=policy,
         )
     )

@@ -29,7 +29,6 @@ def index():
             block_postings=4,
             ndisks=2,
             nblocks_override=100_000,
-            store_contents=True,
         )
     )
     for i in range(40):
@@ -147,7 +146,6 @@ def build_ledger_index():
             block_postings=8,
             ndisks=2,
             nblocks_override=200_000,
-            store_contents=True,
         )
     )
     for i in range(400):

@@ -107,7 +107,6 @@ def build_triple(docs, nshards, router_seed, delete_seed):
         block_postings=4,
         ndisks=2,
         nblocks_override=100_000,
-        store_contents=True,
     )
     sharded = ShardedTextIndex(
         config, shards=nshards, router_seed=router_seed

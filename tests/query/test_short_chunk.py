@@ -29,7 +29,6 @@ def torn():
             block_postings=BLOCK_POSTINGS,
             ndisks=2,
             nblocks_override=100_000,
-            store_contents=True,
         )
     )
     for i in range(60):

@@ -23,7 +23,6 @@ def make_index(policy=None, block_postings=8):
             block_postings=block_postings,
             ndisks=2,
             nblocks_override=200_000,
-            store_contents=True,
             policy=policy or Policy(style=Style.NEW, limit=Limit.Z),
         )
     )
@@ -78,13 +77,6 @@ class TestCursor:
         assert cursor.current == 0
         assert stats.read_ops == 1
         assert stats.blocks_read == 0  # bucket is memory-resident
-
-    def test_requires_content_mode(self):
-        plain = DualStructureIndex(
-            IndexConfig(nbuckets=4, bucket_size=48, block_postings=8)
-        )
-        with pytest.raises(RuntimeError):
-            ListCursor(plain, 1, StreamStats())
 
 
 class TestCorrectness:

@@ -31,7 +31,6 @@ def test_streamed_merges_match_set_algebra(docs, query):
             block_postings=4,
             ndisks=2,
             nblocks_override=100_000,
-            store_contents=True,
             policy=Policy(style=Style.NEW, limit=Limit.Z),
         )
     )

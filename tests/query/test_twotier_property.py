@@ -66,7 +66,6 @@ def _build(docs, every, delete_seed, shards):
             block_postings=4,
             ndisks=2,
             nblocks_override=100_000,
-            store_contents=True,
         ),
         cache_capacity=0,  # differential answers must not be memoized
         read_tier="immediate",

@@ -37,7 +37,6 @@ def small_config() -> IndexConfig:
         block_postings=4,
         ndisks=2,
         nblocks_override=100_000,
-        store_contents=True,
     )
 
 

@@ -16,12 +16,15 @@ from repro.core.checkpoint import CheckpointError
 from repro.core.delta import FrozenStateError
 from repro.core.index import IndexConfig
 from repro.core.invariants import check_index, freeze_index
+from repro.core.shard import publish_copy
 from repro.service import QueryService
 from repro.service.gateway import AsyncShardGateway
 from repro.storage import faults
 from repro.storage.blockmap import LayeredBlocks
 from repro.storage.faults import FaultPlan
 from repro.textindex import TextDocumentIndex
+
+from ..counted import insert
 
 
 def small_config(**overrides):
@@ -31,7 +34,6 @@ def small_config(**overrides):
         block_postings=8,
         ndisks=2,
         nblocks_override=200_000,
-        store_contents=True,
     )
     base.update(overrides)
     return IndexConfig(**base)
@@ -315,7 +317,7 @@ class TestFreezeBarrier:
             clone.add_document("must not land")
             clone.flush_batch()
         with pytest.raises(FrozenStateError):
-            clone.index.buckets.insert(0, clone.index.longlists.content_cls())
+            insert(clone.index.buckets, 0, clone.index.longlists.content_cls())
         with pytest.raises(FrozenStateError):
             clone.index.array.disks[0].allocate(1)
         with pytest.raises(FrozenStateError):
@@ -420,16 +422,17 @@ class TestServicePublishModes:
     def test_crash_safe_cow_boundary_never_serializes(self, monkeypatch):
         """Neither half of a batch boundary is O(index): the undo log
         replaces the per-batch recovery point and the publish is
-        incremental, so ``checkpoint.save`` is not called at all."""
+        incremental, so no full save (``checkpoint.save_header``, which
+        every one writes first) is made at all."""
         service = QueryService(small_config(crash_safe=True))
         saves = []
-        real_save = checkpoint.save
+        real_save = checkpoint.save_header
 
         def counting_save(index, target):
             saves.append(index)
             real_save(index, target)
 
-        monkeypatch.setattr(checkpoint, "save", counting_save)
+        monkeypatch.setattr(checkpoint, "save_header", counting_save)
         self._drive(service)
         assert service.stats.cow_publishes == 4
         assert service.stats.cow_fallbacks == 0
@@ -533,3 +536,23 @@ class TestBufferCache:
         answer = fresh.search_boolean("hot AND shared")
         assert 0 not in answer.doc_ids
         assert answer.doc_ids[-1] == fresh.ndocs - 1
+
+
+def test_saving_a_published_snapshot_starts_no_journal():
+    """A save cuts the full copy a journal starts from, but nothing copies
+    from a published snapshot: saving one leaves it without a journal,
+    and a full clone's snapshot without an owned-word set."""
+    writer = build_writer()
+    first, cause = publish_copy(writer, None, writer.delta, 0, None)
+    assert cause == "no predecessor"
+    for i in range(4):
+        writer.add_document(DOCS[i])
+    writer.flush_batch()
+    cow, cause = publish_copy(writer, first, writer.delta, 0, None)
+    assert cause is None
+    for snapshot, owned in ((first, None), (cow, set())):
+        saved(snapshot)
+        assert snapshot.delta is None
+        assert snapshot.index.buckets.owned == owned
+        with pytest.raises(FrozenStateError):
+            snapshot.flush_batch()

@@ -58,7 +58,6 @@ def crash_config() -> IndexConfig:
         block_postings=8,
         ndisks=2,
         nblocks_override=100_000,
-        store_contents=True,
         crash_safe=True,
     )
 

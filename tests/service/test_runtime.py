@@ -52,7 +52,6 @@ def config(fault_plan: FaultPlan | None = None) -> IndexConfig:
         block_postings=8,
         ndisks=2,
         nblocks_override=100_000,
-        store_contents=True,
         crash_safe=True,
         fault_plan=fault_plan,
     )

@@ -32,7 +32,6 @@ def small_config(**overrides):
         block_postings=8,
         ndisks=2,
         nblocks_override=100_000,
-        store_contents=True,
     )
     defaults.update(overrides)
     return IndexConfig(**defaults)

@@ -216,7 +216,6 @@ class TestServingVsOfflineEquivalence:
                 block_postings=16,
                 ndisks=2,
                 nblocks_override=500_000,
-                store_contents=True,
             )
         )
         for text in texts:

@@ -71,16 +71,6 @@ class TestFirstFit:
         with pytest.raises(FreeListError):
             fl.free(25, 10)
 
-    def test_fragmentation_metric(self):
-        fl = FirstFitFreeList(40)
-        a = fl.allocate(10)
-        fl.allocate(10)
-        c = fl.allocate(10)
-        fl.free(a, 10)
-        fl.free(c, 10)
-        # Free: [0,10) + [20,40): 30 free, largest run 20.
-        assert fl.fragmentation() == pytest.approx(1 - 20 / 30)
-
     def test_invalid_requests(self):
         fl = FirstFitFreeList(10)
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ def index():
             block_postings=8,
             ndisks=2,
             nblocks_override=100_000,
-            store_contents=True,
         )
     )
     idx.add_document("red fox runs")

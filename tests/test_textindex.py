@@ -14,17 +14,12 @@ def make_index(**overrides):
         block_postings=16,
         ndisks=2,
         nblocks_override=100_000,
-        store_contents=True,
     )
     defaults.update(overrides)
     return TextDocumentIndex(IndexConfig(**defaults))
 
 
 class TestConstruction:
-    def test_content_mode_forced_on(self):
-        index = TextDocumentIndex(IndexConfig(store_contents=False))
-        assert index.index.config.store_contents
-
     def test_default_config(self):
         index = TextDocumentIndex()
         assert index.ndocs == 0

@@ -2,6 +2,7 @@
 
 import io
 import os
+import struct
 
 import pytest
 
@@ -21,7 +22,6 @@ def make_index(positional=False):
             block_postings=16,
             ndisks=2,
             nblocks_override=100_000,
-            store_contents=True,
             positional=positional,
         )
     )
@@ -110,7 +110,7 @@ class TestSnapshot:
 def three_batches():
     index = TextDocumentIndex(
         IndexConfig(
-            nbuckets=4, bucket_size=16, block_postings=4, store_contents=True
+            nbuckets=4, bucket_size=16, block_postings=4
         )
     )
     for batch in range(3):
@@ -173,3 +173,53 @@ class TestSweepBoundary:
                 cow.search_boolean(query).doc_ids
                 == full.search_boolean(query).doc_ids
             )
+
+
+class TestCorruptRecords:
+    """A redo record that does not end where its own lengths say is
+    refused, never half-applied."""
+
+    @staticmethod
+    def base_and_record():
+        index = make_index()
+        base, mark = save(index), index.mark
+        index.add_document("the owl and the newt")
+        index.flush_batch()
+        buf = io.BytesIO()
+        index.save_record(buf, index.delta, mark, {})
+        raw = buf.getvalue()
+        (core_len,) = struct.unpack_from("<Q", raw, 20)
+        return base, raw, core_len
+
+    def refused(self, base, record, what):
+        with pytest.raises(CheckpointError, match=rf"\({what}\)"):
+            TextDocumentIndex.restore(base, [record])
+
+    def test_the_record_itself_restores(self):
+        base, raw, _ = self.base_and_record()
+        TextDocumentIndex.restore(base, [raw])
+
+    def test_trailing_core_bytes(self):
+        base, raw, core_len = self.base_and_record()
+        core_end = 28 + core_len
+        bad = (
+            raw[:20] + struct.pack("<Q", core_len + 1)
+            + raw[28:core_end] + b"\0" + raw[core_end:]
+        )
+        self.refused(base, bad, "core")
+
+    def test_word_lengths_that_miss_the_text(self):
+        base, raw, core_len = self.base_and_record()
+        words = 28 + core_len
+        nwords, _ = struct.unpack_from("<QQ", raw, words)
+        assert nwords > 0
+        (first,) = struct.unpack_from("<I", raw, words + 16)
+        bad = (
+            raw[:words + 16] + struct.pack("<I", first + 1)
+            + raw[words + 20:]
+        )
+        self.refused(base, bad, "words")
+
+    def test_a_trailing_tail(self):
+        base, raw, _ = self.base_and_record()
+        self.refused(base, raw + b"\0", "tail")

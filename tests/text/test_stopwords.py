@@ -53,7 +53,6 @@ class TestIndexIntegration:
                 block_postings=16,
                 ndisks=2,
                 nblocks_override=50_000,
-                store_contents=True,
             ),
             tokenizer_config=TokenizerConfig.full_text(),
         )
